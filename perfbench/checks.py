@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 import traceback
 from typing import Callable
 
@@ -19,6 +18,8 @@ from repro.cluster.topology import ClusterSpec
 from repro.core.plan import ExecutionPlan
 from repro.models.graph import ModelSpec
 from repro.profiling.records import ProfileDB
+
+from timing import timed
 
 
 def plan_problems(
@@ -102,8 +103,8 @@ class Ledger:
         global_batch: float,
         expect: ExecutionPlan | None = None,
     ):
-        """``(evaluated config, seconds)`` of ``call()``, or ``None`` when
-        it raised or returned a plan that fails a check."""
+        """``(evaluated config, timing.Sample)`` of ``call()``, or
+        ``None`` when it raised or returned a plan that fails a check."""
         try:
             return self._run(key, call, cluster, global_batch, expect)
         finally:
@@ -112,16 +113,13 @@ class Ledger:
 
     def _run(self, key, call, cluster, global_batch, expect):
         self.attempted += 1
-        t0 = time.perf_counter()
         try:
-            ev = call()
+            ev, sample = timed(call)
         except Exception:
-            seconds = time.perf_counter() - t0
-            print(f"[{key}] raised after {seconds:.3f}s:", file=sys.stderr)
+            print(f"[{key}] raised:", file=sys.stderr)
             traceback.print_exc(file=sys.stderr)
             self.failed += 1
             return None
-        seconds = time.perf_counter() - t0
         plan = ev.plan
         problems = plan_problems(
             plan, self.model, self.profile, cluster, global_batch, self.heterogeneous
@@ -136,4 +134,4 @@ class Ledger:
             print(f"[{key}] failed checks: {problems}", file=sys.stderr)
             self.failed += 1
             return None
-        return ev, seconds
+        return ev, sample

@@ -40,16 +40,17 @@ from repro.profiling import Profiler
 from repro.profiling.records import ProfileDB
 
 from checks import Ledger
+from timing import Sample, timed
 from tracer import Tracer, layer_metrics
 
 #: global batches of the cold workloads; every round plans each once
 BATCHES = (128, 256, 512)
 #: set-ups before the measured work; more follow between operations,
 #: at most one every ``SETUP_EVERY_S``
-SETUP_REPEATS = 5
+SETUP_REPEATS = 20
 SETUP_EVERY_S = 0.25
 #: replans of a membership already planned, per warm step of a cold op:
-#: single few-millisecond samples are at the mercy of one GC pause
+#: single few-millisecond samples are at the mercy of one interrupt
 HIT_REPEATS = 5
 #: join/leave events per churn stream, after the stream's cold replan;
 #: a long stream visits nearly all 40 memberships, so the mean plan
@@ -112,16 +113,19 @@ class Result:
     tracer: Tracer | None = None
 
 
-def setup(workload: Workload, repeats: int) -> tuple[Env, list[float]]:
-    """Fig. 7 step 1, repeated; the last environment and every time."""
+def _setup_once(workload: Workload) -> Env:
+    cluster = p4de_cluster(2)
+    model = workload.make_model()
+    return Env(model, cluster, Profiler(cluster).profile(model))
+
+
+def setup(workload: Workload, repeats: int) -> tuple[Env, list[Sample]]:
+    """Fig. 7 step 1, repeated; the last environment and every timing."""
     times = []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        cluster = p4de_cluster(2)
-        model = workload.make_model()
-        profile = Profiler(cluster).profile(model)
-        times.append(time.perf_counter() - t0)
-    return Env(model, cluster, profile), times
+        env, sample = timed(lambda: _setup_once(workload))
+        times.append(sample)
+    return env, times
 
 
 class SetupSampler:
@@ -130,7 +134,7 @@ class SetupSampler:
     spell at start-up, which on a shared machine can slow a whole batch
     of back-to-back set-ups by half."""
 
-    def __init__(self, workload: Workload, times: list[float]):
+    def __init__(self, workload: Workload, times: list[Sample]):
         self.workload = workload
         self.times = times
         self._due = time.perf_counter() + SETUP_EVERY_S
@@ -166,23 +170,17 @@ def churn_stream(seed: int, index: int) -> list[ElasticEvent]:
     return events
 
 
-def lower_quartile(values: list[float]) -> float:
-    """The 25th-percentile sample (nearest rank, rounding down)."""
-    return sorted(values)[(len(values) - 1) // 4]
-
-
-def summarise(samples: dict[str, dict]) -> dict[str, float]:
+def summarise(samples: dict[str, dict[object, list[Sample]]]) -> dict[str, float]:
     """Each timing: the mean over its groups (the batches of a cold
-    workload; one group otherwise) of the group's lower quartile.
-
-    The mean over batches weighs the same batch mix the same on every
-    seed and round count.  The lower quartile, not the median: on a
-    shared machine, other tenants' bursts only ever add time, and they
-    come and go on a scale of seconds to minutes.  Over five seeds the
-    median of a run moved by 10% between runs, the lower quartile by
-    1-5% (README.md, "Steadiness")."""
+    workload, the machine counts of a churn stream) of the median of
+    the group's speed-normalised samples.  The mean over groups weighs
+    the same mix the same on every seed and round count."""
     return {
-        name: statistics.fmean(lower_quartile(v) for v in groups.values())
+        name: statistics.fmean(
+            statistics.median(s.seconds for s in group)
+            for group in groups.values()
+            if group
+        )
         for name, groups in samples.items()
     }
 
@@ -310,7 +308,9 @@ def membership(cluster: ClusterSpec) -> str:
     )
 
 
-def _churn_stream_run(env, workload, seed, index, ledger, tracer=None, spare=None):
+def _churn_stream_run(
+    env, workload, seed, index, ledger, tracer=None, spare=None, deadline=None
+):
     """A cold replan, then a replan after every event of stream
     ``index``, in one session.  With a ``spare`` environment (its own
     profile, so clearing it leaves the session's memos alone), a cold
@@ -319,13 +319,16 @@ def _churn_stream_run(env, workload, seed, index, ledger, tracer=None, spare=Non
     most of the cold samples.
 
     Replans are keyed by membership, so a membership must get the same
-    plan on every visit, in every stream.  Returns (cold replan
-    seconds, event replans as (seconds, novel), caches)."""
+    plan on every visit, in every stream.  A stream stops early once
+    ``deadline`` has passed.  Returns (cold replan
+    samples, event replans as (sample, novel, machines), caches)."""
     session = _churn_session(env, workload)
     cold = []
     events = []
     seen = set()
     for i, event in enumerate([None, *churn_stream(seed, index)]):
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
         if spare is not None and i and i % COLD_EVERY == 0:
             fresh = _churn_session(spare, workload)
             got = ledger.run(
@@ -353,26 +356,42 @@ def _churn_stream_run(env, workload, seed, index, ledger, tracer=None, spare=Non
         if event is None:
             cold.append(got[1])
         else:
-            events.append((got[1], novel))
+            events.append((got[1], novel, session.cluster.num_machines))
     return cold, events, session.caches
 
 
 def _churn_untraced(env, workload, seconds, seed, ledger):
     spare = Env(env.model, env.cluster, Profiler(env.cluster).profile(env.model))
     cold, replans = [], []
+    deadline = time.perf_counter() + seconds
 
     def one(index):
+        # The first stream runs whole, so that every run plans nearly
+        # every membership; later ones stop at the deadline.
         c, events, _ = _churn_stream_run(
-            env, workload, seed, index, ledger, spare=spare
+            env,
+            workload,
+            seed,
+            index,
+            ledger,
+            spare=spare,
+            deadline=deadline if index else None,
         )
         cold.extend(c)
         replans.extend(events)
 
     _rounds(seconds, one)
+    # Grouped by machine count: a replan's cost grows with the cluster,
+    # and the share of each size in a walk depends on the seed.
+    every, novel = defaultdict(list), defaultdict(list)
+    for sample, new, machines in replans:
+        every[machines].append(sample)
+        if new:
+            novel[machines].append(sample)
     samples = {
         "plan_s": {"initial": cold},
-        "replan_s": {"events": [s for s, _ in replans]},
-        "replan_novel_s": {"novel": [s for s, novel in replans if novel]},
+        "replan_s": every,
+        "replan_novel_s": novel,
     }
     # Each membership planned counts once: weighting by how long a
     # stream dwells in a membership would make plan quality depend on
@@ -396,7 +415,7 @@ def _churn_traced(env, workload, seconds, seed, ledger, tracer):
                 stats.append(caches.stats())
             else:
                 _, events, _ = _churn_stream_run(env, workload, seed, index, ledger)
-            walls[traced]["events"].extend(s for s, _ in events)
+            walls[traced]["events"].extend(s for s, _, _ in events)
 
     _rounds(seconds, one)
     overhead = summarise(walls)

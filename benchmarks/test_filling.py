@@ -152,12 +152,13 @@ def test_cold_vs_warm_fill_prefix_cache(benchmark):
         return filler.fill(bubbles, leftover_devices=DEVICES)
 
     def measure():
-        # Best-of-2 cold (each genuinely cold: the cache is reset) vs
-        # best-of-3 warm, so one scheduler stall cannot flip the ratio.
+        # Best-of-2 cold vs best-of-3 warm, so one scheduler stall
+        # cannot flip the ratio.  Each cold pass is genuinely cold: the
+        # caches *and* the profile's interpolation memos are reset.
         cold = float("inf")
         cold_report = None
         for _ in range(2):
-            caches.prefixes.clear(profile)
+            caches.clear([profile])
             t0 = time.perf_counter()
             cold_report = run_fill()
             cold = min(cold, time.perf_counter() - t0)

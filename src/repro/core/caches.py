@@ -219,7 +219,10 @@ class PlannerCaches:
     ``evals``
         simulate-and-fill outcomes, with the filling-relevant
         :class:`PlannerOptions` knobs in the key so planners with
-        different filling ablations never alias each other's entries.
+        different filling ablations never alias each other's entries;
+        and, under ``("simulate", ...)`` keys without those knobs, the
+        unfilled timeline of each partition, which both passes of the
+        bound-and-skip ``plan()`` read.
     ``chains`` / ``het`` / ``cdm`` / ``cdm_het``
         the per-profile M-independent DP Pareto tables of
         :mod:`repro.core.partition` and :mod:`repro.core.partition_cdm`.

@@ -16,10 +16,14 @@ degree) — and for each feasible combination:
 4. estimates the steady-state iteration time and checks device memory;
 
 and finally returns the configuration with the highest throughput.
+:meth:`DiffusionPipePlanner.plan` fills only the configurations whose
+unfilled-makespan throughput bound can still beat the best plan found
+so far; :meth:`~DiffusionPipePlanner.candidate_plans` evaluates them all.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,7 +46,13 @@ from .fill_strategies import FILL_STRATEGIES, fill_strategy_names
 from .filling import VALID_LOCAL_BATCHES, BubbleFiller, FillShapeCache
 from .partition import PartitionContext, partition_backbone
 from .partition_cdm import CDMPartitionContext, partition_cdm
-from .plan import ExecutionPlan, FillReport, PartitionPlan, StageAssignment
+from .plan import (
+    ExecutionPlan,
+    FillReport,
+    MemoryReport,
+    PartitionPlan,
+    StageAssignment,
+)
 
 __all__ = [
     "PlannerOptions",
@@ -53,6 +63,18 @@ __all__ = [
     "default_caches",
     "DiffusionPipePlanner",
 ]
+
+
+def _expected(p: float, plain: float, sc: float) -> float:
+    """Self-conditioning expectation: a step takes the extra forward
+    pass with probability ``p``."""
+    return (1 - p) * plain + p * sc
+
+
+def _samples_per_iter(global_batch: float, partition: PartitionPlan) -> float:
+    """Samples trained per iteration; a bidirectional plan trains both
+    backbones on the batch."""
+    return global_batch * (2 if partition.is_bidirectional else 1)
 
 
 @dataclass(frozen=True)
@@ -331,15 +353,15 @@ class DiffusionPipePlanner:
 
     # -- evaluation of one configuration ----------------------------------------------
 
-    def evaluate(
-        self, global_batch: float, group_size: int, num_stages: int, num_micro: int
-    ) -> EvaluatedConfig | None:
-        """Fully evaluate one (D, S, M) configuration.
+    def _gate(
+        self, global_batch: float, D: int, S: int, M: int
+    ) -> tuple[PartitionPlan, MemoryReport | None, float] | None:
+        """Partition and memory-check one (D, S, M) configuration.
 
-        Returns None when no feasible partition exists or the plan does
-        not fit in memory.
+        Returns ``(partition, memory report, per-group batch)``, or None
+        when no feasible partition exists or the plan does not fit in
+        memory.
         """
-        D, S, M = group_size, num_stages, num_micro
         world = self.cluster.world_size
         if world % D != 0:
             raise ConfigurationError(f"group size {D} !| world {world}")
@@ -376,7 +398,52 @@ class DiffusionPipePlanner:
             )
             if not memory.fits:
                 return None
+        return partition, memory, batch_per_group
 
+    def _bound(self, global_batch: float, D: int, S: int, M: int) -> float | None:
+        """Upper bound on the throughput :meth:`evaluate` reports for a
+        configuration, from its simulated timelines alone (no filling);
+        None where :meth:`evaluate` returns None.
+
+        ``compose_iteration`` sets ``iteration_ms = pipeline_ms +
+        leftover_ms`` with ``leftover_ms >= 0``; the self-conditioning
+        expectation, the division and the ``1e3`` scale are each
+        monotone under round-to-nearest.  The pipeline term here is the
+        very expression :meth:`evaluate` reports as ``pipeline_ms``, on
+        the same memoised timelines, so the bound holds bit for bit.
+        """
+        gated = self._gate(global_batch, D, S, M)
+        if gated is None:
+            return None
+        partition, _, batch_per_group = gated
+        pipeline_ms = self._simulate(partition, batch_per_group, sc=False).makespan
+        if self.model.self_conditioning and not partition.is_bidirectional:
+            pipeline_ms = _expected(
+                self.model.self_conditioning_prob,
+                pipeline_ms,
+                self._simulate(partition, batch_per_group, sc=True).makespan,
+            )
+        if not pipeline_ms > 0:
+            return math.inf
+        return _samples_per_iter(global_batch, partition) / pipeline_ms * 1e3
+
+    def evaluate(
+        self, global_batch: float, group_size: int, num_stages: int, num_micro: int
+    ) -> EvaluatedConfig | None:
+        """Fully evaluate one (D, S, M) configuration: partition, memory
+        check, simulate, bubble filling and composition.
+
+        The configuration is filled whether or not :meth:`plan` would
+        have skipped it, so the returned metrics are exact for every
+        configuration.  Returns None when no feasible partition exists
+        or the plan does not fit in memory.
+        """
+        D = group_size
+        gated = self._gate(global_batch, D, num_stages, num_micro)
+        if gated is None:
+            return None
+        partition, memory, batch_per_group = gated
+        dp = self.cluster.world_size // D
         nt_total = self._nt_serial_ms(batch_per_group, D)
 
         if self.model.self_conditioning and not partition.is_bidirectional:
@@ -387,17 +454,16 @@ class DiffusionPipePlanner:
                 partition, batch_per_group, sc=True, nt_total=nt_total
             )
             p = self.model.self_conditioning_prob
-            iteration = (1 - p) * ev_plain[0].iteration_ms + p * ev_sc[0].iteration_ms
-            ratio_unfilled = (
-                (1 - p) * ev_plain[0].bubble_ratio_unfilled
-                + p * ev_sc[0].bubble_ratio_unfilled
+            plain, sc = ev_plain[0], ev_sc[0]
+            iteration = _expected(p, plain.iteration_ms, sc.iteration_ms)
+            ratio_unfilled = _expected(
+                p, plain.bubble_ratio_unfilled, sc.bubble_ratio_unfilled
             )
-            ratio_filled = (
-                (1 - p) * ev_plain[0].bubble_ratio_filled
-                + p * ev_sc[0].bubble_ratio_filled
+            ratio_filled = _expected(
+                p, plain.bubble_ratio_filled, sc.bubble_ratio_filled
             )
-            pipeline_ms = (1 - p) * ev_plain[0].pipeline_ms + p * ev_sc[0].pipeline_ms
-            leftover = (1 - p) * ev_plain[0].leftover_ms + p * ev_sc[0].leftover_ms
+            pipeline_ms = _expected(p, plain.pipeline_ms, sc.pipeline_ms)
+            leftover = _expected(p, plain.leftover_ms, sc.leftover_ms)
             fill = ev_plain[1]
             timeline, timeline_sc = ev_plain[2], ev_sc[2]
         else:
@@ -411,7 +477,7 @@ class DiffusionPipePlanner:
             leftover = est.leftover_ms
             timeline_sc = None
 
-        samples_per_iter = global_batch * (2 if partition.is_bidirectional else 1)
+        samples_per_iter = _samples_per_iter(global_batch, partition)
         throughput = samples_per_iter / iteration * 1e3  # samples/s
 
         plan = ExecutionPlan(
@@ -438,7 +504,13 @@ class DiffusionPipePlanner:
     # -- planning ----------------------------------------------------------------------
 
     def candidate_plans(self, global_batch: float) -> list[EvaluatedConfig]:
-        """Evaluate every feasible configuration."""
+        """Fully :meth:`evaluate` every feasible configuration, in
+        :meth:`candidate_configs` order.
+
+        Exhaustive — nothing is skipped — for sweeps, figures and tests
+        that read every configuration; :meth:`plan` returns the first
+        maximum-throughput entry of this list without filling them all.
+        """
         out = []
         for D, S, M in self.candidate_configs(global_batch):
             ev = self.evaluate(global_batch, D, S, M)
@@ -447,14 +519,46 @@ class DiffusionPipePlanner:
         return out
 
     def plan(self, global_batch: float) -> EvaluatedConfig:
-        """Pick the highest-throughput configuration (Fig. 7 step 5)."""
-        candidates = self.candidate_plans(global_batch)
-        if not candidates:
+        """Pick the highest-throughput configuration (Fig. 7 step 5).
+
+        Bound-and-skip search, bit-identical to the first maximum of
+        :meth:`candidate_plans`:
+
+        1. *bound pass* — partition, memory-check and simulate every
+           feasible configuration, giving each a throughput upper bound
+           ``samples / pipeline_ms`` (:meth:`_bound`);
+        2. *fill pass* — :meth:`evaluate` configurations in descending
+           ``(bound, -index)`` order, ``index`` being the position in
+           :meth:`candidate_configs`, and stop at the first whose
+           ``(bound, -index)`` is no better than the incumbent's
+           ``(throughput, -index)``: neither it nor any later
+           configuration can beat, or tie ahead of, the incumbent.
+
+        Only the bubble filling (the dominant phase) of configurations
+        that cannot win is skipped.
+        """
+        bounded = []
+        for index, (D, S, M) in enumerate(self.candidate_configs(global_batch)):
+            bound = self._bound(global_batch, D, S, M)
+            if bound is not None:
+                bounded.append((-bound, index, D, S, M))
+        bounded.sort()
+        best: EvaluatedConfig | None = None
+        best_key: tuple[float, int] | None = None
+        for neg_bound, index, D, S, M in bounded:
+            if best_key is not None and (-neg_bound, -index) <= best_key:
+                break
+            ev = self.evaluate(global_batch, D, S, M)
+            assert ev is not None  # the bound pass gated it
+            key = (ev.plan.throughput, -index)
+            if best_key is None or key > best_key:
+                best, best_key = ev, key
+        if best is None:
             raise ConfigurationError(
                 f"no feasible configuration for global batch {global_batch} "
                 f"on {self.cluster.world_size} devices"
             )
-        return max(candidates, key=lambda ev: ev.plan.throughput)
+        return best
 
     # -- internals -----------------------------------------------------------------------
 
@@ -777,6 +881,73 @@ class DiffusionPipePlanner:
         sc: bool,
         nt_total: float,
     ):
+        timeline = self._simulate(partition, batch_per_group, sc=sc)
+        fill: FillReport | None = None
+        bubbles = None
+        if self.options.enable_bubble_filling:
+            bubbles = extract_bubbles(
+                timeline,
+                min_duration_ms=self.options.min_bubble_ms,
+                include_sync_spans=True,
+            )
+            filler = BubbleFiller(
+                self.profile,
+                self.model,
+                batch_per_group,
+                enable_partial_batch=self.options.enable_partial_batch,
+                partial_batch_menu=self.options.partial_batch_menu,
+                strategy=self.options.fill_strategy,
+                lookahead_beam=self.options.lookahead_beam,
+                fill_cache=self.caches.fills,
+                caches=self.caches,
+                schedule=self.schedule,
+                shape_quantum=self.options.fill_shape_quantum,
+            )
+            fill = filler.fill(bubbles, leftover_devices=partition.group_size)
+
+        est = compose_iteration(
+            timeline,
+            fill,
+            nt_total,
+            total_devices=partition.group_size,
+            bubbles=bubbles,
+        )
+        return est, fill, timeline
+
+    def _simulate(
+        self, partition: PartitionPlan, batch_per_group: float, *, sc: bool
+    ) -> Timeline:
+        """The simulated (unfilled) pipeline timeline of a partition.
+
+        Memoised in ``caches.evals`` under the simulate-and-fill key
+        without the NT time and the filling knobs — partition-level
+        fields only, so a hit costs no stage-exec derivation.  Both
+        passes of :meth:`plan`, and planners that differ only in their
+        filling options, share one timeline per configuration.
+        """
+        key = (
+            "simulate",
+            partition.down,
+            partition.up,
+            partition.num_micro_batches,
+            partition.group_size,
+            batch_per_group,
+            sc,
+            self.cluster,
+            weakref.ref(self.profile),
+            self.model.name,
+            self.schedule,
+        )
+        evals = self.caches.evals
+        timeline = evals.get(key)
+        if timeline is None:
+            timeline = self._simulate_uncached(partition, batch_per_group, sc=sc)
+            evals.put(key, timeline)
+        return timeline
+
+    def _simulate_uncached(
+        self, partition: PartitionPlan, batch_per_group: float, *, sc: bool
+    ) -> Timeline:
         micro = partition.micro_batch
         M = partition.num_micro_batches
         S = partition.num_stages
@@ -854,35 +1025,4 @@ class DiffusionPipePlanner:
                 )
                 timeline = simulate(tasks, positions, weights)
                 self.caches.timelines.put(tl_key, timeline)
-
-        fill: FillReport | None = None
-        bubbles = None
-        if self.options.enable_bubble_filling:
-            bubbles = extract_bubbles(
-                timeline,
-                min_duration_ms=self.options.min_bubble_ms,
-                include_sync_spans=True,
-            )
-            filler = BubbleFiller(
-                self.profile,
-                self.model,
-                batch_per_group,
-                enable_partial_batch=self.options.enable_partial_batch,
-                partial_batch_menu=self.options.partial_batch_menu,
-                strategy=self.options.fill_strategy,
-                lookahead_beam=self.options.lookahead_beam,
-                fill_cache=self.caches.fills,
-                caches=self.caches,
-                schedule=self.schedule,
-                shape_quantum=self.options.fill_shape_quantum,
-            )
-            fill = filler.fill(bubbles, leftover_devices=partition.group_size)
-
-        est = compose_iteration(
-            timeline,
-            fill,
-            nt_total,
-            total_devices=partition.group_size,
-            bubbles=bubbles,
-        )
-        return est, fill, timeline
+        return timeline

@@ -57,9 +57,11 @@ def test_shared_caches_thread_pool_smoke():
     assert len(shared.partition) <= shared.partition.max_entries
     assert len(shared.evals) <= shared.evals.max_entries
     assert shared.prefixes.entry_count(profile) <= 8192
-    # The work actually went through the shared instance.
-    tl = shared.stats().store("timelines")
-    assert tl.hits > 0 and tl.entries > 0
+    # The work actually went through the shared instance: repeat sweeps
+    # are served by ``evals`` (simulate and simulate-and-fill memos),
+    # which sits in front of the timeline memo the first sweep filled.
+    assert shared.stats().store("evals").hits > 0
+    assert shared.stats().store("timelines").entries > 0
 
 
 def test_dropping_planner_caches_frees_timelines():

@@ -31,7 +31,6 @@ from repro.core import (
     BubbleFiller,
     FillShapeCache,
     extract_bubbles,
-    extract_bubbles_reference,
 )
 from repro.core.planner import DiffusionPipePlanner, PlannerCaches
 from repro.harness.throughput import BENCH_PLANNER_OPTIONS
@@ -42,6 +41,7 @@ from repro.models.zoo import timed_component
 from repro.profiling import ProfileDB
 from repro.schedule import Task, TaskKind, Timeline, device_resource
 from repro.schedule.timeline import Interval
+from tests.oracles import extract_bubbles_reference
 
 #: fuzzed-timeline size: ~2 * DEVICES * SPANS span edges for the sweep,
 #: segments x devices x spans work for the quadratic reference

@@ -1,11 +1,12 @@
 """Array-kernel DP speedup gate (the PR's headline optimisation).
 
 Times cold table builds of the three partition DPs — heterogeneous
-1F1B, the uniform chain, and the CDM bidirectional DP — under both
-engines on a fig13c/d-flavoured lattice: the CDM-LSUN down backbone on
-one NVSwitch node's cost constants, swept across the group sizes the
-figure's cluster sweep visits (D up to 64 devices) at two stage
-counts.  The gate is on the
+1F1B, the uniform chain, and the CDM bidirectional DP — under the array
+engine and under its pure-Python oracle (``tests/oracles/``, swapped in
+below the production wrappers) on a fig13c/d-flavoured lattice: the
+CDM-LSUN down backbone on one NVSwitch node's cost constants, swept
+across the group sizes the figure's cluster sweep visits (D up to 64
+devices) at two stage counts.  The gate is on the
 *aggregate* ratio (total reference seconds / total array seconds), so
 the lattice's mass distribution is part of the contract: the
 heterogeneous shapes dominate, exactly where the planner spends its
@@ -34,6 +35,7 @@ from repro.core.partition import (
     _het_frontiers,
 )
 from repro.core.partition_cdm import CDMPartitionContext, _cdm_frontiers
+from tests.oracles import dp_engine, reference_dp_kernels
 
 #: required aggregate cold-build speedup of the array engine
 MIN_AGGREGATE_SPEEDUP = 5.0
@@ -69,6 +71,16 @@ def _interleaved_floors(ref_fn, arr_fn, n=BEST_OF):
     return best_ref, best_arr
 
 
+def _under(kern, build):
+    """A thunk running ``build`` with DP engine ``kern``."""
+
+    def run():
+        with dp_engine(kern):
+            build()
+
+    return run
+
+
 def _ctx(profile, component, M=16):
     return PartitionContext(
         profile=profile,
@@ -90,19 +102,22 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
     )
 
     def het(S, D, kern):
-        return lambda: _het_frontiers(
-            ctx, L, S, D, PlannerCaches(), dp_kernel=kern
+        return _under(
+            kern, lambda: _het_frontiers(ctx, L, S, D, PlannerCaches())
         )
 
     def chain(kern):
-        return lambda: _chain_frontiers(
-            ctx, 2, L, 4, PlannerCaches(), dp_kernel=kern
+        return _under(
+            kern, lambda: _chain_frontiers(ctx, 2, L, 4, PlannerCaches())
         )
 
     def cdm(kern):
-        return lambda: _cdm_frontiers(
-            cctx, 4, 2, PlannerCaches(), cut_step=2, max_frontier=8,
-            ld=ld, lu=lu, dp_kernel=kern,
+        return _under(
+            kern,
+            lambda: _cdm_frontiers(
+                cctx, 4, 2, PlannerCaches(), cut_step=2, max_frontier=8,
+                ld=ld, lu=lu,
+            ),
         )
 
     lattice = [
@@ -148,12 +163,9 @@ def test_array_kernels_identical_tables_on_lattice_shape(lsun, lsun_profile):
     down = lsun.backbone_names[0]
     L = lsun_profile.num_layers(down)
     ctx = _ctx(lsun_profile, down)
-    h_ref, tf_ref = _het_frontiers(
-        ctx, L, 4, 16, PlannerCaches(), dp_kernel="reference"
-    )
-    h_arr, tf_arr = _het_frontiers(
-        ctx, L, 4, 16, PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_kernels():
+        h_ref, tf_ref = _het_frontiers(ctx, L, 4, 16, PlannerCaches())
+    h_arr, tf_arr = _het_frontiers(ctx, L, 4, 16, PlannerCaches())
     assert tf_ref == tf_arr
     assert len(h_ref) == len(h_arr)
     for d_ref, d_arr in zip(h_ref, h_arr):

@@ -171,7 +171,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 fill_strategy=args.fill_strategy,
                 lookahead_beam=args.lookahead_beam,
                 schedule=args.schedule,
-                dp_kernel=args.dp_kernel,
             ),
         )
         ev = planner.plan(args.batch)
@@ -234,7 +233,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fill_strategy=args.fill_strategy,
         lookahead_beam=args.lookahead_beam,
         schedule=args.schedule,
-        dp_kernel=args.dp_kernel,
     )
     try:
         planner = DiffusionPipePlanner(model, cluster, profile, options=opts)
@@ -443,23 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=fill_strategy_names(),
                    help="bubble-filling policy: greedy (the paper's "
                         "Algorithms 1+2), lookahead (plans across bubbles, "
-                        "never worse than greedy), lookahead_reference "
-                        "(its unpruned oracle), none (leave bubbles idle)")
+                        "never worse than greedy), none (leave bubbles idle)")
     p.add_argument("--lookahead-beam", type=int, default=64,
-                   help="beam-width cap of the lookahead fill strategies; "
-                        "lookahead runs narrower by default and widens up "
-                        "to this at decision points")
+                   help="beam-width cap of the lookahead fill strategy; "
+                        "it runs narrower by default and widens up to "
+                        "this at decision points")
     p.add_argument("--schedule", default="auto",
                    choices=("auto",) + schedule_family_names(),
                    help="pipeline schedule family; auto picks onef1b for "
                         "single-backbone models and bidirectional for "
                         "cascaded ones")
-    p.add_argument("--dp-kernel", default="array",
-                   choices=("array", "reference"),
-                   help="partition DP table-build engine: array (the "
-                        "vectorized numpy kernels, default) or reference "
-                        "(the pure-Python differential oracle); both are "
-                        "bit-identical")
     p.add_argument("--out", help="write the plan JSON here")
     p.add_argument("--trace", help="write a chrome trace here")
     p.set_defaults(func=cmd_plan)
@@ -483,23 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=fill_strategy_names(),
                    help="bubble-filling policy: greedy (the paper's "
                         "Algorithms 1+2), lookahead (plans across bubbles, "
-                        "never worse than greedy), lookahead_reference "
-                        "(its unpruned oracle), none (leave bubbles idle)")
+                        "never worse than greedy), none (leave bubbles idle)")
     p.add_argument("--lookahead-beam", type=int, default=64,
-                   help="beam-width cap of the lookahead fill strategies; "
-                        "lookahead runs narrower by default and widens up "
-                        "to this at decision points")
+                   help="beam-width cap of the lookahead fill strategy; "
+                        "it runs narrower by default and widens up to "
+                        "this at decision points")
     p.add_argument("--schedule", default="auto",
                    choices=("auto",) + schedule_family_names(),
                    help="pipeline schedule family; auto picks onef1b for "
                         "single-backbone models and bidirectional for "
                         "cascaded ones")
-    p.add_argument("--dp-kernel", default="array",
-                   choices=("array", "reference"),
-                   help="partition DP table-build engine: array (the "
-                        "vectorized numpy kernels, default) or reference "
-                        "(the pure-Python differential oracle); both are "
-                        "bit-identical")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench",

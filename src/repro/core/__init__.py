@@ -4,7 +4,6 @@ from .bubbles import (
     DEFAULT_MIN_BUBBLE_MS,
     Bubble,
     extract_bubbles,
-    extract_bubbles_reference,
     longest_bubble,
     total_bubble_device_time,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "DEFAULT_MIN_BUBBLE_MS",
     "Bubble",
     "extract_bubbles",
-    "extract_bubbles_reference",
     "longest_bubble",
     "total_bubble_device_time",
     "IterationEstimate",

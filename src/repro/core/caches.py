@@ -54,7 +54,9 @@ PREFIX_CACHE_MAX = 8192
 KERNEL_PLAN_CACHE_MAX = 256
 
 SNAPSHOT_MAGIC = "repro-planner-caches"
-SNAPSHOT_VERSION = 1
+#: bumped whenever a stored key's layout changes: entries are pickled
+#: with their keys as-is, so an old file would load but never hit
+SNAPSHOT_VERSION = 2
 
 
 class FillShapeCache:

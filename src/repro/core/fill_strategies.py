@@ -19,11 +19,9 @@ can be ablated the same way Fig. 15 ablates the partial-batch rule:
     ``greedy``: the greedy trajectory is evaluated as a candidate plan
     and replaces the beam's whenever it is strictly better (on a
     leftover tie the beam plan, which maximised filled device-time, is
-    kept).
-``lookahead_reference``
-    The pre-optimization lookahead retained verbatim (exhaustive
-    expansion, no pruning, no caching) — the oracle the differential
-    suite holds ``lookahead`` bit-identical to.
+    kept).  The differential suite holds it bit-identical to the
+    unpruned, uncached search it grew from, kept as an oracle in
+    ``tests/oracles/``.
 ``none``
     Fills nothing; the whole non-trainable part runs after the flush.
     The filling-path twin of the Fig. 15 "bubble filling disabled"
@@ -462,12 +460,11 @@ class _ExpansionTable:
     """Per-bubble expansion memo: (ready signature, duration, weight) ->
     (FFC candidates, dropped count, lazily-filled partial menus).
 
-    Backed either by a per-fill dict (the reference strategy) or by the
-    shared :class:`~repro.core.caches.FillShapeCache`'s bounded
-    ``expansions`` store with a context-identity prefix (the production
-    strategy), so a planner sweep enumerates each distinct (state,
-    bubble shape) point once.  Entries are pure functions of their key,
-    so sharing them never changes results.
+    Backed either by a per-fill dict (no shape cache) or by the shared
+    :class:`~repro.core.caches.FillShapeCache`'s bounded ``expansions``
+    store with a context-identity prefix, so a planner sweep enumerates
+    each distinct (state, bubble shape) point once.  Entries are pure
+    functions of their key, so sharing them never changes results.
     """
 
     def __init__(self, store, prefix=None):
@@ -501,11 +498,10 @@ def _expand_state(
 ) -> None:
     """Add every reachable successor of ``key`` through ``bubble``.
 
-    Shared by both lookahead strategies: the reference runs it over the
-    full beam with a per-fill memo, the pruned strategy with the shared
-    shape-cache table.  The memo only skips recomputation — enumeration
-    order and values are identical either way, so the two strategies see
-    the same successor sets.
+    The memo ``table`` only skips recomputation — enumeration order and
+    values are identical with a per-fill dict or the shared shape-cache
+    store, so every search over the same states sees the same
+    successor sets.
     """
 
     # Offers are inlined (this is the hottest loop of the search): same
@@ -594,21 +590,6 @@ def _expand_state(
                             moves,
                         ),
                     )
-
-
-def _rank_cut(
-    ctx: _SearchCtx,
-    states: dict[_StateKey, tuple[float, int, _MoveNode]],
-    width: int,
-) -> dict[_StateKey, tuple[float, int, _MoveNode]]:
-    """Beam cut: keep the ``width`` states closest to completion
-    (smallest estimated leftover, then most device-time filled, then a
-    deterministic key tie-break)."""
-    ranked = sorted(
-        states.items(),
-        key=lambda kv: (ctx.estimate(kv[0]), -kv[1][0], kv[0]),
-    )
-    return dict(ranked[:width])
 
 
 def _select(
@@ -789,113 +770,11 @@ def _replay_plan(
     )
 
 
-@register_fill_strategy("lookahead_reference")
-class LookaheadReferenceFill:
-    """The unpruned cross-bubble DP — the differential-testing oracle.
-
-    Processes bubbles chronologically like ``greedy``, but instead of
-    committing to the per-bubble maximum it carries a set of reachable
-    component-chain states forward.  Two paths reaching the same state
-    have identical futures, so states are deduplicated (a DP over chain
-    states); while the reachable set stays within the beam cap the
-    search is exhaustive over the per-bubble action space, beyond it
-    only the most promising states survive (beam search).  Expansion
-    enumerates every FFC candidate and every partial-batch sample count
-    — not just the greedy maximum — which is what finds trades like
-    holding a short layer for the next, wider bubble.
-
-    The final plan is the terminal state with the smallest exact
-    ``leftover_ms``; the greedy trajectory is evaluated alongside and
-    adopted whenever it is strictly better (on a tie the beam plan is
-    kept — it maximised filled device-time), so the result never reports
-    a larger leftover than ``greedy`` on the same instance.
-
-    This is the pre-optimization ``lookahead`` retained verbatim: no
-    dominance pruning, no shape cache, no adaptive schedule.  The
-    production ``lookahead`` must stay bit-identical to it on every
-    instance where neither search hits a beam cut and the FFC
-    enumeration stays within the production strategy's tighter
-    candidate cap (the differential suite's property; its instances
-    are sized well inside both conditions).
-    """
-
-    name = "lookahead_reference"
-
-    #: reachable-state cap: exact DP below, beam search above
-    #: (overridden by ``BubbleFiller.lookahead_beam`` when set)
-    beam_width = 64
-    #: per-(state, bubble) FFC enumeration cap during the search
-    max_candidates = 256
-
-    def fill(
-        self,
-        filler: "BubbleFiller",
-        bubbles: Sequence[Bubble],
-        leftover_devices: int,
-    ) -> FillReport:
-        ordered = _chronological(bubbles)
-        ctx = _SearchCtx(filler, leftover_devices, ordered)
-        beam_cap = filler.lookahead_beam or self.beam_width
-        cap = min(filler.max_candidates, self.max_candidates)
-        table = _ExpansionTable({})
-
-        # beam: state key -> (filled_device_time, dropped, move chain)
-        beam: dict[_StateKey, tuple[float, int, _MoveNode]] = {
-            ctx.initial_key(): (0.0, 0, None)
-        }
-        pruned = 0
-        peak = len(beam)
-        for pos, (index, bubble) in enumerate(ordered):
-            nxt: dict[_StateKey, tuple[float, int, _MoveNode]] = {}
-            for key, (filled, dropped, moves) in beam.items():
-                _expand_state(
-                    ctx, key, filled, dropped, moves, pos, bubble, nxt,
-                    table, cap,
-                )
-            if len(nxt) > peak:
-                peak = len(nxt)
-            if len(nxt) > beam_cap:
-                pruned += len(nxt) - beam_cap
-                nxt = _rank_cut(ctx, nxt, beam_cap)
-            beam = nxt
-
-        best = _select(ctx, beam)
-        if best is None or best[0] > 0.0:
-            # Greedy floor: only worth running when the beam left work
-            # over — a zero leftover cannot be beaten, and on a tie the
-            # beam plan is kept anyway, so skipping changes nothing.
-            greedy, scratch = _greedy_baseline(filler, bubbles, leftover_devices)
-            if best is None or greedy.leftover_ms < best[0]:
-                # The beam (or its estimates) lost the greedy
-                # trajectory: fall back to it so the search is never
-                # strictly worse than greedy.  Adopt the scratch
-                # filler's final states so the caller's filler stays
-                # consistent with the returned report.
-                for name, state in scratch.states.items():
-                    filler.states[name].next_layer = state.next_layer
-                    filler.states[name].remaining = state.remaining
-                return replace(
-                    greedy, strategy=self.name,
-                    states_pruned=pruned, beam_peak=peak,
-                )
-        leftover, filled, dropped, moves = best
-        return _materialize(
-            filler,
-            ordered,
-            bubbles,
-            _walk_moves(moves),
-            filled,
-            dropped,
-            leftover_devices,
-            states_pruned=pruned,
-            beam_peak=peak,
-        )
-
-
 @register_fill_strategy("lookahead")
 class LookaheadFill:
-    """Planner-grade cross-bubble search: the reference DP plus the
-    three cost levers that make it a planner default —
+    """Planner-grade cross-bubble search: an exhaustive DP over
+    component-chain states plus the three cost levers that make it a
+    planner default —
 
     * **dominance pruning** — a state is dropped when another beam state
       componentwise-dominates it on per-component progress *and*
@@ -920,8 +799,9 @@ class LookaheadFill:
     never reports a larger leftover than ``greedy``; on instances where
     no beam cut fires *and* the per-(state, bubble) FFC enumeration
     stays within this strategy's tighter candidate cap (32 vs the
-    reference's 256 — truncation surfaces in ``candidates_dropped``) it
-    is bit-identical to ``lookahead_reference``.
+    unpruned oracle's 256 — truncation surfaces in
+    ``candidates_dropped``) it is bit-identical to that oracle
+    (``tests/oracles/``).
     """
 
     name = "lookahead"
@@ -930,7 +810,7 @@ class LookaheadFill:
     #: ``BubbleFiller.lookahead_beam`` / ``PlannerOptions.lookahead_beam``
     beam_width = 64
     #: per-(state, bubble) FFC enumeration cap during the search.
-    #: Tighter than the reference's 256: the cap cut keeps the
+    #: Tighter than the oracle's 256: the cap cut keeps the
     #: longest-time candidates deterministically, and instances small
     #: enough for the differential suite never reach it.
     max_candidates = 32
@@ -958,21 +838,10 @@ class LookaheadFill:
         )
         cap = min(filler.max_candidates, self.max_candidates)
         init = ctx.initial_key()
-        # Shape identity of the timeline's bubbles.  A positive quantum
-        # snaps durations to a grid so near-identical timelines (e.g.
-        # adjacent M values whose bubbles differ by microseconds) share
-        # cache entries; weights are integral device counts and pass
-        # through unchanged.  At quantum 0 the key holds the exact
-        # durations — bit-identical caching.  Replays always re-bind to
-        # the actual bubbles, so quantisation never perturbs the
-        # returned report's arithmetic, only which searches are skipped.
-        q = filler.shape_quantum
-        if q > 0.0:
-            shape = tuple(
-                (round(b.duration / q) * q, b.weight) for _, b in ordered
-            )
-        else:
-            shape = tuple((b.duration, b.weight) for _, b in ordered)
+        # Shape identity of the timeline's bubbles: exact durations and
+        # weights in chronological order.  Replays re-bind to the
+        # actual bubbles.
+        shape = tuple((b.duration, b.weight) for _, b in ordered)
 
         cache = filler.fill_cache
         ckey = None
@@ -1003,11 +872,6 @@ class LookaheadFill:
                 # coincide across families, and keeping the identities
                 # apart makes hit statistics attributable per family.
                 filler.schedule,
-                # The duration grid the shape keys were snapped to:
-                # entries written under one quantum must never be read
-                # under another (a coarse key would otherwise shadow an
-                # exact one).
-                filler.shape_quantum,
             )
             ckey = (ident, beam_cap, narrow, leftover_devices, init)
             final = cache.finals.get((ckey, shape))
@@ -1150,7 +1014,7 @@ class LookaheadFill:
         layer is placed whole or times are batch-linear, so pruning
         then cannot change which plan the final selection reports (with
         partial batching on non-linear profiles an equal-leftover
-        selection may tie-break differently than the reference — the
+        selection may tie-break differently than an unpruned search — the
         leftover itself is unaffected; see
         :meth:`_SearchCtx.earn_bound`).
 

@@ -386,7 +386,6 @@ def partition_backbone(
     *,
     heterogeneous: bool = False,
     caches: PlannerCaches | None = None,
-    dp_kernel: str = "array",
 ) -> PartitionPlan:
     """Optimally cut one backbone into ``num_stages`` stages (§4.1/§4.3).
 
@@ -396,12 +395,6 @@ def partition_backbone(
     ``heterogeneous=True`` the per-stage replica count is free and the
     remaining-device count joins the state (Eqns. 7-9).  ``caches``
     holds the memoised DP tables (the process-wide default when None).
-
-    ``dp_kernel`` selects the table-build engine: ``"array"`` (the
-    vectorized numpy kernels of :mod:`.partition_kernels`) or
-    ``"reference"`` (the pure-Python differential oracles).  Both
-    produce bit-identical tables and plans; the knob exists for
-    debugging and for the differential test suite.
     """
     caches = caches if caches is not None else default_caches()
     S = num_stages
@@ -423,7 +416,7 @@ def partition_backbone(
         )
 
     if heterogeneous:
-        return _partition_heterogeneous(ctx, S, D, caches, dp_kernel=dp_kernel)
+        return _partition_heterogeneous(ctx, S, D, caches)
 
     if D % S != 0:
         raise PartitionError(
@@ -441,9 +434,7 @@ def partition_backbone(
             f"uniform replication r={r} needs at least {r} samples per "
             f"micro-batch (got {ctx.micro_batch:g})"
         )
-    plan_stages, w, w_sc, y, obj = _solve_chain(
-        ctx, r, L, S, caches, dp_kernel=dp_kernel
-    )
+    plan_stages, w, w_sc, y, obj = _solve_chain(ctx, r, L, S, caches)
     stages = tuple(
         StageAssignment(ctx.component, lo, hi, replicas=r) for lo, hi in plan_stages
     )
@@ -495,8 +486,6 @@ def _chain_frontiers(
     L: int,
     S: int,
     caches: PlannerCaches,
-    *,
-    dp_kernel: str = "array",
 ) -> tuple[list[tuple[tuple, ...]], float]:
     """The (memoized) Pareto-DP table of :func:`_solve_chain`.
 
@@ -519,12 +508,6 @@ def _chain_frontiers(
     size, the communication constants, the self-conditioning flag) —
     notably *not* on the micro-batch count M or the self-conditioning
     probability, which enter only the final objective selection.
-
-    ``dp_kernel`` picks the build engine (``"array"`` — the vectorized
-    kernels — or the pure-Python ``"reference"`` oracle).  The engines
-    are bit-identical by contract; the key still carries the knob so
-    tables never alias across engines and a differential run exercises
-    both builders.
     """
     key = (
         ctx.component,
@@ -543,7 +526,6 @@ def _chain_frontiers(
         # for the ramp bound, so its tables must not alias the default
         # ones (all non-splitting families share "default" tables).
         ctx.zb_pricing,
-        dp_kernel,
         # Heterogeneous device speeds: stage s covers the group-local
         # window [(s-1)r, sr), so a scaled table depends on the full
         # factor tuple AND on r — two contexts sharing one stage-local
@@ -555,92 +537,15 @@ def _chain_frontiers(
     if cached is not None:
         return cached
 
-    if dp_kernel == "array":
-        from . import partition_kernels
+    from . import partition_kernels
 
-        history, tf = partition_kernels.chain_table_array(ctx, r, L, S)
-    elif dp_kernel == "reference":
-        history, tf = _chain_frontiers_reference(ctx, r, L, S)
-    else:
-        raise ConfigurationError(
-            f"unknown dp_kernel {dp_kernel!r}; "
-            "expected 'array' or 'reference'"
-        )
+    # Looked up on the module at call time: the differential suites
+    # swap in the pure-Python oracle here (tests/oracles/).
+    history, tf = partition_kernels.chain_table_array(ctx, r, L, S)
     history = [tuple(tuple(cell) for cell in row) for row in history]
     cached = (history, tf)
     caches.chains.put(ctx.profile, key, cached)
     return cached
-
-
-def _chain_frontiers_reference(
-    ctx: PartitionContext, r: int, L: int, S: int
-) -> tuple[list[list[list[tuple]]], float]:
-    """Pure-Python differential oracle of :func:`_chain_frontiers`.
-
-    Retained verbatim as the bit-identity ground truth for the array
-    kernels (the ``simulate_reference`` discipline); selected via
-    ``dp_kernel="reference"``.
-    """
-    costs = StageCosts(ctx, r)
-    scaled = ctx.speed_scales is not None
-    comp_scale = ctx.comp_scale
-    prev: list[list[tuple]] = [[] for _ in range(L + 1)]
-    prev[0] = [(0.0, 0.0, float("-inf"), -1, -1)]
-    history: list[list[list[tuple]]] = [prev]
-
-    for s in range(1, S + 1):
-        cur: list[list[tuple]] = [[] for _ in range(L + 1)]
-        # Stage s (1-based) replicates on the group-local device window
-        # [(s-1)r, sr); its compute runs at the window's bottleneck pace.
-        sigma = ctx.window_scale((s - 1) * r, r) if scaled else 1.0
-        # A prefix of l layers in s stages needs l >= s and leaves at
-        # least S - s layers for the remaining stages.
-        for l in range(s, L - (S - s) + 1):
-            frontier: list[tuple] = []
-            for c in range(s - 1, l):
-                parents = prev[c]
-                if not parents:
-                    continue
-                if scaled:
-                    t0 = costs.t0_scaled(c, l, sigma)
-                    if ctx.self_conditioning:
-                        t0_sc = costs.t0_sc_scaled(c, l, sigma)
-                    elif ctx.zb_pricing:
-                        t0_sc = costs.t0_ramp_scaled(c, l, sigma)
-                    else:
-                        t0_sc = t0
-                    gap = costs.sync_gap_scaled(c, l, comp_scale)
-                else:
-                    t0 = costs.t0(c, l)
-                    if ctx.self_conditioning:
-                        t0_sc = costs.t0_sc(c, l)
-                    elif ctx.zb_pricing:
-                        # The second coordinate carries the split-backward
-                        # ramp bound (see _objective); dominance over the
-                        # triple is still a monotone max-composition.
-                        t0_sc = costs.t0_ramp(c, l)
-                    else:
-                        t0_sc = t0
-                    gap = costs.sync_gap(c, l)
-                for pi, parent in enumerate(parents):
-                    pw, pwsc, py = parent[0], parent[1], parent[2]
-                    cand = (
-                        max(pw, t0),
-                        max(pwsc, t0_sc),
-                        max(py, gap),
-                        c,
-                        pi,
-                    )
-                    pareto_insert(frontier, cand, 3)
-            cur[l] = frontier
-        history.append(cur)
-        prev = cur
-
-    # Feedback time computed while the StageCosts are warm: the final
-    # selection would otherwise rebuild the O(L) prefix sums on every
-    # warm-path call just for this one value.
-    tf = costs.feedback_ms() if ctx.self_conditioning else 0.0
-    return history, tf
 
 
 def _solve_chain(
@@ -649,14 +554,12 @@ def _solve_chain(
     L: int,
     S: int,
     caches: PlannerCaches,
-    *,
-    dp_kernel: str = "array",
 ) -> tuple[list[tuple[int, int]], float, float, float, float]:
     """Pareto DP over prefixes for a fixed replica count.
 
     Returns (stage slices, W, W_sc, Y, objective).
     """
-    history, tf = _chain_frontiers(ctx, r, L, S, caches, dp_kernel=dp_kernel)
+    history, tf = _chain_frontiers(ctx, r, L, S, caches)
     final = history[S][L]
     if not final:
         raise PartitionError(
@@ -708,8 +611,6 @@ def _het_frontiers(
     S: int,
     D: int,
     caches: PlannerCaches,
-    *,
-    dp_kernel: str = "array",
 ) -> tuple[list[dict[tuple, tuple[tuple, ...]]], dict[int, float]]:
     """The (memoized) Pareto-DP table of :func:`_partition_heterogeneous`.
 
@@ -733,8 +634,7 @@ def _het_frontiers(
     self-conditioning probability, which enter only the final objective
     selection — so sweeps sharing one DB (planner + SPP + ablation
     variants via one :class:`PlannerCaches`) share the expensive DP
-    work, and the tables die with the profile.  ``dp_kernel`` joins the
-    key so array and reference tables never alias.
+    work, and the tables die with the profile.
     """
     key = (
         ctx.component,
@@ -751,7 +651,6 @@ def _het_frontiers(
         # See _chain_frontiers: zero-bubble tables carry the ramp bound
         # in the second coordinate and must not alias default ones.
         ctx.zb_pricing,
-        dp_kernel,
         # Per-device speed factors (the table's windows are internal to
         # the DP state, so the tuple alone suffices; D is above).
         ctx.speed_scales,
@@ -760,17 +659,10 @@ def _het_frontiers(
     if cached is not None:
         return cached
 
-    if dp_kernel == "array":
-        from . import partition_kernels
+    from . import partition_kernels
 
-        history, tf_by_r = partition_kernels.het_table_array(ctx, L, S, D)
-    elif dp_kernel == "reference":
-        history, tf_by_r = _het_frontiers_reference(ctx, L, S, D)
-    else:
-        raise ConfigurationError(
-            f"unknown dp_kernel {dp_kernel!r}; "
-            "expected 'array' or 'reference'"
-        )
+    # Looked up at call time, like the chain builder.
+    history, tf_by_r = partition_kernels.het_table_array(ctx, L, S, D)
     history = [
         {state: tuple(entries) for state, entries in stage.items()}
         for stage in history
@@ -780,121 +672,11 @@ def _het_frontiers(
     return cached
 
 
-def _het_frontiers_reference(
-    ctx: PartitionContext, L: int, S: int, D: int
-) -> tuple[list[dict[tuple, list[tuple]]], dict[int, float]]:
-    """Pure-Python differential oracle of :func:`_het_frontiers`.
-
-    Retained verbatim as the bit-identity ground truth for the array
-    kernels; selected via ``dp_kernel="reference"``.
-    """
-    costs_for = _LazyStageCosts(ctx)
-    scaled = ctx.speed_scales is not None
-    comp_scale = ctx.comp_scale
-    #: per-(r, lo, hi, window-scale) segment costs — distinct parent
-    #: states reach the same stage slice (and, under mixed speeds, equal
-    #: window factors), so the interpolation work is shared.
-    seg: dict[tuple, tuple[float, float, float]] = {}
-    # Physical feasibility: every stage replica must see at least one
-    # sample per micro-batch (the homogeneous sweep enforces the same
-    # floor via its r = D/S guard).  Larger r always lowers a stage's
-    # modeled compute, so without this cap the DP would happily pick
-    # unrunnable sub-sample local batches.
-    r_cap = int(ctx.micro_batch)
-
-    # history[s][(l, d)] -> frontier entries (w, w_sc, y, cut, r, parent)
-    history: list[dict[tuple[int, int], list[tuple]]] = [
-        {(0, 0): [(0.0, 0.0, float("-inf"), -1, 0, -1)]}
-    ]
-    for s in range(1, S + 1):
-        cur: dict[tuple[int, int], list[tuple]] = {}
-        stages_left = S - s
-        for (pl, pd), parents in history[s - 1].items():
-            # Device-count pruning: every remaining stage needs at least
-            # one device, so replica counts beyond ``D - pd -
-            # stages_left`` lead to unreachable states and are never
-            # generated (nor their StageCosts built).
-            max_r = min(D - pd - stages_left, r_cap)
-            if max_r <= 0:
-                continue
-            if stages_left:
-                # Leave at least one layer per remaining stage.
-                l_values = range(pl + 1, L - stages_left + 1)
-            else:
-                # Last stage: only the full-chain prefix can become a
-                # feasible plan; partial prefixes are dead states.
-                l_values = (L,)
-            for l in l_values:
-                for r in range(1, max_r + 1):
-                    # The stage would occupy the group-local window
-                    # [pd, pd+r); under mixed speeds its compute runs at
-                    # the window's bottleneck factor, which joins the
-                    # memo key (equal windows still share).
-                    w = ctx.window_scale(pd, r)
-                    seg_key = (r, pl, l, w)
-                    vals = seg.get(seg_key)
-                    if vals is None:
-                        costs = costs_for(r)
-                        if scaled:
-                            t0 = costs.t0_scaled(pl, l, w)
-                            if ctx.self_conditioning:
-                                t0_sc = costs.t0_sc_scaled(pl, l, w)
-                            elif ctx.zb_pricing:
-                                t0_sc = costs.t0_ramp_scaled(pl, l, w)
-                            else:
-                                t0_sc = t0
-                            gap = costs.sync_gap_scaled(pl, l, comp_scale)
-                        else:
-                            t0 = costs.t0(pl, l)
-                            if ctx.self_conditioning:
-                                t0_sc = costs.t0_sc(pl, l)
-                            elif ctx.zb_pricing:
-                                t0_sc = costs.t0_ramp(pl, l)
-                            else:
-                                t0_sc = t0
-                            gap = costs.sync_gap(pl, l)
-                        vals = seg[seg_key] = (t0, t0_sc, gap)
-                    t0, t0_sc, gap = vals
-                    # Last-stage buckets are additionally keyed by the
-                    # stage's own replica count: the feedback term T_F
-                    # (§4.3) depends on the *last* stage's r, so entries
-                    # that differ only there are incomparable under the
-                    # (w, w_sc, y) dominance test and must not prune
-                    # each other.
-                    state = (l, pd + r, r) if stages_left == 0 else (l, pd + r)
-                    frontier = cur.setdefault(state, [])
-                    for pi, parent in enumerate(parents):
-                        cand = (
-                            max(parent[0], t0),
-                            max(parent[1], t0_sc),
-                            max(parent[2], gap),
-                            pl,
-                            r,
-                            pi,
-                        )
-                        pareto_insert(frontier, cand, 3)
-        history.append(cur)
-
-    # Feedback times for every last-stage replica count, computed here
-    # while the StageCosts are still warm (the final selection would
-    # otherwise rebuild the O(L) prefix sums on every cold table).
-    tf_by_r: dict[int, float] = {}
-    if ctx.self_conditioning:
-        for state in history[S]:
-            r = state[2]
-            if r not in tf_by_r:
-                tf_by_r[r] = costs_for(r).feedback_ms()
-
-    return history, tf_by_r
-
-
 def _partition_heterogeneous(
     ctx: PartitionContext,
     S: int,
     D: int,
     caches: PlannerCaches,
-    *,
-    dp_kernel: str = "array",
 ) -> PartitionPlan:
     """General DP with per-stage replica counts (Eqns. 7-9).
 
@@ -906,7 +688,7 @@ def _partition_heterogeneous(
     M-dependent objective selection runs per call.
     """
     L = ctx.profile.num_layers(ctx.component)
-    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches, dp_kernel=dp_kernel)
+    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches)
 
     # Accept any full assignment that uses all L layers; devices may be
     # partially used but using all of them never hurts, so prefer d = D.

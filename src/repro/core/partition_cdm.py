@@ -36,12 +36,7 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
 from .caches import PlannerCaches, default_caches
-from .partition import (
-    PartitionContext,
-    StageCosts,
-    _LazyStageCosts,
-    pareto_insert,
-)
+from .partition import PartitionContext, StageCosts, _LazyStageCosts
 from .plan import PartitionPlan, StageAssignment
 
 #: the paper enlarges communication by 2x for bidirectional pipelines
@@ -118,38 +113,6 @@ def _min_gap(pts: list[int]) -> int:
     return min(b - a for a, b in zip(pts, pts[1:]))
 
 
-def _seg_eval(costs_for, comp_scale: float | None = None):
-    """Lazy per-``(r, lo, hi, window-scale)`` segment ``(t0, sync_gap)``
-    memo.
-
-    The eager predecessor tabulated every cut-point pair up front; the
-    DPs' feasibility pruning touches far fewer slices (only lengths
-    ``<= L - (S-1) * min-cut`` can appear in a completable partition),
-    so slices are now evaluated on first use and memoized.  The uniform
-    DP calls it with its one fixed replica count; the heterogeneous DP
-    spans every ``r``.  A window scale ``w`` (``None`` on homogeneous
-    groups) routes the slice through the speed-scaled bounds; equal
-    windows share a memo entry.
-    """
-    memo: dict[tuple, tuple[float, float]] = {}
-
-    def get(r: int, lo: int, hi: int, w: float | None = None):
-        key = (r, lo, hi, w)
-        v = memo.get(key)
-        if v is None:
-            costs = costs_for(r)
-            if w is None:
-                v = memo[key] = (costs.t0(lo, hi), costs.sync_gap(lo, hi))
-            else:
-                v = memo[key] = (
-                    costs.t0_scaled(lo, hi, w),
-                    costs.sync_gap_scaled(lo, hi, comp_scale),
-                )
-        return v
-
-    return get
-
-
 def _cdm_dp_table(
     ctx: CDMPartitionContext,
     S: int,
@@ -161,7 +124,6 @@ def _cdm_dp_table(
     D: int,
     r_cap: int,
     fixed_r: int | None,
-    dp_kernel: str = "array",
     plans=None,
 ) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
     """Shared DP engine for both replication flavours.
@@ -177,138 +139,23 @@ def _cdm_dp_table(
     Frontiers are frozen to tuples, so the read-only contract is
     engine-enforced.
 
-    ``dp_kernel`` dispatches between the vectorized numpy engine
-    (:func:`~.partition_kernels.cdm_table_array`, bit-identical by
-    contract and differential test) and the pure-Python
-    :func:`_cdm_dp_table_reference` oracle.  ``plans`` is an optional
-    store of geometry transition plans the array engine shares across
-    adjacent stage-local batches in a sweep
+    The table is built by :func:`~.partition_kernels.cdm_table_array`.
+    ``plans`` is an optional store of geometry transition plans it
+    shares across adjacent stage-local batches in a sweep
     (``PlannerCaches.kernel_plans``).
     """
-    if dp_kernel == "array":
-        from . import partition_kernels
+    from . import partition_kernels
 
-        frontiers = partition_kernels.cdm_table_array(
-            ctx, S, cut_step=cut_step, max_frontier=max_frontier,
-            ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r, plans=plans,
-        )
-    elif dp_kernel == "reference":
-        frontiers = _cdm_dp_table_reference(
-            ctx, S, cut_step=cut_step, max_frontier=max_frontier,
-            ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r,
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown dp_kernel {dp_kernel!r}; "
-            "expected 'array' or 'reference'"
-        )
+    # Looked up on the module at call time: the differential suites
+    # swap in the pure-Python oracle here (tests/oracles/).
+    frontiers = partition_kernels.cdm_table_array(
+        ctx, S, cut_step=cut_step, max_frontier=max_frontier,
+        ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r, plans=plans,
+    )
     return [
         {state: tuple(entries) for state, entries in stage.items()}
         for stage in frontiers
     ]
-
-
-def _cdm_dp_table_reference(
-    ctx: CDMPartitionContext,
-    S: int,
-    *,
-    cut_step: int,
-    max_frontier: int,
-    ld: int,
-    lu: int,
-    D: int,
-    r_cap: int,
-    fixed_r: int | None,
-) -> list[dict[tuple[int, int, int], list[tuple]]]:
-    """Pure-Python differential oracle of :func:`_cdm_dp_table`.
-
-    Retained verbatim as the bit-identity ground truth for the array
-    kernel (the ``simulate_reference`` discipline); selected via
-    ``dp_kernel="reference"``.
-    """
-    scaled = ctx.down.speed_scales is not None
-    comp_scale = ctx.down.comp_scale
-    eval_d = _seg_eval(_lazy_scaled_costs(ctx.down, ctx.comm_scale), comp_scale)
-    eval_u = _seg_eval(_lazy_scaled_costs(ctx.up, ctx.comm_scale), comp_scale)
-
-    cuts_d = _cut_points(ld, cut_step)
-    # Up-backbone boundaries are addressed as suffix lengths ``b``; the
-    # layer positions they induce are ``lu - b``.
-    cuts_u = _cut_points(lu, cut_step)
-    pts_u = sorted({lu - b for b in cuts_u})
-
-    # Feasibility bounds from the cut grid: every stage covers at least
-    # one inter-cut gap, so no slice in a completable partition exceeds
-    # ``L - (S-1) * min-gap`` and a prefix must leave the remaining
-    # positions ``remaining * min-gap`` layers of room.  States outside
-    # these bounds can never reach full coverage; pruning them shrinks
-    # the quadratic transition space without changing any reachable
-    # final frontier.
-    gap_d = _min_gap(cuts_d)
-    gap_u = _min_gap(pts_u)
-    max_len_d = ld - (S - 1) * gap_d
-    max_len_u = lu - (S - 1) * gap_u
-
-    frontiers: list[dict[tuple[int, int, int], list[tuple]]] = [
-        {(0, 0, 0): [(0.0, float("-inf"), -1, -1, 0, -1)]}
-    ]
-    for k in range(1, S + 1):
-        cur: dict[tuple[int, int, int], list[tuple]] = {}
-        remaining = S - k
-        room_d = ld - remaining * gap_d
-        room_u = lu - remaining * gap_u
-        for (pa, pb, pd), parents in frontiers[k - 1].items():
-            if fixed_r is not None:
-                r_iter = (fixed_r,)
-            else:
-                # Device-count pruning: every remaining position needs
-                # at least one device, so replica counts beyond
-                # ``D - pd - remaining`` lead to unreachable states and
-                # are never generated (nor their prefix sums built).
-                max_r = min(D - pd - remaining, r_cap)
-                if max_r <= 0:
-                    continue
-                r_iter = range(1, max_r + 1)
-            # Down stage k-1 covers [pa, a); up stage S-k covers
-            # [lu - b, lu - pb).
-            if remaining:
-                hi_a = min(room_d, pa + max_len_d)
-                hi_b = min(room_u, pb + max_len_u)
-                a_iter = [a for a in cuts_d if pa < a <= hi_a]
-                b_iter = [b for b in cuts_u if pb < b <= hi_b]
-            else:
-                # Last position: only full-coverage states can become a
-                # feasible plan; partial pairs are dead states.
-                a_iter = (ld,)
-                b_iter = (lu,)
-            for a in a_iter:
-                for r in r_iter:
-                    # Position k-1 occupies the device window
-                    # [pd, pd+r); its down AND up stage are co-located
-                    # there, so one bottleneck factor scales both.
-                    w = ctx.down.window_scale(pd, r) if scaled else None
-                    td, gd = eval_d(r, pa, a, w)
-                    for b in b_iter:
-                        tu, gu = eval_u(r, lu - b, lu - pb, w)
-                        w_stage = max(td, tu)
-                        y_stage = max(gd, gu)
-                        skey = (a, b, pd + r)
-                        frontier = cur.setdefault(skey, [])
-                        for pi, parent in enumerate(parents):
-                            cand = (
-                                max(parent[0], w_stage),
-                                max(parent[1], y_stage),
-                                pa,
-                                pb,
-                                r,
-                                pi,
-                            )
-                            pareto_insert(frontier, cand, 2)
-                        if len(frontier) > max_frontier:
-                            frontier.sort(key=lambda e: (e[0], e[1]))
-                            del frontier[max_frontier:]
-        frontiers.append(cur)
-    return frontiers
 
 
 def _cdm_frontiers(
@@ -321,7 +168,6 @@ def _cdm_frontiers(
     max_frontier: int,
     ld: int,
     lu: int,
-    dp_kernel: str = "array",
 ) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
     """The (memoized) uniform-replication CDM DP table.
 
@@ -358,9 +204,6 @@ def _cdm_frontiers(
         # today, but the contexts carry the field, so the key does too.
         ctx.down.pricing,
         ctx.up.pricing,
-        # Engines are bit-identical by contract, but tables must still
-        # never alias across them (differential runs build both).
-        dp_kernel,
         # Speed factors: position k's device window is [k*r, (k+1)*r),
         # so a scaled table depends on the tuple AND on r — two
         # (micro-batch, r) combos sharing a stage-local batch slice
@@ -373,8 +216,7 @@ def _cdm_frontiers(
             return cached
     frontiers = _cdm_dp_table(
         ctx, S, cut_step=cut_step, max_frontier=max_frontier, ld=ld, lu=lu,
-        D=S * r, r_cap=r, fixed_r=r,
-        dp_kernel=dp_kernel, plans=caches.kernel_plans,
+        D=S * r, r_cap=r, fixed_r=r, plans=caches.kernel_plans,
     )
     if cacheable:
         caches.cdm.put(ctx.down.profile, key, frontiers)
@@ -391,7 +233,6 @@ def _cdm_het_frontiers(
     max_frontier: int,
     ld: int,
     lu: int,
-    dp_kernel: str = "array",
 ) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
     """The (memoized) heterogeneous CDM DP table (Eqns. 7-9 applied to
     the bidirectional objective).
@@ -422,7 +263,6 @@ def _cdm_het_frontiers(
         max_frontier,
         ctx.down.pricing,
         ctx.up.pricing,
-        dp_kernel,
         # Per-device speed factors (windows are internal DP state; D is
         # above), matching ``_het_frontiers``.
         ctx.down.speed_scales,
@@ -439,8 +279,7 @@ def _cdm_het_frontiers(
     r_cap = int(min(ctx.down.micro_batch, ctx.up.micro_batch))
     frontiers = _cdm_dp_table(
         ctx, S, cut_step=cut_step, max_frontier=max_frontier, ld=ld, lu=lu,
-        D=D, r_cap=r_cap, fixed_r=None,
-        dp_kernel=dp_kernel, plans=caches.kernel_plans,
+        D=D, r_cap=r_cap, fixed_r=None, plans=caches.kernel_plans,
     )
     if cacheable:
         caches.cdm_het.put(ctx.down.profile, key, frontiers)
@@ -540,7 +379,6 @@ def partition_cdm(
     max_frontier: int = 8,
     heterogeneous: bool = False,
     caches: PlannerCaches | None = None,
-    dp_kernel: str = "array",
 ) -> PartitionPlan:
     """Optimal bidirectional partition of two backbones (Eqns. 13-16).
 
@@ -588,7 +426,7 @@ def partition_cdm(
     if heterogeneous:
         frontiers = _cdm_het_frontiers(
             ctx, S, D, caches, cut_step=cut_step, max_frontier=max_frontier,
-            ld=ld, lu=lu, dp_kernel=dp_kernel,
+            ld=ld, lu=lu,
         )
         return _cdm_select_plan(
             ctx, S, D, frontiers, ld, lu, replicas=None
@@ -610,7 +448,7 @@ def partition_cdm(
         )
     frontiers = _cdm_frontiers(
         ctx, S, r, caches, cut_step=cut_step, max_frontier=max_frontier,
-        ld=ld, lu=lu, dp_kernel=dp_kernel,
+        ld=ld, lu=lu,
     )
     return _cdm_select_plan(ctx, S, D, frontiers, ld, lu, replicas=r)
 

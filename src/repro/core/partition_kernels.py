@@ -1,12 +1,11 @@
 """Vectorized numpy engines for the partition DP table builds.
 
-The pure-Python Pareto DPs in :mod:`.partition` and
-:mod:`.partition_cdm` spend essentially all of their cold time in loop
+A pure-Python Pareto DP spends essentially all of its cold time in loop
 overhead: profiling shows tens of thousands of ``max``/``pareto_insert``
 calls against a few hundred distinct segment-cost evaluations.  This
-module rebuilds the three hot table builds — ``_chain_frontiers``,
-``_het_frontiers`` and the shared ``_cdm_dp_table`` engine — as array
-kernels:
+module builds the tables behind the three DP wrappers —
+``_chain_frontiers``, ``_het_frontiers`` and the shared
+``_cdm_dp_table`` engine — as array kernels:
 
 * per-``(cut, prefix)`` stage costs (``t0`` / ``t0_sc`` / ``t0_ramp`` /
   ``sync_gap``) become dense ``(L+1, L+1)`` slabs built from the same
@@ -18,13 +17,13 @@ kernels:
 * Pareto reduction runs as grouped pairwise dominance filtering over
   sorted candidate segments.
 
-The kernels are *differential twins* of the ``*_reference`` builders:
-they evaluate the same ``max``/``+`` compositions in the same
-associativity, reconstruct the same backtracking pointers, and emit the
-same frontier entries in the same order — bit-identical tables, not
-just equal objectives.  The discipline mirrors ``simulate_reference``
-and ``lookahead_reference``: the reference stays as the oracle, the
-fuzz suite (``tests/test_partition_kernels.py``) diffs the two.
+The kernels are *differential twins* of the pure-Python recursions they
+replaced, which live on as oracles in ``tests/oracles/``: they evaluate
+the same ``max``/``+`` compositions in the same associativity,
+reconstruct the same backtracking pointers, and emit the same frontier
+entries in the same order — bit-identical tables, not just equal
+objectives.  The fuzz suite (``tests/test_partition_kernels.py``) diffs
+the two.
 
 Exactness notes
 ---------------
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .partition import StageCosts, pareto_insert
+from .partition import StageCosts, _LazyStageCosts, pareto_insert
 
 __all__ = [
     "chain_table_array",
@@ -854,8 +853,9 @@ def _flatten_entries(
 
 
 def chain_table_array(ctx, r: int, L: int, S: int):
-    """Array twin of ``_chain_frontiers_reference`` — same ``(history,
-    tf)``, bit-identical entries in identical order."""
+    """Array twin of the pure-Python chain DP oracle
+    (``tests/oracles/partition.py``) — same ``(history, tf)``,
+    bit-identical entries in identical order."""
     costs = StageCosts(ctx, r)
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
@@ -945,20 +945,14 @@ def chain_table_array(ctx, r: int, L: int, S: int):
 
 
 def het_table_array(ctx, L: int, S: int, D: int):
-    """Array twin of ``_het_frontiers_reference`` — same ``(history,
-    tf_by_r)``, bit-identical entries and dict orders."""
+    """Array twin of the pure-Python heterogeneous DP oracle
+    (``tests/oracles/partition.py``) — same ``(history, tf_by_r)``,
+    bit-identical entries and dict orders."""
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
     r_cap = int(ctx.micro_batch)
     rmax = min(D - S + 1, r_cap)
-    costs_by_r: dict[int, StageCosts] = {}
-
-    def costs_for(r: int) -> StageCosts:
-        costs = costs_by_r.get(r)
-        if costs is None:
-            costs = costs_by_r[r] = StageCosts(ctx, r)
-        return costs
-
+    costs_for = _LazyStageCosts(ctx)
     scaled = ctx.speed_scales is not None
     if not scaled:
         shape = (rmax + 1, L + 1, L + 1)
@@ -1273,7 +1267,8 @@ def cdm_table_array(
     fixed_r: int | None,
     plans=None,
 ):
-    """Array twin of ``_cdm_dp_table_reference`` — same frontier list,
+    """Array twin of the pure-Python CDM DP oracle
+    (``tests/oracles/partition_cdm.py``) — same frontier list,
     bit-identical entries, dict orders and truncation behaviour.
 
     ``plans`` is an optional mapping-like store (``LruStore``) of

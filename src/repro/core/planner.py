@@ -88,8 +88,7 @@ class PlannerOptions:
     enable_partial_batch: bool = True
     #: registry name of the bubble-filling policy (``greedy`` — the
     #: paper's Algorithms 1+2; ``lookahead`` — cross-bubble DP/beam;
-    #: ``lookahead_reference`` — its unpruned oracle; ``none`` —
-    #: extract bubbles but fill nothing)
+    #: ``none`` — extract bubbles but fill nothing)
     fill_strategy: str = "greedy"
     #: registry name of the pipeline schedule family (see README
     #: "Schedule families").  ``"auto"`` resolves per model: ``onef1b``
@@ -101,9 +100,9 @@ class PlannerOptions:
     #: chunks per device of the ``interleaved`` family (Megatron's
     #: ``v``); ignored by every other family
     virtual_stages: int = 2
-    #: beam-width cap of the lookahead fill strategies; the production
-    #: ``lookahead`` runs narrower by default and widens up to this at
-    #: decision points (see README "Bubble filling")
+    #: beam-width cap of the ``lookahead`` fill strategy; it runs
+    #: narrower by default and widens up to this at decision points
+    #: (see README "Bubble filling")
     lookahead_beam: int = 64
     min_bubble_ms: float = DEFAULT_MIN_BUBBLE_MS
     partial_batch_menu: tuple[int, ...] = VALID_LOCAL_BATCHES
@@ -113,20 +112,6 @@ class PlannerOptions:
     #: stage-boundary granularity for the (quadratic) CDM partitioner;
     #: 1 = exact, 2 halves the transition space for long backbones
     cdm_cut_step: int = 2
-    #: DP table-build engine: ``"array"`` — the vectorized numpy
-    #: kernels of :mod:`repro.core.partition_kernels` (bit-identical
-    #: tables, the default) — or ``"reference"`` — the pure-Python
-    #: folds they are differentially tested against (see README
-    #: "Array-kernel DPs").  Part of every partition cache key, so
-    #: tables built by different engines never alias.
-    dp_kernel: str = "array"
-    #: quantum (ms) for rounding bubble durations in the lookahead
-    #: fill's shape-cache keys; 0.0 (the default) keys on exact shapes
-    #: and is bit-identical to not caching by shape at all.  A coarse
-    #: quantum trades exactness of the *cache key* (never of the
-    #: replayed plan's arithmetic) for warm hits across near-identical
-    #: timelines.
-    fill_shape_quantum: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_stages < 2:
@@ -151,15 +136,6 @@ class PlannerOptions:
             raise ConfigurationError(
                 "virtual_stages must be at least 2 (one chunk per device "
                 "is plain 1F1B — use schedule='onef1b')"
-            )
-        if self.dp_kernel not in ("array", "reference"):
-            raise ConfigurationError(
-                f"unknown dp_kernel {self.dp_kernel!r}; "
-                "choose 'array' or 'reference'"
-            )
-        if self.fill_shape_quantum < 0:
-            raise ConfigurationError(
-                "fill_shape_quantum must be non-negative"
             )
 
 
@@ -596,11 +572,6 @@ class DiffusionPipePlanner:
             self.model.backbone_names,
             self.options.heterogeneous_replication,
             self.options.cdm_cut_step,
-            # Both engines produce bit-identical plans, but the knob
-            # keys the entry anyway: a mismatch would otherwise be
-            # invisible, and the differential suite relies on the two
-            # engines never aliasing each other's tables or plans.
-            self.options.dp_kernel,
             self._partition_mode,
         )
         partitions = self.caches.partition
@@ -683,7 +654,6 @@ class DiffusionPipePlanner:
                 plan = partition_backbone(
                     ctx, S * v, D * v, heterogeneous=False,
                     caches=self.caches,
-                    dp_kernel=self.options.dp_kernel,
                 )
                 return replace(plan, group_size=D)
             return partition_backbone(
@@ -692,7 +662,6 @@ class DiffusionPipePlanner:
                 D,
                 heterogeneous=self.options.heterogeneous_replication,
                 caches=self.caches,
-                dp_kernel=self.options.dp_kernel,
             )
         ctx_down = PartitionContext(
             profile=self.profile,
@@ -713,7 +682,6 @@ class DiffusionPipePlanner:
             cut_step=self.options.cdm_cut_step,
             heterogeneous=self.options.heterogeneous_replication,
             caches=self.caches,
-            dp_kernel=self.options.dp_kernel,
         )
 
     def _stage_execs(
@@ -858,7 +826,6 @@ class DiffusionPipePlanner:
             opts.lookahead_beam,
             opts.min_bubble_ms,
             opts.partial_batch_menu,
-            opts.fill_shape_quantum,
             # The schedule family the timeline is built under; the
             # chunk granularity is already encoded in partition.down.
             self.schedule,
@@ -901,7 +868,6 @@ class DiffusionPipePlanner:
                 fill_cache=self.caches.fills,
                 caches=self.caches,
                 schedule=self.schedule,
-                shape_quantum=self.options.fill_shape_quantum,
             )
             fill = filler.fill(bubbles, leftover_devices=partition.group_size)
 

@@ -1,10 +1,10 @@
 """Headline performance numbers: ``repro bench``.
 
 Measures the numbers the fast benchmark suite gates on — cold and warm
-DP table builds under both engines (``array`` vs ``reference``) and one
-planner sweep's wall-clock — and reports them as a table or as JSON
-with a stable schema (``repro-bench/1``), so CI can archive the
-artifact per commit and regressions show up as a diffable time series.
+DP table builds and one planner sweep's wall-clock — and reports them
+as a table or as JSON with a stable schema (``repro-bench/1``), so CI
+can archive the artifact per commit and regressions show up as a
+diffable time series.
 
 Schema (``repro-bench/1``)::
 
@@ -21,6 +21,12 @@ Schema (``repro-bench/1``)::
       "elastic": {"model": "sd", "machines": 2, "devices_per_machine": 3,
                   "cold_s": 0.8, "warm_s": 0.01}
     }
+
+Every ``builds`` row times the production (``array``) engine; the
+``engine`` field stays so the schema remains add-only.  The
+pure-Python oracles the array kernels are gated against live with the
+tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
+times the two side by side.
 
 The ``elastic`` section times a replan after a machine leave/rejoin
 round-trip: ``cold_s`` plans the final membership with fresh caches,
@@ -53,9 +59,6 @@ from .profiling import Profiler
 __all__ = ["BENCH_SCHEMA", "run_bench", "format_bench", "write_json"]
 
 BENCH_SCHEMA = "repro-bench/1"
-
-#: the DP build engines compared by every ``builds`` row pair
-ENGINES = ("array", "reference")
 
 
 def _best_of(fn: Callable[[], Any], n: int) -> float:
@@ -134,40 +137,35 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
         (
             "chain",
             "cdm-lsun down S=4 r=2",
-            lambda kern: lambda caches: _chain_frontiers(
-                bctx, 2, L, 4, caches, dp_kernel=kern
-            ),
+            lambda caches: _chain_frontiers(bctx, 2, L, 4, caches),
         ),
         (
             "het1f1b",
             "cdm-lsun down S=4 D=16",
-            lambda kern: lambda caches: _het_frontiers(
-                bctx, L, 4, 16, caches, dp_kernel=kern
-            ),
+            lambda caches: _het_frontiers(bctx, L, 4, 16, caches),
         ),
         (
             "cdm",
             "cdm-lsun S=4 r=2 cut=2 mf=8",
-            lambda kern: lambda caches: _cdm_frontiers(
+            lambda caches: _cdm_frontiers(
                 cctx, 4, 2, caches, cut_step=2, max_frontier=8,
-                ld=ld, lu=lu, dp_kernel=kern,
+                ld=ld, lu=lu,
             ),
         ),
     ]
 
     builds = []
-    for dp, shape, make in cases:
-        for engine in ENGINES:
-            cold, warm = _cold_warm(make(engine), profile, best_of)
-            builds.append(
-                {
-                    "dp": dp,
-                    "shape": shape,
-                    "engine": engine,
-                    "cold_s": cold,
-                    "warm_s": warm,
-                }
-            )
+    for dp, shape, build in cases:
+        cold, warm = _cold_warm(build, profile, best_of)
+        builds.append(
+            {
+                "dp": dp,
+                "shape": shape,
+                "engine": "array",
+                "cold_s": cold,
+                "warm_s": warm,
+            }
+        )
 
     report: dict = {
         "schema": BENCH_SCHEMA,

@@ -80,13 +80,18 @@ def test_snapshot_skips_unknown_profiles(tmp_path):
 
 
 def test_snapshot_rejects_unknown_version(tmp_path):
-    path = tmp_path / "future.snap"
-    with open(path, "wb") as fh:
-        pickle.dump(
-            {"magic": SNAPSHOT_MAGIC, "version": 999, "stores": {}}, fh
-        )
-    with pytest.raises(SnapshotError, match="version 999"):
-        PlannerCaches().load(path, [])
+    """A future version, and version 1: its table and fill-shape keys
+    carry slots the current keys no longer have, so its entries would
+    load but never hit."""
+    for version in (999, 1):
+        path = tmp_path / f"v{version}.snap"
+        with open(path, "wb") as fh:
+            pickle.dump(
+                {"magic": SNAPSHOT_MAGIC, "version": version, "stores": {}},
+                fh,
+            )
+        with pytest.raises(SnapshotError, match=f"version {version}"):
+            PlannerCaches().load(path, [])
 
 
 def test_snapshot_rejects_foreign_files(tmp_path):

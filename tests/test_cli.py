@@ -184,15 +184,6 @@ def test_plan_lookahead_beam_rejects_nonpositive():
     assert rc != 0
 
 
-def test_plan_fill_strategy_reference(capsys):
-    rc = main([
-        "plan", "--model", "sd", "--gpus", "8", "--batch", "64",
-        "--fill-strategy", "lookahead_reference",
-    ])
-    assert rc == 0
-    assert "lookahead_reference" in capsys.readouterr().out
-
-
 def test_plan_fill_strategy_none(capsys):
     rc = main([
         "plan", "--model", "sd", "--gpus", "8", "--batch", "64",
@@ -209,3 +200,16 @@ def test_fill_strategy_rejects_unknown():
             "plan", "--model", "sd", "--gpus", "8", "--batch", "64",
             "--fill-strategy", "psychic",
         ])
+
+
+def test_oracles_are_not_cli_choices():
+    """The differential oracles live with the tests: neither the DP
+    engine flag nor the lookahead oracle is accepted any more."""
+    for extra in (
+        ["--dp-kernel", "reference"],
+        ["--fill-strategy", "lookahead_reference"],
+    ):
+        for cmd in ("plan", "sweep"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--model", "sd", "--gpus", "8", *extra])
+            assert exc.value.code == 2

@@ -106,7 +106,7 @@ def test_empty_timeline():
 def test_sweep_line_matches_reference_on_crafted_timelines():
     """Sweep-line vs the retained quadratic oracle: weights, sync spans,
     custom horizons, shared edges."""
-    from repro.core import extract_bubbles_reference
+    from tests.oracles import extract_bubbles_reference
 
     cases = [
         Timeline([_iv(0, 30, 0), _iv(10, 30, 1), _iv(20, 30, 2)], 3),

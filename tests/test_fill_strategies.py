@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError, FillingError
 from repro.models import ModelSpec
 from repro.models.zoo import timed_component, uniform_model
 from repro.profiling import ProfileDB
+from tests.oracles import LookaheadReferenceFill
 
 
 def _bubble(duration, weight=1, start=0.0):
@@ -52,7 +53,7 @@ def _db(times_by_comp, scale=True):
 
 
 def test_registry_names_and_lookup():
-    assert set(fill_strategy_names()) >= {"greedy", "lookahead", "none"}
+    assert set(fill_strategy_names()) == {"greedy", "lookahead", "none"}
     for name in fill_strategy_names():
         assert get_fill_strategy(name).name == name
     with pytest.raises(FillingError):
@@ -329,8 +330,8 @@ def test_planner_options_validate_lookahead_beam(uniform, uniform_profile):
 
 def test_lookahead_beam_threads_from_filler():
     """``BubbleFiller.lookahead_beam`` overrides the strategy default
-    for both lookahead strategies (a beam of 1 degenerates the search,
-    but the greedy floor keeps the guarantee)."""
+    for ``lookahead`` and its oracle (a beam of 1 degenerates the
+    search, but the greedy floor keeps the guarantee)."""
     times = {"c0": [(22.5, 0.0)] * 2, "c1": [(66.5, 0.0)] * 3}
     db = _db(times)
     model = _nt_model("beamk", {"c0": 2, "c1": 3})
@@ -339,10 +340,16 @@ def test_lookahead_beam_threads_from_filler():
     greedy = BubbleFiller(db, model, batch=64, strategy="greedy").fill(
         bubbles, leftover_devices=2
     )
-    for strategy in ("lookahead", "lookahead_reference"):
-        report = BubbleFiller(
-            db, model, batch=64, strategy=strategy, lookahead_beam=1
-        ).fill(bubbles, leftover_devices=2)
+
+    def filler():
+        return BubbleFiller(
+            db, model, batch=64, strategy="lookahead", lookahead_beam=1
+        )
+
+    for report in (
+        filler().fill(bubbles, leftover_devices=2),
+        LookaheadReferenceFill().fill(filler(), bubbles, leftover_devices=2),
+    ):
         assert report.leftover_ms <= greedy.leftover_ms
 
 
@@ -419,10 +426,13 @@ def test_naive_dominance_would_prune_the_optimum(seed, monkeypatch):
     import repro.core.fill_strategies as fs
 
     db, model, bubbles = _trap_instance(seed)
-    ref = BubbleFiller(
-        db, model, batch=64, strategy="lookahead_reference",
-        lookahead_beam=4096,
-    ).fill(bubbles, leftover_devices=2)
+    ref = LookaheadReferenceFill().fill(
+        BubbleFiller(
+            db, model, batch=64, strategy="lookahead", lookahead_beam=4096
+        ),
+        bubbles,
+        leftover_devices=2,
+    )
     safe = BubbleFiller(
         db, model, batch=64, strategy="lookahead", lookahead_beam=4096
     ).fill(bubbles, leftover_devices=2)

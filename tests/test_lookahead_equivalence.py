@@ -1,10 +1,11 @@
 """Differential fuzz suite: pruned+cached ``lookahead`` vs its oracle.
 
 The production ``lookahead`` strategy adds three cost levers on top of
-the retained ``lookahead_reference`` (exhaustive expansion, no pruning,
-no caching): dominance pruning with an earn-bound filled compensation,
-shape-keyed reuse of expansion tables / beam prefixes / final plans,
-and an adaptive beam schedule.  None of them may change results:
+the unpruned search kept as ``LookaheadReferenceFill`` in
+``tests/oracles/`` (exhaustive expansion, no pruning, no caching):
+dominance pruning with an earn-bound filled compensation, shape-keyed
+reuse of expansion tables / beam prefixes / final plans, and an
+adaptive beam schedule.  None of them may change results:
 
 * on *any* instance where neither search hits a beam cut and the FFC
   enumeration stays within the production strategy's tighter candidate
@@ -38,6 +39,7 @@ from repro.core import Bubble, BubbleFiller, FillShapeCache
 from repro.models import ModelSpec
 from repro.models.zoo import timed_component
 from repro.profiling import ProfileDB
+from tests.oracles import LookaheadReferenceFill
 
 #: big enough that the adaptive narrow width (beam / 32) exceeds any
 #: reachable state set of the fuzzed instances — no rank cut fires in
@@ -127,14 +129,23 @@ def tie_free_instances(draw):
     return comps, tag, specs
 
 
-def _fill(db, model, bubbles, strategy, *, partials=True, cache=None,
-          quantum=0.0):
+def _fill(db, model, bubbles, strategy, *, partials=True, cache=None):
     filler = BubbleFiller(
         db, model, batch=64, strategy=strategy,
         enable_partial_batch=partials, lookahead_beam=BEAM, fill_cache=cache,
-        shape_quantum=quantum,
     )
     report = filler.fill(bubbles, leftover_devices=2)
+    return report, filler
+
+
+def _fill_oracle(db, model, bubbles, *, partials=True):
+    """:func:`_fill` run by the unpruned oracle (not a registered
+    strategy, so it is called on the filler directly)."""
+    filler = BubbleFiller(
+        db, model, batch=64, strategy="lookahead",
+        enable_partial_batch=partials, lookahead_beam=BEAM,
+    )
+    report = LookaheadReferenceFill().fill(filler, bubbles, leftover_devices=2)
     return report, filler
 
 
@@ -149,7 +160,7 @@ def _normalize(report):
 def test_pruned_lookahead_leftover_bit_identical(instance):
     comps, tag, specs, scale, partials = instance
     db, model, bubbles = _build(comps, tag, specs, scale=scale)
-    ref, _ = _fill(db, model, bubbles, "lookahead_reference", partials=partials)
+    ref, _ = _fill_oracle(db, model, bubbles, partials=partials)
     look, _ = _fill(db, model, bubbles, "lookahead", partials=partials)
     greedy, _ = _fill(db, model, bubbles, "greedy", partials=partials)
     assert look.leftover_ms == ref.leftover_ms  # bit-identical, no approx
@@ -161,9 +172,7 @@ def test_pruned_lookahead_leftover_bit_identical(instance):
 def test_pruned_lookahead_plan_bit_identical_on_unique_optima(instance):
     comps, tag, specs = instance
     db, model, bubbles = _build(comps, tag, specs, scale=False)
-    ref, ref_filler = _fill(
-        db, model, bubbles, "lookahead_reference", partials=False
-    )
+    ref, ref_filler = _fill_oracle(db, model, bubbles, partials=False)
     look, look_filler = _fill(db, model, bubbles, "lookahead", partials=False)
     assert _normalize(look) == _normalize(ref)
     for name in look_filler.states:
@@ -262,19 +271,16 @@ def test_shape_cache_contexts_never_alias():
     assert cache.final_hits == 0 and cache.final_misses == 3
 
 
-def test_shape_quantum_zero_is_bit_identical_and_exact():
-    """``shape_quantum=0.0`` (the default) must change nothing: reports
-    match a quantum-less fill bit for bit, near-identical durations
-    still key separately (no false hits), and entries written under a
-    coarse quantum are invisible at quantum 0 (the quantum is part of
-    the context identity)."""
+def test_shape_cache_keys_on_exact_durations():
+    """The shape cache changes nothing: reports match a cache-less fill
+    bit for bit, and near-identical durations still key separately (no
+    false hits)."""
     comps = {"c0": [(_entropy(k, 29.0), 0.0) for k in (337, 7919)]}
     db, model, bubbles = _build(comps, "q0", [(17.0, 2), (23.0, 1)],
                                 scale=True)
     plain, _ = _fill(db, model, bubbles, "lookahead")
     cache = FillShapeCache()
-    exact, _ = _fill(db, model, bubbles, "lookahead", cache=cache,
-                     quantum=0.0)
+    exact, _ = _fill(db, model, bubbles, "lookahead", cache=cache)
     assert exact == plain
     # a microsecond-scale perturbation is a distinct exact key
     nudged = [
@@ -282,35 +288,8 @@ def test_shape_quantum_zero_is_bit_identical_and_exact():
                devices=b.devices, weight=b.weight)
         for b in bubbles
     ]
-    _fill(db, model, nudged, "lookahead", cache=cache, quantum=0.0)
+    _fill(db, model, nudged, "lookahead", cache=cache)
     assert cache.final_hits == 0 and cache.final_misses == 2
-    # a coarse-quantum fill of the same bubbles must not read (or be
-    # read by) the exact entries
-    _fill(db, model, bubbles, "lookahead", cache=cache, quantum=1.0)
-    assert cache.final_hits == 0 and cache.final_misses == 3
-
-
-def test_shape_quantum_coarse_warm_hits_across_nudged_durations():
-    """At a coarse quantum, timelines whose bubble durations differ by
-    far less than the grid share one cache entry: the second fill is a
-    warm hit, and the replay re-binds to the *actual* bubbles, so its
-    report matches a cold search of those bubbles bit for bit."""
-    comps = {"c0": [(_entropy(k, 29.0), 0.0) for k in (11213, 7919)]}
-    db, model, bubbles = _build(comps, "qc", [(17.0, 2), (23.0, 1)],
-                                scale=True)
-    cache = FillShapeCache()
-    _fill(db, model, bubbles, "lookahead", cache=cache, quantum=1.0)
-    assert cache.final_misses == 1
-    nudged = [
-        Bubble(start=b.start, end=b.end + 1e-4,
-               devices=b.devices, weight=b.weight)
-        for b in bubbles
-    ]
-    warm, _ = _fill(db, model, nudged, "lookahead", cache=cache,
-                    quantum=1.0)
-    assert cache.final_hits == 1 and cache.final_misses == 1
-    cold, _ = _fill(db, model, nudged, "lookahead")
-    assert warm == cold
 
 
 def test_shape_cache_clear_resets_stores():
@@ -364,7 +343,7 @@ def test_seeded_differential_matrix(seed):
     partials = bool(seed % 2)
     scale = bool((seed // 2) % 2)
     db, model, bubbles = _build(comps, f"mat{seed}", specs, scale=scale)
-    ref, _ = _fill(db, model, bubbles, "lookahead_reference", partials=partials)
+    ref, _ = _fill_oracle(db, model, bubbles, partials=partials)
     look, _ = _fill(db, model, bubbles, "lookahead", partials=partials)
     greedy, _ = _fill(db, model, bubbles, "greedy", partials=partials)
     assert look.leftover_ms == ref.leftover_ms

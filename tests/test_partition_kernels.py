@@ -1,15 +1,19 @@
 """Differential tests of the array DP kernels against their oracles.
 
 The vectorized table builders of :mod:`repro.core.partition_kernels`
-promise *bit-identical* outputs to the pure-Python ``*_reference``
-folds they replaced — same max/+ compositions, same associativity, same
-tie-breaking, exact float equality.  This suite fuzzes (L, S, D, layer
-costs) with hypothesis and compares the full frontier tables, the
+promise *bit-identical* outputs to the pure-Python folds they replaced
+(``tests/oracles/``) — same max/+ compositions, same associativity,
+same tie-breaking, exact float equality.  This suite fuzzes (L, S, D,
+layer costs) with hypothesis and compares the full frontier tables, the
 feedback times and the backtracked plans across all three pricing
 modes (default, self-conditioning, zero-bubble) and both CDM flavours
 (uniform ``fixed_r`` and heterogeneous), plus the capped-fold replay
 engine in isolation.  Comparisons are exact: every float is checked by
 ``.hex()``, entry order included.
+
+The reference side runs the production wrappers under
+:func:`~tests.oracles.reference_dp_kernels`, each side on its own fresh
+:class:`PlannerCaches`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from repro.core.partition_cdm import (
     partition_cdm,
 )
 from repro.core import partition_kernels as pk
+from repro.core.planner import DiffusionPipePlanner, PlannerOptions
 from repro.profiling import ProfileDB
+from tests.oracles import reference_dp_kernels
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 
@@ -112,12 +118,9 @@ def test_chain_table_differential(times, S, mode):
     sc, pricing = mode
     ctx = _ctx(times, sc=sc, pricing=pricing)
     L = len(times)
-    h_ref, tf_ref = _chain_frontiers(
-        ctx, 2, L, S, PlannerCaches(), dp_kernel="reference"
-    )
-    h_arr, tf_arr = _chain_frontiers(
-        ctx, 2, L, S, PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_kernels():
+        h_ref, tf_ref = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
+    h_arr, tf_arr = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
     assert float(tf_ref).hex() == float(tf_arr).hex()
     _assert_chain_identical(h_ref, h_arr)
 
@@ -128,12 +131,9 @@ def test_chain_backtracked_plan_differential(times, S):
     if S > len(times):
         return
     ctx = _ctx(times)
-    ref = partition_backbone(
-        ctx, S, S, caches=PlannerCaches(), dp_kernel="reference"
-    )
-    arr = partition_backbone(
-        ctx, S, S, caches=PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_kernels():
+        ref = partition_backbone(ctx, S, S, caches=PlannerCaches())
+    arr = partition_backbone(ctx, S, S, caches=PlannerCaches())
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
     assert float(ref.w_ms).hex() == float(arr.w_ms).hex()
@@ -158,12 +158,9 @@ def test_het_table_differential(times, S, extra, mode):
     D = S + extra  # covers divisible and non-divisible device counts
     ctx = _ctx(times, sc=sc, pricing=pricing)
     L = len(times)
-    h_ref, tf_ref = _het_frontiers(
-        ctx, L, S, D, PlannerCaches(), dp_kernel="reference"
-    )
-    h_arr, tf_arr = _het_frontiers(
-        ctx, L, S, D, PlannerCaches(), dp_kernel="array"
-    )
+    with reference_dp_kernels():
+        h_ref, tf_ref = _het_frontiers(ctx, L, S, D, PlannerCaches())
+    h_arr, tf_arr = _het_frontiers(ctx, L, S, D, PlannerCaches())
     assert set(tf_ref) == set(tf_arr)
     for r in tf_ref:
         assert float(tf_ref[r]).hex() == float(tf_arr[r]).hex()
@@ -177,13 +174,12 @@ def test_het_backtracked_plan_differential(times, S):
         return
     ctx = _ctx(times)
     D = S + 1
-    ref = partition_backbone(
-        ctx, S, D, heterogeneous=True, caches=PlannerCaches(),
-        dp_kernel="reference",
-    )
+    with reference_dp_kernels():
+        ref = partition_backbone(
+            ctx, S, D, heterogeneous=True, caches=PlannerCaches()
+        )
     arr = partition_backbone(
-        ctx, S, D, heterogeneous=True, caches=PlannerCaches(),
-        dp_kernel="array",
+        ctx, S, D, heterogeneous=True, caches=PlannerCaches()
     )
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
@@ -220,13 +216,14 @@ def test_cdm_uniform_table_differential(dts, uts, S, cut_step, mf):
         return
     ctx = _cdm_ctx(dts, uts)
     ld, lu = len(dts), len(uts)
-    f_ref = _cdm_frontiers(
-        ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="reference",
-    )
+    with reference_dp_kernels():
+        f_ref = _cdm_frontiers(
+            ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
+            ld=ld, lu=lu,
+        )
     f_arr = _cdm_frontiers(
         ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="array",
+        ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -246,13 +243,14 @@ def test_cdm_het_table_differential(dts, uts, S, extra, cut_step, mf):
     ctx = _cdm_ctx(dts, uts)
     ld, lu = len(dts), len(uts)
     D = S + extra
-    f_ref = _cdm_het_frontiers(
-        ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="reference",
-    )
+    with reference_dp_kernels():
+        f_ref = _cdm_het_frontiers(
+            ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
+            ld=ld, lu=lu,
+        )
     f_arr = _cdm_het_frontiers(
         ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu, dp_kernel="array",
+        ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -269,14 +267,11 @@ def test_cdm_backtracked_plan_differential(dts, uts, S, het):
         return
     ctx = _cdm_ctx(dts, uts)
     D = S + 1 if het else S * 2
-    ref = partition_cdm(
-        ctx, S, D, heterogeneous=het, caches=PlannerCaches(),
-        dp_kernel="reference",
-    )
-    arr = partition_cdm(
-        ctx, S, D, heterogeneous=het, caches=PlannerCaches(),
-        dp_kernel="array",
-    )
+    with reference_dp_kernels():
+        ref = partition_cdm(
+            ctx, S, D, heterogeneous=het, caches=PlannerCaches()
+        )
+    arr = partition_cdm(ctx, S, D, heterogeneous=het, caches=PlannerCaches())
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
 
@@ -431,7 +426,7 @@ def test_cdm_plan_reused_across_adjacent_batches():
         results.append(
             _cdm_frontiers(
                 cctx, 2, 2, caches, cut_step=1, max_frontier=4,
-                ld=5, lu=5, dp_kernel="array",
+                ld=5, lu=5,
             )
         )
     # One plan build (miss), one warm reuse: the second batch's table
@@ -449,8 +444,51 @@ def test_cdm_plan_reused_across_adjacent_batches():
         num_micro_batches=2, p2p=FAST, allreduce=FAST,
     )
     cctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
-    f_ref = _cdm_frontiers(
-        cctx, 2, 2, PlannerCaches(), cut_step=1, max_frontier=4,
-        ld=5, lu=5, dp_kernel="reference",
-    )
+    with reference_dp_kernels():
+        f_ref = _cdm_frontiers(
+            cctx, 2, 2, PlannerCaches(), cut_step=1, max_frontier=4,
+            ld=5, lu=5,
+        )
     _assert_dicts_identical(f_ref, results[1])
+
+
+# ---------------------------------------------------------------------------
+# The oracle swap reaches the code under test
+# ---------------------------------------------------------------------------
+
+
+def test_reference_swap_reaches_every_table_build(
+    uniform, uniform_profile, cluster8
+):
+    """Every differential test above compares whatever the wrappers
+    build under :func:`reference_dp_kernels` with the array engine.  If
+    a wrapper bound a builder at import time, the swap would stop taking
+    effect and those tests would compare the array engine with itself.
+    Count the oracle builds to rule that out."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0)]
+    ctx = _ctx(times)
+    cctx = _cdm_ctx(times, times)
+    with reference_dp_kernels() as calls:
+        partition_backbone(ctx, 2, 2, caches=PlannerCaches())
+        partition_backbone(
+            ctx, 2, 3, heterogeneous=True, caches=PlannerCaches()
+        )
+        partition_cdm(cctx, 2, 4, caches=PlannerCaches())
+        partition_cdm(cctx, 2, 3, heterogeneous=True, caches=PlannerCaches())
+    assert calls == {"chains": 1, "het": 1, "cdm": 1, "cdm_het": 1}
+
+    options = PlannerOptions(
+        micro_batch_counts=(1, 2), group_sizes=(2,), check_memory=False
+    )
+    with reference_dp_kernels() as calls:
+        DiffusionPipePlanner(
+            uniform, cluster8, uniform_profile, options,
+            caches=PlannerCaches(),
+        ).plan(64)
+    assert calls["chains"] >= 1
+
+    # Leaving the context restores the array builders.
+    with reference_dp_kernels() as calls:
+        pass
+    partition_backbone(ctx, 2, 2, caches=PlannerCaches())
+    assert not calls

@@ -3,7 +3,7 @@
 ``simulate`` (event-driven, heap-based) must produce *identical*
 interval sequences — same tasks, same start/end times, same commit
 order — as ``simulate_reference`` (the original full-rescan list
-scheduler) on every schedule family the repository builds: FIFO-1F1B,
+scheduler, kept in ``tests/oracles/``) on every schedule family the repository builds: FIFO-1F1B,
 GPipe, bidirectional, self-conditioning variants, filled schedules with
 injected non-trainable work, and planner-produced task graphs over the
 model-zoo fixtures.
@@ -25,9 +25,9 @@ from repro.schedule import (
     build_gpipe,
     device_resource,
     simulate,
-    simulate_reference,
 )
 from repro.errors import ScheduleError
+from tests.oracles import simulate_reference
 
 
 def _keys(timeline):

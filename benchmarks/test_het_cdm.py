@@ -119,7 +119,7 @@ def test_het_cdm_dp_memo_speedup():
         t0 = time.perf_counter()
         first = sweep()
         cold = time.perf_counter() - t0
-        tables = caches.cdm_het.entry_count(profile)
+        tables = caches.cdm.entry_count(profile)
         assert tables > 0, "cold sweep must build heterogeneous CDM DP tables"
         # Best of three warm passes: the warm path is milliseconds of
         # cache reads, so a single scheduler stall on a shared CI
@@ -132,7 +132,7 @@ def test_het_cdm_dp_memo_speedup():
             assert first == second, "memoized sweep must be bit-identical"
         # Structural memo-hit evidence, independent of wall clock: the
         # warm sweeps added no DP tables.
-        assert caches.cdm_het.entry_count(profile) == tables
+        assert caches.cdm.entry_count(profile) == tables
         return cold, warm
 
     # The wall-clock ratio is the acceptance criterion, but timing on

@@ -1,8 +1,9 @@
 """Array-kernel DP speedup gate (the PR's headline optimisation).
 
-Times cold table builds of the three partition DPs — heterogeneous
-1F1B, the uniform chain, and the CDM bidirectional DP — under the array
-engine and under its pure-Python oracle (``tests/oracles/``, swapped in
+Times cold table builds of the two partition DPs — the 1F1B DP, free
+(heterogeneous) and pinned to a uniform replica count (the ``chain``
+case), and the pinned CDM bidirectional DP — under the array engine
+and under its pure-Python oracle (``tests/oracles/``, swapped in
 below the production wrappers) on a fig13c/d-flavoured lattice: the
 CDM-LSUN down backbone on one NVSwitch node's cost constants, swept
 across the group sizes the figure's cluster sweep visits (D up to 64
@@ -18,8 +19,9 @@ on a shared CI box can be 2-3x off their dispersion floor, and the
 best-of floor is the quantity the ratio is stable in.
 
 The engines' *outputs* are asserted bit-identical on one lattice shape
-here; exhaustive differential coverage (all pricing modes, both CDM
-flavours, fuzzed instances) lives in ``tests/test_partition_kernels.py``.
+here; exhaustive differential coverage (all pricing modes, both
+replication flavours, fuzzed instances) lives in
+``tests/test_partition_kernels.py``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ import time
 
 from repro.cluster.collectives import CommCosts
 from repro.core.caches import PlannerCaches
-from repro.core.partition import (
-    PartitionContext,
-    _chain_frontiers,
-    _het_frontiers,
-)
+from repro.core.partition import PartitionContext, _het_frontiers
 from repro.core.partition_cdm import CDMPartitionContext, _cdm_frontiers
 from tests.oracles import dp_engine, reference_dp_kernels
 
@@ -108,15 +106,16 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
 
     def chain(kern):
         return _under(
-            kern, lambda: _chain_frontiers(ctx, 2, L, 4, PlannerCaches())
+            kern,
+            lambda: _het_frontiers(ctx, L, 4, 8, PlannerCaches(), fixed_r=2),
         )
 
     def cdm(kern):
         return _under(
             kern,
             lambda: _cdm_frontiers(
-                cctx, 4, 2, PlannerCaches(), cut_step=2, max_frontier=8,
-                ld=ld, lu=lu,
+                cctx, 4, 8, PlannerCaches(), fixed_r=2, cut_step=2,
+                max_frontier=8, ld=ld, lu=lu,
             ),
         )
 

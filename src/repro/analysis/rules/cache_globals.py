@@ -1,9 +1,8 @@
 """Rule ``cache-globals``: no module-level cache stores in ``repro.core``.
 
-The cache-ownership refactor moved every planner memo (``_CHAIN_CACHE``,
-``_HET_CACHE``, ``_CDM_CACHE``, ``_CDM_HET_CACHE``, ``_PREFIX_CACHE``,
-``_TIMELINE_CACHE``) into :class:`~repro.core.caches.PlannerCaches`
-fields.  This rule fails on any module-level assignment in ``core/``
+The cache-ownership refactor moved every planner memo (the partition
+DP tables, ``_PREFIX_CACHE``, ``_TIMELINE_CACHE`` and their like) into
+:class:`~repro.core.caches.PlannerCaches` fields.  This rule fails on any module-level assignment in ``core/``
 that smells like a cache store, so a future change cannot quietly
 reintroduce process-global warm state outside the sanctioned
 :func:`~repro.core.caches.default_caches` singleton.
@@ -22,7 +21,7 @@ from ..engine import Finding, ModuleSource, register_rule
 
 #: module-level names that must not exist: the historical globals were
 #: all-caps with a CACHE component (``_TIMELINE_CACHE`` etc.); capacity
-#: constants like ``CHAIN_CACHE_MAX_TABLES`` are public and fine.
+#: constants like ``HET_CACHE_MAX_TABLES`` are public and fine.
 FORBIDDEN_NAME = re.compile(r"^_[A-Z0-9_]*CACHE[A-Z0-9_]*$")
 
 #: module-level calls that would build a mutable store at import time.

@@ -1,15 +1,15 @@
 """Ownership of all planner memoisation: :class:`PlannerCaches`.
 
 Every warm table the planner builds — the partition DP Pareto
-histories (single-backbone, heterogeneous, and the bidirectional CDM
-variants), the filling prefix-time arrays, the lookahead fill shape
-cache, the simulated-timeline memo, the partition/evaluation memos and
-the communication constants — lives in fields of one
-:class:`PlannerCaches` instance.  Nothing in :mod:`repro.core` reaches
-for a module-level cache global; functions that historically did now
-take a ``caches`` handle and fall back to the process-wide
-:func:`default_caches` instance, which preserves the old cross-planner
-warm sharing for callers that never pass one.
+histories (single-backbone and bidirectional CDM, each with uniform
+and heterogeneous replication), the filling prefix-time arrays, the
+lookahead fill shape cache, the simulated-timeline memo, the
+partition/evaluation memos and the communication constants — lives in
+fields of one :class:`PlannerCaches` instance.  Nothing in
+:mod:`repro.core` reaches for a module-level cache global; functions
+that historically did now take a ``caches`` handle and fall back to the
+process-wide :func:`default_caches` instance, which preserves the old
+cross-planner warm sharing for callers that never pass one.
 
 On top of ownership this module provides:
 
@@ -42,21 +42,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..profiling.records import ProfileDB
 
 
-#: default capacities, unchanged from the retired module globals
+#: store capacities
 PARTITION_CACHE_MAX = 16384
 EVAL_CACHE_MAX = 4096
 TIMELINE_CACHE_MAX = 8192
-CHAIN_CACHE_MAX_TABLES = 1024
-HET_CACHE_MAX_TABLES = 256
-CDM_CACHE_MAX_TABLES = 256
-CDM_HET_CACHE_MAX_TABLES = 256
+#: 1F1B tables of both flavours: the 1024 pinned plus 256 free tables
+#: the two stores they merged from held
+HET_CACHE_MAX_TABLES = 1280
+#: CDM tables of both flavours (256 pinned + 256 free, likewise)
+CDM_CACHE_MAX_TABLES = 512
 PREFIX_CACHE_MAX = 8192
 KERNEL_PLAN_CACHE_MAX = 256
 
 SNAPSHOT_MAGIC = "repro-planner-caches"
 #: bumped whenever a stored key's layout changes: entries are pickled
 #: with their keys as-is, so an old file would load but never hit
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class FillShapeCache:
@@ -225,9 +226,12 @@ class PlannerCaches:
         and, under ``("simulate", ...)`` keys without those knobs, the
         unfilled timeline of each partition, which both passes of the
         bound-and-skip ``plan()`` read.
-    ``chains`` / ``het`` / ``cdm`` / ``cdm_het``
+    ``het`` / ``cdm``
         the per-profile M-independent DP Pareto tables of
-        :mod:`repro.core.partition` and :mod:`repro.core.partition_cdm`.
+        :mod:`repro.core.partition` (single backbone) and
+        :mod:`repro.core.partition_cdm` (bidirectional), each holding
+        both replication flavours: tables pinned to a uniform replica
+        count and free heterogeneous ones, told apart by their keys.
     ``prefixes``
         the per-profile filling prefix-time arrays of
         :mod:`repro.core.filling`.
@@ -254,31 +258,16 @@ class PlannerCaches:
     service would grow forever.
     """
 
-    def __init__(
-        self,
-        *,
-        partition_max: int = PARTITION_CACHE_MAX,
-        eval_max: int = EVAL_CACHE_MAX,
-        timeline_max: int = TIMELINE_CACHE_MAX,
-        chain_tables: int = CHAIN_CACHE_MAX_TABLES,
-        het_tables: int = HET_CACHE_MAX_TABLES,
-        cdm_tables: int = CDM_CACHE_MAX_TABLES,
-        cdm_het_tables: int = CDM_HET_CACHE_MAX_TABLES,
-        prefix_max: int = PREFIX_CACHE_MAX,
-        kernel_plan_max: int = KERNEL_PLAN_CACHE_MAX,
-        fills: FillShapeCache | None = None,
-    ):
-        self.partition = LruStore(partition_max, name="partition")
+    def __init__(self) -> None:
+        self.partition = LruStore(PARTITION_CACHE_MAX, name="partition")
         self.comm = LruStore(None, name="comm")
-        self.evals = LruStore(eval_max, name="evals")
-        self.chains = ProfileKeyedStore(chain_tables, name="chains")
-        self.het = ProfileKeyedStore(het_tables, name="het")
-        self.cdm = ProfileKeyedStore(cdm_tables, name="cdm")
-        self.cdm_het = ProfileKeyedStore(cdm_het_tables, name="cdm_het")
-        self.prefixes = ProfileKeyedStore(prefix_max, name="prefixes")
-        self.kernel_plans = LruStore(kernel_plan_max, name="kernel_plans")
-        self.timelines = LruStore(timeline_max, name="timelines")
-        self.fills = fills if fills is not None else FillShapeCache()
+        self.evals = LruStore(EVAL_CACHE_MAX, name="evals")
+        self.het = ProfileKeyedStore(HET_CACHE_MAX_TABLES, name="het")
+        self.cdm = ProfileKeyedStore(CDM_CACHE_MAX_TABLES, name="cdm")
+        self.prefixes = ProfileKeyedStore(PREFIX_CACHE_MAX, name="prefixes")
+        self.kernel_plans = LruStore(KERNEL_PLAN_CACHE_MAX, name="kernel_plans")
+        self.timelines = LruStore(TIMELINE_CACHE_MAX, name="timelines")
+        self.fills = FillShapeCache()
 
     # -- maintenance ---------------------------------------------------------
 
@@ -295,10 +284,8 @@ class PlannerCaches:
         self.partition.clear()
         self.comm.clear()
         self.evals.clear()
-        self.chains.clear()
         self.het.clear()
         self.cdm.clear()
-        self.cdm_het.clear()
         self.prefixes.clear()
         self.kernel_plans.clear()
         self.timelines.clear()
@@ -312,10 +299,8 @@ class PlannerCaches:
             self.partition.stats(),
             self.comm.stats(),
             self.evals.stats(),
-            self.chains.stats(),
             self.het.stats(),
             self.cdm.stats(),
-            self.cdm_het.stats(),
             self.prefixes.stats(),
             self.kernel_plans.stats(),
             self.timelines.stats(),
@@ -329,7 +314,7 @@ class PlannerCaches:
 
     # -- persistence ---------------------------------------------------------
 
-    _PROFILE_STORES = ("chains", "het", "cdm", "cdm_het", "prefixes")
+    _PROFILE_STORES = ("het", "cdm", "prefixes")
     _FILL_STORES = ("expansions", "prefixes", "finals")
 
     def snapshot(self, path, *, include_timelines: bool = True) -> dict:

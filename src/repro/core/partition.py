@@ -26,11 +26,13 @@ self-conditioning activation probability ``p``.
 Because the objective is monotone in the pair ``(T0, T0^{S-C})`` — a
 triple with self-conditioning — an exact solution only needs the Pareto
 frontier of per-prefix values, which this module tracks explicitly
-(states are ``(layers-consumed, stages-used)``; frontier sizes stay
-small in practice).  Setting ``r != D/S`` per stage (heterogeneous
-replication) is supported behind a flag with devices added to the
-state, matching the general recursion (Eqns. 7-9); the default forces
-homogeneous replication as in the paper's evaluation (footnote 2).
+(frontier sizes stay small in practice).  One DP serves both
+replication flavours: the general recursion (Eqns. 7-9), whose states
+after ``s`` stages are ``(layers-consumed, devices-consumed)``.
+Heterogeneous replication (behind a flag) lets each stage pick its own
+replica count; the default pins every stage to ``r = D/S`` as in the
+paper's evaluation (footnote 2), which leaves each state exactly one
+transition per cut.
 """
 
 from __future__ import annotations
@@ -391,15 +393,14 @@ def partition_backbone(
 
     With ``heterogeneous=False`` every stage replicates on
     ``group_size / num_stages`` devices (the paper's evaluation setting,
-    footnote 2) and the DP state is (layers, stages).  With
-    ``heterogeneous=True`` the per-stage replica count is free and the
-    remaining-device count joins the state (Eqns. 7-9).  ``caches``
-    holds the memoised DP tables (the process-wide default when None).
+    footnote 2): the DP of Eqns. 7-9 with every replica count pinned.
+    With ``heterogeneous=True`` the per-stage replica count is free.
+    ``caches`` holds the memoised DP tables (the process-wide default
+    when None).
     """
     caches = caches if caches is not None else default_caches()
     S = num_stages
     D = group_size
-    M = ctx.num_micro_batches
     L = ctx.profile.num_layers(ctx.component)
     if S <= 0 or D <= 0:
         raise ConfigurationError("num_stages and group_size must be positive")
@@ -416,7 +417,8 @@ def partition_backbone(
         )
 
     if heterogeneous:
-        return _partition_heterogeneous(ctx, S, D, caches)
+        history, tf_by_r = _het_frontiers(ctx, L, S, D, caches)
+        return _select_plan(ctx, S, D, L, history, tf_by_r, replicas=None)
 
     if D % S != 0:
         raise PartitionError(
@@ -434,21 +436,8 @@ def partition_backbone(
             f"uniform replication r={r} needs at least {r} samples per "
             f"micro-batch (got {ctx.micro_batch:g})"
         )
-    plan_stages, w, w_sc, y, obj = _solve_chain(ctx, r, L, S, caches)
-    stages = tuple(
-        StageAssignment(ctx.component, lo, hi, replicas=r) for lo, hi in plan_stages
-    )
-    return PartitionPlan(
-        down=stages,
-        num_stages=S,
-        num_micro_batches=M,
-        group_size=D,
-        batch_per_group=ctx.batch_per_group,
-        t_max_ms=obj,
-        w_ms=_expected_w(ctx, w, w_sc),
-        y_ms=y,
-        self_conditioning=ctx.self_conditioning,
-    )
+    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches, fixed_r=r)
+    return _select_plan(ctx, S, D, L, history, tf_by_r, replicas=r)
 
 
 def _expected_w(ctx: PartitionContext, w: float, w_sc: float) -> float:
@@ -480,109 +469,6 @@ def _objective(
     return p * sc + (1.0 - p) * vanilla
 
 
-def _chain_frontiers(
-    ctx: PartitionContext,
-    r: int,
-    L: int,
-    S: int,
-    caches: PlannerCaches,
-) -> tuple[list[tuple[tuple, ...]], float]:
-    """The (memoized) Pareto-DP table of :func:`_solve_chain`.
-
-    Returns ``(history, tf)``.  ``history[s][l]`` is the frontier of
-    (w, w_sc, y, cut, parent_index) for prefixes of ``l`` layers in
-    ``s`` stages; the first three values are objective coordinates,
-    cut/parent enable backtracking.  Frontier cells are frozen to
-    tuples before caching, so the read-only contract is enforced by
-    the engine: a caller mutating a local copy of a frontier must copy
-    it first and cannot corrupt the cached table.  ``tf`` is the
-    feedback time ``T_F`` (0.0 without self-conditioning), computed
-    with the table while the :class:`StageCosts` are warm.  The key is
-    derived arithmetically — the O(L) prefix sums are built only on a
-    cache miss.
-
-    Tables live in ``caches.chains``, keyed weakly by the profile so
-    sweeps sharing one DB (planner + SPP + ablation variants) share
-    the expensive DP work and tables die with the profile.  The
-    frontiers depend only on (component, S, the stage-local batch
-    size, the communication constants, the self-conditioning flag) —
-    notably *not* on the micro-batch count M or the self-conditioning
-    probability, which enter only the final objective selection.
-    """
-    key = (
-        ctx.component,
-        L,
-        S,
-        # The stage-local batch, exactly as StageCosts computes it.
-        ctx.micro_batch / r,
-        ctx.p2p,
-        # The sync constants actually resolved for this replica count:
-        # with a per-replica-count resolver, contexts sharing one
-        # stage-local batch but differing in (micro-batch, r) price
-        # Eqn. 4 differently and must not share a table.
-        ctx.allreduce_for(r),
-        ctx.self_conditioning,
-        # Zero-bubble pricing repurposes the second frontier coordinate
-        # for the ramp bound, so its tables must not alias the default
-        # ones (all non-splitting families share "default" tables).
-        ctx.zb_pricing,
-        # Heterogeneous device speeds: stage s covers the group-local
-        # window [(s-1)r, sr), so a scaled table depends on the full
-        # factor tuple AND on r — two contexts sharing one stage-local
-        # batch but differing in r slice different windows.  None keeps
-        # homogeneous keys stable across speed-agnostic callers.
-        None if ctx.speed_scales is None else (r, ctx.speed_scales),
-    )
-    cached = caches.chains.get(ctx.profile, key)
-    if cached is not None:
-        return cached
-
-    from . import partition_kernels
-
-    # Looked up on the module at call time: the differential suites
-    # swap in the pure-Python oracle here (tests/oracles/).
-    history, tf = partition_kernels.chain_table_array(ctx, r, L, S)
-    history = [tuple(tuple(cell) for cell in row) for row in history]
-    cached = (history, tf)
-    caches.chains.put(ctx.profile, key, cached)
-    return cached
-
-
-def _solve_chain(
-    ctx: PartitionContext,
-    r: int,
-    L: int,
-    S: int,
-    caches: PlannerCaches,
-) -> tuple[list[tuple[int, int]], float, float, float, float]:
-    """Pareto DP over prefixes for a fixed replica count.
-
-    Returns (stage slices, W, W_sc, Y, objective).
-    """
-    history, tf = _chain_frontiers(ctx, r, L, S, caches)
-    final = history[S][L]
-    if not final:
-        raise PartitionError(
-            f"no feasible partition of {L} layers into {S} stages"
-        )
-    best = min(
-        final,
-        key=lambda e: (_objective(ctx, S, e[0], e[1], e[2], tf), e[0], e[2]),
-    )
-    obj = _objective(ctx, S, best[0], best[1], best[2], tf)
-
-    # Backtrack the cut positions.
-    cuts: list[int] = []
-    entry = best
-    for s in range(S, 0, -1):
-        c = entry[3]
-        cuts.append(c)
-        entry = history[s - 1][c][entry[4]]
-    cuts.reverse()
-    slices = [(cuts[i], cuts[i + 1] if i + 1 < S else L) for i in range(S)]
-    return slices, best[0], best[1], best[2], obj
-
-
 class _LazyStageCosts:
     """On-demand :class:`StageCosts` per replica count.
 
@@ -611,8 +497,10 @@ def _het_frontiers(
     S: int,
     D: int,
     caches: PlannerCaches,
+    *,
+    fixed_r: int | None = None,
 ) -> tuple[list[dict[tuple, tuple[tuple, ...]]], dict[int, float]]:
-    """The (memoized) Pareto-DP table of :func:`_partition_heterogeneous`.
+    """The (memoized) Pareto-DP table of :func:`partition_backbone`.
 
     Returns ``(history, tf_by_r)``.  ``history[s][(l, d)]`` is the
     frontier of ``(w, w_sc, y, cut, replicas, parent_index)`` for
@@ -627,42 +515,82 @@ def _het_frontiers(
     neither cold nor hit paths rebuild O(L) prefix sums for the final
     selection.
 
-    Tables live in ``caches.het``: the ``(layers, stages, devices)``
-    Pareto tables depend only on (component, L, S, D, the per-group
-    micro-batch size, the communication constants, the
-    self-conditioning flag) — not on the micro-batch *count* M or the
-    self-conditioning probability, which enter only the final objective
-    selection — so sweeps sharing one DB (planner + SPP + ablation
-    variants via one :class:`PlannerCaches`) share the expensive DP
-    work, and the tables die with the profile.
+    ``fixed_r=None`` builds the free table of heterogeneous replication
+    (Eqns. 7-9); a ``fixed_r`` pins every stage to that many replicas
+    on ``D = S * fixed_r`` devices (uniform replication, footnote 2).
+
+    Tables live in ``caches.het``, keyed weakly by the profile, so
+    sweeps sharing one DB (planner + SPP + ablation variants via one
+    :class:`PlannerCaches`) share the expensive DP work, and the tables
+    die with the profile.  No key holds the micro-batch *count* M or
+    the self-conditioning probability, which enter only the final
+    objective selection.  A free table depends on (component, L, S, D,
+    the per-group micro-batch size, the communication constants, the
+    pricing flavour).  A pinned table depends on the stage-local batch
+    ``micro_batch / r`` instead of (D, micro-batch), so (M, r)
+    combinations sharing one stage-local batch share one table; its
+    ``d`` and ``r`` labels then name the builder's replica count, which
+    :func:`_select_plan` relabels with its caller's.
     """
-    key = (
-        ctx.component,
-        L,
-        S,
-        D,
-        ctx.micro_batch,
-        ctx.p2p,
-        # One heterogeneous table spans every replica count, so the key
-        # carries the sync model's identity (the resolver's constant
-        # tuple, or the flat CommCosts pair when no resolver is set).
-        ctx.sync_key,
-        ctx.self_conditioning,
-        # See _chain_frontiers: zero-bubble tables carry the ramp bound
-        # in the second coordinate and must not alias default ones.
-        ctx.zb_pricing,
-        # Per-device speed factors (the table's windows are internal to
-        # the DP state, so the tuple alone suffices; D is above).
-        ctx.speed_scales,
-    )
+    if fixed_r is None:
+        key = (
+            ctx.component,
+            L,
+            S,
+            D,
+            ctx.micro_batch,
+            ctx.p2p,
+            # One free table spans every replica count, so the key
+            # carries the sync model's identity (the resolver's constant
+            # tuple, or the flat CommCosts pair when no resolver is set).
+            ctx.sync_key,
+            ctx.self_conditioning,
+            # Zero-bubble pricing repurposes the second frontier
+            # coordinate for the ramp bound, so its tables must not
+            # alias the default ones (all non-splitting families share
+            # "default" tables).
+            ctx.zb_pricing,
+            # Per-device speed factors (the table's windows are internal
+            # to the DP state, so the tuple alone suffices; D is above).
+            ctx.speed_scales,
+        )
+    else:
+        r = fixed_r
+        key = (
+            # Flavour tag: a pinned key never equals a free one.
+            "pinned",
+            ctx.component,
+            L,
+            S,
+            # The stage-local batch, exactly as StageCosts computes it.
+            ctx.micro_batch / r,
+            ctx.p2p,
+            # The sync constants actually resolved for this replica
+            # count: with a per-replica-count resolver, contexts sharing
+            # one stage-local batch but differing in (micro-batch, r)
+            # price Eqn. 4 differently and must not share a table.
+            ctx.allreduce_for(r),
+            ctx.self_conditioning,
+            ctx.zb_pricing,
+            # Heterogeneous device speeds: stage s covers the group-local
+            # window [(s-1)r, sr), so a scaled table depends on the full
+            # factor tuple AND on r — two contexts sharing one
+            # stage-local batch but differing in r slice different
+            # windows.  None keeps homogeneous keys stable across
+            # speed-agnostic callers.
+            None if ctx.speed_scales is None else (r, ctx.speed_scales),
+        )
     cached = caches.het.get(ctx.profile, key)
     if cached is not None:
         return cached
 
     from . import partition_kernels
 
-    # Looked up at call time, like the chain builder.
-    history, tf_by_r = partition_kernels.het_table_array(ctx, L, S, D)
+    # Looked up on the module at call time: the differential suites
+    # swap in the pure-Python oracle here (tests/oracles/).
+    history, tf_by_r = partition_kernels.het_table_array(
+        ctx, L, S, D, fixed_r=fixed_r
+    )
     history = [
         {state: tuple(entries) for state, entries in stage.items()}
         for stage in history
@@ -672,26 +600,27 @@ def _het_frontiers(
     return cached
 
 
-def _partition_heterogeneous(
+def _select_plan(
     ctx: PartitionContext,
     S: int,
     D: int,
-    caches: PlannerCaches,
+    L: int,
+    history: list[dict[tuple, tuple[tuple, ...]]],
+    tf_by_r: dict[int, float],
+    *,
+    replicas: int | None,
 ) -> PartitionPlan:
-    """General DP with per-stage replica counts (Eqns. 7-9).
+    """Final objective selection + backtrack over a 1F1B DP table.
 
-    State: (layers consumed, stages used, devices consumed) -> Pareto
-    frontier of (W, W_sc, Y) with backtracking info (cut, replicas,
-    parent index).  Stage costs depend on the stage's own replica count;
-    :class:`StageCosts` are built lazily per used ``r`` and the DP table
-    is memoized per profile (``caches.het``), so only the final
-    M-dependent objective selection runs per call.
+    Accepts any full assignment that uses all ``L`` layers; devices may
+    be partially used, but using all of them never hurts, so ties on
+    the objective prefer the largest ``d``, then the smaller ``(w, y)``.
+    ``replicas`` overrides every stage's count for pinned tables — they
+    may be shared across (micro-batch, r) combos with one stage-local
+    batch, so the entries' own ``r`` labels the *builder's* call, not
+    necessarily this one.  ``None`` keeps each entry's count (free
+    tables).
     """
-    L = ctx.profile.num_layers(ctx.component)
-    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches)
-
-    # Accept any full assignment that uses all L layers; devices may be
-    # partially used but using all of them never hurts, so prefer d = D.
     finals = [
         (key, e)
         for key, entries in history[S].items()
@@ -699,31 +628,30 @@ def _partition_heterogeneous(
         for e in entries
     ]
     if not finals:
+        flavour = "heterogeneous " if replicas is None else ""
         raise PartitionError(
-            f"no feasible heterogeneous partition of {L} layers into {S} "
+            f"no feasible {flavour}partition of {L} layers into {S} "
             f"stages on {D} devices"
         )
-    def tf_for(r: int) -> float:
-        # Prepopulated by _het_frontiers for every last-stage r.
-        return tf_by_r[r] if ctx.self_conditioning else 0.0
+
+    def objective(e: tuple) -> float:
+        # tf_by_r holds every last-stage r (see _het_frontiers).
+        tf = tf_by_r[e[4]] if ctx.self_conditioning else 0.0
+        return _objective(ctx, S, e[0], e[1], e[2], tf)
 
     best_key, best = min(
         finals,
-        key=lambda ke: (
-            _objective(ctx, S, ke[1][0], ke[1][1], ke[1][2], tf_for(ke[1][4])),
-            -ke[0][1],
-        ),
+        key=lambda ke: (objective(ke[1]), -ke[0][1], ke[1][0], ke[1][2]),
     )
-    obj = _objective(ctx, S, best[0], best[1], best[2], tf_for(best[4]))
 
     # Backtrack.
     assignments: list[StageAssignment] = []
     l, d, entry = best_key[0], best_key[1], best
     for s in range(S, 0, -1):
         c, r = entry[3], entry[4]
-        assignments.append(StageAssignment(ctx.component, c, l, replicas=r))
-        parent_key = (c, d - r)
-        entry = history[s - 1][parent_key][entry[5]]
+        stage_r = replicas if replicas is not None else r
+        assignments.append(StageAssignment(ctx.component, c, l, replicas=stage_r))
+        entry = history[s - 1][(c, d - r)][entry[5]]
         l, d = c, d - r
     assignments.reverse()
     for i, a in enumerate(assignments):
@@ -737,7 +665,7 @@ def _partition_heterogeneous(
         num_micro_batches=ctx.num_micro_batches,
         group_size=D,
         batch_per_group=ctx.batch_per_group,
-        t_max_ms=obj,
+        t_max_ms=objective(best),
         w_ms=_expected_w(ctx, best[0], best[1]),
         y_ms=best[2],
         self_conditioning=ctx.self_conditioning,

@@ -16,13 +16,14 @@ and the objective is ``(M_CDM + 2S - 2) W + Y`` (Eqn. 12) with
 ``M_CDM = M_down + M_up`` paired forward/backward stages in the stable
 phase.
 
-Replication comes in two flavours, mirroring the single-backbone
-partitioner: the default pins every chain position to ``r = D / S``
-devices (the paper's evaluation setting), while ``heterogeneous=True``
-lets each position pick its own replica count — shared by the
-co-located down and up stages, which live on the same devices — with
-the devices-consumed count joining the DP state (the general recursion
-of Eqns. 7-9 applied to the bidirectional objective).
+Replication comes in two flavours of one DP, mirroring the
+single-backbone partitioner: the devices-consumed count is part of the
+DP state (the general recursion of Eqns. 7-9 applied to the
+bidirectional objective).  The default pins every chain position to
+``r = D / S`` devices (the paper's evaluation setting), while
+``heterogeneous=True`` lets each position pick its own replica count —
+shared by the co-located down and up stages, which live on the same
+devices.
 
 Models with more than two backbones are split into two direction groups
 whose stage chains are concatenated (§4.2's grouping rule); see
@@ -113,176 +114,134 @@ def _min_gap(pts: list[int]) -> int:
     return min(b - a for a, b in zip(pts, pts[1:]))
 
 
-def _cdm_dp_table(
+def _cdm_frontiers(
     ctx: CDMPartitionContext,
     S: int,
+    D: int,
+    caches: PlannerCaches,
     *,
+    fixed_r: int | None,
     cut_step: int,
     max_frontier: int,
     ld: int,
     lu: int,
-    D: int,
-    r_cap: int,
-    fixed_r: int | None,
-    plans=None,
 ) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
-    """Shared DP engine for both replication flavours.
+    """The (memoized) CDM DP table, for both replication flavours.
 
     ``frontiers[k][(a, b, d)]`` is the Pareto set of
     (W, Y, prev_a, prev_b, replicas, parent_index) after placing ``k``
     chain positions with down prefix ``a``, up suffix ``b`` and ``d``
     devices consumed.  Each position's replica count is shared by its
     co-located down and up stages — they live on the same devices.
-    ``fixed_r`` pins every position to one count (uniform replication;
-    the device coordinate is then deterministic); ``fixed_r=None`` lets
-    each position choose ``r`` within the device budget and ``r_cap``.
-    Frontiers are frozen to tuples, so the read-only contract is
-    engine-enforced.
+    ``fixed_r`` pins every position to one count on ``D = S * fixed_r``
+    devices (uniform replication; the device coordinate is then
+    deterministic); ``fixed_r=None`` lets each position choose ``r``
+    within the device budget and the per-replica sample floor
+    (Eqns. 7-9 applied to the bidirectional objective).  Frontiers are
+    frozen to tuples, so the read-only contract is engine-enforced.
 
-    The table is built by :func:`~.partition_kernels.cdm_table_array`.
-    ``plans`` is an optional store of geometry transition plans it
-    shares across adjacent stage-local batches in a sweep
-    (``PlannerCaches.kernel_plans``).
+    The table is built by :func:`~.partition_kernels.cdm_table_array`,
+    which shares geometry transition plans across adjacent stage-local
+    batches of a sweep (``caches.kernel_plans``).  Tables live in
+    ``caches.cdm``, keyed by the shared profile; the rare split-profile
+    contexts stay uncached.  No key holds the micro-batch counts, which
+    only scale the final selection.  A pinned table is keyed by the
+    stage-local batches, so two (micro-batch, r) combos sharing a local
+    batch and sync constants share one table (the backtracker applies
+    its caller's own ``r`` to the assignments); a free table is keyed
+    by (D, per-group micro-batch), its per-``r`` local batches being
+    derived inside.
     """
+    down, up = ctx.down, ctx.up
+    if fixed_r is None:
+        key = (
+            "free",
+            down.component,
+            up.component,
+            S,
+            D,
+            down.micro_batch,
+            up.micro_batch,
+            down.p2p,
+            # One free table spans every replica count, so the key
+            # carries the sync model's identity (the per-r resolver's
+            # constant tuple, or the flat CommCosts pair), exactly like
+            # a free ``PlannerCaches.het`` key.
+            down.sync_key,
+            up.p2p,
+            up.sync_key,
+            ctx.comm_scale,
+            cut_step,
+            max_frontier,
+            down.pricing,
+            up.pricing,
+            # Per-device speed factors (windows are internal DP state;
+            # D is above).
+            down.speed_scales,
+        )
+        # Physical feasibility: every replica of either co-located
+        # stage must see at least one sample per micro-batch (the same
+        # floor the single-backbone DP enforces).  Larger r always
+        # lowers a stage's modeled compute, so without this cap the DP
+        # would happily pick unrunnable sub-sample local batches.
+        r_cap = int(min(down.micro_batch, up.micro_batch))
+    else:
+        r = fixed_r
+        key = (
+            "pinned",
+            down.component,
+            up.component,
+            S,
+            # Stage-local batch sizes, computed exactly as StageCosts
+            # does; the O(L) prefix-sum tables themselves are built only
+            # on a cache miss.
+            down.micro_batch / r,
+            up.micro_batch / r,
+            down.p2p,
+            # Sync constants resolved for the uniform replica count:
+            # with a per-replica-count resolver these differ across r
+            # even at one stage-local batch, so the flat pair must not
+            # stand in.
+            down.allreduce_for(r),
+            up.p2p,
+            up.allreduce_for(r),
+            ctx.comm_scale,
+            cut_step,
+            max_frontier,
+            # The bidirectional family always prices with the default
+            # mode today, but the contexts carry the field, so the key
+            # does too.
+            down.pricing,
+            up.pricing,
+            # Speed factors: position k's device window is
+            # [k*r, (k+1)*r), so a scaled table depends on the tuple AND
+            # on r — two (micro-batch, r) combos sharing a stage-local
+            # batch slice different windows.  None keeps homogeneous
+            # keys stable.
+            None if down.speed_scales is None else (r, down.speed_scales),
+        )
+        r_cap = r
+    cacheable = down.profile is up.profile
+    if cacheable:
+        cached = caches.cdm.get(down.profile, key)
+        if cached is not None:
+            return cached
+
     from . import partition_kernels
 
     # Looked up on the module at call time: the differential suites
     # swap in the pure-Python oracle here (tests/oracles/).
     frontiers = partition_kernels.cdm_table_array(
         ctx, S, cut_step=cut_step, max_frontier=max_frontier,
-        ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r, plans=plans,
+        ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r,
+        plans=caches.kernel_plans,
     )
-    return [
+    frontiers = [
         {state: tuple(entries) for state, entries in stage.items()}
         for stage in frontiers
     ]
-
-
-def _cdm_frontiers(
-    ctx: CDMPartitionContext,
-    S: int,
-    r: int,
-    caches: PlannerCaches,
-    *,
-    cut_step: int,
-    max_frontier: int,
-    ld: int,
-    lu: int,
-) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
-    """The (memoized) uniform-replication CDM DP table.
-
-    A :func:`_cdm_dp_table` run with every position pinned to ``r``
-    replicas.  The table depends on stage costs (local batches, comm
-    constants, comm scale) but not on the micro-batch counts, so it is
-    keyed by the stage-local batches — two (micro-batch, r) combos
-    sharing a local batch and sync constants share one table (the
-    backtracker applies its caller's own ``r`` to the assignments).
-    Tables live in ``caches.cdm``, keyed by the shared profile; the
-    rare split-profile contexts stay uncached.
-    """
-    cacheable = ctx.down.profile is ctx.up.profile
-    key = (
-        ctx.down.component,
-        ctx.up.component,
-        S,
-        # Stage-local batch sizes, computed exactly as StageCosts does;
-        # the O(L) prefix-sum tables themselves are built only on a
-        # cache miss.
-        ctx.down.micro_batch / r,
-        ctx.up.micro_batch / r,
-        ctx.down.p2p,
-        # Sync constants resolved for the uniform replica count: with a
-        # per-replica-count resolver these differ across r even at one
-        # stage-local batch, so the flat pair must not stand in.
-        ctx.down.allreduce_for(r),
-        ctx.up.p2p,
-        ctx.up.allreduce_for(r),
-        ctx.comm_scale,
-        cut_step,
-        max_frontier,
-        # The bidirectional family always prices with the default mode
-        # today, but the contexts carry the field, so the key does too.
-        ctx.down.pricing,
-        ctx.up.pricing,
-        # Speed factors: position k's device window is [k*r, (k+1)*r),
-        # so a scaled table depends on the tuple AND on r — two
-        # (micro-batch, r) combos sharing a stage-local batch slice
-        # different windows.  None keeps homogeneous keys stable.
-        None if ctx.down.speed_scales is None else (r, ctx.down.speed_scales),
-    )
     if cacheable:
-        cached = caches.cdm.get(ctx.down.profile, key)
-        if cached is not None:
-            return cached
-    frontiers = _cdm_dp_table(
-        ctx, S, cut_step=cut_step, max_frontier=max_frontier, ld=ld, lu=lu,
-        D=S * r, r_cap=r, fixed_r=r, plans=caches.kernel_plans,
-    )
-    if cacheable:
-        caches.cdm.put(ctx.down.profile, key, frontiers)
-    return frontiers
-
-
-def _cdm_het_frontiers(
-    ctx: CDMPartitionContext,
-    S: int,
-    D: int,
-    caches: PlannerCaches,
-    *,
-    cut_step: int,
-    max_frontier: int,
-    ld: int,
-    lu: int,
-) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
-    """The (memoized) heterogeneous CDM DP table (Eqns. 7-9 applied to
-    the bidirectional objective).
-
-    A :func:`_cdm_dp_table` run with free per-position replica counts.
-    Like the uniform table, the frontier values depend on the per-group
-    micro-batch (per-``r`` local batches are derived inside) but not on
-    the micro-batch counts, which only scale the final selection.
-    Tables live in ``caches.cdm_het``.
-    """
-    cacheable = ctx.down.profile is ctx.up.profile
-    key = (
-        ctx.down.component,
-        ctx.up.component,
-        S,
-        D,
-        ctx.down.micro_batch,
-        ctx.up.micro_batch,
-        ctx.down.p2p,
-        # One table spans every replica count, so the key carries the
-        # sync model's identity (the per-r resolver's constant tuple, or
-        # the flat CommCosts pair), exactly like ``PlannerCaches.het``.
-        ctx.down.sync_key,
-        ctx.up.p2p,
-        ctx.up.sync_key,
-        ctx.comm_scale,
-        cut_step,
-        max_frontier,
-        ctx.down.pricing,
-        ctx.up.pricing,
-        # Per-device speed factors (windows are internal DP state; D is
-        # above), matching ``_het_frontiers``.
-        ctx.down.speed_scales,
-    )
-    if cacheable:
-        cached = caches.cdm_het.get(ctx.down.profile, key)
-        if cached is not None:
-            return cached
-    # Physical feasibility: every replica of either co-located stage
-    # must see at least one sample per micro-batch (the same floor the
-    # single-backbone DPs enforce).  Larger r always lowers a stage's
-    # modeled compute, so without this cap the DP would happily pick
-    # unrunnable sub-sample local batches.
-    r_cap = int(min(ctx.down.micro_batch, ctx.up.micro_batch))
-    frontiers = _cdm_dp_table(
-        ctx, S, cut_step=cut_step, max_frontier=max_frontier, ld=ld, lu=lu,
-        D=D, r_cap=r_cap, fixed_r=None, plans=caches.kernel_plans,
-    )
-    if cacheable:
-        caches.cdm_het.put(ctx.down.profile, key, frontiers)
+        caches.cdm.put(down.profile, key, frontiers)
     return frontiers
 
 
@@ -391,9 +350,9 @@ def partition_cdm(
     ``cut_step > 1`` restricts stage boundaries to multiples of the step
     (chain ends always allowed), shrinking the O(L^2) transition space
     for long backbones at negligible quality cost on near-uniform
-    chains.  ``max_frontier`` caps each state's Pareto set, keeping the
-    lowest-``W`` entries (frontiers are tiny in practice; the cap is a
-    worst-case guard).
+    chains.  ``max_frontier`` (at least 1) caps each state's Pareto set,
+    keeping the lowest-``W`` entries (frontiers are tiny in practice;
+    the cap is a worst-case guard).
 
     DP tables are memoized in ``caches`` (the process-wide default
     instance when ``None``).
@@ -405,6 +364,8 @@ def partition_cdm(
         raise ConfigurationError("num_stages and group_size must be positive")
     if cut_step <= 0:
         raise ConfigurationError("cut_step must be positive")
+    if max_frontier < 1:
+        raise ConfigurationError("max_frontier must be positive")
     if S > D:
         raise PartitionError(f"cannot place {S} stages on {D} devices")
     if (
@@ -424,9 +385,9 @@ def partition_cdm(
         )
 
     if heterogeneous:
-        frontiers = _cdm_het_frontiers(
-            ctx, S, D, caches, cut_step=cut_step, max_frontier=max_frontier,
-            ld=ld, lu=lu,
+        frontiers = _cdm_frontiers(
+            ctx, S, D, caches, fixed_r=None, cut_step=cut_step,
+            max_frontier=max_frontier, ld=ld, lu=lu,
         )
         return _cdm_select_plan(
             ctx, S, D, frontiers, ld, lu, replicas=None
@@ -447,8 +408,8 @@ def partition_cdm(
             f"{ctx.down.micro_batch:g}/{ctx.up.micro_batch:g})"
         )
     frontiers = _cdm_frontiers(
-        ctx, S, r, caches, cut_step=cut_step, max_frontier=max_frontier,
-        ld=ld, lu=lu,
+        ctx, S, D, caches, fixed_r=r, cut_step=cut_step,
+        max_frontier=max_frontier, ld=ld, lu=lu,
     )
     return _cdm_select_plan(ctx, S, D, frontiers, ld, lu, replicas=r)
 

@@ -3,9 +3,13 @@
 A pure-Python Pareto DP spends essentially all of its cold time in loop
 overhead: profiling shows tens of thousands of ``max``/``pareto_insert``
 calls against a few hundred distinct segment-cost evaluations.  This
-module builds the tables behind the three DP wrappers —
-``_chain_frontiers``, ``_het_frontiers`` and the shared
-``_cdm_dp_table`` engine — as array kernels:
+module builds the tables behind the two DP wrappers as array kernels —
+:func:`het_table_array` for the single-backbone 1F1B DP
+(``partition._het_frontiers``) and :func:`cdm_table_array` for the
+bidirectional CDM DP (``partition_cdm._cdm_frontiers``).  Each serves
+both replication flavours: ``fixed_r`` pins every stage to one replica
+count (uniform replication, the paper's footnote 2), ``fixed_r=None``
+lets each stage choose (Eqns. 7-9).  The kernels work as follows:
 
 * per-``(cut, prefix)`` stage costs (``t0`` / ``t0_sc`` / ``t0_ramp`` /
   ``sync_gap``) become dense ``(L+1, L+1)`` slabs built from the same
@@ -14,8 +18,9 @@ module builds the tables behind the three DP wrappers —
   boolean device-budget and cut-grid feasibility masks turn into
   ``searchsorted`` ranges) and the full candidate slab is one
   ``np.maximum(parent_coords, slice_costs)`` broadcast;
-* Pareto reduction runs as grouped pairwise dominance filtering over
-  sorted candidate segments.
+* Pareto reduction is a sort-based staircase sweep when the frontier
+  has two independent coordinates, and grouped pairwise dominance
+  filtering over sorted candidate segments when it has three.
 
 The kernels are *differential twins* of the pure-Python recursions they
 replaced, which live on as oracles in ``tests/oracles/``: they evaluate
@@ -32,12 +37,16 @@ Exactness notes
 frontier dominates-or-equals it from an earlier generation position or
 strictly dominates it from a later one, and lists survivors in
 generation order — so the reduction needs exact comparisons, never
-arithmetic on the coordinates.  The CDM engine additionally truncates
-each state's frontier to ``max_frontier`` after every transition batch;
-:func:`_truncation_safe` proves (per state, from killer-batch interval
-counts) that the fold can never truncate, in which case the vectorized
-survivors are exact; the rare unprovable states replay the reference
-fold on the precomputed candidate values.
+arithmetic on the coordinates.  The 1F1B kernel expands every
+(batch, parent entry) candidate and reduces each target state's stream
+in one pass.  The CDM engine additionally truncates each state's
+frontier to ``max_frontier`` after every transition batch, so it first
+prunes each batch to its corner-clamped elbow survivors
+(:func:`_clamp_elbow`); :func:`_truncation_safe` then proves (per
+state, from killer-batch interval counts) that the fold can never
+truncate, in which case the vectorized survivors are exact; the rare
+unprovable states replay the reference fold on the precomputed
+candidate values.
 """
 
 from __future__ import annotations
@@ -47,7 +56,6 @@ import numpy as np
 from .partition import StageCosts, _LazyStageCosts, pareto_insert
 
 __all__ = [
-    "chain_table_array",
     "het_table_array",
     "cdm_table_array",
 ]
@@ -579,7 +587,7 @@ def _segmented_pareto(
     bounded chunks first, then re-filtering the survivors at full
     segment granularity, yields exactly the pairwise drop mask while
     never materialising a quadratic-in-segment comparison tensor.
-    Only sound without mid-fold truncation (chain/heterogeneous DPs).
+    Only sound without mid-fold truncation (the 1F1B DP).
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
@@ -849,147 +857,58 @@ def _flatten_entries(
     return tuple(np.asarray(c, dtype=np.float64) for c in cols) + (counts,)
 
 
-# -- chain (uniform 1F1B) ----------------------------------------------------
+# -- single-backbone 1F1B ----------------------------------------------------
 
 
-def chain_table_array(ctx, r: int, L: int, S: int):
-    """Array twin of the pure-Python chain DP oracle
-    (``tests/oracles/partition.py``) — same ``(history, tf)``,
-    bit-identical entries in identical order."""
-    costs = StageCosts(ctx, r)
-    sc = ctx.self_conditioning
-    zb = ctx.zb_pricing
-    scaled = ctx.speed_scales is not None
-    if not scaled:
-        t0, alt, gap = _cost_slabs(costs, L, sc=sc, zb=zb)
-    else:
-        # One slab triple per distinct per-stage window factor: stage s
-        # covers group-local devices [(s-1)r, sr), and equal bottleneck
-        # factors share a slab.
-        comp_scale = ctx.comp_scale
-        slabs_by_sigma: dict[float, tuple] = {}
-
-    prev: list[list[tuple]] = [[] for _ in range(L + 1)]
-    prev[0] = [(0.0, 0.0, float("-inf"), -1, -1)]
-    history: list[list[list[tuple]]] = [prev]
-    for s in range(1, S + 1):
-        if scaled:
-            sigma = ctx.window_scale((s - 1) * r, r)
-            slab = slabs_by_sigma.get(sigma)
-            if slab is None:
-                slab = slabs_by_sigma[sigma] = _cost_slabs(
-                    costs, L, sc=sc, zb=zb,
-                    scale=sigma, comp_scale=comp_scale,
-                )
-            t0, alt, gap = slab
-        cur: list[list[tuple]] = [[] for _ in range(L + 1)]
-        # Flatten parents in (cell, entry) order — candidate generation
-        # order for every target l is exactly this flat order filtered
-        # to cells < l, which is a prefix (cells ascend).
-        pc: list[int] = []
-        pw: list[float] = []
-        ps: list[float] = []
-        py: list[float] = []
-        ppi: list[int] = []
-        for c in range(L + 1):
-            for pi, e in enumerate(prev[c]):
-                pc.append(c)
-                pw.append(e[0])
-                ps.append(e[1])
-                py.append(e[2])
-                ppi.append(pi)
-        ls = np.arange(s, L - (S - s) + 1, dtype=np.int64)
-        if pc and len(ls):
-            PC = np.asarray(pc, dtype=np.int64)
-            PW = np.asarray(pw)
-            PS = np.asarray(ps)
-            PY = np.asarray(py)
-            PPI = np.asarray(ppi, dtype=np.int64)
-            counts = np.searchsorted(PC, ls, side="left")
-            cpi = _ragged_arange(counts)
-            LL = np.repeat(ls, counts)
-            CC = PC[cpi]
-            CW = np.maximum(PW[cpi], t0[CC, LL])
-            CS = np.maximum(PS[cpi], alt[CC, LL])
-            CY = np.maximum(PY[cpi], gap[CC, LL])
-            if not sc and not zb:
-                # Default pricing reuses t0 for the second coordinate
-                # (partition.py), so CS == CW for every entry by
-                # induction from the (0.0, 0.0, ...) root — dominance
-                # over the triple degenerates to two columns and the
-                # sort-based staircase applies.
-                drop = _staircase_drop(CW, CY, counts)
-            else:
-                drop = _segmented_pareto((CW, CS, CY), counts)
-            kidx = np.flatnonzero(~drop)
-            seg_of = np.repeat(np.arange(len(ls), dtype=np.int64), counts)
-            rows = zip(
-                CW[kidx].tolist(),
-                CS[kidx].tolist(),
-                CY[kidx].tolist(),
-                CC[kidx].tolist(),
-                PPI[cpi][kidx].tolist(),
-                seg_of[kidx].tolist(),
-            )
-            lsl = ls.tolist()
-            for w, w2, y, c, pi, sg in rows:
-                cur[lsl[sg]].append((w, w2, y, c, pi))
-        history.append(cur)
-        prev = cur
-
-    tf = costs.feedback_ms() if ctx.self_conditioning else 0.0
-    return history, tf
-
-
-# -- heterogeneous 1F1B ------------------------------------------------------
-
-
-def het_table_array(ctx, L: int, S: int, D: int):
-    """Array twin of the pure-Python heterogeneous DP oracle
+def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
+    """Array twin of the pure-Python 1F1B DP oracle
     (``tests/oracles/partition.py``) — same ``(history, tf_by_r)``,
-    bit-identical entries and dict orders."""
+    bit-identical entries and dict orders.
+
+    ``fixed_r=None`` lets every stage pick its replica count within the
+    device budget and the per-replica sample floor (Eqns. 7-9).  A
+    ``fixed_r`` pins every stage to that count on ``D = S * fixed_r``
+    devices — uniform replication (footnote 2) — so each parent state
+    expands exactly one replica count and the device coordinate of
+    stage ``s`` is always ``s * fixed_r``.  Callers reject
+    ``micro_batch < fixed_r`` before pinning, so the pinned path skips
+    the sample floor.
+    """
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
-    r_cap = int(ctx.micro_batch)
-    rmax = min(D - S + 1, r_cap)
+    if fixed_r is None:
+        r_cap = int(ctx.micro_batch)
+        r_values = range(1, min(D - S + 1, r_cap) + 1)
+    else:
+        r_values = range(fixed_r, fixed_r + 1)
+    rmax = max(r_values, default=0)
     costs_for = _LazyStageCosts(ctx)
     scaled = ctx.speed_scales is not None
-    if not scaled:
-        shape = (rmax + 1, L + 1, L + 1)
-        ST0 = np.zeros(shape)
-        SALT = np.zeros(shape)
-        SGAP = np.zeros(shape)
-        for r in range(1, rmax + 1):
-            ST0[r], SALT[r], SGAP[r] = _cost_slabs(
-                costs_for(r), L, sc=sc, zb=zb
-            )
-        SID = None
-    else:
-        # Slab per distinct (r, window factor): a stage of r replicas
-        # starting at group-local device pd runs at the bottleneck of
-        # scales[pd:pd+r].  SID maps (pd, r) to its slab, so the value
-        # gathers below stay single fancy-index expressions.
-        comp_scale = ctx.comp_scale
-        SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
-        slab_id: dict[tuple[int, float], int] = {}
-        slab_params: list[tuple[int, float]] = []
-        for r in range(1, rmax + 1):
-            for pd in range(D - r + 1):
-                key = (r, ctx.window_scale(pd, r))
-                sid = slab_id.get(key)
-                if sid is None:
-                    sid = slab_id[key] = len(slab_params)
-                    slab_params.append(key)
-                SID[pd, r] = sid
-        shape = (len(slab_params), L + 1, L + 1)
-        ST0 = np.zeros(shape)
-        SALT = np.zeros(shape)
-        SGAP = np.zeros(shape)
-        for sid, (r, w) in enumerate(slab_params):
-            ST0[sid], SALT[sid], SGAP[sid] = _cost_slabs(
-                costs_for(r), L, sc=sc, zb=zb,
-                scale=w, comp_scale=comp_scale,
-            )
+    comp_scale = ctx.comp_scale if scaled else None
+    # One cost slab per distinct (r, window factor): a stage of r
+    # replicas starting at group-local device pd runs at the bottleneck
+    # of scales[pd:pd+r].  SID maps (pd, r) to its slab, so the value
+    # gathers below stay single fancy-index expressions.  Homogeneous
+    # groups need one slab per r; pinned stages start only at
+    # multiples of fixed_r.
+    SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
+    slab_id: dict[tuple[int, float | None], int] = {}
+    for r in r_values:
+        if not scaled:
+            SID[:, r] = slab_id.setdefault((r, None), len(slab_id))
+            continue
+        step = r if fixed_r is not None else 1
+        for pd in range(0, D - r + 1, step):
+            key = (r, ctx.window_scale(pd, r))
+            SID[pd, r] = slab_id.setdefault(key, len(slab_id))
+    shape = (len(slab_id), L + 1, L + 1)
+    ST0 = np.zeros(shape)
+    SALT = np.zeros(shape)
+    SGAP = np.zeros(shape)
+    for (r, w), sid in slab_id.items():
+        ST0[sid], SALT[sid], SGAP[sid] = _cost_slabs(
+            costs_for(r), L, sc=sc, zb=zb, scale=w, comp_scale=comp_scale
+        )
 
     history: list[dict[tuple, list[tuple]]] = [
         {(0, 0): [(0.0, 0.0, float("-inf"), -1, 0, -1)]}
@@ -1005,8 +924,10 @@ def het_table_array(ctx, L: int, S: int, D: int):
 
         # Batch enumeration (one batch per (parent, l, r), in reference
         # loop order: parents in dict order, l outer, r inner).
-        nr = np.minimum(D - PD - stages_left, r_cap)
-        nr = np.maximum(nr, 0)
+        if fixed_r is None:
+            nr = np.maximum(np.minimum(D - PD - stages_left, r_cap), 0)
+        else:
+            nr = np.ones(len(states), dtype=np.int64)
         if stages_left:
             nl = np.maximum(L - stages_left - PL, 0)
         else:
@@ -1020,7 +941,7 @@ def het_table_array(ctx, L: int, S: int, D: int):
         local = _ragged_arange(n_per_p)
         nr_b = nr[P_b]
         il = local // nr_b
-        R_b = 1 + (local % nr_b)
+        R_b = r_values[0] + (local % nr_b)
         if stages_left:
             L_b = PL[P_b] + 1 + il
         else:
@@ -1051,42 +972,28 @@ def het_table_array(ctx, L: int, S: int, D: int):
         tb_counts = np.bincount(t_rank, minlength=nt)
         tb_starts = np.cumsum(tb_counts) - tb_counts
 
-        # Candidate expansion: one candidate per (batch, parent entry).
-        # Under mixed speeds the slab axis is the (pd, r) window's slab
-        # id; otherwise it is r itself — the original gather unchanged.
-        K_b = SID[PD[P_b], R_b] if scaled else R_b
-        T0_b = ST0[K_b, PL_b, L_b]
-        GA_b = SGAP[K_b, PL_b, L_b]
+        # Candidate expansion: one candidate per (batch, parent entry),
+        # in arrival order.
+        K_b = SID[PD[P_b], R_b]
+        counts_e = ecounts[P_b]
+        bidx = np.repeat(np.arange(total_b, dtype=np.int64), counts_e)
+        pil = _ragged_arange(counts_e)
+        eidx = estarts[P_b][bidx] + pil
+        CW = np.maximum(EW[eidx], ST0[K_b, PL_b, L_b][bidx])
+        CY = np.maximum(EY[eidx], SGAP[K_b, PL_b, L_b][bidx])
+        ct_counts = np.add.reduceat(counts_e, tb_starts)
         if not sc and not zb:
-            # CS == CW under default pricing (see chain_table_array):
-            # dominance degenerates to two columns, so each batch is a
-            # corner-clamped frontier — prune it to its elbow survivors
-            # before the cross-batch staircase ever sees it.
-            bidx, pil, CW, CY = _clamp_elbow(
-                EW, EY, estarts, ecounts, P_b, T0_b, GA_b
-            )
+            # Default pricing reuses t0 for the second coordinate
+            # (partition.py), so CS == CW for every entry by induction
+            # from the (0.0, 0.0, ...) root — dominance over the triple
+            # degenerates to two columns and the sort-based staircase
+            # applies.
             CS = CW
-            t_of_b = np.repeat(np.arange(nt, dtype=np.int64), tb_counts)
-            ct_counts = np.bincount(t_of_b[bidx], minlength=nt)
             drop = _staircase_drop(CW, CY, ct_counts)
-            # Survivors back to arrival order before emission (the
-            # elbow emits w-sorted runs, not parent-list order).
-            kidx = np.flatnonzero(~drop)
-            kidx = kidx[np.lexsort((pil[kidx], bidx[kidx]))]
         else:
-            counts_e = ecounts[P_b]
-            bidx = np.repeat(
-                np.arange(total_b, dtype=np.int64), counts_e
-            )
-            pil = _ragged_arange(counts_e)
-            eidx = estarts[P_b][bidx] + pil
-            AL_b = SALT[K_b, PL_b, L_b]
-            CW = np.maximum(EW[eidx], T0_b[bidx])
-            CS = np.maximum(ES[eidx], AL_b[bidx])
-            CY = np.maximum(EY[eidx], GA_b[bidx])
-            ct_counts = np.add.reduceat(counts_e, tb_starts)
+            CS = np.maximum(ES[eidx], SALT[K_b, PL_b, L_b][bidx])
             drop = _segmented_pareto((CW, CS, CY), ct_counts)
-            kidx = np.flatnonzero(~drop)
+        kidx = np.flatnonzero(~drop)
 
         # Target states in creation order; assemble surviving entries.
         seg_of = np.repeat(np.arange(nt, dtype=np.int64), ct_counts)

@@ -23,7 +23,10 @@ Schema (``repro-bench/1``)::
     }
 
 Every ``builds`` row times the production (``array``) engine; the
-``engine`` field stays so the schema remains add-only.  The
+``engine`` field stays so the schema remains add-only.  The ``chain``
+row builds the 1F1B table pinned to a uniform replica count, the
+``het1f1b`` row the free heterogeneous one (both ``het_table_array``);
+the ``cdm`` row builds a pinned bidirectional table.  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.
@@ -52,7 +55,7 @@ from typing import Any, Callable
 from .cluster import single_node
 from .cluster.collectives import CommCosts
 from .core.caches import PlannerCaches
-from .core.partition import PartitionContext, _chain_frontiers, _het_frontiers
+from .core.partition import PartitionContext, _het_frontiers
 from .core.partition_cdm import CDMPartitionContext, _cdm_frontiers
 from .profiling import Profiler
 
@@ -137,7 +140,7 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
         (
             "chain",
             "cdm-lsun down S=4 r=2",
-            lambda caches: _chain_frontiers(bctx, 2, L, 4, caches),
+            lambda caches: _het_frontiers(bctx, L, 4, 8, caches, fixed_r=2),
         ),
         (
             "het1f1b",
@@ -148,7 +151,7 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
             "cdm",
             "cdm-lsun S=4 r=2 cut=2 mf=8",
             lambda caches: _cdm_frontiers(
-                cctx, 4, 2, caches, cut_step=2, max_frontier=8,
+                cctx, 4, 8, caches, fixed_r=2, cut_step=2, max_frontier=8,
                 ld=ld, lu=lu,
             ),
         ),

@@ -4,9 +4,12 @@ bit-identical to.
 Each recursion ships one engine in ``repro``.  The pure-Python engines
 they replaced live here, next to the suites that diff against them:
 
-* :func:`chain_frontiers_reference`, :func:`het_frontiers_reference`
-  and :func:`cdm_dp_table_reference` — the partition DP table builds
-  (:mod:`repro.core.partition_kernels`);
+* :func:`het_frontiers_reference` and :func:`cdm_dp_table_reference` —
+  the two partition DP table builds (:mod:`repro.core.partition_kernels`),
+  each serving a pinned (uniform) and a free (heterogeneous) replica
+  count;
+* :func:`chain_frontiers_reference` — the uniform-replication DP over
+  prefixes, which the fold test holds the pinned 1F1B table to;
 * :func:`simulate_reference` — the list scheduler
   (:func:`repro.schedule.simulate`);
 * :func:`extract_bubbles_reference` — the breakpoint-scan bubble
@@ -48,16 +51,16 @@ __all__ = [
 def reference_dp_kernels() -> Iterator[Counter]:
     """Build every partition DP table with its oracle.
 
-    Patches ``chain_table_array``, ``het_table_array`` and
-    ``cdm_table_array`` on :mod:`repro.core.partition_kernels`.  The
-    production wrappers (``_chain_frontiers``, ``_het_frontiers``,
-    ``_cdm_dp_table``) look the builders up on that module at call
-    time, so ``partition_backbone``, ``partition_cdm`` and the planner
-    run unchanged on oracle tables.
+    Patches ``het_table_array`` and ``cdm_table_array`` on
+    :mod:`repro.core.partition_kernels`.  The production wrappers
+    (``_het_frontiers``, ``_cdm_frontiers``) look the builders up on
+    that module at call time, so ``partition_backbone``,
+    ``partition_cdm`` and the planner run unchanged on oracle tables.
 
     Yields a :class:`~collections.Counter` of oracle builds per table
-    store (``chains``, ``het``, ``cdm``, ``cdm_het``): proof that the
-    swap reached the code under test.
+    store and flavour (``("het", "pinned")``, ``("het", "free")``,
+    ``("cdm", "pinned")``, ``("cdm", "free")``): proof that the swap
+    reached the code under test.
 
     The table keys do not name the engine.  Give each side of a
     comparison its own fresh ``PlannerCaches``; a shared one would serve
@@ -65,25 +68,20 @@ def reference_dp_kernels() -> Iterator[Counter]:
     """
     calls: Counter = Counter()
 
-    def chain(*args, **kwargs):
-        calls["chains"] += 1
-        return chain_frontiers_reference(*args, **kwargs)
+    def flavour(fixed_r) -> str:
+        return "free" if fixed_r is None else "pinned"
 
-    def het(*args, **kwargs):
-        calls["het"] += 1
-        return het_frontiers_reference(*args, **kwargs)
+    def het(ctx, L, S, D, fixed_r=None):
+        calls["het", flavour(fixed_r)] += 1
+        return het_frontiers_reference(ctx, L, S, D, fixed_r)
 
     def cdm(ctx, S, *, plans=None, **kwargs):
         # ``plans`` caches the array engine's transition geometry; the
         # oracle has none.
-        calls["cdm" if kwargs["fixed_r"] is not None else "cdm_het"] += 1
+        calls["cdm", flavour(kwargs["fixed_r"])] += 1
         return cdm_dp_table_reference(ctx, S, **kwargs)
 
-    swaps = {
-        "chain_table_array": chain,
-        "het_table_array": het,
-        "cdm_table_array": cdm,
-    }
+    swaps = {"het_table_array": het, "cdm_table_array": cdm}
     saved = {name: getattr(partition_kernels, name) for name in swaps}
     try:
         for name, oracle in swaps.items():

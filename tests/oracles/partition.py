@@ -19,8 +19,14 @@ from repro.core.partition import (
 def chain_frontiers_reference(
     ctx: PartitionContext, r: int, L: int, S: int
 ) -> tuple[list[list[list[tuple]]], float]:
-    """Pure-Python differential oracle of ``chain_table_array``: the
-    ``(history, tf)`` table behind ``partition._chain_frontiers``.
+    """Pure-Python DP over prefixes for a uniform replica count ``r``:
+    ``(history, tf)`` with ``history[s][l]`` the frontier of
+    ``(w, w_sc, y, cut, parent_index)`` for ``l`` layers in ``s``
+    stages.
+
+    The recursion the uniform-replication partitioner ran before it
+    became the 1F1B DP with a pinned replica count; it is the
+    reference the fold test holds ``het_table_array(fixed_r=r)`` to.
     """
     costs = StageCosts(ctx, r)
     scaled = ctx.speed_scales is not None
@@ -85,10 +91,11 @@ def chain_frontiers_reference(
 
 
 def het_frontiers_reference(
-    ctx: PartitionContext, L: int, S: int, D: int
+    ctx: PartitionContext, L: int, S: int, D: int, fixed_r: int | None = None
 ) -> tuple[list[dict[tuple, list[tuple]]], dict[int, float]]:
     """Pure-Python differential oracle of ``het_table_array``: the
     ``(history, tf_by_r)`` table behind ``partition._het_frontiers``.
+    ``fixed_r`` pins every stage's replica count, as the kernel's does.
     """
     costs_for = _LazyStageCosts(ctx)
     scaled = ctx.speed_scales is not None
@@ -116,9 +123,13 @@ def het_frontiers_reference(
             # one device, so replica counts beyond ``D - pd -
             # stages_left`` lead to unreachable states and are never
             # generated (nor their StageCosts built).
-            max_r = min(D - pd - stages_left, r_cap)
-            if max_r <= 0:
-                continue
+            if fixed_r is None:
+                max_r = min(D - pd - stages_left, r_cap)
+                if max_r <= 0:
+                    continue
+                r_values = range(1, max_r + 1)
+            else:
+                r_values = (fixed_r,)
             if stages_left:
                 # Leave at least one layer per remaining stage.
                 l_values = range(pl + 1, L - stages_left + 1)
@@ -127,7 +138,7 @@ def het_frontiers_reference(
                 # feasible plan; partial prefixes are dead states.
                 l_values = (L,)
             for l in l_values:
-                for r in range(1, max_r + 1):
+                for r in r_values:
                     # The stage would occupy the group-local window
                     # [pd, pd+r); under mixed speeds its compute runs at
                     # the window's bottleneck factor, which joins the

@@ -1,7 +1,7 @@
 """Oracle of the bidirectional CDM partition DP (§4.2).
 
 One recursion serves both replication flavours, like the production
-``_cdm_dp_table``: ``fixed_r`` pins every chain position's replica
+``_cdm_frontiers``: ``fixed_r`` pins every chain position's replica
 count, ``fixed_r=None`` lets each position choose.
 """
 
@@ -61,7 +61,7 @@ def cdm_dp_table_reference(
     fixed_r: int | None,
 ) -> list[dict[tuple[int, int, int], list[tuple]]]:
     """Pure-Python differential oracle of ``cdm_table_array``: the
-    frontier list behind ``partition_cdm._cdm_dp_table``, truncation
+    frontier list behind ``partition_cdm._cdm_frontiers``, truncation
     to ``max_frontier`` included.
     """
     scaled = ctx.down.speed_scales is not None

@@ -77,7 +77,7 @@ def test_cache_globals_fires_on_name_and_ctor(tmp_path):
 
 def test_cache_globals_near_misses(tmp_path):
     findings = run(tmp_path, "core/fresh.py", """\
-        CHAIN_CACHE_MAX_TABLES = 4      # public capacity constant
+        HET_CACHE_MAX_TABLES = 4        # public capacity constant
 
         def build():
             _LOCAL_CACHE = {}           # function-local, not module state

@@ -40,7 +40,7 @@ def test_snapshot_round_trip_onto_fresh_profile(tmp_path):
     plans = _warm_sweep(warm, profile, model, cluster)
     path = tmp_path / "caches.snap"
     written = warm.snapshot(path)
-    assert written["chains"] > 0 and written["prefixes"] > 0
+    assert written["het"] > 0 and written["prefixes"] > 0
     assert written["timelines"] > 0
 
     # Fresh process simulation: new caches, freshly re-profiled model.
@@ -49,7 +49,7 @@ def test_snapshot_round_trip_onto_fresh_profile(tmp_path):
     assert fresh_profile.fingerprint() == profile.fingerprint()
     cold = PlannerCaches()
     restored = cold.load(path, [fresh_profile])
-    assert restored["chains"] == written["chains"]
+    assert restored["het"] == written["het"]
     assert restored["prefixes"] == written["prefixes"]
     assert restored["timelines"] == written["timelines"]
     assert restored["skipped"] == 0
@@ -57,7 +57,7 @@ def test_snapshot_round_trip_onto_fresh_profile(tmp_path):
     replay = _warm_sweep(cold, fresh_profile, model, cluster)
     assert replay == plans, "snapshot-warmed plans must be bit-identical"
     stats = cold.stats()
-    assert stats.store("chains").hits > 0
+    assert stats.store("het").hits > 0
     assert stats.store("timelines").hits > 0
     assert stats.store("timelines").misses == 0, (
         "every simulation should replay from the restored memo"
@@ -75,15 +75,15 @@ def test_snapshot_skips_unknown_profiles(tmp_path):
 
     other = PlannerCaches()
     counts = other.load(path, [])  # no live profiles at all
-    assert counts["skipped"] >= written["chains"] + written["prefixes"]
-    assert counts["chains"] == 0 and other.prefixes.entry_count() == 0
+    assert counts["skipped"] >= written["het"] + written["prefixes"]
+    assert counts["het"] == 0 and other.prefixes.entry_count() == 0
 
 
 def test_snapshot_rejects_unknown_version(tmp_path):
-    """A future version, and version 1: its table and fill-shape keys
-    carry slots the current keys no longer have, so its entries would
-    load but never hit."""
-    for version in (999, 1):
+    """A future version, and versions 1 and 2: their table and
+    fill-shape keys have layouts the current keys no longer have, so
+    their entries would load but never hit."""
+    for version in (999, 1, 2):
         path = tmp_path / f"v{version}.snap"
         with open(path, "wb") as fh:
             pickle.dump(

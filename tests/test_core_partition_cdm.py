@@ -85,6 +85,9 @@ def test_infeasible_cdm():
         partition_cdm(_cdm_ctx(db), 3, 2)   # more stages than devices
     with pytest.raises(ConfigurationError):
         partition_cdm(_cdm_ctx(db), 2, 2, cut_step=0)
+    for max_frontier in (0, -1):
+        with pytest.raises(ConfigurationError, match="max_frontier"):
+            partition_cdm(_cdm_ctx(db), 2, 2, max_frontier=max_frontier)
 
 
 def test_micro_batch_floor_uniform():

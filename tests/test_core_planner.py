@@ -315,10 +315,10 @@ def test_timeline_cache_lru():
     """The timeline memo is a bounded LRU: hits move entries to the
     back, inserts at capacity evict the least recently used, and the
     store counts hits/misses/evictions."""
-    from repro.core import PlannerCaches
+    from repro.core.lru import LruStore
 
-    caches = PlannerCaches(timeline_max=3)
-    timelines = caches.timelines
+    assert isinstance(PlannerCaches().timelines, LruStore)
+    timelines = LruStore(3, name="timelines")
     for i in range(3):
         timelines.put(("k", i), f"tl{i}")
     # Touch the oldest entry: it becomes most-recently-used.

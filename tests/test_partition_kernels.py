@@ -6,10 +6,14 @@ promise *bit-identical* outputs to the pure-Python folds they replaced
 same tie-breaking, exact float equality.  This suite fuzzes (L, S, D,
 layer costs) with hypothesis and compares the full frontier tables, the
 feedback times and the backtracked plans across all three pricing
-modes (default, self-conditioning, zero-bubble) and both CDM flavours
-(uniform ``fixed_r`` and heterogeneous), plus the capped-fold replay
-engine in isolation.  Comparisons are exact: every float is checked by
-``.hex()``, entry order included.
+modes (default, self-conditioning, zero-bubble) and both replication
+flavours of each DP (pinned ``fixed_r`` and heterogeneous), plus the
+capped-fold replay engine in isolation.  Comparisons are exact: every
+float is checked by ``.hex()``, entry order included.
+
+The fold test holds the pinned 1F1B table to the uniform-replication
+DP over prefixes (``chain_frontiers_reference``), and the sharing tests
+check that both flavours live side by side in one table store.
 
 The reference side runs the production wrappers under
 :func:`~tests.oracles.reference_dp_kernels`, each side on its own fresh
@@ -29,20 +33,18 @@ from repro.cluster.collectives import CommCosts
 from repro.core.caches import PlannerCaches
 from repro.core.partition import (
     PartitionContext,
-    _chain_frontiers,
     _het_frontiers,
     partition_backbone,
 )
 from repro.core.partition_cdm import (
     CDMPartitionContext,
     _cdm_frontiers,
-    _cdm_het_frontiers,
     partition_cdm,
 )
 from repro.core import partition_kernels as pk
 from repro.core.planner import DiffusionPipePlanner, PlannerOptions
 from repro.profiling import ProfileDB
-from tests.oracles import reference_dp_kernels
+from tests.oracles import chain_frontiers_reference, reference_dp_kernels
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 
@@ -60,14 +62,15 @@ layer_times = st.lists(
 PRICINGS = [(False, "default"), (True, "default"), (False, "zerobubble")]
 
 
-def _ctx(times, sc=False, pricing="default", M=2):
-    db = ProfileDB.from_layer_times(
-        {"bb": list(times)}, batches=(1.0, 64.0), trainable={"bb": True}
-    )
+def _ctx(times, sc=False, pricing="default", M=2, scales=None, db=None):
+    if db is None:
+        db = ProfileDB.from_layer_times(
+            {"bb": list(times)}, batches=(1.0, 64.0), trainable={"bb": True}
+        )
     return PartitionContext(
         profile=db, component="bb", batch_per_group=64.0,
         num_micro_batches=M, p2p=FAST, allreduce=FAST,
-        self_conditioning=sc, pricing=pricing,
+        self_conditioning=sc, pricing=pricing, speed_scales=scales,
     )
 
 
@@ -84,12 +87,10 @@ def _assert_cells_identical(ref_cell, arr_cell, where):
                 assert v_ref == v_arr, (where, e_ref, e_arr)
 
 
-def _assert_chain_identical(h_ref, h_arr):
-    assert len(h_ref) == len(h_arr)
-    for s, (row_ref, row_arr) in enumerate(zip(h_ref, h_arr)):
-        assert len(row_ref) == len(row_arr)
-        for l, (c_ref, c_arr) in enumerate(zip(row_ref, row_arr)):
-            _assert_cells_identical(c_ref, c_arr, (s, l))
+def _assert_tf_identical(tf_ref, tf_arr):
+    assert set(tf_ref) == set(tf_arr)
+    for r in tf_ref:
+        assert float(tf_ref[r]).hex() == float(tf_arr[r]).hex()
 
 
 def _assert_dicts_identical(h_ref, h_arr):
@@ -102,7 +103,7 @@ def _assert_dicts_identical(h_ref, h_arr):
 
 
 # ---------------------------------------------------------------------------
-# Chain DP
+# 1F1B DP pinned to a uniform replica count
 # ---------------------------------------------------------------------------
 
 
@@ -119,10 +120,54 @@ def test_chain_table_differential(times, S, mode):
     ctx = _ctx(times, sc=sc, pricing=pricing)
     L = len(times)
     with reference_dp_kernels():
-        h_ref, tf_ref = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
-    h_arr, tf_arr = _chain_frontiers(ctx, 2, L, S, PlannerCaches())
-    assert float(tf_ref).hex() == float(tf_arr).hex()
-    _assert_chain_identical(h_ref, h_arr)
+        h_ref, tf_ref = _het_frontiers(
+            ctx, L, S, 2 * S, PlannerCaches(), fixed_r=2
+        )
+    h_arr, tf_arr = _het_frontiers(ctx, L, S, 2 * S, PlannerCaches(), fixed_r=2)
+    _assert_tf_identical(tf_ref, tf_arr)
+    _assert_dicts_identical(h_ref, h_arr)
+
+
+@given(
+    layer_times,
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(PRICINGS),
+    st.sampled_from([1, 2, 3]),
+    st.none() | st.tuples(*([st.floats(0.25, 1.0)] * 12)),
+)
+@settings(max_examples=60, deadline=None)
+def test_pinned_table_folds_the_chain_dp(times, S, mode, r, scales):
+    """Uniform replication is the 1F1B DP with every stage's replica
+    count pinned: ``het_table_array(fixed_r=r)`` on ``S * r`` devices
+    reproduces the DP over prefixes cell for cell.  Stage ``s``'s cell
+    ``l`` is state ``(l, s * r)``; the last stage keeps only the
+    full-chain state ``(L, S * r, r)``.  Entries match once the pinned
+    table's replica slot is dropped."""
+    if S > len(times):
+        return
+    sc, pricing = mode
+    if scales is not None:
+        scales = scales[: S * r]
+    ctx = _ctx(times, sc=sc, pricing=pricing, scales=scales)
+    L = len(times)
+    h_ref, tf_ref = chain_frontiers_reference(ctx, r, L, S)
+    h_pin, tf_by_r = pk.het_table_array(ctx, L, S, S * r, fixed_r=r)
+    if sc:
+        assert list(tf_by_r) == [r]
+        assert float(tf_by_r[r]).hex() == float(tf_ref).hex()
+    else:
+        assert tf_by_r == {} and tf_ref == 0.0
+    assert len(h_pin) == len(h_ref) == S + 1
+    for s in range(1, S):
+        expect = {(l, s * r): cell for l, cell in enumerate(h_ref[s]) if cell}
+        assert list(h_pin[s]) == list(expect), s
+        for state, cell in expect.items():
+            assert all(e[4] == r for e in h_pin[s][state])
+            got = [e[:4] + e[5:] for e in h_pin[s][state]]
+            _assert_cells_identical(cell, got, (s, state))
+    assert list(h_pin[S]) == [(L, S * r, r)]
+    got = [e[:4] + e[5:] for e in h_pin[S][(L, S * r, r)]]
+    _assert_cells_identical(h_ref[S][L], got, (S, L))
 
 
 @given(layer_times, st.integers(min_value=2, max_value=4))
@@ -161,9 +206,7 @@ def test_het_table_differential(times, S, extra, mode):
     with reference_dp_kernels():
         h_ref, tf_ref = _het_frontiers(ctx, L, S, D, PlannerCaches())
     h_arr, tf_arr = _het_frontiers(ctx, L, S, D, PlannerCaches())
-    assert set(tf_ref) == set(tf_arr)
-    for r in tf_ref:
-        assert float(tf_ref[r]).hex() == float(tf_arr[r]).hex()
+    _assert_tf_identical(tf_ref, tf_arr)
     _assert_dicts_identical(h_ref, h_arr)
 
 
@@ -218,12 +261,12 @@ def test_cdm_uniform_table_differential(dts, uts, S, cut_step, mf):
     ld, lu = len(dts), len(uts)
     with reference_dp_kernels():
         f_ref = _cdm_frontiers(
-            ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-            ld=ld, lu=lu,
+            ctx, S, 2 * S, PlannerCaches(), fixed_r=2, cut_step=cut_step,
+            max_frontier=mf, ld=ld, lu=lu,
         )
     f_arr = _cdm_frontiers(
-        ctx, S, 2, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu,
+        ctx, S, 2 * S, PlannerCaches(), fixed_r=2, cut_step=cut_step,
+        max_frontier=mf, ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -244,13 +287,13 @@ def test_cdm_het_table_differential(dts, uts, S, extra, cut_step, mf):
     ld, lu = len(dts), len(uts)
     D = S + extra
     with reference_dp_kernels():
-        f_ref = _cdm_het_frontiers(
-            ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-            ld=ld, lu=lu,
+        f_ref = _cdm_frontiers(
+            ctx, S, D, PlannerCaches(), fixed_r=None, cut_step=cut_step,
+            max_frontier=mf, ld=ld, lu=lu,
         )
-    f_arr = _cdm_het_frontiers(
-        ctx, S, D, PlannerCaches(), cut_step=cut_step, max_frontier=mf,
-        ld=ld, lu=lu,
+    f_arr = _cdm_frontiers(
+        ctx, S, D, PlannerCaches(), fixed_r=None, cut_step=cut_step,
+        max_frontier=mf, ld=ld, lu=lu,
     )
     _assert_dicts_identical(f_ref, f_arr)
 
@@ -353,21 +396,24 @@ def test_cached_chain_table_survives_caller_mutation():
     times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
     ctx = _ctx(times)
     caches = PlannerCaches()
-    h1, tf1 = _chain_frontiers(ctx, 2, 5, 3, caches)
+    h1, tf1 = _het_frontiers(ctx, 5, 3, 6, caches, fixed_r=2)
     snapshot = [
-        [[tuple(e) for e in cell] for cell in row] for row in h1
+        {k: [tuple(e) for e in cell] for k, cell in row.items()} for row in h1
     ]
     # Cells are frozen: in-place mutation is impossible.
-    assert all(isinstance(cell, tuple) for row in h1 for cell in row)
+    assert all(isinstance(cell, tuple) for row in h1 for cell in row.values())
+    cell = h1[3][(5, 6, 2)]
     with pytest.raises((TypeError, AttributeError)):
-        h1[3][5] += (("junk",),)  # tuples reject in-place concat on rows
+        cell.append(("junk",))
+    with pytest.raises(TypeError):
+        cell[0] = ("junk",)
     # A caller working on a local copy mutates only the copy.
-    local = [list(row) for row in h1]
-    local[3] = [()] * len(local[3])
-    h2, tf2 = _chain_frontiers(ctx, 2, 5, 3, caches)
+    local = [dict(row) for row in h1]
+    local[3] = {k: () for k in local[3]}
+    h2, tf2 = _het_frontiers(ctx, 5, 3, 6, caches, fixed_r=2)
     assert tf2 == tf1
     assert [
-        [[tuple(e) for e in cell] for cell in row] for row in h2
+        {k: [tuple(e) for e in cell] for k, cell in row.items()} for row in h2
     ] == snapshot
 
 
@@ -386,7 +432,7 @@ def test_cached_het_and_cdm_tables_survive_caller_mutation():
 
     cctx = _cdm_ctx(times, times)
     f1 = _cdm_frontiers(
-        cctx, 2, 2, caches, cut_step=1, max_frontier=4, ld=4, lu=4
+        cctx, 2, 4, caches, fixed_r=2, cut_step=1, max_frontier=4, ld=4, lu=4
     )
     key = next(iter(f1[1]))
     snapshot = [tuple(e) for e in f1[1][key]]
@@ -394,9 +440,62 @@ def test_cached_het_and_cdm_tables_survive_caller_mutation():
     local = dict(f1[1])
     local[key] = ()
     f2 = _cdm_frontiers(
-        cctx, 2, 2, caches, cut_step=1, max_frontier=4, ld=4, lu=4
+        cctx, 2, 4, caches, fixed_r=2, cut_step=1, max_frontier=4, ld=4, lu=4
     )
     assert [tuple(e) for e in f2[1][key]] == snapshot
+
+
+# ---------------------------------------------------------------------------
+# Both replication flavours share one table store per DP
+# ---------------------------------------------------------------------------
+
+
+def test_pinned_and_free_tables_share_one_store():
+    """Uniform and heterogeneous partitions keep separate tables in one
+    store (``caches.het``, ``caches.cdm``): in either order on one
+    shared PlannerCaches, each returns the plan fresh caches give."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
+    ctx = _ctx(times)
+    cctx = _cdm_ctx(times, times)
+
+    def backbone(het, caches):
+        return partition_backbone(ctx, 2, 4, heterogeneous=het, caches=caches)
+
+    def cdm(het, caches):
+        return partition_cdm(cctx, 2, 4, heterogeneous=het, caches=caches)
+
+    for solve, store in ((backbone, "het"), (cdm, "cdm")):
+        fresh = {het: solve(het, PlannerCaches()) for het in (False, True)}
+        for order in ((False, True), (True, False)):
+            caches = PlannerCaches()
+            for het in order:
+                assert solve(het, caches) == fresh[het], (store, order, het)
+            # Two builds: a pinned key never aliases a free one.
+            assert getattr(caches, store).misses == 2, (store, order)
+
+
+def test_pinned_table_shared_across_one_stage_local_batch():
+    """(M, r) combinations with one stage-local batch share one pinned
+    table, and each plan carries its own caller's replica count."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
+    db = ProfileDB.from_layer_times(
+        {"bb": times}, batches=(1.0, 64.0), trainable={"bb": True}
+    )
+    # Micro-batch 32 on r = 2 and micro-batch 16 on r = 1: both stages
+    # see 16 samples.
+    wide_ctx = _ctx(times, M=2, db=db)
+    narrow_ctx = _ctx(times, M=4, db=db)
+    caches = PlannerCaches()
+    wide = partition_backbone(wide_ctx, 2, 4, caches=caches)
+    assert (caches.het.misses, caches.het.hits) == (1, 0)
+    narrow = partition_backbone(narrow_ctx, 2, 2, caches=caches)
+    assert (caches.het.misses, caches.het.hits) == (1, 1)
+    assert [a.replicas for a in wide.down] == [2, 2]
+    assert [a.replicas for a in narrow.down] == [1, 1]
+    assert wide == partition_backbone(wide_ctx, 2, 4, caches=PlannerCaches())
+    assert narrow == partition_backbone(
+        narrow_ctx, 2, 2, caches=PlannerCaches()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +524,7 @@ def test_cdm_plan_reused_across_adjacent_batches():
         cctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
         results.append(
             _cdm_frontiers(
-                cctx, 2, 2, caches, cut_step=1, max_frontier=4,
+                cctx, 2, 4, caches, fixed_r=2, cut_step=1, max_frontier=4,
                 ld=5, lu=5,
             )
         )
@@ -446,8 +545,8 @@ def test_cdm_plan_reused_across_adjacent_batches():
     cctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
     with reference_dp_kernels():
         f_ref = _cdm_frontiers(
-            cctx, 2, 2, PlannerCaches(), cut_step=1, max_frontier=4,
-            ld=5, lu=5,
+            cctx, 2, 4, PlannerCaches(), fixed_r=2, cut_step=1,
+            max_frontier=4, ld=5, lu=5,
         )
     _assert_dicts_identical(f_ref, results[1])
 
@@ -475,7 +574,12 @@ def test_reference_swap_reaches_every_table_build(
         )
         partition_cdm(cctx, 2, 4, caches=PlannerCaches())
         partition_cdm(cctx, 2, 3, heterogeneous=True, caches=PlannerCaches())
-    assert calls == {"chains": 1, "het": 1, "cdm": 1, "cdm_het": 1}
+    assert calls == {
+        ("het", "pinned"): 1,
+        ("het", "free"): 1,
+        ("cdm", "pinned"): 1,
+        ("cdm", "free"): 1,
+    }
 
     options = PlannerOptions(
         micro_batch_counts=(1, 2), group_sizes=(2,), check_memory=False
@@ -485,7 +589,7 @@ def test_reference_swap_reaches_every_table_build(
             uniform, cluster8, uniform_profile, options,
             caches=PlannerCaches(),
         ).plan(64)
-    assert calls["chains"] >= 1
+    assert calls["het", "pinned"] >= 1
 
     # Leaving the context restores the array builders.
     with reference_dp_kernels() as calls:

@@ -43,7 +43,7 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
 
         monkeypatch.setattr(perf, name, wrapper)
 
-    for name in ("_chain_frontiers", "_het_frontiers", "_cdm_frontiers"):
+    for name in ("_het_frontiers", "_cdm_frontiers"):
         wrap_build(name)
     plan = DiffusionPipePlanner.plan
 

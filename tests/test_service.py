@@ -131,7 +131,7 @@ def test_server_protocol(tmp_path):
         assert stats["result_store"]["hits"] >= 1
 
         snap = srv.ask({"op": "snapshot", "path": str(tmp_path / "c.snap")})
-        assert snap["written"]["chains"] > 0
+        assert snap["written"]["het"] > 0
         assert (tmp_path / "c.snap").exists()
 
         err = srv.ask({"op": "definitely-not-an-op"})

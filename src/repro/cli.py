@@ -13,9 +13,10 @@ Commands
 ``table1`` / ``table2``
     Print the profiling tables of §2.
 ``bench``
-    Measure headline performance numbers (cold/warm DP table builds
-    under both engines, one sweep's wall-clock) and print them, or
-    emit stable-schema JSON with ``--json`` for CI artifacts.
+    Measure headline performance numbers (cold/warm builds of the
+    array DP kernels' tables, one sweep's wall-clock, one elastic
+    replan) and print them, or emit stable-schema JSON with ``--json``
+    for CI artifacts.
 ``serve``
     Run the concurrent planning service (JSON lines over TCP).
 ``bench-serve``

@@ -42,11 +42,15 @@ arithmetic on the coordinates.  The 1F1B kernel expands every
 in one pass.  The CDM engine additionally truncates each state's
 frontier to ``max_frontier`` after every transition batch, so it first
 prunes each batch to its corner-clamped elbow survivors
-(:func:`_clamp_elbow`); :func:`_truncation_safe` then proves (per
-state, from killer-batch interval counts) that the fold can never
-truncate, in which case the vectorized survivors are exact; the rare
-unprovable states replay the reference fold on the precomputed
-candidate values.
+(:func:`_clamp_elbow`) and then settles each state in one of two ways:
+
+* a state whose elbow stream holds at most ``max_frontier`` candidates
+  can never truncate, so its staircase survivors (in arrival order)
+  are the fold result;
+* every other state (an *over-cap* state) replays the reference fold
+  (:func:`_fold_reference`) on its elbow stream in arrival order,
+  skipping the candidates the capped staircase proves are rejected on
+  arrival — the replay is the reference fold itself, so it is exact.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ __all__ = [
 #: element budget of one padded pairwise-dominance chunk
 _PAIRWISE_BUDGET = 1 << 21
 
-#: killer sentinel: the candidate survives the whole fold
-_NO_KILLER = np.iinfo(np.int64).max
+#: segment width of the first hierarchical-reduction level
+_SEGMENT_CHUNK = 64
 
 
 # -- shared machinery --------------------------------------------------------
@@ -156,28 +160,24 @@ def _cost_slabs(
     return t0, alt, gap
 
 
-def _chunks_by_budget(
-    counts: np.ndarray, budget: int
-) -> list[tuple[int, int]]:
-    """Contiguous segment chunks with bounded padded pairwise size.
+def _chunks_by_budget(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous segment chunks with bounded padded pairwise size
+    (``_PAIRWISE_BUDGET`` elements, or a single segment).
 
     Chunk width is uniform, derived from the globally widest segment —
-    every caller bounds per-segment counts (hierarchical reduction,
-    within-batch prefilter, truncated parents), so the padding waste
-    stays small and the construction stays O(number of chunks).
+    the hierarchical reduction of :func:`_segmented_pareto` bounds
+    per-segment counts, so the padding waste stays small and the
+    construction stays O(number of chunks).
     """
     nseg = len(counts)
     m = int(counts.max(initial=0))
-    rows = max(1, budget // max(1, m * m))
+    rows = max(1, _PAIRWISE_BUDGET // max(1, m * m))
     return [(lo, min(lo + rows, nseg)) for lo in range(0, nseg, rows)]
 
 
 def _grouped_pareto(
-    cols: tuple[np.ndarray, ...],
-    counts: np.ndarray,
-    batch: np.ndarray | None = None,
-    budget: int = _PAIRWISE_BUDGET,
-):
+    cols: tuple[np.ndarray, ...], counts: np.ndarray
+) -> np.ndarray:
     """Per-segment Pareto reduction by padded pairwise dominance.
 
     Candidates lie contiguously per segment, in generation order.
@@ -186,24 +186,14 @@ def _grouped_pareto(
     dominates it from anywhere — exactly the set ``pareto_insert``
     removes over a full fold, so survivors (in order) are the fold's
     final frontier.
-
-    With ``batch`` (monotone per-candidate batch ids), also returns
-    ``killer[i]``: the smallest batch id of a *surviving* dominator of
-    ``i`` (``_NO_KILLER`` for survivors).  Every dropped candidate has
-    one, and it is an upper bound on the batch at which the sequential
-    fold actually removes ``i`` — the slack the truncation-safety
-    screen is allowed.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
     drop = np.zeros(n, dtype=bool)
-    killer = np.full(n, _NO_KILLER, dtype=np.int64) if batch is not None else None
     if n == 0:
-        return (drop, killer) if batch is not None else drop
+        return drop
     starts = np.cumsum(counts) - counts
-    if batch is not None:
-        budget = max(budget // 4, 1)
-    for lo, hi in _chunks_by_budget(counts, budget):
+    for lo, hi in _chunks_by_budget(counts):
         cnt = counts[lo:hi]
         m = int(cnt.max(initial=0))
         if m == 0:
@@ -223,21 +213,14 @@ def _grouped_pareto(
         # j removes i iff j dominates-or-equals i and (strictly, or j
         # is earlier in generation order).  j == i never qualifies.
         domo = le & (lt | (pos[:, None] < pos[None, :]))
-        drop_c = domo.any(axis=1)
-        drop[idx[valid]] = drop_c[valid]
-        if killer is not None:
-            keep = (~drop_c) & valid
-            B = np.where(valid, batch[idx], 0)
-            kb = np.where(keep[:, :, None] & domo, B[:, :, None], _NO_KILLER)
-            killer[idx[valid]] = kb.min(axis=1)[valid]
-    return (drop, killer) if batch is not None else drop
+        drop[idx[valid]] = domo.any(axis=1)[valid]
+    return drop
 
 
 def _staircase_drop(
     w: np.ndarray,
     y: np.ndarray,
     counts: np.ndarray,
-    batch: np.ndarray | None = None,
     cap: int | None = None,
 ):
     """Exact two-column per-segment Pareto drop mask in O(n log n).
@@ -261,42 +244,29 @@ def _staircase_drop(
     segment key, and the padding (``+inf``) stays glued to the row
     ends.
 
-    With ``batch`` (per-candidate batch ids), also returns
-    ``killer[i]``: the batch id of one *surviving* dominator of every
-    dropped candidate (``_NO_KILLER`` for survivors).  It is an upper
-    bound on the batch at which the sequential fold removes ``i`` —
-    sound for the truncation-safety screen, which only errs toward
-    ``unsafe`` on slack.
-
-    With ``cap`` (requires ``batch``), additionally returns ``rej[i]``:
-    True for candidates a *capped* sequential fold provably rejects on
-    arrival — dominated-or-equal by an earlier-arriving candidate
-    whose final ``(w, y, arrival)`` rank in its segment is below
-    ``cap``.  Such an "elite" ranks below the cap against every
-    arrival prefix (its rank only grows as candidates arrive, and
-    within-batch kills complete before batch-end truncations), so it
-    is in the frontier whenever a later victim arrives — or was pruned
-    by a strictly lex-better dominator that transitively rejects the
-    same victims.  Rejected candidates never occupy frontier space, so
-    they can be excluded from truncation-replay streams and from the
-    safety screen's live counts.
+    With ``cap``, returns ``(drop, rej)``; ``rej[i]`` is True for
+    candidates a *capped* sequential fold provably rejects on arrival —
+    dominated-or-equal by an earlier-arriving candidate whose final
+    ``(w, y, arrival)`` rank in its segment is below ``cap``.  Such an
+    "elite" ranks below the cap against every arrival prefix (its rank
+    only grows as candidates arrive, and within-batch kills complete
+    before batch-end truncations), so it is in the frontier whenever a
+    later victim arrives — or was pruned by a strictly lex-better
+    dominator that transitively rejects the same victims.  Rejected
+    candidates never occupy frontier space, so the over-cap replay
+    skips them.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = len(w)
     drop = np.zeros(n, dtype=bool)
-    killer = (
-        np.full(n, _NO_KILLER, dtype=np.int64) if batch is not None else None
-    )
     rej = np.zeros(n, dtype=bool) if cap is not None else None
     starts = np.cumsum(counts) - counts
     nzseg = np.flatnonzero(counts > 1)
     widths = counts[nzseg]
     rstarts = starts[nzseg]
     if n == 0 or not len(nzseg):
-        if rej is not None:
-            return drop, killer, rej
-        return (drop, killer) if batch is not None else drop
-    if batch is None and int(widths.sum()) >= 100_000:
+        return drop if cap is None else (drop, rej)
+    if cap is None and int(widths.sum()) >= 100_000:
         # Bucket prefilter: on big plain streams, kill candidates that
         # have a dominator in a strictly earlier ``w`` bucket of their
         # segment before the sort ever sees them.  Bucket edges are
@@ -391,16 +361,6 @@ def _staircase_drop(
         excl[:, 1:] = cm[:, :-1]
         kill = (excl <= Kys) & valid
         drop[Gs[kill]] = True
-        if killer is not None and kill.any():
-            # The running-minimum holder is a survivor and dominates
-            # every cell it kills; its column is the last strict-minimum
-            # position at or before each cell.
-            setters = Kys < excl
-            sp = np.where(setters, pos[None, :], -1)
-            last = np.maximum.accumulate(sp, axis=1)
-            kr, kc = np.nonzero(kill)
-            src = Gs[kr, last[kr, kc]]
-            killer[Gs[kr, kc]] = batch[src]
         if rej is not None:
             # Arrival-order rejection against the cap elites: ``Gs``
             # holds each sorted cell's original (= arrival) slot, so
@@ -414,9 +374,7 @@ def _staircase_drop(
                 )
             r2 &= valid
             rej[Gs[r2]] = True
-    if rej is not None:
-        return drop, killer, rej
-    return (drop, killer) if batch is not None else drop
+    return drop if cap is None else (drop, rej)
 
 
 def _csr_count_before(
@@ -575,9 +533,7 @@ def _clamp_elbow(
 
 
 def _segmented_pareto(
-    cols: tuple[np.ndarray, ...],
-    counts: np.ndarray,
-    chunk: int = 64,
+    cols: tuple[np.ndarray, ...], counts: np.ndarray
 ) -> np.ndarray:
     """Exact per-segment Pareto drop mask via hierarchical reduction.
 
@@ -598,14 +554,14 @@ def _segmented_pareto(
     seg_alive = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     cur = counts
     while True:
-        big = cur > chunk
+        big = cur > _SEGMENT_CHUNK
         final = not big.any()
         if final:
             sub = cur
         else:
-            q, rem = np.divmod(cur, chunk)
+            q, rem = np.divmod(cur, _SEGMENT_CHUNK)
             nsub = q + (rem > 0)
-            sub = np.full(int(nsub.sum()), chunk, dtype=np.int64)
+            sub = np.full(int(nsub.sum()), _SEGMENT_CHUNK, dtype=np.int64)
             ends = np.cumsum(nsub) - 1
             has_rem = rem > 0
             sub[ends[has_rem]] = rem[has_rem]
@@ -622,58 +578,11 @@ def _segmented_pareto(
         if (new == cur).all():
             # No shrinkage: the true frontiers really are this wide.
             # Finish with one full-granularity pass (exact by
-            # transitivity — every true killer is still alive).
+            # transitivity — every final survivor is still alive).
             d = _grouped_pareto(tuple(c[alive] for c in cols), new)
             drop[alive[d]] = True
             return drop
         cur = new
-
-
-def _truncation_safe(
-    counts: np.ndarray,
-    batch: np.ndarray,
-    killer: np.ndarray,
-    cap: int,
-) -> np.ndarray:
-    """Per-segment proof that per-batch truncation never fires.
-
-    Candidate ``i`` occupies a frontier slot during batches
-    ``[batch_i, max(killer_i, batch_i))`` at most (its true removal is
-    never later than a surviving dominator's batch, and never after
-    insertion for candidates killed in or before their own batch).
-    The segment's frontier size after any batch is therefore bounded by
-    the interval count at that batch; when the running maximum stays
-    within ``cap``, the reference fold provably never truncates and the
-    canonical Pareto survivors *are* the fold result.  Exact integer
-    arithmetic throughout — the bound errs only toward ``unsafe``.
-    """
-    nseg = len(counts)
-    safe = np.ones(nseg, dtype=bool)
-    n = batch.shape[0]
-    if n == 0:
-        return safe
-    nz = counts > 0
-    seg = np.repeat(np.arange(nseg, dtype=np.int64), counts)
-    end = np.maximum(killer, batch)
-    ev_seg = np.concatenate([seg, seg])
-    ev_time = np.concatenate([batch, end])
-    ev_delta = np.concatenate(
-        [np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)]
-    )
-    # Starts sort before ends at equal (segment, time): ties then only
-    # overestimate the alive count, keeping the screen conservative.
-    ev_kind = np.concatenate(
-        [np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)]
-    )
-    order = np.lexsort((ev_kind, ev_time, ev_seg))
-    deltas = ev_delta[order]
-    run = np.cumsum(deltas)
-    ev_counts = 2 * counts[nz]
-    ev_starts = np.cumsum(ev_counts) - ev_counts
-    base = np.where(ev_starts > 0, run[ev_starts - 1], 0)
-    rel = run - np.repeat(base, ev_counts)
-    safe[nz] = np.maximum.reduceat(rel, ev_starts) <= cap
-    return safe
 
 
 def _fold_reference(
@@ -698,149 +607,39 @@ def _fold_reference(
     return frontier
 
 
-#: hybrid replay cost model: approximate wall-clock of one lockstep
-#: numpy round vs one python ``pareto_insert`` row.  Only the ratio
-#: matters, and only for speed — any split is bit-identical.
-_REPLAY_ROUND_COST = 3.5e-4
-_REPLAY_ROW_COST = 1.5e-6
-
-
-def _lockstep_fold(
+def _replay_over_cap(
     w: np.ndarray,
     y: np.ndarray,
     bidx: np.ndarray,
     pil: np.ndarray,
     seg_of: np.ndarray,
     sel: np.ndarray,
-    uts: np.ndarray,
     cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replay the capped fold for every target in ``uts`` at once.
+) -> np.ndarray:
+    """Replay the capped fold per target, on the ``sel`` candidates.
 
-    Vectorized twin of ``_fold_reference`` across segments: one numpy
-    round per batch depth, each round merging the next batch of every
-    still-active target into its frontier state.  The state is kept in
-    reference *list* order (insertion order, re-sorted by ``(w, y)``
-    exactly when a truncation fires), so the final slot order is
-    bit-identical to the python fold's output list — the merged rows
-    order full value ties by column position, which is list-then-
-    arrival order just like ``pareto_insert``.
-
-    The round count is set by the deepest target, so the handful of
-    targets with the most batches are peeled off to the python fold
-    when the cost model says the saved rounds outweigh their row count
-    (``_REPLAY_ROUND_COST`` / ``_REPLAY_ROW_COST``); either path is
-    exact, the split only moves wall-clock.
-
-    ``sel`` masks the candidates to replay (callers exclude
-    arrival-rejected candidates — they never occupy frontier space).
-    Returns ``(scnt, idx)``: per ``uts`` target, the final frontier
-    size and the flat candidate indices of its entries, row-wise in
-    emission order (``-1`` pads).
+    The selected candidates are grouped by target (``seg_of``) and put
+    in arrival order — batch, then parent-list position — and each
+    group runs through :func:`_fold_reference`.  Returns the flat
+    candidate indices of every final frontier, targets ascending, each
+    frontier in list order.
     """
-    uidx = np.flatnonzero(sel)
-    uidx = uidx[np.lexsort((pil[uidx], bidx[uidx]))]
-    nU = len(uidx)
-    ub = bidx[uidx]
-    new = np.ones(nU, dtype=bool)
-    new[1:] = ub[1:] != ub[:-1]
-    rstart = np.flatnonzero(new)
-    rcnt = np.diff(np.append(rstart, nU))
-    nu = len(uts)
-    row_of = np.full(int(uts[-1]) + 1, -1, dtype=np.int64)
-    row_of[uts] = np.arange(nu, dtype=np.int64)
-    rrow = row_of[seg_of[uidx[rstart]]]
-    nbk = np.bincount(rrow, minlength=nu)
-    wstarts = np.cumsum(nbk) - nbk
-    rows_t = np.bincount(rrow, weights=rcnt, minlength=nu).astype(np.int64)
-    scnt = np.zeros(nu, dtype=np.int64)
-    idx = np.full((nu, cap), -1, dtype=np.int64)
-
-    # Deepest-first split: python-fold the ``j`` deepest targets when
-    # that prices lower than the lockstep rounds they would force.
-    order = np.argsort(-nbk, kind="stable")
-    depth = nbk[order]
-    crows = np.zeros(nu + 1, dtype=np.int64)
-    np.cumsum(rows_t[order], out=crows[1:])
-    rounds_if = np.append(depth, 0)
-    split_cost = _REPLAY_ROUND_COST * rounds_if + _REPLAY_ROW_COST * crows
-    j = int(np.argmin(split_cost))
-
-    for t in order[:j].tolist():
-        lo = int(rstart[wstarts[t]])
-        hi = lo + int(rows_t[t])
-        fi = uidx[lo:hi]
-        res = _fold_reference(
-            list(zip(w[fi].tolist(), y[fi].tolist(), fi.tolist())),
-            ub[lo:hi].tolist(),
-            cap,
-        )
-        scnt[t] = len(res)
-        idx[t, : len(res)] = [e[2] for e in res]
-
-    lock = order[j:]
-    nl = len(lock)
-    if nl == 0:
-        return scnt, idx
-    sent = np.iinfo(np.int64).max
-    UW = np.empty(nU + 1, dtype=np.int64)
-    UW[:nU] = _order_bits(w[uidx])
-    UW[nU] = sent
-    UY = np.empty(nU + 1, dtype=np.int64)
-    UY[:nU] = _order_bits(y[uidx])
-    UY[nU] = sent
-    nbk_l = nbk[lock]
-    neg = -nbk_l  # ascending: rows are in depth-descending order
-    wstarts_l = wstarts[lock]
-    SI = np.full((nl, cap), nU, dtype=np.int64)
-    SC = np.zeros(nl, dtype=np.int64)
-    ARR = np.arange(nl, dtype=np.int64)[:, None]
-    COLS = np.arange(int(rcnt.max(initial=0)), dtype=np.int64)
-    for k in range(int(nbk_l.max(initial=0))):
-        na = int(np.searchsorted(neg, -k, side="left"))
-        if na == 0:
-            break
-        ridx = wstarts_l[:na] + k
-        bst = rstart[ridx]
-        bw = rcnt[ridx]
-        mbw = int(bw.max())
-        gp = np.where(
-            COLS[None, :mbw] < bw[:, None], bst[:, None] + COLS[:mbw], nU
-        )
-        # Merged row = [frontier state | batch arrivals]: column order
-        # is exactly the order ``pareto_insert`` ranks equal values.
-        MI = np.concatenate([SI[:na], gp], axis=1)
-        MW = UW[MI]
-        MY = UY[MI]
-        arr = ARR[:na]
-        o1 = np.argsort(MY, axis=1, kind="stable")
-        o2 = np.argsort(MW[arr, o1], axis=1, kind="stable")
-        o12 = o1[arr, o2]
-        MIs = MI[arr, o12]
-        Kys = MY[arr, o12]
-        cm = np.minimum.accumulate(Kys, axis=1)
-        excl = np.empty_like(cm)
-        excl[:, 0] = sent
-        excl[:, 1:] = cm[:, :-1]
-        surv = (excl > Kys) & (MIs != nU)
-        KO = np.zeros_like(surv)
-        KO[arr, o12] = surv
-        ordi = np.argsort(~KO, axis=1, kind="stable")
-        newSI = MI[arr, ordi[:, :cap]]
-        sc2 = surv.sum(axis=1)
-        tr = sc2 > cap
-        if tr.any():
-            # Truncation reorders the list to ``(w, y)``-sorted before
-            # cutting — compact the *sorted* layout for those rows.
-            ords = np.argsort(~surv, axis=1, kind="stable")
-            tSI = MIs[arr, ords[:, :cap]]
-            newSI = np.where(tr[:, None], tSI, newSI)
-        SI[:na] = newSI
-        SC[:na] = np.minimum(sc2, cap)
-    uix = np.append(uidx, -1)
-    scnt[lock] = SC
-    idx[lock] = uix[np.minimum(SI, nU)]
-    return scnt, idx
+    fi = np.flatnonzero(sel)
+    if not len(fi):
+        return fi
+    fi = fi[np.lexsort((pil[fi], bidx[fi], seg_of[fi]))]
+    seg = seg_of[fi]
+    edges = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(fi)]
+    out: list[int] = []
+    for lo, hi in zip(edges, edges[1:]):
+        # Python rows for one target at a time: a whole stage's stream
+        # (up to ~400k rows) held as tuples would set the build's peak
+        # memory.
+        sub = fi[lo:hi]
+        rows = list(zip(w[sub].tolist(), y[sub].tolist(), sub.tolist()))
+        frontier = _fold_reference(rows, bidx[sub].tolist(), cap)
+        out += [e[2] for e in frontier]
+    return np.asarray(out, dtype=np.int64)
 
 
 def _flatten_entries(
@@ -1299,30 +1098,28 @@ def cdm_table_array(
         seg_of = t_of_b[bidx]
         ct_counts = np.bincount(seg_of, minlength=nt)
 
+        # A state whose elbow stream fits under the cap can never
+        # truncate, so its staircase survivors are the fold result.
+        # Every over-cap state replays the reference fold instead,
+        # skipping the arrival-rejected candidates: they never occupy
+        # frontier space.
         oversized = ct_counts > max_frontier
         if oversized.any():
-            drop, killer, rej = _staircase_drop(
-                CW, CY, ct_counts, batch=bidx, cap=max_frontier
-            )
-            # Arrival-rejected candidates never occupy frontier space:
-            # exclude them from the screen's live counts (tighter, still
-            # sound) and from the replay streams below.
-            live = ~rej
-            safe = _truncation_safe(
-                np.bincount(seg_of[live], minlength=nt),
-                bidx[live],
-                killer[live],
+            drop, rej = _staircase_drop(CW, CY, ct_counts, cap=max_frontier)
+            replayed = _replay_over_cap(
+                CW, CY, bidx, pil, seg_of, oversized[seg_of] & ~rej,
                 max_frontier,
             )
         else:
             drop = _staircase_drop(CW, CY, ct_counts)
-            safe = np.ones(nt, dtype=bool)
-            rej = None
-
-        kidx = np.flatnonzero(~drop & safe[seg_of])
+            replayed = np.zeros(0, dtype=np.int64)
+        kidx = np.flatnonzero(~drop & ~oversized[seg_of])
         # Survivors back to arrival order before emission (the elbow
-        # emits w-sorted runs, not parent-list order).
-        kidx = kidx[np.lexsort((pil[kidx], bidx[kidx]))]
+        # emits w-sorted runs, not parent-list order); the replayed
+        # frontiers are already in list order.
+        kidx = np.concatenate(
+            [kidx[np.lexsort((pil[kidx], bidx[kidx]))], replayed]
+        )
         target_states = [
             (int(st["TA"][t]), int(st["TB"][t]), int(st["TD"][t]))
             for t in range(nt)
@@ -1341,40 +1138,5 @@ def cdm_table_array(
         )
         for w, y, pa, pb, rr, pi, sg in rows:
             cur[target_states[sg]].append((w, y, pa, pb, rr, pi))
-        if not safe.all():
-            # The screen could not rule out mid-build truncation for
-            # these targets: replay the capped fold for all of them at
-            # once, one vectorized round per batch depth.
-            uts = np.flatnonzero(~safe)
-            scnt_u, idx_u = _lockstep_fold(
-                CW,
-                CY,
-                bidx,
-                pil,
-                seg_of,
-                ~safe[seg_of] & ~rej,
-                uts,
-                max_frontier,
-            )
-            emask = (
-                np.arange(max_frontier, dtype=np.int64)[None, :]
-                < scnt_u[:, None]
-            )
-            flat = idx_u[emask]
-            fb = bidx[flat]
-            tup = list(
-                zip(
-                    CW[flat].tolist(),
-                    CY[flat].tolist(),
-                    PA_b[fb].tolist(),
-                    PB_b[fb].tolist(),
-                    R_b[fb].tolist(),
-                    pil[flat].tolist(),
-                )
-            )
-            ustarts = np.cumsum(scnt_u) - scnt_u
-            for j, t in enumerate(uts.tolist()):
-                lo = int(ustarts[j])
-                cur[target_states[t]] = tup[lo : lo + int(scnt_u[j])]
         frontiers.append(cur)
     return frontiers

@@ -27,6 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterator, Sequence
 
 from ..cluster.collectives import CollectiveModel, CommCosts
@@ -77,6 +78,11 @@ def _samples_per_iter(global_batch: float, partition: PartitionPlan) -> float:
     return global_batch * (2 if partition.is_bidirectional else 1)
 
 
+def _positive_int(v) -> bool:
+    """Whether ``v`` is an integer >= 1 (numpy integers included)."""
+    return isinstance(v, Integral) and v >= 1
+
+
 @dataclass(frozen=True)
 class PlannerOptions:
     """Knobs of the planner search and the bubble-filling ablations."""
@@ -118,6 +124,24 @@ class PlannerOptions:
             raise ConfigurationError("max_stages must be at least 2")
         if not self.micro_batch_counts:
             raise ConfigurationError("micro_batch_counts must be non-empty")
+        if not all(_positive_int(m) for m in self.micro_batch_counts):
+            raise ConfigurationError(
+                "micro_batch_counts must be integers >= 1, got "
+                f"{self.micro_batch_counts!r}"
+            )
+        if not all(_positive_int(b) for b in self.partial_batch_menu):
+            raise ConfigurationError(
+                "partial_batch_menu entries must be integers >= 1, got "
+                f"{self.partial_batch_menu!r}"
+            )
+        if not _positive_int(self.cdm_cut_step):
+            raise ConfigurationError(
+                f"cdm_cut_step must be an integer >= 1, got {self.cdm_cut_step!r}"
+            )
+        if not self.min_bubble_ms >= 0:
+            raise ConfigurationError(
+                f"min_bubble_ms must be >= 0, got {self.min_bubble_ms!r}"
+            )
         if self.fill_strategy not in FILL_STRATEGIES:
             raise ConfigurationError(
                 f"unknown fill strategy {self.fill_strategy!r}; "

@@ -130,10 +130,19 @@ def test_three_backbones_rejected(cluster8):
 
 
 def test_planner_options_validation():
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(max_stages=1)
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(micro_batch_counts=())
+    """Bad values fail at construction, not later inside ``plan()``."""
+    for bad in (
+        dict(max_stages=1),
+        dict(micro_batch_counts=()),
+        dict(micro_batch_counts=(0,)),
+        dict(micro_batch_counts=(-2,)),
+        dict(micro_batch_counts=(2.5,)),
+        dict(partial_batch_menu=(0,)),
+        dict(cdm_cut_step=0),
+        dict(min_bubble_ms=-1.0),
+    ):
+        with pytest.raises(ConfigurationError):
+            PlannerOptions(**bad)
 
 
 def test_planner_engines_agree_end_to_end(uniform, uniform_profile, cluster8):

@@ -7,9 +7,11 @@ same tie-breaking, exact float equality.  This suite fuzzes (L, S, D,
 layer costs) with hypothesis and compares the full frontier tables, the
 feedback times and the backtracked plans across all three pricing
 modes (default, self-conditioning, zero-bubble) and both replication
-flavours of each DP (pinned ``fixed_r`` and heterogeneous), plus the
-capped-fold replay engine in isolation.  Comparisons are exact: every
-float is checked by ``.hex()``, entry order included.
+flavours of each DP (pinned ``fixed_r`` and heterogeneous).  Two more
+tests isolate the CDM kernel's over-cap path: the per-state replay of
+the capped reference fold, and the arrival rejection that is the only
+pruning in front of it.  Comparisons are exact: every float is checked
+by ``.hex()``, entry order included.
 
 The fold test holds the pinned 1F1B table to the uniform-replication
 DP over prefixes (``chain_frontiers_reference``), and the sharing tests
@@ -320,7 +322,7 @@ def test_cdm_backtracked_plan_differential(dts, uts, S, het):
 
 
 # ---------------------------------------------------------------------------
-# Capped-fold replay engine
+# Over-cap states: arrival rejection and the reference-fold replay
 # ---------------------------------------------------------------------------
 
 
@@ -329,58 +331,99 @@ def test_cdm_backtracked_plan_differential(dts, uts, S, het):
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=6),
     st.sampled_from([1, 2, 4]),
-    st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_lockstep_fold_matches_reference(seed, n_targets, max_batches,
-                                         cap, force_lockstep):
-    """``_lockstep_fold`` replays the capped fold bit-identically to
-    ``_fold_reference`` for every target, on both sides of its hybrid
-    cost-model split (forced all-lockstep vs the default, which sends
-    small instances to the python fold)."""
+def test_over_cap_replay_matches_reference(seed, n_targets, max_batches,
+                                           cap):
+    """``_replay_over_cap`` groups each target's selected candidates in
+    arrival order (batch, then parent-list position) and folds them
+    exactly like ``_fold_reference``, emitting the frontiers target by
+    target.  Candidates come shuffled and the targets' batch ids
+    interleave, so neither the input order nor batch contiguity can
+    stand in for the grouping; unselected candidates must not reach
+    the fold."""
     rng = random.Random(seed)
-    w, y, bidx, pil, seg_of = [], [], [], [], []
-    per_target = []
-    gb = 0
+    w, y, bidx, pil, seg_of, sel = [], [], [], [], [], []
     for t in range(n_targets):
-        rows, batches = [], []
-        arrivals = 0
-        for _ in range(rng.randint(1, max_batches)):
-            for _ in range(rng.randint(1, 5)):
+        for k in range(rng.randint(1, max_batches)):
+            size = rng.randint(1, 5)
+            for p in sorted(rng.sample(range(12), size)):
                 # Continuous draws: candidate values are a.s. distinct,
                 # matching the production stream (the upstream Pareto
                 # screen never emits equal-valued same-batch mates).
                 w.append(rng.random() * 100)
                 y.append(rng.random() * 100)
-                bidx.append(gb)
-                pil.append(arrivals)
+                bidx.append(k * n_targets + t)
+                pil.append(p)
                 seg_of.append(t)
-                rows.append((w[-1], y[-1], len(w) - 1))
-                batches.append(gb)
-                arrivals += 1
-            gb += 1
-        per_target.append((rows, batches))
-    saved = pk._REPLAY_ROUND_COST
-    try:
-        if force_lockstep:
-            # Zero round cost pushes the hybrid split to all-lockstep;
-            # the default constants send instances this small to the
-            # python fold, so both replay paths get exercised.
-            pk._REPLAY_ROUND_COST = 0.0
-        scnt, idx = pk._lockstep_fold(
-            np.array(w), np.array(y),
-            np.array(bidx, dtype=np.int64), np.array(pil, dtype=np.int64),
-            np.array(seg_of, dtype=np.int64),
-            np.ones(len(w), dtype=bool),
-            np.arange(n_targets, dtype=np.int64),
-            cap,
+                sel.append(rng.random() < 0.8)
+    perm = list(range(len(w)))
+    rng.shuffle(perm)
+    w, y, bidx, pil, seg_of, sel = (
+        [col[i] for i in perm] for col in (w, y, bidx, pil, seg_of, sel)
+    )
+    got = pk._replay_over_cap(
+        np.array(w), np.array(y),
+        np.array(bidx, dtype=np.int64), np.array(pil, dtype=np.int64),
+        np.array(seg_of, dtype=np.int64), np.array(sel, dtype=bool), cap,
+    )
+    expect = []
+    for t in range(n_targets):
+        arrivals = sorted(
+            (bidx[i], pil[i], i)
+            for i in range(len(w))
+            if seg_of[i] == t and sel[i]
         )
-    finally:
-        pk._REPLAY_ROUND_COST = saved
-    for t, (rows, batches) in enumerate(per_target):
-        expect = pk._fold_reference(rows, batches, cap)
-        got = idx[t, : scnt[t]].tolist()
-        assert got == [e[2] for e in expect], t
+        if arrivals:
+            rows = [(w[i], y[i], i) for _, _, i in arrivals]
+            batches = [b for b, _, _ in arrivals]
+            expect += [e[2] for e in pk._fold_reference(rows, batches, cap)]
+    assert got.tolist() == expect
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 2, 3, 4]),
+)
+@settings(max_examples=200, deadline=None)
+def test_arrival_rejection_never_changes_the_fold(seed, n_streams, cap):
+    """Rejection is the only pruning in front of the over-cap replay:
+    dropping the candidates ``_staircase_drop(..., cap=)`` marks as
+    rejected on arrival leaves the capped fold's result — entries and
+    order — unchanged.  Each stream is a run of batches of mutually
+    incomparable staircase points on a coarse grid, so value ties across
+    batches are common.  Arrays are in emission order (``w`` ascending
+    within a batch, like ``_clamp_elbow``); the fold replays each batch
+    in a shuffled arrival order, like the parent-list order."""
+    rng = random.Random(seed)
+    w, y, counts, streams = [], [], [], []
+    for _ in range(n_streams):
+        arrival, batches = [], []
+        for b in range(rng.randint(1, 6)):
+            size = rng.randint(1, 5)
+            xs = sorted(rng.sample(range(8), size))
+            ys = sorted(rng.sample(range(8), size), reverse=True)
+            batch = list(range(len(w), len(w) + size))
+            rng.shuffle(batch)
+            arrival += batch
+            batches += [b] * size
+            w += xs
+            y += ys
+        counts.append(len(arrival))
+        streams.append((arrival, batches))
+    _, rej = pk._staircase_drop(
+        np.array(w, dtype=np.float64), np.array(y, dtype=np.float64),
+        np.array(counts, dtype=np.int64), cap=cap,
+    )
+    for arrival, batches in streams:
+        rows = [(w[i], y[i], i) for i in arrival]
+        full = pk._fold_reference(rows, batches, cap)
+        live = [k for k, i in enumerate(arrival) if not rej[i]]
+        kept = pk._fold_reference(
+            [rows[k] for k in live], [batches[k] for k in live], cap
+        )
+        assert kept == full
 
 
 # ---------------------------------------------------------------------------

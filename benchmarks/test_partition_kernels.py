@@ -115,7 +115,7 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
             kern,
             lambda: _cdm_frontiers(
                 cctx, 4, 8, PlannerCaches(), fixed_r=2, cut_step=2,
-                max_frontier=8, ld=ld, lu=lu,
+                ld=ld, lu=lu,
             ),
         )
 

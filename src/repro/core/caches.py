@@ -57,7 +57,7 @@ KERNEL_PLAN_CACHE_MAX = 256
 SNAPSHOT_MAGIC = "repro-planner-caches"
 #: bumped whenever a stored key's layout changes: entries are pickled
 #: with their keys as-is, so an old file would load but never hit
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class FillShapeCache:

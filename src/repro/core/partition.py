@@ -38,6 +38,7 @@ transition per cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 from ..cluster.collectives import CommCosts
@@ -45,6 +46,11 @@ from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
 from .caches import PlannerCaches, default_caches
 from .plan import PartitionPlan, StageAssignment
+
+
+def _positive_int(v) -> bool:
+    """Whether ``v`` is an integer >= 1 (numpy integers included)."""
+    return isinstance(v, Integral) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -354,7 +360,8 @@ def pareto_insert(
         frontier[:] = keep
         return True
     if value_dims == 2:
-        # Hot path of the bidirectional CDM DP.
+        # Two coordinates: the fold of the CDM DP oracle
+        # (tests/oracles/), unrolled like the branch above.
         c0, c1 = candidate[0], candidate[1]
         keep = []
         for existing in frontier:

@@ -37,7 +37,12 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
 from .caches import PlannerCaches, default_caches
-from .partition import PartitionContext, StageCosts, _LazyStageCosts
+from .partition import (
+    PartitionContext,
+    StageCosts,
+    _LazyStageCosts,
+    _positive_int,
+)
 from .plan import PartitionPlan, StageAssignment
 
 #: the paper enlarges communication by 2x for bidirectional pipelines
@@ -122,7 +127,6 @@ def _cdm_frontiers(
     *,
     fixed_r: int | None,
     cut_step: int,
-    max_frontier: int,
     ld: int,
     lu: int,
 ) -> list[dict[tuple[int, int, int], tuple[tuple, ...]]]:
@@ -172,7 +176,6 @@ def _cdm_frontiers(
             up.sync_key,
             ctx.comm_scale,
             cut_step,
-            max_frontier,
             down.pricing,
             up.pricing,
             # Per-device speed factors (windows are internal DP state;
@@ -207,7 +210,6 @@ def _cdm_frontiers(
             up.allreduce_for(r),
             ctx.comm_scale,
             cut_step,
-            max_frontier,
             # The bidirectional family always prices with the default
             # mode today, but the contexts carry the field, so the key
             # does too.
@@ -232,9 +234,8 @@ def _cdm_frontiers(
     # Looked up on the module at call time: the differential suites
     # swap in the pure-Python oracle here (tests/oracles/).
     frontiers = partition_kernels.cdm_table_array(
-        ctx, S, cut_step=cut_step, max_frontier=max_frontier,
-        ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r,
-        plans=caches.kernel_plans,
+        ctx, S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
+        fixed_r=fixed_r, plans=caches.kernel_plans,
     )
     frontiers = [
         {state: tuple(entries) for state, entries in stage.items()}
@@ -335,7 +336,6 @@ def partition_cdm(
     group_size: int,
     *,
     cut_step: int = 1,
-    max_frontier: int = 8,
     heterogeneous: bool = False,
     caches: PlannerCaches | None = None,
 ) -> PartitionPlan:
@@ -347,12 +347,15 @@ def partition_cdm(
     replica count — shared by its co-located down and up stages — so
     non-divisible ``(S, D)`` combinations become plannable.
 
-    ``cut_step > 1`` restricts stage boundaries to multiples of the step
-    (chain ends always allowed), shrinking the O(L^2) transition space
-    for long backbones at negligible quality cost on near-uniform
-    chains.  ``max_frontier`` (at least 1) caps each state's Pareto set,
-    keeping the lowest-``W`` entries (frontiers are tiny in practice;
-    the cap is a worst-case guard).
+    ``cut_step`` must be an integer >= 1.  A step above 1 restricts
+    stage boundaries to its multiples (chain ends always allowed),
+    shrinking the O(L^2) transition space for long backbones at
+    negligible quality cost on near-uniform chains.
+
+    Each state keeps its full Pareto set of ``(W, Y)``: in two
+    dimensions every entry has a distinct ``W``, and ``W`` is always
+    one placed stage's time, so a frontier never holds more entries
+    than there are distinct stage times at that state.
 
     DP tables are memoized in ``caches`` (the process-wide default
     instance when ``None``).
@@ -362,10 +365,10 @@ def partition_cdm(
     D = group_size
     if S <= 0 or D <= 0:
         raise ConfigurationError("num_stages and group_size must be positive")
-    if cut_step <= 0:
-        raise ConfigurationError("cut_step must be positive")
-    if max_frontier < 1:
-        raise ConfigurationError("max_frontier must be positive")
+    if not _positive_int(cut_step):
+        raise ConfigurationError(
+            f"cut_step must be an integer >= 1, got {cut_step!r}"
+        )
     if S > D:
         raise PartitionError(f"cannot place {S} stages on {D} devices")
     if (
@@ -386,8 +389,7 @@ def partition_cdm(
 
     if heterogeneous:
         frontiers = _cdm_frontiers(
-            ctx, S, D, caches, fixed_r=None, cut_step=cut_step,
-            max_frontier=max_frontier, ld=ld, lu=lu,
+            ctx, S, D, caches, fixed_r=None, cut_step=cut_step, ld=ld, lu=lu
         )
         return _cdm_select_plan(
             ctx, S, D, frontiers, ld, lu, replicas=None
@@ -408,8 +410,7 @@ def partition_cdm(
             f"{ctx.down.micro_batch:g}/{ctx.up.micro_batch:g})"
         )
     frontiers = _cdm_frontiers(
-        ctx, S, D, caches, fixed_r=r, cut_step=cut_step,
-        max_frontier=max_frontier, ld=ld, lu=lu,
+        ctx, S, D, caches, fixed_r=r, cut_step=cut_step, ld=ld, lu=lu
     )
     return _cdm_select_plan(ctx, S, D, frontiers, ld, lu, replicas=r)
 

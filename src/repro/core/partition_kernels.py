@@ -37,27 +37,21 @@ Exactness notes
 frontier dominates-or-equals it from an earlier generation position or
 strictly dominates it from a later one, and lists survivors in
 generation order — so the reduction needs exact comparisons, never
-arithmetic on the coordinates.  The 1F1B kernel expands every
-(batch, parent entry) candidate and reduces each target state's stream
-in one pass.  The CDM engine additionally truncates each state's
-frontier to ``max_frontier`` after every transition batch, so it first
-prunes each batch to its corner-clamped elbow survivors
-(:func:`_clamp_elbow`) and then settles each state in one of two ways:
-
-* a state whose elbow stream holds at most ``max_frontier`` candidates
-  can never truncate, so its staircase survivors (in arrival order)
-  are the fold result;
-* every other state (an *over-cap* state) replays the reference fold
-  (:func:`_fold_reference`) on its elbow stream in arrival order,
-  skipping the candidates the capped staircase proves are rejected on
-  arrival — the replay is the reference fold itself, so it is exact.
+arithmetic on the coordinates.  Both kernels expand every
+(batch, parent entry) candidate in arrival order
+(:func:`_expand_batches`) and reduce each target state's stream in one
+pass.  The CDM DP and the 1F1B DP under default pricing have two
+independent coordinates, so one :func:`_staircase_drop` settles every
+state; the other 1F1B pricing modes keep three and go through
+:func:`_segmented_pareto`.  No frontier is ever truncated, so a state's
+final frontier is exactly its stream's survivors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .partition import StageCosts, _LazyStageCosts, pareto_insert
+from .partition import StageCosts, _LazyStageCosts
 
 __all__ = [
     "het_table_array",
@@ -218,11 +212,8 @@ def _grouped_pareto(
 
 
 def _staircase_drop(
-    w: np.ndarray,
-    y: np.ndarray,
-    counts: np.ndarray,
-    cap: int | None = None,
-):
+    w: np.ndarray, y: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
     """Exact two-column per-segment Pareto drop mask in O(n log n).
 
     Stable-sorted by ``(w, y)`` within a segment (ties fall back to the
@@ -231,11 +222,9 @@ def _staircase_drop(
     predecessor's ``w`` is ``<=`` by sort order, and on full value ties
     the stable sort leaves ``j`` earlier — exactly the
     dominates-or-equals-from-earlier / strictly-dominates rule
-    ``pareto_insert`` applies, provided the caller's array order ranks
-    every equal-valued pair by arrival (generation order does; so does
-    the elbow emission order, whose equal pairs are always cross-batch
-    and batch-major).  Survivors are the strict running minima of
-    ``y``, so one cumulative minimum replaces the quadratic pairwise
+    ``pareto_insert`` applies, provided the caller's array order is the
+    arrival (generation) order.  Survivors are the strict running minima
+    of ``y``, so one cumulative minimum replaces the quadratic pairwise
     comparison tensor.
 
     Segments are contiguous, so instead of one global three-key lexsort
@@ -243,31 +232,18 @@ def _staircase_drop(
     ``argsort`` passes over padded 2-D slabs — much smaller sorts, no
     segment key, and the padding (``+inf``) stays glued to the row
     ends.
-
-    With ``cap``, returns ``(drop, rej)``; ``rej[i]`` is True for
-    candidates a *capped* sequential fold provably rejects on arrival —
-    dominated-or-equal by an earlier-arriving candidate whose final
-    ``(w, y, arrival)`` rank in its segment is below ``cap``.  Such an
-    "elite" ranks below the cap against every arrival prefix (its rank
-    only grows as candidates arrive, and within-batch kills complete
-    before batch-end truncations), so it is in the frontier whenever a
-    later victim arrives — or was pruned by a strictly lex-better
-    dominator that transitively rejects the same victims.  Rejected
-    candidates never occupy frontier space, so the over-cap replay
-    skips them.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = len(w)
     drop = np.zeros(n, dtype=bool)
-    rej = np.zeros(n, dtype=bool) if cap is not None else None
     starts = np.cumsum(counts) - counts
     nzseg = np.flatnonzero(counts > 1)
     widths = counts[nzseg]
     rstarts = starts[nzseg]
     if n == 0 or not len(nzseg):
-        return drop if cap is None else (drop, rej)
-    if cap is None and int(widths.sum()) >= 100_000:
-        # Bucket prefilter: on big plain streams, kill candidates that
+        return drop
+    if int(widths.sum()) >= 100_000:
+        # Bucket prefilter: on big streams, kill candidates that
         # have a dominator in a strictly earlier ``w`` bucket of their
         # segment before the sort ever sees them.  Bucket edges are
         # strict (the bucket map is nondecreasing in ``w``), so such a
@@ -361,175 +337,7 @@ def _staircase_drop(
         excl[:, 1:] = cm[:, :-1]
         kill = (excl <= Kys) & valid
         drop[Gs[kill]] = True
-        if rej is not None:
-            # Arrival-order rejection against the cap elites: ``Gs``
-            # holds each sorted cell's original (= arrival) slot, so
-            # one broadcast per elite column covers every victim.
-            r2 = np.zeros_like(kill)
-            for q in range(min(cap, padw)):
-                r2 |= (
-                    (Kws[:, q : q + 1] <= Kws)
-                    & (Kys[:, q : q + 1] <= Kys)
-                    & (Gs[:, q : q + 1] < Gs)
-                )
-            r2 &= valid
-            rej[Gs[r2]] = True
-    return drop if cap is None else (drop, rej)
-
-
-def _csr_count_before(
-    vals: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    targets: np.ndarray,
-    *,
-    strict: bool,
-) -> np.ndarray:
-    """Per-query count of leading slab elements ``<= target`` (``<``
-    when ``strict``).  ``starts``/``counts`` select one ascending-sorted
-    slab of ``vals`` per query; all queries bisect in lockstep."""
-    nq = len(targets)
-    lo = np.zeros(nq, dtype=np.int64)
-    hi = counts.astype(np.int64).copy()
-    if nq == 0 or not hi.any():
-        return lo
-    for _ in range(int(hi.max()).bit_length()):
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        gi = np.where(active, starts + mid, 0)
-        v = vals[gi]
-        go = active & ((v < targets) if strict else (v <= targets))
-        lo = np.where(go, mid + 1, lo)
-        hi = np.where(active & ~go, mid, hi)
-    return lo
-
-
-def _rmq_table(a: np.ndarray, max_width: int) -> np.ndarray:
-    """Sparse min table: row ``k`` holds ``min(a[i:i + 2**k])`` (clipped
-    at the end), answering in-slab range-min queries up to
-    ``max_width`` wide with two gathers."""
-    rows = [a]
-    k = 1
-    while (1 << k) <= max_width:
-        half = 1 << (k - 1)
-        prev = rows[-1]
-        cur = prev.copy()
-        if len(a) > half:
-            np.minimum(prev[:-half], prev[half:], out=cur[:-half])
-        rows.append(cur)
-        k += 1
-    return np.stack(rows)
-
-
-def _clamp_elbow(
-    PW: np.ndarray,
-    PY: np.ndarray,
-    pstarts: np.ndarray,
-    pcounts: np.ndarray,
-    cell_b: np.ndarray,
-    A_b: np.ndarray,
-    B_b: np.ndarray,
-):
-    """Exact within-batch Pareto survivors of corner-clamped frontiers.
-
-    Every batch ``b`` emits one candidate per entry of parent frontier
-    ``cell_b[b]``: ``(max(w, A_b), max(y, B_b))``, in parent-list order.
-    Parent frontiers are mutually incomparable (distinct ``w``, distinct
-    ``y``; sorted by ``w`` ascending their ``y`` is strictly
-    descending), so the candidates a batch's own members fail to kill —
-    the kill rule of ``pareto_insert``, dominates-or-equals from an
-    earlier arrival or strictly dominates from anywhere — are exactly:
-
-    * the parents strictly above the elbow (``w > A`` and ``y > B``),
-      clamped to themselves, and
-    * at most two corner entries — the clamp of the last ``w <= A``
-      parent and the clamp of the first ``y <= B`` parent.  When some
-      parent has both (it clamps to exactly ``(A, B)``), the corners
-      merge and value ties resolve to the first-arriving such parent.
-
-    Two lockstep binary searches per batch find the elbow; a sparse-min
-    table over parent-list positions resolves the merged-corner tie.
-    Returns ``(bidx, pil, CW, CY)`` in emission order: batch-major,
-    and ``[C1, band, C2]`` (ascending ``w``, descending ``y``) within a
-    batch.  That is NOT parent-list order, but every equal-``(w, y)``
-    pair is cross-batch (a batch's survivors are strictly
-    incomparable), so stability over emission order still resolves
-    value ties by arrival — callers need only re-sort the few
-    *survivors* by ``(bidx, pil)`` before emitting entries.  Dropping
-    the killed candidates is sound because the sequential fold
-    completes every within-batch kill before the batch-end truncation
-    point.
-    """
-    nb = len(cell_b)
-    n_par = len(PW)
-    if n_par == 0 or nb == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0), np.zeros(0)
-    ncell = len(pcounts)
-    lidx = _ragged_arange(pcounts)
-    cell_of = np.repeat(np.arange(ncell, dtype=np.int64), pcounts)
-    order = np.lexsort((PW, cell_of))
-    ws = PW[order]
-    ys = PY[order]
-    nys = -ys
-    pis = lidx[order]
-    maxc = int(pcounts.max())
-    T = _rmq_table(pis, maxc)
-
-    st = pstarts[cell_b]
-    m = pcounts[cell_b]
-    k0 = _csr_count_before(ws, st, m, A_b, strict=False)  # parents w <= A
-    jy = _csr_count_before(nys, st, m, -B_b, strict=True)  # parents y > B
-
-    above_cnt = np.maximum(jy - k0, 0)
-    tie = jy < k0  # some parent clamps to exactly (A, B)
-    has_c1 = k0 > 0
-    has_c2 = ~tie & (jy < m)
-
-    i1 = np.where(has_c1, st + k0 - 1, 0)
-    c1y = np.where(tie, B_b, ys[i1])
-    c1pi = pis[i1]
-    if tie.any():
-        lo = st + jy
-        hi = st + k0
-        lens = hi - lo
-        kq = np.where(tie, np.frexp(lens.astype(np.float64))[1] - 1, 0)
-        a1 = np.where(tie, lo, 0)
-        a2 = np.where(tie, hi - (1 << kq), 0)
-        mn = np.minimum(T[kq, a1], T[kq, a2])
-        c1pi = np.where(tie, mn, c1pi)
-
-    i2 = np.where(has_c2, st + jy, 0)
-    c2w = ws[i2]
-    c2pi = pis[i2]
-
-    ab_b = np.repeat(np.arange(nb, dtype=np.int64), above_cnt)
-    ga = (st + k0)[ab_b] + _ragged_arange(above_cnt)
-
-    b1 = np.flatnonzero(has_c1)
-    b2 = np.flatnonzero(has_c2)
-    cnt_out = has_c1.astype(np.int64) + above_cnt + has_c2.astype(np.int64)
-    ostarts = np.cumsum(cnt_out) - cnt_out
-    n_out = int(cnt_out.sum())
-    bidx = np.repeat(np.arange(nb, dtype=np.int64), cnt_out)
-    pil = np.empty(n_out, dtype=np.int64)
-    CW = np.empty(n_out)
-    CY = np.empty(n_out)
-    d1 = ostarts[b1]
-    pil[d1] = c1pi[b1]
-    CW[d1] = A_b[b1]
-    CY[d1] = c1y[b1]
-    dband = (ostarts + has_c1)[ab_b] + _ragged_arange(above_cnt)
-    pil[dband] = pis[ga]
-    CW[dband] = ws[ga]
-    CY[dband] = ys[ga]
-    d2 = (ostarts + has_c1 + above_cnt)[b2]
-    pil[d2] = c2pi[b2]
-    CW[d2] = c2w[b2]
-    CY[d2] = B_b[b2]
-    return bidx, pil, CW, CY
+    return drop
 
 
 def _segmented_pareto(
@@ -543,7 +351,6 @@ def _segmented_pareto(
     bounded chunks first, then re-filtering the survivors at full
     segment granularity, yields exactly the pairwise drop mask while
     never materialising a quadratic-in-segment comparison tensor.
-    Only sound without mid-fold truncation (the 1F1B DP).
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
@@ -585,63 +392,6 @@ def _segmented_pareto(
         cur = new
 
 
-def _fold_reference(
-    cand_rows: list[tuple],
-    batches: list[int],
-    max_frontier: int,
-) -> list[tuple]:
-    """Replay the reference CDM fold on precomputed candidate values:
-    ``pareto_insert`` per candidate, truncation after each batch."""
-    frontier: list[tuple] = []
-    prev_batch = batches[0]
-    for row, b in zip(cand_rows, batches):
-        if b != prev_batch:
-            if len(frontier) > max_frontier:
-                frontier.sort(key=lambda e: (e[0], e[1]))
-                del frontier[max_frontier:]
-            prev_batch = b
-        pareto_insert(frontier, row, 2)
-    if len(frontier) > max_frontier:
-        frontier.sort(key=lambda e: (e[0], e[1]))
-        del frontier[max_frontier:]
-    return frontier
-
-
-def _replay_over_cap(
-    w: np.ndarray,
-    y: np.ndarray,
-    bidx: np.ndarray,
-    pil: np.ndarray,
-    seg_of: np.ndarray,
-    sel: np.ndarray,
-    cap: int,
-) -> np.ndarray:
-    """Replay the capped fold per target, on the ``sel`` candidates.
-
-    The selected candidates are grouped by target (``seg_of``) and put
-    in arrival order — batch, then parent-list position — and each
-    group runs through :func:`_fold_reference`.  Returns the flat
-    candidate indices of every final frontier, targets ascending, each
-    frontier in list order.
-    """
-    fi = np.flatnonzero(sel)
-    if not len(fi):
-        return fi
-    fi = fi[np.lexsort((pil[fi], bidx[fi], seg_of[fi]))]
-    seg = seg_of[fi]
-    edges = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(fi)]
-    out: list[int] = []
-    for lo, hi in zip(edges, edges[1:]):
-        # Python rows for one target at a time: a whole stage's stream
-        # (up to ~400k rows) held as tuples would set the build's peak
-        # memory.
-        sub = fi[lo:hi]
-        rows = list(zip(w[sub].tolist(), y[sub].tolist(), sub.tolist()))
-        frontier = _fold_reference(rows, bidx[sub].tolist(), cap)
-        out += [e[2] for e in frontier]
-    return np.asarray(out, dtype=np.int64)
-
-
 def _flatten_entries(
     stage_lists: list[list[tuple]], value_dims: int
 ) -> tuple[np.ndarray, ...]:
@@ -654,6 +404,26 @@ def _flatten_entries(
             for d in range(value_dims):
                 cols[d].append(e[d])
     return tuple(np.asarray(c, dtype=np.float64) for c in cols) + (counts,)
+
+
+def _expand_batches(
+    P_b: np.ndarray, ecounts: np.ndarray, tb_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One candidate per (batch, parent entry), in arrival order.
+
+    Batch ``b`` expands every entry of parent state ``P_b[b]``'s
+    frontier, in list order (``ecounts`` entries per parent state, laid
+    out state after state).  Batches come grouped by target state from
+    ``tb_starts`` on, so each target's stream is one contiguous segment.
+    Returns ``(bidx, pil, eidx, ct_counts)``: each candidate's batch,
+    parent-list position and flat parent-entry index, and each target's
+    stream length.
+    """
+    counts_e = ecounts[P_b]
+    bidx = np.repeat(np.arange(len(P_b), dtype=np.int64), counts_e)
+    pil = _ragged_arange(counts_e)
+    eidx = (np.cumsum(ecounts) - ecounts)[P_b][bidx] + pil
+    return bidx, pil, eidx, np.add.reduceat(counts_e, tb_starts)
 
 
 # -- single-backbone 1F1B ----------------------------------------------------
@@ -719,7 +489,6 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
         PD = np.asarray([st[1] for st in states], dtype=np.int64)
         entry_lists = list(history[s - 1].values())
         EW, ES, EY, ecounts = _flatten_entries(entry_lists, 3)
-        estarts = np.cumsum(ecounts) - ecounts
 
         # Batch enumeration (one batch per (parent, l, r), in reference
         # loop order: parents in dict order, l outer, r inner).
@@ -771,16 +540,10 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
         tb_counts = np.bincount(t_rank, minlength=nt)
         tb_starts = np.cumsum(tb_counts) - tb_counts
 
-        # Candidate expansion: one candidate per (batch, parent entry),
-        # in arrival order.
         K_b = SID[PD[P_b], R_b]
-        counts_e = ecounts[P_b]
-        bidx = np.repeat(np.arange(total_b, dtype=np.int64), counts_e)
-        pil = _ragged_arange(counts_e)
-        eidx = estarts[P_b][bidx] + pil
+        bidx, pil, eidx, ct_counts = _expand_batches(P_b, ecounts, tb_starts)
         CW = np.maximum(EW[eidx], ST0[K_b, PL_b, L_b][bidx])
         CY = np.maximum(EY[eidx], SGAP[K_b, PL_b, L_b][bidx])
-        ct_counts = np.add.reduceat(counts_e, tb_starts)
         if not sc and not zb:
             # Default pricing reuses t0 for the second coordinate
             # (partition.py), so CS == CW for every entry by induction
@@ -965,7 +728,6 @@ def cdm_table_array(
     S: int,
     *,
     cut_step: int,
-    max_frontier: int,
     ld: int,
     lu: int,
     D: int,
@@ -975,10 +737,12 @@ def cdm_table_array(
 ):
     """Array twin of the pure-Python CDM DP oracle
     (``tests/oracles/partition_cdm.py``) — same frontier list,
-    bit-identical entries, dict orders and truncation behaviour.
+    bit-identical entries and dict orders.
 
     ``plans`` is an optional mapping-like store (``LruStore``) of
     geometry transition plans, shared across table builds of one sweep.
+    Replica counts above ``D - S + 1`` are never feasible (every other
+    position needs a device), so every larger ``r_cap`` shares one plan.
     """
     from .partition_cdm import (
         _cut_points,
@@ -992,6 +756,7 @@ def cdm_table_array(
     gap_d = _min_gap(cuts_d)
     gap_u = _min_gap(pts_u)
 
+    r_cap = min(r_cap, D - S + 1)
     plan_key = ("cdm", S, ld, lu, cut_step, D, r_cap, fixed_r)
     plan = plans.get(plan_key) if plans is not None else None
     if plan is None:
@@ -1064,13 +829,11 @@ def cdm_table_array(
         P_b, A_b, B_b, R_b = st["P"], st["A"], st["B"], st["R"]
         PA, PB = st["PA"], st["PB"]
         tb_starts, tb_counts = st["tb_starts"], st["tb_counts"]
-        total_b = len(P_b)
-        if total_b == 0:
+        if not len(P_b):
             frontiers.append({})
             continue
         entry_lists = list(frontiers[k - 1].values())
         EW, EY, ecounts = _flatten_entries(entry_lists, 2)
-        estarts = np.cumsum(ecounts) - ecounts
 
         PA_b = PA[P_b]
         PB_b = PB[P_b]
@@ -1082,44 +845,15 @@ def cdm_table_array(
         WS = np.maximum(td, tu)
         YS = np.maximum(gd, gu)
 
-        # Candidate expansion fused with the exact within-batch
-        # prefilter: every batch is one parent frontier clamped by a
-        # single ``(WS, YS)`` corner, so only its elbow survivors (the
-        # strictly-above-elbow band plus at most two corner entries)
-        # can ever touch the fold — the sequential fold completes all
-        # within-batch kills before any batch-end truncation.  The
-        # clamp collapses most entries onto the corner, so this is also
-        # where the candidate stream loses most of its mass.
-        bidx, pil, CW, CY = _clamp_elbow(
-            EW, EY, estarts, ecounts, P_b, WS, YS
-        )
+        # Nothing truncates a frontier, so a target's fold keeps exactly
+        # its stream's staircase survivors, in arrival order.
+        bidx, pil, eidx, ct_counts = _expand_batches(P_b, ecounts, tb_starts)
+        CW = np.maximum(EW[eidx], WS[bidx])
+        CY = np.maximum(EY[eidx], YS[bidx])
+        kidx = np.flatnonzero(~_staircase_drop(CW, CY, ct_counts))
+        kb = bidx[kidx]
         nt = len(tb_counts)
         t_of_b = np.repeat(np.arange(nt, dtype=np.int64), tb_counts)
-        seg_of = t_of_b[bidx]
-        ct_counts = np.bincount(seg_of, minlength=nt)
-
-        # A state whose elbow stream fits under the cap can never
-        # truncate, so its staircase survivors are the fold result.
-        # Every over-cap state replays the reference fold instead,
-        # skipping the arrival-rejected candidates: they never occupy
-        # frontier space.
-        oversized = ct_counts > max_frontier
-        if oversized.any():
-            drop, rej = _staircase_drop(CW, CY, ct_counts, cap=max_frontier)
-            replayed = _replay_over_cap(
-                CW, CY, bidx, pil, seg_of, oversized[seg_of] & ~rej,
-                max_frontier,
-            )
-        else:
-            drop = _staircase_drop(CW, CY, ct_counts)
-            replayed = np.zeros(0, dtype=np.int64)
-        kidx = np.flatnonzero(~drop & ~oversized[seg_of])
-        # Survivors back to arrival order before emission (the elbow
-        # emits w-sorted runs, not parent-list order); the replayed
-        # frontiers are already in list order.
-        kidx = np.concatenate(
-            [kidx[np.lexsort((pil[kidx], bidx[kidx]))], replayed]
-        )
         target_states = [
             (int(st["TA"][t]), int(st["TB"][t]), int(st["TD"][t]))
             for t in range(nt)
@@ -1130,11 +864,11 @@ def cdm_table_array(
         rows = zip(
             CW[kidx].tolist(),
             CY[kidx].tolist(),
-            PA_b[bidx][kidx].tolist(),
-            PB_b[bidx][kidx].tolist(),
-            R_b[bidx][kidx].tolist(),
+            PA_b[kb].tolist(),
+            PB_b[kb].tolist(),
+            R_b[kb].tolist(),
             pil[kidx].tolist(),
-            seg_of[kidx].tolist(),
+            t_of_b[kb].tolist(),
         )
         for w, y, pa, pb, rr, pi, sg in rows:
             cur[target_states[sg]].append((w, y, pa, pb, rr, pi))

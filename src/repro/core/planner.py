@@ -27,7 +27,6 @@ import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Integral
 from typing import Iterator, Sequence
 
 from ..cluster.collectives import CollectiveModel, CommCosts
@@ -45,7 +44,7 @@ from .caches import CacheStats, PlannerCaches, default_caches
 from .cross_iteration import compose_iteration
 from .fill_strategies import FILL_STRATEGIES, fill_strategy_names
 from .filling import VALID_LOCAL_BATCHES, BubbleFiller, FillShapeCache
-from .partition import PartitionContext, partition_backbone
+from .partition import PartitionContext, _positive_int, partition_backbone
 from .partition_cdm import CDMPartitionContext, partition_cdm
 from .plan import (
     ExecutionPlan,
@@ -76,11 +75,6 @@ def _samples_per_iter(global_batch: float, partition: PartitionPlan) -> float:
     """Samples trained per iteration; a bidirectional plan trains both
     backbones on the batch."""
     return global_batch * (2 if partition.is_bidirectional else 1)
-
-
-def _positive_int(v) -> bool:
-    """Whether ``v`` is an integer >= 1 (numpy integers included)."""
-    return isinstance(v, Integral) and v >= 1
 
 
 @dataclass(frozen=True)

@@ -149,10 +149,9 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
         ),
         (
             "cdm",
-            "cdm-lsun S=4 r=2 cut=2 mf=8",
+            "cdm-lsun S=4 r=2 cut=2",
             lambda caches: _cdm_frontiers(
-                cctx, 4, 8, caches, fixed_r=2, cut_step=2, max_frontier=8,
-                ld=ld, lu=lu,
+                cctx, 4, 8, caches, fixed_r=2, cut_step=2, ld=ld, lu=lu
             ),
         ),
     ]

@@ -53,7 +53,6 @@ def cdm_dp_table_reference(
     S: int,
     *,
     cut_step: int,
-    max_frontier: int,
     ld: int,
     lu: int,
     D: int,
@@ -61,8 +60,9 @@ def cdm_dp_table_reference(
     fixed_r: int | None,
 ) -> list[dict[tuple[int, int, int], list[tuple]]]:
     """Pure-Python differential oracle of ``cdm_table_array``: the
-    frontier list behind ``partition_cdm._cdm_frontiers``, truncation
-    to ``max_frontier`` included.
+    frontier list behind ``partition_cdm._cdm_frontiers``.  Every
+    candidate goes through ``pareto_insert``, and no frontier is ever
+    truncated.
     """
     scaled = ctx.down.speed_scales is not None
     comp_scale = ctx.down.comp_scale
@@ -142,8 +142,5 @@ def cdm_dp_table_reference(
                                 pi,
                             )
                             pareto_insert(frontier, cand, 2)
-                        if len(frontier) > max_frontier:
-                            frontier.sort(key=lambda e: (e[0], e[1]))
-                            del frontier[max_frontier:]
         frontiers.append(cur)
     return frontiers

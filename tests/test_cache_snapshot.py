@@ -80,10 +80,11 @@ def test_snapshot_skips_unknown_profiles(tmp_path):
 
 
 def test_snapshot_rejects_unknown_version(tmp_path):
-    """A future version, and versions 1 and 2: their table and
-    fill-shape keys have layouts the current keys no longer have, so
+    """A future version, and versions 1 to 3: their table and
+    fill-shape keys have layouts the current keys no longer have (the
+    ``cdm`` keys of version 3 still carry a frontier-cap slot), so
     their entries would load but never hit."""
-    for version in (999, 1, 2):
+    for version in (999, 1, 2, 3):
         path = tmp_path / f"v{version}.snap"
         with open(path, "wb") as fh:
             pickle.dump(

@@ -83,11 +83,9 @@ def test_infeasible_cdm():
         partition_cdm(_cdm_ctx(db), 3, 4)   # 3 !| 4
     with pytest.raises(PartitionError):
         partition_cdm(_cdm_ctx(db), 3, 2)   # more stages than devices
-    with pytest.raises(ConfigurationError):
-        partition_cdm(_cdm_ctx(db), 2, 2, cut_step=0)
-    for max_frontier in (0, -1):
-        with pytest.raises(ConfigurationError, match="max_frontier"):
-            partition_cdm(_cdm_ctx(db), 2, 2, max_frontier=max_frontier)
+    for cut_step in (0, 1.5):
+        with pytest.raises(ConfigurationError, match="cut_step"):
+            partition_cdm(_cdm_ctx(db), 2, 2, cut_step=cut_step)
 
 
 def test_micro_batch_floor_uniform():

@@ -164,9 +164,7 @@ def test_het_cdm_dp_is_optimal(down_times, up_times, D):
         allreduce_by_r=ar_by_r, allreduce_key=("brute", 4e8, 0.05),
     )
     ctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
-    # A generous frontier cap isolates DP correctness from the
-    # worst-case pruning heuristic.
-    plan = partition_cdm(ctx, S, D, heterogeneous=True, max_frontier=64)
+    plan = partition_cdm(ctx, S, D, heterogeneous=True)
 
     ld, lu = len(down_times), len(up_times)
     coeff = ctx.m_cdm + 2 * S - 2

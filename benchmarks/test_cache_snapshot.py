@@ -10,8 +10,9 @@ work):
   than cold, bit-identical plans;
 * **cross-process**: a ``ProcessPoolExecutor`` worker seeded from the
   snapshot file answers the same request stream >= 5x faster than an
-  unseeded worker, with identical responses — proving the service's
-  worker-seeding path end to end.
+  unseeded worker, with identical responses — proving the path a
+  process-pool worker takes when it loads a ``repro snapshot`` file
+  with ``PlannerCaches.load``, end to end.
 
 Light enough for the fast CI suite (``--benchmark-disable``).
 """
@@ -120,7 +121,7 @@ def test_process_pool_worker_replays_snapshot_warm(tmp_path):
     def measure():
         # One worker per measurement so no in-process state carries
         # over; the cold worker proves the baseline, the seeded worker
-        # the service's startup path.
+        # the snapshot-loading startup path.
         with ProcessPoolExecutor(max_workers=1) as pool:
             cold_report, cold, _ = pool.submit(_worker_sweep, None).result()
         with ProcessPoolExecutor(max_workers=1) as pool:

@@ -10,7 +10,7 @@
 ``registry-bypass``
     schedule builders are reached through ``get_family`` only.
 ``lock-discipline``
-    in lock-owning service/cache classes, ``self._*`` writes happen
+    in lock-owning cache classes, ``self._*`` writes happen
     under ``with self.<lock>:``.
 ``determinism``
     no wall-clock values, unseeded random, ``id()`` keys or

@@ -10,16 +10,17 @@ while passing every functional test, so ``core/``, ``schedule/`` and
 * **wall-clock values** — ``time.time()`` / ``time.monotonic()`` /
   ``time.perf_counter()`` (and their ``_ns`` twins, ``datetime.now``):
   a timestamp that reaches a plan, a memo key or a serialized report
-  differs on every run.  (The service layer measures latency with
-  ``perf_counter`` — telemetry, not plan content — and is out of scope.)
+  differs on every run.  (``repro bench`` times the planner with
+  ``perf_counter`` in ``perf.py`` — telemetry, not plan content — and
+  is out of scope.)
 * **unseeded randomness** — module-level ``random.*`` and
   ``np.random.*`` draws share process-global state; construct a seeded
   ``random.Random(seed)`` or ``np.random.default_rng(seed)`` instead.
   A bare ``np.random.default_rng()`` is equally banned: with no seed it
   pulls OS entropy, so two workers building "the same" plan disagree.
 * **``id()``** — CPython addresses differ across processes; an ``id()``
-  in a sort key or cache key reorders output between the service's
-  workers and the coordinator.
+  in a sort key or cache key reorders output between the process that
+  writes a cache snapshot and the worker that loads it.
 * **set iteration feeding ordered output** — ``for x in set(...)``,
   ``list(set(...))``, ``tuple(...)``/``enumerate(...)``/``.join(...)``
   over a set, or a list comprehension over one: with string keys the

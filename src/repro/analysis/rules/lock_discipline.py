@@ -1,7 +1,7 @@
 """Rule ``lock-discipline``: a race checker for the concurrent modules.
 
-PR 6 made :class:`~repro.service.PlanService` and the
-:class:`~repro.core.caches.PlannerCaches` stores thread-concurrent; their
+The :class:`~repro.core.caches.PlannerCaches` stores are thread-safe,
+so one instance may be shared by planners on several threads; their
 safety argument is a simple discipline: *in a class that creates a
 ``threading.Lock``, every write to ``self._*`` shared state happens
 inside a ``with self.<lock>:`` block*.  This rule enforces that
@@ -173,7 +173,7 @@ class LockDisciplineRule:
         "in lock-owning classes, writes to self._* shared state happen "
         "inside `with self.<lock>:` (GIL-atomic read paths annotated)"
     )
-    scope = ("service/*.py", "core/caches.py", "core/lru.py")
+    scope = ("core/caches.py", "core/lru.py")
     exclude = ()
 
     def check(self, src: ModuleSource) -> Iterator[Finding]:

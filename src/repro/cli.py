@@ -17,10 +17,6 @@ Commands
     array DP kernels' tables, one sweep's wall-clock, one elastic
     replan) and print them, or emit stable-schema JSON with ``--json``
     for CI artifacts.
-``serve``
-    Run the concurrent planning service (JSON lines over TCP).
-``bench-serve``
-    Drive a request stream against cold and snapshot-warmed services.
 ``snapshot``
     Warm the planner caches with a sweep and persist them to disk.
 ``analyze``
@@ -44,6 +40,7 @@ from .baselines import (
 from .cluster import p4de_cluster, single_node
 from .core import (
     DiffusionPipePlanner,
+    PlannerCaches,
     PlannerOptions,
     extract_bubbles,
     fill_strategy_names,
@@ -318,55 +315,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import PlanService
-    from .service.server import serve
-
-    service = PlanService(workers=args.workers, snapshot=args.snapshot)
-    serve(
-        service,
-        args.host,
-        args.port,
-        ready_cb=lambda port: print(
-            f"repro serve listening on {args.host}:{port} "
-            f"({args.workers or 'thread'} workers)",
-            flush=True,
-        ),
-    )
-    return 0
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .service.bench import format_report, run_bench
-
-    report = run_bench(
-        model=args.model,
-        gpus=args.gpus,
-        batches=tuple(args.batches),
-        repeats=args.repeats,
-        snapshot_path=args.snapshot,
-        workers=args.workers,
-    )
-    print(format_report(report))
-    return 0 if report["identical_responses"] else 1
-
-
 def cmd_snapshot(args: argparse.Namespace) -> int:
-    from .service import PlanRequest, PlanService
-
-    with PlanService() as service:
-        for batch in args.batches:
-            service.plan(
-                PlanRequest(
-                    model=args.model,
-                    gpus=args.gpus,
-                    batch=batch,
-                    heterogeneous=args.heterogeneous,
-                    fill_strategy=args.fill_strategy,
-                )
-            )
-        counts = service.snapshot(args.out)
-    total = sum(n for name, n in counts.items() if name != "skipped")
+    model = _build_model(args.model, None)
+    cluster = _build_cluster(args.gpus)
+    profile = Profiler(cluster).profile(model)
+    # A private instance, so the file holds exactly this sweep's entries.
+    caches = PlannerCaches()
+    planner = DiffusionPipePlanner(
+        model,
+        cluster,
+        profile,
+        options=PlannerOptions(
+            group_sizes=_group_sizes(cluster),
+            heterogeneous_replication=args.heterogeneous,
+            fill_strategy=args.fill_strategy,
+        ),
+        caches=caches,
+    )
+    for batch in args.batches:
+        try:
+            planner.plan(batch)
+        except ReproError as exc:
+            # Like `repro sweep`'s OOM cells: report and keep warming.
+            print(f"batch {batch}: planning failed: {exc}", file=sys.stderr)
+    total = sum(caches.snapshot(args.out).values())
     print(f"{total} cache entries written to {args.out}")
     return 0
 
@@ -500,28 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print Table 1").set_defaults(func=cmd_table1)
     sub.add_parser("table2", help="print Table 2").set_defaults(func=cmd_table2)
-
-    p = sub.add_parser("serve", help="run the planning service")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7461,
-                   help="TCP port (0 picks an ephemeral one)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker processes; 0 evaluates on a thread pool "
-                        "sharing one in-process cache")
-    p.add_argument("--snapshot",
-                   help="warm caches from this snapshot file (see "
-                        "'repro snapshot')")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("bench-serve",
-                       help="measure cold vs snapshot-warmed service latency")
-    p.add_argument("--model", default="sd", choices=sorted(MODELS))
-    p.add_argument("--gpus", type=int, default=8)
-    p.add_argument("--batches", type=int, nargs="+", default=[64, 128, 256])
-    p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--workers", type=int, default=0)
-    p.add_argument("--snapshot", help="keep the snapshot file here")
-    p.set_defaults(func=cmd_bench_serve)
 
     p = sub.add_parser("snapshot",
                        help="warm the planner caches and persist them")

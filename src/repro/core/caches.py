@@ -254,8 +254,8 @@ class PlannerCaches:
 
     ``partition``, ``evals`` and ``timelines`` are bounded LRUs:
     re-profiling strands their weak-keyed entries, and their values pin
-    :class:`Timeline` objects, so an unbounded store in a long-lived
-    service would grow forever.
+    :class:`Timeline` objects, so an unbounded store would grow forever
+    in a long sweep or an elastic session replanning in one process.
     """
 
     def __init__(self) -> None:
@@ -272,14 +272,14 @@ class PlannerCaches:
     # -- maintenance ---------------------------------------------------------
 
     def clear(self, profiles: Sequence["ProfileDB"] = ()) -> None:
-        """Epoch reset for long-lived services.
+        """Epoch reset for long-lived planners.
 
         Empties every store this instance owns and — for each profile
         passed — wholesale-clears the float-keyed interpolation caches
         that have no per-hit LRU bookkeeping (``ProfileDB._stage_cache``
         and each ``LayerProfile``'s forward/backward memos).
         Everything is recomputed identically on the next query, so a
-        periodic ``clear`` bounds a service sweeping unbounded distinct
+        periodic ``clear`` bounds a long sweep over unbounded distinct
         batch values without slowing the hot interpolation path."""
         self.partition.clear()
         self.comm.clear()
@@ -317,9 +317,9 @@ class PlannerCaches:
     _PROFILE_STORES = ("het", "cdm", "prefixes")
     _FILL_STORES = ("expansions", "prefixes", "finals")
 
-    def snapshot(self, path, *, include_timelines: bool = True) -> dict:
+    def snapshot(self, path) -> dict:
         """Write the warm M-independent DP tables, the prefix/fill-shape
-        entries and (by default) the timeline memo to ``path``.
+        entries and the timeline memo to ``path``.
 
         Entries are re-keyed by profile content fingerprint (see
         :meth:`ProfileDB.fingerprint`), so the snapshot can be restored
@@ -353,10 +353,9 @@ class PlannerCaches:
                 by_fp.setdefault(fp_of(profile), []).append((key, value))
             stores[name] = by_fp
             counts[name] = sum(len(v) for v in by_fp.values())
-        if include_timelines:
-            entries = self.timelines.items()
-            stores["timelines"] = entries
-            counts["timelines"] = len(entries)
+        entries = self.timelines.items()
+        stores["timelines"] = entries
+        counts["timelines"] = len(entries)
         fills: dict[str, list] = {}
         for name in self._FILL_STORES:
             store = getattr(self.fills, name)
@@ -453,8 +452,8 @@ def default_caches() -> PlannerCaches:
     (including planners constructed with ``caches=None``) share this
     instance, preserving the cross-planner warm sharing the retired
     module-level globals provided.  Code that needs isolation — tests,
-    workers with seeded stores, leak-sensitive services — passes its
-    own instance instead and never touches this one.
+    ``repro snapshot``, workers seeded from a snapshot — passes its own
+    instance instead and never touches this one.
     """
     global _default_caches
     if _default_caches is None:

@@ -14,8 +14,8 @@ PlannerCaches` ownership:
 * :class:`ProfileKeyedStore` — the per-profile pattern previously
   duplicated across partition.py, partition_cdm.py and filling.py: a
   ``WeakKeyDictionary[ProfileDB, OrderedDict]`` whose inner dicts are
-  bounded LRUs, so tables die with their profile and a long-lived
-  service sweeping arbitrary (float) batch keys stays bounded.
+  bounded LRUs, so tables die with their profile and a long sweep
+  over arbitrary (float) batch keys stays bounded.
 
 Reads take a lock-free fast path: CPython dict operations are atomic
 under the GIL, values are pure functions of their keys, and the worst

@@ -184,7 +184,7 @@ class DiffusionPipePlanner:
         used, so independent planners share warm DP tables, prefix
         arrays and timelines exactly as the old module-level caches
         provided; pass an explicit instance for full isolation (tests,
-        services with per-tenant stores).
+        ``repro snapshot``, snapshot-seeded workers).
     """
 
     def __init__(

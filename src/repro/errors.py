@@ -62,7 +62,3 @@ class EngineError(ReproError):
 class SnapshotError(ReproError):
     """A planner-cache snapshot could not be written or restored
     (unknown format version, corrupt payload, wrong magic)."""
-
-
-class ServiceError(ReproError):
-    """The planner service rejected or failed a request."""

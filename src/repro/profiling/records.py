@@ -164,10 +164,10 @@ class LayerProfile:
         """Drop the per-batch interpolation memos (generation reset).
 
         The memos are plain dicts keyed by float batch values — a
-        long-lived service sweeping unbounded distinct batches would
-        grow them forever, and per-hit LRU bookkeeping on this hottest
-        of paths costs real time.  A cheap wholesale clear (called from
-        :meth:`ProfileDB.reset_caches` /
+        long sweep or elastic session planning unbounded distinct
+        batches would grow them forever, and per-hit LRU bookkeeping
+        on this hottest of paths costs real time.  A cheap wholesale
+        clear (called from :meth:`ProfileDB.reset_caches` /
         ``PlannerCaches.clear``) bounds them instead."""
         self._fwd_cache.clear()  # type: ignore[attr-defined]
         self._bwd_cache.clear()  # type: ignore[attr-defined]

@@ -3,14 +3,16 @@
 Each rule gets a firing fixture and a near-miss (the closest legal
 spelling) on a tmp tree whose layout mimics the package, so the scope
 globs are exercised with the real package-relative paths
-(``core/x.py``, ``service/x.py``, ...).  The engine itself is covered
+(``core/x.py``, ``schedule/x.py``, ...).  The engine itself is covered
 for suppressions (used, stale, unknown-id, rule-subset), the JSON
-finding schema, registry errors, and the two acceptance gates: the
-shipped tree is clean, and a full run stays under the 2 s budget.
+finding schema, registry errors, and the acceptance gates: the shipped
+tree is clean with every module parsed exactly once, and (``slow``) a
+full run stays under the 2 s budget.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 import time
@@ -23,6 +25,7 @@ from repro.analysis import (
     get_rule,
     rule_names,
 )
+from repro.analysis.engine import package_root
 from repro.cli import main
 from repro.errors import ConfigurationError
 
@@ -147,7 +150,7 @@ LOCKED_CLASS = """\
 
 
 def test_lock_discipline_fires_outside_lock(tmp_path):
-    findings = run(tmp_path, "service/state.py", LOCKED_CLASS,
+    findings = run(tmp_path, "core/lru.py", LOCKED_CLASS,
                    ["lock-discipline"])
     msgs = [f.message for f in findings]
     assert len(findings) == 2
@@ -156,7 +159,7 @@ def test_lock_discipline_fires_outside_lock(tmp_path):
 
 
 def test_lock_discipline_ignores_unlocked_classes(tmp_path):
-    findings = run(tmp_path, "service/plain.py", """\
+    findings = run(tmp_path, "core/caches.py", """\
         class Plain:
             def set(self, v):
                 self._v = v
@@ -165,7 +168,7 @@ def test_lock_discipline_ignores_unlocked_classes(tmp_path):
 
 
 def test_lock_discipline_scope(tmp_path):
-    # same class outside service/ and core/caches|lru: out of scope
+    # same class outside core/caches.py and core/lru.py: out of scope
     findings = run(tmp_path, "core/planner.py", LOCKED_CLASS,
                    ["lock-discipline"])
     assert findings == []
@@ -232,9 +235,9 @@ def test_determinism_covers_elastic_path(tmp_path):
     assert findings[0].path.endswith("core/elastic.py")
 
 
-def test_determinism_scope_excludes_service(tmp_path):
-    # the service layer's latency telemetry may read wall clocks
-    findings = run(tmp_path, "service/telemetry.py",
+def test_determinism_scope_excludes_bench(tmp_path):
+    # `repro bench` (perf.py) times the planner with wall clocks
+    findings = run(tmp_path, "perf.py",
                    "import time\nNOW = time.perf_counter()\n",
                    ["determinism"])
     assert findings == []
@@ -417,11 +420,33 @@ def test_findings_sort_by_path_then_line(tmp_path):
 # -- acceptance gates -------------------------------------------------------
 
 
-def test_shipped_tree_is_clean_and_fast():
-    start = time.perf_counter()
+def test_shipped_tree_is_clean_and_fast(monkeypatch):
+    """Clean, and fast by design: every module is parsed exactly once
+    and its tree shared by every rule (a counter, not a clock)."""
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
     findings = analyze()
-    elapsed = time.perf_counter() - start
     assert findings == [], "\n".join(f.format() for f in findings)
+    modules = sorted(
+        str(p) for p in package_root().rglob("*.py")
+        if "__pycache__" not in p.parts
+    )
+    assert sorted(parsed) == modules, (
+        f"{len(parsed)} parses for {len(modules)} modules"
+    )
+
+
+@pytest.mark.slow
+def test_shipped_tree_analyzes_within_budget():
+    start = time.perf_counter()
+    analyze()
+    elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"analyze() took {elapsed:.2f}s (budget 2s)"
 
 

@@ -2,9 +2,9 @@
 
 `ProfileDB._stage_cache` and each `LayerProfile`'s per-batch
 forward/backward memos are plain dicts on the hottest interpolation
-path — deliberately without per-hit LRU bookkeeping.  A long-lived
-service sweeping unbounded distinct batch values grows them without
-bound; `ProfileDB.reset_caches()` (wired into `PlannerCaches.clear`)
+path — deliberately without per-hit LRU bookkeeping.  A long sweep
+over unbounded distinct batch values grows them without bound;
+`ProfileDB.reset_caches()` (wired into `PlannerCaches.clear`)
 is the cheap generation reset that keeps them bounded.
 """
 

@@ -4,15 +4,22 @@ The on-disk format re-keys weak profile references by content
 fingerprint, so a snapshot taken in one process restores onto a
 *freshly re-profiled* model in another.  These tests cover the
 round trip (counts, warm hits, identical plans), the subset/skip
-semantics, and rejection of unknown versions and foreign files.
+semantics, rejection of unknown versions and foreign files, and the
+``repro snapshot`` file replayed in a process with another hash seed.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster import single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
 from repro.core.caches import SNAPSHOT_MAGIC
@@ -71,7 +78,7 @@ def test_snapshot_skips_unknown_profiles(tmp_path):
     warm = PlannerCaches()
     _warm_sweep(warm, profile, model, cluster)
     path = tmp_path / "caches.snap"
-    written = warm.snapshot(path, include_timelines=False)
+    written = warm.snapshot(path)
 
     other = PlannerCaches()
     counts = other.load(path, [])  # no live profiles at all
@@ -109,3 +116,72 @@ def test_snapshot_rejects_foreign_files(tmp_path):
 
     with pytest.raises(SnapshotError, match="cannot read"):
         PlannerCaches().load(tmp_path / "does-not-exist", [])
+
+
+# Re-profiles sd on 2 GPUs in a fresh interpreter, restores the snapshot
+# named by argv[1] (if any) into a fresh PlannerCaches, plans the
+# batches `repro snapshot` warmed, and prints the plans' bit patterns.
+_REPLAY = """
+import json, sys
+from repro.cli import _build_cluster, _build_model, _group_sizes
+from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
+from repro.profiling import Profiler
+
+model = _build_model("sd", None)
+cluster = _build_cluster(2)
+profile = Profiler(cluster).profile(model)
+caches = PlannerCaches()
+restored = caches.load(sys.argv[1], [profile]) if len(sys.argv) > 1 else {}
+options = PlannerOptions(
+    group_sizes=_group_sizes(cluster), fill_strategy="lookahead"
+)
+planner = DiffusionPipePlanner(
+    model, cluster, profile, options=options, caches=caches
+)
+plans = {b: planner.plan(b).plan for b in (32, 64)}
+stats = caches.stats()
+print(json.dumps({
+    "restored": restored,
+    "plans": {
+        str(b): [p.throughput.hex(), p.iteration_ms.hex()]
+        for b, p in plans.items()
+    },
+    "misses": {n: stats.store(n).misses for n in ("het", "timelines")},
+}))
+"""
+
+
+def _python(args, hash_seed):
+    """Run ``python *args`` with the package importable and a pinned
+    ``PYTHONHASHSEED``; return its stdout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_snapshot_replays_under_another_hash_seed(tmp_path):
+    """A file written by ``repro snapshot`` under one hash seed restores
+    under another: string-keyed entries must not depend on set or dict
+    order, and every DP table and simulation replays from the restored
+    memos."""
+    path = str(tmp_path / "warm.snap")
+    out = _python(
+        ["-m", "repro", "snapshot", "--model", "sd", "--gpus", "2",
+         "--fill-strategy", "lookahead", "--batches", "32", "64",
+         "--out", path],
+        hash_seed=1,
+    )
+    assert "cache entries written" in out
+    warm = json.loads(_python(["-c", _REPLAY, path], hash_seed=2))
+    cold = json.loads(_python(["-c", _REPLAY], hash_seed=3))
+    assert warm["restored"]["skipped"] == 0
+    assert warm["restored"]["fills.finals"] > 0
+    assert warm["plans"] == cold["plans"]
+    assert warm["misses"] == {"het": 0, "timelines": 0}
+    assert cold["misses"]["het"] > 0 and cold["misses"]["timelines"] > 0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import PlannerCaches
 
 
 def test_models_command(capsys):
@@ -213,3 +214,23 @@ def test_oracles_are_not_cli_choices():
             with pytest.raises(SystemExit) as exc:
                 main([cmd, "--model", "sd", "--gpus", "8", *extra])
             assert exc.value.code == 2
+
+
+def test_snapshot_reports_infeasible_batches(capsys, tmp_path):
+    """An infeasible batch is reported on stderr, the remaining batches
+    are still planned, and the file is written with exit status 0 —
+    as `repro sweep` reports an OOM batch and goes on."""
+    path = tmp_path / "warm.snap"
+    rc = main([
+        "snapshot", "--model", "sd", "--gpus", "2",
+        "--batches", "4096", "32", "--out", str(path),
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "batch 4096: planning failed: no feasible configuration for "
+        "global batch 4096 on 2 devices"
+    ]
+    assert f"cache entries written to {path}" in captured.out
+    # Only batch 32 has a feasible config to simulate.
+    assert PlannerCaches().load(path, [])["timelines"] > 0

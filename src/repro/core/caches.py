@@ -57,7 +57,7 @@ KERNEL_PLAN_CACHE_MAX = 256
 SNAPSHOT_MAGIC = "repro-planner-caches"
 #: bumped whenever a stored key's layout changes: entries are pickled
 #: with their keys as-is, so an old file would load but never hit
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 class FillShapeCache:
@@ -134,29 +134,6 @@ class CacheStats:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "stores": {s.name: s.as_dict() for s in self.stores},
-            "fill_plan_hits": self.fill_plan_hits,
-            "fill_plan_misses": self.fill_plan_misses,
-        }
-
-    def format(self) -> str:
-        lines = [
-            f"{'store':<18} {'entries':>8} {'hits':>9} {'misses':>9} "
-            f"{'evict':>7} {'hit%':>6}"
-        ]
-        for s in self.stores:
-            lines.append(
-                f"{s.name:<18} {s.entries:>8} {s.hits:>9} {s.misses:>9} "
-                f"{s.evictions:>7} {100 * s.hit_rate:>5.1f}%"
-            )
-        lines.append(
-            f"fill plan replays: {self.fill_plan_hits} warm / "
-            f"{self.fill_plan_misses} cold"
-        )
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

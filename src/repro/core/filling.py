@@ -35,7 +35,7 @@ from ..profiling.records import ProfileDB
 from .bubbles import Bubble
 from .caches import FillShapeCache, PlannerCaches, default_caches
 from .lru import ProfileKeyedStore
-from .plan import BubbleUtilization, FillItem, FillReport
+from .plan import BubbleUtilization, FillItem, FillReport, positive_int
 
 __all__ = [
     "VALID_LOCAL_BATCHES",
@@ -449,8 +449,10 @@ class BubbleFiller:
     ):
         if batch <= 0:
             raise FillingError("batch must be positive")
-        if lookahead_beam is not None and lookahead_beam < 1:
-            raise FillingError("lookahead_beam must be at least 1")
+        if lookahead_beam is not None and not positive_int(lookahead_beam):
+            raise FillingError(
+                f"lookahead_beam must be an integer >= 1, got {lookahead_beam!r}"
+            )
         self.profile = profile
         self.model = model
         self.caches = caches if caches is not None else default_caches()

@@ -6,8 +6,8 @@ same policy: move an entry to the back on hit, evict the least recently
 used on insert at capacity.  One implementation here keeps the copies
 from drifting.
 
-Two store classes wrap the raw helpers for :class:`~repro.core.caches.
-PlannerCaches` ownership:
+Two store classes serve :class:`~repro.core.caches.PlannerCaches`
+ownership:
 
 * :class:`LruStore` — a flat bounded LRU with hit/miss/eviction
   counters and a coarse lock for concurrent writers.
@@ -32,24 +32,6 @@ from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 
-def lru_get(cache: OrderedDict, key):
-    """Return ``cache[key]`` (refreshing its recency) or None."""
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def lru_put(cache: OrderedDict, key, value, max_entries: int) -> None:
-    """Insert ``key -> value``, evicting the oldest entries at capacity."""
-    if key in cache:
-        cache.move_to_end(key)
-    else:
-        while len(cache) >= max_entries:
-            cache.popitem(last=False)
-    cache[key] = value
-
-
 @dataclass
 class StoreStats:
     """Hit/miss/eviction counters plus the live entry count of a store."""
@@ -60,29 +42,14 @@ class StoreStats:
     evictions: int
     entries: int
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": self.entries,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
 
 class LruStore:
     """A flat bounded LRU with counters, safe for concurrent readers.
 
     ``max_entries=None`` disables eviction (for stores whose key space
     is naturally bounded, like the per-topology comm constants).
-    ``None`` values cannot be stored — like :func:`lru_get`, a ``None``
-    from :meth:`get` always means *miss*.
+    ``None`` values cannot be stored: a ``None`` from :meth:`get`
+    always means *miss*.
     """
 
     def __init__(self, max_entries: int | None, *, name: str = ""):

@@ -37,9 +37,7 @@ transition per cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from numbers import Integral
-from typing import Callable
+from dataclasses import dataclass
 
 from ..cluster.collectives import CommCosts
 from ..errors import ConfigurationError, PartitionError
@@ -48,24 +46,17 @@ from .caches import PlannerCaches, default_caches
 from .plan import PartitionPlan, StageAssignment
 
 
-def _positive_int(v) -> bool:
-    """Whether ``v`` is an integer >= 1 (numpy integers included)."""
-    return isinstance(v, Integral) and v >= 1
-
-
 @dataclass(frozen=True)
 class PartitionContext:
     """Everything the stage cost functions need.
 
-    ``allreduce`` prices every stage's gradient all-reduce with one
-    flat :class:`CommCosts` pair.  A stage's sync group actually spans
-    its ``r`` replicas times the data-parallel degree, so callers that
-    know the cluster layout can instead supply ``allreduce_by_r`` — a
-    per-replica-count cost resolver — and the DPs price Eqn. 4
-    faithfully for every candidate ``r``.  ``allreduce_key`` must then
-    identify the resolver's constants (a hashable value such as
-    ``(cluster, D)``): DP memo keys use it in place of the callable,
-    which is neither hashable nor comparable across planner instances.
+    ``allreduce`` is the sync model of Eqn. 4: one :class:`CommCosts`
+    pair for every replica count, or a tuple whose entry ``r - 1``
+    prices a stage of ``r`` replicas.  A stage's sync group spans its
+    ``r`` replicas times the data-parallel degree, so callers that know
+    the cluster layout pass the tuple and the DPs price Eqn. 4
+    faithfully for every candidate ``r``.  Either form is hashable, so
+    DP memo keys hold it as is.
 
     ``pricing`` selects the per-stage bound the DP optimises.  The
     ``"default"`` mode is Eqn. 1 as stated; ``"zerobubble"`` prices the
@@ -85,32 +76,25 @@ class PartitionContext:
     batch_per_group: float
     num_micro_batches: int
     p2p: CommCosts
-    allreduce: CommCosts
+    allreduce: CommCosts | tuple[CommCosts, ...]
     self_conditioning: bool = False
     self_conditioning_prob: float = 0.5
-    allreduce_by_r: Callable[[int], CommCosts] | None = field(
-        default=None, compare=False
-    )
-    allreduce_key: tuple | None = None
     pricing: str = "default"
     #: Per-device relative compute speeds along the pipeline group's
     #: device chain (group-local ranks ``0..D-1``; the planner folds the
     #: data-parallel replicas of each position to their bottleneck).
-    #: ``None`` — the homogeneous default — keeps every DP on the
-    #: unscaled code path byte-for-byte.  A tuple routes the DPs through
-    #: the scaled stage bounds: a stage on window ``[pd, pd+r)`` divides
-    #: its compute (never its communication) by the window's minimum
-    #: factor.  The tuple is deliberately *not* canonicalised: an
-    #: all-1.0 tuple exercises the scaled path and must reduce
-    #: bit-identically to ``None`` (x / 1.0 is IEEE-exact), which the
-    #: property suite asserts.
+    #: ``None`` is the homogeneous group: every window factor is 1.0.
+    #: A stage on window ``[pd, pd+r)`` divides its compute (never its
+    #: communication) by the window's minimum factor.  The tuple is
+    #: deliberately *not* canonicalised, so homogeneous cache keys stay
+    #: ``None``; an all-1.0 tuple must plan bit-identically to ``None``
+    #: (x / 1.0 is IEEE-exact), which the property suite asserts.
     speed_scales: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.allreduce_by_r is not None and self.allreduce_key is None:
+        if isinstance(self.allreduce, tuple) and not self.allreduce:
             raise ConfigurationError(
-                "allreduce_by_r needs an allreduce_key identifying its "
-                "constants for the DP memo keys"
+                "an allreduce tuple must price at least one replica count"
             )
         if self.pricing not in ("default", "zerobubble"):
             raise ConfigurationError(
@@ -142,17 +126,14 @@ class PartitionContext:
 
     def allreduce_for(self, replicas: int) -> CommCosts:
         """The all-reduce constants of a stage with ``replicas`` devices."""
-        if self.allreduce_by_r is not None:
-            return self.allreduce_by_r(replicas)
-        return self.allreduce
-
-    @property
-    def sync_key(self) -> tuple | CommCosts:
-        """Hashable identity of the sync-cost model, for DP memo keys
-        whose tables span several replica counts."""
-        if self.allreduce_by_r is not None:
-            return self.allreduce_key
-        return self.allreduce
+        if not isinstance(self.allreduce, tuple):
+            return self.allreduce
+        if replicas > len(self.allreduce):
+            raise ConfigurationError(
+                f"the allreduce tuple prices {len(self.allreduce)} replica "
+                f"counts; a stage of {replicas} replicas is past it"
+            )
+        return self.allreduce[replicas - 1]
 
     @property
     def comp_scale(self) -> float:
@@ -186,16 +167,29 @@ class StageCosts:
     """Per-stage cost evaluator with prefix-sum acceleration.
 
     All quantities are per micro-batch at the stage's local batch size
-    ``micro_batch / r``.
+    ``micro_batch / r``.  ``comm_scale`` multiplies the boundary
+    communication of Eqns. 3 and 17; the bidirectional DP passes
+    :data:`~.partition_cdm.CDM_COMM_SCALE` for the 2x link competition
+    of Eqn. 10.
+
+    Every bound divides its compute term (never communication) by the
+    hosting window's bottleneck speed factor ``scale``, and the sync gap
+    divides its compensation by the group's ``comp_scale`` (see
+    :attr:`PartitionContext.comp_scale`).  Both default to 1.0, the
+    homogeneous group, and the division is unconditional — no identity
+    gate — so the elementwise op sequence matches the array kernels
+    exactly.
     """
 
-    def __init__(self, ctx: PartitionContext, replicas: int):
+    def __init__(
+        self, ctx: PartitionContext, replicas: int, comm_scale: float = 1.0
+    ):
         if replicas <= 0:
             raise ConfigurationError("replicas must be positive")
         self.ctx = ctx
         self.replicas = replicas
+        self.comm_scale = comm_scale
         #: all-reduce constants resolved for this stage's replica count
-        #: (falls back to the context's flat ``allreduce`` pair).
         self.sync_costs = ctx.allreduce_for(replicas)
         prof = ctx.profile
         comp = ctx.component
@@ -250,22 +244,27 @@ class StageCosts:
             self.ctx.component, lo - 1, self.local_batch
         )
         total = (forwards + 1) * nbytes / self.ctx.p2p.bandwidth
-        return total + (forwards + 1 + 1) * self.ctx.p2p.latency
+        return (
+            total + (forwards + 1 + 1) * self.ctx.p2p.latency
+        ) * self.comm_scale
 
     # -- per-stage bounds ---------------------------------------------------------
 
-    def t0(self, lo: int, hi: int) -> float:
+    def t0(self, lo: int, hi: int, scale: float = 1.0) -> float:
         """Eqn. 3: max(compute, communication) for stage ``[lo, hi)``."""
-        return max(self.fwd(lo, hi) + self.bwd(lo, hi), self.boundary_comm_ms(lo))
+        return max(
+            (self.fwd(lo, hi) + self.bwd(lo, hi)) / scale,
+            self.boundary_comm_ms(lo),
+        )
 
-    def t0_sc(self, lo: int, hi: int) -> float:
+    def t0_sc(self, lo: int, hi: int, scale: float = 1.0) -> float:
         """Eqn. 17: the self-conditioning variant (two forward passes)."""
         return max(
-            2.0 * self.fwd(lo, hi) + self.bwd(lo, hi),
+            (2.0 * self.fwd(lo, hi) + self.bwd(lo, hi)) / scale,
             self.boundary_comm_ms(lo, forwards=2),
         )
 
-    def t0_ramp(self, lo: int, hi: int) -> float:
+    def t0_ramp(self, lo: int, hi: int, scale: float = 1.0) -> float:
         """Zero-bubble ramp bound: the warm-up/cool-down slots of the
         split-backward schedule pay only forward + grad-input (B) time —
         the grad-weight (W) work slides off the ramp into bubbles.  The
@@ -273,7 +272,8 @@ class StageCosts:
         B *and* W both still execute while a stage's sync runs, so
         ``bwd(0, lo)`` remains a valid overlap lower bound."""
         return max(
-            self.fwd(lo, hi) + self.bwd_b(lo, hi), self.boundary_comm_ms(lo)
+            (self.fwd(lo, hi) + self.bwd_b(lo, hi)) / scale,
+            self.boundary_comm_ms(lo),
         )
 
     def sync_ms(self, lo: int, hi: int) -> float:
@@ -288,9 +288,10 @@ class StageCosts:
         stage, i.e. the work still running when the stage's sync starts."""
         return self.bwd(0, lo)
 
-    def sync_gap(self, lo: int, hi: int) -> float:
-        """Eqn. 6: ``T_S(s) - T_C(s)``."""
-        return self.sync_ms(lo, hi) - self.compensation_ms(lo)
+    def sync_gap(self, lo: int, hi: int, comp_scale: float = 1.0) -> float:
+        """Eqn. 6: ``T_S(s) - T_C(s)``, the compensation deflated by the
+        group's maximum speed factor ``comp_scale``."""
+        return self.sync_ms(lo, hi) - self.compensation_ms(lo) / comp_scale
 
     def feedback_ms(self) -> float:
         """``T_F`` of §4.3: last-stage output fed back to stage 0."""
@@ -298,40 +299,6 @@ class StageCosts:
             self.ctx.component, self.num_layers - 1, self.local_batch
         )
         return nbytes / self.ctx.p2p.bandwidth + self.ctx.p2p.latency
-
-    # -- speed-scaled bounds ------------------------------------------------------
-    #
-    # Used only when ``ctx.speed_scales`` is set; each divides the
-    # compute term (never communication) by the hosting window's
-    # bottleneck factor, unconditionally — no identity gate — so the
-    # elementwise op sequence matches the array kernels exactly and a
-    # scale of 1.0 stays bit-identical to the unscaled bound.
-
-    def t0_scaled(self, lo: int, hi: int, scale: float) -> float:
-        """Eqn. 3 on a device window with bottleneck factor ``scale``."""
-        return max(
-            (self.fwd(lo, hi) + self.bwd(lo, hi)) / scale,
-            self.boundary_comm_ms(lo),
-        )
-
-    def t0_sc_scaled(self, lo: int, hi: int, scale: float) -> float:
-        """Eqn. 17 (two forwards) under a window speed factor."""
-        return max(
-            (2.0 * self.fwd(lo, hi) + self.bwd(lo, hi)) / scale,
-            self.boundary_comm_ms(lo, forwards=2),
-        )
-
-    def t0_ramp_scaled(self, lo: int, hi: int, scale: float) -> float:
-        """Zero-bubble ramp bound under a window speed factor."""
-        return max(
-            (self.fwd(lo, hi) + self.bwd_b(lo, hi)) / scale,
-            self.boundary_comm_ms(lo),
-        )
-
-    def sync_gap_scaled(self, lo: int, hi: int, comp_scale: float) -> float:
-        """Eqn. 6 with the compensation deflated by the group's maximum
-        speed factor (see :attr:`PartitionContext.comp_scale`)."""
-        return self.sync_ms(lo, hi) - self.compensation_ms(lo) / comp_scale
 
 
 # -- Pareto machinery -------------------------------------------------------------
@@ -482,19 +449,19 @@ class _LazyStageCosts:
     The heterogeneous DPs only ever touch replica counts that some
     feasible assignment can use (``r <= D - S + 1``); building the
     O(L) prefix sums for the rest — as the eager ``costs_by_r`` dict
-    used to — is pure waste.  ``build`` lets variants substitute their
-    own evaluator (the bidirectional DP's comm-scaled one).
+    used to — is pure waste.  ``comm_scale`` is passed to every
+    :class:`StageCosts` (the bidirectional DP's link enlargement).
     """
 
-    def __init__(self, ctx: PartitionContext, build=StageCosts):
+    def __init__(self, ctx: PartitionContext, comm_scale: float = 1.0):
         self._ctx = ctx
-        self._build = build
+        self._comm_scale = comm_scale
         self._by_r: dict[int, StageCosts] = {}
 
     def __call__(self, r: int) -> StageCosts:
         costs = self._by_r.get(r)
         if costs is None:
-            costs = self._by_r[r] = self._build(self._ctx, r)
+            costs = self._by_r[r] = StageCosts(self._ctx, r, self._comm_scale)
         return costs
 
 
@@ -548,9 +515,8 @@ def _het_frontiers(
             ctx.micro_batch,
             ctx.p2p,
             # One free table spans every replica count, so the key
-            # carries the sync model's identity (the resolver's constant
-            # tuple, or the flat CommCosts pair when no resolver is set).
-            ctx.sync_key,
+            # carries the whole sync model.
+            ctx.allreduce,
             ctx.self_conditioning,
             # Zero-bubble pricing repurposes the second frontier
             # coordinate for the ramp bound, so its tables must not
@@ -573,7 +539,7 @@ def _het_frontiers(
             ctx.micro_batch / r,
             ctx.p2p,
             # The sync constants actually resolved for this replica
-            # count: with a per-replica-count resolver, contexts sharing
+            # count: with a per-replica-count tuple, contexts sharing
             # one stage-local batch but differing in (micro-batch, r)
             # price Eqn. 4 differently and must not share a table.
             ctx.allreduce_for(r),

@@ -37,13 +37,8 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
 from .caches import PlannerCaches, default_caches
-from .partition import (
-    PartitionContext,
-    StageCosts,
-    _LazyStageCosts,
-    _positive_int,
-)
-from .plan import PartitionPlan, StageAssignment
+from .partition import PartitionContext
+from .plan import PartitionPlan, StageAssignment, positive_int
 
 #: the paper enlarges communication by 2x for bidirectional pipelines
 CDM_COMM_SCALE = 2.0
@@ -91,22 +86,6 @@ class CDMPartitionContext:
     def m_cdm(self) -> int:
         """Paired forward/backward stage count of the stable phase."""
         return self.down.num_micro_batches + self.up.num_micro_batches
-
-
-class _ScaledCosts(StageCosts):
-    """Stage costs with the bidirectional communication enlargement."""
-
-    def __init__(self, ctx: PartitionContext, replicas: int, comm_scale: float):
-        super().__init__(ctx, replicas)
-        self._comm_scale = comm_scale
-
-    def boundary_comm_ms(self, lo: int, forwards: int = 1) -> float:
-        return super().boundary_comm_ms(lo, forwards) * self._comm_scale
-
-
-def _lazy_scaled_costs(ctx: PartitionContext, comm_scale: float):
-    """Per-replica-count :class:`_ScaledCosts`, built on first use."""
-    return _LazyStageCosts(ctx, lambda c, r: _ScaledCosts(c, r, comm_scale))
 
 
 def _cut_points(n: int, cut_step: int) -> list[int]:
@@ -168,12 +147,11 @@ def _cdm_frontiers(
             up.micro_batch,
             down.p2p,
             # One free table spans every replica count, so the key
-            # carries the sync model's identity (the per-r resolver's
-            # constant tuple, or the flat CommCosts pair), exactly like
-            # a free ``PlannerCaches.het`` key.
-            down.sync_key,
+            # carries the whole sync model, exactly like a free
+            # ``PlannerCaches.het`` key.
+            down.allreduce,
             up.p2p,
-            up.sync_key,
+            up.allreduce,
             ctx.comm_scale,
             cut_step,
             down.pricing,
@@ -202,9 +180,8 @@ def _cdm_frontiers(
             up.micro_batch / r,
             down.p2p,
             # Sync constants resolved for the uniform replica count:
-            # with a per-replica-count resolver these differ across r
-            # even at one stage-local batch, so the flat pair must not
-            # stand in.
+            # with a per-replica-count tuple these differ across r even
+            # at one stage-local batch.
             down.allreduce_for(r),
             up.p2p,
             up.allreduce_for(r),
@@ -365,7 +342,7 @@ def partition_cdm(
     D = group_size
     if S <= 0 or D <= 0:
         raise ConfigurationError("num_stages and group_size must be positive")
-    if not _positive_int(cut_step):
+    if not positive_int(cut_step):
         raise ConfigurationError(
             f"cut_step must be an integer >= 1, got {cut_step!r}"
         )

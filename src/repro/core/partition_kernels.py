@@ -96,49 +96,35 @@ def _cost_slabs(
     *,
     sc: bool,
     zb: bool,
-    scale: float | None = None,
-    comp_scale: float | None = None,
+    scale: float,
+    comp_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense ``[lo, hi]`` slabs of ``(t0, alt, sync_gap)``.
 
     ``alt`` is the frontier's second coordinate: ``t0_sc`` under
     self-conditioning, ``t0_ramp`` under zero-bubble pricing, ``t0``
     otherwise.  Every element reproduces the scalar methods' float
-    compositions exactly (prefix-difference, then add, then max), and
-    the boundary-communication columns are produced by the *instance*
-    method, so subclasses (the CDM comm-scaled costs) price themselves.
-
-    ``scale``/``comp_scale`` select the speed-scaled bound variants
-    (``t0_scaled`` etc.): compute divided by the hosting window's
-    bottleneck factor, compensation deflated by the group maximum —
-    unconditionally, matching the scalar methods' op sequence, so 1.0
-    stays bit-identical to the unscaled slab.  ``None`` (the
-    homogeneous default) keeps the original op sequence byte-for-byte.
+    compositions exactly (prefix-difference, then add, then divide by
+    the window factor ``scale``, then max; the compensation divided by
+    ``comp_scale``), and the boundary-communication columns come from
+    :meth:`StageCosts.boundary_comm_ms`, so the CDM link enlargement
+    prices itself.
     """
     F = np.asarray(costs._fwd)
     B = np.asarray(costs._bwd)
     fw = F[None, :] - F[:, None]
     bw = B[None, :] - B[:, None]
     comm1 = np.asarray([costs.boundary_comm_ms(lo) for lo in range(L + 1)])
-    if scale is None:
-        t0 = np.maximum(fw + bw, comm1[:, None])
-    else:
-        t0 = np.maximum((fw + bw) / scale, comm1[:, None])
+    t0 = np.maximum((fw + bw) / scale, comm1[:, None])
     if sc:
         comm2 = np.asarray(
             [costs.boundary_comm_ms(lo, forwards=2) for lo in range(L + 1)]
         )
-        if scale is None:
-            alt = np.maximum(2.0 * fw + bw, comm2[:, None])
-        else:
-            alt = np.maximum((2.0 * fw + bw) / scale, comm2[:, None])
+        alt = np.maximum((2.0 * fw + bw) / scale, comm2[:, None])
     elif zb:
         W = np.asarray(costs._bww)
         bb = np.maximum(0.0, bw - (W[None, :] - W[:, None]))
-        if scale is None:
-            alt = np.maximum(fw + bb, comm1[:, None])
-        else:
-            alt = np.maximum((fw + bb) / scale, comm1[:, None])
+        alt = np.maximum((fw + bb) / scale, comm1[:, None])
     else:
         alt = t0
     G = np.asarray(costs._grad)
@@ -147,10 +133,7 @@ def _cost_slabs(
         g == 0, 0.0, g / costs.sync_costs.bandwidth + costs.sync_costs.latency
     )
     comp = B - costs._bwd[0]
-    if comp_scale is None:
-        gap = sync - comp[:, None]
-    else:
-        gap = sync - (comp / comp_scale)[:, None]
+    gap = sync - (comp / comp_scale)[:, None]
     return t0, alt, gap
 
 
@@ -406,6 +389,28 @@ def _flatten_entries(
     return tuple(np.asarray(c, dtype=np.float64) for c in cols) + (counts,)
 
 
+def _slab_ids(
+    ctx, D: int, r_values, fixed_r: int | None
+) -> tuple[np.ndarray, list[tuple[int, float]]]:
+    """One cost slab per distinct ``(r, window factor)``.
+
+    A stage of ``r`` replicas starting at group-local device ``pd``
+    runs at the bottleneck factor ``ctx.window_scale(pd, r)`` (1.0 on a
+    homogeneous group); pinned stages start only at multiples of
+    ``fixed_r``.  Returns ``SID``, mapping ``(pd, r)`` to its slab so
+    the value gathers stay single fancy-index expressions, and each
+    slab's ``(r, factor)`` in id order.
+    """
+    step = 1 if fixed_r is None else fixed_r
+    SID = np.zeros((D + 1, max(r_values, default=0) + 1), dtype=np.int64)
+    slab_id: dict[tuple[int, float], int] = {}
+    for r in r_values:
+        for pd in range(0, D - r + 1, step):
+            key = (r, ctx.window_scale(pd, r))
+            SID[pd, r] = slab_id.setdefault(key, len(slab_id))
+    return SID, list(slab_id)
+
+
 def _expand_batches(
     P_b: np.ndarray, ecounts: np.ndarray, tb_starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -452,31 +457,14 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
         r_values = range(fixed_r, fixed_r + 1)
     rmax = max(r_values, default=0)
     costs_for = _LazyStageCosts(ctx)
-    scaled = ctx.speed_scales is not None
-    comp_scale = ctx.comp_scale if scaled else None
-    # One cost slab per distinct (r, window factor): a stage of r
-    # replicas starting at group-local device pd runs at the bottleneck
-    # of scales[pd:pd+r].  SID maps (pd, r) to its slab, so the value
-    # gathers below stay single fancy-index expressions.  Homogeneous
-    # groups need one slab per r; pinned stages start only at
-    # multiples of fixed_r.
-    SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
-    slab_id: dict[tuple[int, float | None], int] = {}
-    for r in r_values:
-        if not scaled:
-            SID[:, r] = slab_id.setdefault((r, None), len(slab_id))
-            continue
-        step = r if fixed_r is not None else 1
-        for pd in range(0, D - r + 1, step):
-            key = (r, ctx.window_scale(pd, r))
-            SID[pd, r] = slab_id.setdefault(key, len(slab_id))
-    shape = (len(slab_id), L + 1, L + 1)
+    SID, slabs = _slab_ids(ctx, D, r_values, fixed_r)
+    shape = (len(slabs), L + 1, L + 1)
     ST0 = np.zeros(shape)
     SALT = np.zeros(shape)
     SGAP = np.zeros(shape)
-    for (r, w), sid in slab_id.items():
+    for sid, (r, w) in enumerate(slabs):
         ST0[sid], SALT[sid], SGAP[sid] = _cost_slabs(
-            costs_for(r), L, sc=sc, zb=zb, scale=w, comp_scale=comp_scale
+            costs_for(r), L, sc=sc, zb=zb, scale=w, comp_scale=ctx.comp_scale
         )
 
     history: list[dict[tuple, list[tuple]]] = [
@@ -744,11 +732,7 @@ def cdm_table_array(
     Replica counts above ``D - S + 1`` are never feasible (every other
     position needs a device), so every larger ``r_cap`` shares one plan.
     """
-    from .partition_cdm import (
-        _cut_points,
-        _lazy_scaled_costs,
-        _min_gap,
-    )
+    from .partition_cdm import _cut_points, _min_gap
 
     cuts_d = _cut_points(ld, cut_step)
     cuts_u = _cut_points(lu, cut_step)
@@ -770,56 +754,29 @@ def cdm_table_array(
         if plans is not None:
             plans.put(plan_key, plan)
 
-    costs_d_for = _lazy_scaled_costs(ctx.down, ctx.comm_scale)
-    costs_u_for = _lazy_scaled_costs(ctx.up, ctx.comm_scale)
+    costs_d_for = _LazyStageCosts(ctx.down, ctx.comm_scale)
+    costs_u_for = _LazyStageCosts(ctx.up, ctx.comm_scale)
     r_used = sorted(
         set().union(*(np.unique(stage["R"]).tolist() for stage in plan))
     )
-    rmax = max(r_used, default=0)
-    scaled = ctx.down.speed_scales is not None
-    if not scaled:
-        STD = np.zeros((rmax + 1, ld + 1, ld + 1))
-        SGD = np.zeros((rmax + 1, ld + 1, ld + 1))
-        STU = np.zeros((rmax + 1, lu + 1, lu + 1))
-        SGU = np.zeros((rmax + 1, lu + 1, lu + 1))
-        for r in r_used:
-            STD[r], _, SGD[r] = _cost_slabs(
-                costs_d_for(r), ld, sc=False, zb=False
-            )
-            STU[r], _, SGU[r] = _cost_slabs(
-                costs_u_for(r), lu, sc=False, zb=False
-            )
-        SID = None
-    else:
-        # Chain position k hosts its down AND up stage on the same
-        # device window [pd, pd+r), so one (r, window factor) slab id
-        # serves both chains' gathers (see het_table_array).
-        comp_scale = ctx.down.comp_scale
-        SID = np.zeros((D + 1, rmax + 1), dtype=np.int64)
-        slab_id: dict[tuple[int, float], int] = {}
-        slab_params: list[tuple[int, float]] = []
-        for r in r_used:
-            for pd in range(D - r + 1):
-                key = (r, ctx.down.window_scale(pd, r))
-                sid = slab_id.get(key)
-                if sid is None:
-                    sid = slab_id[key] = len(slab_params)
-                    slab_params.append(key)
-                SID[pd, r] = sid
-        nslab = len(slab_params)
-        STD = np.zeros((nslab, ld + 1, ld + 1))
-        SGD = np.zeros((nslab, ld + 1, ld + 1))
-        STU = np.zeros((nslab, lu + 1, lu + 1))
-        SGU = np.zeros((nslab, lu + 1, lu + 1))
-        for sid, (r, w) in enumerate(slab_params):
-            STD[sid], _, SGD[sid] = _cost_slabs(
-                costs_d_for(r), ld, sc=False, zb=False,
-                scale=w, comp_scale=comp_scale,
-            )
-            STU[sid], _, SGU[sid] = _cost_slabs(
-                costs_u_for(r), lu, sc=False, zb=False,
-                scale=w, comp_scale=comp_scale,
-            )
+    # Chain position k hosts its down AND up stage on the same device
+    # window [pd, pd+r), so one (r, window factor) slab id serves both
+    # chains' gathers.
+    SID, slabs = _slab_ids(ctx.down, D, r_used, fixed_r)
+    comp_scale = ctx.down.comp_scale
+    STD = np.zeros((len(slabs), ld + 1, ld + 1))
+    SGD = np.zeros((len(slabs), ld + 1, ld + 1))
+    STU = np.zeros((len(slabs), lu + 1, lu + 1))
+    SGU = np.zeros((len(slabs), lu + 1, lu + 1))
+    for sid, (r, w) in enumerate(slabs):
+        STD[sid], _, SGD[sid] = _cost_slabs(
+            costs_d_for(r), ld, sc=False, zb=False,
+            scale=w, comp_scale=comp_scale,
+        )
+        STU[sid], _, SGU[sid] = _cost_slabs(
+            costs_u_for(r), lu, sc=False, zb=False,
+            scale=w, comp_scale=comp_scale,
+        )
 
     frontiers: list[dict[tuple[int, int, int], list[tuple]]] = [
         {(0, 0, 0): [(0.0, float("-inf"), -1, -1, 0, -1)]}
@@ -837,7 +794,7 @@ def cdm_table_array(
 
         PA_b = PA[P_b]
         PB_b = PB[P_b]
-        K_b = SID[st["PD"][P_b], R_b] if scaled else R_b
+        K_b = SID[st["PD"][P_b], R_b]
         td = STD[K_b, PA_b, A_b]
         gd = SGD[K_b, PA_b, A_b]
         tu = STU[K_b, lu - B_b, lu - PB_b]

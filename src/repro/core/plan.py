@@ -9,9 +9,15 @@ bubble-filling outcome + memory report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping
 
 from ..errors import ConfigurationError
+
+
+def positive_int(v) -> bool:
+    """Whether ``v`` is an integer >= 1 (numpy integers included)."""
+    return isinstance(v, Integral) and v >= 1
 
 
 @dataclass(frozen=True)

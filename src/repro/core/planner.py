@@ -44,7 +44,7 @@ from .caches import CacheStats, PlannerCaches, default_caches
 from .cross_iteration import compose_iteration
 from .fill_strategies import FILL_STRATEGIES, fill_strategy_names
 from .filling import VALID_LOCAL_BATCHES, BubbleFiller, FillShapeCache
-from .partition import PartitionContext, _positive_int, partition_backbone
+from .partition import PartitionContext, partition_backbone
 from .partition_cdm import CDMPartitionContext, partition_cdm
 from .plan import (
     ExecutionPlan,
@@ -52,6 +52,7 @@ from .plan import (
     MemoryReport,
     PartitionPlan,
     StageAssignment,
+    positive_int,
 )
 
 __all__ = [
@@ -63,6 +64,10 @@ __all__ = [
     "default_caches",
     "DiffusionPipePlanner",
 ]
+
+
+#: chunks per device of the ``interleaved`` family (Megatron's ``v = 2``)
+VIRTUAL_STAGES = 2
 
 
 def _expected(p: float, plain: float, sc: float) -> float:
@@ -97,9 +102,6 @@ class PlannerOptions:
     #: family on a cascaded model, or vice versa) raises at planner
     #: construction.
     schedule: str = "auto"
-    #: chunks per device of the ``interleaved`` family (Megatron's
-    #: ``v``); ignored by every other family
-    virtual_stages: int = 2
     #: beam-width cap of the ``lookahead`` fill strategy; it runs
     #: narrower by default and widens up to this at decision points
     #: (see README "Bubble filling")
@@ -114,21 +116,30 @@ class PlannerOptions:
     cdm_cut_step: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_stages < 2:
-            raise ConfigurationError("max_stages must be at least 2")
+        if not (positive_int(self.max_stages) and self.max_stages >= 2):
+            raise ConfigurationError(
+                f"max_stages must be an integer >= 2, got {self.max_stages!r}"
+            )
+        if self.group_sizes is not None and not all(
+            positive_int(g) and g >= 2 for g in self.group_sizes
+        ):
+            raise ConfigurationError(
+                "group_sizes entries must be integers >= 2, got "
+                f"{self.group_sizes!r}"
+            )
         if not self.micro_batch_counts:
             raise ConfigurationError("micro_batch_counts must be non-empty")
-        if not all(_positive_int(m) for m in self.micro_batch_counts):
+        if not all(positive_int(m) for m in self.micro_batch_counts):
             raise ConfigurationError(
                 "micro_batch_counts must be integers >= 1, got "
                 f"{self.micro_batch_counts!r}"
             )
-        if not all(_positive_int(b) for b in self.partial_batch_menu):
+        if not all(positive_int(b) for b in self.partial_batch_menu):
             raise ConfigurationError(
                 "partial_batch_menu entries must be integers >= 1, got "
                 f"{self.partial_batch_menu!r}"
             )
-        if not _positive_int(self.cdm_cut_step):
+        if not positive_int(self.cdm_cut_step):
             raise ConfigurationError(
                 f"cdm_cut_step must be an integer >= 1, got {self.cdm_cut_step!r}"
             )
@@ -141,19 +152,17 @@ class PlannerOptions:
                 f"unknown fill strategy {self.fill_strategy!r}; "
                 f"registered: {fill_strategy_names()}"
             )
-        if self.lookahead_beam < 1:
-            raise ConfigurationError("lookahead_beam must be at least 1")
+        if not positive_int(self.lookahead_beam):
+            raise ConfigurationError(
+                "lookahead_beam must be an integer >= 1, got "
+                f"{self.lookahead_beam!r}"
+            )
         from ..schedule import SCHEDULE_FAMILIES
 
         if self.schedule != "auto" and self.schedule not in SCHEDULE_FAMILIES:
             raise ConfigurationError(
                 f"unknown schedule family {self.schedule!r}; "
                 f"registered: {('auto',) + schedule_family_names()}"
-            )
-        if self.virtual_stages < 2:
-            raise ConfigurationError(
-                "virtual_stages must be at least 2 (one chunk per device "
-                "is plain 1F1B — use schedule='onef1b')"
             )
 
 
@@ -332,8 +341,9 @@ class DiffusionPipePlanner:
         groups are contiguous rank blocks), and a stage's step time is
         set by its slowest replica, so the fold across groups is the
         bottleneck (minimum).  Returns ``None`` for clusters without
-        speed overrides, keeping every partition DP and stage-exec
-        build on the unscaled code path byte-for-byte.
+        speed overrides: the homogeneous value of
+        :attr:`PartitionContext.speed_scales`, which keeps DP cache keys
+        shared across speed-agnostic callers.
         """
         cluster = self.cluster
         if not cluster.speed_factors:
@@ -386,9 +396,7 @@ class DiffusionPipePlanner:
                 # fits everywhere or it does not fit at all.
                 capacity_bytes=self.cluster.min_memory_bytes(),
                 schedule=self.schedule,
-                virtual_stages=(
-                    self.options.virtual_stages if self._family.chunked else 1
-                ),
+                virtual_stages=VIRTUAL_STAGES if self._family.chunked else 1,
             )
             if not memory.fits:
                 return None
@@ -567,7 +575,7 @@ class DiffusionPipePlanner:
         change the DP's inputs.
         """
         if self._family.chunked:
-            return ("chunked", self.options.virtual_stages)
+            return ("chunked",)
         if self._family.splits_backward and not self.model.self_conditioning:
             return ("zerobubble",)
         return ("default",)
@@ -616,27 +624,13 @@ class DiffusionPipePlanner:
         self, batch_per_group: float, D: int, S: int, M: int
     ) -> PartitionPlan:
         p2p = self._p2p_costs(D)
-        # Per-replica-count sync model: the DPs resolve every candidate
-        # stage's all-reduce constants through this callback, so the Y
-        # term prices Eqn. 4 faithfully for each replica count instead
-        # of reusing one representative pair.  The key names the
-        # callback's constants — (cluster, D) determine the sync group
-        # of every r — standing in for the (unhashable) callable in the
-        # per-profile DP memo keys.
-        ar_by_r = lambda r: self._allreduce_costs(D, r)  # noqa: E731
-        # Content-based resolver identity: the key names the constants
-        # the callback can actually resolve (one CommCosts per replica
-        # count) rather than the cluster object that produced them.  An
-        # elastic replan on a different cluster identity (a machine
-        # left and rejoined) then warm-hits every DP table whose sync
-        # constants are genuinely unchanged, instead of missing on an
-        # incidental cluster field.
-        ar_key = ("ar-resolved", D, tuple(ar_by_r(r) for r in range(1, D + 1)))
-        # Flat-pair fallback, unread while the resolver is set: every
-        # cost path resolves through allreduce_for.  Filled with the
-        # uniform stage's constants so direct readers of the context see
-        # a representative value.
-        ar = ar_by_r(max(D // S, 1))
+        # Per-replica-count sync model: entry r-1 prices the all-reduce
+        # of a stage with r replicas, so the Y term prices Eqn. 4
+        # faithfully for every candidate replica count.  The tuple is
+        # its own DP memo key, so an elastic replan on a different
+        # cluster identity (a machine left and rejoined) warm-hits every
+        # table whose sync constants are genuinely unchanged.
+        ar = tuple(self._allreduce_costs(D, r) for r in range(1, D + 1))
         speed_scales = self._group_speed_scales(D)
         names = self.model.backbone_names
         if len(names) == 1:
@@ -650,8 +644,6 @@ class DiffusionPipePlanner:
                 allreduce=ar,
                 self_conditioning=self.model.self_conditioning,
                 self_conditioning_prob=self.model.self_conditioning_prob,
-                allreduce_by_r=ar_by_r,
-                allreduce_key=ar_key,
                 pricing="zerobubble" if mode[0] == "zerobubble" else "default",
                 speed_scales=speed_scales,
             )
@@ -663,12 +655,12 @@ class DiffusionPipePlanner:
                 # chunks.  Running the DP with v*S stages on a virtual
                 # v*D budget keeps the homogeneous replica count at
                 # r = D/S per chunk while p2p and all-reduce constants
-                # stay priced from the real group (closures above).
+                # stay priced from the real group (see above).
                 # The DP's ramp coefficient then over-counts (2vS-2 vs
                 # the schedule's shorter per-chunk ramps), which only
                 # biases *which* cut it prefers — final throughput
                 # always comes from simulating the real chunk chain.
-                v = self.options.virtual_stages
+                v = VIRTUAL_STAGES
                 plan = partition_backbone(
                     ctx, S * v, D * v, heterogeneous=False,
                     caches=self.caches,
@@ -688,8 +680,6 @@ class DiffusionPipePlanner:
             num_micro_batches=M,
             p2p=p2p,
             allreduce=ar,
-            allreduce_by_r=ar_by_r,
-            allreduce_key=ar_key,
             speed_scales=speed_scales,
         )
         ctx_up = replace(ctx_down, component=names[1])
@@ -719,13 +709,15 @@ class DiffusionPipePlanner:
         if group_size is None:
             group_size = sum(st.replicas for st in chain)
         p2p = self._p2p_costs(group_size)
-        scales = self._group_speed_scales(group_size)
+        scales = self._group_speed_scales(group_size) or (1.0,) * group_size
         # Device windows along the chain: stage i occupies the devices
         # where stage i-1's replicas end, matching the partition DP's
         # placement convention.  The up chain of the bidirectional
         # schedule is traversed in its own stage order but placed in
         # reverse chain order (up stage j shares position S-1-j's
-        # devices), so its windows are suffix sums.
+        # devices), so its windows are suffix sums.  An interleaved
+        # chunk chain runs past the group (chunk c lands on position
+        # c mod S), so window starts wrap modulo the group size.
         offsets = [0]
         for st in chain:
             offsets.append(offsets[-1] + st.replicas)
@@ -748,21 +740,19 @@ class DiffusionPipePlanner:
             # grad-weight share, B the exact remainder.
             bwd_w = prof.stage_bwd_w_ms(st.component, st.lo, st.hi, local)
             bwd_b = prof.stage_bwd_b_ms(st.component, st.lo, st.hi, local)
-            if scales is not None:
-                # The stage runs at its window's bottleneck speed — the
-                # same min-over-window the partition DP priced — so the
-                # simulated timeline and the DP's T0 agree on slowdowns.
-                # Comm terms (send/sync) are never compute-scaled.
-                pd = (
-                    offsets[-1] - offsets[i + 1]
-                    if reverse_windows
-                    else offsets[i]
-                )
-                w = min(scales[pd : pd + st.replicas])
-                fwd /= w
-                bwd /= w
-                bwd_w /= w
-                bwd_b /= w
+            # The stage runs at its window's bottleneck speed — the same
+            # min-over-window the partition DP priced, 1.0 on a
+            # homogeneous group — so the simulated timeline and the DP's
+            # T0 agree on slowdowns.  Comm terms (send/sync) are never
+            # compute-scaled.
+            pd = (
+                offsets[-1] - offsets[i + 1] if reverse_windows else offsets[i]
+            ) % group_size
+            w = min(scales[pd : pd + st.replicas])
+            fwd /= w
+            bwd /= w
+            bwd_w /= w
+            bwd_b /= w
             execs.append(
                 StageExec(
                     index=i,
@@ -977,7 +967,7 @@ class DiffusionPipePlanner:
                 # partition.down is the chunk chain: v chunks per
                 # device-chain position, all replicating identically,
                 # so the simulator sees S/v physical positions.
-                positions = S // self.options.virtual_stages
+                positions = S // VIRTUAL_STAGES
             else:
                 positions = S
             weights = {

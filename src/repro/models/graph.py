@@ -149,7 +149,3 @@ class ModelSpec:
     def frozen_param_bytes(self) -> float:
         """Total parameter bytes across frozen components."""
         return sum(c.param_bytes for c in self.non_trainable)
-
-    def non_trainable_forward_flops(self, batch_size: float) -> float:
-        """Total frozen-part forward FLOPs at a batch size."""
-        return sum(c.forward_flops(batch_size) for c in self.non_trainable)

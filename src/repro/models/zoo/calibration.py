@@ -24,7 +24,6 @@ Calibration anchors (all at batch size 64 on one A100-80GB):
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from ...cluster.device import DeviceSpec, a100_80gb
@@ -183,8 +182,3 @@ def total_train_ms(
         + layer_backward_time_ms(l, batch_size, device)
         for l in layers
     )
-
-
-def with_layer_overhead(layers: Sequence[LayerSpec], overhead_ms: float) -> list[LayerSpec]:
-    """Copies of ``layers`` with a given fixed per-layer overhead."""
-    return [replace(l, fixed_overhead_ms=overhead_ms) for l in layers]

@@ -156,10 +156,6 @@ class LayerProfile:
             cache[batch] = t
         return t
 
-    def backward_input_ms(self, batch: float) -> float:
-        """Grad-input (B) component: ``backward - W``, exactly."""
-        return self.backward_ms(batch) - self.backward_weight_ms(batch)
-
     def reset_caches(self) -> None:
         """Drop the per-batch interpolation memos (generation reset).
 
@@ -357,11 +353,6 @@ class ProfileDB:
         return self.stage_fwd_ms(component, lo, hi, batch) + self.stage_bwd_ms(
             component, lo, hi, batch
         )
-
-    def stage_param_bytes(self, component: str, lo: int, hi: int) -> float:
-        """Parameter bytes of layers ``[lo, hi)``."""
-        self._check_range(component, lo, hi)
-        return sum(self.layer(component, i).param_bytes for i in range(lo, hi))
 
     def stage_grad_bytes(self, component: str, lo: int, hi: int) -> float:
         """Gradient bytes of layers ``[lo, hi)`` (the ``G`` of Eqn. 4)."""

@@ -29,7 +29,6 @@ def chain_frontiers_reference(
     reference the fold test holds ``het_table_array(fixed_r=r)`` to.
     """
     costs = StageCosts(ctx, r)
-    scaled = ctx.speed_scales is not None
     comp_scale = ctx.comp_scale
     prev: list[list[tuple]] = [[] for _ in range(L + 1)]
     prev[0] = [(0.0, 0.0, float("-inf"), -1, -1)]
@@ -39,7 +38,7 @@ def chain_frontiers_reference(
         cur: list[list[tuple]] = [[] for _ in range(L + 1)]
         # Stage s (1-based) replicates on the group-local device window
         # [(s-1)r, sr); its compute runs at the window's bottleneck pace.
-        sigma = ctx.window_scale((s - 1) * r, r) if scaled else 1.0
+        sigma = ctx.window_scale((s - 1) * r, r)
         # A prefix of l layers in s stages needs l >= s and leaves at
         # least S - s layers for the remaining stages.
         for l in range(s, L - (S - s) + 1):
@@ -48,27 +47,17 @@ def chain_frontiers_reference(
                 parents = prev[c]
                 if not parents:
                     continue
-                if scaled:
-                    t0 = costs.t0_scaled(c, l, sigma)
-                    if ctx.self_conditioning:
-                        t0_sc = costs.t0_sc_scaled(c, l, sigma)
-                    elif ctx.zb_pricing:
-                        t0_sc = costs.t0_ramp_scaled(c, l, sigma)
-                    else:
-                        t0_sc = t0
-                    gap = costs.sync_gap_scaled(c, l, comp_scale)
+                t0 = costs.t0(c, l, sigma)
+                if ctx.self_conditioning:
+                    t0_sc = costs.t0_sc(c, l, sigma)
+                elif ctx.zb_pricing:
+                    # The second coordinate carries the split-backward
+                    # ramp bound (see _objective); dominance over the
+                    # triple is still a monotone max-composition.
+                    t0_sc = costs.t0_ramp(c, l, sigma)
                 else:
-                    t0 = costs.t0(c, l)
-                    if ctx.self_conditioning:
-                        t0_sc = costs.t0_sc(c, l)
-                    elif ctx.zb_pricing:
-                        # The second coordinate carries the split-backward
-                        # ramp bound (see _objective); dominance over the
-                        # triple is still a monotone max-composition.
-                        t0_sc = costs.t0_ramp(c, l)
-                    else:
-                        t0_sc = t0
-                    gap = costs.sync_gap(c, l)
+                    t0_sc = t0
+                gap = costs.sync_gap(c, l, comp_scale)
                 for pi, parent in enumerate(parents):
                     pw, pwsc, py = parent[0], parent[1], parent[2]
                     cand = (
@@ -98,7 +87,6 @@ def het_frontiers_reference(
     ``fixed_r`` pins every stage's replica count, as the kernel's does.
     """
     costs_for = _LazyStageCosts(ctx)
-    scaled = ctx.speed_scales is not None
     comp_scale = ctx.comp_scale
     #: per-(r, lo, hi, window-scale) segment costs — distinct parent
     #: states reach the same stage slice (and, under mixed speeds, equal
@@ -148,24 +136,14 @@ def het_frontiers_reference(
                     vals = seg.get(seg_key)
                     if vals is None:
                         costs = costs_for(r)
-                        if scaled:
-                            t0 = costs.t0_scaled(pl, l, w)
-                            if ctx.self_conditioning:
-                                t0_sc = costs.t0_sc_scaled(pl, l, w)
-                            elif ctx.zb_pricing:
-                                t0_sc = costs.t0_ramp_scaled(pl, l, w)
-                            else:
-                                t0_sc = t0
-                            gap = costs.sync_gap_scaled(pl, l, comp_scale)
+                        t0 = costs.t0(pl, l, w)
+                        if ctx.self_conditioning:
+                            t0_sc = costs.t0_sc(pl, l, w)
+                        elif ctx.zb_pricing:
+                            t0_sc = costs.t0_ramp(pl, l, w)
                         else:
-                            t0 = costs.t0(pl, l)
-                            if ctx.self_conditioning:
-                                t0_sc = costs.t0_sc(pl, l)
-                            elif ctx.zb_pricing:
-                                t0_sc = costs.t0_ramp(pl, l)
-                            else:
-                                t0_sc = t0
-                            gap = costs.sync_gap(pl, l)
+                            t0_sc = t0
+                        gap = costs.sync_gap(pl, l, comp_scale)
                         vals = seg[seg_key] = (t0, t0_sc, gap)
                     t0, t0_sc, gap = vals
                     # Last-stage buckets are additionally keyed by the

@@ -7,16 +7,11 @@ count, ``fixed_r=None`` lets each position choose.
 
 from __future__ import annotations
 
-from repro.core.partition import pareto_insert
-from repro.core.partition_cdm import (
-    CDMPartitionContext,
-    _cut_points,
-    _lazy_scaled_costs,
-    _min_gap,
-)
+from repro.core.partition import _LazyStageCosts, pareto_insert
+from repro.core.partition_cdm import CDMPartitionContext, _cut_points, _min_gap
 
 
-def _seg_eval(costs_for, comp_scale: float | None = None):
+def _seg_eval(costs_for, comp_scale: float):
     """Lazy per-``(r, lo, hi, window-scale)`` segment ``(t0, sync_gap)``
     memo.
 
@@ -25,24 +20,21 @@ def _seg_eval(costs_for, comp_scale: float | None = None):
     ``<= L - (S-1) * min-cut`` can appear in a completable partition),
     so slices are now evaluated on first use and memoized.  The uniform
     DP calls it with its one fixed replica count; the heterogeneous DP
-    spans every ``r``.  A window scale ``w`` (``None`` on homogeneous
-    groups) routes the slice through the speed-scaled bounds; equal
-    windows share a memo entry.
+    spans every ``r``.  The slice's compute is divided by its window
+    scale ``w`` (1.0 on homogeneous groups); equal windows share a memo
+    entry.
     """
     memo: dict[tuple, tuple[float, float]] = {}
 
-    def get(r: int, lo: int, hi: int, w: float | None = None):
+    def get(r: int, lo: int, hi: int, w: float):
         key = (r, lo, hi, w)
         v = memo.get(key)
         if v is None:
             costs = costs_for(r)
-            if w is None:
-                v = memo[key] = (costs.t0(lo, hi), costs.sync_gap(lo, hi))
-            else:
-                v = memo[key] = (
-                    costs.t0_scaled(lo, hi, w),
-                    costs.sync_gap_scaled(lo, hi, comp_scale),
-                )
+            v = memo[key] = (
+                costs.t0(lo, hi, w),
+                costs.sync_gap(lo, hi, comp_scale),
+            )
         return v
 
     return get
@@ -64,10 +56,9 @@ def cdm_dp_table_reference(
     candidate goes through ``pareto_insert``, and no frontier is ever
     truncated.
     """
-    scaled = ctx.down.speed_scales is not None
     comp_scale = ctx.down.comp_scale
-    eval_d = _seg_eval(_lazy_scaled_costs(ctx.down, ctx.comm_scale), comp_scale)
-    eval_u = _seg_eval(_lazy_scaled_costs(ctx.up, ctx.comm_scale), comp_scale)
+    eval_d = _seg_eval(_LazyStageCosts(ctx.down, ctx.comm_scale), comp_scale)
+    eval_u = _seg_eval(_LazyStageCosts(ctx.up, ctx.comm_scale), comp_scale)
 
     cuts_d = _cut_points(ld, cut_step)
     # Up-backbone boundaries are addressed as suffix lengths ``b``; the
@@ -124,7 +115,7 @@ def cdm_dp_table_reference(
                     # Position k-1 occupies the device window
                     # [pd, pd+r); its down AND up stage are co-located
                     # there, so one bottleneck factor scales both.
-                    w = ctx.down.window_scale(pd, r) if scaled else None
+                    w = ctx.down.window_scale(pd, r)
                     td, gd = eval_d(r, pa, a, w)
                     for b in b_iter:
                         tu, gu = eval_u(r, lu - b, lu - pb, w)

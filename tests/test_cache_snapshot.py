@@ -87,11 +87,12 @@ def test_snapshot_skips_unknown_profiles(tmp_path):
 
 
 def test_snapshot_rejects_unknown_version(tmp_path):
-    """A future version, and versions 1 to 3: their table and
+    """A future version, and versions 1 to 4: their table and
     fill-shape keys have layouts the current keys no longer have (the
-    ``cdm`` keys of version 3 still carry a frontier-cap slot), so
-    their entries would load but never hit."""
-    for version in (999, 1, 2, 3):
+    ``cdm`` keys of version 3 still carry a frontier-cap slot, and the
+    free-table keys of version 4 wrap the sync model in an
+    ``"ar-resolved"`` tag), so their entries would load but never hit."""
+    for version in (999, 1, 2, 3, 4):
         path = tmp_path / f"v{version}.snap"
         with open(path, "wb") as fh:
             pickle.dump(

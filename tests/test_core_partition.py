@@ -293,28 +293,23 @@ def test_heterogeneous_sc_feedback_not_pruned():
 
 
 def test_per_replica_sync_model_resolved_in_stage_costs():
-    """With an ``allreduce_by_r`` resolver, StageCosts prices Eqn. 4
-    with the constants of its own replica count; without one it falls
-    back to the flat pair."""
+    """With an ``allreduce`` tuple, StageCosts prices Eqn. 4 with the
+    constants of its own replica count (entry ``r - 1``); a single pair
+    prices every count."""
     import itertools
 
-    ar_by_r = lambda r: CommCosts(bandwidth=1e9 * r, latency=0.2 / r)  # noqa: E731
+    ar = tuple(
+        CommCosts(bandwidth=1e9 * r, latency=0.2 / r) for r in (1, 2, 3)
+    )
     ctx = PartitionContext(
         profile=make_synthetic_db(), component="backbone",
         batch_per_group=64.0, num_micro_batches=4,
-        p2p=FAST_P2P, allreduce=FAST_AR,
-        allreduce_by_r=ar_by_r, allreduce_key=("t", 1e9, 0.2),
+        p2p=FAST_P2P, allreduce=ar,
     )
     for r in (1, 2, 3):
-        assert StageCosts(ctx, r).sync_costs == ar_by_r(r)
+        assert StageCosts(ctx, r).sync_costs == ar[r - 1]
     flat = _ctx()
     assert StageCosts(flat, 2).sync_costs == FAST_AR
-    with pytest.raises(ConfigurationError, match="allreduce_key"):
-        PartitionContext(
-            profile=make_synthetic_db(), component="backbone",
-            batch_per_group=64.0, num_micro_batches=4,
-            p2p=FAST_P2P, allreduce=FAST_AR, allreduce_by_r=ar_by_r,
-        )
 
     # Brute force: the heterogeneous DP is optimal under the r-indexed
     # sync model (each stage's Y term uses its own constants).
@@ -338,37 +333,41 @@ def test_per_replica_sync_model_resolved_in_stage_costs():
     assert plan.t_max_ms == pytest.approx(best, rel=1e-9)
 
 
+def test_allreduce_tuple_rejections():
+    """An empty tuple fails at construction; a replica count past the
+    tuple fails when it is priced, naming both numbers."""
+    ar = (CommCosts(bandwidth=1e9, latency=0.1),) * 2
+    with pytest.raises(ConfigurationError, match="at least one"):
+        _ctx(ar=())
+    ctx = _ctx(ar=ar)
+    assert ctx.allreduce_for(2) == ar[1]
+    with pytest.raises(ConfigurationError, match=r"prices 2 .* of 3 "):
+        ctx.allreduce_for(3)
+    with pytest.raises(ConfigurationError, match="prices 2"):
+        StageCosts(ctx, 3)
+
+
 def test_het_cache_keyed_by_sync_model():
-    """Two contexts differing only in their sync resolver constants
-    must not share a heterogeneous DP table."""
+    """Equal ``allreduce`` tuples share one heterogeneous DP table;
+    tuples that differ in one entry do not."""
     from repro.core import PlannerCaches
 
     db = make_synthetic_db()
     caches = PlannerCaches()
 
-    def ctx_with(key, scale):
-        return PartitionContext(
-            profile=db, component="backbone", batch_per_group=64.0,
-            num_micro_batches=4, p2p=FAST_P2P, allreduce=FAST_AR,
-            allreduce_by_r=lambda r: CommCosts(
-                bandwidth=scale * r, latency=0.1
-            ),
-            allreduce_key=key,
+    def ctx_with(bw2):
+        ar = tuple(
+            CommCosts(bandwidth=bw, latency=0.1) for bw in (1e9, bw2, 3e9)
         )
+        return _ctx(db, ar=ar)
 
-    partition_backbone(
-        ctx_with(("a", 1e9), 1e9), 2, 3, heterogeneous=True, caches=caches
-    )
+    partition_backbone(ctx_with(2e9), 2, 3, heterogeneous=True, caches=caches)
     n = caches.het.entry_count(db)
-    # Same constants: memo hit, no new table.
-    partition_backbone(
-        ctx_with(("a", 1e9), 1e9), 2, 3, heterogeneous=True, caches=caches
-    )
+    # An equal tuple built afresh: memo hit, no new table.
+    partition_backbone(ctx_with(2e9), 2, 3, heterogeneous=True, caches=caches)
     assert caches.het.entry_count(db) == n
-    # Different resolver constants: a new table.
-    partition_backbone(
-        ctx_with(("a", 5e8), 5e8), 2, 3, heterogeneous=True, caches=caches
-    )
+    # One entry differs: a new table.
+    partition_backbone(ctx_with(5e8), 2, 3, heterogeneous=True, caches=caches)
     assert caches.het.entry_count(db) == n + 1
 
 

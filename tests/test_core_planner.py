@@ -133,6 +133,10 @@ def test_planner_options_validation():
     """Bad values fail at construction, not later inside ``plan()``."""
     for bad in (
         dict(max_stages=1),
+        dict(max_stages=2.5),
+        dict(group_sizes=(2.0,)),
+        dict(group_sizes=(4, 1)),
+        dict(fill_strategy="lookahead", lookahead_beam=2.5),
         dict(micro_batch_counts=()),
         dict(micro_batch_counts=(0,)),
         dict(micro_batch_counts=(-2,)),

@@ -321,11 +321,14 @@ def test_lookahead_beam_cut_still_not_worse_than_greedy():
 
 
 def test_planner_options_validate_lookahead_beam(uniform, uniform_profile):
-    with pytest.raises(ConfigurationError):
-        PlannerOptions(lookahead_beam=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ConfigurationError):
+            PlannerOptions(lookahead_beam=bad)
+        with pytest.raises(ConfigurationError):
+            PlannerOptions(fill_strategy="lookahead", lookahead_beam=bad)
+        with pytest.raises(FillingError):
+            BubbleFiller(uniform_profile, uniform, batch=64, lookahead_beam=bad)
     assert PlannerOptions(lookahead_beam=8).lookahead_beam == 8
-    with pytest.raises(FillingError):
-        BubbleFiller(uniform_profile, uniform, batch=64, lookahead_beam=0)
 
 
 def test_lookahead_beam_threads_from_filler():

@@ -31,7 +31,6 @@ from repro.core import (
     partition_cdm,
 )
 from repro.core.filling import ComponentState, valid_partial_samples
-from repro.core.partition_cdm import _ScaledCosts
 from repro.profiling import ProfileDB
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
@@ -117,8 +116,8 @@ def test_cdm_dp_is_optimal(down_times, up_times):
     ctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
     plan = partition_cdm(ctx, S, S)
 
-    dc = _ScaledCosts(ctx.down, 1, ctx.comm_scale)
-    uc = _ScaledCosts(ctx.up, 1, ctx.comm_scale)
+    dc = StageCosts(ctx.down, 1, ctx.comm_scale)
+    uc = StageCosts(ctx.up, 1, ctx.comm_scale)
     ld, lu = len(down_times), len(up_times)
     coeff = ctx.m_cdm + 2 * S - 2
     best = float("inf")
@@ -146,8 +145,8 @@ def test_cdm_dp_is_optimal(down_times, up_times):
 def test_het_cdm_dp_is_optimal(down_times, up_times, D):
     """The heterogeneous bidirectional DP equals brute force over all
     (cut pair, per-position replica assignment) combinations, with an
-    r-dependent all-reduce resolver so the per-replica-count sync model
-    is exercised too."""
+    r-dependent all-reduce tuple so the per-replica-count sync model is
+    exercised too."""
     S = 2
     db = ProfileDB.from_layer_times(
         {"down": list(down_times), "up": list(up_times)},
@@ -155,25 +154,25 @@ def test_het_cdm_dp_is_optimal(down_times, up_times, D):
         trainable={"down": True, "up": True},
     )
     # Sync constants that genuinely vary with the replica count.
-    ar_by_r = lambda r: CommCosts(  # noqa: E731
-        bandwidth=4e8 * (1.0 + 0.5 * r), latency=0.05 * r
+    ar = tuple(
+        CommCosts(bandwidth=4e8 * (1.0 + 0.5 * r), latency=0.05 * r)
+        for r in range(1, D + 1)
     )
     mk = lambda comp: PartitionContext(  # noqa: E731
         profile=db, component=comp, batch_per_group=64.0,
-        num_micro_batches=2, p2p=FAST, allreduce=FAST,
-        allreduce_by_r=ar_by_r, allreduce_key=("brute", 4e8, 0.05),
+        num_micro_batches=2, p2p=FAST, allreduce=ar,
     )
     ctx = CDMPartitionContext(down=mk("down"), up=mk("up"))
     plan = partition_cdm(ctx, S, D, heterogeneous=True)
 
     ld, lu = len(down_times), len(up_times)
     coeff = ctx.m_cdm + 2 * S - 2
-    costs: dict[tuple[str, int], _ScaledCosts] = {}
+    costs: dict[tuple[str, int], StageCosts] = {}
 
     def sc(which, pctx, r):
         key = (which, r)
         if key not in costs:
-            costs[key] = _ScaledCosts(pctx, r, ctx.comm_scale)
+            costs[key] = StageCosts(pctx, r, ctx.comm_scale)
         return costs[key]
 
     best = float("inf")

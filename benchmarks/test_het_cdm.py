@@ -10,8 +10,11 @@ its co-located down/up stages — and checks:
 * the planner returns valid heterogeneous bidirectional plans (both
   chains contiguous and complete, device-conserving, co-located replica
   agreement, non-uniform replicas where ``S !| D``);
-* a repeated sweep hits the per-profile heterogeneous CDM DP memo: the
-  second pass is at least 5x faster and returns bit-identical plans.
+* a repeated sweep hits the per-profile heterogeneous CDM DP memo and
+  the bound ladder's memoised floors: it misses no cache store, looks
+  up no kernel geometry plan and returns bit-identical plans (a
+  deterministic counter gate); the ``slow`` twin also times it, at
+  least 5x faster than the cold sweep.
 
 It is deliberately light enough for the fast CI suite
 (``-m "not slow" --benchmark-disable``): one batch and one micro-batch
@@ -21,6 +24,8 @@ count keep the number of distinct DP tables small.
 from __future__ import annotations
 
 import time
+
+import pytest
 
 from repro.cluster import single_node
 from repro.core.planner import DiffusionPipePlanner, PlannerCaches, PlannerOptions
@@ -90,6 +95,38 @@ def test_het_cdm_sweep_end_to_end(benchmark):
     assert len({st.replicas for st in chain}) > 1, [st.replicas for st in chain]
 
 
+def test_het_cdm_warm_sweep_hits_every_memo():
+    """Deterministic twin of the wall-clock gate below.  After a cold
+    sweep, a repeated sweep (fresh planner, shared PlannerCaches, same
+    ProfileDB) misses no ``PlannerCaches`` store and makes no lookup at
+    all in ``kernel_plans``: the DP tables, the
+    bound ladder's pre-partition floors, the
+    partitions and the timelines all come from the memos, and the plans
+    are bit-identical."""
+    model = cdm_lsun()
+    cluster = single_node(6)
+    caches = PlannerCaches()
+    profile = Profiler(cluster).profile(model)
+
+    def sweep():
+        planner = _planner(
+            profile, model, cluster, caches=caches,
+            enable_bubble_filling=False,
+        )
+        return {b: planner.plan(b).plan for b in BATCHES}
+
+    first = sweep()
+    cold = caches.stats()
+    assert cold.store("cdm").misses > 0, "cold sweep must build heterogeneous CDM DP tables"
+    assert sweep() == first, "memoized sweep must be bit-identical"
+    warm = caches.stats()
+    for before, after in zip(cold.stores, warm.stores):
+        assert after.misses == before.misses, after.name
+    kernel_plans = (cold.store("kernel_plans"), warm.store("kernel_plans"))
+    assert len({(st.hits, st.misses) for st in kernel_plans}) == 1
+
+
+@pytest.mark.slow
 def test_het_cdm_dp_memo_speedup():
     """A repeated sweep (fresh planner, shared PlannerCaches, same
     ProfileDB) must hit the per-profile heterogeneous CDM DP memo and

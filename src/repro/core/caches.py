@@ -191,7 +191,10 @@ class PlannerCaches:
     ------
     ``partition``
         (profile, cluster, batch_per_group, D, S, M, ...) -> the
-        partitioner's output (or the PartitionError it raised).
+        partitioner's output (or the PartitionError it raised); under
+        the same key tagged ``"floor"``, the bound ladder's
+        pre-partition makespan floor of a bidirectional configuration
+        (or that PartitionError).
     ``comm``
         per-(D, r) communication constants; unbounded — its keys are
         (cluster, small ints) and its values two floats, bounded by the
@@ -201,8 +204,8 @@ class PlannerCaches:
         :class:`PlannerOptions` knobs in the key so planners with
         different filling ablations never alias each other's entries;
         and, under ``("simulate", ...)`` keys without those knobs, the
-        unfilled timeline of each partition, which both passes of the
-        bound-and-skip ``plan()`` read.
+        unfilled timeline of each partition, which the simulated rung
+        and the fill of the bound-ladder ``plan()`` both read.
     ``het`` / ``cdm``
         the per-profile M-independent DP Pareto tables of
         :mod:`repro.core.partition` (single backbone) and

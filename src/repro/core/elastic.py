@@ -35,6 +35,7 @@ the same cluster, with bit-identical plan metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..cluster.topology import ClusterSpec
@@ -168,9 +169,10 @@ class ElasticSession:
         options: PlannerOptions | None = None,
         caches: PlannerCaches | None = None,
     ):
-        if not batch_per_device > 0:
+        if not 0 < batch_per_device < math.inf:
             raise ConfigurationError(
-                f"batch_per_device must be positive, got {batch_per_device}"
+                "batch_per_device must be finite and positive, got "
+                f"{batch_per_device}"
             )
         self.model = model
         self.cluster = cluster

@@ -293,12 +293,17 @@ class StageCosts:
         group's maximum speed factor ``comp_scale``."""
         return self.sync_ms(lo, hi) - self.compensation_ms(lo) / comp_scale
 
-    def feedback_ms(self) -> float:
-        """``T_F`` of §4.3: last-stage output fed back to stage 0."""
+    def send_ms(self, hi: int) -> float:
+        """One transfer of the output of a stage ending at layer ``hi``,
+        priced as the schedule builders price a stage's sends."""
         nbytes = self.ctx.profile.boundary_bytes(
-            self.ctx.component, self.num_layers - 1, self.local_batch
+            self.ctx.component, hi - 1, self.local_batch
         )
         return nbytes / self.ctx.p2p.bandwidth + self.ctx.p2p.latency
+
+    def feedback_ms(self) -> float:
+        """``T_F`` of §4.3: last-stage output fed back to stage 0."""
+        return self.send_ms(self.num_layers)
 
 
 # -- Pareto machinery -------------------------------------------------------------

@@ -25,6 +25,10 @@ bidirectional objective).  The default pins every chain position to
 shared by the co-located down and up stages, which live on the same
 devices.
 
+:func:`cdm_makespan_floor` bounds the simulated makespan of whichever
+partition the DP would return without running it, which lets the
+planner's bound ladder skip the DP for configurations that cannot win.
+
 Models with more than two backbones are split into two direction groups
 whose stage chains are concatenated (§4.2's grouping rule); see
 :func:`group_backbones`.
@@ -42,6 +46,12 @@ from .plan import PartitionPlan, StageAssignment, positive_int
 
 #: the paper enlarges communication by 2x for bidirectional pipelines
 CDM_COMM_SCALE = 2.0
+
+#: relative margin :func:`cdm_makespan_floor` gives up: its terms sum
+#: layer times in prefix-difference order, the simulator stage by stage
+#: and task by task, so the two differ by float rounding — at most about
+#: (terms summed) x 2**-53 relative, around 1e-13 on the zoo's chains
+FLOOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,20 @@ def _cut_points(n: int, cut_step: int) -> list[int]:
 def _min_gap(pts: list[int]) -> int:
     """Smallest positive slice the cut grid admits."""
     return min(b - a for a, b in zip(pts, pts[1:]))
+
+
+def _r_cap(ctx: CDMPartitionContext, fixed_r: int | None) -> int:
+    """Largest replica count a chain position may take.
+
+    Physical feasibility: every replica of either co-located stage must
+    see at least one sample per micro-batch (the same floor the
+    single-backbone DP enforces).  Larger r always lowers a stage's
+    modeled compute, so without this cap the free DP would happily pick
+    unrunnable sub-sample local batches.  A pinned count is its own cap.
+    """
+    if fixed_r is not None:
+        return fixed_r
+    return int(min(ctx.down.micro_batch, ctx.up.micro_batch))
 
 
 def _cdm_frontiers(
@@ -160,12 +184,6 @@ def _cdm_frontiers(
             # D is above).
             down.speed_scales,
         )
-        # Physical feasibility: every replica of either co-located
-        # stage must see at least one sample per micro-batch (the same
-        # floor the single-backbone DP enforces).  Larger r always
-        # lowers a stage's modeled compute, so without this cap the DP
-        # would happily pick unrunnable sub-sample local batches.
-        r_cap = int(min(down.micro_batch, up.micro_batch))
     else:
         r = fixed_r
         key = (
@@ -199,7 +217,6 @@ def _cdm_frontiers(
             # keys stable.
             None if down.speed_scales is None else (r, down.speed_scales),
         )
-        r_cap = r
     cacheable = down.profile is up.profile
     if cacheable:
         cached = caches.cdm.get(down.profile, key)
@@ -211,8 +228,8 @@ def _cdm_frontiers(
     # Looked up on the module at call time: the differential suites
     # swap in the pure-Python oracle here (tests/oracles/).
     frontiers = partition_kernels.cdm_table_array(
-        ctx, S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
-        fixed_r=fixed_r, plans=caches.kernel_plans,
+        ctx, S, cut_step=cut_step, ld=ld, lu=lu, D=D,
+        r_cap=_r_cap(ctx, fixed_r), fixed_r=fixed_r, plans=caches.kernel_plans,
     )
     frontiers = [
         {state: tuple(entries) for state, entries in stage.items()}
@@ -307,6 +324,60 @@ def _cdm_select_plan(
     )
 
 
+def _cdm_lattice(
+    ctx: CDMPartitionContext,
+    S: int,
+    D: int,
+    cut_step: int,
+    heterogeneous: bool,
+) -> tuple[int, int, int | None]:
+    """Check a bidirectional partition request; returns the backbone
+    layer counts and the pinned replica count (``None``:
+    heterogeneous).  Raises :class:`PartitionError` where no partition
+    can exist and :class:`ConfigurationError` on malformed arguments."""
+    if S <= 0 or D <= 0:
+        raise ConfigurationError("num_stages and group_size must be positive")
+    if not positive_int(cut_step):
+        raise ConfigurationError(
+            f"cut_step must be an integer >= 1, got {cut_step!r}"
+        )
+    if S > D:
+        raise PartitionError(f"cannot place {S} stages on {D} devices")
+    if (
+        ctx.down.speed_scales is not None
+        and len(ctx.down.speed_scales) != D
+    ):
+        raise ConfigurationError(
+            f"speed_scales must carry one factor per group device "
+            f"(got {len(ctx.down.speed_scales)} for group size {D})"
+        )
+
+    ld = ctx.down.profile.num_layers(ctx.down.component)
+    lu = ctx.up.profile.num_layers(ctx.up.component)
+    if S > ld or S > lu:
+        raise PartitionError(
+            f"cannot cut backbones of {ld}/{lu} layers into {S} stages"
+        )
+    if heterogeneous:
+        return ld, lu, None
+
+    if D % S != 0:
+        raise PartitionError(
+            f"uniform CDM replication needs S | D (got S={S}, D={D}); "
+            "use heterogeneous=True otherwise"
+        )
+    r = D // S
+    if ctx.down.micro_batch < r or ctx.up.micro_batch < r:
+        # Same per-replica sample floor the heterogeneous DP enforces
+        # (r_cap), keeping the het-CDM <= uniform-CDM invariant exact.
+        raise PartitionError(
+            f"uniform replication r={r} needs at least {r} samples per "
+            f"micro-batch in both directions (got "
+            f"{ctx.down.micro_batch:g}/{ctx.up.micro_batch:g})"
+        )
+    return ld, lu, r
+
+
 def partition_cdm(
     ctx: CDMPartitionContext,
     num_stages: int,
@@ -338,58 +409,53 @@ def partition_cdm(
     instance when ``None``).
     """
     caches = caches if caches is not None else default_caches()
-    S = num_stages
-    D = group_size
-    if S <= 0 or D <= 0:
-        raise ConfigurationError("num_stages and group_size must be positive")
-    if not positive_int(cut_step):
-        raise ConfigurationError(
-            f"cut_step must be an integer >= 1, got {cut_step!r}"
-        )
-    if S > D:
-        raise PartitionError(f"cannot place {S} stages on {D} devices")
-    if (
-        ctx.down.speed_scales is not None
-        and len(ctx.down.speed_scales) != D
-    ):
-        raise ConfigurationError(
-            f"speed_scales must carry one factor per group device "
-            f"(got {len(ctx.down.speed_scales)} for group size {D})"
-        )
-
-    ld = ctx.down.profile.num_layers(ctx.down.component)
-    lu = ctx.up.profile.num_layers(ctx.up.component)
-    if S > ld or S > lu:
-        raise PartitionError(
-            f"cannot cut backbones of {ld}/{lu} layers into {S} stages"
-        )
-
-    if heterogeneous:
-        frontiers = _cdm_frontiers(
-            ctx, S, D, caches, fixed_r=None, cut_step=cut_step, ld=ld, lu=lu
-        )
-        return _cdm_select_plan(
-            ctx, S, D, frontiers, ld, lu, replicas=None
-        )
-
-    if D % S != 0:
-        raise PartitionError(
-            f"uniform CDM replication needs S | D (got S={S}, D={D}); "
-            "use heterogeneous=True otherwise"
-        )
-    r = D // S
-    if ctx.down.micro_batch < r or ctx.up.micro_batch < r:
-        # Same per-replica sample floor the heterogeneous DP enforces
-        # (r_cap), keeping the het-CDM <= uniform-CDM invariant exact.
-        raise PartitionError(
-            f"uniform replication r={r} needs at least {r} samples per "
-            f"micro-batch in both directions (got "
-            f"{ctx.down.micro_batch:g}/{ctx.up.micro_batch:g})"
-        )
+    S, D = num_stages, group_size
+    ld, lu, fixed_r = _cdm_lattice(ctx, S, D, cut_step, heterogeneous)
     frontiers = _cdm_frontiers(
-        ctx, S, D, caches, fixed_r=r, cut_step=cut_step, ld=ld, lu=lu
+        ctx, S, D, caches, fixed_r=fixed_r, cut_step=cut_step, ld=ld, lu=lu
     )
-    return _cdm_select_plan(ctx, S, D, frontiers, ld, lu, replicas=r)
+    return _cdm_select_plan(ctx, S, D, frontiers, ld, lu, replicas=fixed_r)
+
+
+def cdm_makespan_floor(
+    ctx: CDMPartitionContext,
+    num_stages: int,
+    group_size: int,
+    *,
+    cut_step: int = 1,
+    heterogeneous: bool = False,
+    caches: PlannerCaches | None = None,
+) -> float:
+    """Lower bound on the simulated bidirectional makespan of every
+    partition :func:`partition_cdm` can return for the same arguments,
+    without running its DP.
+
+    With ``M`` micro-batches per direction, chain position ``k``'s
+    devices run ``M`` forward and backward passes of both co-located
+    stages, and one micro-batch's forward and backward path through
+    either chain is a dependency chain ending in its stage 0's sync, so
+
+        makespan >= max(M * W*, CP_down*, CP_up*)
+
+    with each term minimised over the DP's whole lattice (see
+    :func:`~.partition_kernels.cdm_floor_array`): it holds whichever
+    partition the DP picks.  The terms sum in a different order from
+    the simulator, so the result gives up a relative
+    :data:`FLOOR_MARGIN`.  Raises :class:`PartitionError` exactly where
+    :func:`partition_cdm` does.  The geometry plan comes from, and is
+    kept in, ``caches.kernel_plans``.
+    """
+    caches = caches if caches is not None else default_caches()
+    S, D = num_stages, group_size
+    ld, lu, fixed_r = _cdm_lattice(ctx, S, D, cut_step, heterogeneous)
+    from . import partition_kernels
+
+    w, cp_down, cp_up = partition_kernels.cdm_floor_array(
+        ctx, S, cut_step=cut_step, ld=ld, lu=lu, D=D,
+        r_cap=_r_cap(ctx, fixed_r), fixed_r=fixed_r, plans=caches.kernel_plans,
+    )
+    busy = ctx.down.num_micro_batches * w
+    return max(busy, cp_down, cp_up) * (1.0 - FLOOR_MARGIN)
 
 
 def group_backbones(

@@ -6,10 +6,12 @@ calls against a few hundred distinct segment-cost evaluations.  This
 module builds the tables behind the two DP wrappers as array kernels —
 :func:`het_table_array` for the single-backbone 1F1B DP
 (``partition._het_frontiers``) and :func:`cdm_table_array` for the
-bidirectional CDM DP (``partition_cdm._cdm_frontiers``).  Each serves
-both replication flavours: ``fixed_r`` pins every stage to one replica
-count (uniform replication, the paper's footnote 2), ``fixed_r=None``
-lets each stage choose (Eqns. 7-9).  The kernels work as follows:
+bidirectional CDM DP (``partition_cdm._cdm_frontiers``), plus
+:func:`cdm_floor_array`, the scalar folds of the bound ladder's CDM
+makespan floor over the same lattice.  Each serves both replication
+flavours: ``fixed_r`` pins every stage to one replica count (uniform
+replication, the paper's footnote 2), ``fixed_r=None`` lets each stage
+choose (Eqns. 7-9).  The table kernels work as follows:
 
 * per-``(cut, prefix)`` stage costs (``t0`` / ``t0_sc`` / ``t0_ramp`` /
   ``sync_gap``) become dense ``(L+1, L+1)`` slabs built from the same
@@ -51,11 +53,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import PartitionError
 from .partition import StageCosts, _LazyStageCosts
 
 __all__ = [
     "het_table_array",
     "cdm_table_array",
+    "cdm_floor_array",
 ]
 
 #: element budget of one padded pairwise-dominance chunk
@@ -711,6 +715,56 @@ def _build_cdm_plan(
     return plan
 
 
+def _cdm_plan(
+    S: int,
+    *,
+    cut_step: int,
+    ld: int,
+    lu: int,
+    D: int,
+    r_cap: int,
+    fixed_r: int | None,
+    plans,
+) -> list[dict]:
+    """The geometry plan of one CDM lattice, from ``plans`` (an
+    optional ``LruStore``) when it holds one.  Replica counts above
+    ``D - S + 1`` are never feasible (every other position needs a
+    device), so every larger ``r_cap`` shares one plan."""
+    from .partition_cdm import _cut_points, _min_gap
+
+    r_cap = min(r_cap, D - S + 1)
+    plan_key = ("cdm", S, ld, lu, cut_step, D, r_cap, fixed_r)
+    plan = plans.get(plan_key) if plans is not None else None
+    if plan is None:
+        cuts_d = _cut_points(ld, cut_step)
+        cuts_u = _cut_points(lu, cut_step)
+        gap_d = _min_gap(cuts_d)
+        gap_u = _min_gap(sorted({lu - b for b in cuts_u}))
+        plan = _build_cdm_plan(
+            S=S, ld=ld, lu=lu, cuts_d=cuts_d, cuts_u=cuts_u,
+            gap_d=gap_d, gap_u=gap_u,
+            max_len_d=ld - (S - 1) * gap_d,
+            max_len_u=lu - (S - 1) * gap_u,
+            D=D, r_cap=r_cap, fixed_r=fixed_r,
+        )
+        if plans is not None:
+            plans.put(plan_key, plan)
+    return plan
+
+
+def _plan_slabs(ctx, D: int, plan: list[dict], fixed_r: int | None):
+    """:func:`_slab_ids` over the replica counts a CDM plan uses.
+
+    Chain position k hosts its down AND up stage on the same device
+    window [pd, pd+r), so one (r, window factor) slab id serves both
+    chains' gathers.
+    """
+    used = np.zeros(D + 1, dtype=bool)
+    for stage in plan:
+        used[stage["R"]] = True
+    return _slab_ids(ctx.down, D, np.flatnonzero(used).tolist(), fixed_r)
+
+
 def cdm_table_array(
     ctx,
     S: int,
@@ -728,41 +782,16 @@ def cdm_table_array(
     bit-identical entries and dict orders.
 
     ``plans`` is an optional mapping-like store (``LruStore``) of
-    geometry transition plans, shared across table builds of one sweep.
-    Replica counts above ``D - S + 1`` are never feasible (every other
-    position needs a device), so every larger ``r_cap`` shares one plan.
+    geometry transition plans, shared across table builds of one sweep
+    (:func:`_cdm_plan`).
     """
-    from .partition_cdm import _cut_points, _min_gap
-
-    cuts_d = _cut_points(ld, cut_step)
-    cuts_u = _cut_points(lu, cut_step)
-    pts_u = sorted({lu - b for b in cuts_u})
-    gap_d = _min_gap(cuts_d)
-    gap_u = _min_gap(pts_u)
-
-    r_cap = min(r_cap, D - S + 1)
-    plan_key = ("cdm", S, ld, lu, cut_step, D, r_cap, fixed_r)
-    plan = plans.get(plan_key) if plans is not None else None
-    if plan is None:
-        plan = _build_cdm_plan(
-            S=S, ld=ld, lu=lu, cuts_d=cuts_d, cuts_u=cuts_u,
-            gap_d=gap_d, gap_u=gap_u,
-            max_len_d=ld - (S - 1) * gap_d,
-            max_len_u=lu - (S - 1) * gap_u,
-            D=D, r_cap=r_cap, fixed_r=fixed_r,
-        )
-        if plans is not None:
-            plans.put(plan_key, plan)
-
+    plan = _cdm_plan(
+        S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
+        fixed_r=fixed_r, plans=plans,
+    )
     costs_d_for = _LazyStageCosts(ctx.down, ctx.comm_scale)
     costs_u_for = _LazyStageCosts(ctx.up, ctx.comm_scale)
-    r_used = sorted(
-        set().union(*(np.unique(stage["R"]).tolist() for stage in plan))
-    )
-    # Chain position k hosts its down AND up stage on the same device
-    # window [pd, pd+r), so one (r, window factor) slab id serves both
-    # chains' gathers.
-    SID, slabs = _slab_ids(ctx.down, D, r_used, fixed_r)
+    SID, slabs = _plan_slabs(ctx, D, plan, fixed_r)
     comp_scale = ctx.down.comp_scale
     STD = np.zeros((len(slabs), ld + 1, ld + 1))
     SGD = np.zeros((len(slabs), ld + 1, ld + 1))
@@ -831,3 +860,111 @@ def cdm_table_array(
             cur[target_states[sg]].append((w, y, pa, pb, rr, pi))
         frontiers.append(cur)
     return frontiers
+
+
+def _compute_slab(costs: StageCosts, scale: float) -> np.ndarray:
+    """Dense ``[lo, hi]`` slab of a stage's fwd + bwd compute divided
+    by its window factor ``scale`` — no communication term."""
+    F = np.asarray(costs._fwd)
+    B = np.asarray(costs._bwd)
+    return ((F[None, :] - F[:, None]) + (B[None, :] - B[:, None])) / scale
+
+
+def _path_terms(costs_for, L: int, slabs, link: float):
+    """Per-slab ``[hi]`` columns of a chain stage's path terms: the
+    ``link``-scaled sends of a stage ending at layer ``hi`` (0 at
+    ``hi = 0``, never read) and the sync of a stage 0 ending there."""
+    terms = {}
+    for r, _ in slabs:
+        if r not in terms:
+            costs = costs_for(r)
+            send = [0.0] + [link * costs.send_ms(hi) for hi in range(1, L + 1)]
+            sync = [costs.sync_ms(0, hi) for hi in range(L + 1)]
+            terms[r] = (send, sync)
+    send = np.asarray([terms[r][0] for r, _ in slabs])
+    sync = np.asarray([terms[r][1] for r, _ in slabs])
+    return send, sync
+
+
+def cdm_floor_array(
+    ctx,
+    S: int,
+    *,
+    cut_step: int,
+    ld: int,
+    lu: int,
+    D: int,
+    r_cap: int,
+    fixed_r: int | None,
+    plans=None,
+) -> tuple[float, float, float]:
+    """Terms ``(W*, CP_down*, CP_up*)`` of the bidirectional makespan
+    floor, each minimised over every partition :func:`cdm_table_array`'s
+    lattice holds (same geometry plan, cut grid and replica range):
+
+    * ``W*`` — the smallest possible maximum over chain positions of
+      the position's down + up stage compute (fwd + bwd at the local
+      batch ``micro_batch / r``, divided by the window factor): one
+      device's busy time per micro-batch pair;
+    * ``CP_down*`` / ``CP_up*`` — the shortest path of one micro-batch
+      through each chain: every stage's compute, the 2x-enlarged
+      forward and backward transfer across each boundary, and the sync
+      of the chain's stage 0, priced as the planner prices a stage's
+      sends and all-reduce.
+
+    Scalar folds, one value per lattice state: min-max for ``W``,
+    min-sum for the paths, one ``np.minimum.reduceat`` per target
+    segment.  Raises :class:`PartitionError` on a lattice without a
+    full partition, as the table's selection does.
+    """
+    plan = _cdm_plan(
+        S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
+        fixed_r=fixed_r, plans=plans,
+    )
+    if not len(plan[-1]["P"]):
+        raise PartitionError(
+            f"no feasible bidirectional partition into {S} stages on {D} devices"
+        )
+    costs_d_for = _LazyStageCosts(ctx.down)
+    costs_u_for = _LazyStageCosts(ctx.up)
+    SID, slabs = _plan_slabs(ctx, D, plan, fixed_r)
+    CD = np.stack([_compute_slab(costs_d_for(r), w) for r, w in slabs])
+    CU = np.stack([_compute_slab(costs_u_for(r), w) for r, w in slabs])
+    # A link carries a boundary's forward and backward transfer, each
+    # enlarged 2x on the bidirectional chain; a stage's sync prices its
+    # own replica count.
+    link = 2.0 * ctx.comm_scale
+    SEND_D, SYNC_D = _path_terms(costs_d_for, ld, slabs, link)
+    SEND_U, SYNC_U = _path_terms(costs_u_for, lu, slabs, link)
+
+    # Flat views, so every gather is one 1-D take.  Position k hosts
+    # down stage k-1 and up stage S-k; each sends on unless it is its
+    # chain's last (k = S down, k = 1 up), so the paths of the other
+    # positions read send-inclusive slabs.  Position 1's down stage and
+    # position S's up stage are their chains' stage 0 and add its sync.
+    nd, nu = ld + 1, lu + 1
+    down_flat, up_flat = CD.ravel(), CU.ravel()
+    down_send = (CD + SEND_D[:, None, :]).ravel()
+    up_send = (CU + SEND_U[:, None, :]).ravel()
+    sid_flat, sid_cols = SID.ravel(), SID.shape[1]
+    w = cp_d = cp_u = np.zeros(1)
+    for k in range(1, S + 1):
+        st = plan[k - 1]
+        P_b, A_b = st["P"], st["A"]
+        up_hi = lu - st["PB"][P_b]
+        K_b = sid_flat[st["PD"][P_b] * sid_cols + st["R"]]
+        idx_d = (K_b * nd + st["PA"][P_b]) * nd + A_b
+        idx_u = (K_b * nu + (lu - st["B"])) * nu + up_hi
+        down = down_flat[idx_d]
+        up = up_flat[idx_u]
+        path_d = down_send[idx_d] if k < S else down
+        path_u = up_send[idx_u] if k > 1 else up
+        if k == 1:
+            path_d = path_d + SYNC_D[K_b, A_b]
+        if k == S:
+            path_u = path_u + SYNC_U[K_b, up_hi]
+        starts = st["tb_starts"]
+        w = np.minimum.reduceat(np.maximum(w[P_b], down + up), starts)
+        cp_d = np.minimum.reduceat(cp_d[P_b] + path_d, starts)
+        cp_u = np.minimum.reduceat(cp_u[P_b] + path_u, starts)
+    return float(w.min()), float(cp_d.min()), float(cp_u.min())

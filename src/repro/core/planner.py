@@ -16,13 +16,16 @@ degree) — and for each feasible combination:
 4. estimates the steady-state iteration time and checks device memory;
 
 and finally returns the configuration with the highest throughput.
-:meth:`DiffusionPipePlanner.plan` fills only the configurations whose
-unfilled-makespan throughput bound can still beat the best plan found
-so far; :meth:`~DiffusionPipePlanner.candidate_plans` evaluates them all.
+:meth:`DiffusionPipePlanner.plan` is a bound ladder: a configuration is
+partitioned and simulated only while its pre-partition makespan floor
+(bidirectional models) can still beat the best plan found so far, and
+filled only while its simulated ``samples / pipeline_ms`` bound can;
+:meth:`~DiffusionPipePlanner.candidate_plans` evaluates them all.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -45,7 +48,11 @@ from .cross_iteration import compose_iteration
 from .fill_strategies import FILL_STRATEGIES, fill_strategy_names
 from .filling import VALID_LOCAL_BATCHES, BubbleFiller, FillShapeCache
 from .partition import PartitionContext, partition_backbone
-from .partition_cdm import CDMPartitionContext, partition_cdm
+from .partition_cdm import (
+    CDMPartitionContext,
+    cdm_makespan_floor,
+    partition_cdm,
+)
 from .plan import (
     ExecutionPlan,
     FillReport,
@@ -258,12 +265,20 @@ class DiffusionPipePlanner:
     def candidate_configs(self, global_batch: float) -> Iterator[tuple[int, int, int]]:
         """Yield feasible (D, S, M) combinations for a global batch.
 
+        A global batch that is not finite and positive raises
+        :class:`ConfigurationError` (it is checked on the first
+        ``next``, before any configuration is yielded).
+
         Divisibility is tested exactly: the batch enters as a
         :class:`~fractions.Fraction` and the per-group quotient stays
         rational, so binary-float rounding (``global_batch / dp`` is the
         only inexact step of the float formulation) can neither reject a
         feasible split nor admit one whose micro-batches are fractional.
         """
+        if not 0 < global_batch < math.inf:
+            raise ConfigurationError(
+                f"global batch must be finite and positive, got {global_batch!r}"
+            )
         world = self.cluster.world_size
         opts = self.options
         group_sizes = opts.group_sizes or tuple(
@@ -405,7 +420,8 @@ class DiffusionPipePlanner:
     def _bound(self, global_batch: float, D: int, S: int, M: int) -> float | None:
         """Upper bound on the throughput :meth:`evaluate` reports for a
         configuration, from its simulated timelines alone (no filling);
-        None where :meth:`evaluate` returns None.
+        None where :meth:`evaluate` returns None.  The simulated rung of
+        :meth:`plan`'s ladder, which :meth:`_floor` bounds from above.
 
         ``compose_iteration`` sets ``iteration_ms = pipeline_ms +
         leftover_ms`` with ``leftover_ms >= 0``; the self-conditioning
@@ -428,6 +444,43 @@ class DiffusionPipePlanner:
         if not pipeline_ms > 0:
             return math.inf
         return _samples_per_iter(global_batch, partition) / pipeline_ms * 1e3
+
+    def _floor(self, global_batch: float, D: int, S: int, M: int) -> float | None:
+        """Upper bound on :meth:`_bound` for a bidirectional
+        configuration, from the pre-partition makespan floor
+        (:func:`~.partition_cdm.cdm_makespan_floor`) instead of a
+        partition and a simulation; None where no partition exists.
+
+        ``samples / floor · 1e3`` with ``floor <= pipeline_ms`` (the
+        floor gives up its stated margin to summation order) is at least
+        ``samples / pipeline_ms · 1e3`` under round-to-nearest.  The
+        floor is memoised in ``caches.partition`` under the partition
+        key tagged ``"floor"``, so a warm replan reads it back instead
+        of refolding the lattice.
+        """
+        batch_per_group = global_batch / (self.cluster.world_size // D)
+        key = ("floor", *self._partition_key(batch_per_group, D, S, M))
+        floors = self.caches.partition
+        floor = floors.get(key)
+        if floor is None:
+            try:
+                floor = cdm_makespan_floor(
+                    self._cdm_context(batch_per_group, D, M),
+                    S,
+                    D,
+                    cut_step=self.options.cdm_cut_step,
+                    heterogeneous=self.options.heterogeneous_replication,
+                    caches=self.caches,
+                )
+            except PartitionError as err:
+                # A stripped copy, as _partition stores it.
+                floor = PartitionError(*err.args)
+            floors.put(key, floor)
+        if isinstance(floor, PartitionError):
+            return None
+        if not floor > 0:
+            return math.inf
+        return global_batch * 2 / floor * 1e3
 
     def evaluate(
         self, global_batch: float, group_size: int, num_stages: int, num_micro: int
@@ -523,35 +576,48 @@ class DiffusionPipePlanner:
     def plan(self, global_batch: float) -> EvaluatedConfig:
         """Pick the highest-throughput configuration (Fig. 7 step 5).
 
-        Bound-and-skip search, bit-identical to the first maximum of
-        :meth:`candidate_plans`:
+        Bound ladder, bit-identical to the first maximum of
+        :meth:`candidate_plans`.  Every configuration enters a heap
+        keyed ``(bound, -index)``, ``index`` being its position in
+        :meth:`candidate_configs`, and climbs one rung per pop:
 
-        1. *bound pass* — partition, memory-check and simulate every
-           feasible configuration, giving each a throughput upper bound
-           ``samples / pipeline_ms`` (:meth:`_bound`);
-        2. *fill pass* — :meth:`evaluate` configurations in descending
-           ``(bound, -index)`` order, ``index`` being the position in
-           :meth:`candidate_configs`, and stop at the first whose
-           ``(bound, -index)`` is no better than the incumbent's
-           ``(throughput, -index)``: neither it nor any later
-           configuration can beat, or tie ahead of, the incumbent.
+        1. *floor* — bidirectional configurations enter with the
+           pre-partition makespan floor's bound (:meth:`_floor`): no DP
+           has run for them yet;
+        2. *simulated* — partition, memory-check and simulate, giving
+           the bound ``samples / pipeline_ms`` (:meth:`_bound`);
+           single-backbone configurations enter here;
+        3. *filled* — :meth:`evaluate`; the throughput competes for the
+           incumbent.
 
-        Only the bubble filling (the dominant phase) of configurations
-        that cannot win is skipped.
+        The search stops at the first pop whose ``(bound, -index)`` is
+        no better than the incumbent's ``(throughput, -index)``: every
+        rung bounds the throughput from above, so neither that
+        configuration nor any left in the heap can beat, or tie ahead
+        of, the incumbent.  Only the partition DPs, simulations and
+        fills of configurations that cannot win are skipped.
         """
-        bounded = []
-        for index, (D, S, M) in enumerate(self.candidate_configs(global_batch)):
-            bound = self._bound(global_batch, D, S, M)
+        bidirectional = len(self.model.backbone_names) == 2
+        enter = self._floor if bidirectional else self._bound
+        heap = []
+        for index, config in enumerate(self.candidate_configs(global_batch)):
+            bound = enter(global_batch, *config)
             if bound is not None:
-                bounded.append((-bound, index, D, S, M))
-        bounded.sort()
+                heap.append((-bound, index, bidirectional, config))
+        heapq.heapify(heap)
         best: EvaluatedConfig | None = None
         best_key: tuple[float, int] | None = None
-        for neg_bound, index, D, S, M in bounded:
+        while heap:
+            neg_bound, index, floored, config = heapq.heappop(heap)
             if best_key is not None and (-neg_bound, -index) <= best_key:
                 break
-            ev = self.evaluate(global_batch, D, S, M)
-            assert ev is not None  # the bound pass gated it
+            if floored:
+                bound = self._bound(global_batch, *config)
+                if bound is not None:
+                    heapq.heappush(heap, (-bound, index, False, config))
+                continue
+            ev = self.evaluate(global_batch, *config)
+            assert ev is not None  # the simulated rung gated it
             key = (ev.plan.throughput, -index)
             if best_key is None or key > best_key:
                 best, best_key = ev, key
@@ -580,10 +646,10 @@ class DiffusionPipePlanner:
             return ("zerobubble",)
         return ("default",)
 
-    def _partition(
+    def _partition_key(
         self, batch_per_group: float, D: int, S: int, M: int
-    ) -> PartitionPlan:
-        key = (
+    ) -> tuple:
+        return (
             # Weak profile identity (see _simulate_and_fill): planners
             # sharing one PlannerCaches across re-profiled models must
             # not reuse stale partitions.
@@ -600,6 +666,11 @@ class DiffusionPipePlanner:
             self.options.cdm_cut_step,
             self._partition_mode,
         )
+
+    def _partition(
+        self, batch_per_group: float, D: int, S: int, M: int
+    ) -> PartitionPlan:
+        key = self._partition_key(batch_per_group, D, S, M)
         partitions = self.caches.partition
         hit = partitions.get(key)
         if hit is not None:
@@ -620,74 +691,87 @@ class DiffusionPipePlanner:
         partitions.put(key, plan)
         return plan
 
+    def _context(
+        self, batch_per_group: float, D: int, M: int, component: str, **fields
+    ) -> PartitionContext:
+        """The partition DPs' inputs for one backbone of a (D, M)
+        configuration; ``fields`` sets the self-conditioning and pricing
+        fields of single-backbone contexts."""
+        return PartitionContext(
+            profile=self.profile,
+            component=component,
+            batch_per_group=batch_per_group,
+            num_micro_batches=M,
+            p2p=self._p2p_costs(D),
+            # Per-replica-count sync model: entry r-1 prices the
+            # all-reduce of a stage with r replicas, so the Y term prices
+            # Eqn. 4 faithfully for every candidate replica count.  The
+            # tuple is its own DP memo key, so an elastic replan on a
+            # different cluster identity (a machine left and rejoined)
+            # warm-hits every table whose sync constants are genuinely
+            # unchanged.
+            allreduce=tuple(self._allreduce_costs(D, r) for r in range(1, D + 1)),
+            speed_scales=self._group_speed_scales(D),
+            **fields,
+        )
+
+    def _cdm_context(
+        self, batch_per_group: float, D: int, M: int
+    ) -> CDMPartitionContext:
+        down, up = self.model.backbone_names
+        ctx_down = self._context(batch_per_group, D, M, down)
+        return CDMPartitionContext(
+            down=ctx_down, up=replace(ctx_down, component=up)
+        )
+
     def _partition_uncached(
         self, batch_per_group: float, D: int, S: int, M: int
     ) -> PartitionPlan:
-        p2p = self._p2p_costs(D)
-        # Per-replica-count sync model: entry r-1 prices the all-reduce
-        # of a stage with r replicas, so the Y term prices Eqn. 4
-        # faithfully for every candidate replica count.  The tuple is
-        # its own DP memo key, so an elastic replan on a different
-        # cluster identity (a machine left and rejoined) warm-hits every
-        # table whose sync constants are genuinely unchanged.
-        ar = tuple(self._allreduce_costs(D, r) for r in range(1, D + 1))
-        speed_scales = self._group_speed_scales(D)
-        names = self.model.backbone_names
-        if len(names) == 1:
-            mode = self._partition_mode
-            ctx = PartitionContext(
-                profile=self.profile,
-                component=names[0],
-                batch_per_group=batch_per_group,
-                num_micro_batches=M,
-                p2p=p2p,
-                allreduce=ar,
-                self_conditioning=self.model.self_conditioning,
-                self_conditioning_prob=self.model.self_conditioning_prob,
-                pricing="zerobubble" if mode[0] == "zerobubble" else "default",
-                speed_scales=speed_scales,
-            )
-            if self._family.chunked:
-                # Interleaved virtual stages partition at CHUNK
-                # granularity: the layer chain is cut into v*S
-                # consecutive chunks and chunk c lands on device
-                # c mod S, so each device hosts v non-contiguous
-                # chunks.  Running the DP with v*S stages on a virtual
-                # v*D budget keeps the homogeneous replica count at
-                # r = D/S per chunk while p2p and all-reduce constants
-                # stay priced from the real group (see above).
-                # The DP's ramp coefficient then over-counts (2vS-2 vs
-                # the schedule's shorter per-chunk ramps), which only
-                # biases *which* cut it prefers — final throughput
-                # always comes from simulating the real chunk chain.
-                v = VIRTUAL_STAGES
-                plan = partition_backbone(
-                    ctx, S * v, D * v, heterogeneous=False,
-                    caches=self.caches,
-                )
-                return replace(plan, group_size=D)
-            return partition_backbone(
-                ctx,
+        if len(self.model.backbone_names) == 2:
+            return partition_cdm(
+                self._cdm_context(batch_per_group, D, M),
                 S,
                 D,
+                cut_step=self.options.cdm_cut_step,
                 heterogeneous=self.options.heterogeneous_replication,
                 caches=self.caches,
             )
-        ctx_down = PartitionContext(
-            profile=self.profile,
-            component=names[0],
-            batch_per_group=batch_per_group,
-            num_micro_batches=M,
-            p2p=p2p,
-            allreduce=ar,
-            speed_scales=speed_scales,
+        ctx = self._context(
+            batch_per_group,
+            D,
+            M,
+            self.model.backbone_names[0],
+            self_conditioning=self.model.self_conditioning,
+            self_conditioning_prob=self.model.self_conditioning_prob,
+            pricing=(
+                "zerobubble"
+                if self._partition_mode[0] == "zerobubble"
+                else "default"
+            ),
         )
-        ctx_up = replace(ctx_down, component=names[1])
-        return partition_cdm(
-            CDMPartitionContext(down=ctx_down, up=ctx_up),
+        if self._family.chunked:
+            # Interleaved virtual stages partition at CHUNK
+            # granularity: the layer chain is cut into v*S
+            # consecutive chunks and chunk c lands on device
+            # c mod S, so each device hosts v non-contiguous
+            # chunks.  Running the DP with v*S stages on a virtual
+            # v*D budget keeps the homogeneous replica count at
+            # r = D/S per chunk while p2p and all-reduce constants
+            # stay priced from the real group (see _context).
+            # The DP's ramp coefficient then over-counts (2vS-2 vs
+            # the schedule's shorter per-chunk ramps), which only
+            # biases *which* cut it prefers — final throughput
+            # always comes from simulating the real chunk chain.
+            v = VIRTUAL_STAGES
+            plan = partition_backbone(
+                ctx, S * v, D * v, heterogeneous=False,
+                caches=self.caches,
+            )
+            return replace(plan, group_size=D)
+        return partition_backbone(
+            ctx,
             S,
             D,
-            cut_step=self.options.cdm_cut_step,
             heterogeneous=self.options.heterogeneous_replication,
             caches=self.caches,
         )
@@ -895,9 +979,10 @@ class DiffusionPipePlanner:
 
         Memoised in ``caches.evals`` under the simulate-and-fill key
         without the NT time and the filling knobs — partition-level
-        fields only, so a hit costs no stage-exec derivation.  Both
-        passes of :meth:`plan`, and planners that differ only in their
-        filling options, share one timeline per configuration.
+        fields only, so a hit costs no stage-exec derivation.  The
+        simulated rung and the fill of :meth:`plan`, and planners that
+        differ only in their filling options, share one timeline per
+        configuration.
         """
         key = (
             "simulate",

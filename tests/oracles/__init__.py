@@ -10,15 +10,18 @@ they replaced live here, next to the suites that diff against them:
   count;
 * :func:`chain_frontiers_reference` — the uniform-replication DP over
   prefixes, which the fold test holds the pinned 1F1B table to;
+* :func:`cdm_floor_reference` — the bound ladder's CDM makespan floor
+  terms by brute force over every lattice partition
+  (:func:`repro.core.partition_kernels.cdm_floor_array`);
 * :func:`simulate_reference` — the list scheduler
   (:func:`repro.schedule.simulate`);
 * :func:`extract_bubbles_reference` — the breakpoint-scan bubble
   extraction (:func:`repro.core.extract_bubbles`);
 * :class:`LookaheadReferenceFill` — the unpruned ``lookahead`` fill.
 
-The DP oracles are reached through :func:`reference_dp_kernels`, which
-runs the production wrappers, cache keys and plan selection on oracle
-tables.  The others are called directly.
+The DP table oracles are reached through :func:`reference_dp_kernels`,
+which runs the production wrappers, cache keys and plan selection on
+oracle tables.  The others are called directly.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from repro.core import partition_kernels
 from .bubbles import extract_bubbles_reference
 from .fill_strategies import LookaheadReferenceFill
 from .partition import chain_frontiers_reference, het_frontiers_reference
-from .partition_cdm import cdm_dp_table_reference
+from .partition_cdm import cdm_dp_table_reference, cdm_floor_reference
 from .simulator import simulate_reference
 
 __all__ = [
     "LookaheadReferenceFill",
     "cdm_dp_table_reference",
+    "cdm_floor_reference",
     "chain_frontiers_reference",
     "dp_engine",
     "extract_bubbles_reference",

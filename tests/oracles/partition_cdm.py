@@ -7,6 +7,10 @@ count, ``fixed_r=None`` lets each position choose.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations, product
+from math import inf
+
 from repro.core.partition import _LazyStageCosts, pareto_insert
 from repro.core.partition_cdm import CDMPartitionContext, _cut_points, _min_gap
 
@@ -135,3 +139,79 @@ def cdm_dp_table_reference(
                             pareto_insert(frontier, cand, 2)
         frontiers.append(cur)
     return frontiers
+
+
+def cdm_floor_reference(
+    ctx: CDMPartitionContext,
+    S: int,
+    *,
+    cut_step: int,
+    ld: int,
+    lu: int,
+    D: int,
+    r_cap: int,
+    fixed_r: int | None,
+) -> tuple[float, float, float]:
+    """Brute-force oracle of ``cdm_floor_array``: ``(W*, CP_down*,
+    CP_up*)`` as minima over every complete partition the CDM lattice
+    holds, enumerated one by one — ``S`` slices of each backbone cut on
+    the grid, and per-position replica counts that are pinned, or at
+    most ``r_cap`` each and ``D`` in total.  Each partition is priced
+    position by position in the kernel's float order, so the minima
+    match it exactly; all three are ``inf`` when the lattice holds no
+    partition.
+    """
+    costs_d = _LazyStageCosts(ctx.down)
+    costs_u = _LazyStageCosts(ctx.up)
+    link = 2.0 * ctx.comm_scale
+    inner_d = _cut_points(ld, cut_step)[1:-1]
+    inner_u = _cut_points(lu, cut_step)[1:-1]
+    if fixed_r is not None:
+        replica_seqs = [(fixed_r,) * S]
+    else:
+        r_max = min(r_cap, D - S + 1)
+        replica_seqs = [
+            rs for rs in product(range(1, r_max + 1), repeat=S) if sum(rs) <= D
+        ]
+
+    @cache
+    def compute(costs, lo, hi, w):
+        return (costs.fwd(lo, hi) + costs.bwd(lo, hi)) / w
+
+    @cache
+    def send(costs, hi):
+        return link * costs.send_ms(hi)
+
+    @cache
+    def sync(costs, hi):
+        return costs.sync_ms(0, hi)
+
+    best = [inf, inf, inf]
+    for cd in combinations(inner_d, S - 1):
+        a = (0, *cd, ld)
+        for cu in combinations(inner_u, S - 1):
+            # Up boundaries as suffix lengths: position k's up stage
+            # covers [lu - b[k], lu - b[k - 1]).
+            b = (0, *cu, lu)
+            for rs in replica_seqs:
+                w_max = cp_d = cp_u = 0.0
+                pd = 0
+                for k in range(1, S + 1):
+                    r = rs[k - 1]
+                    w = ctx.down.window_scale(pd, r)
+                    cost_d, cost_u = costs_d(r), costs_u(r)
+                    lo_u, hi_u = lu - b[k], lu - b[k - 1]
+                    down = compute(cost_d, a[k - 1], a[k], w)
+                    up = compute(cost_u, lo_u, hi_u, w)
+                    path_d = down + send(cost_d, a[k]) if k < S else down
+                    path_u = up + send(cost_u, hi_u) if k > 1 else up
+                    if k == 1:
+                        path_d = path_d + sync(cost_d, a[k])
+                    if k == S:
+                        path_u = path_u + sync(cost_u, hi_u)
+                    w_max = max(w_max, down + up)
+                    cp_d = cp_d + path_d
+                    cp_u = cp_u + path_u
+                    pd += r
+                best = [min(x, y) for x, y in zip(best, (w_max, cp_d, cp_u))]
+    return best[0], best[1], best[2]

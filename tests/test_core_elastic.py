@@ -136,6 +136,19 @@ def test_session_rejects_nonpositive_batch(uniform, uniform_profile):
         )
 
 
+def test_session_rejects_nonfinite_batch(uniform, uniform_profile):
+    """``inf`` passed the old ``> 0`` check, and the first replan then
+    raised OverflowError from the planner's divisibility test."""
+    for batch in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="batch_per_device"):
+            ElasticSession(
+                uniform,
+                single_node(4),
+                batch_per_device=batch,
+                profile=uniform_profile,
+            )
+
+
 # -- cluster-keyed cache hygiene (the aliasing regression) ------------------
 
 

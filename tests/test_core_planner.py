@@ -242,6 +242,18 @@ def test_candidate_configs_exact_divisibility(uniform, uniform_profile):
     assert (8, 2, 2) not in configs
 
 
+@pytest.mark.parametrize("batch", [float("nan"), float("inf"), 0, -8])
+def test_bad_global_batch_rejected_up_front(batch, cluster8, uniform, uniform_profile):
+    """A non-finite or non-positive global batch is a configuration
+    error naming the value, from both entry points, before any search
+    (NaN and inf used to escape as ValueError / OverflowError from the
+    exact-divisibility test, 0 and -8 as "no feasible configuration")."""
+    planner = DiffusionPipePlanner(uniform, cluster8, uniform_profile, _options())
+    for entry in (planner.plan, planner.candidate_plans):
+        with pytest.raises(ConfigurationError, match=f"got {batch!r}"):
+            entry(batch)
+
+
 def test_heterogeneous_flag_opens_non_divisible_cdm_configs(
     cascaded, cascaded_profile
 ):

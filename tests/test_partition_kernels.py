@@ -24,6 +24,8 @@ The reference side runs the production wrappers under
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,8 +44,13 @@ from repro.core.partition_cdm import (
 )
 from repro.core import partition_kernels as pk
 from repro.core.planner import DiffusionPipePlanner, PlannerOptions
+from repro.errors import PartitionError
 from repro.profiling import ProfileDB
-from tests.oracles import chain_frontiers_reference, reference_dp_kernels
+from tests.oracles import (
+    cdm_floor_reference,
+    chain_frontiers_reference,
+    reference_dp_kernels,
+)
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 
@@ -232,7 +239,7 @@ def test_het_backtracked_plan_differential(times, S):
 # ---------------------------------------------------------------------------
 
 
-def _cdm_ctx(down_times, up_times, M=2, batch=64.0):
+def _cdm_ctx(down_times, up_times, M=2, batch=64.0, scales=None):
     db = ProfileDB.from_layer_times(
         {"down": list(down_times), "up": list(up_times)},
         batches=(1.0, 64.0),
@@ -240,9 +247,40 @@ def _cdm_ctx(down_times, up_times, M=2, batch=64.0):
     )
     mk = lambda comp: PartitionContext(  # noqa: E731
         profile=db, component=comp, batch_per_group=batch,
-        num_micro_batches=M, p2p=FAST, allreduce=FAST,
+        num_micro_batches=M, p2p=FAST, allreduce=FAST, speed_scales=scales,
     )
     return CDMPartitionContext(down=mk("down"), up=mk("up"))
+
+
+@given(
+    layer_times.map(lambda ts: ts[:7]),
+    layer_times.map(lambda ts: ts[:7]),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=6, max_size=6),
+)
+@settings(max_examples=30, deadline=None)
+def test_cdm_floor_differential(dts, uts, S, extra, cut_step, pinned, factors):
+    """The vectorised floor folds equal, bit for bit, the minima over
+    every lattice partition enumerated one by one, for both replication
+    flavours, on homogeneous and speed-scaled groups; a lattice without
+    a partition raises like the table's selection."""
+    ld, lu = len(dts), len(uts)
+    D = 2 * S if pinned else S + extra
+    fixed_r = 2 if pinned else None
+    kwargs = dict(cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=6, fixed_r=fixed_r)
+    for scales in (None, tuple(factors[:D])):
+        ctx = _cdm_ctx(dts, uts, batch=12.0, scales=scales)
+        ref = cdm_floor_reference(ctx, S, **kwargs)
+        plans = PlannerCaches().kernel_plans
+        if math.isinf(ref[0]):
+            with pytest.raises(PartitionError):
+                pk.cdm_floor_array(ctx, S, plans=plans, **kwargs)
+            continue
+        arr = pk.cdm_floor_array(ctx, S, plans=plans, **kwargs)
+        assert [x.hex() for x in arr] == [x.hex() for x in ref]
 
 
 @given(

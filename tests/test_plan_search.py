@@ -1,34 +1,43 @@
-"""Bound-and-skip plan search: pruning never changes the chosen plan.
+"""Bound-ladder plan search: pruning never changes the chosen plan.
 
-:meth:`DiffusionPipePlanner.plan` simulates every feasible (D, S, M),
-bounds its throughput by ``samples / pipeline_ms`` and fills only the
-configurations whose bound can still beat the incumbent.  Two
-cross-layer invariants make that safe, and both are checked here
+:meth:`DiffusionPipePlanner.plan` keeps every feasible (D, S, M) in a
+heap keyed by its best known throughput bound and lets the top one
+climb a rung per pop — the pre-partition makespan floor of a
+bidirectional model, then the simulated ``samples / pipeline_ms``
+bound, then the fill — until the top bound cannot beat the incumbent.
+Three cross-layer invariants make that safe, and all are checked here
 exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
 
-* **the bound is sound** — every candidate's ``samples / pipeline_ms
-  * 1e3`` is at least its filled throughput, and equals the bound the
-  search actually used;
+* **the simulated bound is sound** — every candidate's ``samples /
+  pipeline_ms * 1e3`` is at least its filled throughput, and equals the
+  bound the search actually used;
+* **the floor is sound** — a bidirectional candidate's floor bound
+  (which already gives up its stated margin) is at least its simulated
+  bound, and a configuration without a floor has no partition either;
 * **pruning never changes the chosen plan** — ``plan(b)`` is the first
   maximum of the exhaustive :meth:`candidate_plans`, configuration,
-  partition and timings alike.
+  partition and timings alike, on homogeneous and speed-scaled groups.
 
-A deterministic counter gate pins the saving itself: a cold 16-GPU SD
-plan runs the bubble filler for the winning configuration only.
+Deterministic counter gates pin the savings: a cold 16-GPU SD plan runs
+the bubble filler for the winning configuration only, and a cold
+16-GPU heterogeneous CDM-LSUN plan builds 17 of its 50 CDM tables.
 """
 
 from __future__ import annotations
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import DeviceSpec, p4de_cluster, single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
 from repro.core.filling import BubbleFiller
+from repro.errors import ConfigurationError
 from repro.models.zoo import (
     cascaded_model,
+    cdm_lsun,
     stable_diffusion_v2_1,
     two_encoder_model,
     uniform_model,
@@ -40,25 +49,37 @@ MODELS = {
     "uniform-sc": lambda: uniform_model(self_conditioning=True),
     "two-encoder": two_encoder_model,
     "cascaded": cascaded_model,
+    "cdm-lsun": cdm_lsun,
 }
 #: device memory (bytes) of the small device: between the toy models'
 #: smallest and largest per-device peaks, so some configurations OOM
 SMALL_MEMORY = 3.82e7
+#: per-rank speed overrides (as ``(rank, factor)`` items): one or two
+#: slow or fast ranks, so groups mix window factors
+SPEED_FACTORS = (
+    (),
+    ((0, 0.5),),
+    ((1, 0.8),),
+    ((2, 1.5),),
+    ((0, 1.5), (3, 0.5)),
+    ((1, 0.8), (2, 0.5)),
+)
 
 @functools.cache
-def _setup(model_name, devices, memory):
+def _setup(model_name, devices, memory, speeds=()):
     """(model, cluster, profile), profiled once per combination."""
     spec = DeviceSpec(name="small", memory_bytes=memory) if memory else None
-    cluster = single_node(devices, device_spec=spec)
+    cluster = single_node(devices, device_spec=spec, speed_factors=dict(speeds))
     model = MODELS[model_name]()
     return model, cluster, Profiler(cluster).profile(model)
 
 
 @st.composite
 def search_case(draw):
-    model_name = draw(st.sampled_from(sorted(MODELS)))
+    model_name = draw(st.sampled_from(sorted(set(MODELS) - {"cdm-lsun"})))
     devices = draw(st.sampled_from((4, 6, 8)))
     memory = draw(st.sampled_from((None, SMALL_MEMORY)))
+    speeds = draw(st.sampled_from(SPEED_FACTORS))
     options = PlannerOptions(
         max_stages=4,
         micro_batch_counts=(1, 2, 3, 4),
@@ -68,7 +89,7 @@ def search_case(draw):
         cdm_cut_step=1,
     )
     batch = draw(st.sampled_from((12, 16, 24, 48, 64)))
-    return model_name, devices, memory, options, batch
+    return model_name, devices, memory, speeds, options, batch
 
 
 def _planner(model, cluster, profile, options):
@@ -80,8 +101,8 @@ def _planner(model, cluster, profile, options):
 @settings(max_examples=40, deadline=None)
 @given(search_case())
 def test_plan_is_first_maximum_and_bound_is_sound(case):
-    model_name, devices, memory, options, batch = case
-    model, cluster, profile = _setup(model_name, devices, memory)
+    model_name, devices, memory, speeds, options, batch = case
+    model, cluster, profile = _setup(model_name, devices, memory, speeds)
     exhaustive = _planner(model, cluster, profile, options)
     candidates = exhaustive.candidate_plans(batch)
 
@@ -98,12 +119,59 @@ def test_plan_is_first_maximum_and_bound_is_sound(case):
     # The pruned search runs on its own cold caches.  Throughput ties
     # at the maximum are common on these models, so the tie rule (first
     # in candidate_configs order) is exercised too.
+    pruned = _planner(model, cluster, profile, options)
+    if not candidates:
+        # The small device can leave nothing that fits.
+        with pytest.raises(ConfigurationError, match="no feasible"):
+            pruned.plan(batch)
+        return
     expected = max(candidates, key=lambda ev: ev.plan.throughput).plan
-    got = _planner(model, cluster, profile, options).plan(batch).plan
+    got = pruned.plan(batch).plan
     assert got.config_label == expected.config_label
     assert got.partition == expected.partition
     assert got.throughput.hex() == expected.throughput.hex()
     assert got.iteration_ms.hex() == expected.iteration_ms.hex()
+
+
+@st.composite
+def floor_case(draw):
+    """Bidirectional models: the toy cascade on up to 8 devices and
+    CDM-LSUN on small clusters, both replication flavours, both cut
+    grids, with and without speed factors."""
+    model_name = draw(st.sampled_from(("cascaded", "cdm-lsun")))
+    devices = draw(st.sampled_from((4, 6, 8) if model_name == "cascaded" else (4, 6)))
+    options = PlannerOptions(
+        max_stages=4,
+        micro_batch_counts=(1, 2, 4),
+        enable_bubble_filling=draw(st.booleans()),
+        heterogeneous_replication=draw(st.booleans()),
+        cdm_cut_step=draw(st.sampled_from((1, 2))),
+    )
+    speeds = draw(st.sampled_from(SPEED_FACTORS))
+    batch = draw(st.sampled_from((16, 24, 64)))
+    return model_name, devices, speeds, options, batch
+
+
+@settings(max_examples=30, deadline=None)
+@given(floor_case())
+def test_floor_bounds_the_simulated_bound(case):
+    model_name, devices, speeds, options, batch = case
+    model, cluster, profile = _setup(model_name, devices, None, speeds)
+    planner = _planner(model, cluster, profile, options)
+    evaluated = {
+        (p.partition.group_size, p.partition.num_stages,
+         p.partition.num_micro_batches): p
+        for p in (ev.plan for ev in planner.candidate_plans(batch))
+    }
+    for cfg in planner.candidate_configs(batch):
+        floor = planner._floor(batch, *cfg)
+        bound = planner._bound(batch, *cfg)
+        if floor is None:
+            # No lattice partition: the ladder may drop the config.
+            assert bound is None and cfg not in evaluated, cfg
+        elif cfg in evaluated:
+            throughput = evaluated[cfg].throughput
+            assert floor >= bound >= throughput, (cfg, floor, bound, throughput)
 
 
 def test_small_memory_device_rejects_some_configs():
@@ -154,3 +222,27 @@ def test_cold_plan_fills_only_the_winner(monkeypatch):
     candidates = _planner(model, cluster, profile, options).candidate_plans(256)
     assert fills[0] == 70
     assert best.plan == max(candidates, key=lambda ev: ev.plan.throughput).plan
+
+
+def test_cold_cdm_plan_skips_most_partition_tables():
+    """Counter gate of the floor rung: a cold heterogeneous CDM-LSUN
+    plan on 16 GPUs builds 17 of the 50 CDM tables the exhaustive search
+    builds (one per configuration) and returns the plan the exhaustive
+    search picks — (D, S, M) = (16, 2, 1) at 0x1.73c072d100909p+9
+    samples/s, pinned from ``candidate_plans(256)``."""
+    cluster = p4de_cluster(2)
+    model = cdm_lsun()
+    profile = Profiler(cluster).profile(model)
+    options = PlannerOptions(heterogeneous_replication=True)
+    caches = PlannerCaches()
+    caches.clear([profile])
+    planner = DiffusionPipePlanner(
+        model, cluster, profile, options=options, caches=caches
+    )
+    best = planner.plan(256).plan
+    assert len(list(planner.candidate_configs(256))) == 50
+    assert caches.stats().store("cdm").misses == 17
+    assert (best.partition.group_size, best.partition.num_stages,
+            best.partition.num_micro_batches) == (16, 2, 1)
+    assert best.throughput.hex() == "0x1.73c072d100909p+9"
+    assert best == planner.evaluate(256, 16, 2, 1).plan

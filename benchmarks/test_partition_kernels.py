@@ -13,6 +13,11 @@ the lattice's mass distribution is part of the contract: the
 heterogeneous shapes dominate, exactly where the planner spends its
 time on fig13c/d-class sweeps with ``heterogeneous_replication``.
 
+The wall-clock gate is ``slow``: the CI fast suite (``-m "not slow"``)
+runs its work-counter twin instead, which counts the oracles'
+per-candidate Python fold (``pareto_insert``) on the same shapes; the
+tier-1 command runs both.
+
 Timing discipline: every build is cold (fresh :class:`PlannerCaches`),
 and every (engine, shape) point takes the best of N runs — single runs
 on a shared CI box can be 2-3x off their dispersion floor, and the
@@ -27,9 +32,14 @@ replication flavours, fuzzed instances) lives in
 from __future__ import annotations
 
 import gc
+import sys
 import time
+from collections import Counter
+
+import pytest
 
 from repro.cluster.collectives import CommCosts
+from repro.core import partition
 from repro.core.caches import PlannerCaches
 from repro.core.partition import PartitionContext, _het_frontiers
 from repro.core.partition_cdm import CDMPartitionContext, _cdm_frontiers
@@ -90,7 +100,9 @@ def _ctx(profile, component, M=16):
     )
 
 
-def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
+def _lattice(lsun, lsun_profile):
+    """The gate's six shapes as ``(name, cold build)`` pairs; run a
+    build under an engine with :func:`_under`."""
     down, up = lsun.backbone_names
     L = lsun_profile.num_layers(down)
     ld, lu = lsun_profile.num_layers(down), lsun_profile.num_layers(up)
@@ -99,33 +111,32 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
         down=_ctx(lsun_profile, down, M=8), up=_ctx(lsun_profile, up, M=8)
     )
 
-    def het(S, D, kern):
-        return _under(
-            kern, lambda: _het_frontiers(ctx, L, S, D, PlannerCaches())
+    def het(S, D):
+        return lambda: _het_frontiers(ctx, L, S, D, PlannerCaches())
+
+    def chain():
+        return _het_frontiers(ctx, L, 4, 8, PlannerCaches(), fixed_r=2)
+
+    def cdm():
+        return _cdm_frontiers(
+            cctx, 4, 8, PlannerCaches(), fixed_r=2, cut_step=2, ld=ld, lu=lu
         )
 
-    def chain(kern):
-        return _under(
-            kern,
-            lambda: _het_frontiers(ctx, L, 4, 8, PlannerCaches(), fixed_r=2),
-        )
+    return [
+        ("het S=4 D=16", het(4, 16)),
+        ("het S=4 D=32", het(4, 32)),
+        ("het S=6 D=32", het(6, 32)),
+        ("het S=4 D=64", het(4, 64)),
+        ("chain S=4", chain),
+        ("cdm uniform", cdm),
+    ]
 
-    def cdm(kern):
-        return _under(
-            kern,
-            lambda: _cdm_frontiers(
-                cctx, 4, 8, PlannerCaches(), fixed_r=2, cut_step=2,
-                ld=ld, lu=lu,
-            ),
-        )
 
+@pytest.mark.slow
+def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
     lattice = [
-        ("het S=4 D=16", het(4, 16, "reference"), het(4, 16, "array")),
-        ("het S=4 D=32", het(4, 32, "reference"), het(4, 32, "array")),
-        ("het S=6 D=32", het(6, 32, "reference"), het(6, 32, "array")),
-        ("het S=4 D=64", het(4, 64, "reference"), het(4, 64, "array")),
-        ("chain S=4", chain("reference"), chain("array")),
-        ("cdm uniform", cdm("reference"), cdm("array")),
+        (name, _under("reference", build), _under("array", build))
+        for name, build in _lattice(lsun, lsun_profile)
     ]
 
     total_ref = total_arr = 0.0
@@ -155,6 +166,36 @@ def test_array_kernels_aggregate_speedup(lsun, lsun_profile):
             f"{n} {r / a:.2f}x" for n, r, a in rows
         )
     )
+
+
+def test_array_kernels_never_fold_in_python(lsun, lsun_profile, monkeypatch):
+    """Work-counter twin of the speed gate, for the fast suite.
+
+    On the gate's six shapes the array engine settles every DP state
+    in array kernels: it makes zero calls to
+    :func:`repro.core.partition.pareto_insert`, the per-candidate
+    Python fold of the oracles (2,341,944 calls on these six shapes).
+    Every module binding of the function is counted, and the oracle's
+    calls on the two cheap shapes prove the counter is live."""
+    original = partition.pareto_insert
+    calls = Counter()
+
+    def counting(*args, **kwargs):
+        calls["pareto_insert"] += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("pareto_insert") is original:
+            monkeypatch.setattr(module, "pareto_insert", counting)
+
+    lattice = _lattice(lsun, lsun_profile)
+    for name, build in lattice:
+        _under("array", build)()
+        assert calls["pareto_insert"] == 0, name
+    for name, build in lattice[-2:]:
+        _under("reference", build)()
+        assert calls["pareto_insert"] > 0, name
+        calls.clear()
 
 
 def test_array_kernels_identical_tables_on_lattice_shape(lsun, lsun_profile):

@@ -1,7 +1,8 @@
 """GPipe baseline (Huang et al. 2019), as evaluated in the paper.
 
 GPipe partitions the backbone into stages with *equal layer counts*
-(no cost-aware partitioning), runs all-forwards-then-all-backwards, and
+(no cost-aware partitioning), runs the ``gpipe`` schedule family (no
+in-flight window; a ready forward always beats a ready backward), and
 does not fill bubbles: the non-trainable part executes before backbone
 pipelining, data-parallel across the pipeline group (the
 "backbone-only pipelining" of Fig. 9).  The paper evaluates GPipe with

@@ -10,6 +10,7 @@ latency connect two device ranks?*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 from .. import units
@@ -85,8 +86,14 @@ class ClusterSpec:
     link_overrides: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.num_machines <= 0 or self.devices_per_machine <= 0:
-            raise ConfigurationError("cluster dimensions must be positive")
+        for name in ("num_machines", "devices_per_machine"):
+            value = getattr(self, name)
+            # Integral admits numpy integers (repro.core.plan.positive_int
+            # applies the same rule above this package).
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ConfigurationError(
+                    f"cluster {name} must be an integer >= 1, got {value!r}"
+                )
         object.__setattr__(
             self, "speed_factors", self._canon_speed(self.speed_factors)
         )

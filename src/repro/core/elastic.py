@@ -44,6 +44,7 @@ from ..models.graph import ModelSpec
 from ..profiling.profiler import Profiler
 from ..profiling.records import ProfileDB
 from .caches import PlannerCaches, default_caches
+from .plan import positive_int
 from .planner import DiffusionPipePlanner, EvaluatedConfig, PlannerOptions
 
 __all__ = ["ElasticEvent", "apply_event", "ElasticSession"]
@@ -76,10 +77,10 @@ class ElasticEvent:
                 f"unknown elastic event kind {self.kind!r}; "
                 f"expected one of {EVENT_KINDS}"
             )
-        if self.machines < 1:
+        if not positive_int(self.machines):
             raise ConfigurationError(
-                f"elastic event must move at least one machine, "
-                f"got {self.machines}"
+                f"elastic event must move at least one machine, as an "
+                f"integer, got {self.machines!r}"
             )
         if self.speed_factor is not None:
             if self.kind != "join":

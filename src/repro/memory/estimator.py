@@ -8,9 +8,15 @@ Memory model (mixed-precision Adam, the setup of the paper's testbed):
   => 16 bytes per trainable parameter resident on a device
 * frozen parameters: fp16 only (2 B/param), with no gradients/states
 * activations: per in-flight micro-batch, the sum of the resident
-  layers' stored-activation bytes at the local batch size; 1F1B keeps at
-  most ``S - s`` micro-batches alive on stage ``s`` while GPipe keeps
-  all ``M``.
+  layers' stored-activation bytes at the local batch size.  The window
+  comes from the schedule family: 1F1B keeps at most ``S - s``
+  micro-batches alive on stage ``s``; a ``forwards_first`` family
+  (GPipe) has no in-flight window and is priced at all ``M``, an upper
+  bound, since a backward can free a micro-batch before a later
+  micro-batch's forward arrives.  The zero-bubble family's deferred W
+  tasks stretch some activations' lifetimes slightly; pricing it with
+  the 1F1B window is its documented approximation (see
+  :mod:`repro.schedule.zerobubble`).
 
 ZeRO-3 shards parameters, gradients and optimiser states across the
 data-parallel group and materialises at most one layer's parameters at
@@ -24,6 +30,7 @@ from ..models.component import ComponentSpec
 from ..models.graph import ModelSpec
 from ..models.layers import DTYPE_BYTES
 from ..core.plan import MemoryReport, PartitionPlan, StageAssignment
+from ..schedule import get_family
 
 #: bytes per trainable parameter: fp16 param + fp16 grad + fp32 master
 #: + two fp32 Adam moments
@@ -75,115 +82,52 @@ def stage_state_bytes(model: ModelSpec, stage: StageAssignment) -> float:
     return params * per_param
 
 
-#: schedule names whose in-flight window matches plain 1F1B (stage
-#: ``s`` of ``S`` keeps ``min(S - s, M)`` micro-batches alive).  The
-#: zero-bubble family's deferred W tasks stretch some activations'
-#: lifetimes slightly; pricing it with the 1F1B window is the family's
-#: documented approximation (see repro.schedule.zerobubble).
-_ONEF1B_WINDOW = ("1f1b", "onef1b", "bidirectional", "zerobubble")
-#: schedules that keep all M micro-batches alive per stage
-_FULL_WINDOW = ("gpipe",)
-#: chunked schedules: the partition's ``down`` chain holds chunks and
-#: each device hosts ``virtual_stages`` of them (1F1B window over the
-#: chunk chain, which is what the simulator's in-flight gate enforces)
-_CHUNKED_WINDOW = ("interleaved",)
-
-
 def pipeline_memory_report(
     model: ModelSpec,
     partition: PartitionPlan,
     *,
     capacity_bytes: float,
-    schedule: str = "1f1b",
+    schedule: str = "onef1b",
     virtual_stages: int = 1,
 ) -> MemoryReport:
     """Peak per-device memory under pipeline training.
 
-    The peak is taken over stages (each stage lives on its own
-    device(s)); every device additionally hosts the frozen components
-    for bubble filling.  Bidirectional plans co-locate down-stage ``k``
-    and up-stage ``S-1-k``.  ``schedule`` accepts the schedule-family
-    registry names (plus the legacy ``"1f1b"`` spelling); for the
-    ``interleaved`` family ``virtual_stages`` tells the estimator how
-    many chunks of ``partition.down`` each device hosts.
+    ``schedule`` names a registered schedule family (unknown names raise
+    :class:`ConfigurationError`).  Device ``pos`` hosts chain stages
+    ``pos, pos + S/v, ...`` — ``v`` is ``virtual_stages`` for a chunked
+    family such as ``interleaved`` and 1 otherwise — and, on a
+    bidirectional partition, up stage ``S-1-pos``.  Stage ``i`` of the
+    ``S``-stage chain keeps ``min(S - i, M)`` micro-batches alive (the
+    1F1B in-flight window the schedule builder wires), or all ``M`` for
+    a ``forwards_first`` family (GPipe, an upper bound).  Every device
+    additionally hosts the frozen components for bubble filling; the
+    peak is the largest device total.
     """
-    known = _ONEF1B_WINDOW + _FULL_WINDOW + _CHUNKED_WINDOW
-    if schedule not in known:
-        raise ConfigurationError(
-            f"unknown schedule {schedule!r}; expected one of {known}"
-        )
+    family = get_family(schedule)
     S = partition.num_stages
     M = partition.num_micro_batches
+    v = virtual_stages if family.chunked else 1
+    if v < 1 or S % v != 0:
+        raise ConfigurationError(
+            f"{schedule} memory needs virtual_stages | num_stages "
+            f"(got v={v}, {S} chunks)"
+        )
+    positions = S // v
     frozen = frozen_state_bytes(model)
 
-    if schedule in _CHUNKED_WINDOW:
-        if virtual_stages < 1 or S % virtual_stages != 0:
-            raise ConfigurationError(
-                f"interleaved memory needs virtual_stages | num_stages "
-                f"(got v={virtual_stages}, {S} chunks)"
-            )
-        return _chunked_memory_report(
-            model, partition, frozen, virtual_stages,
-            capacity_bytes=capacity_bytes,
-        )
-
-    peak = 0.0
-    breakdown: dict[str, float] = {}
-    for pos in range(S):
-        chains = [partition.down[pos]]
-        if partition.is_bidirectional:
-            chains.append(partition.up[S - 1 - pos])
-        dev_total = frozen
-        for chain_idx, stage in enumerate(chains):
-            local_batch = partition.micro_batch / stage.replicas
-            window = schedule in _ONEF1B_WINDOW
-            inflight = min(S - pos, M) if window else M
-            if partition.is_bidirectional and chain_idx == 1:
-                # The up pipeline's stage index on this device.
-                up_pos = S - 1 - pos
-                inflight = min(S - up_pos, M) if window else M
-            act = stage_activation_bytes(model, stage, local_batch) * inflight
-            state = stage_state_bytes(model, stage)
-            dev_total += act + state
-        if dev_total > peak:
-            peak = dev_total
-            breakdown = {
-                "frozen_components": frozen,
-                "stage_states_and_activations": dev_total - frozen,
-            }
-    return MemoryReport(
-        peak_bytes=peak, capacity_bytes=capacity_bytes, breakdown=breakdown
-    )
-
-
-def _chunked_memory_report(
-    model: ModelSpec,
-    partition: PartitionPlan,
-    frozen: float,
-    virtual_stages: int,
-    *,
-    capacity_bytes: float,
-) -> MemoryReport:
-    """Interleaved-1F1B peak: device ``d`` of ``S/v`` positions hosts
-    chunks ``d, d + S/v, d + 2*S/v, ...`` of the chunk chain; each
-    chunk ``c`` keeps ``min(S_chunks - c, M)`` micro-batches alive (the
-    1F1B window over the chunk chain, which is exactly the in-flight
-    gate the schedule builder wires)."""
-    S_chunks = partition.num_stages
-    M = partition.num_micro_batches
-    positions = S_chunks // virtual_stages
     peak = 0.0
     breakdown: dict[str, float] = {}
     for pos in range(positions):
+        hosted = [(i, partition.down[i]) for i in range(pos, S, positions)]
+        if partition.is_bidirectional:
+            hosted.append((S - 1 - pos, partition.up[S - 1 - pos]))
         dev_total = frozen
-        for c in range(pos, S_chunks, positions):
-            chunk = partition.down[c]
-            local_batch = partition.micro_batch / chunk.replicas
-            inflight = min(S_chunks - c, M)
-            dev_total += (
-                stage_activation_bytes(model, chunk, local_batch) * inflight
-                + stage_state_bytes(model, chunk)
-            )
+        for i, stage in hosted:
+            local_batch = partition.micro_batch / stage.replicas
+            inflight = M if family.forwards_first else min(S - i, M)
+            act = stage_activation_bytes(model, stage, local_batch) * inflight
+            state = stage_state_bytes(model, stage)
+            dev_total += act + state
         if dev_total > peak:
             peak = dev_total
             breakdown = {

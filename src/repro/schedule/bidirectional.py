@@ -28,20 +28,17 @@ BIDIRECTIONAL_COMM_SCALE = 2.0
 def build_bidirectional(
     stages_down: Sequence[StageExec],
     stages_up: Sequence[StageExec],
-    num_micro_batches_down: int,
-    num_micro_batches_up: int,
+    num_micro_batches: int,
     *,
     self_conditioning: bool = False,
     feedback_ms: float = 0.0,
-    comm_scale: float = BIDIRECTIONAL_COMM_SCALE,
-    sync_on_device: bool = False,
 ) -> list[Task]:
     """Build the combined task graph of a two-backbone bidirectional pipeline.
 
     Both stage chains must have the same length (they share the device
-    chain).  Devices are numbered 0..S-1; the down pipeline maps stage
-    ``s`` to device ``s``, the up pipeline maps stage ``s`` to device
-    ``S - 1 - s``.
+    chain) and run ``num_micro_batches`` each.  Devices are numbered
+    0..S-1; the down pipeline maps stage ``s`` to device ``s``, the up
+    pipeline maps stage ``s`` to device ``S - 1 - s``.
     """
     down = validate_stages(stages_down)
     up = validate_stages(stages_up)
@@ -63,22 +60,19 @@ def build_bidirectional(
             )
     tasks = build_1f1b(
         down,
-        num_micro_batches_down,
+        num_micro_batches,
         self_conditioning=self_conditioning,
         feedback_ms=feedback_ms,
         id_prefix="dn/",
-        device_order=list(range(S)),
-        comm_scale=comm_scale,
-        sync_on_device=sync_on_device,
+        comm_scale=BIDIRECTIONAL_COMM_SCALE,
     )
     tasks += build_1f1b(
         up,
-        num_micro_batches_up,
+        num_micro_batches,
         self_conditioning=self_conditioning,
         feedback_ms=feedback_ms,
         id_prefix="up/",
-        device_order=list(range(S - 1, -1, -1)),
-        comm_scale=comm_scale,
-        sync_on_device=sync_on_device,
+        device_order=range(S - 1, -1, -1),
+        comm_scale=BIDIRECTIONAL_COMM_SCALE,
     )
     return tasks

@@ -3,17 +3,22 @@
 Mirrors the :mod:`repro.core.fill_strategies` registry — the planner
 (and the CLI's ``--schedule``) selects a family by name instead of
 importing builders directly, so new schedule shapes plug in without
-touching planner code.  Registered families:
+touching planner code.  Every family lowers to one task-graph builder,
+:func:`~repro.schedule.onef1b.build_1f1b`.  Registered families:
 
 ``onef1b``
     The paper's FIFO-1F1B (:func:`~repro.schedule.onef1b.build_1f1b`).
 ``gpipe``
-    All-forwards-then-all-backwards
-    (:func:`~repro.schedule.gpipe.build_gpipe`); the §6 baseline rides
+    The 1F1B graph with ``forwards_first=True``
+    (:func:`~repro.schedule.gpipe.build_gpipe`): no in-flight window,
+    and a ready forward always beats a ready backward, so a backward can
+    still start while a later micro-batch's forward has not arrived.
+    The only family with ``forwards_first=True``; the §6 baseline rides
     the same code path as the planner families.
 ``bidirectional``
     The §4.2 two-backbone Chimera-style composition for cascaded
-    models; the only family with ``cascaded=True``.
+    models (two 1F1B graphs, the up one on the reversed device chain);
+    the only family with ``cascaded=True``.
 ``interleaved``
     Megatron-style virtual stages: each device hosts ``v``
     non-contiguous chunks, 1F1B over the chunk chain
@@ -26,8 +31,10 @@ touching planner code.  Registered families:
     ``splits_backward=True`` selects B/W pricing in the partition DPs.
 
 Every family builds from the same inputs (stage chains + micro-batch
-counts) and returns a plain task list for the discrete-event simulator;
-``simulate`` needs no per-family logic.
+count) and returns a plain task list for the discrete-event simulator;
+``simulate`` needs no per-family logic.  ``forwards_first`` is also the
+activation window the memory estimator prices: ``M`` micro-batches per
+stage when set, the 1F1B window otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from ..errors import ConfigurationError
-from .bidirectional import BIDIRECTIONAL_COMM_SCALE, build_bidirectional
+from .bidirectional import build_bidirectional
 from .gpipe import build_gpipe
 from .interleaved import build_interleaved
 from .onef1b import build_1f1b
@@ -55,6 +62,10 @@ class ScheduleFamily(Protocol):
     chunked: bool
     #: True if the family prices/schedules B and W separately
     splits_backward: bool
+    #: True if the graph has no in-flight window and runs ready forwards
+    #: before ready backwards (``build_1f1b(..., forwards_first=True)``);
+    #: the memory estimator then keeps all ``M`` micro-batches alive
+    forwards_first: bool
 
     def build(
         self,
@@ -62,11 +73,9 @@ class ScheduleFamily(Protocol):
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         ...  # pragma: no cover - protocol
 
@@ -114,6 +123,7 @@ class OneF1BFamily:
     cascaded = False
     chunked = False
     splits_backward = False
+    forwards_first = False
 
     def build(
         self,
@@ -121,11 +131,9 @@ class OneF1BFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         return build_1f1b(
@@ -133,7 +141,6 @@ class OneF1BFamily:
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -143,6 +150,7 @@ class GPipeFamily:
     cascaded = False
     chunked = False
     splits_backward = False
+    forwards_first = True
 
     def build(
         self,
@@ -150,11 +158,9 @@ class GPipeFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         return build_gpipe(
@@ -162,7 +168,6 @@ class GPipeFamily:
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -172,6 +177,7 @@ class BidirectionalFamily:
     cascaded = True
     chunked = False
     splits_backward = False
+    forwards_first = False
 
     def build(
         self,
@@ -179,11 +185,9 @@ class BidirectionalFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         if up is None:
             raise ConfigurationError(
@@ -194,13 +198,8 @@ class BidirectionalFamily:
             stages,
             up,
             num_micro_batches,
-            num_micro_batches
-            if num_micro_batches_up is None
-            else num_micro_batches_up,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            comm_scale=BIDIRECTIONAL_COMM_SCALE,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -210,6 +209,7 @@ class InterleavedFamily:
     cascaded = False
     chunked = True
     splits_backward = False
+    forwards_first = False
 
     def build(
         self,
@@ -217,11 +217,9 @@ class InterleavedFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         if num_devices is None:
@@ -235,7 +233,6 @@ class InterleavedFamily:
             num_devices,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )
 
 
@@ -245,6 +242,7 @@ class ZeroBubbleFamily:
     cascaded = False
     chunked = False
     splits_backward = True
+    forwards_first = False
 
     def build(
         self,
@@ -252,11 +250,9 @@ class ZeroBubbleFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_micro_batches_up: int | None = None,
         num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
-        sync_on_device: bool = False,
     ) -> list[Task]:
         _reject_cascaded(self.name, up)
         return build_zerobubble(
@@ -264,5 +260,4 @@ class ZeroBubbleFamily:
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
-            sync_on_device=sync_on_device,
         )

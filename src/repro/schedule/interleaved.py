@@ -32,9 +32,6 @@ def build_interleaved(
     *,
     self_conditioning: bool = False,
     feedback_ms: float = 0.0,
-    id_prefix: str = "",
-    comm_scale: float = 1.0,
-    sync_on_device: bool = False,
 ) -> list[Task]:
     """Build the interleaved-1F1B task graph.
 
@@ -57,8 +54,5 @@ def build_interleaved(
         num_micro_batches,
         self_conditioning=self_conditioning,
         feedback_ms=feedback_ms,
-        id_prefix=id_prefix,
         device_order=device_order,
-        comm_scale=comm_scale,
-        sync_on_device=sync_on_device,
     )

@@ -1,4 +1,5 @@
-"""FIFO-1F1B schedule builder (paper Fig. 2 / Fig. 10).
+"""FIFO-1F1B schedule builder (paper Fig. 2 / Fig. 10), and the one
+task-graph builder every schedule family lowers to.
 
 The schedule is encoded as a task graph:
 
@@ -16,6 +17,12 @@ The schedule is encoded as a task graph:
 Priorities implement FIFO-1F1B dispatch: among ready tasks a device
 prefers lower micro-batch index and, within one, SC-forward < forward <
 backward.
+
+``forwards_first=True`` gives GPipe's graph (see
+:mod:`repro.schedule.gpipe`): the in-flight window goes, and every
+priority gains a leading phase group — 0 for SC/forward tasks and their
+transfers, 1 for backwards and gradient transfers, 2 for syncs — so a
+ready forward always beats a ready backward.
 """
 
 from __future__ import annotations
@@ -37,10 +44,9 @@ def build_1f1b(
     self_conditioning: bool = False,
     feedback_ms: float = 0.0,
     id_prefix: str = "",
-    device_offset: int = 0,
     device_order: Sequence[int] | None = None,
     comm_scale: float = 1.0,
-    sync_on_device: bool = False,
+    forwards_first: bool = False,
 ) -> list[Task]:
     """Build the FIFO-1F1B task graph for one backbone pipeline.
 
@@ -56,17 +62,18 @@ def build_1f1b(
         Duration of the last-stage -> first-stage feedback transfer.
     id_prefix:
         Prefix for task ids (used when composing multiple pipelines).
-    device_offset / device_order:
+    device_order:
         Mapping from stage position to logical device: stage ``s`` runs
-        on ``device_order[s]`` if given, else ``device_offset + s``.
+        on ``device_order[s]`` if given, else on device ``s``.
         Bidirectional composition passes a reversed order for the up
-        pipeline.
+        pipeline, the interleaved family a round-robin one for its
+        chunks.
     comm_scale:
         Multiplier on all communication durations (bidirectional
         pipelines double communication cost, §4.2).
-    sync_on_device:
-        Run gradient sync on the compute engine instead of the
-        collective engine (models a blocking all-reduce).
+    forwards_first:
+        Drop the in-flight window and order every forward before every
+        backward, and every backward before every sync (GPipe).
     """
     stages = validate_stages(stages)
     S = len(stages)
@@ -75,12 +82,9 @@ def build_1f1b(
         raise ConfigurationError("number of micro-batches must be positive")
     if comm_scale <= 0:
         raise ConfigurationError("comm_scale must be positive")
-    if device_order is None:
-        device_order = [device_offset + s for s in range(S)]
-    else:
-        device_order = list(device_order)
-        if len(device_order) != S:
-            raise ConfigurationError("device_order length must equal stage count")
+    device_order = list(range(S) if device_order is None else device_order)
+    if len(device_order) != S:
+        raise ConfigurationError("device_order length must equal stage count")
 
     p = id_prefix
     tasks: list[Task] = []
@@ -111,7 +115,7 @@ def build_1f1b(
                     # output of the SC wave (Fig. 10's Cf).
                     if s == 0:
                         deps.append(f"{p}cf[{m}]")
-                if phase == _PHASE_FWD:
+                if phase == _PHASE_FWD and not forwards_first:
                     # 1F1B in-flight window: stage s keeps at most S - s
                     # activations alive.
                     window = S - s
@@ -130,7 +134,8 @@ def build_1f1b(
                         kind=TaskKind.SC_FORWARD
                         if phase == _PHASE_SC
                         else TaskKind.FORWARD,
-                        priority=(m, phase, wave_idx),
+                        priority=(0, m, phase, wave_idx) if forwards_first
+                        else (m, phase, wave_idx),
                         device=dev(s),
                         meta={"stage": s, "micro_batch": m},
                     )
@@ -144,7 +149,7 @@ def build_1f1b(
                             duration=stages[s].send_fwd_ms * comm_scale,
                             deps=(mk_id(s, m),),
                             kind=TaskKind.COMM,
-                            priority=(m, phase),
+                            priority=(0, m, phase) if forwards_first else (m, phase),
                             device=None,
                             meta={"stage": s, "micro_batch": m, "dir": "fwd"},
                         )
@@ -158,7 +163,7 @@ def build_1f1b(
                         duration=feedback_ms * comm_scale,
                         deps=(sc_id(S - 1, m),),
                         kind=TaskKind.COMM,
-                        priority=(m, phase),
+                        priority=(0, m, phase) if forwards_first else (m, phase),
                         device=None,
                         meta={"micro_batch": m, "dir": "feedback"},
                     )
@@ -176,7 +181,7 @@ def build_1f1b(
                     duration=stages[s].bwd_ms,
                     deps=tuple(deps),
                     kind=TaskKind.BACKWARD,
-                    priority=(m, _PHASE_BWD),
+                    priority=(1, m, _PHASE_BWD) if forwards_first else (m, _PHASE_BWD),
                     device=dev(s),
                     meta={"stage": s, "micro_batch": m},
                 )
@@ -189,7 +194,8 @@ def build_1f1b(
                         duration=stages[s - 1].send_bwd_ms * comm_scale,
                         deps=(bwd_id(s, m),),
                         kind=TaskKind.COMM,
-                        priority=(m, _PHASE_BWD),
+                        priority=(1, m, _PHASE_BWD) if forwards_first
+                        else (m, _PHASE_BWD),
                         device=None,
                         meta={"stage": s, "micro_batch": m, "dir": "bwd"},
                     )
@@ -197,17 +203,15 @@ def build_1f1b(
 
     # Gradient synchronisation per stage after its last backward.
     for s in range(S):
-        resource = (
-            device_resource(dev(s)) if sync_on_device else sync_resource(dev(s))
-        )
         tasks.append(
             Task(
                 task_id=f"{p}sync[{s}]",
-                resource=resource,
+                resource=sync_resource(dev(s)),
                 duration=stages[s].sync_ms,
                 deps=(bwd_id(s, M - 1),),
                 kind=TaskKind.SYNC,
-                priority=(M, _PHASE_BWD + 1),
+                priority=(2, M, _PHASE_BWD + 1) if forwards_first
+                else (M, _PHASE_BWD + 1),
                 device=dev(s),
                 meta={"stage": s},
             )

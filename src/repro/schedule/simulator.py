@@ -54,7 +54,8 @@ def simulate(
 
     Event-driven engine; produces timelines identical to the list
     scheduler oracle in ``tests/oracles/``.  Raises :class:`ScheduleError` on
-    malformed graphs (cycles, unknown dependencies) and
+    malformed graphs (cycles, unknown dependencies, a task attributed to
+    a device outside ``range(num_devices)``) and
     :class:`SimulationError` on internal inconsistencies.
 
     ``device_weights`` maps each logical device to the number of
@@ -72,7 +73,17 @@ def simulate(
     seq = {tid: i for i, tid in enumerate(by_id)}
     remaining_deps = {tid: len(set(t.deps)) for tid, t in by_id.items()}
     dependents: dict[str, list[str]] = defaultdict(list)
+    #: device attributions a task may carry (None hides it from
+    #: per-device accounting)
+    devices = {None, *range(num_devices)}
     for t in by_id.values():
+        if t.device not in devices:
+            # Its work and idle time would vanish from every per-device
+            # metric (bubbles, bubble ratio, the fill).
+            raise ScheduleError(
+                f"task {t.task_id} runs on device {t.device}, outside "
+                f"the {num_devices} simulated devices"
+            )
         # dict.fromkeys, not set(): dependents lists feed dispatch order,
         # and set iteration would vary with the per-process hash seed.
         for d in dict.fromkeys(t.deps):

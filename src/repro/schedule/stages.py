@@ -10,10 +10,15 @@ gradient-synchronisation time and its replication factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigurationError
+
+#: every duration a stage carries: finite and >= 0 (optional ones if given)
+_DURATION_FIELDS = ("fwd_ms", "bwd_ms", "sc_fwd_ms", "send_fwd_ms",
+                    "send_bwd_ms", "sync_ms", "bwd_b_ms", "bwd_w_ms")
 
 
 @dataclass(frozen=True)
@@ -60,15 +65,17 @@ class StageExec:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ConfigurationError("stage index must be non-negative")
-        for name in ("fwd_ms", "bwd_ms", "send_fwd_ms", "send_bwd_ms", "sync_ms"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"stage {self.index}: negative {name}")
+        for name in _DURATION_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"stage {self.index}: {name} must be finite and "
+                    f"non-negative, got {value}"
+                )
         if self.replicas <= 0:
             raise ConfigurationError(f"stage {self.index}: replicas must be >= 1")
         if self.sc_fwd_ms is None:
             object.__setattr__(self, "sc_fwd_ms", self.fwd_ms)
-        elif self.sc_fwd_ms < 0:
-            raise ConfigurationError(f"stage {self.index}: negative sc_fwd_ms")
         b, w = self.bwd_b_ms, self.bwd_w_ms
         if b is None and w is None:
             # x/2 + x/2 == x exactly in IEEE arithmetic.

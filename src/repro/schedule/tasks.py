@@ -12,6 +12,7 @@ schedules without bespoke event logic per schedule type.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -100,8 +101,11 @@ class Task:
     def __post_init__(self) -> None:
         if not self.task_id:
             raise ScheduleError("task_id must be non-empty")
-        if self.duration < 0:
-            raise ScheduleError(f"task {self.task_id}: negative duration")
+        if not 0.0 <= self.duration < math.inf:
+            raise ScheduleError(
+                f"task {self.task_id}: duration must be finite and "
+                f"non-negative, got {self.duration}"
+            )
         if self.task_id in self.deps:
             raise ScheduleError(f"task {self.task_id} depends on itself")
 

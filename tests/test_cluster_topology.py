@@ -1,5 +1,6 @@
 """Cluster topology tests."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -73,8 +74,14 @@ def test_link_validation():
 
 
 def test_cluster_validation():
-    with pytest.raises(ConfigurationError):
-        ClusterSpec(num_machines=0)
+    # Whole counts only: a fractional machine count once built a world
+    # of 20.0 devices.
+    for field in ("num_machines", "devices_per_machine"):
+        for bad in (0, -1, 2.5, 2.0):
+            with pytest.raises(ConfigurationError, match=field):
+                ClusterSpec(**{field: bad})
+    c = ClusterSpec(num_machines=np.int64(2), devices_per_machine=np.int32(4))
+    assert c.world_size == 8
 
 
 # -- heterogeneity overrides --------------------------------------------------

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.cluster import DeviceSpec, single_node
+from repro.cluster import DeviceSpec, p4de_cluster, single_node
 from repro.cluster.topology import ClusterSpec, LinkSpec
 from repro.core import (
     DiffusionPipePlanner,
@@ -36,6 +37,12 @@ def test_event_validation():
         ElasticEvent("reboot")
     with pytest.raises(ConfigurationError, match="at least one machine"):
         ElasticEvent("join", machines=0)
+    # A fractional join once grew p4de_cluster(2) to 3.5 machines.
+    for bad in (1.5, 1.0):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ElasticEvent("join", machines=bad)
+    grown = apply_event(p4de_cluster(2), ElasticEvent("join", machines=np.int64(1)))
+    assert (grown.num_machines, grown.world_size) == (3, 24)
     with pytest.raises(ConfigurationError, match="only applies to joining"):
         ElasticEvent("leave", speed_factor=0.5)
     with pytest.raises(ConfigurationError, match="must be positive"):

@@ -73,6 +73,10 @@ def test_pipeline_memory_1f1b_window():
     )
     assert rep.peak_bytes == pytest.approx(expected_stage0)
     assert rep.fits
+    # Every family without forwards_first prices the 1F1B window.
+    for name in ("bidirectional", "zerobubble"):
+        rep = pipeline_memory_report(m, plan, capacity_bytes=1e12, schedule=name)
+        assert rep.peak_bytes == pytest.approx(expected_stage0)
 
 
 def test_gpipe_memory_exceeds_1f1b():
@@ -84,8 +88,57 @@ def test_gpipe_memory_exceeds_1f1b():
     f1b = pipeline_memory_report(m, plan, capacity_bytes=1e12)
     gp = pipeline_memory_report(m, plan, capacity_bytes=1e12, schedule="gpipe")
     assert gp.peak_bytes > f1b.peak_bytes
-    with pytest.raises(ConfigurationError):
-        pipeline_memory_report(m, plan, capacity_bytes=1e12, schedule="pipedream")
+    # forwards_first: all M = 4 micro-batches stay alive on stage 0.
+    assert gp.peak_bytes == pytest.approx(
+        frozen_state_bytes(m) + 2e6 * 16 + 4 * (2 * 1e6 * 8)
+    )
+    # Names resolve through the family registry ("1f1b" is no family).
+    for bad in ("pipedream", "1f1b"):
+        with pytest.raises(ConfigurationError, match="unknown schedule family"):
+            pipeline_memory_report(m, plan, capacity_bytes=1e12, schedule=bad)
+
+
+def test_interleaved_memory_hosts_round_robin_chunks():
+    """Four one-layer chunks on two devices (v = 2): device 0 hosts
+    chunks 0 and 2, keeping min(4 - c, M) micro-batches of each."""
+    m = _model()
+    plan = PartitionPlan(
+        down=tuple(StageAssignment("bb", i, i + 1) for i in range(4)),
+        num_stages=4, num_micro_batches=4, group_size=2, batch_per_group=32,
+    )
+    rep = pipeline_memory_report(
+        m, plan, capacity_bytes=1e12, schedule="interleaved", virtual_stages=2
+    )
+    act = 1e6 * 8  # one micro-batch of 8 samples on a 1-layer chunk
+    assert rep.peak_bytes == pytest.approx(
+        frozen_state_bytes(m) + (4 + 2) * act + 2 * 1e6 * 16
+    )
+    with pytest.raises(ConfigurationError, match="virtual_stages"):
+        pipeline_memory_report(
+            m, plan, capacity_bytes=1e12, schedule="interleaved",
+            virtual_stages=3,
+        )
+
+
+def test_bidirectional_memory_colocates_up_stage():
+    """Device k hosts down stage k and up stage S-1-k, each with its
+    own 1F1B window."""
+    m = _model()
+    down = (StageAssignment("bb", 0, 1), StageAssignment("bb", 1, 4))
+    up = (StageAssignment("bb", 0, 3), StageAssignment("bb", 3, 4))
+    plan = PartitionPlan(
+        down=down, up=up, num_stages=2, num_micro_batches=4, group_size=2,
+        batch_per_group=32,
+    )
+    rep = pipeline_memory_report(m, plan, capacity_bytes=1e12)
+    act = 1e6 * 8  # one micro-batch of 8 samples on one layer
+    state = 1e6 * 16  # one layer's trainable state
+    # Device 0: down stage 0 (1 layer, window 2) + up stage 1 (1 layer,
+    # window 1); device 1: down stage 1 (3 layers, window 1) + up stage
+    # 0 (3 layers, window 2) -- the peak.
+    assert rep.peak_bytes == pytest.approx(
+        frozen_state_bytes(m) + 3 * (act + 2 * act) + 6 * state
+    )
 
 
 def test_data_parallel_memory_and_oom():

@@ -1,6 +1,10 @@
 """1F1B / GPipe / bidirectional schedule-builder tests."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.schedule import (
@@ -39,6 +43,14 @@ def test_stage_exec_validation():
         validate_stages([StageExec(index=1, fwd_ms=1, bwd_ms=1)])
     s = StageExec(index=0, fwd_ms=2, bwd_ms=4)
     assert s.sc_fwd_ms == 2  # defaults to fwd
+    # Every duration must be finite: a NaN stage once reached the
+    # simulator's dispatch assert, an infinite one an infinite makespan.
+    for name in ("fwd_ms", "bwd_ms", "send_fwd_ms", "send_bwd_ms",
+                 "sync_ms", "sc_fwd_ms", "bwd_b_ms", "bwd_w_ms"):
+        for bad in (math.nan, math.inf):
+            kwargs = {"fwd_ms": 1.0, "bwd_ms": 2.0, name: bad}
+            with pytest.raises(ConfigurationError, match=name):
+                StageExec(index=0, **kwargs)
 
 
 def test_1f1b_makespan_matches_theory():
@@ -100,6 +112,89 @@ def test_gpipe_all_forwards_before_backwards():
         assert bwd_start >= fwd_end
 
 
+ms = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def chain_case(draw):
+    """(stages, M, self-conditioning, feedback_ms) with random compute,
+    comm and sync times (zero included)."""
+    S = draw(st.integers(1, 6))
+    stages = [
+        StageExec(
+            index=i,
+            fwd_ms=draw(ms),
+            bwd_ms=draw(ms),
+            sc_fwd_ms=draw(ms),
+            send_fwd_ms=draw(ms),
+            send_bwd_ms=draw(ms),
+            sync_ms=draw(ms),
+        )
+        for i in range(S)
+    ]
+    sc = draw(st.booleans())
+    return stages, draw(st.integers(1, 8)), sc, draw(ms) if sc else 0.0
+
+
+_FORWARD_KINDS = (TaskKind.FORWARD, TaskKind.SC_FORWARD)
+
+
+def _phase(task):
+    """0 forward wave (SC or main, and their transfers), 1 backward
+    wave (and gradient transfers), 2 sync."""
+    if task.kind in _FORWARD_KINDS:
+        return 0
+    if task.kind is TaskKind.COMM:
+        return 1 if task.meta["dir"] == "bwd" else 0
+    if task.kind is TaskKind.BACKWARD:
+        return 1
+    assert task.kind is TaskKind.SYNC
+    return 2
+
+
+@given(chain_case())
+@settings(max_examples=80, deadline=None)
+def test_forwards_first_graph_has_no_window_and_phase_ordered_priorities(case):
+    """GPipe's graph (build_1f1b with forwards_first=True): no forward
+    depends on a backward, even transitively, and every forward-phase
+    priority sorts before every backward-phase one, which sorts before
+    every sync.  The 1F1B graph of the same chain keeps its in-flight
+    window: fwd(s, m) waits on bwd(s, m - (S - s))."""
+    stages, M, sc, feedback = case
+    S = len(stages)
+    tasks = build_gpipe(stages, M, self_conditioning=sc, feedback_ms=feedback)
+    by_id = {t.task_id: t for t in tasks}
+
+    reaches_backward: dict[str, bool] = {}
+
+    def has_backward_ancestor(tid):
+        if tid not in reaches_backward:
+            reaches_backward[tid] = any(
+                by_id[d].kind is TaskKind.BACKWARD or has_backward_ancestor(d)
+                for d in by_id[tid].deps
+            )
+        return reaches_backward[tid]
+
+    for t in tasks:
+        if t.kind in _FORWARD_KINDS:
+            assert not has_backward_ancestor(t.task_id), t.task_id
+
+    by_phase = {0: [], 1: [], 2: []}
+    for t in tasks:
+        by_phase[_phase(t)].append(t.priority)
+    assert len(by_phase[2]) == S
+    assert max(by_phase[0]) < min(by_phase[1])
+    assert max(by_phase[1]) < min(by_phase[2])
+
+    onef1b = {
+        t.task_id: t
+        for t in build_1f1b(stages, M, self_conditioning=sc, feedback_ms=feedback)
+    }
+    for s in range(S):
+        for m in range(S - s, M):
+            assert f"bwd[{s},{m - (S - s)}]" in onef1b[f"fwd[{s},{m}]"].deps
+
+
 def test_gpipe_vs_1f1b_same_span_when_balanced():
     """With balanced stages and no comm, GPipe and 1F1B have the same
     critical path (they differ in memory, not time)."""
@@ -155,7 +250,7 @@ def test_sync_runs_after_last_backward():
 
 def test_bidirectional_combines_two_pipelines():
     S, M = 2, 2
-    tasks = build_bidirectional(_stages(S, f=10, b=20), _stages(S, f=10, b=20), M, M)
+    tasks = build_bidirectional(_stages(S, f=10, b=20), _stages(S, f=10, b=20), M)
     tl = _sim(tasks, S)
     # Both pipelines' work lands on both devices.
     for dev in range(S):
@@ -169,7 +264,7 @@ def test_bidirectional_combines_two_pipelines():
 
 def test_bidirectional_stage_count_mismatch():
     with pytest.raises(ConfigurationError):
-        build_bidirectional(_stages(2), _stages(3), 2, 2)
+        build_bidirectional(_stages(2), _stages(3), 2)
 
 
 def test_bidirectional_colocated_replica_mismatch():
@@ -183,13 +278,13 @@ def test_bidirectional_colocated_replica_mismatch():
         StageExec(index=0, fwd_ms=1, bwd_ms=2, replicas=1),
         StageExec(index=1, fwd_ms=1, bwd_ms=2, replicas=2),
     ]
-    build_bidirectional(down, up_ok, 2, 2)  # mirrored counts: fine
+    build_bidirectional(down, up_ok, 2)  # mirrored counts: fine
     up_bad = [
         StageExec(index=0, fwd_ms=1, bwd_ms=2, replicas=2),
         StageExec(index=1, fwd_ms=1, bwd_ms=2, replicas=1),
     ]
     with pytest.raises(ConfigurationError, match="co-located"):
-        build_bidirectional(down, up_bad, 2, 2)
+        build_bidirectional(down, up_bad, 2)
 
 
 def test_comm_scale_doubles_transfers():

@@ -1,9 +1,18 @@
 """Discrete-event simulator tests."""
 
+import math
+
 import pytest
 
 from repro.errors import ScheduleError
-from repro.schedule import Task, TaskKind, device_resource, simulate
+from repro.schedule import (
+    StageExec,
+    Task,
+    TaskKind,
+    build_1f1b,
+    device_resource,
+    simulate,
+)
 from repro.schedule.tasks import link_resource, validate_task_graph
 
 
@@ -122,7 +131,20 @@ def test_comm_on_links_does_not_block_devices():
 def test_validate_task_graph_self_dependency():
     with pytest.raises(ScheduleError):
         Task(task_id="a", resource="r", duration=1, deps=("a",))
-    with pytest.raises(ScheduleError):
-        Task(task_id="a", resource="r", duration=-1)
+    for bad in (-1, math.nan, math.inf):
+        with pytest.raises(ScheduleError, match="duration"):
+            Task(task_id="a", resource="r", duration=bad)
     by_id = validate_task_graph([_t("a", "r", 1)])
     assert set(by_id) == {"a"}
+
+
+def test_task_on_device_outside_simulated_range_rejected():
+    """A three-stage graph simulated on two devices used to drop device
+    2's work and idle time from every per-device metric."""
+    stages = [StageExec(index=i, fwd_ms=1.0, bwd_ms=2.0) for i in range(3)]
+    tasks = build_1f1b(stages, 2)
+    assert simulate(tasks, 3).bubble_device_time() == pytest.approx(18.0)
+    with pytest.raises(ScheduleError, match=r"fwd\[2,0\].*device 2"):
+        simulate(tasks, 2)
+    with pytest.raises(ScheduleError, match="device -1"):
+        simulate([_t("a", device_resource(0), 1, dev=-1)], 1)

@@ -86,7 +86,7 @@ def test_bidirectional_equivalence(M):
                       send_fwd_ms=1.0, send_bwd_ms=1.0) for i in range(3)]
     up = [StageExec(index=i, fwd_ms=6.0 + 2 * i, bwd_ms=11.0 + i, sync_ms=4.0,
                     send_fwd_ms=0.7, send_bwd_ms=0.7) for i in range(3)]
-    assert_equivalent(build_bidirectional(down, up, M, M), 3)
+    assert_equivalent(build_bidirectional(down, up, M), 3)
 
 
 def test_filled_schedule_equivalence():

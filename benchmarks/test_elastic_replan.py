@@ -1,4 +1,4 @@
-"""Elastic replanning: the ISSUE's warm >= 5x cold gate.
+"""Elastic replanning: a warm replan after a leave/rejoin round-trip.
 
 An :class:`~repro.core.ElasticSession` rides out a leave/rejoin
 round-trip (a machine is reclaimed, then capacity comes back) and
@@ -18,12 +18,16 @@ Weak scaling (``global_batch = batch_per_device * world``) keeps the
 per-group batch world-independent, so the intermediate world-3 replan
 neither evicts nor splits the warm world-6 entries.
 
-Light enough for the fast CI suite (``--benchmark-disable``).
+The 5x wall-clock ratio is ``slow``; its deterministic twin, in the
+fast CI suite, checks that the post-rejoin replan is served from the
+memos: no memory re-pricing and no miss in any store.
 """
 
 from __future__ import annotations
 
 import time
+
+import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.core import (
@@ -33,6 +37,7 @@ from repro.core import (
     PlannerCaches,
     PlannerOptions,
 )
+from repro.memory import estimator
 from repro.models.zoo import stable_diffusion_v2_1
 from repro.profiling import Profiler
 
@@ -50,6 +55,41 @@ OPTIONS = PlannerOptions(
 )
 
 
+def test_elastic_rejoin_replan_is_memo_served(monkeypatch):
+    """Deterministic twin of the wall-clock gate below: once the
+    original membership is back, the replan makes no
+    ``pipeline_memory_report`` call (the gate memo holds every
+    configuration's memory-checked finalists) and adds no miss to any
+    :class:`PlannerCaches` store."""
+    session = ElasticSession(
+        stable_diffusion_v2_1(),
+        CLUSTER,
+        batch_per_device=BATCH_PER_DEVICE,
+        options=OPTIONS,
+        caches=PlannerCaches(),
+    )
+    first = session.replan()
+    session.apply(ElasticEvent("leave"))
+    session.replan()
+    session.apply(ElasticEvent("join"))
+    assert session.cluster == CLUSTER
+
+    calls = [0]
+    report = estimator.pipeline_memory_report
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "pipeline_memory_report", counting)
+    misses = {s.name: s.misses for s in session.caches.stats().stores}
+    warm = session.replan()
+    assert warm.plan == first.plan
+    assert calls[0] == 0
+    assert {s.name: s.misses for s in session.caches.stats().stores} == misses
+
+
+@pytest.mark.slow
 def test_elastic_replan_warm_5x_and_bit_identical():
     model = stable_diffusion_v2_1()
 

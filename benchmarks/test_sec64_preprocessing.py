@@ -37,7 +37,9 @@ def _preprocess(model, cluster):
                                micro_batch_counts=(1, 2, 4, 8)),
     )
     t0 = time.perf_counter()
-    partition = planner._partition(512 / (cluster.world_size // 8), 8, 4, 4)
+    partition = planner._partition(
+        512 / (cluster.world_size // 8), 8, 4, 4, heterogeneous=False
+    )
     partition_wall = time.perf_counter() - t0
 
     stages = planner._stage_execs(partition.down, partition.micro_batch, sc=False)

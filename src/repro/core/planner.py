@@ -6,6 +6,9 @@ count ``M`` and pipeline-group size ``D`` (world = D x data-parallel
 degree) — and for each feasible combination:
 
 1. runs the dynamic-programming partitioner (§4) for the backbone(s);
+   with heterogeneous replication and ``S | D`` the pinned ``r = D/S``
+   partition joins the DP's pick as a second finalist, and the one
+   that trains faster wins;
 2. builds the configured schedule family — FIFO-1F1B by default,
    bidirectional for cascaded models, or any other registered
    :class:`~repro.schedule.families.ScheduleFamily` (``gpipe``,
@@ -81,6 +84,13 @@ def _expected(p: float, plain: float, sc: float) -> float:
     """Self-conditioning expectation: a step takes the extra forward
     pass with probability ``p``."""
     return (1 - p) * plain + p * sc
+
+
+def _check_global_batch(global_batch: float) -> None:
+    if not 0 < global_batch < math.inf:
+        raise ConfigurationError(
+            f"global batch must be finite and positive, got {global_batch!r}"
+        )
 
 
 def _samples_per_iter(global_batch: float, partition: PartitionPlan) -> float:
@@ -275,10 +285,7 @@ class DiffusionPipePlanner:
         only inexact step of the float formulation) can neither reject a
         feasible split nor admit one whose micro-batches are fractional.
         """
-        if not 0 < global_batch < math.inf:
-            raise ConfigurationError(
-                f"global batch must be finite and positive, got {global_batch!r}"
-            )
+        _check_global_batch(global_batch)
         world = self.cluster.world_size
         opts = self.options
         group_sizes = opts.group_sizes or tuple(
@@ -374,17 +381,28 @@ class DiffusionPipePlanner:
 
     def _gate(
         self, global_batch: float, D: int, S: int, M: int
-    ) -> tuple[PartitionPlan, MemoryReport | None, float] | None:
+    ) -> tuple[tuple[tuple[PartitionPlan, MemoryReport | None], ...], float] | None:
         """Partition and memory-check one (D, S, M) configuration.
 
-        Returns ``(partition, memory report, per-group batch)``, or None
-        when no feasible partition exists or the plan does not fit in
-        memory.
+        Returns ``(finalists, per-group batch)``, or None when no
+        finalist is left.  A finalist is a ``(partition, memory report)``
+        pair.  The finalists are, in order, the DP's pick and, for a
+        heterogeneous planner with ``S | D``, the pinned ``r = D/S``
+        partition the uniform planner picks (it shares the uniform
+        planner's partition key and cache entries).  Each is dropped
+        where it raises :class:`PartitionError`, repeats an earlier
+        finalist's chains or does not fit in memory.  Eqn. 12's
+        ``T_max`` prices only the bottleneck stage, so the
+        heterogeneous pick can simulate slower than the uniform split it
+        beats on ``T_max``; :meth:`evaluate` trains the faster finalist,
+        so a heterogeneous plan is never slower than the uniform one.
+
+        The finalists are memoised in ``caches.partition`` under the
+        partition key tagged ``"gate"``, extended by what the memory
+        check reads that the partition key lacks (schedule, model and
+        ``check_memory``), so a warm replan neither partitions nor
+        re-prices memory.
         """
-        world = self.cluster.world_size
-        if world % D != 0:
-            raise ConfigurationError(f"group size {D} !| world {world}")
-        dp = world // D
         # Float quotient: the cost model (profiling interpolation,
         # schedule times, cache keys) runs on floats throughout, so the
         # plan is evaluated at the nearest-float of the exact per-group
@@ -392,48 +410,93 @@ class DiffusionPipePlanner:
         # exactly by candidate_configs; past 2^53 samples the value here
         # can round off that certified integer, which perturbs modeled
         # costs by at most 1 ulp but never feasibility decisions.
-        batch_per_group = global_batch / dp
-
-        try:
-            partition = self._partition(batch_per_group, D, S, M)
-        except PartitionError:
+        batch_per_group = global_batch / (self.cluster.world_size // D)
+        opts = self.options
+        key = (
+            "gate",
+            *self._partition_key(
+                batch_per_group, D, S, M,
+                heterogeneous=opts.heterogeneous_replication,
+            ),
+            self.schedule,
+            self.model.name,
+            opts.check_memory,
+        )
+        gates = self.caches.partition
+        finalists = gates.get(key)
+        if finalists is None:
+            finalists = self._finalists(batch_per_group, D, S, M)
+            gates.put(key, finalists)
+        if not finalists:
             return None
+        return finalists, batch_per_group
 
-        memory = None
-        if self.options.check_memory:
-            # Deferred import: repro.memory depends on repro.core.plan.
-            from ..memory.estimator import pipeline_memory_report
+    def _finalists(
+        self, batch_per_group: float, D: int, S: int, M: int
+    ) -> tuple[tuple[PartitionPlan, MemoryReport | None], ...]:
+        """:meth:`_gate`'s finalists, partitioned and memory-checked."""
+        # Deferred import: repro.memory depends on repro.core.plan.
+        from ..memory.estimator import pipeline_memory_report
 
-            memory = pipeline_memory_report(
-                self.model,
-                partition,
-                # The OOM bound is the smallest device: a plan either
-                # fits everywhere or it does not fit at all.
-                capacity_bytes=self.cluster.min_memory_bytes(),
-                schedule=self.schedule,
-                virtual_stages=VIRTUAL_STAGES if self._family.chunked else 1,
-            )
-            if not memory.fits:
-                return None
-        return partition, memory, batch_per_group
+        het = self.options.heterogeneous_replication
+        flavours = (True, False) if het and D % S == 0 else (het,)
+        seen = []
+        finalists = []
+        for flavour in flavours:
+            try:
+                partition = self._partition(
+                    batch_per_group, D, S, M, heterogeneous=flavour
+                )
+            except PartitionError:
+                continue
+            chains = (partition.down, partition.up)
+            if chains in seen:
+                continue
+            seen.append(chains)
+            memory = None
+            if self.options.check_memory:
+                memory = pipeline_memory_report(
+                    self.model,
+                    partition,
+                    # The OOM bound is the smallest device: a plan either
+                    # fits everywhere or it does not fit at all.
+                    capacity_bytes=self.cluster.min_memory_bytes(),
+                    schedule=self.schedule,
+                    virtual_stages=VIRTUAL_STAGES if self._family.chunked else 1,
+                )
+                if not memory.fits:
+                    continue
+            finalists.append((partition, memory))
+        return tuple(finalists)
 
     def _bound(self, global_batch: float, D: int, S: int, M: int) -> float | None:
         """Upper bound on the throughput :meth:`evaluate` reports for a
-        configuration, from its simulated timelines alone (no filling);
-        None where :meth:`evaluate` returns None.  The simulated rung of
+        configuration, from its finalists' simulated timelines alone (no
+        filling): the largest finalist's ``samples / pipeline_ms``.  None
+        where :meth:`evaluate` returns None.  The simulated rung of
         :meth:`plan`'s ladder, which :meth:`_floor` bounds from above.
 
         ``compose_iteration`` sets ``iteration_ms = pipeline_ms +
         leftover_ms`` with ``leftover_ms >= 0``; the self-conditioning
         expectation, the division and the ``1e3`` scale are each
-        monotone under round-to-nearest.  The pipeline term here is the
-        very expression :meth:`evaluate` reports as ``pipeline_ms``, on
-        the same memoised timelines, so the bound holds bit for bit.
+        monotone under round-to-nearest.  A finalist's pipeline term
+        here is the very expression :meth:`evaluate` reports as its
+        ``pipeline_ms``, on the same memoised timelines, so each
+        finalist's bound holds bit for bit, and their maximum bounds the
+        finalist :meth:`evaluate` returns.
         """
         gated = self._gate(global_batch, D, S, M)
         if gated is None:
             return None
-        partition, _, batch_per_group = gated
+        finalists, batch_per_group = gated
+        return max(
+            self._finalist_bound(global_batch, partition, batch_per_group)
+            for partition, _ in finalists
+        )
+
+    def _finalist_bound(
+        self, global_batch: float, partition: PartitionPlan, batch_per_group: float
+    ) -> float:
         pipeline_ms = self._simulate(partition, batch_per_group, sc=False).makespan
         if self.model.self_conditioning and not partition.is_bidirectional:
             pipeline_ms = _expected(
@@ -454,12 +517,19 @@ class DiffusionPipePlanner:
         ``samples / floor · 1e3`` with ``floor <= pipeline_ms`` (the
         floor gives up its stated margin to summation order) is at least
         ``samples / pipeline_ms · 1e3`` under round-to-nearest.  The
-        floor is memoised in ``caches.partition`` under the partition
-        key tagged ``"floor"``, so a warm replan reads it back instead
-        of refolding the lattice.
+        floor covers every finalist: the heterogeneous lattice contains
+        each pinned ``r = D/S`` partition (same cut grid, ``r`` within
+        the replica cap, position ``k`` on devices ``[k·r, (k+1)·r)``).
+        It is memoised in ``caches.partition`` under the partition key
+        tagged ``"floor"``, so a warm replan reads it back instead of
+        refolding the lattice.
         """
         batch_per_group = global_batch / (self.cluster.world_size // D)
-        key = ("floor", *self._partition_key(batch_per_group, D, S, M))
+        het = self.options.heterogeneous_replication
+        key = (
+            "floor",
+            *self._partition_key(batch_per_group, D, S, M, heterogeneous=het),
+        )
         floors = self.caches.partition
         floor = floors.get(key)
         if floor is None:
@@ -469,7 +539,7 @@ class DiffusionPipePlanner:
                     S,
                     D,
                     cut_step=self.options.cdm_cut_step,
-                    heterogeneous=self.options.heterogeneous_replication,
+                    heterogeneous=het,
                     caches=self.caches,
                 )
             except PartitionError as err:
@@ -488,16 +558,66 @@ class DiffusionPipePlanner:
         """Fully evaluate one (D, S, M) configuration: partition, memory
         check, simulate, bubble filling and composition.
 
+        Every finalist of the configuration (see :meth:`_gate`) is
+        filled, and the first one of maximum throughput is returned.
         The configuration is filled whether or not :meth:`plan` would
         have skipped it, so the returned metrics are exact for every
         configuration.  Returns None when no feasible partition exists
-        or the plan does not fit in memory.
+        or no finalist fits in memory.
+
+        Raises :class:`ConfigurationError` up front for a global batch
+        that is not finite and positive, a group size, stage count or
+        micro-batch count that is not a positive integer, a group size
+        that does not divide the world, and a per-group batch or
+        micro-batch that is not a whole number of samples (tested
+        exactly, as in :meth:`candidate_configs`).
         """
-        D = group_size
-        gated = self._gate(global_batch, D, num_stages, num_micro)
+        D, S, M = group_size, num_stages, num_micro
+        self._check_config(global_batch, D, S, M)
+        gated = self._gate(global_batch, D, S, M)
         if gated is None:
             return None
-        partition, memory, batch_per_group = gated
+        finalists, batch_per_group = gated
+        best: EvaluatedConfig | None = None
+        for partition, memory in finalists:
+            ev = self._evaluate_finalist(
+                global_batch, partition, memory, batch_per_group
+            )
+            if best is None or ev.plan.throughput > best.plan.throughput:
+                best = ev
+        return best
+
+    def _check_config(self, global_batch: float, D: int, S: int, M: int) -> None:
+        _check_global_batch(global_batch)
+        for name, value in (("group_size", D), ("num_stages", S), ("num_micro", M)):
+            if not positive_int(value):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+        world = self.cluster.world_size
+        if world % D:
+            raise ConfigurationError(
+                f"group size {D} does not divide world size {world}"
+            )
+        batch_per_group = Fraction(global_batch) / (world // D)
+        for name, samples in (
+            ("per-group batch", batch_per_group),
+            ("micro-batch", batch_per_group / M),
+        ):
+            if samples.denominator != 1:
+                raise ConfigurationError(
+                    f"global batch {global_batch!r} at D={D}, M={M} gives a "
+                    f"{name} of {float(samples):g} samples, not a whole number"
+                )
+
+    def _evaluate_finalist(
+        self,
+        global_batch: float,
+        partition: PartitionPlan,
+        memory: MemoryReport | None,
+        batch_per_group: float,
+    ) -> EvaluatedConfig:
+        D = partition.group_size
         dp = self.cluster.world_size // D
         nt_total = self._nt_serial_ms(batch_per_group, D)
 
@@ -584,11 +704,12 @@ class DiffusionPipePlanner:
         1. *floor* — bidirectional configurations enter with the
            pre-partition makespan floor's bound (:meth:`_floor`): no DP
            has run for them yet;
-        2. *simulated* — partition, memory-check and simulate, giving
-           the bound ``samples / pipeline_ms`` (:meth:`_bound`);
+        2. *simulated* — partition, memory-check and simulate the
+           configuration's finalists (:meth:`_gate`), giving the best
+           finalist's bound ``samples / pipeline_ms`` (:meth:`_bound`);
            single-backbone configurations enter here;
-        3. *filled* — :meth:`evaluate`; the throughput competes for the
-           incumbent.
+        3. *filled* — :meth:`evaluate` fills every finalist; the best
+           throughput competes for the incumbent.
 
         The search stops at the first pop whose ``(bound, -index)`` is
         no better than the incumbent's ``(throughput, -index)``: every
@@ -647,7 +768,8 @@ class DiffusionPipePlanner:
         return ("default",)
 
     def _partition_key(
-        self, batch_per_group: float, D: int, S: int, M: int
+        self, batch_per_group: float, D: int, S: int, M: int, *,
+        heterogeneous: bool,
     ) -> tuple:
         return (
             # Weak profile identity (see _simulate_and_fill): planners
@@ -662,15 +784,21 @@ class DiffusionPipePlanner:
             self.model.self_conditioning,
             self.model.self_conditioning_prob,
             self.model.backbone_names,
-            self.options.heterogeneous_replication,
+            heterogeneous,
             self.options.cdm_cut_step,
             self._partition_mode,
         )
 
     def _partition(
-        self, batch_per_group: float, D: int, S: int, M: int
+        self, batch_per_group: float, D: int, S: int, M: int, *,
+        heterogeneous: bool,
     ) -> PartitionPlan:
-        key = self._partition_key(batch_per_group, D, S, M)
+        """The partition DP's pick for one configuration under the given
+        replication flavour (``heterogeneous=False`` pins ``r = D/S``),
+        memoised in ``caches.partition``."""
+        key = self._partition_key(
+            batch_per_group, D, S, M, heterogeneous=heterogeneous
+        )
         partitions = self.caches.partition
         hit = partitions.get(key)
         if hit is not None:
@@ -681,7 +809,9 @@ class DiffusionPipePlanner:
                 raise PartitionError(*hit.args)
             return hit
         try:
-            plan = self._partition_uncached(batch_per_group, D, S, M)
+            plan = self._partition_uncached(
+                batch_per_group, D, S, M, heterogeneous=heterogeneous
+            )
         except PartitionError as err:
             # Store a stripped copy: caching the live exception would pin
             # its __traceback__ (and every frame's locals) for the
@@ -725,7 +855,8 @@ class DiffusionPipePlanner:
         )
 
     def _partition_uncached(
-        self, batch_per_group: float, D: int, S: int, M: int
+        self, batch_per_group: float, D: int, S: int, M: int, *,
+        heterogeneous: bool,
     ) -> PartitionPlan:
         if len(self.model.backbone_names) == 2:
             return partition_cdm(
@@ -733,7 +864,7 @@ class DiffusionPipePlanner:
                 S,
                 D,
                 cut_step=self.options.cdm_cut_step,
-                heterogeneous=self.options.heterogeneous_replication,
+                heterogeneous=heterogeneous,
                 caches=self.caches,
             )
         ctx = self._context(
@@ -769,11 +900,7 @@ class DiffusionPipePlanner:
             )
             return replace(plan, group_size=D)
         return partition_backbone(
-            ctx,
-            S,
-            D,
-            heterogeneous=self.options.heterogeneous_replication,
-            caches=self.caches,
+            ctx, S, D, heterogeneous=heterogeneous, caches=self.caches
         )
 
     def _stage_execs(

@@ -65,7 +65,7 @@ def bubble_ratio_grid(
     cells = []
     for S in stage_counts:
         for M in micro_counts:
-            partition = planner._partition(batch, S, S, M)
+            partition = planner._partition(batch, S, S, M, heterogeneous=False)
             stages = planner._stage_execs(
                 partition.down, batch / M, sc=False,
                 group_size=partition.group_size,
@@ -176,7 +176,7 @@ def longest_bubble_by_stages(
     )
     out = {}
     for S in stage_counts:
-        partition = planner._partition(batch, S, S, num_micro)
+        partition = planner._partition(batch, S, S, num_micro, heterogeneous=False)
         stages = planner._stage_execs(
             partition.down, batch / num_micro, sc=False,
             group_size=partition.group_size,

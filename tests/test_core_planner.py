@@ -254,6 +254,48 @@ def test_bad_global_batch_rejected_up_front(batch, cluster8, uniform, uniform_pr
             entry(batch)
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((float("nan"), 2, 2, 2), "finite and positive"),
+        ((float("inf"), 2, 2, 2), "finite and positive"),
+        ((0, 2, 2, 2), "finite and positive"),
+        ((-64, 2, 2, 2), "finite and positive"),
+        ((64, 2, 2, 0), "num_micro must be an integer"),
+        ((64, 2.0, 2, 2), "group_size must be an integer"),
+        ((64, 2, 2.5, 2), "num_stages must be an integer"),
+        ((64, 3, 3, 1), "group size 3 does not divide world size 8"),
+        ((64, 2, 2, 3), "micro-batch of 5.33333 samples"),
+        ((63, 2, 2, 2), "per-group batch of 15.75 samples"),
+    ],
+    ids=[
+        "nan-batch", "inf-batch", "zero-batch", "negative-batch",
+        "zero-micro", "float-group", "float-stages", "group-not-divisor",
+        "fractional-micro-batch", "fractional-group-batch",
+    ],
+)
+def test_evaluate_rejects_bad_inputs_up_front(
+    args, match, cluster8, uniform, uniform_profile
+):
+    """``evaluate`` validates its configuration before partitioning, as
+    ``plan`` and ``candidate_configs`` do.  These used to fail deep in
+    the stack (NaN in ``StageExec``, M = 0 as ZeroDivisionError, a float
+    group size as TypeError), return None (inf, 0, a negative batch), or
+    return a plan of fractional micro-batches or group batches."""
+    planner = DiffusionPipePlanner(uniform, cluster8, uniform_profile, _options())
+    with pytest.raises(ConfigurationError, match=match):
+        planner.evaluate(*args)
+
+
+def test_evaluate_infeasible_configs_return_none(cluster8, uniform, uniform_profile):
+    """Well-formed but infeasible configurations are not errors: more
+    stages than devices, and micro-batches below the uniform replica
+    count (8 / 2 = 4 replicas for 2 samples), evaluate to None."""
+    planner = DiffusionPipePlanner(uniform, cluster8, uniform_profile, _options())
+    assert planner.evaluate(64, 2, 4, 2) is None
+    assert planner.evaluate(64, 8, 2, 32) is None
+
+
 def test_heterogeneous_flag_opens_non_divisible_cdm_configs(
     cascaded, cascaded_profile
 ):

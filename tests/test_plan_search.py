@@ -9,8 +9,9 @@ Three cross-layer invariants make that safe, and all are checked here
 exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
 
 * **the simulated bound is sound** — every candidate's ``samples /
-  pipeline_ms * 1e3`` is at least its filled throughput, and equals the
-  bound the search actually used;
+  pipeline_ms * 1e3`` is at least its filled throughput, and at most the
+  bound the search actually used (the best of the configuration's
+  finalists; equal where it has one);
 * **the floor is sound** — a bidirectional candidate's floor bound
   (which already gives up its stated margin) is at least its simulated
   bound, and a configuration without a floor has no partition either;
@@ -20,7 +21,13 @@ exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
 
 Deterministic counter gates pin the savings: a cold 16-GPU SD plan runs
 the bubble filler for the winning configuration only, and a cold
-16-GPU heterogeneous CDM-LSUN plan builds 17 of its 50 CDM tables.
+16-GPU heterogeneous CDM-LSUN plan builds 23 of the 70 CDM tables of
+the exhaustive search.
+
+Heterogeneous replication never loses to uniform: a heterogeneous
+planner keeps the pinned ``r = D/S`` partition as a finalist of every
+configuration with ``S | D``, so its plan trains at least as fast as the
+uniform planner's on the same model, cluster and batch.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import DeviceSpec, p4de_cluster, single_node
@@ -37,6 +44,7 @@ from repro.core.filling import BubbleFiller
 from repro.errors import ConfigurationError
 from repro.models.zoo import (
     cascaded_model,
+    cdm_imagenet,
     cdm_lsun,
     stable_diffusion_v2_1,
     two_encoder_model,
@@ -113,8 +121,13 @@ def test_plan_is_first_maximum_and_bound_is_sound(case):
         assert bound >= p.throughput, (p.config_label, bound, p.throughput)
         cfg = (p.partition.group_size, p.partition.num_stages,
                p.partition.num_micro_batches)
-        # The bound the search ranks by is this very expression.
-        assert exhaustive._bound(batch, *cfg).hex() == bound.hex()
+        # Each finalist's bound is this very expression on its own
+        # timelines, and the search ranks by the best finalist's.
+        finalists, per_group = exhaustive._gate(batch, *cfg)
+        assert p.partition in [partition for partition, _ in finalists]
+        own = exhaustive._finalist_bound(batch, p.partition, per_group)
+        assert own.hex() == bound.hex()
+        assert exhaustive._bound(batch, *cfg) >= bound
 
     # The pruned search runs on its own cold caches.  Throughput ties
     # at the maximum are common on these models, so the tie rule (first
@@ -226,10 +239,13 @@ def test_cold_plan_fills_only_the_winner(monkeypatch):
 
 def test_cold_cdm_plan_skips_most_partition_tables():
     """Counter gate of the floor rung: a cold heterogeneous CDM-LSUN
-    plan on 16 GPUs builds 17 of the 50 CDM tables the exhaustive search
-    builds (one per configuration) and returns the plan the exhaustive
-    search picks — (D, S, M) = (16, 2, 1) at 0x1.73c072d100909p+9
-    samples/s, pinned from ``candidate_plans(256)``."""
+    plan on 16 GPUs builds 23 CDM tables — 15 free and 8 pinned to
+    ``r = D/S`` for the second finalist — of the 70 the exhaustive
+    search builds (50 free, one per configuration, and 20 pinned), and
+    returns the plan the exhaustive search picks: (D, S, M) =
+    (16, 2, 1) on replicas 8/8 at 0x1.88b185c22846bp+9 samples/s,
+    pinned from ``candidate_plans(256)``, which is the uniform
+    planner's plan."""
     cluster = p4de_cluster(2)
     model = cdm_lsun()
     profile = Profiler(cluster).profile(model)
@@ -241,8 +257,99 @@ def test_cold_cdm_plan_skips_most_partition_tables():
     )
     best = planner.plan(256).plan
     assert len(list(planner.candidate_configs(256))) == 50
-    assert caches.stats().store("cdm").misses == 17
+    assert caches.stats().store("cdm").misses == 23
     assert (best.partition.group_size, best.partition.num_stages,
             best.partition.num_micro_batches) == (16, 2, 1)
-    assert best.throughput.hex() == "0x1.73c072d100909p+9"
+    assert [st.replicas for st in best.partition.down] == [8, 8]
+    assert best.throughput.hex() == "0x1.88b185c22846bp+9"
     assert best == planner.evaluate(256, 16, 2, 1).plan
+    uniform = _planner(model, cluster, profile, PlannerOptions()).plan(256)
+    assert uniform.plan.throughput.hex() == best.throughput.hex()
+
+
+#: drawn toy models, as hashable arguments: a cascade of two uniform
+#: backbones (layer counts, per-layer times) or one uniform backbone
+#: with or without self-conditioning
+CASCADES = st.tuples(
+    st.just("cascaded"),
+    st.integers(4, 12),
+    st.integers(4, 12),
+    st.sampled_from((5.0, 7.0, 10.0, 12.0, 13.0)),
+    st.sampled_from((5.0, 7.0, 10.0, 12.0, 13.0)),
+)
+UNIFORMS = st.tuples(st.just("uniform"), st.booleans())
+
+
+@functools.cache
+def _replication_setup(model_args, devices, slow):
+    """(model, cluster, profile) of one drawn case; ``slow`` is one
+    ``(rank, factor)`` speed override or None."""
+    kind, *args = model_args
+    if kind == "cascaded":
+        layers_a, layers_b, ms_a, ms_b = args
+        model = cascaded_model(
+            layers_a=layers_a, layers_b=layers_b,
+            layer_ms_a=ms_a, layer_ms_b=ms_b,
+        )
+    else:
+        model = uniform_model(self_conditioning=args[0])
+    cluster = single_node(devices, speed_factors=dict([slow]) if slow else None)
+    return model, cluster, Profiler(cluster).profile(model)
+
+
+def _replication_plans(model, cluster, profile, batch):
+    """The heterogeneous and the uniform plan (None where infeasible),
+    each on cold caches and otherwise default options."""
+    plans = []
+    for het in (True, False):
+        planner = _planner(
+            model, cluster, profile,
+            PlannerOptions(heterogeneous_replication=het),
+        )
+        try:
+            plans.append(planner.plan(batch).plan)
+        except ConfigurationError:
+            plans.append(None)
+    return plans
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model_args=st.one_of(CASCADES, UNIFORMS),
+    devices=st.sampled_from((4, 6, 8)),
+    slow=st.sampled_from((None, (0, 0.5), (1, 0.7), (3, 0.5))),
+    batch=st.sampled_from((16, 32, 64, 128, 256)),
+)
+# T_max picks a partition that simulates slower than the uniform
+# planner's (1469.2378 < 1469.3604 and 601.97 < 614.20 samples/s
+# before the pinned finalist).
+@example(model_args=("cascaded", 6, 6, 10.0, 12.0), devices=6, slow=None,
+         batch=128)
+@example(model_args=("cascaded", 8, 10, 7.0, 13.0), devices=6, slow=None,
+         batch=32)
+def test_heterogeneous_never_loses_to_uniform(model_args, devices, slow, batch):
+    model, cluster, profile = _replication_setup(model_args, devices, slow)
+    het, uniform = _replication_plans(model, cluster, profile, batch)
+    if uniform is None:
+        return
+    assert het is not None
+    assert het.throughput >= uniform.throughput, (
+        het.config_label, het.throughput, uniform.config_label,
+        uniform.throughput,
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model_fn", [cdm_lsun, cdm_imagenet])
+def test_heterogeneous_never_loses_to_uniform_on_16_gpus(model_fn):
+    """The 16-GPU CDM cases where the heterogeneous winner trained up
+    to 5.5% slower than the uniform one before the pinned finalist."""
+    cluster = p4de_cluster(2)
+    model = model_fn()
+    profile = Profiler(cluster).profile(model)
+    for batch in (128, 256, 512):
+        het, uniform = _replication_plans(model, cluster, profile, batch)
+        assert het.throughput >= uniform.throughput, (
+            batch, het.config_label, het.throughput,
+            uniform.config_label, uniform.throughput,
+        )

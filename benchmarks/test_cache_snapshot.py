@@ -1,27 +1,38 @@
-"""Snapshot-seeded warm planning: the ISSUE's >= 5x gate.
+"""Snapshot-seeded warm planning: the >= 5x gate and its counter twins.
 
-Two gates, both on the SD heterogeneous sweep of
-``test_het_replication.py`` (D=6, S<=4, filling off — the memo-covered
-work):
+All gates run the SD heterogeneous sweep of ``test_het_replication.py``
+(D=6, S<=4, filling off — the memo-covered work):
 
 * **in-process**: snapshot a warmed :class:`PlannerCaches`, restore it
   into a *fresh* instance keyed onto a *freshly re-profiled* model (the
-  cross-process path, minus the process), and re-sweep: >= 5x faster
-  than cold, bit-identical plans;
+  cross-process path, minus the process), and re-sweep: bit-identical
+  plans, no miss added to the ``het`` tables or the ``timelines`` and
+  no ``simulate`` call; the ``slow`` twin also requires >= 5x faster
+  than cold;
 * **cross-process**: a ``ProcessPoolExecutor`` worker seeded from the
-  snapshot file answers the same request stream >= 5x faster than an
-  unseeded worker, with identical responses — proving the path a
-  process-pool worker takes when it loads a ``repro snapshot`` file
-  with ``PlannerCaches.load``, end to end.
+  snapshot file answers the same request stream with identical
+  responses, again with no ``het`` or ``timelines`` miss and no
+  ``simulate`` call — proving the path a process-pool worker takes when
+  it loads a ``repro snapshot`` file with ``PlannerCaches.load``, end
+  to end; the ``slow`` twin also requires >= 5x faster than an unseeded
+  worker.
 
-Light enough for the fast CI suite (``--benchmark-disable``).
+The counter gates are deterministic and light enough for the fast CI
+suite (``--benchmark-disable``); the wall-clock ratios are ``slow``.
+A warm sweep still partitions (from the restored tables), memory-checks
+and floors every configuration, so the ratio narrows as cold planning
+gets cheaper; the counters do not move.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
+import repro.core.planner as planner_mod
 from repro.cluster import single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
 from repro.models.zoo import stable_diffusion_v2_1
@@ -44,6 +55,77 @@ def _sweep(caches, profile, model, cluster):
     return {b: planner.plan(b).plan for b in BATCHES}
 
 
+def _misses(caches):
+    """Misses of the stores a snapshot restores and the sweep reads."""
+    stats = caches.stats()
+    return {name: stats.store(name).misses for name in ("het", "timelines")}
+
+
+def _memo_served_sweep(snapshot_path):
+    """A sweep on fresh caches restored from the snapshot and a freshly
+    re-profiled model: its plans, the misses it added to ``het`` and
+    ``timelines``, and its ``simulate`` calls.  Runs in the test process
+    or in a worker."""
+    model = stable_diffusion_v2_1()
+    cluster = single_node(6)
+    profile = Profiler(cluster).profile(model)
+    caches = PlannerCaches()
+    caches.load(snapshot_path, [profile])
+    calls = [0]
+    simulate = planner_mod.simulate
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return simulate(*args, **kwargs)
+
+    before = _misses(caches)
+    planner_mod.simulate = counting
+    try:
+        plans = _sweep(caches, profile, model, cluster)
+    finally:
+        planner_mod.simulate = simulate
+    after = _misses(caches)
+    added = {name: after[name] - before[name] for name in after}
+    return plans, added, calls[0]
+
+
+def _write_snapshot(path):
+    """Sweep on warm caches, snapshot them to ``path``; the plans."""
+    model = stable_diffusion_v2_1()
+    cluster = single_node(6)
+    # The profile must stay alive until the snapshot is written: the
+    # DP tables are weak-keyed by it.
+    profile = Profiler(cluster).profile(model)
+    caches = PlannerCaches()
+    plans = _sweep(caches, profile, model, cluster)
+    written = caches.snapshot(path)
+    assert written["het"] > 0 and written["timelines"] > 0, written
+    return plans
+
+
+def test_snapshot_warm_sweep_is_memo_served(tmp_path):
+    path = tmp_path / "warm.snap"
+    baseline = _write_snapshot(path)
+    plans, added, simulate_calls = _memo_served_sweep(path)
+    assert plans == baseline, "snapshot-warmed plans must be bit-identical"
+    assert added == {"het": 0, "timelines": 0}
+    assert simulate_calls == 0
+
+
+def test_process_pool_worker_is_memo_served(tmp_path):
+    path = str(tmp_path / "warm.snap")
+    baseline = _write_snapshot(path)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        plans, added, simulate_calls = pool.submit(
+            _memo_served_sweep, path
+        ).result(timeout=300)
+    assert plans == baseline, "seeded worker must plan bit-identically"
+    assert added == {"het": 0, "timelines": 0}
+    assert simulate_calls == 0
+
+
+@pytest.mark.slow
 def test_snapshot_warm_sweep_5x(tmp_path):
     model = stable_diffusion_v2_1()
     cluster = single_node(6)
@@ -107,6 +189,7 @@ def _worker_sweep(snapshot_path):
     return report, elapsed, caches.stats().store("timelines").hits
 
 
+@pytest.mark.slow
 def test_process_pool_worker_replays_snapshot_warm(tmp_path):
     model = stable_diffusion_v2_1()
     cluster = single_node(6)

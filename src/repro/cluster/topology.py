@@ -88,9 +88,14 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         for name in ("num_machines", "devices_per_machine"):
             value = getattr(self, name)
-            # Integral admits numpy integers (repro.core.plan.positive_int
-            # applies the same rule above this package).
-            if not (isinstance(value, Integral) and value >= 1):
+            # Integral admits numpy integers, and bool, which is not a
+            # count (repro.core.plan.positive_int applies the same rule
+            # above this package).
+            if not (
+                isinstance(value, Integral)
+                and not isinstance(value, bool)
+                and value >= 1
+            ):
                 raise ConfigurationError(
                     f"cluster {name} must be an integer >= 1, got {value!r}"
                 )

@@ -194,7 +194,11 @@ class PlannerCaches:
         partitioner's output (or the PartitionError it raised); under
         the same key tagged ``"floor"``, the bound ladder's
         pre-partition makespan floor of a bidirectional configuration
-        (or that PartitionError).
+        (or that PartitionError); and under it tagged ``"gate"`` and
+        extended by schedule, model name and ``check_memory``, the
+        configuration's finalists: each memory-checked partition with
+        its report and the closed-form floor of its pipeline, which
+        the ladder's closed-form rung reads.
     ``comm``
         per-(D, r) communication constants; unbounded — its keys are
         (cluster, small ints) and its values two floats, bounded by the

@@ -40,18 +40,13 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
+from ..schedule import FLOOR_MARGIN
 from .caches import PlannerCaches, default_caches
 from .partition import PartitionContext
 from .plan import PartitionPlan, StageAssignment, positive_int
 
 #: the paper enlarges communication by 2x for bidirectional pipelines
 CDM_COMM_SCALE = 2.0
-
-#: relative margin :func:`cdm_makespan_floor` gives up: its terms sum
-#: layer times in prefix-difference order, the simulator stage by stage
-#: and task by task, so the two differ by float rounding — at most about
-#: (terms summed) x 2**-53 relative, around 1e-13 on the zoo's chains
-FLOOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -441,7 +436,7 @@ def cdm_makespan_floor(
     :func:`~.partition_kernels.cdm_floor_array`): it holds whichever
     partition the DP picks.  The terms sum in a different order from
     the simulator, so the result gives up a relative
-    :data:`FLOOR_MARGIN`.  Raises :class:`PartitionError` exactly where
+    :data:`~repro.schedule.FLOOR_MARGIN`.  Raises :class:`PartitionError` exactly where
     :func:`partition_cdm` does.  The geometry plan comes from, and is
     kept in, ``caches.kernel_plans``.
     """

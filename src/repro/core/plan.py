@@ -16,8 +16,12 @@ from ..errors import ConfigurationError
 
 
 def positive_int(v) -> bool:
-    """Whether ``v`` is an integer >= 1 (numpy integers included)."""
-    return isinstance(v, Integral) and v >= 1
+    """Whether ``v`` is an integer >= 1 (numpy integers included).
+
+    ``bool`` is an ``Integral`` that equals and hashes like 0 or 1, so
+    ``True`` would pass and alias ``1`` in every cache key; it is
+    rejected."""
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)

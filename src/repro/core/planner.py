@@ -20,9 +20,10 @@ degree) — and for each feasible combination:
 
 and finally returns the configuration with the highest throughput.
 :meth:`DiffusionPipePlanner.plan` is a bound ladder: a configuration is
-partitioned and simulated only while its pre-partition makespan floor
-(bidirectional models) can still beat the best plan found so far, and
-filled only while its simulated ``samples / pipeline_ms`` bound can;
+partitioned only while its pre-partition makespan floor (bidirectional
+models) can still beat the best plan found so far, simulated only while
+the closed-form makespan floor of its finalists can, and filled only
+while its simulated ``samples / pipeline_ms`` bound can;
 :meth:`~DiffusionPipePlanner.candidate_plans` evaluates them all.
 """
 
@@ -79,6 +80,10 @@ __all__ = [
 #: chunks per device of the ``interleaved`` family (Megatron's ``v = 2``)
 VIRTUAL_STAGES = 2
 
+#: one finalist of a configuration: its partition, memory report (None
+#: without the memory check) and closed-form pipeline floor in ms
+Finalist = tuple[PartitionPlan, MemoryReport | None, float]
+
 
 def _expected(p: float, plain: float, sc: float) -> float:
     """Self-conditioning expectation: a step takes the extra forward
@@ -97,6 +102,32 @@ def _samples_per_iter(global_batch: float, partition: PartitionPlan) -> float:
     """Samples trained per iteration; a bidirectional plan trains both
     backbones on the batch."""
     return global_batch * (2 if partition.is_bidirectional else 1)
+
+
+def _throughput_bound(
+    global_batch: float, partition: PartitionPlan, pipeline_ms: float
+) -> float:
+    """``samples / pipeline_ms`` in samples/s, an upper bound on the
+    throughput of any iteration whose pipeline takes at least
+    ``pipeline_ms``; infinite for an empty pipeline."""
+    if not pipeline_ms > 0:
+        return math.inf
+    return _samples_per_iter(global_batch, partition) / pipeline_ms * 1e3
+
+
+def _check_menu(name: str, menu: tuple[int, ...], least: int) -> None:
+    """A search menu is a non-empty set of integers >= ``least``, listed
+    once each: a repeated entry would plan its configurations twice."""
+    if not menu:
+        raise ConfigurationError(f"{name} must be non-empty")
+    if not all(positive_int(v) and v >= least for v in menu):
+        raise ConfigurationError(
+            f"{name} entries must be integers >= {least}, got {menu!r}"
+        )
+    if len(set(menu)) != len(menu):
+        raise ConfigurationError(
+            f"{name} entries must be distinct, got {menu!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -137,20 +168,9 @@ class PlannerOptions:
             raise ConfigurationError(
                 f"max_stages must be an integer >= 2, got {self.max_stages!r}"
             )
-        if self.group_sizes is not None and not all(
-            positive_int(g) and g >= 2 for g in self.group_sizes
-        ):
-            raise ConfigurationError(
-                "group_sizes entries must be integers >= 2, got "
-                f"{self.group_sizes!r}"
-            )
-        if not self.micro_batch_counts:
-            raise ConfigurationError("micro_batch_counts must be non-empty")
-        if not all(positive_int(m) for m in self.micro_batch_counts):
-            raise ConfigurationError(
-                "micro_batch_counts must be integers >= 1, got "
-                f"{self.micro_batch_counts!r}"
-            )
+        if self.group_sizes is not None:
+            _check_menu("group_sizes", self.group_sizes, 2)
+        _check_menu("micro_batch_counts", self.micro_batch_counts, 1)
         if not all(positive_int(b) for b in self.partial_batch_menu):
             raise ConfigurationError(
                 "partial_batch_menu entries must be integers >= 1, got "
@@ -288,9 +308,9 @@ class DiffusionPipePlanner:
         _check_global_batch(global_batch)
         world = self.cluster.world_size
         opts = self.options
-        group_sizes = opts.group_sizes or tuple(
-            d for d in range(2, world + 1) if world % d == 0
-        )
+        group_sizes = opts.group_sizes
+        if group_sizes is None:
+            group_sizes = tuple(d for d in range(2, world + 1) if world % d == 0)
         # Per-stage replica counts apply to both pipeline flavours: the
         # single-backbone (1F1B) DP and the bidirectional CDM DP both
         # implement the general recursion (Eqns. 7-9), so non-divisible
@@ -381,12 +401,14 @@ class DiffusionPipePlanner:
 
     def _gate(
         self, global_batch: float, D: int, S: int, M: int
-    ) -> tuple[tuple[tuple[PartitionPlan, MemoryReport | None], ...], float] | None:
+    ) -> tuple[tuple[Finalist, ...], float] | None:
         """Partition and memory-check one (D, S, M) configuration.
 
         Returns ``(finalists, per-group batch)``, or None when no
-        finalist is left.  A finalist is a ``(partition, memory report)``
-        pair.  The finalists are, in order, the DP's pick and, for a
+        finalist is left.  A finalist is a ``(partition, memory report,
+        pipeline floor)`` triple, the floor being the closed-form lower
+        bound on its ``pipeline_ms`` (:meth:`_pipeline_floor`).  The
+        finalists are, in order, the DP's pick and, for a
         heterogeneous planner with ``S | D``, the pinned ``r = D/S``
         partition the uniform planner picks (it shares the uniform
         planner's partition key and cache entries).  Each is dropped
@@ -399,9 +421,10 @@ class DiffusionPipePlanner:
 
         The finalists are memoised in ``caches.partition`` under the
         partition key tagged ``"gate"``, extended by what the memory
-        check reads that the partition key lacks (schedule, model and
-        ``check_memory``), so a warm replan neither partitions nor
-        re-prices memory.
+        check and the floor read that the partition key lacks
+        (schedule, model and ``check_memory``), so a warm replan neither
+        partitions, re-prices memory nor re-derives a floor: the
+        closed-form rung of :meth:`plan` costs it this one lookup.
         """
         # Float quotient: the cost model (profiling interpolation,
         # schedule times, cache keys) runs on floats throughout, so the
@@ -433,8 +456,9 @@ class DiffusionPipePlanner:
 
     def _finalists(
         self, batch_per_group: float, D: int, S: int, M: int
-    ) -> tuple[tuple[PartitionPlan, MemoryReport | None], ...]:
-        """:meth:`_gate`'s finalists, partitioned and memory-checked."""
+    ) -> tuple[Finalist, ...]:
+        """:meth:`_gate`'s finalists, partitioned, memory-checked and
+        floored."""
         # Deferred import: repro.memory depends on repro.core.plan.
         from ..memory.estimator import pipeline_memory_report
 
@@ -466,15 +490,54 @@ class DiffusionPipePlanner:
                 )
                 if not memory.fits:
                     continue
-            finalists.append((partition, memory))
+            finalists.append((partition, memory, self._pipeline_floor(partition)))
         return tuple(finalists)
+
+    def _pipeline_floor(self, partition: PartitionPlan) -> float:
+        """Closed-form lower bound on a finalist's ``pipeline_ms``: the
+        family's ``floor`` of the very build arguments :meth:`_simulate`
+        passes it, mixed plain and self-conditioned as
+        :meth:`_finalist_bound` mixes the makespans (the mix is monotone
+        under round-to-nearest, so it stays below theirs)."""
+
+        def floor(sc: bool) -> float:
+            stages, build_args = self._build_args(partition, sc=sc)
+            return self._family.floor(
+                stages, partition.num_micro_batches, **build_args
+            )
+
+        pipeline_ms = floor(False)
+        if self.model.self_conditioning and not partition.is_bidirectional:
+            pipeline_ms = _expected(
+                self.model.self_conditioning_prob, pipeline_ms, floor(True)
+            )
+        return pipeline_ms
+
+    def _closed_form(
+        self, global_batch: float, D: int, S: int, M: int
+    ) -> float | None:
+        """Upper bound on :meth:`_bound` from the finalists' closed-form
+        pipeline floors instead of their simulations: the largest
+        finalist's ``samples / floor``.  None where :meth:`evaluate`
+        returns None.  The closed-form rung of :meth:`plan`'s ladder;
+        the floors come with the finalists from the :meth:`_gate` memo,
+        so a warm replan pays no extra lookup for this rung."""
+        gated = self._gate(global_batch, D, S, M)
+        if gated is None:
+            return None
+        finalists, _ = gated
+        return max(
+            _throughput_bound(global_batch, partition, floor)
+            for partition, _, floor in finalists
+        )
 
     def _bound(self, global_batch: float, D: int, S: int, M: int) -> float | None:
         """Upper bound on the throughput :meth:`evaluate` reports for a
         configuration, from its finalists' simulated timelines alone (no
         filling): the largest finalist's ``samples / pipeline_ms``.  None
         where :meth:`evaluate` returns None.  The simulated rung of
-        :meth:`plan`'s ladder, which :meth:`_floor` bounds from above.
+        :meth:`plan`'s ladder, which :meth:`_floor` and
+        :meth:`_closed_form` bound from above.
 
         ``compose_iteration`` sets ``iteration_ms = pipeline_ms +
         leftover_ms`` with ``leftover_ms >= 0``; the self-conditioning
@@ -491,7 +554,7 @@ class DiffusionPipePlanner:
         finalists, batch_per_group = gated
         return max(
             self._finalist_bound(global_batch, partition, batch_per_group)
-            for partition, _ in finalists
+            for partition, _, _ in finalists
         )
 
     def _finalist_bound(
@@ -504,15 +567,14 @@ class DiffusionPipePlanner:
                 pipeline_ms,
                 self._simulate(partition, batch_per_group, sc=True).makespan,
             )
-        if not pipeline_ms > 0:
-            return math.inf
-        return _samples_per_iter(global_batch, partition) / pipeline_ms * 1e3
+        return _throughput_bound(global_batch, partition, pipeline_ms)
 
     def _floor(self, global_batch: float, D: int, S: int, M: int) -> float | None:
         """Upper bound on :meth:`_bound` for a bidirectional
         configuration, from the pre-partition makespan floor
         (:func:`~.partition_cdm.cdm_makespan_floor`) instead of a
         partition and a simulation; None where no partition exists.
+        The first rung of :meth:`plan`'s ladder.
 
         ``samples / floor · 1e3`` with ``floor <= pipeline_ms`` (the
         floor gives up its stated margin to summation order) is at least
@@ -579,7 +641,7 @@ class DiffusionPipePlanner:
             return None
         finalists, batch_per_group = gated
         best: EvaluatedConfig | None = None
-        for partition, memory in finalists:
+        for partition, memory, _ in finalists:
             ev = self._evaluate_finalist(
                 global_batch, partition, memory, batch_per_group
             )
@@ -704,11 +766,14 @@ class DiffusionPipePlanner:
         1. *floor* — bidirectional configurations enter with the
            pre-partition makespan floor's bound (:meth:`_floor`): no DP
            has run for them yet;
-        2. *simulated* — partition, memory-check and simulate the
+        2. *closed form* — partition and memory-check the
            configuration's finalists (:meth:`_gate`), giving the best
-           finalist's bound ``samples / pipeline_ms`` (:meth:`_bound`);
-           single-backbone configurations enter here;
-        3. *filled* — :meth:`evaluate` fills every finalist; the best
+           finalist's ``samples / floor`` from the closed-form floor of
+           its pipeline (:meth:`_closed_form`); single-backbone
+           configurations enter here;
+        3. *simulated* — simulate the finalists, giving the best
+           finalist's ``samples / pipeline_ms`` (:meth:`_bound`);
+        4. *filled* — :meth:`evaluate` fills every finalist; the best
            throughput competes for the incumbent.
 
         The search stops at the first pop whose ``(bound, -index)`` is
@@ -718,27 +783,27 @@ class DiffusionPipePlanner:
         of, the incumbent.  Only the partition DPs, simulations and
         fills of configurations that cannot win are skipped.
         """
-        bidirectional = len(self.model.backbone_names) == 2
-        enter = self._floor if bidirectional else self._bound
+        rungs = (self._floor, self._closed_form, self._bound)
+        enter = 0 if len(self.model.backbone_names) == 2 else 1
         heap = []
         for index, config in enumerate(self.candidate_configs(global_batch)):
-            bound = enter(global_batch, *config)
+            bound = rungs[enter](global_batch, *config)
             if bound is not None:
-                heap.append((-bound, index, bidirectional, config))
+                heap.append((-bound, index, enter, config))
         heapq.heapify(heap)
         best: EvaluatedConfig | None = None
         best_key: tuple[float, int] | None = None
         while heap:
-            neg_bound, index, floored, config = heapq.heappop(heap)
+            neg_bound, index, rung, config = heapq.heappop(heap)
             if best_key is not None and (-neg_bound, -index) <= best_key:
                 break
-            if floored:
-                bound = self._bound(global_batch, *config)
+            if rung + 1 < len(rungs):
+                bound = rungs[rung + 1](global_batch, *config)
                 if bound is not None:
-                    heapq.heappush(heap, (-bound, index, False, config))
+                    heapq.heappush(heap, (-bound, index, rung + 1, config))
                 continue
             ev = self.evaluate(global_batch, *config)
-            assert ev is not None  # the simulated rung gated it
+            assert ev is not None  # the gate admitted it
             key = (ev.plan.throughput, -index)
             if best_key is None or key > best_key:
                 best, best_key = ev, key
@@ -1134,11 +1199,9 @@ class DiffusionPipePlanner:
     def _simulate_uncached(
         self, partition: PartitionPlan, batch_per_group: float, *, sc: bool
     ) -> Timeline:
-        micro = partition.micro_batch
         M = partition.num_micro_batches
         S = partition.num_stages
-        D = partition.group_size
-        family = self._family
+        stages, build_args = self._build_args(partition, sc=sc)
         if partition.is_bidirectional:
             # Chain position i hosts the down chain's stage i AND the up
             # chain's stage S-1-i on the same devices, so the simulator's
@@ -1146,6 +1209,7 @@ class DiffusionPipePlanner:
             # construction — the partitioner assigns one replica count
             # per position — but deriving from one chain only would go
             # silently wrong if that ever changed).
+            positions = S
             weights = {
                 i: max(
                     partition.down[i].replicas,
@@ -1153,62 +1217,65 @@ class DiffusionPipePlanner:
                 )
                 for i in range(S)
             }
-            down = self._stage_execs(partition.down, micro, sc=False, group_size=D)
-            up = self._stage_execs(
-                partition.up, micro, sc=False, group_size=D,
-                reverse_windows=True,
-            )
             # The up-chain stage execs (and therefore their replica
             # counts) are part of the key, alongside the two-sided
             # device weights.
             tl_key = (
                 self.schedule,
-                tuple(down),
-                tuple(up),
+                tuple(stages),
+                tuple(build_args["up"]),
                 M,
                 S,
                 tuple(sorted(weights.items())),
             )
-            timeline = self.caches.timelines.get(tl_key)
-            if timeline is None:
-                tasks = family.build(down, M, up=up)
-                timeline = simulate(tasks, S, weights)
-                self.caches.timelines.put(tl_key, timeline)
         else:
-            if family.chunked:
-                # partition.down is the chunk chain: v chunks per
-                # device-chain position, all replicating identically,
-                # so the simulator sees S/v physical positions.
-                positions = S // VIRTUAL_STAGES
-            else:
-                positions = S
+            positions = build_args["num_devices"] or S
             weights = {
                 i: partition.down[i].replicas for i in range(positions)
             }
-            stages = self._stage_execs(partition.down, micro, sc=sc, group_size=D)
-            feedback = (
-                self._feedback_ms(partition.down, micro, group_size=D)
-                if sc
-                else 0.0
-            )
             tl_key = (
                 self.schedule,
                 tuple(stages),
                 M,
                 sc,
-                feedback,
+                build_args["feedback_ms"],
                 S,
                 tuple(sorted(weights.items())),
             )
-            timeline = self.caches.timelines.get(tl_key)
-            if timeline is None:
-                tasks = family.build(
-                    stages,
-                    M,
-                    num_devices=positions if family.chunked else None,
-                    self_conditioning=sc,
-                    feedback_ms=feedback,
-                )
-                timeline = simulate(tasks, positions, weights)
-                self.caches.timelines.put(tl_key, timeline)
+        timeline = self.caches.timelines.get(tl_key)
+        if timeline is None:
+            tasks = self._family.build(stages, M, **build_args)
+            timeline = simulate(tasks, positions, weights)
+            self.caches.timelines.put(tl_key, timeline)
         return timeline
+
+    def _build_args(
+        self, partition: PartitionPlan, *, sc: bool
+    ) -> tuple[list[StageExec], dict]:
+        """The stage chain and keyword arguments the family's ``build``
+        (and its ``floor``) takes for a partition."""
+        micro = partition.micro_batch
+        D = partition.group_size
+        if partition.is_bidirectional:
+            down = self._stage_execs(partition.down, micro, sc=False, group_size=D)
+            up = self._stage_execs(
+                partition.up, micro, sc=False, group_size=D,
+                reverse_windows=True,
+            )
+            return down, {"up": up}
+        stages = self._stage_execs(partition.down, micro, sc=sc, group_size=D)
+        feedback = (
+            self._feedback_ms(partition.down, micro, group_size=D) if sc else 0.0
+        )
+        return stages, {
+            # partition.down is the chunk chain of a chunked family: v
+            # chunks per device-chain position, all replicating
+            # identically, so the simulator sees S/v physical positions.
+            "num_devices": (
+                partition.num_stages // VIRTUAL_STAGES
+                if self._family.chunked
+                else None
+            ),
+            "self_conditioning": sc,
+            "feedback_ms": feedback,
+        }

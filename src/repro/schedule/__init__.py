@@ -22,7 +22,7 @@ from .families import (
 )
 from .gpipe import build_gpipe
 from .interleaved import build_interleaved
-from .onef1b import build_1f1b
+from .onef1b import FLOOR_MARGIN, build_1f1b
 from .simulator import simulate
 from .stages import StageExec, validate_stages
 from .tasks import (
@@ -46,6 +46,7 @@ __all__ = [
     "schedule_family_names",
     # simulation + data types
     "simulate",
+    "FLOOR_MARGIN",
     "StageExec",
     "validate_stages",
     "COMPUTE_KINDS",

@@ -25,21 +25,13 @@ from .tasks import Task
 BIDIRECTIONAL_COMM_SCALE = 2.0
 
 
-def build_bidirectional(
-    stages_down: Sequence[StageExec],
-    stages_up: Sequence[StageExec],
-    num_micro_batches: int,
-    *,
-    self_conditioning: bool = False,
-    feedback_ms: float = 0.0,
-) -> list[Task]:
-    """Build the combined task graph of a two-backbone bidirectional pipeline.
-
-    Both stage chains must have the same length (they share the device
-    chain) and run ``num_micro_batches`` each.  Devices are numbered
-    0..S-1; the down pipeline maps stage ``s`` to device ``s``, the up
-    pipeline maps stage ``s`` to device ``S - 1 - s``.
-    """
+def bidirectional_chains(
+    stages_down: Sequence[StageExec], stages_up: Sequence[StageExec]
+) -> list[tuple[list[StageExec], range]]:
+    """The two ``(stages, device_order)`` chains of a bidirectional
+    pipeline: down stage ``s`` on device ``s``, up stage ``s`` on device
+    ``S - 1 - s``.  Both chains must have the same length, and
+    co-located stages the same replica count."""
     down = validate_stages(stages_down)
     up = validate_stages(stages_up)
     if len(down) != len(up):
@@ -58,21 +50,34 @@ def build_bidirectional(
                 f"down stage {i} has {down[i].replicas} replicas, up stage "
                 f"{S - 1 - i} has {up[S - 1 - i].replicas}"
             )
-    tasks = build_1f1b(
-        down,
-        num_micro_batches,
-        self_conditioning=self_conditioning,
-        feedback_ms=feedback_ms,
-        id_prefix="dn/",
-        comm_scale=BIDIRECTIONAL_COMM_SCALE,
-    )
-    tasks += build_1f1b(
-        up,
-        num_micro_batches,
-        self_conditioning=self_conditioning,
-        feedback_ms=feedback_ms,
-        id_prefix="up/",
-        device_order=range(S - 1, -1, -1),
-        comm_scale=BIDIRECTIONAL_COMM_SCALE,
-    )
+    return [(down, range(S)), (up, range(S - 1, -1, -1))]
+
+
+def build_bidirectional(
+    stages_down: Sequence[StageExec],
+    stages_up: Sequence[StageExec],
+    num_micro_batches: int,
+    *,
+    self_conditioning: bool = False,
+    feedback_ms: float = 0.0,
+) -> list[Task]:
+    """Build the combined task graph of a two-backbone bidirectional pipeline.
+
+    Both stage chains must have the same length (they share the device
+    chain) and run ``num_micro_batches`` each; the chains are placed by
+    :func:`bidirectional_chains`.
+    """
+    tasks: list[Task] = []
+    for prefix, (stages, device_order) in zip(
+        ("dn/", "up/"), bidirectional_chains(stages_down, stages_up)
+    ):
+        tasks += build_1f1b(
+            stages,
+            num_micro_batches,
+            self_conditioning=self_conditioning,
+            feedback_ms=feedback_ms,
+            id_prefix=prefix,
+            device_order=device_order,
+            comm_scale=BIDIRECTIONAL_COMM_SCALE,
+        )
     return tasks

@@ -34,7 +34,12 @@ Every family builds from the same inputs (stage chains + micro-batch
 count) and returns a plain task list for the discrete-event simulator;
 ``simulate`` needs no per-family logic.  ``forwards_first`` is also the
 activation window the memory estimator prices: ``M`` micro-batches per
-stage when set, the 1F1B window otherwise.
+stage when set, the 1F1B window otherwise.  Each family's ``floor``
+takes ``build``'s arguments and bounds the simulated makespan of that
+graph from below in closed form
+(:func:`~repro.schedule.onef1b.makespan_floor` over the chains ``build``
+lowers to); the planner's bound ladder skips the simulation of
+configurations whose floor cannot win.
 """
 
 from __future__ import annotations
@@ -42,10 +47,14 @@ from __future__ import annotations
 from typing import Callable, Protocol, Sequence
 
 from ..errors import ConfigurationError
-from .bidirectional import build_bidirectional
+from .bidirectional import (
+    BIDIRECTIONAL_COMM_SCALE,
+    bidirectional_chains,
+    build_bidirectional,
+)
 from .gpipe import build_gpipe
-from .interleaved import build_interleaved
-from .onef1b import build_1f1b
+from .interleaved import build_interleaved, interleaved_order
+from .onef1b import build_1f1b, makespan_floor
 from .stages import StageExec
 from .tasks import Task
 from .zerobubble import build_zerobubble
@@ -77,6 +86,20 @@ class ScheduleFamily(Protocol):
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
     ) -> list[Task]:
+        ...  # pragma: no cover - protocol
+
+    def floor(
+        self,
+        stages: Sequence[StageExec],
+        num_micro_batches: int,
+        *,
+        up: Sequence[StageExec] | None = None,
+        num_devices: int | None = None,
+        self_conditioning: bool = False,
+        feedback_ms: float = 0.0,
+    ) -> float:
+        """A lower bound on ``simulate(self.build(...)).makespan`` for
+        the same arguments, in closed form."""
         ...  # pragma: no cover - protocol
 
 
@@ -117,6 +140,28 @@ def _reject_cascaded(name: str, up) -> None:
         )
 
 
+def _chain_floor(
+    self,
+    stages: Sequence[StageExec],
+    num_micro_batches: int,
+    *,
+    up: Sequence[StageExec] | None = None,
+    num_devices: int | None = None,
+    self_conditioning: bool = False,
+    feedback_ms: float = 0.0,
+) -> float:
+    """``floor`` of the single-chain families: stage ``s`` on device
+    ``s``, the backward split where the family splits it."""
+    _reject_cascaded(self.name, up)
+    return makespan_floor(
+        [(stages, range(len(stages)))],
+        num_micro_batches,
+        self_conditioning=self_conditioning,
+        feedback_ms=feedback_ms,
+        split_backward=self.splits_backward,
+    )
+
+
 @register_schedule_family("onef1b")
 class OneF1BFamily:
     name = "onef1b"
@@ -124,6 +169,7 @@ class OneF1BFamily:
     chunked = False
     splits_backward = False
     forwards_first = False
+    floor = _chain_floor
 
     def build(
         self,
@@ -151,6 +197,7 @@ class GPipeFamily:
     chunked = False
     splits_backward = False
     forwards_first = True
+    floor = _chain_floor
 
     def build(
         self,
@@ -189,18 +236,40 @@ class BidirectionalFamily:
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
     ) -> list[Task]:
+        return build_bidirectional(
+            stages,
+            self._up(up),
+            num_micro_batches,
+            self_conditioning=self_conditioning,
+            feedback_ms=feedback_ms,
+        )
+
+    def floor(
+        self,
+        stages: Sequence[StageExec],
+        num_micro_batches: int,
+        *,
+        up: Sequence[StageExec] | None = None,
+        num_devices: int | None = None,
+        self_conditioning: bool = False,
+        feedback_ms: float = 0.0,
+    ) -> float:
+        return makespan_floor(
+            bidirectional_chains(stages, self._up(up)),
+            num_micro_batches,
+            self_conditioning=self_conditioning,
+            feedback_ms=feedback_ms,
+            comm_scale=BIDIRECTIONAL_COMM_SCALE,
+        )
+
+    @staticmethod
+    def _up(up: Sequence[StageExec] | None) -> Sequence[StageExec]:
         if up is None:
             raise ConfigurationError(
                 "the 'bidirectional' family needs an up-pipeline stage "
                 "chain (cascaded models only)"
             )
-        return build_bidirectional(
-            stages,
-            up,
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
+        return up
 
 
 @register_schedule_family("interleaved")
@@ -221,19 +290,40 @@ class InterleavedFamily:
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
     ) -> list[Task]:
+        return build_interleaved(
+            stages,
+            num_micro_batches,
+            self._devices(up, num_devices),
+            self_conditioning=self_conditioning,
+            feedback_ms=feedback_ms,
+        )
+
+    def floor(
+        self,
+        stages: Sequence[StageExec],
+        num_micro_batches: int,
+        *,
+        up: Sequence[StageExec] | None = None,
+        num_devices: int | None = None,
+        self_conditioning: bool = False,
+        feedback_ms: float = 0.0,
+    ) -> float:
+        order = interleaved_order(len(stages), self._devices(up, num_devices))
+        return makespan_floor(
+            [(stages, order)],
+            num_micro_batches,
+            self_conditioning=self_conditioning,
+            feedback_ms=feedback_ms,
+        )
+
+    def _devices(self, up, num_devices: int | None) -> int:
         _reject_cascaded(self.name, up)
         if num_devices is None:
             raise ConfigurationError(
                 "the 'interleaved' family needs num_devices (stages is "
                 "a chunk chain placed round-robin)"
             )
-        return build_interleaved(
-            stages,
-            num_micro_batches,
-            num_devices,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
+        return num_devices
 
 
 @register_schedule_family("zerobubble")
@@ -243,6 +333,7 @@ class ZeroBubbleFamily:
     chunked = False
     splits_backward = True
     forwards_first = False
+    floor = _chain_floor
 
     def build(
         self,

@@ -25,6 +25,19 @@ from .stages import StageExec, validate_stages
 from .tasks import Task
 
 
+def interleaved_order(num_chunks: int, num_devices: int) -> list[int]:
+    """The round-robin placement of a chunk chain: chunk ``c`` on device
+    ``c mod num_devices``, a whole number of chunks per device."""
+    if num_devices <= 0:
+        raise ConfigurationError("num_devices must be positive")
+    if num_chunks % num_devices != 0:
+        raise ConfigurationError(
+            f"interleaved schedule needs a whole number of chunks per "
+            f"device (got {num_chunks} chunks on {num_devices} devices)"
+        )
+    return [c % num_devices for c in range(num_chunks)]
+
+
 def build_interleaved(
     chunks: Sequence[StageExec],
     num_micro_batches: int,
@@ -36,23 +49,15 @@ def build_interleaved(
     """Build the interleaved-1F1B task graph.
 
     ``chunks`` is the *chunk* chain (length ``v * num_devices``, in
-    pipeline order); chunk ``c`` is placed on device ``c mod
-    num_devices``.  Chunk costs must already be per-chunk (the planner
-    subdivides each contiguous stage's layer range).
+    pipeline order), placed by :func:`interleaved_order`.  Chunk costs
+    must already be per-chunk (the planner subdivides each contiguous
+    stage's layer range).
     """
     chunks = validate_stages(chunks)
-    if num_devices <= 0:
-        raise ConfigurationError("num_devices must be positive")
-    if len(chunks) % num_devices != 0:
-        raise ConfigurationError(
-            f"interleaved schedule needs a whole number of chunks per "
-            f"device (got {len(chunks)} chunks on {num_devices} devices)"
-        )
-    device_order = [c % num_devices for c in range(len(chunks))]
     return build_1f1b(
         chunks,
         num_micro_batches,
         self_conditioning=self_conditioning,
         feedback_ms=feedback_ms,
-        device_order=device_order,
+        device_order=interleaved_order(len(chunks), num_devices),
     )

@@ -23,10 +23,15 @@ backward.
 priority gains a leading phase group — 0 for SC/forward tasks and their
 transfers, 1 for backwards and gradient transfers, 2 for syncs — so a
 ready forward always beats a ready backward.
+
+:func:`makespan_floor` bounds the simulated makespan of these graphs
+from below in closed form, without building or simulating them; every
+family's ``floor`` calls it with the chains its ``build`` lowers to.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from ..errors import ConfigurationError
@@ -35,6 +40,12 @@ from .tasks import Task, TaskKind, device_resource, link_resource, sync_resource
 
 #: phase codes used in dispatch priorities
 _PHASE_SC, _PHASE_FWD, _PHASE_BWD = 0, 1, 2
+
+#: relative margin a makespan floor gives up: its device terms sum task
+#: durations in another order than the simulator, so the two differ by
+#: float rounding — at most about (terms summed) x 2**-53 relative,
+#: around 1e-13 on the zoo's chains
+FLOOR_MARGIN = 1e-9
 
 
 def build_1f1b(
@@ -217,3 +228,100 @@ def build_1f1b(
             )
         )
     return tasks
+
+
+def makespan_floor(
+    chains: Sequence[tuple[Sequence[StageExec], Sequence[int]]],
+    num_micro_batches: int,
+    *,
+    self_conditioning: bool = False,
+    feedback_ms: float = 0.0,
+    comm_scale: float = 1.0,
+    split_backward: bool = False,
+) -> float:
+    """Closed-form lower bound on the simulated makespan of
+    :func:`build_1f1b` graphs sharing one device set.
+
+    Each chain is a ``(stages, device_order)`` pair, built with
+    ``comm_scale`` and the self-conditioning arguments; with
+    ``split_backward`` every backward runs as B then W, as
+    :func:`~repro.schedule.zerobubble.build_zerobubble` splits it.
+    Write ``σ`` for ``comm_scale``, ``first`` for a stage's SC forward
+    under self-conditioning and its forward otherwise, ``back`` for its
+    backward (B when split) and ``work`` for all its compute on one
+    micro-batch (SC forward, forward, backward).  The floor is the
+    largest of
+
+    * a *device term* per device: ``min head + M·Σ work + min tail``
+      over the (chain, stage) pairs it hosts, with ``head(s) =
+      Σ_{j<s} (first_j + σ·send_fwd_j)`` and ``tail(s) = Σ_{j<s}
+      (back_j + σ·send_bwd_j)``, or ``sync_s`` when split;
+    * a *path term* per chain and stage ``s``: one micro-batch's SC
+      wave, ``σ·feedback``, forward wave and backward down to ``s``
+      (then ``W_s`` when split), plus ``sync_s``;
+
+    times ``1 − FLOOR_MARGIN``.
+
+    Why it holds: a device runs one task at a time, and every task of
+    stage ``s`` waits for its micro-batch's forward path through the
+    stages before ``s``.  A backward follows its forward on the same
+    device, so the device's last task is a backward, which the backward
+    path to its chain's stage 0 follows; when split it is a W, which its
+    stage's sync follows.  A stage's sync follows its last micro-batch's
+    path.  Priorities, the in-flight window and link contention only add
+    delay.  The path terms add durations in the simulator's own order,
+    so they hold exactly in floats; the device terms do not, hence the
+    margin.
+    """
+    M = num_micro_batches
+    if M <= 0:
+        raise ConfigurationError("number of micro-batches must be positive")
+    sc = self_conditioning
+    # Per device: smallest head, summed work, smallest tail.
+    heads: dict[int, float] = {}
+    busy: dict[int, float] = {}
+    tails: dict[int, float] = {}
+    floor = 0.0
+    for stages, device_order in chains:
+        stages = validate_stages(stages)
+        head = tail = 0.0
+        for s, st in enumerate(stages):
+            back = st.bwd_b_ms if split_backward else st.bwd_ms
+            work = st.fwd_ms + (
+                st.bwd_b_ms + st.bwd_w_ms if split_backward else st.bwd_ms
+            )
+            if sc:
+                work += st.sc_fwd_ms
+            d = device_order[s]
+            heads[d] = min(heads.get(d, math.inf), head)
+            busy[d] = busy.get(d, 0.0) + work
+            tails[d] = min(
+                tails.get(d, math.inf), st.sync_ms if split_backward else tail
+            )
+            head += (st.sc_fwd_ms if sc else st.fwd_ms) + st.send_fwd_ms * comm_scale
+            tail += back + st.send_bwd_ms * comm_scale
+        # One micro-batch's path, one task at a time as the simulator
+        # adds them: the SC wave and its feedback, the forward wave, then
+        # the backward wave, each stage's sync (after its W) ending one
+        # path term.
+        path = 0.0
+        for sc_wave in (True, False) if sc else (False,):
+            for s, st in enumerate(stages):
+                if s:
+                    path += stages[s - 1].send_fwd_ms * comm_scale
+                path += st.sc_fwd_ms if sc_wave else st.fwd_ms
+            if sc_wave:
+                path += feedback_ms * comm_scale
+        for s in range(len(stages) - 1, -1, -1):
+            st = stages[s]
+            if s < len(stages) - 1:
+                path += st.send_bwd_ms * comm_scale
+            if split_backward:
+                path += st.bwd_b_ms
+                floor = max(floor, path + st.bwd_w_ms + st.sync_ms)
+            else:
+                path += st.bwd_ms
+                floor = max(floor, path + st.sync_ms)
+    for d, work in busy.items():
+        floor = max(floor, heads[d] + M * work + tails[d])
+    return floor * (1.0 - FLOOR_MARGIN)

@@ -84,6 +84,15 @@ def test_cluster_validation():
     assert c.world_size == 8
 
 
+@pytest.mark.parametrize("field", ["num_machines", "devices_per_machine"])
+def test_cluster_counts_reject_bool(field):
+    """``True`` is an ``Integral`` equal to 1; ``num_machines=True``
+    used to build a world of 8."""
+    counts = {"num_machines": 1, "devices_per_machine": 8, field: True}
+    with pytest.raises(ConfigurationError, match=field):
+        ClusterSpec(**counts)
+
+
 # -- heterogeneity overrides --------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DiffusionPipePlanner, PlannerOptions
+from repro.core import DiffusionPipePlanner, ElasticEvent, PlannerOptions
 from repro.core.caches import PlannerCaches
 from repro.errors import ConfigurationError
 from repro.models.zoo import uniform_model
@@ -147,6 +147,43 @@ def test_planner_options_validation():
     ):
         with pytest.raises(ConfigurationError):
             PlannerOptions(**bad)
+
+
+#: every count the planner takes through ``positive_int``, set to True
+#: (a ``bool`` is an ``Integral`` equal to 1, and hashes like it)
+BOOL_COUNTS = {
+    "micro_batch_counts": lambda planner: PlannerOptions(micro_batch_counts=(True,)),
+    "partial_batch_menu": lambda planner: PlannerOptions(partial_batch_menu=(True,)),
+    "cdm_cut_step": lambda planner: PlannerOptions(cdm_cut_step=True),
+    "lookahead_beam": lambda planner: PlannerOptions(lookahead_beam=True),
+    "elastic_machines": lambda planner: ElasticEvent("join", machines=True),
+    "evaluate_num_micro": lambda planner: planner.evaluate(64, 2, 2, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_COUNTS))
+def test_bool_is_not_a_count(case, cluster8, uniform, uniform_profile):
+    """``True`` is rejected wherever a count is: an ``evaluate`` with
+    ``num_micro=True`` used to return a plan labelled ``M=True`` and
+    leave it in the caches, where ``evaluate(..., 1)`` found it."""
+    planner = DiffusionPipePlanner(
+        uniform, cluster8, uniform_profile, caches=PlannerCaches()
+    )
+    with pytest.raises(ConfigurationError):
+        BOOL_COUNTS[case](planner)
+    assert planner.evaluate(64, 2, 2, 1).plan.config_label == "S=2 M=1 D=2 dp=4"
+
+
+@pytest.mark.parametrize("menu", [
+    dict(group_sizes=()),
+    dict(group_sizes=(4, 4)),
+    dict(micro_batch_counts=(2, 2)),
+], ids=["empty-groups", "repeated-group", "repeated-micro"])
+def test_search_menus_are_nonempty_and_distinct(menu):
+    """An empty ``group_sizes`` used to read as None (every divisor of
+    the world), and a repeated entry planned its configurations twice."""
+    with pytest.raises(ConfigurationError, match="non-empty|distinct"):
+        PlannerOptions(**menu)
 
 
 def test_planner_engines_agree_end_to_end(uniform, uniform_profile, cluster8):

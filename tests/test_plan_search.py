@@ -3,8 +3,9 @@
 :meth:`DiffusionPipePlanner.plan` keeps every feasible (D, S, M) in a
 heap keyed by its best known throughput bound and lets the top one
 climb a rung per pop — the pre-partition makespan floor of a
-bidirectional model, then the simulated ``samples / pipeline_ms``
-bound, then the fill — until the top bound cannot beat the incumbent.
+bidirectional model, then the closed-form floor of each partition's
+pipeline, then the simulated ``samples / pipeline_ms`` bound, then the
+fill — until the top bound cannot beat the incumbent.
 Three cross-layer invariants make that safe, and all are checked here
 exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
 
@@ -12,17 +13,19 @@ exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
   pipeline_ms * 1e3`` is at least its filled throughput, and at most the
   bound the search actually used (the best of the configuration's
   finalists; equal where it has one);
-* **the floor is sound** — a bidirectional candidate's floor bound
-  (which already gives up its stated margin) is at least its simulated
+* **the floors are sound** — a bidirectional candidate's
+  pre-partition floor bound and every candidate's closed-form bound
+  (each already gives up its stated margin) are at least its simulated
   bound, and a configuration without a floor has no partition either;
 * **pruning never changes the chosen plan** — ``plan(b)`` is the first
   maximum of the exhaustive :meth:`candidate_plans`, configuration,
   partition and timings alike, on homogeneous and speed-scaled groups.
 
-Deterministic counter gates pin the savings: a cold 16-GPU SD plan runs
-the bubble filler for the winning configuration only, and a cold
-16-GPU heterogeneous CDM-LSUN plan builds 23 of the 70 CDM tables of
-the exhaustive search.
+Deterministic counter gates pin the savings: a cold 16-GPU SD plan
+simulates 8 of the exhaustive search's 70 timelines and runs the bubble
+filler for the winning configuration only, and a cold 16-GPU
+heterogeneous CDM-LSUN plan builds 23 of the 70 CDM tables of the
+exhaustive search.
 
 Heterogeneous replication never loses to uniform: a heterogeneous
 planner keeps the pinned ``r = D/S`` partition as a finalist of every
@@ -38,6 +41,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.planner as planner_mod
 from repro.cluster import DeviceSpec, p4de_cluster, single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
 from repro.core.filling import BubbleFiller
@@ -124,10 +128,16 @@ def test_plan_is_first_maximum_and_bound_is_sound(case):
         # Each finalist's bound is this very expression on its own
         # timelines, and the search ranks by the best finalist's.
         finalists, per_group = exhaustive._gate(batch, *cfg)
-        assert p.partition in [partition for partition, _ in finalists]
+        assert p.partition in [partition for partition, _, _ in finalists]
         own = exhaustive._finalist_bound(batch, p.partition, per_group)
         assert own.hex() == bound.hex()
-        assert exhaustive._bound(batch, *cfg) >= bound
+        simulated = exhaustive._bound(batch, *cfg)
+        assert simulated >= bound
+        # The closed-form rung, which decides what gets simulated.
+        closed = exhaustive._closed_form(batch, *cfg)
+        assert closed >= simulated >= p.throughput, (
+            p.config_label, closed, simulated, p.throughput,
+        )
 
     # The pruned search runs on its own cold caches.  Throughput ties
     # at the maximum are common on these models, so the tie rule (first
@@ -234,6 +244,35 @@ def test_cold_plan_fills_only_the_winner(monkeypatch):
     fills[0] = 0
     candidates = _planner(model, cluster, profile, options).candidate_plans(256)
     assert fills[0] == 70
+    assert best.plan == max(candidates, key=lambda ev: ev.plan.throughput).plan
+
+
+def test_cold_plan_simulates_only_what_can_win(monkeypatch):
+    """Counter gate of the closed-form rung: a cold SD v2.1
+    (self-conditioning) plan on 16 GPUs simulates 8 timelines — the
+    plain and self-conditioned ones of the 4 configurations whose
+    closed-form pipeline floor can still win — where the exhaustive
+    search simulates all 35 (70 timelines), and picks the exhaustive
+    search's first maximum."""
+    calls = [0]
+    simulate = planner_mod.simulate
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(planner_mod, "simulate", counting)
+    cluster = p4de_cluster(2)
+    model = stable_diffusion_v2_1()
+    profile = Profiler(cluster).profile(model)
+    options = PlannerOptions(fill_strategy="lookahead")
+
+    best = _planner(model, cluster, profile, options).plan(256)
+    assert calls[0] == 8
+
+    calls[0] = 0
+    candidates = _planner(model, cluster, profile, options).candidate_plans(256)
+    assert calls[0] == 70
     assert best.plan == max(candidates, key=lambda ev: ev.plan.throughput).plan
 
 

@@ -1,9 +1,9 @@
 """Rule ``registry-bypass``: schedule builders are registry-only.
 
-The :class:`~repro.schedule.families.ScheduleFamily` refactor routed
+The :class:`~repro.schedule.families.ScheduleFamily` registry routes
 every consumer (planner, baselines, harness) through
-:func:`repro.schedule.get_family`; the builder modules
-(``repro.schedule.onef1b`` etc.) and their ``build_*`` functions are an
+:func:`repro.schedule.get_family`; the builder module
+(``repro.schedule.onef1b``) and its ``build_*`` function are an
 implementation detail of the ``schedule`` package.  This rule fails on
 any import of a builder module or builder function outside
 ``repro/schedule/``, so a future change cannot quietly bypass the
@@ -11,8 +11,9 @@ registry (and with it the planner's ``--schedule`` plumbing, cache
 identity and memory-window dispatch).
 
 Formerly the ad-hoc walker in ``tests/test_no_direct_builder_imports.py``;
-the test is now a thin wrapper over this rule (its companion test still
-asserts these hardcoded lists cover every registered family).
+the test is now a thin wrapper over this rule, and its companion test
+checks these hardcoded lists against the modules and ``build_*``
+functions ``repro.schedule`` actually has.
 """
 
 from __future__ import annotations
@@ -23,24 +24,16 @@ from typing import Iterator
 from ..engine import Finding, ModuleSource, register_rule
 
 #: builder submodules of repro.schedule — private to the package
-BUILDER_MODULES = frozenset({
-    "onef1b", "gpipe", "bidirectional", "interleaved", "zerobubble",
-})
+BUILDER_MODULES = frozenset({"onef1b"})
 #: the builder entry points those modules define
-BUILDER_NAMES = frozenset({
-    "build_1f1b",
-    "build_gpipe",
-    "build_bidirectional",
-    "build_interleaved",
-    "build_zerobubble",
-})
+BUILDER_NAMES = frozenset({"build_1f1b"})
 
 
 def _is_builder_module(module: str | None) -> bool:
     """True for ``repro.schedule.<builder>`` in any spelling (absolute
-    or relative: ``..schedule.gpipe`` parses as module ``schedule.gpipe``).
-    Requires the ``schedule`` parent so e.g. ``baselines.gpipe`` — a
-    different module that happens to share a builder's name — passes."""
+    or relative: ``..schedule.onef1b`` parses as module ``schedule.onef1b``).
+    Requires the ``schedule`` parent so a module elsewhere that happens
+    to share a builder module's name passes."""
     if not module:
         return False
     parts = module.split(".")

@@ -169,8 +169,8 @@ class StageCosts:
     All quantities are per micro-batch at the stage's local batch size
     ``micro_batch / r``.  ``comm_scale`` multiplies the boundary
     communication of Eqns. 3 and 17; the bidirectional DP passes
-    :data:`~.partition_cdm.CDM_COMM_SCALE` for the 2x link competition
-    of Eqn. 10.
+    :data:`~repro.schedule.BIDIRECTIONAL_COMM_SCALE` for the 2x link
+    competition of Eqn. 10.
 
     Every bound divides its compute term (never communication) by the
     hosting window's bottleneck speed factor ``scale``, and the sync gap

@@ -37,16 +37,14 @@ whose stage chains are concatenated (§4.2's grouping rule); see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
-from ..schedule import FLOOR_MARGIN
+from ..schedule import BIDIRECTIONAL_COMM_SCALE, FLOOR_MARGIN
 from .caches import PlannerCaches, default_caches
 from .partition import PartitionContext
 from .plan import PartitionPlan, StageAssignment, positive_int
-
-#: the paper enlarges communication by 2x for bidirectional pipelines
-CDM_COMM_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,9 @@ class CDMPartitionContext:
     ``down`` / ``up`` are single-backbone contexts sharing batch and
     communication constants; their ``component`` fields name the two
     backbones.  Communication inside stage costs is scaled by
-    ``comm_scale`` to model link competition.
+    ``comm_scale`` to model link competition: the bidirectional
+    family's §4.2 enlargement, so the DP prices the links the simulated
+    schedule runs.
 
     Both contexts must agree on the micro-batch count: the bidirectional
     schedule runs ``M`` paired micro-batches per direction, and the
@@ -66,7 +66,7 @@ class CDMPartitionContext:
 
     down: PartitionContext
     up: PartitionContext
-    comm_scale: float = CDM_COMM_SCALE
+    comm_scale: ClassVar[float] = BIDIRECTIONAL_COMM_SCALE
 
     def __post_init__(self) -> None:
         if self.down.num_micro_batches <= 0 or self.up.num_micro_batches <= 0:
@@ -78,8 +78,6 @@ class CDMPartitionContext:
                 f"up={self.up.num_micro_batches}); the schedule builder and "
                 "the Eqn. 12 coefficient would otherwise disagree"
             )
-        if self.comm_scale <= 0:
-            raise ConfigurationError("comm_scale must be positive")
         if self.down.speed_scales != self.up.speed_scales:
             raise ConfigurationError(
                 "bidirectional contexts share one device chain, so their "

@@ -498,18 +498,18 @@ class DiffusionPipePlanner:
         family's ``floor`` of the very build arguments :meth:`_simulate`
         passes it, mixed plain and self-conditioned as
         :meth:`_finalist_bound` mixes the makespans (the mix is monotone
-        under round-to-nearest, so it stays below theirs)."""
-
-        def floor(sc: bool) -> float:
-            stages, build_args = self._build_args(partition, sc=sc)
-            return self._family.floor(
-                stages, partition.num_micro_batches, **build_args
-            )
-
-        pipeline_ms = floor(False)
+        under round-to-nearest, so it stays below theirs).  The stage
+        chain is derived once: the two builds differ only in their
+        :meth:`_sc_args`."""
+        stages, build_args = self._build_args(partition, sc=False)
+        M = partition.num_micro_batches
+        pipeline_ms = self._family.floor(stages, M, **build_args)
         if self.model.self_conditioning and not partition.is_bidirectional:
+            sc_args = {**build_args, **self._sc_args(partition, sc=True)}
             pipeline_ms = _expected(
-                self.model.self_conditioning_prob, pipeline_ms, floor(True)
+                self.model.self_conditioning_prob,
+                pipeline_ms,
+                self._family.floor(stages, M, **sc_args),
             )
         return pipeline_ms
 
@@ -972,7 +972,6 @@ class DiffusionPipePlanner:
         self,
         chain: Sequence[StageAssignment],
         micro_batch: float,
-        sc: bool,
         group_size: int | None = None,
         reverse_windows: bool = False,
     ) -> list[StageExec]:
@@ -1036,7 +1035,6 @@ class DiffusionPipePlanner:
                     bwd_ms=bwd,
                     bwd_b_ms=bwd_b,
                     bwd_w_ms=bwd_w,
-                    sc_fwd_ms=fwd if sc else None,
                     send_fwd_ms=send_fwd,
                     send_bwd_ms=send_bwd,
                     sync_ms=sync,
@@ -1257,16 +1255,12 @@ class DiffusionPipePlanner:
         micro = partition.micro_batch
         D = partition.group_size
         if partition.is_bidirectional:
-            down = self._stage_execs(partition.down, micro, sc=False, group_size=D)
+            down = self._stage_execs(partition.down, micro, group_size=D)
             up = self._stage_execs(
-                partition.up, micro, sc=False, group_size=D,
-                reverse_windows=True,
+                partition.up, micro, group_size=D, reverse_windows=True
             )
             return down, {"up": up}
-        stages = self._stage_execs(partition.down, micro, sc=sc, group_size=D)
-        feedback = (
-            self._feedback_ms(partition.down, micro, group_size=D) if sc else 0.0
-        )
+        stages = self._stage_execs(partition.down, micro, group_size=D)
         return stages, {
             # partition.down is the chunk chain of a chunked family: v
             # chunks per device-chain position, all replicating
@@ -1276,6 +1270,17 @@ class DiffusionPipePlanner:
                 if self._family.chunked
                 else None
             ),
-            "self_conditioning": sc,
-            "feedback_ms": feedback,
+            **self._sc_args(partition, sc=sc),
         }
+
+    def _sc_args(self, partition: PartitionPlan, *, sc: bool) -> dict:
+        """The self-conditioning keywords of a single-backbone build."""
+        feedback = (
+            self._feedback_ms(
+                partition.down, partition.micro_batch,
+                group_size=partition.group_size,
+            )
+            if sc
+            else 0.0
+        )
+        return {"self_conditioning": sc, "feedback_ms": feedback}

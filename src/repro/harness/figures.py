@@ -14,8 +14,6 @@ from ..core.planner import DiffusionPipePlanner, PlannerCaches, PlannerOptions
 from ..errors import ConfigurationError
 from ..models.graph import ModelSpec
 from ..profiling.records import ProfileDB
-from ..schedule import get_family
-from ..schedule.simulator import simulate
 from ..baselines.gpipe import GPipeBaseline
 from ..baselines.spp import SPPBaseline
 
@@ -66,12 +64,7 @@ def bubble_ratio_grid(
     for S in stage_counts:
         for M in micro_counts:
             partition = planner._partition(batch, S, S, M, heterogeneous=False)
-            stages = planner._stage_execs(
-                partition.down, batch / M, sc=False,
-                group_size=partition.group_size,
-            )
-            tasks = get_family("onef1b").build(stages, M)
-            tl = simulate(tasks, S)
+            tl = planner._simulate(partition, batch, sc=False)
             nt_dp = sum(
                 profile.component_fwd_ms(c.name, batch / S)
                 for c in model.non_trainable
@@ -177,11 +170,7 @@ def longest_bubble_by_stages(
     out = {}
     for S in stage_counts:
         partition = planner._partition(batch, S, S, num_micro, heterogeneous=False)
-        stages = planner._stage_execs(
-            partition.down, batch / num_micro, sc=False,
-            group_size=partition.group_size,
-        )
-        tl = simulate(get_family("onef1b").build(stages, num_micro), S)
+        tl = planner._simulate(partition, batch, sc=False)
         longest = 0.0
         for dev in range(S):
             for span in tl.idle_spans(dev):

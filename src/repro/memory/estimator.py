@@ -16,7 +16,7 @@ Memory model (mixed-precision Adam, the setup of the paper's testbed):
   micro-batch's forward arrives.  The zero-bubble family's deferred W
   tasks stretch some activations' lifetimes slightly; pricing it with
   the 1F1B window is its documented approximation (see
-  :mod:`repro.schedule.zerobubble`).
+  :class:`~repro.schedule.families.ZeroBubbleFamily`).
 
 ZeRO-3 shards parameters, gradients and optimiser states across the
 data-parallel group and materialises at most one layer's parameters at

@@ -1,27 +1,23 @@
-"""Pipeline schedules: task graphs, builders and the event simulator.
+"""Pipeline schedules: task graphs, schedule families and the event
+simulator.
 
 Schedule construction goes through the :mod:`~repro.schedule.families`
 registry — ``get_family(name).build(...)`` — so the planner, baselines
-and harness share one code path per family.  The direct builder names
-(``build_1f1b``, ``build_gpipe``, ``build_bidirectional``,
-``build_interleaved``, ``build_zerobubble``) and
-``BIDIRECTIONAL_COMM_SCALE`` remain importable for existing callers and
-the builders' own unit tests, but are **deprecated** as a public
-surface and no longer listed in ``__all__``; an AST gate
-(``tests/test_no_direct_builder_imports.py``) keeps production code off
-them outside this package.
+and harness share one code path per family.  Every family lowers to one
+task-graph builder, ``build_1f1b``; it stays importable here for its own
+unit tests but is not listed in ``__all__``, and an AST gate
+(``tests/test_no_direct_builder_imports.py``) keeps production code
+outside this package off it.
 """
 
-from .bidirectional import BIDIRECTIONAL_COMM_SCALE, build_bidirectional
 from .families import (
+    BIDIRECTIONAL_COMM_SCALE,
     SCHEDULE_FAMILIES,
     ScheduleFamily,
     get_family,
     register_schedule_family,
     schedule_family_names,
 )
-from .gpipe import build_gpipe
-from .interleaved import build_interleaved
 from .onef1b import FLOOR_MARGIN, build_1f1b
 from .simulator import simulate
 from .stages import StageExec, validate_stages
@@ -35,7 +31,6 @@ from .tasks import (
     validate_task_graph,
 )
 from .timeline import IdleSpan, Interval, Timeline
-from .zerobubble import build_zerobubble
 
 __all__ = [
     # the registry is the public construction surface
@@ -44,6 +39,7 @@ __all__ = [
     "get_family",
     "register_schedule_family",
     "schedule_family_names",
+    "BIDIRECTIONAL_COMM_SCALE",
     # simulation + data types
     "simulate",
     "FLOOR_MARGIN",
@@ -59,7 +55,4 @@ __all__ = [
     "IdleSpan",
     "Interval",
     "Timeline",
-    # deprecated direct names (use get_family(...).build instead):
-    # BIDIRECTIONAL_COMM_SCALE, build_bidirectional, build_gpipe,
-    # build_1f1b, build_interleaved, build_zerobubble
 ]

@@ -1,80 +1,87 @@
-"""Schedule families: a registry of pipeline schedule builders.
+"""Schedule families: a registry of pipeline schedule shapes.
 
 Mirrors the :mod:`repro.core.fill_strategies` registry — the planner
 (and the CLI's ``--schedule``) selects a family by name instead of
 importing builders directly, so new schedule shapes plug in without
-touching planner code.  Every family lowers to one task-graph builder,
-:func:`~repro.schedule.onef1b.build_1f1b`.  Registered families:
+touching planner code.
 
-``onef1b``
-    The paper's FIFO-1F1B (:func:`~repro.schedule.onef1b.build_1f1b`).
-``gpipe``
-    The 1F1B graph with ``forwards_first=True``
-    (:func:`~repro.schedule.gpipe.build_gpipe`): no in-flight window,
-    and a ready forward always beats a ready backward, so a backward can
-    still start while a later micro-batch's forward has not arrived.
-    The only family with ``forwards_first=True``; the §6 baseline rides
-    the same code path as the planner families.
-``bidirectional``
-    The §4.2 two-backbone Chimera-style composition for cascaded
-    models (two 1F1B graphs, the up one on the reversed device chain);
-    the only family with ``cascaded=True``.
-``interleaved``
-    Megatron-style virtual stages: each device hosts ``v``
-    non-contiguous chunks, 1F1B over the chunk chain
-    (:func:`~repro.schedule.interleaved.build_interleaved`);
-    ``chunked=True`` tells the planner to subdivide stage layer ranges.
-``zerobubble``
-    Split-backward ZB-H1 style: B (grad-input) stays on the gradient
-    chain, W (grad-weight) slides into bubbles
-    (:func:`~repro.schedule.zerobubble.build_zerobubble`);
-    ``splits_backward=True`` selects B/W pricing in the partition DPs.
+A family is a *placement* plus *flags*.  The placement is its
+``chains(stages, up, num_devices)``: the ``(stages, device_order)``
+chains a stage list lowers to.  The flags are the class attributes
+``forwards_first``, ``splits_backward`` and ``comm_scale``, which go
+straight to the one task-graph builder,
+:func:`~repro.schedule.onef1b.build_1f1b`, and to its closed-form
+makespan bound, :func:`~repro.schedule.onef1b.makespan_floor`.  One
+shared ``build`` lowers the chains to task graphs (ids prefixed ``dn/``
+and ``up/`` when there are two) and one shared ``floor`` bounds their
+simulated makespan, so a family's floor and its build can never put a
+stage on different devices — which the planner's bound ladder relies
+on to skip the simulation of configurations whose floor cannot win.
 
 Every family builds from the same inputs (stage chains + micro-batch
 count) and returns a plain task list for the discrete-event simulator;
 ``simulate`` needs no per-family logic.  ``forwards_first`` is also the
 activation window the memory estimator prices: ``M`` micro-batches per
-stage when set, the 1F1B window otherwise.  Each family's ``floor``
-takes ``build``'s arguments and bounds the simulated makespan of that
-graph from below in closed form
-(:func:`~repro.schedule.onef1b.makespan_floor` over the chains ``build``
-lowers to); the planner's bound ladder skips the simulation of
-configurations whose floor cannot win.
+stage when set, the 1F1B window otherwise.  ``cascaded`` and
+``chunked`` tell the planner which partitioner to run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from ..errors import ConfigurationError
-from .bidirectional import (
-    BIDIRECTIONAL_COMM_SCALE,
-    bidirectional_chains,
-    build_bidirectional,
-)
-from .gpipe import build_gpipe
-from .interleaved import build_interleaved, interleaved_order
 from .onef1b import build_1f1b, makespan_floor
-from .stages import StageExec
+from .stages import StageExec, validate_stages
 from .tasks import Task
-from .zerobubble import build_zerobubble
+
+#: the paper enlarges communication time by 2x for bidirectional
+#: pipelines (§4.2); the CDM partition DP prices the same factor
+BIDIRECTIONAL_COMM_SCALE = 2.0
+
+#: a stage chain and the device each of its stages runs on
+Chain = tuple[Sequence[StageExec], Sequence[int]]
 
 
-class ScheduleFamily(Protocol):
-    """A pipeline schedule shape the planner can search over."""
+class ScheduleFamily:
+    """A pipeline schedule shape the planner can search over.
+
+    The base class is the single-chain placement (stage ``s`` on device
+    ``s``), the flags' defaults, and the ``build`` and ``floor`` every
+    family shares; a registered family overrides flags and, for another
+    placement, ``chains``.
+    """
 
     #: registry name (also the CLI / PlannerOptions spelling)
     name: str
     #: True if the family composes two backbones over one device chain
-    cascaded: bool
+    cascaded = False
     #: True if ``stages`` is a chunk chain needing ``num_devices``
-    chunked: bool
+    chunked = False
     #: True if the family prices/schedules B and W separately
-    splits_backward: bool
+    #: (``build_1f1b(..., split_backward=True)``)
+    splits_backward = False
     #: True if the graph has no in-flight window and runs ready forwards
     #: before ready backwards (``build_1f1b(..., forwards_first=True)``);
     #: the memory estimator then keeps all ``M`` micro-batches alive
-    forwards_first: bool
+    forwards_first = False
+    #: multiplier on every communication duration
+    comm_scale = 1.0
+
+    def chains(
+        self,
+        stages: Sequence[StageExec],
+        up: Sequence[StageExec] | None,
+        num_devices: int | None,
+    ) -> list[Chain]:
+        """The ``(stages, device_order)`` chains ``build`` and ``floor``
+        lower to."""
+        if up is not None:
+            raise ConfigurationError(
+                f"schedule family {self.name!r} builds a single backbone; "
+                "cascaded models need the 'bidirectional' family"
+            )
+        return [(stages, range(len(stages)))]
 
     def build(
         self,
@@ -86,7 +93,24 @@ class ScheduleFamily(Protocol):
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
     ) -> list[Task]:
-        ...  # pragma: no cover - protocol
+        """The task graph: one :func:`build_1f1b` graph per chain, ids
+        prefixed ``dn/`` and ``up/`` when there are two."""
+        chains = self.chains(stages, up, num_devices)
+        prefixes = ("dn/", "up/") if len(chains) == 2 else ("",)
+        tasks: list[Task] = []
+        for prefix, (chain, device_order) in zip(prefixes, chains):
+            tasks += build_1f1b(
+                chain,
+                num_micro_batches,
+                self_conditioning=self_conditioning,
+                feedback_ms=feedback_ms,
+                id_prefix=prefix,
+                device_order=device_order,
+                comm_scale=self.comm_scale,
+                forwards_first=self.forwards_first,
+                split_backward=self.splits_backward,
+            )
+        return tasks
 
     def floor(
         self,
@@ -100,7 +124,14 @@ class ScheduleFamily(Protocol):
     ) -> float:
         """A lower bound on ``simulate(self.build(...)).makespan`` for
         the same arguments, in closed form."""
-        ...  # pragma: no cover - protocol
+        return makespan_floor(
+            self.chains(stages, up, num_devices),
+            num_micro_batches,
+            self_conditioning=self_conditioning,
+            feedback_ms=feedback_ms,
+            comm_scale=self.comm_scale,
+            split_backward=self.splits_backward,
+        )
 
 
 SCHEDULE_FAMILIES: dict[str, Callable[[], ScheduleFamily]] = {}
@@ -132,223 +163,172 @@ def schedule_family_names() -> tuple[str, ...]:
     return tuple(sorted(SCHEDULE_FAMILIES))
 
 
-def _reject_cascaded(name: str, up) -> None:
-    if up is not None:
-        raise ConfigurationError(
-            f"schedule family {name!r} builds a single backbone; "
-            "cascaded models need the 'bidirectional' family"
-        )
-
-
-def _chain_floor(
-    self,
-    stages: Sequence[StageExec],
-    num_micro_batches: int,
-    *,
-    up: Sequence[StageExec] | None = None,
-    num_devices: int | None = None,
-    self_conditioning: bool = False,
-    feedback_ms: float = 0.0,
-) -> float:
-    """``floor`` of the single-chain families: stage ``s`` on device
-    ``s``, the backward split where the family splits it."""
-    _reject_cascaded(self.name, up)
-    return makespan_floor(
-        [(stages, range(len(stages)))],
-        num_micro_batches,
-        self_conditioning=self_conditioning,
-        feedback_ms=feedback_ms,
-        split_backward=self.splits_backward,
-    )
+# Each registered class binds ``build`` in its own ``__dict__``: tools
+# that time a family's schedule build (perfbench's tracer) wrap it there,
+# one class at a time.
 
 
 @register_schedule_family("onef1b")
-class OneF1BFamily:
-    name = "onef1b"
-    cascaded = False
-    chunked = False
-    splits_backward = False
-    forwards_first = False
-    floor = _chain_floor
+class OneF1BFamily(ScheduleFamily):
+    """The paper's FIFO-1F1B (Fig. 2 / Fig. 10)."""
 
-    def build(
-        self,
-        stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> list[Task]:
-        _reject_cascaded(self.name, up)
-        return build_1f1b(
-            stages,
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
+    name = "onef1b"
+    build = ScheduleFamily.build
 
 
 @register_schedule_family("gpipe")
-class GPipeFamily:
-    name = "gpipe"
-    cascaded = False
-    chunked = False
-    splits_backward = False
-    forwards_first = True
-    floor = _chain_floor
+class GPipeFamily(ScheduleFamily):
+    """GPipe (Huang et al. 2019): the 1F1B graph with
+    ``forwards_first=True``.
 
-    def build(
-        self,
-        stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> list[Task]:
-        _reject_cascaded(self.name, up)
-        return build_gpipe(
-            stages,
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
+    There is no in-flight window — no forward waits for a backward, so
+    every micro-batch's activations stay alive until its backward, which
+    is what gives GPipe its higher memory footprint (the memory
+    estimator prices all ``M`` micro-batches on every stage, an upper
+    bound) — and a ready forward (or SC forward) always beats a ready
+    backward on its device, with syncs last.  Dispatch stays
+    work-conserving, so this is not a strict all-forwards-then-all-
+    backwards barrier: on skewed stages a backward can start on a
+    device while a later micro-batch's forward has not yet arrived
+    there.
+
+    The paper evaluates GPipe with equal-layer-count partitioning, 2
+    stages and 4 micro-batches (§6, Baselines); the equal partitioning
+    lives in :mod:`repro.baselines.gpipe`, whose baseline rides this
+    family.
+    """
+
+    name = "gpipe"
+    forwards_first = True
+    build = ScheduleFamily.build
 
 
 @register_schedule_family("bidirectional")
-class BidirectionalFamily:
+class BidirectionalFamily(ScheduleFamily):
+    """Bidirectional (Chimera-style) pipelines for cascaded models.
+
+    Two backbones pipeline over the *same* device chain in opposite
+    directions (§4.2, Fig. 3): the "down" backbone's stage ``s`` runs on
+    device ``s`` while the "up" backbone's stage ``s`` runs on device
+    ``S - 1 - s``.  Each backbone runs its own FIFO-1F1B schedule; the
+    device's dispatch interleaves them, and each pipeline's
+    micro-batches slot into the other's bubbles.
+
+    Communication durations are doubled relative to the unidirectional
+    case because the two pipelines compete for link resources (the
+    paper's factor-2 enlargement, :data:`BIDIRECTIONAL_COMM_SCALE`).
+    """
+
     name = "bidirectional"
     cascaded = True
-    chunked = False
-    splits_backward = False
-    forwards_first = False
+    comm_scale = BIDIRECTIONAL_COMM_SCALE
+    build = ScheduleFamily.build
 
-    def build(
+    def chains(
         self,
         stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> list[Task]:
-        return build_bidirectional(
-            stages,
-            self._up(up),
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
-
-    def floor(
-        self,
-        stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> float:
-        return makespan_floor(
-            bidirectional_chains(stages, self._up(up)),
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-            comm_scale=BIDIRECTIONAL_COMM_SCALE,
-        )
-
-    @staticmethod
-    def _up(up: Sequence[StageExec] | None) -> Sequence[StageExec]:
+        up: Sequence[StageExec] | None,
+        num_devices: int | None,
+    ) -> list[Chain]:
+        """Down stage ``s`` on device ``s``, up stage ``s`` on device
+        ``S - 1 - s``.  Both chains must have the same length, and
+        co-located stages the same replica count."""
         if up is None:
             raise ConfigurationError(
                 "the 'bidirectional' family needs an up-pipeline stage "
                 "chain (cascaded models only)"
             )
-        return up
+        down = validate_stages(stages)
+        up = validate_stages(up)
+        if len(down) != len(up):
+            raise ConfigurationError(
+                f"bidirectional pipelines need equal stage counts "
+                f"(got {len(down)} and {len(up)})"
+            )
+        S = len(down)
+        for i in range(S):
+            # Chain position i hosts down stage i and up stage S-1-i on
+            # the same physical devices, so their replica counts must
+            # agree — heterogeneous partitions assign one count per
+            # position.
+            if down[i].replicas != up[S - 1 - i].replicas:
+                raise ConfigurationError(
+                    f"co-located stages disagree on replication at device "
+                    f"{i}: down stage {i} has {down[i].replicas} replicas, "
+                    f"up stage {S - 1 - i} has {up[S - 1 - i].replicas}"
+                )
+        return [(down, range(S)), (up, range(S - 1, -1, -1))]
 
 
 @register_schedule_family("interleaved")
-class InterleavedFamily:
+class InterleavedFamily(ScheduleFamily):
+    """Interleaved 1F1B (Megatron-style virtual stages).
+
+    Each device hosts ``v`` non-contiguous *chunks* of the layer chain:
+    chunk ``c`` of ``v * D`` total runs on device ``c mod D``, so device
+    0 hosts chunks ``0, D, 2D, ...``.  The pipeline then runs plain
+    FIFO-1F1B over the chunk chain — every warm-up and cool-down ramp is
+    paid in per-chunk stage time (``~1/v`` of the contiguous stage
+    time), which is what shrinks the fill/drain bubbles, at the cost of
+    ``v``-fold more inter-stage traffic.  Dispatch priorities
+    (micro-batch first, forward before backward) give each device the
+    interleaved ordering over its chunks' slots.  Chunk costs must
+    already be per-chunk: ``chunked=True`` tells the planner to
+    subdivide stage layer ranges.
+    """
+
     name = "interleaved"
-    cascaded = False
     chunked = True
-    splits_backward = False
-    forwards_first = False
+    build = ScheduleFamily.build
 
-    def build(
+    def chains(
         self,
         stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> list[Task]:
-        return build_interleaved(
-            stages,
-            num_micro_batches,
-            self._devices(up, num_devices),
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
-
-    def floor(
-        self,
-        stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> float:
-        order = interleaved_order(len(stages), self._devices(up, num_devices))
-        return makespan_floor(
-            [(stages, order)],
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
-
-    def _devices(self, up, num_devices: int | None) -> int:
-        _reject_cascaded(self.name, up)
+        up: Sequence[StageExec] | None,
+        num_devices: int | None,
+    ) -> list[Chain]:
+        """The chunk chain, round-robin: chunk ``c`` on device ``c mod
+        num_devices``, a whole number of chunks per device."""
+        [(chunks, _)] = super().chains(stages, up, num_devices)
         if num_devices is None:
             raise ConfigurationError(
                 "the 'interleaved' family needs num_devices (stages is "
                 "a chunk chain placed round-robin)"
             )
-        return num_devices
+        if num_devices <= 0:
+            raise ConfigurationError("num_devices must be positive")
+        if len(chunks) % num_devices != 0:
+            raise ConfigurationError(
+                f"interleaved schedule needs a whole number of chunks per "
+                f"device (got {len(chunks)} chunks on {num_devices} devices)"
+            )
+        return [(chunks, [c % num_devices for c in range(len(chunks))])]
 
 
 @register_schedule_family("zerobubble")
-class ZeroBubbleFamily:
-    name = "zerobubble"
-    cascaded = False
-    chunked = False
-    splits_backward = True
-    forwards_first = False
-    floor = _chain_floor
+class ZeroBubbleFamily(ScheduleFamily):
+    """Zero-bubble (ZB-H1 style): 1F1B with the backward split into B
+    (grad-input) and W (grad-weight).
 
-    def build(
-        self,
-        stages: Sequence[StageExec],
-        num_micro_batches: int,
-        *,
-        up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
-        self_conditioning: bool = False,
-        feedback_ms: float = 0.0,
-    ) -> list[Task]:
-        _reject_cascaded(self.name, up)
-        return build_zerobubble(
-            stages,
-            num_micro_batches,
-            self_conditioning=self_conditioning,
-            feedback_ms=feedback_ms,
-        )
+    Following sail-sg/zero-bubble's observation, only the grad-input
+    half of a backward sits on the inter-stage critical path — the
+    gradient sent to stage ``s-1`` is ready as soon as ``dy @ W^T``
+    finishes — while the grad-weight GEMM (``x^T @ dy``) is needed only
+    before the optimizer step.  ``build_1f1b(..., split_backward=True)``
+    runs each backward as B, so the ramps and gradient transfers shorten
+    to B's length, and adds a W task ordered after every forward and B,
+    which the work-conserving dispatch slides into what were pipeline
+    bubbles; the gradient all-reduce waits for all of a stage's W tasks.
+
+    The in-flight window still keys on B (a new forward may start once
+    the grad-input of the window predecessor is done); activations
+    needed by the deferred W tasks live slightly longer, which is
+    zero-bubble's documented memory cost — the memory estimator prices
+    the family with the 1F1B window as a deliberate approximation.
+    ``splits_backward=True`` also selects B/W pricing in the partition
+    DPs.
+    """
+
+    name = "zerobubble"
+    splits_backward = True
+    build = ScheduleFamily.build

@@ -18,15 +18,21 @@ Priorities implement FIFO-1F1B dispatch: among ready tasks a device
 prefers lower micro-batch index and, within one, SC-forward < forward <
 backward.
 
-``forwards_first=True`` gives GPipe's graph (see
-:mod:`repro.schedule.gpipe`): the in-flight window goes, and every
-priority gains a leading phase group — 0 for SC/forward tasks and their
-transfers, 1 for backwards and gradient transfers, 2 for syncs — so a
-ready forward always beats a ready backward.
+``forwards_first=True`` gives GPipe's graph: the in-flight window goes,
+and every priority gains a leading phase group — 0 for SC/forward tasks
+and their transfers, 1 for backwards and gradient transfers, 2 for
+syncs — so a ready forward always beats a ready backward.
+
+``split_backward=True`` gives the zero-bubble graph: each backward runs
+only its grad-input half B (``bwd_b_ms``), and a grad-weight task
+``w[s,m]`` (``bwd_w_ms``) follows its B with a priority after every
+forward and B, so the work-conserving simulator runs it when the device
+would otherwise idle; each sync waits on its stage's W tasks.
 
 :func:`makespan_floor` bounds the simulated makespan of these graphs
 from below in closed form, without building or simulating them; every
-family's ``floor`` calls it with the chains its ``build`` lowers to.
+family lowers its ``build`` and its ``floor`` through the same chains
+(:mod:`repro.schedule.families`).
 """
 
 from __future__ import annotations
@@ -38,8 +44,10 @@ from ..errors import ConfigurationError
 from .stages import StageExec, validate_stages
 from .tasks import Task, TaskKind, device_resource, link_resource, sync_resource
 
-#: phase codes used in dispatch priorities
-_PHASE_SC, _PHASE_FWD, _PHASE_BWD = 0, 1, 2
+#: phase codes used in dispatch priorities; W tasks' phase is larger
+#: than every other, so ``(M + m, _PHASE_W)`` sorts after any forward or
+#: B priority ``(m', ...)``
+_PHASE_SC, _PHASE_FWD, _PHASE_BWD, _PHASE_W = 0, 1, 2, 4
 
 #: relative margin a makespan floor gives up: its device terms sum task
 #: durations in another order than the simulator, so the two differ by
@@ -58,6 +66,7 @@ def build_1f1b(
     device_order: Sequence[int] | None = None,
     comm_scale: float = 1.0,
     forwards_first: bool = False,
+    split_backward: bool = False,
 ) -> list[Task]:
     """Build the FIFO-1F1B task graph for one backbone pipeline.
 
@@ -85,6 +94,10 @@ def build_1f1b(
     forwards_first:
         Drop the in-flight window and order every forward before every
         backward, and every backward before every sync (GPipe).
+    split_backward:
+        Run each backward as B (grad-input, on the gradient chain) then
+        W (grad-weight, ordered after every forward and B), and make
+        each sync wait on its stage's W tasks (zero-bubble).
     """
     stages = validate_stages(stages)
     S = len(stages)
@@ -111,6 +124,9 @@ def build_1f1b(
 
     def sc_id(s: int, m: int) -> str:
         return f"{p}sc[{s},{m}]"
+
+    def w_id(s: int, m: int) -> str:
+        return f"{p}w[{s},{m}]"
 
     waves = ([(_PHASE_SC, sc_id)] if self_conditioning else []) + [(_PHASE_FWD, fwd_id)]
 
@@ -189,7 +205,8 @@ def build_1f1b(
                 Task(
                     task_id=bwd_id(s, m),
                     resource=device_resource(dev(s)),
-                    duration=stages[s].bwd_ms,
+                    duration=stages[s].bwd_b_ms if split_backward
+                    else stages[s].bwd_ms,
                     deps=tuple(deps),
                     kind=TaskKind.BACKWARD,
                     priority=(1, m, _PHASE_BWD) if forwards_first else (m, _PHASE_BWD),
@@ -197,6 +214,20 @@ def build_1f1b(
                     meta={"stage": s, "micro_batch": m},
                 )
             )
+            if split_backward:
+                tasks.append(
+                    Task(
+                        task_id=w_id(s, m),
+                        resource=device_resource(dev(s)),
+                        duration=stages[s].bwd_w_ms,
+                        deps=(bwd_id(s, m),),
+                        kind=TaskKind.BACKWARD_W,
+                        priority=(1, M + m, _PHASE_W) if forwards_first
+                        else (M + m, _PHASE_W),
+                        device=dev(s),
+                        meta={"stage": s, "micro_batch": m},
+                    )
+                )
             if s > 0:
                 tasks.append(
                     Task(
@@ -219,7 +250,8 @@ def build_1f1b(
                 task_id=f"{p}sync[{s}]",
                 resource=sync_resource(dev(s)),
                 duration=stages[s].sync_ms,
-                deps=(bwd_id(s, M - 1),),
+                deps=tuple(w_id(s, m) for m in range(M)) if split_backward
+                else (bwd_id(s, M - 1),),
                 kind=TaskKind.SYNC,
                 priority=(2, M, _PHASE_BWD + 1) if forwards_first
                 else (M, _PHASE_BWD + 1),
@@ -243,9 +275,8 @@ def makespan_floor(
     :func:`build_1f1b` graphs sharing one device set.
 
     Each chain is a ``(stages, device_order)`` pair, built with
-    ``comm_scale`` and the self-conditioning arguments; with
-    ``split_backward`` every backward runs as B then W, as
-    :func:`~repro.schedule.zerobubble.build_zerobubble` splits it.
+    ``comm_scale``, ``split_backward`` and the self-conditioning
+    arguments.
     Write ``σ`` for ``comm_scale``, ``first`` for a stage's SC forward
     under self-conditioning and its forward otherwise, ``back`` for its
     backward (B when split) and ``work`` for all its compute on one

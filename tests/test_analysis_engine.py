@@ -101,8 +101,8 @@ def test_cache_globals_scope_is_core_only(tmp_path):
 def test_registry_bypass_fires_on_builder_imports(tmp_path):
     findings = run(tmp_path, "harness/bad.py", """\
         from repro.schedule.onef1b import build_1f1b
-        from ..schedule import build_gpipe
-        import repro.schedule.zerobubble
+        from ..schedule import build_1f1b
+        import repro.schedule.onef1b
         """, ["registry-bypass"])
     assert len(findings) >= 3
     assert all(f.rule == "registry-bypass" for f in findings)

@@ -1,7 +1,7 @@
 """Instruction lowering of bidirectional (CDM) timelines."""
 
 from repro.core import Op, lower_timeline
-from repro.schedule import StageExec, build_bidirectional, simulate
+from repro.schedule import StageExec, get_family, simulate
 
 
 def _stages(S=2, f=10.0, b=20.0):
@@ -13,7 +13,7 @@ def _stages(S=2, f=10.0, b=20.0):
 
 
 def test_bidirectional_timeline_lowers_per_device():
-    tasks = build_bidirectional(_stages(), _stages(), 2)
+    tasks = get_family("bidirectional").build(_stages(), 2, up=_stages())
     tl = simulate(tasks, 2)
     streams = lower_timeline(tl)
     assert set(streams) == {0, 1}
@@ -29,7 +29,7 @@ def test_bidirectional_timeline_lowers_per_device():
 
 
 def test_bidirectional_send_recv_symmetry():
-    tasks = build_bidirectional(_stages(), _stages(), 2)
+    tasks = get_family("bidirectional").build(_stages(), 2, up=_stages())
     tl = simulate(tasks, 2)
     streams = lower_timeline(tl)
     sends = sum(1 for s in streams.values() for i in s if i.op == Op.SEND)

@@ -20,7 +20,7 @@ from repro.engine import (
 from repro.engine.equivalence import max_param_diff
 from repro.core.instructions import lower_timeline
 from repro.errors import EngineError
-from repro.schedule import StageExec, build_1f1b, build_gpipe, simulate
+from repro.schedule import StageExec, build_1f1b, get_family, simulate
 
 
 @pytest.fixture
@@ -105,7 +105,7 @@ def test_instruction_engine_matches_reference(rng, data):
     """Lowered 1F1B and GPipe programs both train identically to a
     single device."""
     x, y = data
-    for builder, M in [(build_1f1b, 2), (build_gpipe, 4)]:
+    for builder, M in [(build_1f1b, 2), (get_family("gpipe").build, 4)]:
         chain = mlp_chain(f"m{M}", [4, 6, 2], rng)
         ref = SingleDeviceTrainer(clone_chain(chain), optimizer=SGD(lr=0.05))
         stages_meta = [

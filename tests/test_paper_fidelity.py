@@ -4,7 +4,7 @@ explicitly.  These tests guard against silent drift from the paper."""
 import pytest
 
 from repro.core import VALID_LOCAL_BATCHES, DEFAULT_MIN_BUBBLE_MS
-from repro.core.partition_cdm import CDM_COMM_SCALE
+from repro.core.partition_cdm import CDMPartitionContext
 from repro.memory import (
     FROZEN_STATE_BYTES_PER_PARAM,
     TRAINABLE_STATE_BYTES_PER_PARAM,
@@ -15,7 +15,7 @@ from repro.models.zoo import (
     controlnet_v1_0,
     stable_diffusion_v2_1,
 )
-from repro.schedule.bidirectional import BIDIRECTIONAL_COMM_SCALE
+from repro.schedule import BIDIRECTIONAL_COMM_SCALE, get_family
 
 
 def test_partial_batch_menu_is_papers():
@@ -32,8 +32,10 @@ def test_min_bubble_threshold_is_10ms():
 def test_bidirectional_comm_enlargement_is_2x():
     """§4.2: 'we reasonably enlarge the communication time ... by a
     factor of 2'."""
-    assert CDM_COMM_SCALE == 2.0
     assert BIDIRECTIONAL_COMM_SCALE == 2.0
+    # One constant: the CDM DP prices the links the family simulates.
+    assert CDMPartitionContext.comm_scale is BIDIRECTIONAL_COMM_SCALE
+    assert get_family("bidirectional").comm_scale is BIDIRECTIONAL_COMM_SCALE
 
 
 def test_mixed_precision_adam_state_bytes():

@@ -22,7 +22,8 @@ exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
   partition and timings alike, on homogeneous and speed-scaled groups.
 
 Deterministic counter gates pin the savings: a cold 16-GPU SD plan
-simulates 8 of the exhaustive search's 70 timelines and runs the bubble
+simulates 8 of the exhaustive search's 70 timelines, derives each
+finalist's stage chain once for both of its floors and runs the bubble
 filler for the winning configuration only, and a cold 16-GPU
 heterogeneous CDM-LSUN plan builds 23 of the 70 CDM tables of the
 exhaustive search.
@@ -274,6 +275,40 @@ def test_cold_plan_simulates_only_what_can_win(monkeypatch):
     candidates = _planner(model, cluster, profile, options).candidate_plans(256)
     assert calls[0] == 70
     assert best.plan == max(candidates, key=lambda ev: ev.plan.throughput).plan
+
+
+def test_finalists_derive_their_stage_chain_once(monkeypatch):
+    """Counter gate of the stage-exec derivation: a finalist's plain and
+    self-conditioned floors share one stage chain, so a cold SD v2.1
+    (self-conditioning) plan on 16 GPUs derives at most 43 chains — one
+    per configuration's finalist for the closed-form rung (35), one per
+    simulated timeline (8) — and the exhaustive search at most 105 (35
+    floors and 70 timelines).  Deriving a chain per floor made it 78
+    and 140."""
+    calls = [0]
+    stage_execs = DiffusionPipePlanner._stage_execs
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return stage_execs(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiffusionPipePlanner, "_stage_execs", counting)
+    cluster = p4de_cluster(2)
+    model = stable_diffusion_v2_1()
+    profile = Profiler(cluster).profile(model)
+
+    def cold_planner():
+        caches = PlannerCaches()
+        caches.clear([profile])
+        return DiffusionPipePlanner(
+            model, cluster, profile, options=PlannerOptions(), caches=caches
+        )
+
+    cold_planner().plan(256)
+    assert calls[0] <= 43
+    calls[0] = 0
+    cold_planner().candidate_plans(256)
+    assert calls[0] <= 105
 
 
 def test_cold_cdm_plan_skips_most_partition_tables():

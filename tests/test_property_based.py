@@ -26,7 +26,7 @@ from repro.schedule import (
     StageExec,
     Task,
     build_1f1b,
-    build_gpipe,
+    get_family,
     simulate,
 )
 from tests.oracles import simulate_reference
@@ -69,7 +69,7 @@ def test_gpipe_never_faster_than_critical_path(times, M):
     stages = [
         StageExec(index=i, fwd_ms=f, bwd_ms=b) for i, (f, b) in enumerate(times)
     ]
-    tl = simulate(build_gpipe(stages, M), len(stages))
+    tl = simulate(get_family("gpipe").build(stages, M), len(stages))
     # Critical path >= one micro-batch traversing all stages + draining
     # the slowest stage.
     f_total = sum(f for f, _ in times)

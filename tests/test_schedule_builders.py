@@ -11,8 +11,7 @@ from repro.schedule import (
     StageExec,
     TaskKind,
     build_1f1b,
-    build_bidirectional,
-    build_gpipe,
+    get_family,
     simulate,
     validate_stages,
 )
@@ -99,7 +98,7 @@ def test_1f1b_memory_window():
 
 def test_gpipe_all_forwards_before_backwards():
     S, M = 2, 4
-    tl = _sim(build_gpipe(_stages(S), M), S)
+    tl = _sim(get_family("gpipe").build(_stages(S), M), S)
     for dev in range(S):
         fwd_end = max(
             iv.end for iv in tl.intervals
@@ -162,7 +161,9 @@ def test_forwards_first_graph_has_no_window_and_phase_ordered_priorities(case):
     window: fwd(s, m) waits on bwd(s, m - (S - s))."""
     stages, M, sc, feedback = case
     S = len(stages)
-    tasks = build_gpipe(stages, M, self_conditioning=sc, feedback_ms=feedback)
+    tasks = get_family("gpipe").build(
+        stages, M, self_conditioning=sc, feedback_ms=feedback
+    )
     by_id = {t.task_id: t for t in tasks}
 
     reaches_backward: dict[str, bool] = {}
@@ -200,7 +201,7 @@ def test_gpipe_vs_1f1b_same_span_when_balanced():
     critical path (they differ in memory, not time)."""
     S, M = 4, 4
     a = _sim(build_1f1b(_stages(S), M), S).makespan
-    g = _sim(build_gpipe(_stages(S), M), S).makespan
+    g = _sim(get_family("gpipe").build(_stages(S), M), S).makespan
     assert a == pytest.approx(g)
 
 
@@ -250,7 +251,9 @@ def test_sync_runs_after_last_backward():
 
 def test_bidirectional_combines_two_pipelines():
     S, M = 2, 2
-    tasks = build_bidirectional(_stages(S, f=10, b=20), _stages(S, f=10, b=20), M)
+    tasks = get_family("bidirectional").build(
+        _stages(S, f=10, b=20), M, up=_stages(S, f=10, b=20)
+    )
     tl = _sim(tasks, S)
     # Both pipelines' work lands on both devices.
     for dev in range(S):
@@ -264,7 +267,7 @@ def test_bidirectional_combines_two_pipelines():
 
 def test_bidirectional_stage_count_mismatch():
     with pytest.raises(ConfigurationError):
-        build_bidirectional(_stages(2), _stages(3), 2)
+        get_family("bidirectional").build(_stages(2), 2, up=_stages(3))
 
 
 def test_bidirectional_colocated_replica_mismatch():
@@ -278,13 +281,13 @@ def test_bidirectional_colocated_replica_mismatch():
         StageExec(index=0, fwd_ms=1, bwd_ms=2, replicas=1),
         StageExec(index=1, fwd_ms=1, bwd_ms=2, replicas=2),
     ]
-    build_bidirectional(down, up_ok, 2)  # mirrored counts: fine
+    get_family("bidirectional").build(down, 2, up=up_ok)  # mirrored counts: fine
     up_bad = [
         StageExec(index=0, fwd_ms=1, bwd_ms=2, replicas=2),
         StageExec(index=1, fwd_ms=1, bwd_ms=2, replicas=1),
     ]
     with pytest.raises(ConfigurationError, match="co-located"):
-        build_bidirectional(down, up_bad, 2)
+        get_family("bidirectional").build(down, 2, up=up_bad)
 
 
 def test_comm_scale_doubles_transfers():
@@ -300,4 +303,4 @@ def test_invalid_micro_batches():
     with pytest.raises(ConfigurationError):
         build_1f1b(_stages(2), 0)
     with pytest.raises(ConfigurationError):
-        build_gpipe(_stages(2), -1)
+        get_family("gpipe").build(_stages(2), -1)

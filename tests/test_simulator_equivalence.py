@@ -21,9 +21,8 @@ from repro.schedule import (
     Task,
     TaskKind,
     build_1f1b,
-    build_bidirectional,
-    build_gpipe,
     device_resource,
+    get_family,
     simulate,
 )
 from repro.errors import ScheduleError
@@ -71,7 +70,7 @@ def test_1f1b_equivalence(stages, M):
 @pytest.mark.parametrize("stages", [UNIFORM, SKEWED])
 @pytest.mark.parametrize("M", [1, 3, 6])
 def test_gpipe_equivalence(stages, M):
-    assert_equivalent(build_gpipe(stages, M), len(stages))
+    assert_equivalent(get_family("gpipe").build(stages, M), len(stages))
 
 
 @pytest.mark.parametrize("M", [2, 4])
@@ -86,7 +85,7 @@ def test_bidirectional_equivalence(M):
                       send_fwd_ms=1.0, send_bwd_ms=1.0) for i in range(3)]
     up = [StageExec(index=i, fwd_ms=6.0 + 2 * i, bwd_ms=11.0 + i, sync_ms=4.0,
                     send_fwd_ms=0.7, send_bwd_ms=0.7) for i in range(3)]
-    assert_equivalent(build_bidirectional(down, up, M), 3)
+    assert_equivalent(get_family("bidirectional").build(down, M, up=up), 3)
 
 
 def test_filled_schedule_equivalence():
@@ -163,7 +162,7 @@ def test_planner_schedules_equivalence(uniform, uniform_profile, cluster8):
     )
     for S, M in [(2, 2), (2, 4), (4, 4), (4, 8)]:
         partition = planner._partition(64.0, S, S, M, heterogeneous=False)
-        stages = planner._stage_execs(partition.down, 64.0 / M, sc=False)
+        stages = planner._stage_execs(partition.down, 64.0 / M)
         assert_equivalent(build_1f1b(stages, M), S)
 
 

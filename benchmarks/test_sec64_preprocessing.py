@@ -50,9 +50,8 @@ def _preprocess(model, cluster, caches):
     )
     partition_wall = time.perf_counter() - t0
 
-    stages = planner._stage_execs(partition.down, partition.micro_batch)
-    timeline = simulate(build_1f1b(stages, 4), 4,
-                        {i: partition.down[i].replicas for i in range(4)})
+    stages, _, weights = planner._build_args(partition, sc=False)
+    timeline = simulate(build_1f1b(stages, 4), len(weights), weights)
     bubbles = extract_bubbles(timeline)
     filler = BubbleFiller(profile, model, partition.batch_per_group,
                           caches=caches)

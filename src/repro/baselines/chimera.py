@@ -153,6 +153,7 @@ class ChimeraBaseline:
         memory = pipeline_memory_report(
             self.model, bidir_plan,
             capacity_bytes=self.cluster.device_spec.memory_bytes,
+            schedule="bidirectional",
         )
         if not memory.fits:
             return _oom_result(self.name, global_batch, micro, memory)

@@ -10,7 +10,6 @@ latency connect two device ranks?*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 from .. import units
@@ -88,14 +87,7 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         for name in ("num_machines", "devices_per_machine"):
             value = getattr(self, name)
-            # Integral admits numpy integers, and bool, which is not a
-            # count (repro.core.plan.positive_int applies the same rule
-            # above this package).
-            if not (
-                isinstance(value, Integral)
-                and not isinstance(value, bool)
-                and value >= 1
-            ):
+            if not units.positive_int(value):
                 raise ConfigurationError(
                     f"cluster {name} must be an integer >= 1, got {value!r}"
                 )

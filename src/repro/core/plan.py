@@ -9,19 +9,10 @@ bubble-filling outcome + memory report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Mapping
 
 from ..errors import ConfigurationError
-
-
-def positive_int(v) -> bool:
-    """Whether ``v`` is an integer >= 1 (numpy integers included).
-
-    ``bool`` is an ``Integral`` that equals and hashes like 0 or 1, so
-    ``True`` would pass and alias ``1`` in every cache key; it is
-    rejected."""
-    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+from ..units import is_int, positive_int
 
 
 @dataclass(frozen=True)
@@ -38,12 +29,15 @@ class StageAssignment:
     replicas: int = 1
 
     def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi <= self.lo:
+        if not (is_int(self.lo) and is_int(self.hi) and 0 <= self.lo < self.hi):
             raise ConfigurationError(
-                f"invalid stage slice [{self.lo}, {self.hi}) of {self.component}"
+                f"invalid stage slice [{self.lo!r}, {self.hi!r}) of "
+                f"{self.component}: need integers 0 <= lo < hi"
             )
-        if self.replicas <= 0:
-            raise ConfigurationError("stage replicas must be positive")
+        if not positive_int(self.replicas):
+            raise ConfigurationError(
+                f"stage replicas must be an integer >= 1, got {self.replicas!r}"
+            )
 
     @property
     def num_layers(self) -> int:
@@ -75,6 +69,13 @@ class PartitionPlan:
     self_conditioning: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("num_stages", "num_micro_batches", "group_size"):
+            value = getattr(self, name)
+            if not positive_int(value):
+                raise ConfigurationError(
+                    f"partition plan {name} must be an integer >= 1, "
+                    f"got {value!r}"
+                )
         if not self.down:
             raise ConfigurationError("partition plan has no stages")
         if len(self.down) != self.num_stages:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
+from itertools import accumulate
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -76,9 +77,6 @@ __all__ = [
     "DiffusionPipePlanner",
 ]
 
-
-#: chunks per device of the ``interleaved`` family (Megatron's ``v = 2``)
-VIRTUAL_STAGES = 2
 
 #: one finalist of a configuration: its partition, memory report (None
 #: without the memory check) and closed-form pipeline floor in ms
@@ -256,19 +254,20 @@ class DiffusionPipePlanner:
         #: ``"auto"`` mapped per model shape.
         self.schedule = self._resolve_schedule()
         self._family = get_family(self.schedule)
-        if self._family.chunked and self.options.heterogeneous_replication:
-            raise ConfigurationError(
-                "the 'interleaved' family replicates every chunk of a "
-                "device identically; heterogeneous replication is not "
-                "supported with chunked schedules"
-            )
-        if self._family.chunked and self.cluster.speed_factors:
-            raise ConfigurationError(
-                "chunked schedules partition at chunk granularity on a "
-                "virtual device budget, which has no per-device windows "
-                "to scale; per-device speed factors are not supported "
-                "with chunked schedules"
-            )
+        if self._family.virtual_stages > 1:
+            if self.options.heterogeneous_replication:
+                raise ConfigurationError(
+                    f"the {self.schedule!r} family replicates every chunk "
+                    "of a device identically; heterogeneous replication is "
+                    "not supported with chunked schedules"
+                )
+            if self.cluster.speed_factors:
+                raise ConfigurationError(
+                    "chunked schedules partition at chunk granularity on a "
+                    "virtual device budget, which has no per-device windows "
+                    "to scale; per-device speed factors are not supported "
+                    "with chunked schedules"
+                )
 
     def _resolve_schedule(self) -> str:
         name = self.options.schedule
@@ -486,7 +485,6 @@ class DiffusionPipePlanner:
                     # fits everywhere or it does not fit at all.
                     capacity_bytes=self.cluster.min_memory_bytes(),
                     schedule=self.schedule,
-                    virtual_stages=VIRTUAL_STAGES if self._family.chunked else 1,
                 )
                 if not memory.fits:
                     continue
@@ -501,7 +499,7 @@ class DiffusionPipePlanner:
         under round-to-nearest, so it stays below theirs).  The stage
         chain is derived once: the two builds differ only in their
         :meth:`_sc_args`."""
-        stages, build_args = self._build_args(partition, sc=False)
+        stages, build_args, _ = self._build_args(partition, sc=False)
         M = partition.num_micro_batches
         pipeline_ms = self._family.floor(stages, M, **build_args)
         if self.model.self_conditioning and not partition.is_bidirectional:
@@ -826,7 +824,7 @@ class DiffusionPipePlanner:
         entries; only chunked granularity and zero-bubble pricing
         change the DP's inputs.
         """
-        if self._family.chunked:
+        if self._family.virtual_stages > 1:
             return ("chunked",)
         if self._family.splits_backward and not self.model.self_conditioning:
             return ("zerobubble",)
@@ -945,57 +943,37 @@ class DiffusionPipePlanner:
                 else "default"
             ),
         )
-        if self._family.chunked:
-            # Interleaved virtual stages partition at CHUNK
-            # granularity: the layer chain is cut into v*S
-            # consecutive chunks and chunk c lands on device
-            # c mod S, so each device hosts v non-contiguous
-            # chunks.  Running the DP with v*S stages on a virtual
-            # v*D budget keeps the homogeneous replica count at
-            # r = D/S per chunk while p2p and all-reduce constants
-            # stay priced from the real group (see _context).
-            # The DP's ramp coefficient then over-counts (2vS-2 vs
-            # the schedule's shorter per-chunk ramps), which only
-            # biases *which* cut it prefers — final throughput
-            # always comes from simulating the real chunk chain.
-            v = VIRTUAL_STAGES
-            plan = partition_backbone(
-                ctx, S * v, D * v, heterogeneous=False,
-                caches=self.caches,
-            )
-            return replace(plan, group_size=D)
-        return partition_backbone(
-            ctx, S, D, heterogeneous=heterogeneous, caches=self.caches
+        # A family with v = virtual_stages > 1 partitions at CHUNK
+        # granularity: the layer chain is cut into v*S consecutive
+        # chunks and its chains place chunk c on device c mod S, so
+        # each device hosts v non-contiguous chunks.  Running the DP
+        # with v*S stages on a virtual v*D budget keeps the homogeneous
+        # replica count at r = D/S per chunk (such a planner rejects
+        # heterogeneous replication) while p2p and all-reduce constants
+        # stay priced from the real group (see _context).  The DP's
+        # ramp coefficient then over-counts (2vS-2 vs the schedule's
+        # shorter per-chunk ramps), which only biases *which* cut it
+        # prefers — final throughput always comes from simulating the
+        # real chunk chain.
+        v = self._family.virtual_stages
+        plan = partition_backbone(
+            ctx, S * v, D * v, heterogeneous=heterogeneous, caches=self.caches
         )
+        return replace(plan, group_size=D)
 
     def _stage_execs(
         self,
         chain: Sequence[StageAssignment],
         micro_batch: float,
-        group_size: int | None = None,
-        reverse_windows: bool = False,
+        group_size: int,
+        starts: Sequence[int],
     ) -> list[StageExec]:
+        """The stage execs of one chain of a ``group_size``-device
+        group; stage ``i`` runs on the ``replicas`` devices from
+        ``starts[i]`` on (see :meth:`_build_args`)."""
         prof = self.profile
-        # With heterogeneous replication the stages' replica counts
-        # differ, so the pipeline-group size must come from the
-        # partition (or the chain's device total) — multiplying the
-        # first stage's count by the stage count only works for the
-        # homogeneous case.
-        if group_size is None:
-            group_size = sum(st.replicas for st in chain)
         p2p = self._p2p_costs(group_size)
         scales = self._group_speed_scales(group_size) or (1.0,) * group_size
-        # Device windows along the chain: stage i occupies the devices
-        # where stage i-1's replicas end, matching the partition DP's
-        # placement convention.  The up chain of the bidirectional
-        # schedule is traversed in its own stage order but placed in
-        # reverse chain order (up stage j shares position S-1-j's
-        # devices), so its windows are suffix sums.  An interleaved
-        # chunk chain runs past the group (chunk c lands on position
-        # c mod S), so window starts wrap modulo the group size.
-        offsets = [0]
-        for st in chain:
-            offsets.append(offsets[-1] + st.replicas)
         execs = []
         for i, st in enumerate(chain):
             local = micro_batch / st.replicas
@@ -1020,10 +998,7 @@ class DiffusionPipePlanner:
             # homogeneous group — so the simulated timeline and the DP's
             # T0 agree on slowdowns.  Comm terms (send/sync) are never
             # compute-scaled.
-            pd = (
-                offsets[-1] - offsets[i + 1] if reverse_windows else offsets[i]
-            ) % group_size
-            w = min(scales[pd : pd + st.replicas])
+            w = min(scales[starts[i] : starts[i] + st.replicas])
             fwd /= w
             bwd /= w
             bwd_w /= w
@@ -1048,13 +1023,11 @@ class DiffusionPipePlanner:
         self,
         chain: Sequence[StageAssignment],
         micro_batch: float,
-        group_size: int | None = None,
+        group_size: int,
     ) -> float:
         last = chain[-1]
         local = micro_batch / last.replicas
         nbytes = self.profile.boundary_bytes(last.component, last.hi - 1, local)
-        if group_size is None:
-            group_size = sum(st.replicas for st in chain)
         p2p = self._p2p_costs(group_size)
         return nbytes / p2p.bandwidth + p2p.latency
 
@@ -1198,87 +1171,65 @@ class DiffusionPipePlanner:
         self, partition: PartitionPlan, batch_per_group: float, *, sc: bool
     ) -> Timeline:
         M = partition.num_micro_batches
-        S = partition.num_stages
-        stages, build_args = self._build_args(partition, sc=sc)
-        if partition.is_bidirectional:
-            # Chain position i hosts the down chain's stage i AND the up
-            # chain's stage S-1-i on the same devices, so the simulator's
-            # per-device weight must reflect both (they agree by
-            # construction — the partitioner assigns one replica count
-            # per position — but deriving from one chain only would go
-            # silently wrong if that ever changed).
-            positions = S
-            weights = {
-                i: max(
-                    partition.down[i].replicas,
-                    partition.up[S - 1 - i].replicas,
-                )
-                for i in range(S)
-            }
-            # The up-chain stage execs (and therefore their replica
-            # counts) are part of the key, alongside the two-sided
-            # device weights.
-            tl_key = (
-                self.schedule,
-                tuple(stages),
-                tuple(build_args["up"]),
-                M,
-                S,
-                tuple(sorted(weights.items())),
-            )
-        else:
-            positions = build_args["num_devices"] or S
-            weights = {
-                i: partition.down[i].replicas for i in range(positions)
-            }
-            tl_key = (
-                self.schedule,
-                tuple(stages),
-                M,
-                sc,
-                build_args["feedback_ms"],
-                S,
-                tuple(sorted(weights.items())),
-            )
+        stages, build_args, weights = self._build_args(partition, sc=sc)
+        # A bidirectional build is keyed by its up chain's execs, a
+        # single-chain build by its self-conditioning arguments.
+        args_key = (
+            (tuple(build_args["up"]), M)
+            if partition.is_bidirectional
+            else (M, sc, build_args["feedback_ms"])
+        )
+        tl_key = (
+            self.schedule,
+            tuple(stages),
+            *args_key,
+            partition.num_stages,
+            tuple(weights.items()),
+        )
         timeline = self.caches.timelines.get(tl_key)
         if timeline is None:
             tasks = self._family.build(stages, M, **build_args)
-            timeline = simulate(tasks, positions, weights)
+            timeline = simulate(tasks, len(weights), weights)
             self.caches.timelines.put(tl_key, timeline)
         return timeline
 
     def _build_args(
         self, partition: PartitionPlan, *, sc: bool
-    ) -> tuple[list[StageExec], dict]:
+    ) -> tuple[list[StageExec], dict, dict[int, int]]:
         """The stage chain and keyword arguments the family's ``build``
-        (and its ``floor``) takes for a partition."""
-        micro = partition.micro_batch
-        D = partition.group_size
-        if partition.is_bidirectional:
-            down = self._stage_execs(partition.down, micro, group_size=D)
-            up = self._stage_execs(
-                partition.up, micro, group_size=D, reverse_windows=True
+        (and its ``floor``) takes for a partition, and the simulator's
+        device weights.
+
+        The family's ``chains`` place the partition's stages.  A
+        device's weight is the replica count of the stages it hosts,
+        and a stage runs on the replica window that starts where the
+        windows of the devices before its own end — the partition DP's
+        placement convention."""
+        chains = self._family.chains(partition.down, partition.up or None)
+        hosts: dict[int, int] = {}
+        for chain, device_order in chains:
+            for st, d in zip(chain, device_order):
+                hosts.setdefault(d, st.replicas)
+        weights = {d: hosts[d] for d in range(len(hosts))}
+        starts = [0, *accumulate(weights.values())]
+        execs = [
+            self._stage_execs(
+                chain,
+                partition.micro_batch,
+                partition.group_size,
+                [starts[d] for d in device_order],
             )
-            return down, {"up": up}
-        stages = self._stage_execs(partition.down, micro, group_size=D)
-        return stages, {
-            # partition.down is the chunk chain of a chunked family: v
-            # chunks per device-chain position, all replicating
-            # identically, so the simulator sees S/v physical positions.
-            "num_devices": (
-                partition.num_stages // VIRTUAL_STAGES
-                if self._family.chunked
-                else None
-            ),
-            **self._sc_args(partition, sc=sc),
-        }
+            for chain, device_order in chains
+        ]
+        if partition.is_bidirectional:
+            return execs[0], {"up": execs[1]}, weights
+        return execs[0], self._sc_args(partition, sc=sc), weights
 
     def _sc_args(self, partition: PartitionPlan, *, sc: bool) -> dict:
         """The self-conditioning keywords of a single-backbone build."""
         feedback = (
             self._feedback_ms(
-                partition.down, partition.micro_batch,
-                group_size=partition.group_size,
+                partition.down, partition.micro_batch, partition.group_size
             )
             if sc
             else 0.0

@@ -26,6 +26,7 @@ from .core.plan import (
 from .errors import ConfigurationError
 from .schedule.tasks import TaskKind
 from .schedule.timeline import Timeline
+from .units import is_int
 
 #: Chrome trace colour names per task kind.
 _TRACE_COLOURS = {
@@ -112,6 +113,19 @@ def timeline_to_chrome_trace(
 # ---------------------------------------------------------------------------
 
 
+def _read(d: Mapping, key: str, kind: type, *default):
+    """``d[key]`` (``default`` when given and the key is absent) if it
+    is a ``kind``, numpy integers counting as ``int`` and ``bool`` not;
+    ``int()`` and ``bool()`` would load ``1.5`` as 1 and ``"no"`` as
+    True.  Else :class:`ConfigurationError` naming the key."""
+    value = d.get(key, *default) if default else d[key]
+    if not (is_int(value) if kind is int else isinstance(value, kind)):
+        raise ConfigurationError(
+            f"plan field {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def _stage_to_dict(st: StageAssignment) -> dict:
     return {
         "component": st.component, "lo": st.lo, "hi": st.hi,
@@ -121,8 +135,8 @@ def _stage_to_dict(st: StageAssignment) -> dict:
 
 def _stage_from_dict(d: Mapping) -> StageAssignment:
     return StageAssignment(
-        component=str(d["component"]), lo=int(d["lo"]), hi=int(d["hi"]),
-        replicas=int(d["replicas"]),
+        component=str(d["component"]), lo=_read(d, "lo", int),
+        hi=_read(d, "hi", int), replicas=_read(d, "replicas", int),
     )
 
 
@@ -145,14 +159,14 @@ def partition_from_dict(d: Mapping) -> PartitionPlan:
     return PartitionPlan(
         down=tuple(_stage_from_dict(s) for s in d["down"]),
         up=tuple(_stage_from_dict(s) for s in d["up"]),
-        num_stages=int(d["num_stages"]),
-        num_micro_batches=int(d["num_micro_batches"]),
-        group_size=int(d["group_size"]),
+        num_stages=_read(d, "num_stages", int),
+        num_micro_batches=_read(d, "num_micro_batches", int),
+        group_size=_read(d, "group_size", int),
         batch_per_group=float(d["batch_per_group"]),
         t_max_ms=float(d["t_max_ms"]),
         w_ms=float(d["w_ms"]),
         y_ms=float(d["y_ms"]),
-        self_conditioning=bool(d["self_conditioning"]),
+        self_conditioning=_read(d, "self_conditioning", bool),
     )
 
 
@@ -221,29 +235,29 @@ def plan_from_dict(d: Mapping) -> ExecutionPlan:
         fill = FillReport(
             items=tuple(
                 FillItem(
-                    component=str(i["component"]), layer=int(i["layer"]),
+                    component=str(i["component"]), layer=_read(i, "layer", int),
                     samples=float(i["samples"]), time_ms=float(i["time_ms"]),
-                    bubble_index=int(i["bubble_index"]),
-                    partial=bool(i["partial"]),
+                    bubble_index=_read(i, "bubble_index", int),
+                    partial=_read(i, "partial", bool),
                 )
                 for i in fd["items"]
             ),
             filled_device_time_ms=float(fd["filled_device_time_ms"]),
             bubble_device_time_ms=float(fd["bubble_device_time_ms"]),
             leftover_ms=float(fd["leftover_ms"]),
-            num_bubbles=int(fd["num_bubbles"]),
-            complete=bool(fd["complete"]),
+            num_bubbles=_read(fd, "num_bubbles", int),
+            complete=_read(fd, "complete", bool),
             # Defaults keep plans written before the strategy refactor
             # (and before the lookahead search telemetry) loadable.
             strategy=str(fd.get("strategy", "greedy")),
-            candidates_dropped=int(fd.get("candidates_dropped", 0)),
-            states_pruned=int(fd.get("states_pruned", 0)),
-            beam_peak=int(fd.get("beam_peak", 0)),
+            candidates_dropped=_read(fd, "candidates_dropped", int, 0),
+            states_pruned=_read(fd, "states_pruned", int, 0),
+            beam_peak=_read(fd, "beam_peak", int, 0),
             per_bubble=tuple(
                 BubbleUtilization(
-                    bubble_index=int(u["bubble_index"]),
+                    bubble_index=_read(u, "bubble_index", int),
                     duration_ms=float(u["duration_ms"]),
-                    weight=int(u["weight"]),
+                    weight=_read(u, "weight", int),
                     filled_ms=float(u["filled_ms"]),
                 )
                 for u in fd.get("per_bubble", ())
@@ -269,7 +283,7 @@ def plan_from_dict(d: Mapping) -> ExecutionPlan:
             )
         ),
         partition=partition_from_dict(d["partition"]),
-        data_parallel_degree=int(d["data_parallel_degree"]),
+        data_parallel_degree=_read(d, "data_parallel_degree", int),
         global_batch=float(d["global_batch"]),
         pipeline_ms=float(d["pipeline_ms"]),
         leftover_ms=float(d["leftover_ms"]),

@@ -9,14 +9,17 @@ Memory model (mixed-precision Adam, the setup of the paper's testbed):
 * frozen parameters: fp16 only (2 B/param), with no gradients/states
 * activations: per in-flight micro-batch, the sum of the resident
   layers' stored-activation bytes at the local batch size.  The window
-  comes from the schedule family: 1F1B keeps at most ``S - s``
-  micro-batches alive on stage ``s``; a ``forwards_first`` family
-  (GPipe) has no in-flight window and is priced at all ``M``, an upper
-  bound, since a backward can free a micro-batch before a later
+  comes from the schedule family: 1F1B keeps at most ``len(chain) - s``
+  micro-batches alive on stage ``s`` of its chain; a ``forwards_first``
+  family (GPipe) has no in-flight window and is priced at all ``M``, an
+  upper bound, since a backward can free a micro-batch before a later
   micro-batch's forward arrives.  The zero-bubble family's deferred W
   tasks stretch some activations' lifetimes slightly; pricing it with
   the 1F1B window is its documented approximation (see
   :class:`~repro.schedule.families.ZeroBubbleFamily`).
+
+Which stages a device hosts comes from the family's ``chains``, the
+placement the schedule builder and the simulator use too.
 
 ZeRO-3 shards parameters, gradients and optimiser states across the
 data-parallel group and materialises at most one layer's parameters at
@@ -88,43 +91,37 @@ def pipeline_memory_report(
     *,
     capacity_bytes: float,
     schedule: str = "onef1b",
-    virtual_stages: int = 1,
 ) -> MemoryReport:
     """Peak per-device memory under pipeline training.
 
     ``schedule`` names a registered schedule family (unknown names raise
-    :class:`ConfigurationError`).  Device ``pos`` hosts chain stages
-    ``pos, pos + S/v, ...`` — ``v`` is ``virtual_stages`` for a chunked
-    family such as ``interleaved`` and 1 otherwise — and, on a
-    bidirectional partition, up stage ``S-1-pos``.  Stage ``i`` of the
-    ``S``-stage chain keeps ``min(S - i, M)`` micro-batches alive (the
-    1F1B in-flight window the schedule builder wires), or all ``M`` for
-    a ``forwards_first`` family (GPipe, an upper bound).  Every device
+    :class:`ConfigurationError`), whose ``chains`` place the partition's
+    stages; a partition the family cannot place raises
+    :class:`ConfigurationError`.  Stage ``s`` of a chain keeps
+    ``min(len(chain) - s, M)`` micro-batches alive (the 1F1B in-flight
+    window the schedule builder wires), or all ``M`` for a
+    ``forwards_first`` family (GPipe, an upper bound).  Every device
     additionally hosts the frozen components for bubble filling; the
     peak is the largest device total.
     """
     family = get_family(schedule)
-    S = partition.num_stages
     M = partition.num_micro_batches
-    v = virtual_stages if family.chunked else 1
-    if v < 1 or S % v != 0:
-        raise ConfigurationError(
-            f"{schedule} memory needs virtual_stages | num_stages "
-            f"(got v={v}, {S} chunks)"
-        )
-    positions = S // v
+    # Device -> (stage, in-flight window) of every stage it hosts, in
+    # chain order.
+    hosted: dict[int, list[tuple[StageAssignment, int]]] = {}
+    chains = family.chains(partition.down, partition.up or None)
+    for chain, device_order in chains:
+        for s, (stage, d) in enumerate(zip(chain, device_order)):
+            inflight = M if family.forwards_first else min(len(chain) - s, M)
+            hosted.setdefault(d, []).append((stage, inflight))
     frozen = frozen_state_bytes(model)
 
     peak = 0.0
     breakdown: dict[str, float] = {}
-    for pos in range(positions):
-        hosted = [(i, partition.down[i]) for i in range(pos, S, positions)]
-        if partition.is_bidirectional:
-            hosted.append((S - 1 - pos, partition.up[S - 1 - pos]))
+    for d in sorted(hosted):
         dev_total = frozen
-        for i, stage in hosted:
+        for stage, inflight in hosted[d]:
             local_batch = partition.micro_batch / stage.replicas
-            inflight = M if family.forwards_first else min(S - i, M)
             act = stage_activation_bytes(model, stage, local_batch) * inflight
             state = stage_state_bytes(model, stage)
             dev_total += act + state

@@ -6,24 +6,32 @@ importing builders directly, so new schedule shapes plug in without
 touching planner code.
 
 A family is a *placement* plus *flags*.  The placement is its
-``chains(stages, up, num_devices)``: the ``(stages, device_order)``
-chains a stage list lowers to.  The flags are the class attributes
-``forwards_first``, ``splits_backward`` and ``comm_scale``, which go
-straight to the one task-graph builder,
-:func:`~repro.schedule.onef1b.build_1f1b`, and to its closed-form
-makespan bound, :func:`~repro.schedule.onef1b.makespan_floor`.  One
-shared ``build`` lowers the chains to task graphs (ids prefixed ``dn/``
-and ``up/`` when there are two) and one shared ``floor`` bounds their
-simulated makespan, so a family's floor and its build can never put a
+``chains(stages, up=None)``: the ``(stages, device_order)`` chains a
+stage list lowers to, and the only code that decides which device
+hosts which stage.  ``virtual_stages`` is its number of chunks per
+device.  The flags are the class attributes ``forwards_first``,
+``splits_backward`` and ``comm_scale``, which go straight to the one
+task-graph builder, :func:`~repro.schedule.onef1b.build_1f1b`, and to
+its closed-form makespan bound,
+:func:`~repro.schedule.onef1b.makespan_floor`.  One shared ``build``
+lowers the chains to task graphs (ids prefixed ``dn/`` and ``up/`` when
+there are two) and one shared ``floor`` bounds their simulated
+makespan.  The memory estimator hosts each device's stages by walking
+the same chains, and the planner derives from them the simulator's
+device weights and each stage's speed window.  So nothing can put a
 stage on different devices — which the planner's bound ladder relies
 on to skip the simulation of configurations whose floor cannot win.
 
+``chains`` only places stages: it takes any stage sequence whose items
+carry ``replicas`` (:class:`~repro.schedule.stages.StageExec` chains,
+or a partition's :class:`~repro.core.plan.StageAssignment` chains) and
+leaves their validation to ``build_1f1b`` and ``makespan_floor``.
 Every family builds from the same inputs (stage chains + micro-batch
 count) and returns a plain task list for the discrete-event simulator;
 ``simulate`` needs no per-family logic.  ``forwards_first`` is also the
 activation window the memory estimator prices: ``M`` micro-batches per
 stage when set, the 1F1B window otherwise.  ``cascaded`` and
-``chunked`` tell the planner which partitioner to run.
+``virtual_stages`` tell the planner which partitioner to run.
 """
 
 from __future__ import annotations
@@ -32,32 +40,34 @@ from typing import Callable, Sequence
 
 from ..errors import ConfigurationError
 from .onef1b import build_1f1b, makespan_floor
-from .stages import StageExec, validate_stages
+from .stages import StageExec
 from .tasks import Task
 
 #: the paper enlarges communication time by 2x for bidirectional
 #: pipelines (§4.2); the CDM partition DP prices the same factor
 BIDIRECTIONAL_COMM_SCALE = 2.0
 
-#: a stage chain and the device each of its stages runs on
-Chain = tuple[Sequence[StageExec], Sequence[int]]
+#: a stage chain and the device each of its stages runs on; the stages
+#: are any items carrying ``replicas``
+Chain = tuple[Sequence, Sequence[int]]
 
 
 class ScheduleFamily:
     """A pipeline schedule shape the planner can search over.
 
-    The base class is the single-chain placement (stage ``s`` on device
-    ``s``), the flags' defaults, and the ``build`` and ``floor`` every
-    family shares; a registered family overrides flags and, for another
-    placement, ``chains``.
+    The base class is the single-chain placement (``virtual_stages``
+    chunks per device, round-robin), the flags' defaults, and the
+    ``build`` and ``floor`` every family shares; a registered family
+    overrides flags and, for another placement, ``chains``.
     """
 
     #: registry name (also the CLI / PlannerOptions spelling)
     name: str
     #: True if the family composes two backbones over one device chain
     cascaded = False
-    #: True if ``stages`` is a chunk chain needing ``num_devices``
-    chunked = False
+    #: chunks of the stage chain per device; above 1 the planner cuts
+    #: the backbone into ``virtual_stages`` chunks per stage position
+    virtual_stages = 1
     #: True if the family prices/schedules B and W separately
     #: (``build_1f1b(..., split_backward=True)``)
     splits_backward = False
@@ -69,19 +79,26 @@ class ScheduleFamily:
     comm_scale = 1.0
 
     def chains(
-        self,
-        stages: Sequence[StageExec],
-        up: Sequence[StageExec] | None,
-        num_devices: int | None,
+        self, stages: Sequence, up: Sequence | None = None
     ) -> list[Chain]:
         """The ``(stages, device_order)`` chains ``build`` and ``floor``
-        lower to."""
+        lower to: one chain of ``v = virtual_stages`` chunks per device,
+        chunk ``c`` on device ``c mod (len(stages) / v)`` — stage ``s``
+        on device ``s`` when ``v`` is 1."""
         if up is not None:
             raise ConfigurationError(
                 f"schedule family {self.name!r} builds a single backbone; "
                 "cascaded models need the 'bidirectional' family"
             )
-        return [(stages, range(len(stages)))]
+        v = self.virtual_stages
+        if len(stages) % v != 0:
+            raise ConfigurationError(
+                f"schedule family {self.name!r} needs a whole number of "
+                f"chunks per device (got {len(stages)} chunks, {v} per "
+                "device)"
+            )
+        devices = len(stages) // v
+        return [(stages, [c % devices for c in range(len(stages))])]
 
     def build(
         self,
@@ -89,13 +106,12 @@ class ScheduleFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
     ) -> list[Task]:
         """The task graph: one :func:`build_1f1b` graph per chain, ids
         prefixed ``dn/`` and ``up/`` when there are two."""
-        chains = self.chains(stages, up, num_devices)
+        chains = self.chains(stages, up)
         prefixes = ("dn/", "up/") if len(chains) == 2 else ("",)
         tasks: list[Task] = []
         for prefix, (chain, device_order) in zip(prefixes, chains):
@@ -118,14 +134,13 @@ class ScheduleFamily:
         num_micro_batches: int,
         *,
         up: Sequence[StageExec] | None = None,
-        num_devices: int | None = None,
         self_conditioning: bool = False,
         feedback_ms: float = 0.0,
     ) -> float:
         """A lower bound on ``simulate(self.build(...)).makespan`` for
         the same arguments, in closed form."""
         return makespan_floor(
-            self.chains(stages, up, num_devices),
+            self.chains(stages, up),
             num_micro_batches,
             self_conditioning=self_conditioning,
             feedback_ms=feedback_ms,
@@ -225,10 +240,7 @@ class BidirectionalFamily(ScheduleFamily):
     build = ScheduleFamily.build
 
     def chains(
-        self,
-        stages: Sequence[StageExec],
-        up: Sequence[StageExec] | None,
-        num_devices: int | None,
+        self, stages: Sequence, up: Sequence | None = None
     ) -> list[Chain]:
         """Down stage ``s`` on device ``s``, up stage ``s`` on device
         ``S - 1 - s``.  Both chains must have the same length, and
@@ -238,71 +250,47 @@ class BidirectionalFamily(ScheduleFamily):
                 "the 'bidirectional' family needs an up-pipeline stage "
                 "chain (cascaded models only)"
             )
-        down = validate_stages(stages)
-        up = validate_stages(up)
-        if len(down) != len(up):
+        S = len(stages)
+        if len(up) != S:
             raise ConfigurationError(
                 f"bidirectional pipelines need equal stage counts "
-                f"(got {len(down)} and {len(up)})"
+                f"(got {S} and {len(up)})"
             )
-        S = len(down)
         for i in range(S):
             # Chain position i hosts down stage i and up stage S-1-i on
             # the same physical devices, so their replica counts must
             # agree — heterogeneous partitions assign one count per
             # position.
-            if down[i].replicas != up[S - 1 - i].replicas:
+            if stages[i].replicas != up[S - 1 - i].replicas:
                 raise ConfigurationError(
                     f"co-located stages disagree on replication at device "
-                    f"{i}: down stage {i} has {down[i].replicas} replicas, "
+                    f"{i}: down stage {i} has {stages[i].replicas} replicas, "
                     f"up stage {S - 1 - i} has {up[S - 1 - i].replicas}"
                 )
-        return [(down, range(S)), (up, range(S - 1, -1, -1))]
+        return [(stages, range(S)), (up, range(S - 1, -1, -1))]
 
 
 @register_schedule_family("interleaved")
 class InterleavedFamily(ScheduleFamily):
     """Interleaved 1F1B (Megatron-style virtual stages).
 
-    Each device hosts ``v`` non-contiguous *chunks* of the layer chain:
-    chunk ``c`` of ``v * D`` total runs on device ``c mod D``, so device
-    0 hosts chunks ``0, D, 2D, ...``.  The pipeline then runs plain
-    FIFO-1F1B over the chunk chain — every warm-up and cool-down ramp is
-    paid in per-chunk stage time (``~1/v`` of the contiguous stage
-    time), which is what shrinks the fill/drain bubbles, at the cost of
-    ``v``-fold more inter-stage traffic.  Dispatch priorities
-    (micro-batch first, forward before backward) give each device the
-    interleaved ordering over its chunks' slots.  Chunk costs must
-    already be per-chunk: ``chunked=True`` tells the planner to
-    subdivide stage layer ranges.
+    Each device hosts ``v = virtual_stages`` non-contiguous *chunks* of
+    the layer chain: chunk ``c`` of ``v * D`` total runs on device
+    ``c mod D``, so device 0 hosts chunks ``0, D, 2D, ...`` (the base
+    placement with ``v = 2``, Megatron's default).  The pipeline then
+    runs plain FIFO-1F1B over the chunk chain — every warm-up and
+    cool-down ramp is paid in per-chunk stage time (``~1/v`` of the
+    contiguous stage time), which is what shrinks the fill/drain
+    bubbles, at the cost of ``v``-fold more inter-stage traffic.
+    Dispatch priorities (micro-batch first, forward before backward)
+    give each device the interleaved ordering over its chunks' slots.
+    Chunk costs must already be per-chunk: the planner partitions the
+    layer chain into ``v`` chunks per stage position.
     """
 
     name = "interleaved"
-    chunked = True
+    virtual_stages = 2
     build = ScheduleFamily.build
-
-    def chains(
-        self,
-        stages: Sequence[StageExec],
-        up: Sequence[StageExec] | None,
-        num_devices: int | None,
-    ) -> list[Chain]:
-        """The chunk chain, round-robin: chunk ``c`` on device ``c mod
-        num_devices``, a whole number of chunks per device."""
-        [(chunks, _)] = super().chains(stages, up, num_devices)
-        if num_devices is None:
-            raise ConfigurationError(
-                "the 'interleaved' family needs num_devices (stages is "
-                "a chunk chain placed round-robin)"
-            )
-        if num_devices <= 0:
-            raise ConfigurationError("num_devices must be positive")
-        if len(chunks) % num_devices != 0:
-            raise ConfigurationError(
-                f"interleaved schedule needs a whole number of chunks per "
-                f"device (got {len(chunks)} chunks on {num_devices} devices)"
-            )
-        return [(chunks, [c % num_devices for c in range(len(chunks))])]
 
 
 @register_schedule_family("zerobubble")

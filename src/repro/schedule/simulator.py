@@ -56,14 +56,14 @@ def simulate(
     scheduler oracle in ``tests/oracles/``.  Raises :class:`ScheduleError` on
     malformed graphs (cycles, unknown dependencies, a task attributed to
     a device outside ``range(num_devices)``) and
-    :class:`SimulationError` on internal inconsistencies.
+    :class:`SimulationError` on internal inconsistencies and, from the
+    :class:`Timeline`, on device weights that are not integers >= 1 of
+    simulated devices.
 
     ``device_weights`` maps each logical device to the number of
     physical devices it stands for (stage replication).  A logical
-    device may host stages of several pipelines — bidirectional chain
-    position ``i`` runs the down pipeline's stage ``i`` and the up
-    pipeline's stage ``S-1-i`` — so callers must derive the weight from
-    *all* stages hosted there, not just one chain's.
+    device may host stages of several chains — a schedule family's
+    ``chains`` place them — and its weight is their replica count.
     """
     by_id = validate_task_graph(list(tasks))
     n = len(by_id)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigurationError
+from ..units import is_int, positive_int
 
 #: every duration a stage carries: finite and >= 0 (optional ones if given)
 _DURATION_FIELDS = ("fwd_ms", "bwd_ms", "sc_fwd_ms", "send_fwd_ms",
@@ -63,8 +64,10 @@ class StageExec:
     bwd_w_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ConfigurationError("stage index must be non-negative")
+        if not (is_int(self.index) and self.index >= 0):
+            raise ConfigurationError(
+                f"stage index must be an integer >= 0, got {self.index!r}"
+            )
         for name in _DURATION_FIELDS:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < math.inf:
@@ -72,8 +75,11 @@ class StageExec:
                     f"stage {self.index}: {name} must be finite and "
                     f"non-negative, got {value}"
                 )
-        if self.replicas <= 0:
-            raise ConfigurationError(f"stage {self.index}: replicas must be >= 1")
+        if not positive_int(self.replicas):
+            raise ConfigurationError(
+                f"stage {self.index}: replicas must be an integer >= 1, "
+                f"got {self.replicas!r}"
+            )
         if self.sc_fwd_ms is None:
             object.__setattr__(self, "sc_fwd_ms", self.fwd_ms)
         b, w = self.bwd_b_ms, self.bwd_w_ms

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import SimulationError
+from ..units import is_int, positive_int
 from .tasks import COMPUTE_KINDS, Task, TaskKind
 
 
@@ -76,6 +77,12 @@ class Timeline:
         self.intervals = sorted(intervals, key=lambda iv: (iv.start, iv.end))
         self.num_devices = num_devices
         self.device_weights = dict(device_weights or {})
+        for d, w in self.device_weights.items():
+            if not (is_int(d) and 0 <= d < num_devices and positive_int(w)):
+                raise SimulationError(
+                    f"device {d!r} has weight {w!r}: a weight is an integer "
+                    f">= 1 of one of the {num_devices} simulated devices"
+                )
         for d in range(num_devices):
             self.device_weights.setdefault(d, 1)
         # Lazy caches; the interval list is treated as immutable after

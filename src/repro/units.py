@@ -1,4 +1,4 @@
-"""Unit helpers and physical constants.
+"""Unit helpers, physical constants and the count rule.
 
 All internal times are in **milliseconds**, sizes in **bytes**, bandwidths
 in **bytes per millisecond**.  These helpers exist so that call sites can
@@ -7,6 +7,25 @@ magic powers of two around.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
+
+# ---------------------------------------------------------------------------
+# Counts
+# ---------------------------------------------------------------------------
+
+
+def is_int(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included.  ``bool`` is an
+    ``Integral`` that equals and hashes like 0 or 1, so ``True`` would
+    pass as a count and alias ``1`` in every cache key; it is not."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def positive_int(v) -> bool:
+    """Whether ``v`` is an integer >= 1 (:func:`is_int`'s rule)."""
+    return is_int(v) and v >= 1
+
 
 # ---------------------------------------------------------------------------
 # Sizes

@@ -17,7 +17,11 @@ they replaced live here, next to the suites that diff against them:
   (:func:`repro.schedule.simulate`);
 * :func:`extract_bubbles_reference` — the breakpoint-scan bubble
   extraction (:func:`repro.core.extract_bubbles`);
-* :class:`LookaheadReferenceFill` — the unpruned ``lookahead`` fill.
+* :class:`LookaheadReferenceFill` — the unpruned ``lookahead`` fill;
+* :func:`memory_report_reference`, :func:`stage_execs_reference` and
+  :func:`device_weights_reference` — the stage placement the memory
+  estimator and the planner derived before both read a schedule
+  family's ``chains``.
 
 The DP table oracles are reached through :func:`reference_dp_kernels`,
 which runs the production wrappers, cache keys and plan selection on
@@ -36,6 +40,11 @@ from .bubbles import extract_bubbles_reference
 from .fill_strategies import LookaheadReferenceFill
 from .partition import chain_frontiers_reference, het_frontiers_reference
 from .partition_cdm import cdm_dp_table_reference, cdm_floor_reference
+from .placement import (
+    device_weights_reference,
+    memory_report_reference,
+    stage_execs_reference,
+)
 from .simulator import simulate_reference
 
 __all__ = [
@@ -43,11 +52,14 @@ __all__ = [
     "cdm_dp_table_reference",
     "cdm_floor_reference",
     "chain_frontiers_reference",
+    "device_weights_reference",
     "dp_engine",
     "extract_bubbles_reference",
     "het_frontiers_reference",
+    "memory_report_reference",
     "reference_dp_kernels",
     "simulate_reference",
+    "stage_execs_reference",
 ]
 
 

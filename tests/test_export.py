@@ -123,3 +123,30 @@ def test_pre_telemetry_exports_still_load(cluster8, uniform, uniform_profile):
     assert back.fill.beam_peak == 0
     assert back.fill.leftover_ms == plan.fill.leftover_ms
     assert back.fill.items == plan.fill.items
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("partition", "down", 0, "replicas"), 1.5),
+    (("partition", "down", 0, "hi"), 2.7),
+    (("partition", "down", 0, "lo"), True),
+    (("partition", "num_micro_batches"), 4.5),
+    (("partition", "self_conditioning"), "no"),
+    (("data_parallel_degree",), 4.0),
+    (("fill", "num_bubbles"), True),
+    (("fill", "complete"), 1),
+    (("fill", "items", 0, "layer"), 0.5),
+    (("fill", "items", 0, "partial"), "false"),
+    (("fill", "per_bubble", 0, "weight"), 1.5),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+def test_plan_loader_rejects_coerced_fields(path, bad, cluster8, uniform,
+                                            uniform_profile):
+    """Counts must be integers and flags booleans: ``int()`` used to
+    load ``"replicas": 1.5`` as 1 and ``bool()`` ``"no"`` as True."""
+    d = json.loads(json.dumps(plan_to_dict(_plan(cluster8, uniform,
+                                                 uniform_profile))))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ConfigurationError, match=f"'{path[-1]}'"):
+        plan_from_dict(d)

@@ -41,12 +41,13 @@ small_ms = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def family_case(draw):
-    """(family name, down chain, up chain | None, M, num_devices, sc)."""
-    name = draw(st.sampled_from(sorted(SCHEDULE_FAMILIES)))
-    family = get_family(name)
+    """(family, down chain, up chain | None, M, devices, sc); a chunked
+    family gets 2 or 3 chunks per device."""
+    family = get_family(draw(st.sampled_from(sorted(SCHEDULE_FAMILIES))))
     positions = draw(st.integers(2, 4))
-    chunks_per_device = draw(st.integers(2, 3)) if family.chunked else 1
-    S = positions * chunks_per_device
+    if family.virtual_stages > 1:
+        family.virtual_stages = draw(st.integers(2, 3))
+    S = positions * family.virtual_stages
 
     def chain():
         stages = []
@@ -73,30 +74,23 @@ def family_case(draw):
     up = chain() if family.cascaded else None
     M = draw(st.integers(1, 6))
     sc = draw(st.booleans())
-    return name, down, up, M, positions, sc
+    return family, down, up, M, positions, sc
 
 
-def _build(name, down, up, M, positions, sc):
-    family = get_family(name)
-    feedback = 1.5 if sc else 0.0
+def _build(family, down, up, M, sc):
     if family.cascaded:
         return family.build(down, M, up=up)
     return family.build(
-        down,
-        M,
-        num_devices=positions if family.chunked else None,
-        self_conditioning=sc,
-        feedback_ms=feedback,
+        down, M, self_conditioning=sc, feedback_ms=1.5 if sc else 0.0
     )
 
 
-def _hosted_stages(name, down, up, positions):
+def _hosted_stages(family, down, up, positions):
     """device -> list of StageExec hosted there, per family placement."""
-    family = get_family(name)
     if family.cascaded:
         S = len(down)
         return {d: [down[d], up[S - 1 - d]] for d in range(S)}
-    if family.chunked:
+    if family.virtual_stages > 1:
         return {
             d: [down[c] for c in range(d, len(down), positions)]
             for d in range(positions)
@@ -115,13 +109,13 @@ def _device_compute(tasks, kinds):
 @given(family_case())
 @settings(max_examples=60, deadline=None)
 def test_family_graph_valid_and_conserves_compute(case):
-    name, down, up, M, positions, sc = case
-    tasks = _build(name, down, up, M, positions, sc)
+    family, down, up, M, positions, sc = case
+    tasks = _build(family, down, up, M, sc)
 
     # Referential integrity of the task graph.
     validate_task_graph(list(tasks))
 
-    hosted = _hosted_stages(name, down, up, positions)
+    hosted = _hosted_stages(family, down, up, positions)
     fwd = _device_compute(tasks, COMPUTE_FWD)
     bwd = _device_compute(tasks, COMPUTE_BWD)
     for dev, stages in hosted.items():
@@ -134,12 +128,10 @@ def test_family_graph_valid_and_conserves_compute(case):
 @given(family_case())
 @settings(max_examples=60, deadline=None)
 def test_family_simulates_identically_on_both_engines(case):
-    name, down, up, M, positions, sc = case
-    family = get_family(name)
-    tasks = _build(name, down, up, M, positions, sc)
-    ndev = positions if family.chunked else len(down)
-    fast = simulate(tasks, ndev)
-    ref = simulate_reference(tasks, ndev)
+    family, down, up, M, positions, sc = case
+    tasks = _build(family, down, up, M, sc)
+    fast = simulate(tasks, positions)
+    ref = simulate_reference(tasks, positions)
     keys = lambda tl: [  # noqa: E731
         (iv.start, iv.end, iv.task.task_id, iv.task.resource)
         for iv in tl.intervals

@@ -34,12 +34,12 @@ comm_ms = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
 
 @st.composite
 def chain_case(draw):
-    """``(family name, stages, build keywords, M)`` of one fuzzed
-    chain: S 1-6 stages (chunks for ``interleaved``, on a divisor of S
-    devices), M 1-16, self-conditioning on or off, 1-3 replicas per
-    position (co-located bidirectional stages agree)."""
-    name = draw(st.sampled_from(sorted(SCHEDULE_FAMILIES)))
-    family = get_family(name)
+    """``(family, stages, build keywords, M)`` of one fuzzed chain: S
+    1-6 stages (chunks for ``interleaved``, on a divisor of S devices),
+    M 1-16, self-conditioning on or off, 1-3 replicas per position
+    (co-located bidirectional stages agree)."""
+    family = get_family(draw(st.sampled_from(sorted(SCHEDULE_FAMILIES))))
+    chunked = family.virtual_stages > 1
     S = draw(st.integers(1, 6))
     replicas = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
 
@@ -74,16 +74,18 @@ def chain_case(draw):
     }
     if family.cascaded:
         kwargs["up"] = chain(replicas[::-1])
-    if family.chunked:
-        kwargs["num_devices"] = draw(
+    if chunked:
+        devices = draw(
             st.sampled_from([d for d in range(1, S + 1) if S % d == 0])
         )
-    return name, stages, kwargs, draw(st.integers(1, 16))
+        family.virtual_stages = S // devices
+    return family, stages, kwargs, draw(st.integers(1, 16))
 
 
-def _makespan(name, stages, kwargs, M):
-    tasks = get_family(name).build(stages, M, **kwargs)
-    return simulate(tasks, kwargs.get("num_devices") or len(stages)).makespan
+def _makespan(family, stages, kwargs, M):
+    tasks = family.build(stages, M, **kwargs)
+    devices = len(stages) // family.virtual_stages
+    return simulate(tasks, devices).makespan
 
 
 def _chain(*times, **fields):
@@ -97,7 +99,7 @@ def _chain(*times, **fields):
 #: a 2-stage self-conditioned chain at M = 1: the makespan is the SC
 #: wave, the feedback, the forward wave, the backward wave and stage 0's
 #: sync, added in the order the floor's path term adds them
-TIGHT = ("onef1b", _chain((3.0, 5.0), (2.5, 4.0), send_fwd_ms=0.7,
+TIGHT = (get_family("onef1b"), _chain((3.0, 5.0), (2.5, 4.0), send_fwd_ms=0.7,
                           send_bwd_ms=0.3, sync_ms=1.1),
          {"self_conditioning": True, "feedback_ms": 0.4}, 1)
 
@@ -106,18 +108,17 @@ TIGHT = ("onef1b", _chain((3.0, 5.0), (2.5, 4.0), send_fwd_ms=0.7,
 @given(chain_case())
 @example(TIGHT)
 def test_floor_never_exceeds_the_simulated_makespan(case):
-    name, stages, kwargs, M = case
-    floor = get_family(name).floor(stages, M, **kwargs)
-    assert 0.0 <= floor <= _makespan(name, stages, kwargs, M), case
+    family, stages, kwargs, M = case
+    floor = family.floor(stages, M, **kwargs)
+    assert 0.0 <= floor <= _makespan(family, stages, kwargs, M), case
 
 
 def test_floor_is_exactly_tight_on_a_single_path(monkeypatch):
     """One micro-batch through a chain with nothing to wait for: the
     unmargined floor equals the makespan bit for bit, so the floor is
     the makespan less the margin."""
-    name, stages, kwargs, M = TIGHT
+    family, stages, kwargs, M = TIGHT
     makespan = _makespan(*TIGHT)
-    family = get_family(name)
     assert family.floor(stages, M, **kwargs) == makespan * (1.0 - FLOOR_MARGIN)
     monkeypatch.setattr(onef1b, "FLOOR_MARGIN", 0.0)
     assert family.floor(stages, M, **kwargs) == makespan
@@ -129,7 +130,7 @@ def test_margin_covers_rounding_of_the_device_terms(monkeypatch):
     (0.6000000000000001), so only the margin keeps the floor sound."""
     family = get_family("onef1b")
     stages = _chain((0.1, 0.1))
-    makespan = _makespan("onef1b", stages, {}, 3)
+    makespan = _makespan(family, stages, {}, 3)
     assert makespan == 0.6
     assert family.floor(stages, 3) <= makespan
     monkeypatch.setattr(onef1b, "FLOOR_MARGIN", 0.0)
@@ -143,7 +144,7 @@ def test_floor_terms_by_hand():
     scale = 1.0 - FLOOR_MARGIN
     # Device 0: head 0 + 4 x 3 + tail 0 = 12; device 1: 1 + 12 + 2 = 15.
     assert get_family("onef1b").floor(ones, 4) == 15.0 * scale
-    assert _makespan("onef1b", ones, {}, 4) == 15.0
+    assert _makespan(get_family("onef1b"), ones, {}, 4) == 15.0
     # Path: fwd 1 + 1, bwd 2 + 2, then a 20 ms sync of stage 0 beats
     # every device term.
     synced = [StageExec(index=0, fwd_ms=1.0, bwd_ms=2.0, sync_ms=20.0), ones[1]]
@@ -160,9 +161,7 @@ def test_floor_rejects_what_build_rejects():
         get_family("bidirectional").floor(stages, 2)
     with pytest.raises(ConfigurationError, match="single backbone"):
         get_family("onef1b").floor(stages, 2, up=stages)
-    with pytest.raises(ConfigurationError, match="num_devices"):
-        get_family("interleaved").floor(stages, 2)
     with pytest.raises(ConfigurationError, match="whole number of chunks"):
-        get_family("interleaved").floor(stages, 2, num_devices=3)
+        get_family("interleaved").floor(stages[:1], 2)
     with pytest.raises(ConfigurationError, match="micro-batches"):
         get_family("gpipe").floor(stages, 0)

@@ -73,10 +73,16 @@ def test_pipeline_memory_1f1b_window():
     )
     assert rep.peak_bytes == pytest.approx(expected_stage0)
     assert rep.fits
-    # Every family without forwards_first prices the 1F1B window.
-    for name in ("bidirectional", "zerobubble"):
-        rep = pipeline_memory_report(m, plan, capacity_bytes=1e12, schedule=name)
-        assert rep.peak_bytes == pytest.approx(expected_stage0)
+    # zerobubble has no forwards_first either: the 1F1B window.
+    rep = pipeline_memory_report(
+        m, plan, capacity_bytes=1e12, schedule="zerobubble"
+    )
+    assert rep.peak_bytes == pytest.approx(expected_stage0)
+    # bidirectional cannot place a single-chain plan.
+    with pytest.raises(ConfigurationError, match="up-pipeline"):
+        pipeline_memory_report(
+            m, plan, capacity_bytes=1e12, schedule="bidirectional"
+        )
 
 
 def test_gpipe_memory_exceeds_1f1b():
@@ -107,16 +113,19 @@ def test_interleaved_memory_hosts_round_robin_chunks():
         num_stages=4, num_micro_batches=4, group_size=2, batch_per_group=32,
     )
     rep = pipeline_memory_report(
-        m, plan, capacity_bytes=1e12, schedule="interleaved", virtual_stages=2
+        m, plan, capacity_bytes=1e12, schedule="interleaved"
     )
     act = 1e6 * 8  # one micro-batch of 8 samples on a 1-layer chunk
     assert rep.peak_bytes == pytest.approx(
         frozen_state_bytes(m) + (4 + 2) * act + 2 * 1e6 * 16
     )
-    with pytest.raises(ConfigurationError, match="virtual_stages"):
+    odd = PartitionPlan(
+        down=plan.down[:3], num_stages=3, num_micro_batches=4, group_size=2,
+        batch_per_group=32,
+    )
+    with pytest.raises(ConfigurationError, match="whole number of chunks"):
         pipeline_memory_report(
-            m, plan, capacity_bytes=1e12, schedule="interleaved",
-            virtual_stages=3,
+            m, odd, capacity_bytes=1e12, schedule="interleaved"
         )
 
 
@@ -130,7 +139,9 @@ def test_bidirectional_memory_colocates_up_stage():
         down=down, up=up, num_stages=2, num_micro_batches=4, group_size=2,
         batch_per_group=32,
     )
-    rep = pipeline_memory_report(m, plan, capacity_bytes=1e12)
+    rep = pipeline_memory_report(
+        m, plan, capacity_bytes=1e12, schedule="bidirectional"
+    )
     act = 1e6 * 8  # one micro-batch of 8 samples on one layer
     state = 1e6 * 16  # one layer's trainable state
     # Device 0: down stage 0 (1 layer, window 2) + up stage 1 (1 layer,

@@ -162,7 +162,7 @@ def test_planner_schedules_equivalence(uniform, uniform_profile, cluster8):
     )
     for S, M in [(2, 2), (2, 4), (4, 4), (4, 8)]:
         partition = planner._partition(64.0, S, S, M, heterogeneous=False)
-        stages = planner._stage_execs(partition.down, 64.0 / M)
+        stages, _, _ = planner._build_args(partition, sc=False)
         assert_equivalent(build_1f1b(stages, M), S)
 
 

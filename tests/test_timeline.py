@@ -1,9 +1,18 @@
 """Timeline metrics tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.schedule import Task, TaskKind, Timeline, device_resource
+from repro.schedule import (
+    StageExec,
+    Task,
+    TaskKind,
+    Timeline,
+    build_1f1b,
+    device_resource,
+    simulate,
+)
 from repro.schedule.timeline import Interval
 
 
@@ -86,3 +95,23 @@ def test_interval_validation():
         Interval(5, 3, task)
     with pytest.raises(SimulationError):
         Timeline([], num_devices=0)
+
+
+def test_device_weights_are_counts_of_simulated_devices():
+    """A weight for a device outside the simulated ones used to count
+    toward the physical devices (6 instead of 3 here), and a zero or
+    fractional weight toward the bubble device-time (7.5 ms below);
+    both name the device and the weight now."""
+    with pytest.raises(SimulationError, match="device 5 has weight 3"):
+        Timeline([], 2, {0: 1, 1: 2, 5: 3})
+    stages = [StageExec(index=i, fwd_ms=1.0, bwd_ms=2.0) for i in range(2)]
+    tasks = build_1f1b(stages, 2)
+    with pytest.raises(SimulationError, match="device 0 has weight 0"):
+        simulate(tasks, 2, {0: 0, 1: 2})
+    with pytest.raises(SimulationError, match="device 1 has weight 2.5"):
+        simulate(tasks, 2, {0: 1, 1: 2.5})
+    with pytest.raises(SimulationError, match="weight True"):
+        Timeline([], 1, {0: True})
+    with pytest.raises(SimulationError, match="device -1"):
+        Timeline([], 2, {-1: 1})
+    assert Timeline([], 2, {1: np.int64(3)}).total_physical_devices == 4

@@ -7,22 +7,25 @@ Not a paper artifact — these benches justify internal decisions:
 2. the CDM partitioner's cut-step coarsening;
 3. the 10 ms minimum-bubble threshold (paper footnote 3);
 4. the partial-batch size menu (paper §5).
+
+The timed ablation is ``slow``.  Its cut-step claim has a counter twin
+for the fast suite: the geometry-plan batches each cut step's CDM
+lattice enumerates, and the same bound on the coarse objective.
 """
 
 from __future__ import annotations
 
-import pytest
-
-pytestmark = pytest.mark.slow
-
 import time
 from dataclasses import replace
+
+import pytest
 
 from repro.cluster import single_node
 from repro.core import (
     CDMPartitionContext,
     DiffusionPipePlanner,
     PartitionContext,
+    PlannerCaches,
     PlannerOptions,
     partition_backbone,
     partition_cdm,
@@ -95,6 +98,7 @@ def _run_all():
     return results
 
 
+@pytest.mark.slow
 def test_ablation_design_choices(benchmark):
     results = benchmark.pedantic(_run_all, rounds=1, iterations=1)
     rows = [
@@ -116,3 +120,35 @@ def test_ablation_design_choices(benchmark):
     assert results["menu=paper"][0] >= results["menu={32,64}"][0] * 0.999
     # Ignoring small bubbles costs little (they are small by definition).
     assert results["min_bubble=50ms"][0] >= results["min_bubble=10ms (paper)"][0] * 0.9
+
+
+def test_cut_step_coarsening_counts_lattice_batches():
+    """Counter twin of the slow test's ``coarse[1] < exact[1]``: on the
+    same CDM lattice (cdm-lsun, S = 2, D = 2, b = 64, M = 2) each
+    coarser cut step enumerates fewer geometry-plan batches, the
+    ``(parent, down cut, replicas, up cut)`` transitions a table build
+    evaluates.
+    Each step plans on private caches, whose ``kernel_plans`` store
+    then holds exactly that step's plan.  The coarse objective keeps
+    the slow test's 10% bound."""
+    cluster = single_node(8)
+    lsun = cdm_lsun()
+    profile = Profiler(cluster).profile(lsun)
+    planner = DiffusionPipePlanner(lsun, cluster, profile, caches=PlannerCaches())
+    mk = lambda comp: PartitionContext(
+        profile=profile, component=comp, batch_per_group=64,
+        num_micro_batches=2, p2p=planner._p2p_costs(2),
+        allreduce=planner._allreduce_costs(2, 1),
+    )
+    cdm_ctx = CDMPartitionContext(down=mk("base_64"), up=mk("sr_128"))
+    batches = {}
+    t_max = {}
+    for step in (1, 2, 4):
+        caches = PlannerCaches()
+        t_max[step] = partition_cdm(
+            cdm_ctx, 2, 2, cut_step=step, caches=caches
+        ).t_max_ms
+        ((_, plan),) = caches.kernel_plans.items()
+        batches[step] = sum(len(stage["P"]) for stage in plan)
+    assert batches == {1: 1250, 2: 288, 4: 72}
+    assert t_max[4] <= t_max[1] * 1.10

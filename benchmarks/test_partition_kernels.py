@@ -39,11 +39,10 @@ from collections import Counter
 import pytest
 
 from repro.cluster.collectives import CommCosts
-from repro.core import partition
 from repro.core.caches import PlannerCaches
 from repro.core.partition import PartitionContext, _het_frontiers
 from repro.core.partition_cdm import CDMPartitionContext, _cdm_frontiers
-from tests.oracles import dp_engine, reference_dp_kernels
+from tests.oracles import dp_engine, pareto_insert, reference_dp_kernels
 
 #: required aggregate cold-build speedup of the array engine
 MIN_AGGREGATE_SPEEDUP = 5.0
@@ -173,11 +172,11 @@ def test_array_kernels_never_fold_in_python(lsun, lsun_profile, monkeypatch):
 
     On the gate's six shapes the array engine settles every DP state
     in array kernels: it makes zero calls to
-    :func:`repro.core.partition.pareto_insert`, the per-candidate
-    Python fold of the oracles (2,341,944 calls on these six shapes).
+    :func:`tests.oracles.pareto_insert`, the per-candidate Python fold
+    of the oracles (2,341,944 calls on these six shapes).
     Every module binding of the function is counted, and the oracle's
     calls on the two cheap shapes prove the counter is live."""
-    original = partition.pareto_insert
+    original = pareto_insert
     calls = Counter()
 
     def counting(*args, **kwargs):

@@ -23,8 +23,10 @@ from ..errors import ConfigurationError
 from ..models.graph import ModelSpec
 from ..profiling.records import ProfileDB
 from ..schedule import get_family
+from ..schedule.families import device_weights
 from ..schedule.simulator import simulate
 from ..schedule.stages import StageExec
+from ..schedule.timeline import Timeline
 from ..core.partition import PartitionContext, partition_backbone
 from ..core.plan import PartitionPlan, StageAssignment
 from ..memory.estimator import pipeline_memory_report
@@ -113,6 +115,16 @@ class ChimeraBaseline:
             )
         return execs
 
+    def _simulate(
+        self, down: list[StageExec], up: list[StageExec], M: int
+    ) -> Timeline:
+        """The bidirectional schedule of the two directions, on the
+        devices and with the weights its family's ``chains`` place."""
+        family = get_family("bidirectional")
+        weights = device_weights(family.chains(down, up))
+        tasks = family.build(down, M, up=up)
+        return simulate(tasks, len(weights), weights)
+
     def nt_serial_ms(self, batch_per_group: float) -> float:
         """Frozen part executed before pipelining, data parallel."""
         S = self.config.num_stages
@@ -160,8 +172,7 @@ class ChimeraBaseline:
 
         execs_down = self._stage_execs(partition.down, micro)
         execs_up = self._stage_execs(partition.down, micro)
-        tasks = get_family("bidirectional").build(execs_down, M, up=execs_up)
-        tl = simulate(tasks, S, {i: partition.down[i].replicas for i in range(S)})
+        tl = self._simulate(execs_down, execs_up, M)
         nt = self.nt_serial_ms(batch_per_group)
         iteration = tl.makespan + nt
         return BaselineResult(
@@ -187,8 +198,7 @@ class ChimeraBaseline:
         partition = self._partition(batch_per_group)
         micro = batch_per_group / (2 * M)
         execs = self._stage_execs(partition.down, micro)
-        tasks = get_family("bidirectional").build(execs, M, up=execs)
-        tl = simulate(tasks, S, {i: partition.down[i].replicas for i in range(S)})
+        tl = self._simulate(execs, execs, M)
         nt = self.nt_serial_ms(batch_per_group)
         return tl.bubble_device_time() / (
             (tl.makespan + nt) * tl.total_physical_devices

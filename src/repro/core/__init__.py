@@ -46,7 +46,6 @@ from .partition import (
     PartitionContext,
     StageCosts,
     partition_backbone,
-    pareto_insert,
 )
 from .partition_cdm import (
     CDMPartitionContext,
@@ -104,7 +103,6 @@ __all__ = [
     "PartitionContext",
     "StageCosts",
     "partition_backbone",
-    "pareto_insert",
     "CDMPartitionContext",
     "group_backbones",
     "partition_cdm",

@@ -1,12 +1,14 @@
 """Dynamic-programming backbone partitioning (paper §4.1 and §4.3).
 
-The partitioner minimises the upper bound on FIFO-1F1B pipeline
+The partitioner minimises the paper's estimate of FIFO-1F1B pipeline
 execution time
 
     T_max = (M + 2S - 2) * T0 + T0^{S-C}            (Eqn. 1)
 
 over all ways of cutting the backbone's ``L`` layers into ``S``
-contiguous stages, where
+contiguous stages.  ``T_max`` is the DP's objective, not a bound: the
+simulated makespan of a partition can exceed it, so the planner ranks
+configurations on simulated timelines.  Here
 
 * ``T0`` (per stage, Eqn. 3) is the larger of the stage's
   forward+backward compute per micro-batch and its inter-stage
@@ -144,8 +146,10 @@ class PartitionContext:
         sub-problem does not know yet.  Crediting the nominal time
         divided by the group's *maximum* factor under-credits every
         possible placement — earlier layers can never run faster than
-        on the group's fastest device — so the resulting ``Y`` keeps
-        ``T_max`` a valid upper bound.
+        on the group's fastest device — so the resulting ``Y`` is at
+        least the gap any placement of those layers would leave.
+        ``T_max`` stays the DP's objective, not a bound on the simulated
+        pipeline time.
         """
         if self.speed_scales is None:
             return 1.0
@@ -304,60 +308,6 @@ class StageCosts:
     def feedback_ms(self) -> float:
         """``T_F`` of §4.3: last-stage output fed back to stage 0."""
         return self.send_ms(self.num_layers)
-
-
-# -- Pareto machinery -------------------------------------------------------------
-
-
-def pareto_insert(
-    frontier: list[tuple], candidate: tuple, value_dims: int
-) -> bool:
-    """Insert ``candidate`` whose first ``value_dims`` entries are the
-    objective coordinates; drop it (return False) if dominated, and prune
-    points it dominates."""
-    if value_dims == 3:
-        # Hot path of the partition DP: unrolled comparisons (same
-        # dominance tests, no generator/zip overhead).
-        c0, c1, c2 = candidate[0], candidate[1], candidate[2]
-        keep: list[tuple] = []
-        for existing in frontier:
-            e0, e1, e2 = existing[0], existing[1], existing[2]
-            if e0 <= c0 and e1 <= c1 and e2 <= c2:
-                # existing dominates (or equals) the candidate
-                return False
-            if not (c0 <= e0 and c1 <= e1 and c2 <= e2):
-                keep.append(existing)
-            # else: candidate dominates `existing` -> drop it
-        keep.append(candidate)
-        frontier[:] = keep
-        return True
-    if value_dims == 2:
-        # Two coordinates: the fold of the CDM DP oracle
-        # (tests/oracles/), unrolled like the branch above.
-        c0, c1 = candidate[0], candidate[1]
-        keep = []
-        for existing in frontier:
-            e0, e1 = existing[0], existing[1]
-            if e0 <= c0 and e1 <= c1:
-                return False
-            if not (c0 <= e0 and c1 <= e1):
-                keep.append(existing)
-        keep.append(candidate)
-        frontier[:] = keep
-        return True
-    cvals = candidate[:value_dims]
-    keep = []
-    for existing in frontier:
-        evals = existing[:value_dims]
-        if all(e <= c for e, c in zip(evals, cvals)):
-            # existing dominates (or equals) the candidate
-            return False
-        if not all(c <= e for c, e in zip(cvals, evals)):
-            keep.append(existing)
-        # else: candidate dominates `existing` -> drop it
-    keep.append(candidate)
-    frontier[:] = keep
-    return True
 
 
 def partition_backbone(

@@ -1,9 +1,10 @@
 """Vectorized numpy engines for the partition DP table builds.
 
 A pure-Python Pareto DP spends essentially all of its cold time in loop
-overhead: profiling shows tens of thousands of ``max``/``pareto_insert``
-calls against a few hundred distinct segment-cost evaluations.  This
-module builds the tables behind the two DP wrappers as array kernels —
+overhead: profiling the oracles (``tests/oracles/``) shows tens of
+thousands of ``max``/``pareto_insert`` calls against a few hundred
+distinct segment-cost evaluations.  This module builds the tables
+behind the two DP wrappers as array kernels —
 :func:`het_table_array` for the single-backbone 1F1B DP
 (``partition._het_frontiers``) and :func:`cdm_table_array` for the
 bidirectional CDM DP (``partition_cdm._cdm_frontiers``), plus
@@ -21,8 +22,8 @@ choose (Eqns. 7-9).  The table kernels work as follows:
   ``searchsorted`` ranges) and the full candidate slab is one
   ``np.maximum(parent_coords, slice_costs)`` broadcast;
 * Pareto reduction is a sort-based staircase sweep when the frontier
-  has two independent coordinates, and grouped pairwise dominance
-  filtering over sorted candidate segments when it has three.
+  has two independent coordinates, and a sort-and-peel fold when it
+  has three.
 
 The kernels are *differential twins* of the pure-Python recursions they
 replaced, which live on as oracles in ``tests/oracles/``: they evaluate
@@ -35,18 +36,23 @@ the two.
 Exactness notes
 ---------------
 
-``pareto_insert`` keeps a candidate iff no other candidate in the same
-frontier dominates-or-equals it from an earlier generation position or
-strictly dominates it from a later one, and lists survivors in
-generation order — so the reduction needs exact comparisons, never
-arithmetic on the coordinates.  Both kernels expand every
-(batch, parent entry) candidate in arrival order
+The oracles' sequential fold, ``pareto_insert``, keeps a candidate
+iff no other candidate in the same frontier dominates-or-equals it from
+an earlier generation position or strictly dominates it from a later
+one, and lists survivors in generation order — so the reduction needs
+exact comparisons, never arithmetic on the coordinates.  Both kernels
+expand every (batch, parent entry) candidate in arrival order
 (:func:`_expand_batches`) and reduce each target state's stream in one
 pass.  The CDM DP and the 1F1B DP under default pricing have two
 independent coordinates, so one :func:`_staircase_drop` settles every
-state; the other 1F1B pricing modes keep three and go through
-:func:`_segmented_pareto`.  No frontier is ever truncated, so a state's
-final frontier is exactly its stream's survivors.
+state; self-conditioning and zero-bubble pricing keep three, and
+:func:`_peel_drop` settles those states in as many vectorized rounds
+as the widest frontier has entries.  Both folds sort, and a stable
+sort (or an explicit tie repair) keeps arrival order among equal
+candidates.  No frontier is ever truncated, so a state's final
+frontier is exactly its stream's survivors;
+``tests/test_pareto_folds.py`` holds both drop masks to the sequential
+fold.
 """
 
 from __future__ import annotations
@@ -61,13 +67,6 @@ __all__ = [
     "cdm_table_array",
     "cdm_floor_array",
 ]
-
-#: element budget of one padded pairwise-dominance chunk
-_PAIRWISE_BUDGET = 1 << 21
-
-#: segment width of the first hierarchical-reduction level
-_SEGMENT_CHUNK = 64
-
 
 # -- shared machinery --------------------------------------------------------
 
@@ -139,63 +138,6 @@ def _cost_slabs(
     comp = B - costs._bwd[0]
     gap = sync - (comp / comp_scale)[:, None]
     return t0, alt, gap
-
-
-def _chunks_by_budget(counts: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous segment chunks with bounded padded pairwise size
-    (``_PAIRWISE_BUDGET`` elements, or a single segment).
-
-    Chunk width is uniform, derived from the globally widest segment —
-    the hierarchical reduction of :func:`_segmented_pareto` bounds
-    per-segment counts, so the padding waste stays small and the
-    construction stays O(number of chunks).
-    """
-    nseg = len(counts)
-    m = int(counts.max(initial=0))
-    rows = max(1, _PAIRWISE_BUDGET // max(1, m * m))
-    return [(lo, min(lo + rows, nseg)) for lo in range(0, nseg, rows)]
-
-
-def _grouped_pareto(
-    cols: tuple[np.ndarray, ...], counts: np.ndarray
-) -> np.ndarray:
-    """Per-segment Pareto reduction by padded pairwise dominance.
-
-    Candidates lie contiguously per segment, in generation order.
-    ``drop[i]`` is True iff some candidate of the same segment
-    dominates-or-equals ``i`` from an earlier position or strictly
-    dominates it from anywhere — exactly the set ``pareto_insert``
-    removes over a full fold, so survivors (in order) are the fold's
-    final frontier.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    n = int(counts.sum())
-    drop = np.zeros(n, dtype=bool)
-    if n == 0:
-        return drop
-    starts = np.cumsum(counts) - counts
-    for lo, hi in _chunks_by_budget(counts):
-        cnt = counts[lo:hi]
-        m = int(cnt.max(initial=0))
-        if m == 0:
-            continue
-        st = starts[lo:hi]
-        pos = np.arange(m, dtype=np.int64)
-        valid = pos[None, :] < cnt[:, None]
-        idx = np.where(valid, st[:, None] + pos[None, :], 0)
-        le = None
-        lt = None
-        for col in cols:
-            V = np.where(valid, col[idx], np.inf)
-            cle = V[:, :, None] <= V[:, None, :]
-            clt = V[:, :, None] < V[:, None, :]
-            le = cle if le is None else (le & cle)
-            lt = clt if lt is None else (lt | clt)
-        # j removes i iff j dominates-or-equals i and (strictly, or j
-        # is earlier in generation order).  j == i never qualifies.
-        domo = le & (lt | (pos[:, None] < pos[None, :]))
-        drop[idx[valid]] = domo.any(axis=1)[valid]
-    return drop
 
 
 def _staircase_drop(
@@ -327,56 +269,39 @@ def _staircase_drop(
     return drop
 
 
-def _segmented_pareto(
-    cols: tuple[np.ndarray, ...], counts: np.ndarray
+def _peel_drop(
+    w: np.ndarray, s: np.ndarray, y: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Exact per-segment Pareto drop mask via hierarchical reduction.
+    """Exact three-column per-segment Pareto drop mask.
 
-    The kill relation (dominates-or-equals from an earlier position, or
-    strictly dominates from anywhere) is transitive, so any candidate a
-    chunk-mate kills is killed by a *final* survivor too: filtering
-    bounded chunks first, then re-filtering the survivors at full
-    segment granularity, yields exactly the pairwise drop mask while
-    never materialising a quadratic-in-segment comparison tensor.
+    Each segment is lexsorted by ``(w, s, y)``; the sort is stable, so
+    full value ties keep the incoming (arrival) order.  A candidate can
+    then only be killed — dominated-or-equalled from an earlier
+    position, or strictly dominated — by one that sorts before it, and
+    the kill relation is transitive, so a candidate a dropped one kills
+    is killed by a survivor too.  Each round therefore keeps the first
+    undecided candidate of every segment and drops every later one of
+    its segment whose ``(s, y)`` it dominates-or-equals (its ``w`` is
+    ``<=`` by sort order).  That is ``pareto_insert``'s rule over a full
+    fold in arrival order, and the loop runs as many rounds as the
+    widest final frontier has entries.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    n = int(counts.sum())
-    drop = np.zeros(n, dtype=bool)
-    if n == 0:
-        return drop
-    alive = np.arange(n, dtype=np.int64)
-    seg_alive = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    cur = counts
-    while True:
-        big = cur > _SEGMENT_CHUNK
-        final = not big.any()
-        if final:
-            sub = cur
-        else:
-            q, rem = np.divmod(cur, _SEGMENT_CHUNK)
-            nsub = q + (rem > 0)
-            sub = np.full(int(nsub.sum()), _SEGMENT_CHUNK, dtype=np.int64)
-            ends = np.cumsum(nsub) - 1
-            has_rem = rem > 0
-            sub[ends[has_rem]] = rem[has_rem]
-        d = _grouped_pareto(tuple(c[alive] for c in cols), sub)
-        if final:
-            drop[alive[d]] = True
-            return drop
-        keep = ~d
-        alive = alive[keep]
-        seg_alive = seg_alive[keep]
-        new = np.bincount(seg_alive, minlength=len(counts))
-        drop[:] = True
-        drop[alive] = False
-        if (new == cur).all():
-            # No shrinkage: the true frontiers really are this wide.
-            # Finish with one full-granularity pass (exact by
-            # transitivity — every final survivor is still alive).
-            d = _grouped_pareto(tuple(c[alive] for c in cols), new)
-            drop[alive[d]] = True
-            return drop
-        cur = new
+    seg = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    order = np.lexsort((y, s, w, seg))
+    sg, ss, ys = seg[order], s[order], y[order]
+    drop = np.zeros(len(w), dtype=bool)
+    while len(order):
+        head = np.empty(len(order), dtype=bool)
+        head[0] = True
+        np.not_equal(sg[1:], sg[:-1], out=head[1:])
+        lead = np.flatnonzero(head)
+        run = np.diff(lead, append=len(order))
+        dom = (np.repeat(ss[lead], run) <= ss) & (np.repeat(ys[lead], run) <= ys)
+        drop[order[dom & ~head]] = True
+        keep = ~(dom | head)
+        order, sg, ss, ys = order[keep], sg[keep], ss[keep], ys[keep]
+    return drop
 
 
 def _flatten_entries(
@@ -546,7 +471,7 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
             drop = _staircase_drop(CW, CY, ct_counts)
         else:
             CS = np.maximum(ES[eidx], SALT[K_b, PL_b, L_b][bidx])
-            drop = _segmented_pareto((CW, CS, CY), ct_counts)
+            drop = _peel_drop(CW, CS, CY, ct_counts)
         kidx = np.flatnonzero(~drop)
 
         # Target states in creation order; assemble surviving entries.

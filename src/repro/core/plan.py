@@ -52,9 +52,12 @@ class PartitionPlan:
     backbone; ``up`` is empty for single-backbone models and holds the
     up-direction backbone's chain for cascaded models (§4.2).
 
-    ``t_max_ms`` is the partitioner's upper bound on pipeline execution
-    time (Eqn. 1 / 12 / 18); ``w_ms`` and ``y_ms`` are the chosen
-    solution's ``T0`` and ``T0^{S-C}`` values.
+    ``t_max_ms`` is the partition DP's objective (Eqn. 1 / 12 / 18),
+    the value the chosen cut minimises; ``w_ms`` and ``y_ms`` are the
+    chosen solution's ``T0`` and ``T0^{S-C}`` values.  ``T_max`` ranks
+    partitions but does not bound their pipeline time: the simulated
+    makespan can exceed it (interleaved SD v2.1 on one 8-GPU node, for
+    example, by up to 1.53x).
     """
 
     down: tuple[StageAssignment, ...]

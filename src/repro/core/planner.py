@@ -44,6 +44,7 @@ from ..models.graph import ModelSpec
 from ..profiling.profiler import Profiler
 from ..profiling.records import ProfileDB
 from ..schedule import get_family, schedule_family_names
+from ..schedule.families import device_weights
 from ..schedule.simulator import simulate
 from ..schedule.stages import StageExec
 from ..schedule.timeline import Timeline
@@ -1206,11 +1207,7 @@ class DiffusionPipePlanner:
         windows of the devices before its own end — the partition DP's
         placement convention."""
         chains = self._family.chains(partition.down, partition.up or None)
-        hosts: dict[int, int] = {}
-        for chain, device_order in chains:
-            for st, d in zip(chain, device_order):
-                hosts.setdefault(d, st.replicas)
-        weights = {d: hosts[d] for d in range(len(hosts))}
+        weights = device_weights(chains)
         starts = [0, *accumulate(weights.values())]
         execs = [
             self._stage_execs(

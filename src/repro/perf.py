@@ -27,6 +27,8 @@ Every ``builds`` row times the production (``array``) engine; the
 row builds the 1F1B table pinned to a uniform replica count, the
 ``het1f1b`` row the free heterogeneous one (both ``het_table_array``);
 the ``cdm`` row builds a pinned bidirectional table.  The
+``het1f1b-sc`` row builds the ``het1f1b`` table with self-conditioning,
+whose frontier has three coordinates; the other rows' have two.  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from typing import Any, Callable
 
 from .cluster import single_node
@@ -134,6 +137,7 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
         )
 
     bctx = ctx(down)
+    sctx = replace(bctx, self_conditioning=True)
     cctx = CDMPartitionContext(down=ctx(down, M=8), up=ctx(up, M=8))
 
     cases = [
@@ -153,6 +157,11 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
             lambda caches: _cdm_frontiers(
                 cctx, 4, 8, caches, fixed_r=2, cut_step=2, ld=ld, lu=lu
             ),
+        ),
+        (
+            "het1f1b-sc",
+            "cdm-lsun down S=4 D=16 sc",
+            lambda caches: _het_frontiers(sctx, L, 4, 16, caches),
         ),
     ]
 

@@ -18,14 +18,17 @@ lowers the chains to task graphs (ids prefixed ``dn/`` and ``up/`` when
 there are two) and one shared ``floor`` bounds their simulated
 makespan.  The memory estimator hosts each device's stages by walking
 the same chains, and the planner derives from them the simulator's
-device weights and each stage's speed window.  So nothing can put a
+device weights (:func:`device_weights`, which the Chimera baseline
+shares) and each stage's speed window.  So nothing can put a
 stage on different devices — which the planner's bound ladder relies
 on to skip the simulation of configurations whose floor cannot win.
 
 ``chains`` only places stages: it takes any stage sequence whose items
 carry ``replicas`` (:class:`~repro.schedule.stages.StageExec` chains,
-or a partition's :class:`~repro.core.plan.StageAssignment` chains) and
-leaves their validation to ``build_1f1b`` and ``makespan_floor``.
+or a partition's :class:`~repro.core.plan.StageAssignment` chains),
+checks only that the stages it puts on one device agree on replicas,
+and leaves the rest of their validation to ``build_1f1b`` and
+``makespan_floor``.
 Every family builds from the same inputs (stage chains + micro-batch
 count) and returns a plain task list for the discrete-event simulator;
 ``simulate`` needs no per-family logic.  ``forwards_first`` is also the
@@ -84,7 +87,8 @@ class ScheduleFamily:
         """The ``(stages, device_order)`` chains ``build`` and ``floor``
         lower to: one chain of ``v = virtual_stages`` chunks per device,
         chunk ``c`` on device ``c mod (len(stages) / v)`` — stage ``s``
-        on device ``s`` when ``v`` is 1."""
+        on device ``s`` when ``v`` is 1.  Chunks on one device must
+        have the same replica count."""
         if up is not None:
             raise ConfigurationError(
                 f"schedule family {self.name!r} builds a single backbone; "
@@ -98,6 +102,14 @@ class ScheduleFamily:
                 "device)"
             )
         devices = len(stages) // v
+        for c in range(devices, len(stages)):
+            d = c % devices
+            if stages[c].replicas != stages[d].replicas:
+                raise ConfigurationError(
+                    f"co-located chunks disagree on replication at device "
+                    f"{d}: chunk {d} has {stages[d].replicas} replicas, "
+                    f"chunk {c} has {stages[c].replicas}"
+                )
         return [(stages, [c % devices for c in range(len(stages))])]
 
     def build(
@@ -147,6 +159,17 @@ class ScheduleFamily:
             comm_scale=self.comm_scale,
             split_backward=self.splits_backward,
         )
+
+
+def device_weights(chains: Sequence[Chain]) -> dict[int, int]:
+    """``{device: replicas}`` of a family's ``chains``, devices in
+    order: the simulator's device weights.  Every stage a device hosts
+    has the same replica count (``chains`` checks it)."""
+    hosts: dict[int, int] = {}
+    for chain, device_order in chains:
+        for st, d in zip(chain, device_order):
+            hosts.setdefault(d, st.replicas)
+    return {d: hosts[d] for d in range(len(hosts))}
 
 
 SCHEDULE_FAMILIES: dict[str, Callable[[], ScheduleFamily]] = {}

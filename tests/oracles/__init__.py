@@ -10,6 +10,10 @@ they replaced live here, next to the suites that diff against them:
   count;
 * :func:`chain_frontiers_reference` — the uniform-replication DP over
   prefixes, which the fold test holds the pinned 1F1B table to;
+* :func:`pareto_insert` — the sequential frontier fold every DP oracle
+  runs per candidate, and the reference of the array kernels' drop
+  masks (``_staircase_drop`` and ``_peel_drop`` in
+  :mod:`repro.core.partition_kernels`);
 * :func:`cdm_floor_reference` — the bound ladder's CDM makespan floor
   terms by brute force over every lattice partition
   (:func:`repro.core.partition_kernels.cdm_floor_array`);
@@ -38,7 +42,11 @@ from repro.core import partition_kernels
 
 from .bubbles import extract_bubbles_reference
 from .fill_strategies import LookaheadReferenceFill
-from .partition import chain_frontiers_reference, het_frontiers_reference
+from .partition import (
+    chain_frontiers_reference,
+    het_frontiers_reference,
+    pareto_insert,
+)
 from .partition_cdm import cdm_dp_table_reference, cdm_floor_reference
 from .placement import (
     device_weights_reference,
@@ -57,6 +65,7 @@ __all__ = [
     "extract_bubbles_reference",
     "het_frontiers_reference",
     "memory_report_reference",
+    "pareto_insert",
     "reference_dp_kernels",
     "simulate_reference",
     "stage_execs_reference",

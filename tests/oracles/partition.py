@@ -3,17 +3,70 @@
 The pure-Python Pareto recursions the array kernels of
 :mod:`repro.core.partition_kernels` replaced.  They evaluate the same
 ``max`` compositions in the same order, so the kernels must reproduce
-their tables bit for bit, entry order included.
+their tables bit for bit, entry order included.  Every candidate goes
+through :func:`pareto_insert`, the sequential frontier fold the CDM
+oracle shares.
 """
 
 from __future__ import annotations
 
-from repro.core.partition import (
-    PartitionContext,
-    StageCosts,
-    _LazyStageCosts,
-    pareto_insert,
-)
+from repro.core.partition import PartitionContext, StageCosts, _LazyStageCosts
+
+
+def pareto_insert(
+    frontier: list[tuple], candidate: tuple, value_dims: int
+) -> bool:
+    """Insert ``candidate`` whose first ``value_dims`` entries are the
+    objective coordinates; drop it (return False) if dominated, and prune
+    points it dominates.
+
+    The sequential Pareto fold of the DP oracles.  Folding a stream
+    through it in arrival order keeps exactly the candidates the array
+    kernels' drop masks keep (``_staircase_drop`` for two coordinates,
+    ``_peel_drop`` for three; ``tests/test_pareto_folds.py``)."""
+    if value_dims == 3:
+        # Hot path of the 1F1B DP oracles: unrolled comparisons (same
+        # dominance tests, no generator/zip overhead).
+        c0, c1, c2 = candidate[0], candidate[1], candidate[2]
+        keep: list[tuple] = []
+        for existing in frontier:
+            e0, e1, e2 = existing[0], existing[1], existing[2]
+            if e0 <= c0 and e1 <= c1 and e2 <= c2:
+                # existing dominates (or equals) the candidate
+                return False
+            if not (c0 <= e0 and c1 <= e1 and c2 <= e2):
+                keep.append(existing)
+            # else: candidate dominates `existing` -> drop it
+        keep.append(candidate)
+        frontier[:] = keep
+        return True
+    if value_dims == 2:
+        # Two coordinates: the fold of the CDM DP oracle, unrolled
+        # like the branch above.
+        c0, c1 = candidate[0], candidate[1]
+        keep = []
+        for existing in frontier:
+            e0, e1 = existing[0], existing[1]
+            if e0 <= c0 and e1 <= c1:
+                return False
+            if not (c0 <= e0 and c1 <= e1):
+                keep.append(existing)
+        keep.append(candidate)
+        frontier[:] = keep
+        return True
+    cvals = candidate[:value_dims]
+    keep = []
+    for existing in frontier:
+        evals = existing[:value_dims]
+        if all(e <= c for e, c in zip(evals, cvals)):
+            # existing dominates (or equals) the candidate
+            return False
+        if not all(c <= e for c, e in zip(cvals, evals)):
+            keep.append(existing)
+        # else: candidate dominates `existing` -> drop it
+    keep.append(candidate)
+    frontier[:] = keep
+    return True
 
 
 def chain_frontiers_reference(

@@ -11,8 +11,10 @@ from functools import cache
 from itertools import combinations, product
 from math import inf
 
-from repro.core.partition import _LazyStageCosts, pareto_insert
+from repro.core.partition import _LazyStageCosts
 from repro.core.partition_cdm import CDMPartitionContext, _cut_points, _min_gap
+
+from .partition import pareto_insert
 
 
 def _seg_eval(costs_for, comp_scale: float):

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cluster import CommCosts
 from repro.core import PartitionContext, StageCosts, partition_backbone
-from repro.core.partition import pareto_insert
 from repro.errors import ConfigurationError, PartitionError
+from tests.oracles import pareto_insert
 
 from .conftest import make_synthetic_db
 

@@ -37,11 +37,22 @@ def chain_case(draw):
     """``(family, stages, build keywords, M)`` of one fuzzed chain: S
     1-6 stages (chunks for ``interleaved``, on a divisor of S devices),
     M 1-16, self-conditioning on or off, 1-3 replicas per position
-    (co-located bidirectional stages agree)."""
+    (co-located bidirectional stages and chunks agree)."""
     family = get_family(draw(st.sampled_from(sorted(SCHEDULE_FAMILIES))))
     chunked = family.virtual_stages > 1
     S = draw(st.integers(1, 6))
-    replicas = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
+    if chunked:
+        # Chunks that share a device share its replica count.
+        devices = draw(
+            st.sampled_from([d for d in range(1, S + 1) if S % d == 0])
+        )
+        family.virtual_stages = S // devices
+        per_device = draw(
+            st.lists(st.integers(1, 3), min_size=devices, max_size=devices)
+        )
+        replicas = [per_device[c % devices] for c in range(S)]
+    else:
+        replicas = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
 
     def chain(replicas):
         stages = []
@@ -74,11 +85,6 @@ def chain_case(draw):
     }
     if family.cascaded:
         kwargs["up"] = chain(replicas[::-1])
-    if chunked:
-        devices = draw(
-            st.sampled_from([d for d in range(1, S + 1) if S % d == 0])
-        )
-        family.virtual_stages = S // devices
     return family, stages, kwargs, draw(st.integers(1, 16))
 
 

@@ -58,7 +58,7 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     assert set(report) == {"schema", "best_of", "builds", "elastic", "sweep"}
     assert report["schema"] == BENCH_SCHEMA and report["best_of"] == 1
     assert [(b["dp"], b["engine"]) for b in report["builds"]] == [
-        (dp, "array") for dp in ("chain", "het1f1b", "cdm")
+        (dp, "array") for dp in ("chain", "het1f1b", "cdm", "het1f1b-sc")
     ]
     for build in report["builds"]:
         assert set(build) == {"dp", "shape", "engine", "cold_s", "warm_s"}
@@ -70,9 +70,9 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     }
 
     cold = [i for i, (kind, _) in enumerate(events) if kind == "cold"]
-    # Three DP builds, the elastic cold plan, the elastic session's
+    # Four DP builds, the elastic cold plan, the elastic session's
     # first replan and the sweep's plan.
-    assert len(cold) == 3 + 3
+    assert len(cold) == 4 + 3
     for i in cold:
         assert events[i - 1] == ("reset", events[i][1]), (
             f"cold call {i} did not follow a reset of its profile"

@@ -43,7 +43,7 @@ def memory_case(draw):
     """``(family, model, partition)``: 1-4 stage positions (``v`` chunks
     each for a chunked family) cut from a backbone with drawn parameter
     and activation bytes, 1-3 replicas per stage (co-located
-    bidirectional stages agree), M 1-9."""
+    bidirectional stages and chunks agree), M 1-9."""
     family = get_family(draw(st.sampled_from(sorted(SCHEDULE_FAMILIES))))
     S = draw(st.integers(1, 4)) * family.virtual_stages
     L = draw(st.integers(S + 1, S + 6))
@@ -77,7 +77,15 @@ def memory_case(draw):
             for lo, hi, r in zip(bounds, bounds[1:], replicas)
         )
 
-    replicas = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
+    if family.virtual_stages > 1:
+        # Chunks that share a device share its replica count.
+        devices = S // family.virtual_stages
+        per_device = draw(
+            st.lists(st.integers(1, 3), min_size=devices, max_size=devices)
+        )
+        replicas = [per_device[c % devices] for c in range(S)]
+    else:
+        replicas = draw(st.lists(st.integers(1, 3), min_size=S, max_size=S))
     partition = PartitionPlan(
         down=chain(replicas),
         up=chain(replicas[::-1]) if family.cascaded else (),
@@ -160,22 +168,30 @@ def test_stage_execs_match_the_window_oracle(schedule, make_model, cluster):
 
 
 @pytest.mark.parametrize(
-    "name, up, n, match",
+    "name, up, replicas, match",
     [
-        ("onef1b", True, 2, "single backbone"),
-        ("bidirectional", False, 2, "up-pipeline"),
-        ("interleaved", False, 3, "whole number of chunks"),
+        ("onef1b", True, (1, 1), "single backbone"),
+        ("bidirectional", False, (1, 1), "up-pipeline"),
+        ("interleaved", False, (1, 1, 1), "whole number of chunks"),
+        # Device 0 hosts chunks 0 and 2.
+        ("interleaved", False, (1, 1, 3, 1), "device 0: chunk 0 .* chunk 2"),
     ],
-    ids=["up-chain-under-onef1b", "bidirectional-without-up", "odd-chunks"],
+    ids=[
+        "up-chain-under-onef1b", "bidirectional-without-up", "odd-chunks",
+        "co-located-chunks-disagree",
+    ],
 )
-def test_unplaceable_partitions_are_rejected(name, up, n, match):
+def test_unplaceable_partitions_are_rejected(name, up, replicas, match):
     """``chains`` rejects what its family cannot place on a partition's
     stages, and so does the memory estimator, which used to price such
     a partition silently (``build`` and ``floor`` reject the same
-    ``StageExec`` chains: ``test_makespan_floor.py``)."""
+    ``StageExec`` chains: ``test_makespan_floor.py``).  Chunks that
+    share a device must agree on replicas, as co-located bidirectional
+    stages must: the simulator weights a device by one count."""
     model = uniform_model()
     bb = model.backbone_names[0]
-    down = tuple(StageAssignment(bb, i, i + 1) for i in range(n))
+    n = len(replicas)
+    down = tuple(StageAssignment(bb, i, i + 1, r) for i, r in enumerate(replicas))
     with pytest.raises(ConfigurationError, match=match):
         get_family(name).chains(down, down if up else None)
     plan = PartitionPlan(

@@ -18,7 +18,6 @@ from repro.core import (
 )
 from repro.core.filling import ComponentState, fill_one_bubble
 from repro.core.bubbles import Bubble, total_bubble_device_time
-from repro.core.partition import pareto_insert
 from repro.engine import SGD, PipelineTrainer, SingleDeviceTrainer, clone_chain, mlp_chain
 from repro.engine.equivalence import max_param_diff
 from repro.profiling import ProfileDB
@@ -29,7 +28,7 @@ from repro.schedule import (
     get_family,
     simulate,
 )
-from tests.oracles import simulate_reference
+from tests.oracles import pareto_insert, simulate_reference
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 

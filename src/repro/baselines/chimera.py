@@ -133,9 +133,10 @@ class ChimeraBaseline:
             for c in self.model.non_trainable
         )
 
-    # -- evaluation --------------------------------------------------------------
-
-    def run(self, global_batch: float) -> BaselineResult:
+    def _batch_per_group(self, global_batch: float) -> float:
+        """The per-pipeline batch of ``global_batch``; raises
+        :class:`ConfigurationError` unless the stage count divides the
+        world and each direction's micro-batches hold whole samples."""
         S = self.config.num_stages
         M = self.config.micro_per_direction
         world = self.cluster.world_size
@@ -147,7 +148,14 @@ class ChimeraBaseline:
                 f"global batch {global_batch} incompatible with dp={dp}, "
                 f"2M={2 * M}"
             )
-        batch_per_group = global_batch / dp
+        return global_batch / dp
+
+    # -- evaluation --------------------------------------------------------------
+
+    def run(self, global_batch: float) -> BaselineResult:
+        S = self.config.num_stages
+        M = self.config.micro_per_direction
+        batch_per_group = self._batch_per_group(global_batch)
         partition = self._partition(batch_per_group)
         micro = batch_per_group / (2 * M)
 
@@ -190,11 +198,9 @@ class ChimeraBaseline:
 
     def bubble_ratio(self, global_batch: float) -> float:
         """Bubble ratio of the bidirectional schedule (for Fig. 14-style
-        comparisons)."""
-        S = self.config.num_stages
+        comparisons); rejects the batches :meth:`run` rejects."""
         M = self.config.micro_per_direction
-        dp = self.cluster.world_size // S
-        batch_per_group = global_batch / dp
+        batch_per_group = self._batch_per_group(global_batch)
         partition = self._partition(batch_per_group)
         micro = batch_per_group / (2 * M)
         execs = self._stage_execs(partition.down, micro)

@@ -228,13 +228,15 @@ class PlannerCaches:
     ``fills``
         the lookahead :class:`FillShapeCache`.
     ``kernel_plans``
-        geometry-only transition plans of the array DP kernels
-        (:mod:`repro.core.partition_kernels`): per-stage batch index
-        arrays keyed by lattice geometry alone, so adjacent
-        stage-local batches in a sweep re-scale shared cut-grid
-        segment arrays instead of re-enumerating them.
+        geometry-only transition plans of the CDM array kernels
+        (:mod:`repro.core.partition_kernels`): per chain position, the
+        transitions' parent indices and flat slab offsets, keyed by
+        lattice geometry alone, so the table builds and floor folds
+        of adjacent stage-local batches in a sweep gather through one
+        shared plan instead of re-enumerating the cut grid.
         Profile-independent (plain :class:`LruStore`) and deliberately
-        not snapshotted: plans rebuild in microseconds.
+        not snapshotted: a plan rebuilds in tens of milliseconds at
+        most.
 
     ``partition``, ``evals`` and ``timelines`` are bounded LRUs:
     re-profiling strands their weak-keyed entries, and their values pin

@@ -183,6 +183,12 @@ class StageCosts:
     homogeneous group, and the division is unconditional — no identity
     gate — so the elementwise op sequence matches the array kernels
     exactly.
+
+    The O(L) prefix sums come from
+    :meth:`~repro.profiling.records.ProfileDB.stage_prefix_sums`,
+    memoised on the profile by (component, local batch): the DPs build
+    an evaluator per (context, replica count), far more of them than
+    there are distinct local batches.
     """
 
     def __init__(
@@ -204,16 +210,11 @@ class StageCosts:
             raise ConfigurationError("local batch must be positive")
         self.local_batch = b
         # Prefix sums over layers: fwd/bwd times, the grad-weight (W)
-        # share of each backward, gradient bytes.
-        self._fwd = [0.0] * (n + 1)
-        self._bwd = [0.0] * (n + 1)
-        self._bww = [0.0] * (n + 1)
-        self._grad = [0.0] * (n + 1)
-        for i in range(n):
-            self._fwd[i + 1] = self._fwd[i] + prof.fwd_ms(comp, i, b)
-            self._bwd[i + 1] = self._bwd[i] + prof.bwd_ms(comp, i, b)
-            self._bww[i + 1] = self._bww[i] + prof.bwd_w_ms(comp, i, b)
-            self._grad[i + 1] = self._grad[i] + prof.layer(comp, i).grad_bytes
+        # share of each backward, gradient bytes.  Shared read-only with
+        # every evaluator at this local batch (the profile's memo).
+        self._fwd, self._bwd, self._bww, self._grad = prof.stage_prefix_sums(
+            comp, b
+        )
 
     # -- pieces ----------------------------------------------------------------
 

@@ -21,6 +21,12 @@ choose (Eqns. 7-9).  The table kernels work as follows:
   boolean device-budget and cut-grid feasibility masks turn into
   ``searchsorted`` ranges) and the full candidate slab is one
   ``np.maximum(parent_coords, slice_costs)`` broadcast;
+* a CDM lattice's transitions come from one cached geometry plan per
+  lattice shape (:func:`_build_cdm_plan`, linear in the transitions),
+  which stores each transition's flat slab offsets, so
+  :func:`cdm_table_array` and :func:`cdm_floor_array` both gather with
+  one 1-D take per slab; a free lattice's floors at every replica cap
+  share its uncapped plan;
 * Pareto reduction is a sort-based staircase sweep when the frontier
   has two independent coordinates, and a sort-and-peel fold when it
   has three.
@@ -319,24 +325,29 @@ def _flatten_entries(
 
 
 def _slab_ids(
-    ctx, D: int, r_values, fixed_r: int | None
+    ctx, D: int, r_values, fixed_r: int | None, r_max: int | None = None
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """One cost slab per distinct ``(r, window factor)``.
 
     A stage of ``r`` replicas starting at group-local device ``pd``
     runs at the bottleneck factor ``ctx.window_scale(pd, r)`` (1.0 on a
     homogeneous group); pinned stages start only at multiples of
-    ``fixed_r``.  Returns ``SID``, mapping ``(pd, r)`` to its slab so
-    the value gathers stay single fancy-index expressions, and each
-    slab's ``(r, factor)`` in id order.
+    ``fixed_r``.  Returns ``SID``, the ``(D + 1, r_max + 1)`` table
+    mapping ``(pd, r)`` to its slab (``r_max`` defaults to the largest
+    of ``r_values``), so the value gathers stay single fancy-index
+    expressions, and each slab's ``(r, factor)`` in id order.  Windows
+    of no listed ``r`` map to ``len(slabs)``, one past the last slab.
     """
     step = 1 if fixed_r is None else fixed_r
-    SID = np.zeros((D + 1, max(r_values, default=0) + 1), dtype=np.int64)
+    if r_max is None:
+        r_max = max(r_values, default=0)
+    SID = np.full((D + 1, r_max + 1), -1, dtype=np.int64)
     slab_id: dict[tuple[int, float], int] = {}
     for r in r_values:
         for pd in range(0, D - r + 1, step):
             key = (r, ctx.window_scale(pd, r))
             SID[pd, r] = slab_id.setdefault(key, len(slab_id))
+    SID[SID < 0] = len(slab_id)
     return SID, list(slab_id)
 
 
@@ -512,6 +523,9 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
 
 # -- bidirectional CDM -------------------------------------------------------
 
+#: names of a CDM plan stage's arrays (see :func:`_build_cdm_plan`)
+_CDM_STAGE_KEYS = ("P", "W", "OD", "OU", "tb_starts", "tb_counts", "TA", "TB", "TD")
+
 
 def _build_cdm_plan(
     *,
@@ -528,24 +542,48 @@ def _build_cdm_plan(
     r_cap: int,
     fixed_r: int | None,
 ) -> list[dict]:
-    """Geometry-only transition plan shared across table builds.
+    """Geometry-only transition plan shared by table builds and floors.
 
     State sets, batch enumeration and target creation order of the CDM
     DP depend only on the lattice geometry — frontiers are never empty,
-    so no value ever changes which states exist.  The plan tabulates,
-    per chain position, the parent states and the (parent, a, r, b)
-    batches grouped by target in creation order; a table build then
-    only fills in values.  Plans are cached in
-    ``PlannerCaches.kernel_plans`` so adjacent stage-local batches in a
-    sweep rebuild values over shared index arrays instead of
-    re-enumerating the cut grid.
+    so no value ever changes which states exist.  Per chain position the
+    plan lists the (parent, a, r, b) transitions in the DP's loop order
+    (parents in creation order, down cut ``a`` outer, replica count
+    ``r`` middle, up cut ``b`` inner), grouped by target state
+    ``(a, b, d)`` in first-arrival order.  Each stage holds
+
+    * ``P``: each transition's parent index (the parents are the
+      previous stage's targets, the root ``(0, 0, 0)`` at stage 1);
+    * its flat slab offsets: the window code ``W = pd * (r_cap + 1) +
+      r`` (a position's down and up stage share one device window
+      ``[pd, pd + r)``), the down slice ``OD = pa * (ld + 1) + a`` and
+      the up slice ``OU = (lu - b) * (lu + 1) + lu - pb``;
+    * ``tb_starts`` / ``tb_counts``: each target's run of transitions;
+    * ``TA`` / ``TB`` / ``TD``: the target states.
+
+    A table build or a floor fold then only gathers values.  ``r_cap``
+    is the plan's largest replica count, already clamped to
+    ``D - S + 1``; a pinned plan's is ``fixed_r``, on ``D = S * fixed_r``
+    devices, so no device count ever exceeds ``D``.
+
+    Enumeration and grouping are linear in the transitions: divisions
+    run per (parent, a, r) group and the up cuts expand with
+    :func:`_ragged_arange`; a dense table over the
+    ``(ld + 1)(lu + 1)(D + 1)`` target codes takes each target's first
+    arrival with ``np.minimum.at``, only the used codes are sorted into
+    creation order, and one stable argsort of the targets' ranks groups
+    the transitions — arrival order kept within each target (a radix
+    sort while the ranks fit in 16 bits).
+    ``tests.oracles.cdm_plan_reference`` is the ``np.unique`` grouping
+    this replaced; the fuzz suite holds the two array for array.
     """
     cuts_d_arr = np.asarray(cuts_d, dtype=np.int64)
     cuts_u_arr = np.asarray(cuts_u, dtype=np.int64)
+    nd, nu, nw, ndev = ld + 1, lu + 1, r_cap + 1, D + 1
+    first = np.empty(nd * nu * ndev, dtype=np.int64)
+    rank = np.empty_like(first)
     plan: list[dict] = []
-    PA = np.zeros(1, dtype=np.int64)
-    PB = np.zeros(1, dtype=np.int64)
-    PD = np.zeros(1, dtype=np.int64)
+    PA = PB = PD = np.zeros(1, dtype=np.int64)
     for k in range(1, S + 1):
         remaining = S - k
         room_d = ld - remaining * gap_d
@@ -568,75 +606,60 @@ def _build_cdm_plan(
             na = np.maximum(a_hi - a_lo, 0)
             nb = np.maximum(b_hi - b_lo, 0)
         else:
-            a_lo = np.searchsorted(cuts_d_arr, ld, side="left") * np.ones(
-                len(PA), dtype=np.int64
-            )
-            b_lo = np.searchsorted(cuts_u_arr, lu, side="left") * np.ones(
-                len(PB), dtype=np.int64
-            )
+            a_lo = np.full(len(PA), np.searchsorted(cuts_d_arr, ld))
+            b_lo = np.full(len(PB), np.searchsorted(cuts_u_arr, lu))
             na = np.ones(len(PA), dtype=np.int64)
             nb = np.ones(len(PB), dtype=np.int64)
-        n_per_p = na * nr * nb
-        total_b = int(n_per_p.sum())
-        if total_b == 0:
+        n_g = na * nr * (nb > 0)
+        if not n_g.any():
             plan.append(
-                {
-                    "P": np.zeros(0, dtype=np.int64),
-                    "A": np.zeros(0, dtype=np.int64),
-                    "B": np.zeros(0, dtype=np.int64),
-                    "R": np.zeros(0, dtype=np.int64),
-                    "PA": PA, "PB": PB, "PD": PD,
-                    "tb_starts": np.zeros(0, dtype=np.int64),
-                    "tb_counts": np.zeros(0, dtype=np.int64),
-                    "TA": np.zeros(0, dtype=np.int64),
-                    "TB": np.zeros(0, dtype=np.int64),
-                    "TD": np.zeros(0, dtype=np.int64),
-                }
+                {name: np.zeros(0, dtype=np.int64) for name in _CDM_STAGE_KEYS}
             )
             PA = PB = PD = np.zeros(0, dtype=np.int64)
             continue
-        P_b = np.repeat(np.arange(len(PA), dtype=np.int64), n_per_p)
-        local = _ragged_arange(n_per_p)
-        nrnb = (nr * nb)[P_b]
-        nb_b = nb[P_b]
-        ia = local // nrnb
-        ir = (local % nrnb) // nb_b
-        ib = local % nb_b
-        A_b = cuts_d_arr[a_lo[P_b] + ia]
-        B_b = cuts_u_arr[b_lo[P_b] + ib]
-        if fixed_r is not None:
-            R_b = np.full(total_b, fixed_r, dtype=np.int64)
-        else:
-            R_b = 1 + ir
-        D_b = PD[P_b] + R_b
+        # One group per (parent, down cut, replica count).
+        P_g = np.repeat(np.arange(len(PA), dtype=np.int64), n_g)
+        local = _ragged_arange(n_g)
+        nr_g = nr[P_g]
+        ia = local // nr_g
+        A_g = cuts_d_arr[a_lo[P_g] + ia]
+        R_g = fixed_r if fixed_r is not None else 1 + (local - ia * nr_g)
+        D_g = PD[P_g] + R_g
+        # Each group expands its parent's up cuts, innermost.
+        nb_g = nb[P_g]
+        g_b = np.repeat(np.arange(len(P_g), dtype=np.int64), nb_g)
+        B_b = cuts_u_arr[b_lo[P_g][g_b] + _ragged_arange(nb_g)]
+        code = ((A_g * nu) * ndev + D_g)[g_b] + B_b * ndev
 
-        code = (A_b * (lu + 1) + B_b) * (D + 1) + D_b
-        uniq, first, inverse = np.unique(
-            code, return_index=True, return_inverse=True
-        )
-        rank_of_uniq = np.empty(len(uniq), dtype=np.int64)
-        rank_of_uniq[np.argsort(first, kind="stable")] = np.arange(
-            len(uniq), dtype=np.int64
-        )
-        t_rank = rank_of_uniq[inverse]
-        perm = np.argsort(t_rank, kind="stable")
-        P_b, A_b, B_b, R_b, D_b, t_rank = (
-            P_b[perm], A_b[perm], B_b[perm], R_b[perm], D_b[perm],
-            t_rank[perm],
-        )
-        nt = len(uniq)
+        total_b = len(code)
+        first.fill(total_b)
+        np.minimum.at(first, code, np.arange(total_b, dtype=np.int64))
+        used = np.flatnonzero(first < total_b)
+        tcode = used[np.argsort(first[used])]
+        nt = len(tcode)
+        rank[tcode] = np.arange(nt, dtype=np.int64)
+        t_rank = rank[code]
+        # Ranks in the narrowest unsigned type: numpy sorts 8- and
+        # 16-bit keys stably with a linear radix sort.
+        keys = t_rank.astype(np.min_scalar_type(nt - 1))
+        perm = np.argsort(keys, kind="stable")
         tb_counts = np.bincount(t_rank, minlength=nt)
-        tb_starts = np.cumsum(tb_counts) - tb_counts
+        g_p = g_b[perm]
+        TA = tcode // (nu * ndev)
+        TB = tcode // ndev % nu
+        TD = tcode % ndev
         plan.append(
             {
-                "P": P_b, "A": A_b, "B": B_b, "R": R_b,
-                "PA": PA, "PB": PB, "PD": PD,
-                "tb_starts": tb_starts, "tb_counts": tb_counts,
-                "TA": A_b[tb_starts], "TB": B_b[tb_starts],
-                "TD": D_b[tb_starts],
+                "P": P_g[g_p],
+                "W": (PD[P_g] * nw + R_g)[g_p],
+                "OD": (PA[P_g] * nd + A_g)[g_p],
+                "OU": (lu - B_b[perm]) * nu + (lu - PB[P_g])[g_p],
+                "tb_starts": np.cumsum(tb_counts) - tb_counts,
+                "tb_counts": tb_counts,
+                "TA": TA, "TB": TB, "TD": TD,
             }
         )
-        PA, PB, PD = A_b[tb_starts], B_b[tb_starts], D_b[tb_starts]
+        PA, PB, PD = TA, TB, TD
     return plan
 
 
@@ -650,15 +673,16 @@ def _cdm_plan(
     r_cap: int,
     fixed_r: int | None,
     plans,
-) -> list[dict]:
-    """The geometry plan of one CDM lattice, from ``plans`` (an
-    optional ``LruStore``) when it holds one.  Replica counts above
-    ``D - S + 1`` are never feasible (every other position needs a
-    device), so every larger ``r_cap`` shares one plan."""
+) -> tuple[list[dict], int]:
+    """The geometry plan of one CDM lattice and its largest replica
+    count, from ``plans`` (an optional ``LruStore``) when it holds one.
+    Replica counts above ``D - S + 1`` are never feasible (every other
+    position needs a device), so every larger ``r_cap`` shares one plan;
+    a pinned plan's only count is ``fixed_r``."""
     from .partition_cdm import _cut_points, _min_gap
 
-    r_cap = min(r_cap, D - S + 1)
-    plan_key = ("cdm", S, ld, lu, cut_step, D, r_cap, fixed_r)
+    r_max = fixed_r if fixed_r is not None else min(r_cap, D - S + 1)
+    plan_key = ("cdm", S, ld, lu, cut_step, D, r_max, fixed_r)
     plan = plans.get(plan_key) if plans is not None else None
     if plan is None:
         cuts_d = _cut_points(ld, cut_step)
@@ -670,24 +694,11 @@ def _cdm_plan(
             gap_d=gap_d, gap_u=gap_u,
             max_len_d=ld - (S - 1) * gap_d,
             max_len_u=lu - (S - 1) * gap_u,
-            D=D, r_cap=r_cap, fixed_r=fixed_r,
+            D=D, r_cap=r_max, fixed_r=fixed_r,
         )
         if plans is not None:
             plans.put(plan_key, plan)
-    return plan
-
-
-def _plan_slabs(ctx, D: int, plan: list[dict], fixed_r: int | None):
-    """:func:`_slab_ids` over the replica counts a CDM plan uses.
-
-    Chain position k hosts its down AND up stage on the same device
-    window [pd, pd+r), so one (r, window factor) slab id serves both
-    chains' gathers.
-    """
-    used = np.zeros(D + 1, dtype=bool)
-    for stage in plan:
-        used[stage["R"]] = True
-    return _slab_ids(ctx.down, D, np.flatnonzero(used).tolist(), fixed_r)
+    return plan, r_max
 
 
 def cdm_table_array(
@@ -707,21 +718,33 @@ def cdm_table_array(
     bit-identical entries and dict orders.
 
     ``plans`` is an optional mapping-like store (``LruStore``) of
-    geometry transition plans, shared across table builds of one sweep
-    (:func:`_cdm_plan`).
+    geometry transition plans, shared across table builds and floors of
+    one sweep (:func:`_cdm_plan`).  Chain position k hosts its down AND
+    up stage on the same device window, so one ``(r, window factor)``
+    slab id serves both chains' gathers, and each transition's values
+    are one 1-D take per slab at its stored offsets.
     """
-    plan = _cdm_plan(
+    plan, r_max = _cdm_plan(
         S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
         fixed_r=fixed_r, plans=plans,
     )
     costs_d_for = _LazyStageCosts(ctx.down, ctx.comm_scale)
     costs_u_for = _LazyStageCosts(ctx.up, ctx.comm_scale)
-    SID, slabs = _plan_slabs(ctx, D, plan, fixed_r)
+    # Position 1's parent is the root, whose device budget admits every
+    # replica count up to r_max: a plan with any transition uses them all.
+    if not len(plan[0]["P"]):
+        r_values = ()
+    elif fixed_r is not None:
+        r_values = (fixed_r,)
+    else:
+        r_values = range(1, r_max + 1)
+    SID, slabs = _slab_ids(ctx.down, D, r_values, fixed_r, r_max)
     comp_scale = ctx.down.comp_scale
-    STD = np.zeros((len(slabs), ld + 1, ld + 1))
-    SGD = np.zeros((len(slabs), ld + 1, ld + 1))
-    STU = np.zeros((len(slabs), lu + 1, lu + 1))
-    SGU = np.zeros((len(slabs), lu + 1, lu + 1))
+    nd, nu, nw = ld + 1, lu + 1, r_max + 1
+    STD = np.zeros((len(slabs), nd, nd))
+    SGD = np.zeros((len(slabs), nd, nd))
+    STU = np.zeros((len(slabs), nu, nu))
+    SGU = np.zeros((len(slabs), nu, nu))
     for sid, (r, w) in enumerate(slabs):
         STD[sid], _, SGD[sid] = _cost_slabs(
             costs_d_for(r), ld, sc=False, zb=False,
@@ -731,14 +754,15 @@ def cdm_table_array(
             costs_u_for(r), lu, sc=False, zb=False,
             scale=w, comp_scale=comp_scale,
         )
+    sid_of = SID.ravel()
+    STD, SGD, STU, SGU = STD.ravel(), SGD.ravel(), STU.ravel(), SGU.ravel()
 
     frontiers: list[dict[tuple[int, int, int], list[tuple]]] = [
         {(0, 0, 0): [(0.0, float("-inf"), -1, -1, 0, -1)]}
     ]
     for k in range(1, S + 1):
         st = plan[k - 1]
-        P_b, A_b, B_b, R_b = st["P"], st["A"], st["B"], st["R"]
-        PA, PB = st["PA"], st["PB"]
+        P_b, W_b, OD_b, OU_b = st["P"], st["W"], st["OD"], st["OU"]
         tb_starts, tb_counts = st["tb_starts"], st["tb_counts"]
         if not len(P_b):
             frontiers.append({})
@@ -746,15 +770,11 @@ def cdm_table_array(
         entry_lists = list(frontiers[k - 1].values())
         EW, EY, ecounts = _flatten_entries(entry_lists, 2)
 
-        PA_b = PA[P_b]
-        PB_b = PB[P_b]
-        K_b = SID[st["PD"][P_b], R_b]
-        td = STD[K_b, PA_b, A_b]
-        gd = SGD[K_b, PA_b, A_b]
-        tu = STU[K_b, lu - B_b, lu - PB_b]
-        gu = SGU[K_b, lu - B_b, lu - PB_b]
-        WS = np.maximum(td, tu)
-        YS = np.maximum(gd, gu)
+        K_b = sid_of[W_b]
+        idx_d = K_b * (nd * nd) + OD_b
+        idx_u = K_b * (nu * nu) + OU_b
+        WS = np.maximum(STD[idx_d], STU[idx_u])
+        YS = np.maximum(SGD[idx_d], SGU[idx_u])
 
         # Nothing truncates a frontier, so a target's fold keeps exactly
         # its stream's staircase survivors, in arrival order.
@@ -763,21 +783,21 @@ def cdm_table_array(
         CY = np.maximum(EY[eidx], YS[bidx])
         kidx = np.flatnonzero(~_staircase_drop(CW, CY, ct_counts))
         kb = bidx[kidx]
-        nt = len(tb_counts)
-        t_of_b = np.repeat(np.arange(nt, dtype=np.int64), tb_counts)
-        target_states = [
-            (int(st["TA"][t]), int(st["TB"][t]), int(st["TD"][t]))
-            for t in range(nt)
-        ]
+        t_of_b = np.repeat(np.arange(len(tb_counts), dtype=np.int64), tb_counts)
+        target_states = list(
+            zip(st["TA"].tolist(), st["TB"].tolist(), st["TD"].tolist())
+        )
         cur: dict[tuple[int, int, int], list[tuple]] = {
             s_: [] for s_ in target_states
         }
+        # Backpointers decode from the survivors' offsets: the parent's
+        # down cut, its up cut and the replica count.
         rows = zip(
             CW[kidx].tolist(),
             CY[kidx].tolist(),
-            PA_b[kb].tolist(),
-            PB_b[kb].tolist(),
-            R_b[kb].tolist(),
+            (OD_b[kb] // nd).tolist(),
+            (lu - OU_b[kb] % nu).tolist(),
+            (W_b[kb] % nw).tolist(),
             pil[kidx].tolist(),
             t_of_b[kb].tolist(),
         )
@@ -798,17 +818,39 @@ def _compute_slab(costs: StageCosts, scale: float) -> np.ndarray:
 def _path_terms(costs_for, L: int, slabs, link: float):
     """Per-slab ``[hi]`` columns of a chain stage's path terms: the
     ``link``-scaled sends of a stage ending at layer ``hi`` (0 at
-    ``hi = 0``, never read) and the sync of a stage 0 ending there."""
+    ``hi = 0``, never read) and the sync of a stage 0 ending there.
+
+    Numpy columns of the IEEE operations :meth:`StageCosts.send_ms` and
+    :meth:`StageCosts.sync_ms` perform, so every element equals theirs.
+    """
+    ctx = costs_for(slabs[0][0]).ctx
+    per_sample = np.asarray(
+        [
+            ctx.profile.layer(ctx.component, i).output_bytes_per_sample
+            for i in range(L)
+        ]
+    )
+    p2p = ctx.p2p
     terms = {}
     for r, _ in slabs:
-        if r not in terms:
-            costs = costs_for(r)
-            send = [0.0] + [link * costs.send_ms(hi) for hi in range(1, L + 1)]
-            sync = [costs.sync_ms(0, hi) for hi in range(L + 1)]
-            terms[r] = (send, sync)
+        if r in terms:
+            continue
+        costs = costs_for(r)
+        send = np.zeros(L + 1)
+        nbytes = per_sample * costs.local_batch
+        send[1:] = link * (nbytes / p2p.bandwidth + p2p.latency)
+        g = np.asarray(costs._grad) - costs._grad[0]
+        ar = costs.sync_costs
+        terms[r] = (send, np.where(g == 0, 0.0, g / ar.bandwidth + ar.latency))
     send = np.asarray([terms[r][0] for r, _ in slabs])
     sync = np.asarray([terms[r][1] for r, _ in slabs])
     return send, sync
+
+
+def _with_inf_slab(slabs: np.ndarray) -> np.ndarray:
+    """``slabs`` with one all-``+inf`` slab appended: the slab id
+    :func:`_slab_ids` gives windows of no listed replica count."""
+    return np.concatenate([slabs, np.full((1,) + slabs.shape[1:], np.inf)])
 
 
 def cdm_floor_array(
@@ -825,7 +867,7 @@ def cdm_floor_array(
 ) -> tuple[float, float, float]:
     """Terms ``(W*, CP_down*, CP_up*)`` of the bidirectional makespan
     floor, each minimised over every partition :func:`cdm_table_array`'s
-    lattice holds (same geometry plan, cut grid and replica range):
+    lattice holds (same cut grid and replica range):
 
     * ``W*`` — the smallest possible maximum over chain positions of
       the position's down + up stage compute (fwd + bwd at the local
@@ -839,20 +881,32 @@ def cdm_floor_array(
 
     Scalar folds, one value per lattice state: min-max for ``W``,
     min-sum for the paths, one ``np.minimum.reduceat`` per target
-    segment.  Raises :class:`PartitionError` on a lattice without a
-    full partition, as the table's selection does.
+    segment.  A free lattice folds over its uncapped geometry plan
+    (``r_cap = D - S + 1``), which every cap shares: transitions whose
+    replica count exceeds ``r_cap`` read an all-``+inf`` slab, so they
+    and every state only they reach drop out of the minima, which then
+    run over exactly the capped lattice's paths.  A cap of at least 1
+    admits ``r = 1`` at every position, so the capped lattice has a full
+    partition exactly when the uncapped one does.  Raises
+    :class:`PartitionError` on a lattice without a full partition, as
+    the table's selection does.
     """
-    plan = _cdm_plan(
-        S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
+    # The uncapped plan of a free lattice; a pinned plan has no cap.
+    plan, r_max = _cdm_plan(
+        S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=D - S + 1,
         fixed_r=fixed_r, plans=plans,
     )
-    if not len(plan[-1]["P"]):
+    if fixed_r is None:
+        r_values = range(1, min(r_cap, r_max) + 1)
+    else:
+        r_values = (fixed_r,)
+    if not len(plan[-1]["P"]) or not r_values:
         raise PartitionError(
             f"no feasible bidirectional partition into {S} stages on {D} devices"
         )
+    SID, slabs = _slab_ids(ctx.down, D, r_values, fixed_r, r_max)
     costs_d_for = _LazyStageCosts(ctx.down)
     costs_u_for = _LazyStageCosts(ctx.up)
-    SID, slabs = _plan_slabs(ctx, D, plan, fixed_r)
     CD = np.stack([_compute_slab(costs_d_for(r), w) for r, w in slabs])
     CU = np.stack([_compute_slab(costs_u_for(r), w) for r, w in slabs])
     # A link carries a boundary's forward and backward transfer, each
@@ -861,33 +915,40 @@ def cdm_floor_array(
     link = 2.0 * ctx.comm_scale
     SEND_D, SYNC_D = _path_terms(costs_d_for, ld, slabs, link)
     SEND_U, SYNC_U = _path_terms(costs_u_for, lu, slabs, link)
+    # Windows of a replica count above the cap read the appended slab.
+    CD, CU, SEND_D, SYNC_D, SEND_U, SYNC_U = map(
+        _with_inf_slab, (CD, CU, SEND_D, SYNC_D, SEND_U, SYNC_U)
+    )
 
-    # Flat views, so every gather is one 1-D take.  Position k hosts
-    # down stage k-1 and up stage S-k; each sends on unless it is its
-    # chain's last (k = S down, k = 1 up), so the paths of the other
-    # positions read send-inclusive slabs.  Position 1's down stage and
-    # position S's up stage are their chains' stage 0 and add its sync.
+    # Flat views, so every gather is one 1-D take at the plan's stored
+    # offsets.  Position k hosts down stage k-1 and up stage S-k; each
+    # sends on unless it is its chain's last (k = S down, k = 1 up), so
+    # the paths of the other positions read send-inclusive slabs.
+    # Position 1's down stage and position S's up stage are their
+    # chains' stage 0 and add its sync, read at the stage's end layer:
+    # position 1's down offset is its end layer (its parent cut is 0),
+    # and so is position S's up offset (its up cut is lu).
     nd, nu = ld + 1, lu + 1
     down_flat, up_flat = CD.ravel(), CU.ravel()
     down_send = (CD + SEND_D[:, None, :]).ravel()
     up_send = (CU + SEND_U[:, None, :]).ravel()
-    sid_flat, sid_cols = SID.ravel(), SID.shape[1]
+    sync_d, sync_u = SYNC_D.ravel(), SYNC_U.ravel()
+    sid_of = SID.ravel()
     w = cp_d = cp_u = np.zeros(1)
     for k in range(1, S + 1):
         st = plan[k - 1]
-        P_b, A_b = st["P"], st["A"]
-        up_hi = lu - st["PB"][P_b]
-        K_b = sid_flat[st["PD"][P_b] * sid_cols + st["R"]]
-        idx_d = (K_b * nd + st["PA"][P_b]) * nd + A_b
-        idx_u = (K_b * nu + (lu - st["B"])) * nu + up_hi
+        P_b, OD_b, OU_b = st["P"], st["OD"], st["OU"]
+        K_b = sid_of[st["W"]]
+        idx_d = K_b * (nd * nd) + OD_b
+        idx_u = K_b * (nu * nu) + OU_b
         down = down_flat[idx_d]
         up = up_flat[idx_u]
         path_d = down_send[idx_d] if k < S else down
         path_u = up_send[idx_u] if k > 1 else up
         if k == 1:
-            path_d = path_d + SYNC_D[K_b, A_b]
+            path_d = path_d + sync_d[K_b * nd + OD_b]
         if k == S:
-            path_u = path_u + SYNC_U[K_b, up_hi]
+            path_u = path_u + sync_u[K_b * nu + OU_b]
         starts = st["tb_starts"]
         w = np.minimum.reduceat(np.maximum(w[P_b], down + up), starts)
         cp_d = np.minimum.reduceat(cp_d[P_b] + path_d, starts)

@@ -1146,39 +1146,60 @@ class DiffusionPipePlanner:
         fields only, so a hit costs no stage-exec derivation.  The
         simulated rung and the fill of :meth:`plan`, and planners that
         differ only in their filling options, share one timeline per
-        configuration.
+        configuration.  Every caller of a self-conditioned
+        single-backbone partition reads both its plain and its
+        self-conditioned timeline, so a miss derives the stage chain
+        once and stores both: the two builds differ only in their
+        :meth:`_sc_args`.
         """
-        key = (
-            "simulate",
-            partition.down,
-            partition.up,
-            partition.num_micro_batches,
-            partition.group_size,
-            batch_per_group,
-            sc,
-            self.cluster,
-            weakref.ref(self.profile),
-            self.model.name,
-            self.schedule,
-        )
+
+        def key(flag: bool) -> tuple:
+            return (
+                "simulate",
+                partition.down,
+                partition.up,
+                partition.num_micro_batches,
+                partition.group_size,
+                batch_per_group,
+                flag,
+                self.cluster,
+                weakref.ref(self.profile),
+                self.model.name,
+                self.schedule,
+            )
+
         evals = self.caches.evals
-        timeline = evals.get(key)
+        timeline = evals.get(key(sc))
         if timeline is None:
-            timeline = self._simulate_uncached(partition, batch_per_group, sc=sc)
-            evals.put(key, timeline)
+            stages, build_args, weights = self._build_args(partition, sc=False)
+            flags = (sc,)
+            if not partition.is_bidirectional and self.model.self_conditioning:
+                flags = (False, True)
+            for flag in flags:
+                if not partition.is_bidirectional:
+                    build_args = {**build_args, **self._sc_args(partition, sc=flag)}
+                simulated = self._timeline(partition, stages, build_args, weights)
+                evals.put(key(flag), simulated)
+                if flag == sc:
+                    timeline = simulated
         return timeline
 
-    def _simulate_uncached(
-        self, partition: PartitionPlan, batch_per_group: float, *, sc: bool
+    def _timeline(
+        self,
+        partition: PartitionPlan,
+        stages: list[StageExec],
+        build_args: dict,
+        weights: dict[int, int],
     ) -> Timeline:
+        """Simulate the family's build of ``stages`` and ``build_args``,
+        memoised in ``caches.timelines`` by every input of the build."""
         M = partition.num_micro_batches
-        stages, build_args, weights = self._build_args(partition, sc=sc)
         # A bidirectional build is keyed by its up chain's execs, a
         # single-chain build by its self-conditioning arguments.
         args_key = (
             (tuple(build_args["up"]), M)
             if partition.is_bidirectional
-            else (M, sc, build_args["feedback_ms"])
+            else (M, build_args["self_conditioning"], build_args["feedback_ms"])
         )
         tl_key = (
             self.schedule,

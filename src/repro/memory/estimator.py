@@ -13,9 +13,9 @@ Memory model (mixed-precision Adam, the setup of the paper's testbed):
   micro-batches alive on stage ``s`` of its chain; a ``forwards_first``
   family (GPipe) has no in-flight window and is priced at all ``M``, an
   upper bound, since a backward can free a micro-batch before a later
-  micro-batch's forward arrives.  The zero-bubble family's deferred W
-  tasks stretch some activations' lifetimes slightly; pricing it with
-  the 1F1B window is its documented approximation (see
+  micro-batch's forward arrives.  The zero-bubble family keeps a
+  micro-batch alive until its deferred W ends, and its in-flight window
+  keys on W (ZB-H1), so the 1F1B window bounds it too (see
   :class:`~repro.schedule.families.ZeroBubbleFamily`).
 
 Which stages a device hosts comes from the family's ``chains``, the

@@ -29,6 +29,10 @@ row builds the 1F1B table pinned to a uniform replica count, the
 the ``cdm`` row builds a pinned bidirectional table.  The
 ``het1f1b-sc`` row builds the ``het1f1b`` table with self-conditioning,
 whose frontier has three coordinates; the other rows' have two.  The
+``cdm-floor`` row is no table: it folds the bound ladder's CDM makespan
+floor (``cdm_makespan_floor``) over the free bidirectional lattice, so
+its cold time includes building the lattice's geometry plan and its
+warm time, which reuses that plan, is the fold alone.  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.
@@ -59,7 +63,11 @@ from .cluster import single_node
 from .cluster.collectives import CommCosts
 from .core.caches import PlannerCaches
 from .core.partition import PartitionContext, _het_frontiers
-from .core.partition_cdm import CDMPartitionContext, _cdm_frontiers
+from .core.partition_cdm import (
+    CDMPartitionContext,
+    _cdm_frontiers,
+    cdm_makespan_floor,
+)
 from .profiling import Profiler
 
 __all__ = ["BENCH_SCHEMA", "run_bench", "format_bench", "write_json"]
@@ -162,6 +170,13 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
             "het1f1b-sc",
             "cdm-lsun down S=4 D=16 sc",
             lambda caches: _het_frontiers(sctx, L, 4, 16, caches),
+        ),
+        (
+            "cdm-floor",
+            "cdm-lsun S=4 D=16 cut=2 free",
+            lambda caches: cdm_makespan_floor(
+                cctx, 4, 16, cut_step=2, heterogeneous=True, caches=caches
+            ),
         ),
     ]
 

@@ -178,18 +178,21 @@ class ProfileDB:
     """All layer profiles of a model, with aggregate queries.
 
     The canonical producer is :class:`repro.profiling.Profiler`; tests
-    construct one directly via :meth:`from_layer_times`.
+    construct one directly via :meth:`from_layer_times`.  Stage sums and
+    per-batch layer prefix sums (:meth:`stage_prefix_sums`) are memoised
+    on the DB; :meth:`reset_caches` empties every memo.
     """
 
     def __init__(self, profiles: Iterable[LayerProfile]):
         self._by_key: dict[tuple[str, int], LayerProfile] = {}
         self._component_sizes: dict[str, int] = {}
         # Memo of stage-aggregate queries, keyed by
-        # (query kind, component, lo, hi, batch).  The DB is immutable
-        # after construction, so cached sums stay valid; sums are
-        # computed exactly as before (same accumulation order), keeping
-        # results bit-identical with the uncached path.
-        self._stage_cache: dict[tuple, float] = {}
+        # (query kind, component, lo, hi, batch), and of per-batch
+        # layer prefix sums, keyed by ("p", component, batch).  The DB
+        # is immutable after construction, so cached sums stay valid;
+        # sums are computed exactly as before (same accumulation order),
+        # keeping results bit-identical with the uncached path.
+        self._stage_cache: dict[tuple, object] = {}
         for p in profiles:
             key = (p.component, p.layer_index)
             if key in self._by_key:
@@ -208,7 +211,8 @@ class ProfileDB:
 
     def reset_caches(self) -> None:
         """Generation/epoch reset of every float-keyed interpolation
-        memo: the stage-aggregate cache and each layer's per-batch
+        memo: the stage-aggregate cache (with the per-batch prefix sums
+        of :meth:`stage_prefix_sums`) and each layer's per-batch
         forward/backward caches.  Values are recomputed identically on
         the next query (the memos are pure), so the only cost is the
         warm-up; call this between epochs of a long-lived sweep to
@@ -333,6 +337,37 @@ class ProfileDB:
             t = sum(self.bwd_w_ms(component, i, batch) for i in range(lo, hi))
             self._stage_cache[key] = t
         return t
+
+    def stage_prefix_sums(
+        self, component: str, batch: float
+    ) -> tuple[tuple[float, ...], ...]:
+        """Prefix sums over a component's layers at one batch size:
+        ``(fwd, bwd, bwd_w, grad_bytes)``, each ``n + 1`` entries from
+        ``0.0``, entry ``i`` summing layers ``[0, i)`` in layer order.
+
+        The partition DPs' :class:`~repro.core.partition.StageCosts`
+        read their prefix sums here, so every cost evaluator at one
+        local batch shares one O(n) pass.  Memoised in the stage cache
+        (keyed by component and batch), so :meth:`reset_caches` — and
+        with it ``PlannerCaches.clear`` — empties it too.
+        """
+        key = ("p", component, batch)
+        sums = self._stage_cache.get(key)
+        if sums is None:
+            n = self.num_layers(component)
+            fwd = [0.0] * (n + 1)
+            bwd = [0.0] * (n + 1)
+            bww = [0.0] * (n + 1)
+            grad = [0.0] * (n + 1)
+            for i in range(n):
+                layer = self.layer(component, i)
+                fwd[i + 1] = fwd[i] + layer.forward_ms(batch)
+                bwd[i + 1] = bwd[i] + layer.backward_ms(batch)
+                bww[i + 1] = bww[i] + layer.backward_weight_ms(batch)
+                grad[i + 1] = grad[i] + layer.grad_bytes
+            sums = (tuple(fwd), tuple(bwd), tuple(bww), tuple(grad))
+            self._stage_cache[key] = sums
+        return sums
 
     def stage_bwd_b_ms(self, component: str, lo: int, hi: int, batch: float) -> float:
         """Grad-input (B) time of layers ``[lo, hi)``.

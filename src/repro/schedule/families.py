@@ -331,13 +331,12 @@ class ZeroBubbleFamily(ScheduleFamily):
     which the work-conserving dispatch slides into what were pipeline
     bubbles; the gradient all-reduce waits for all of a stage's W tasks.
 
-    The in-flight window still keys on B (a new forward may start once
-    the grad-input of the window predecessor is done); activations
-    needed by the deferred W tasks live slightly longer, which is
-    zero-bubble's documented memory cost — the memory estimator prices
-    the family with the 1F1B window as a deliberate approximation.
-    ``splits_backward=True`` also selects B/W pricing in the partition
-    DPs.
+    The in-flight window keys on W, the ZB-H1 rule: a micro-batch holds
+    the inputs its W needs, so a new forward starts only once the W of
+    its window predecessor is done.  Each stage then keeps at most the
+    1F1B window of micro-batches alive, which is what the memory
+    estimator prices.  ``splits_backward=True`` also selects B/W
+    pricing in the partition DPs.
     """
 
     name = "zerobubble"

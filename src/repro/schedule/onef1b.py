@@ -8,7 +8,8 @@ The schedule is encoded as a task graph:
   on ``fwd(s, m)``;
 * the 1F1B in-flight window is encoded statically —
   ``fwd(s, m)`` additionally depends on ``bwd(s, m - (S - s))`` so stage
-  ``s`` keeps at most ``S - s`` activations alive;
+  ``s`` keeps at most ``S - s`` activations alive (on ``w(s, m - (S -
+  s))`` when the backward is split, see below);
 * with self-conditioning, each micro-batch runs an extra no-grad forward
   wave whose last-stage output feeds back to stage 0 (Fig. 10's ``Cf``);
 * each stage's gradient all-reduce runs on the device's collective
@@ -27,7 +28,10 @@ syncs — so a ready forward always beats a ready backward.
 only its grad-input half B (``bwd_b_ms``), and a grad-weight task
 ``w[s,m]`` (``bwd_w_ms``) follows its B with a priority after every
 forward and B, so the work-conserving simulator runs it when the device
-would otherwise idle; each sync waits on its stage's W tasks.
+would otherwise idle; each sync waits on its stage's W tasks.  The
+in-flight window keys on W, the ZB-H1 rule: a micro-batch holds the
+inputs its W needs until W ends, so stage ``s`` still keeps at most
+``S - s`` micro-batches alive, the window the memory estimator prices.
 
 :func:`makespan_floor` bounds the simulated makespan of these graphs
 from below in closed form, without building or simulating them; every
@@ -144,10 +148,13 @@ def build_1f1b(
                         deps.append(f"{p}cf[{m}]")
                 if phase == _PHASE_FWD and not forwards_first:
                     # 1F1B in-flight window: stage s keeps at most S - s
-                    # activations alive.
+                    # activations alive.  A micro-batch's activations
+                    # live until its last backward task on the stage —
+                    # its W when the backward is split (ZB-H1).
                     window = S - s
                     if m - window >= 0:
-                        deps.append(bwd_id(s, m - window))
+                        last = w_id if split_backward else bwd_id
+                        deps.append(last(s, m - window))
                 duration = (
                     stages[s].sc_fwd_ms if phase == _PHASE_SC else stages[s].fwd_ms
                 )

@@ -17,6 +17,8 @@ they replaced live here, next to the suites that diff against them:
 * :func:`cdm_floor_reference` — the bound ladder's CDM makespan floor
   terms by brute force over every lattice partition
   (:func:`repro.core.partition_kernels.cdm_floor_array`);
+* :func:`cdm_plan_reference` — the ``np.unique`` grouping of the CDM
+  geometry plan (``repro.core.partition_kernels._build_cdm_plan``);
 * :func:`simulate_reference` — the list scheduler
   (:func:`repro.schedule.simulate`);
 * :func:`extract_bubbles_reference` — the breakpoint-scan bubble
@@ -47,7 +49,11 @@ from .partition import (
     het_frontiers_reference,
     pareto_insert,
 )
-from .partition_cdm import cdm_dp_table_reference, cdm_floor_reference
+from .partition_cdm import (
+    cdm_dp_table_reference,
+    cdm_floor_reference,
+    cdm_plan_reference,
+)
 from .placement import (
     device_weights_reference,
     memory_report_reference,
@@ -59,6 +65,7 @@ __all__ = [
     "LookaheadReferenceFill",
     "cdm_dp_table_reference",
     "cdm_floor_reference",
+    "cdm_plan_reference",
     "chain_frontiers_reference",
     "device_weights_reference",
     "dp_engine",

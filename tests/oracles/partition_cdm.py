@@ -11,7 +11,10 @@ from functools import cache
 from itertools import combinations, product
 from math import inf
 
+import numpy as np
+
 from repro.core.partition import _LazyStageCosts
+from repro.core.partition_kernels import _ragged_arange
 from repro.core.partition_cdm import CDMPartitionContext, _cut_points, _min_gap
 
 from .partition import pareto_insert
@@ -217,3 +220,132 @@ def cdm_floor_reference(
                     pd += r
                 best = [min(x, y) for x, y in zip(best, (w_max, cp_d, cp_u))]
     return best[0], best[1], best[2]
+
+
+def cdm_plan_reference(
+    *,
+    S: int,
+    ld: int,
+    lu: int,
+    cuts_d: list[int],
+    cuts_u: list[int],
+    gap_d: int,
+    gap_u: int,
+    max_len_d: int,
+    max_len_u: int,
+    D: int,
+    r_cap: int,
+    fixed_r: int | None,
+) -> list[dict]:
+    """Reference of the CDM geometry plan builder
+    (``repro.core.partition_kernels._build_cdm_plan``): the grouping it
+    replaced, kept as the differential oracle of its arrays.
+
+    Per chain position it enumerates the (parent, a, r, b) transitions
+    in the DP's loop order — parents in creation order, down cut outer,
+    replica count middle, up cut inner — and groups them by target state
+    ``(a, b, d)`` in first-arrival order with ``np.unique`` and two
+    stable argsorts.  Each stage dict holds the transitions' parent
+    index ``P``, down cut ``A``, up cut ``B`` and replica count ``R``,
+    the parent states ``PA`` / ``PB`` / ``PD``, the target segments
+    ``tb_starts`` / ``tb_counts`` and the target states ``TA`` / ``TB`` /
+    ``TD``.
+    """
+    cuts_d_arr = np.asarray(cuts_d, dtype=np.int64)
+    cuts_u_arr = np.asarray(cuts_u, dtype=np.int64)
+    plan: list[dict] = []
+    PA = np.zeros(1, dtype=np.int64)
+    PB = np.zeros(1, dtype=np.int64)
+    PD = np.zeros(1, dtype=np.int64)
+    for k in range(1, S + 1):
+        remaining = S - k
+        room_d = ld - remaining * gap_d
+        room_u = lu - remaining * gap_u
+        if fixed_r is not None:
+            nr = np.ones(len(PA), dtype=np.int64)
+        else:
+            nr = np.maximum(
+                np.minimum(D - PD - remaining, r_cap), 0
+            )
+        if remaining:
+            a_lo = np.searchsorted(cuts_d_arr, PA, side="right")
+            a_hi = np.searchsorted(
+                cuts_d_arr, np.minimum(room_d, PA + max_len_d), side="right"
+            )
+            b_lo = np.searchsorted(cuts_u_arr, PB, side="right")
+            b_hi = np.searchsorted(
+                cuts_u_arr, np.minimum(room_u, PB + max_len_u), side="right"
+            )
+            na = np.maximum(a_hi - a_lo, 0)
+            nb = np.maximum(b_hi - b_lo, 0)
+        else:
+            a_lo = np.searchsorted(cuts_d_arr, ld, side="left") * np.ones(
+                len(PA), dtype=np.int64
+            )
+            b_lo = np.searchsorted(cuts_u_arr, lu, side="left") * np.ones(
+                len(PB), dtype=np.int64
+            )
+            na = np.ones(len(PA), dtype=np.int64)
+            nb = np.ones(len(PB), dtype=np.int64)
+        n_per_p = na * nr * nb
+        total_b = int(n_per_p.sum())
+        if total_b == 0:
+            plan.append(
+                {
+                    "P": np.zeros(0, dtype=np.int64),
+                    "A": np.zeros(0, dtype=np.int64),
+                    "B": np.zeros(0, dtype=np.int64),
+                    "R": np.zeros(0, dtype=np.int64),
+                    "PA": PA, "PB": PB, "PD": PD,
+                    "tb_starts": np.zeros(0, dtype=np.int64),
+                    "tb_counts": np.zeros(0, dtype=np.int64),
+                    "TA": np.zeros(0, dtype=np.int64),
+                    "TB": np.zeros(0, dtype=np.int64),
+                    "TD": np.zeros(0, dtype=np.int64),
+                }
+            )
+            PA = PB = PD = np.zeros(0, dtype=np.int64)
+            continue
+        P_b = np.repeat(np.arange(len(PA), dtype=np.int64), n_per_p)
+        local = _ragged_arange(n_per_p)
+        nrnb = (nr * nb)[P_b]
+        nb_b = nb[P_b]
+        ia = local // nrnb
+        ir = (local % nrnb) // nb_b
+        ib = local % nb_b
+        A_b = cuts_d_arr[a_lo[P_b] + ia]
+        B_b = cuts_u_arr[b_lo[P_b] + ib]
+        if fixed_r is not None:
+            R_b = np.full(total_b, fixed_r, dtype=np.int64)
+        else:
+            R_b = 1 + ir
+        D_b = PD[P_b] + R_b
+
+        code = (A_b * (lu + 1) + B_b) * (D + 1) + D_b
+        uniq, first, inverse = np.unique(
+            code, return_index=True, return_inverse=True
+        )
+        rank_of_uniq = np.empty(len(uniq), dtype=np.int64)
+        rank_of_uniq[np.argsort(first, kind="stable")] = np.arange(
+            len(uniq), dtype=np.int64
+        )
+        t_rank = rank_of_uniq[inverse]
+        perm = np.argsort(t_rank, kind="stable")
+        P_b, A_b, B_b, R_b, D_b, t_rank = (
+            P_b[perm], A_b[perm], B_b[perm], R_b[perm], D_b[perm],
+            t_rank[perm],
+        )
+        nt = len(uniq)
+        tb_counts = np.bincount(t_rank, minlength=nt)
+        tb_starts = np.cumsum(tb_counts) - tb_counts
+        plan.append(
+            {
+                "P": P_b, "A": A_b, "B": B_b, "R": R_b,
+                "PA": PA, "PB": PB, "PD": PD,
+                "tb_starts": tb_starts, "tb_counts": tb_counts,
+                "TA": A_b[tb_starts], "TB": B_b[tb_starts],
+                "TD": D_b[tb_starts],
+            }
+        )
+        PA, PB, PD = A_b[tb_starts], B_b[tb_starts], D_b[tb_starts]
+    return plan

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.baselines import ChimeraBaseline, ChimeraConfig, GPipeBaseline
+from repro.cluster import single_node
 from repro.errors import ConfigurationError
+from repro.models.zoo import stable_diffusion_v2_1
+from repro.profiling import Profiler
 
 
 def test_chimera_runs(cluster8, uniform, uniform_profile):
@@ -43,3 +46,23 @@ def test_chimera_batch_validation(cluster8, uniform, uniform_profile):
     ch = ChimeraBaseline(uniform, cluster8, uniform_profile)
     with pytest.raises(ConfigurationError):
         ch.run(63)
+
+
+@pytest.mark.parametrize(
+    "gpus, config, batch, message",
+    [
+        (6, ChimeraConfig(4, 2), 64, "world 6 not divisible by 4"),
+        (8, ChimeraConfig(2, 2), 36, "incompatible with dp=4, 2M=4"),
+    ],
+)
+def test_chimera_bubble_ratio_checks_like_run(gpus, config, batch, message):
+    """``bubble_ratio`` rejects what ``run`` rejects: a stage count that
+    does not divide the world (it used to floor the data-parallel
+    degree), and a batch whose micro-batches are not whole samples (36
+    on 8 GPUs used to give 2.25-sample micro-batches)."""
+    cluster = single_node(gpus)
+    model = stable_diffusion_v2_1()
+    ch = ChimeraBaseline(model, cluster, Profiler(cluster).profile(model), config)
+    for measure in (ch.run, ch.bubble_ratio):
+        with pytest.raises(ConfigurationError, match=message):
+            measure(batch)

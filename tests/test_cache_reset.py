@@ -1,15 +1,17 @@
 """Epoch reset of the float-keyed interpolation memos.
 
-`ProfileDB._stage_cache` and each `LayerProfile`'s per-batch
-forward/backward memos are plain dicts on the hottest interpolation
+`ProfileDB._stage_cache` (stage sums and per-batch prefix sums) and
+each `LayerProfile`'s per-batch forward/backward memos are plain dicts on the hottest interpolation
 path — deliberately without per-hit LRU bookkeeping.  A long sweep
 over unbounded distinct batch values grows them without bound;
 `ProfileDB.reset_caches()` (wired into `PlannerCaches.clear`)
 is the cheap generation reset that keeps them bounded.
 """
 
+from repro.cluster.collectives import CommCosts
 from repro.core import BubbleFiller, PlannerCaches
 from repro.core.bubbles import Bubble
+from repro.core.partition import PartitionContext, StageCosts
 from tests.conftest import make_synthetic_db
 
 
@@ -79,3 +81,30 @@ def test_planner_caches_clear_also_drops_prefix_cache():
     assert not len(caches.evals)
     assert not len(caches.partition)
     assert not len(caches.comm)
+
+
+def test_reset_caches_empties_the_prefix_memo():
+    """Stage-cost evaluators at one local batch share the profile's
+    prefix sums (one memo entry per component and batch), and
+    ``PlannerCaches.clear`` drops the entry with the other stage memos,
+    so the next cold plan recomputes it — to equal values."""
+    db = make_synthetic_db()
+    link = CommCosts(bandwidth=1e9, latency=0.01)
+    ctx = PartitionContext(
+        profile=db, component="backbone", batch_per_group=64.0,
+        num_micro_batches=4, p2p=link, allreduce=link,
+    )
+    first = StageCosts(ctx, 2)
+    assert StageCosts(ctx, 2)._fwd is first._fwd
+    assert StageCosts(ctx, 4)._fwd is not first._fwd
+    prefix_keys = lambda: sorted(  # noqa: E731
+        k[2] for k in db._stage_cache if k[0] == "p"
+    )
+    assert prefix_keys() == [4.0, 8.0]
+    PlannerCaches().clear([db])
+    assert prefix_keys() == []
+    again = StageCosts(ctx, 2)
+    assert again._fwd is not first._fwd
+    assert (again._fwd, again._bwd, again._bww, again._grad) == (
+        first._fwd, first._bwd, first._bww, first._grad,
+    )

@@ -9,7 +9,9 @@ graph must
   split families' BACKWARD_W) durations to ``M * bwd_ms`` — no family
   may invent, drop or migrate compute, whatever its bubble structure,
 * simulate identically on the event-driven engine and the full-rescan
-  reference oracle (same intervals, same makespan).
+  reference oracle (same intervals, same makespan),
+* keep at most the memory estimator's in-flight window of micro-batches
+  alive on every stage of every chain.
 
 The device->stages map is family-specific: one stage per device for
 the linear families, co-located down/up pairs for ``bidirectional``
@@ -17,6 +19,8 @@ and the round-robin chunk placement for ``interleaved``.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +142,42 @@ def test_family_simulates_identically_on_both_engines(case):
     ]
     assert keys(fast) == keys(ref)
     assert fast.makespan == ref.makespan
+
+
+@given(family_case())
+@settings(max_examples=60, deadline=None)
+def test_family_keeps_its_memory_window(case):
+    """Every (chain, stage) keeps at most the memory estimator's window
+    of micro-batches alive: ``min(len(chain) - s, M)`` on stage ``s``,
+    or ``M`` under ``forwards_first``.  A micro-batch is alive on a
+    stage from the start of its forward until the end of its last
+    backward task there — B, or W when the backward is split — so
+    zero-bubble's deferred W counts against the window (ZB-H1)."""
+    family, down, up, M, positions, sc = case
+    timeline = simulate(_build(family, down, up, M, sc), positions)
+    spans: dict[tuple[str, int], dict[int, list[float]]] = {}
+    for iv in timeline.intervals:
+        task = iv.task
+        if task.kind not in COMPUTE_FWD + COMPUTE_BWD:
+            continue
+        chain = task.task_id.split("/")[0] if "/" in task.task_id else ""
+        stage = spans.setdefault((chain, task.meta["stage"]), {})
+        span = stage.setdefault(task.meta["micro_batch"], [None, None])
+        if task.kind == TaskKind.FORWARD:
+            span[0] = iv.start
+        else:
+            span[1] = iv.end if span[1] is None else max(span[1], iv.end)
+    assert spans
+    for (chain, s), by_micro in spans.items():
+        window = M if family.forwards_first else min(len(down) - s, M)
+        # A span ending when another starts does not overlap it: ends
+        # (-1) sort before starts (+1) at equal times.
+        events = sorted(
+            [(start, 1) for start, _ in by_micro.values()]
+            + [(end, -1) for _, end in by_micro.values()]
+        )
+        peak = max(accumulate(delta for _, delta in events))
+        assert peak <= window, (family.name, chain, s, peak, window)
 
 
 def test_zerobubble_split_reconstructs_backward_exactly():

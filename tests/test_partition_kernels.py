@@ -14,8 +14,10 @@ Pareto DP.  Comparisons are exact: every float is checked by
 ``.hex()``, entry order included.
 
 The fold test holds the pinned 1F1B table to the uniform-replication
-DP over prefixes (``chain_frontiers_reference``), and the sharing tests
-check that both flavours live side by side in one table store.
+DP over prefixes (``chain_frontiers_reference``), the grouping test
+holds the CDM geometry plan to the ``np.unique`` grouping it replaced
+(``cdm_plan_reference``), and the sharing tests check that both
+flavours live side by side in one table store.
 
 The reference side runs the production wrappers under
 :func:`~tests.oracles.reference_dp_kernels`, each side on its own fresh
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +43,8 @@ from repro.core.partition import (
 from repro.core.partition_cdm import (
     CDMPartitionContext,
     _cdm_frontiers,
+    _cut_points,
+    _min_gap,
     partition_cdm,
 )
 from repro.core import partition_kernels as pk
@@ -48,6 +53,7 @@ from repro.errors import PartitionError
 from repro.profiling import ProfileDB
 from tests.oracles import (
     cdm_floor_reference,
+    cdm_plan_reference,
     chain_frontiers_reference,
     reference_dp_kernels,
 )
@@ -260,17 +266,25 @@ def _cdm_ctx(down_times, up_times, M=2, batch=64.0, scales=None):
     st.sampled_from([1, 2]),
     st.booleans(),
     st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=6, max_size=6),
+    st.data(),
 )
 @settings(max_examples=30, deadline=None)
-def test_cdm_floor_differential(dts, uts, S, extra, cut_step, pinned, factors):
+def test_cdm_floor_differential(
+    dts, uts, S, extra, cut_step, pinned, factors, data
+):
     """The vectorised floor folds equal, bit for bit, the minima over
     every lattice partition enumerated one by one, for both replication
     flavours, on homogeneous and speed-scaled groups; a lattice without
-    a partition raises like the table's selection."""
+    a partition raises like the table's selection.  The replica cap
+    ranges over ``1..D - S + 1``, so a free lattice's fold over its
+    uncapped plan is checked with the caps that mask transitions."""
     ld, lu = len(dts), len(uts)
     D = 2 * S if pinned else S + extra
     fixed_r = 2 if pinned else None
-    kwargs = dict(cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=6, fixed_r=fixed_r)
+    r_cap = data.draw(st.integers(1, D - S + 1), label="r_cap")
+    kwargs = dict(
+        cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap, fixed_r=fixed_r
+    )
     for scales in (None, tuple(factors[:D])):
         ctx = _cdm_ctx(dts, uts, batch=12.0, scales=scales)
         ref = cdm_floor_reference(ctx, S, **kwargs)
@@ -281,6 +295,86 @@ def test_cdm_floor_differential(dts, uts, S, extra, cut_step, pinned, factors):
             continue
         arr = pk.cdm_floor_array(ctx, S, plans=plans, **kwargs)
         assert [x.hex() for x in arr] == [x.hex() for x in ref]
+
+
+def test_cdm_floors_of_two_caps_share_one_plan():
+    """Counter gate of the uncapped floor plan: every replica cap of a
+    free lattice folds over the one geometry plan of cap ``D - S + 1``
+    (transitions above the cap read an all-``+inf`` slab), so two
+    floors at two caps build one plan and reuse it — and each still
+    equals the brute-force minima at its own cap."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
+    ctx = _cdm_ctx(times, times, batch=12.0)
+    kwargs = dict(cut_step=1, ld=5, lu=5, D=4, fixed_r=None)
+    plans = PlannerCaches().kernel_plans
+    for r_cap in (1, 3):
+        got = pk.cdm_floor_array(ctx, 2, r_cap=r_cap, plans=plans, **kwargs)
+        want = cdm_floor_reference(ctx, 2, r_cap=r_cap, **kwargs)
+        assert [x.hex() for x in got] == [x.hex() for x in want], r_cap
+    assert (plans.misses, plans.hits) == (1, 1)
+
+
+def _plan_geometry(S, ld, lu, cut_step):
+    """The cut grid and slice bounds :func:`pk._cdm_plan` derives."""
+    cuts_d = _cut_points(ld, cut_step)
+    cuts_u = _cut_points(lu, cut_step)
+    gap_d = _min_gap(cuts_d)
+    gap_u = _min_gap(sorted({lu - b for b in cuts_u}))
+    return dict(
+        S=S, ld=ld, lu=lu, cuts_d=cuts_d, cuts_u=cuts_u,
+        gap_d=gap_d, gap_u=gap_u,
+        max_len_d=ld - (S - 1) * gap_d, max_len_u=lu - (S - 1) * gap_u,
+    )
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(2, 12),
+    st.integers(2, 12),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_cdm_plan_matches_grouping_reference(S, ld, lu, cut_step, pinned, data):
+    """The linear-time geometry plan equals the ``np.unique`` grouping
+    it replaced (``tests.oracles.cdm_plan_reference``) array for array:
+    each stage's parent indices, target segments and target states, and
+    per transition the window, down-slice and up-slice offsets its
+    replica count and cuts encode.  The parents of a stage are the
+    previous stage's targets."""
+    if pinned:
+        fixed_r = data.draw(st.integers(1, 8 // S), label="fixed_r")
+        D, r_cap = S * fixed_r, fixed_r
+    else:
+        fixed_r = None
+        D = data.draw(st.integers(S, 8), label="D")
+        r_cap = data.draw(st.integers(1, D - S + 1), label="r_cap")
+    plan, r_max = pk._cdm_plan(
+        S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=r_cap,
+        fixed_r=fixed_r, plans=None,
+    )
+    assert r_max == r_cap
+    ref = cdm_plan_reference(
+        **_plan_geometry(S, ld, lu, cut_step), D=D, r_cap=r_cap,
+        fixed_r=fixed_r,
+    )
+    assert len(plan) == len(ref) == S
+    nd, nu, nw = ld + 1, lu + 1, r_cap + 1
+    parents = [[0], [0], [0]]
+    for k, (got, want) in enumerate(zip(plan, ref), start=1):
+        for name in ("P", "tb_starts", "tb_counts", "TA", "TB", "TD"):
+            assert got[name].tolist() == want[name].tolist(), (k, name)
+        assert parents == [want[n].tolist() for n in ("PA", "PB", "PD")], k
+        P = want["P"]
+        offsets = {
+            "W": want["PD"][P] * nw + want["R"],
+            "OD": want["PA"][P] * nd + want["A"],
+            "OU": (lu - want["B"]) * nu + lu - want["PB"][P],
+        }
+        for name, expect in offsets.items():
+            assert np.array_equal(got[name], expect), (k, name)
+        parents = [got[n].tolist() for n in ("TA", "TB", "TD")]
 
 
 @given(

@@ -37,13 +37,16 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
         build = getattr(perf, name)
 
         def wrapper(ctx, *args, **kwargs):
-            caches = next(a for a in args if isinstance(a, PlannerCaches))
+            caches = next(
+                a for a in (*args, *kwargs.values())
+                if isinstance(a, PlannerCaches)
+            )
             record(getattr(ctx, "down", ctx).profile, caches)
             return build(ctx, *args, **kwargs)
 
         monkeypatch.setattr(perf, name, wrapper)
 
-    for name in ("_het_frontiers", "_cdm_frontiers"):
+    for name in ("_het_frontiers", "_cdm_frontiers", "cdm_makespan_floor"):
         wrap_build(name)
     plan = DiffusionPipePlanner.plan
 
@@ -58,7 +61,8 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     assert set(report) == {"schema", "best_of", "builds", "elastic", "sweep"}
     assert report["schema"] == BENCH_SCHEMA and report["best_of"] == 1
     assert [(b["dp"], b["engine"]) for b in report["builds"]] == [
-        (dp, "array") for dp in ("chain", "het1f1b", "cdm", "het1f1b-sc")
+        (dp, "array")
+        for dp in ("chain", "het1f1b", "cdm", "het1f1b-sc", "cdm-floor")
     ]
     for build in report["builds"]:
         assert set(build) == {"dp", "shape", "engine", "cold_s", "warm_s"}
@@ -70,9 +74,9 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     }
 
     cold = [i for i, (kind, _) in enumerate(events) if kind == "cold"]
-    # Four DP builds, the elastic cold plan, the elastic session's
-    # first replan and the sweep's plan.
-    assert len(cold) == 4 + 3
+    # Four DP builds and the floor fold, the elastic cold plan, the
+    # elastic session's first replan and the sweep's plan.
+    assert len(cold) == 5 + 3
     for i in cold:
         assert events[i - 1] == ("reset", events[i][1]), (
             f"cold call {i} did not follow a reset of its profile"

@@ -279,12 +279,13 @@ def test_cold_plan_simulates_only_what_can_win(monkeypatch):
 
 def test_finalists_derive_their_stage_chain_once(monkeypatch):
     """Counter gate of the stage-exec derivation: a finalist's plain and
-    self-conditioned floors share one stage chain, so a cold SD v2.1
-    (self-conditioning) plan on 16 GPUs derives at most 43 chains — one
-    per configuration's finalist for the closed-form rung (35), one per
-    simulated timeline (8) — and the exhaustive search at most 105 (35
-    floors and 70 timelines).  Deriving a chain per floor made it 78
-    and 140."""
+    self-conditioned floors share one stage chain, and so do its two
+    simulated timelines, so a cold SD v2.1 (self-conditioning) plan on
+    16 GPUs derives 39 chains — one per configuration's finalist for
+    the closed-form rung (35), one per simulated partition (4, for 8
+    timelines) — and the exhaustive search 70 (35 floors and 35
+    partitions' 70 timelines).  Deriving a chain per floor made it 78
+    and 140, and a chain per timeline 43 and 105."""
     calls = [0]
     stage_execs = DiffusionPipePlanner._stage_execs
 
@@ -305,10 +306,28 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
         )
 
     cold_planner().plan(256)
-    assert calls[0] <= 43
+    assert calls[0] == 39
     calls[0] = 0
     cold_planner().candidate_plans(256)
-    assert calls[0] <= 105
+    assert calls[0] == 70
+
+
+def test_cold_cdm_floor_pass_builds_one_plan_per_lattice():
+    """Counter gate of the uncapped floor plans: a free lattice's floor
+    folds over the geometry plan of replica cap ``D - S + 1`` whatever
+    its own cap, so a cold heterogeneous CDM-LSUN ``plan(128)`` on 16
+    GPUs builds 12 geometry plans.  A floor plan per replica cap made
+    it 19."""
+    cluster = p4de_cluster(2)
+    model = cdm_lsun()
+    profile = Profiler(cluster).profile(model)
+    caches = PlannerCaches()
+    caches.clear([profile])
+    DiffusionPipePlanner(
+        model, cluster, profile,
+        options=PlannerOptions(heterogeneous_replication=True), caches=caches,
+    ).plan(128)
+    assert caches.stats().store("kernel_plans").misses == 12
 
 
 def test_cold_cdm_plan_skips_most_partition_tables():

@@ -162,8 +162,7 @@ def test_cold_vs_warm_fill_prefix_cache(benchmark):
     """A warm fill over the same bubbles reports bit-identically and adds
     no prefix-cache entry."""
     model, profile, bubbles = _fill_workload()
-    caches = PlannerCaches()
-    caches.clear([profile])
+    caches = PlannerCaches.cold([profile])
     report = benchmark.pedantic(
         _prefix_fill, args=(model, profile, bubbles, caches),
         rounds=1, iterations=1,

@@ -55,9 +55,10 @@ PREFIX_CACHE_MAX = 8192
 KERNEL_PLAN_CACHE_MAX = 256
 
 SNAPSHOT_MAGIC = "repro-planner-caches"
-#: bumped whenever a stored key's layout changes: entries are pickled
-#: with their keys as-is, so an old file would load but never hit
-SNAPSHOT_VERSION = 5
+#: bumped whenever a stored key's layout changes (entries are pickled
+#: with their keys as-is, so an old file would load but never hit) or
+#: the file's layout does (version 6 pickles each entry on its own)
+SNAPSHOT_VERSION = 6
 
 
 class FillShapeCache:
@@ -174,6 +175,19 @@ class _DeadRef(Exception):
     """A profile referenced by a cache entry is gone; drop the entry."""
 
 
+def _dump(entry: tuple) -> bytes:
+    """One snapshot entry pickled on its own, with a memo of its own."""
+    return pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _load_entries(blobs, path) -> list[tuple]:
+    """The entries of one store's pickled blobs (see :func:`_dump`)."""
+    try:
+        return [pickle.loads(blob) for blob in blobs]
+    except (pickle.UnpicklingError, EOFError, AttributeError, TypeError) as e:
+        raise SnapshotError(f"corrupt entry in cache snapshot {path}: {e}") from e
+
+
 class PlannerCaches:
     """Single owner of all planner memoisation.
 
@@ -279,6 +293,15 @@ class PlannerCaches:
         for profile in profiles:
             profile.reset_caches()
 
+    @classmethod
+    def cold(cls, profiles: Sequence["ProfileDB"] = ()) -> "PlannerCaches":
+        """A fresh instance after :meth:`clear` of ``profiles``: empty
+        stores over profiles whose interpolation memos were just reset,
+        so a plan on it is as cold as the first one in the process."""
+        caches = cls()
+        caches.clear(profiles)
+        return caches
+
     def stats(self) -> CacheStats:
         """Hit/miss/eviction counters per store."""
         stores = [
@@ -314,6 +337,10 @@ class PlannerCaches:
         persisted: they rebuild in milliseconds from the warm tables,
         and their values pin report/timeline objects better re-derived.
 
+        Each ``(key, value)`` entry is pickled on its own, so the file's
+        bytes depend only on the entries, not on which key objects the
+        live stores happen to share across entries.
+
         The profiles whose tables should be captured must still be
         alive: the per-profile stores are weak-keyed, so tables of an
         already-collected :class:`ProfileDB` are silently gone.
@@ -336,10 +363,10 @@ class PlannerCaches:
             store: ProfileKeyedStore = getattr(self, name)
             by_fp: dict[str, list] = {}
             for profile, key, value in store.items():
-                by_fp.setdefault(fp_of(profile), []).append((key, value))
+                by_fp.setdefault(fp_of(profile), []).append(_dump((key, value)))
             stores[name] = by_fp
             counts[name] = sum(len(v) for v in by_fp.values())
-        entries = self.timelines.items()
+        entries = [_dump(entry) for entry in self.timelines.items()]
         stores["timelines"] = entries
         counts["timelines"] = len(entries)
         fills: dict[str, list] = {}
@@ -348,7 +375,9 @@ class PlannerCaches:
             kept = []
             for key, value in store.items():
                 try:
-                    kept.append((_freeze(key, fp_of), _freeze(value, fp_of)))
+                    kept.append(
+                        _dump((_freeze(key, fp_of), _freeze(value, fp_of)))
+                    )
                 except _DeadRef:
                     continue
             fills[name] = kept
@@ -400,22 +429,24 @@ class PlannerCaches:
         for name in self._PROFILE_STORES:
             store: ProfileKeyedStore = getattr(self, name)
             restored = 0
-            for fp, entries in stores.get(name, {}).items():
+            for fp, blobs in stores.get(name, {}).items():
                 profile = profile_by_fp.get(fp)
                 if profile is None:
-                    counts["skipped"] += len(entries)
+                    counts["skipped"] += len(blobs)
                     continue
-                for key, value in entries:
+                for key, value in _load_entries(blobs, path):
                     store.put(profile, key, value)
                     restored += 1
             counts[name] = restored
-        for key, value in stores.get("timelines", ()):
+        timelines = _load_entries(stores.get("timelines", ()), path)
+        for key, value in timelines:
             self.timelines.put(key, value)
-        counts["timelines"] = len(stores.get("timelines", ()))
+        counts["timelines"] = len(timelines)
         for name in self._FILL_STORES:
             store = getattr(self.fills, name)
             restored = 0
-            for key, value in stores.get("fills", {}).get(name, ()):
+            blobs = stores.get("fills", {}).get(name, ())
+            for key, value in _load_entries(blobs, path):
                 try:
                     store.put(
                         _thaw(key, profile_by_fp), _thaw(value, profile_by_fp)

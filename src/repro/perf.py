@@ -26,10 +26,11 @@ Every ``builds`` row times the production (``array``) engine; the
 ``engine`` field stays so the schema remains add-only.  The ``chain``
 row builds the 1F1B table pinned to a uniform replica count, the
 ``het1f1b`` row the free heterogeneous one (both ``het_table_array``);
-the ``cdm`` row builds a pinned bidirectional table.  The
-``het1f1b-sc`` row builds the ``het1f1b`` table with self-conditioning,
-whose frontier has three coordinates; the other rows' have two.  The
-``cdm-floor`` row is no table: it folds the bound ladder's CDM makespan
+the ``cdm`` row builds a pinned bidirectional table and the ``cdm-het``
+row the free one on the ``cdm-floor`` row's lattice (both
+``cdm_table_array``).  The ``het1f1b-sc`` row builds the ``het1f1b``
+table with self-conditioning, whose frontier has three coordinates;
+the other rows' have two.  The ``cdm-floor`` row is no table: it folds the bound ladder's CDM makespan
 floor (``cdm_makespan_floor``) over the free bidirectional lattice, so
 its cold time includes building the lattice's geometry plan and its
 warm time, which reuses that plan, is the fold alone.  The
@@ -84,23 +85,14 @@ def _best_of(fn: Callable[[], Any], n: int) -> float:
     return best
 
 
-def _cold_caches(profile) -> PlannerCaches:
-    """Fresh caches over a profile whose interpolation memos were just
-    emptied.  The memos live on the :class:`ProfileDB`, not in the
-    caches, so without the reset every round after the first reuses
-    what round 1 interpolated and best-of-N reports a half-warm floor."""
-    caches = PlannerCaches()
-    caches.clear([profile])
-    return caches
-
-
 def _cold_warm(build: Callable[[PlannerCaches], Any], profile, n: int):
-    """(cold, warm) floors: cold against :func:`_cold_caches`, warm
-    against the caches the cold run filled (the table-memo hit path)."""
+    """(cold, warm) floors: cold against :meth:`PlannerCaches.cold`,
+    warm against the caches the cold run filled (the table-memo hit
+    path)."""
     cold = float("inf")
     warm = float("inf")
     for _ in range(n):
-        caches = _cold_caches(profile)
+        caches = PlannerCaches.cold([profile])
         t0 = time.perf_counter()
         build(caches)
         cold = min(cold, time.perf_counter() - t0)
@@ -112,11 +104,11 @@ def _cold_warm(build: Callable[[PlannerCaches], Any], profile, n: int):
 
 def _cold_plan(make_planner, profile, batch: float, n: int):
     """Best-of-N floor of a cold ``plan(batch)`` and the plan: every
-    round plans with a planner built on :func:`_cold_caches`."""
+    round plans with a planner built on :meth:`PlannerCaches.cold`."""
     wall = float("inf")
     ev = None
     for _ in range(n):
-        planner = make_planner(_cold_caches(profile))
+        planner = make_planner(PlannerCaches.cold([profile]))
         t0 = time.perf_counter()
         ev = planner.plan(batch)
         wall = min(wall, time.perf_counter() - t0)
@@ -176,6 +168,13 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
             "cdm-lsun S=4 D=16 cut=2 free",
             lambda caches: cdm_makespan_floor(
                 cctx, 4, 16, cut_step=2, heterogeneous=True, caches=caches
+            ),
+        ),
+        (
+            "cdm-het",
+            "cdm-lsun S=4 D=16 cut=2 free",
+            lambda caches: _cdm_frontiers(
+                cctx, 4, 16, caches, fixed_r=None, cut_step=2, ld=ld, lu=lu
             ),
         ),
     ]
@@ -266,7 +265,7 @@ def _bench_elastic(best_of: int) -> dict:
         batch_per_device=batch_per_device,
         profile=profile,
         options=options,
-        caches=_cold_caches(profile),
+        caches=PlannerCaches.cold([profile]),
     )
     session.replan()
     session.apply(ElasticEvent("leave"))

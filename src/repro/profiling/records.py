@@ -15,6 +15,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..errors import ProfileError
 
 
@@ -178,17 +180,19 @@ class ProfileDB:
     """All layer profiles of a model, with aggregate queries.
 
     The canonical producer is :class:`repro.profiling.Profiler`; tests
-    construct one directly via :meth:`from_layer_times`.  Stage sums and
-    per-batch layer prefix sums (:meth:`stage_prefix_sums`) are memoised
-    on the DB; :meth:`reset_caches` empties every memo.
+    construct one directly via :meth:`from_layer_times`.  Stage sums,
+    per-batch layer prefix sums (:meth:`stage_prefix_sums`) and compute
+    slabs (:meth:`stage_compute_slab`) are memoised on the DB;
+    :meth:`reset_caches` empties every memo.
     """
 
     def __init__(self, profiles: Iterable[LayerProfile]):
         self._by_key: dict[tuple[str, int], LayerProfile] = {}
         self._component_sizes: dict[str, int] = {}
         # Memo of stage-aggregate queries, keyed by
-        # (query kind, component, lo, hi, batch), and of per-batch
-        # layer prefix sums, keyed by ("p", component, batch).  The DB
+        # (query kind, component, lo, hi, batch), of per-batch layer
+        # prefix sums, keyed by ("p", component, batch), and of compute
+        # slabs, keyed by ("c", component, batch, scale).  The DB
         # is immutable after construction, so cached sums stay valid;
         # sums are computed exactly as before (same accumulation order),
         # keeping results bit-identical with the uncached path.
@@ -212,7 +216,8 @@ class ProfileDB:
     def reset_caches(self) -> None:
         """Generation/epoch reset of every float-keyed interpolation
         memo: the stage-aggregate cache (with the per-batch prefix sums
-        of :meth:`stage_prefix_sums`) and each layer's per-batch
+        of :meth:`stage_prefix_sums` and the slabs of
+        :meth:`stage_compute_slab`) and each layer's per-batch
         forward/backward caches.  Values are recomputed identically on
         the next query (the memos are pure), so the only cost is the
         warm-up; call this between epochs of a long-lived sweep to
@@ -368,6 +373,28 @@ class ProfileDB:
             sums = (tuple(fwd), tuple(bwd), tuple(bww), tuple(grad))
             self._stage_cache[key] = sums
         return sums
+
+    def stage_compute_slab(
+        self, component: str, batch: float, scale: float
+    ) -> np.ndarray:
+        """Dense read-only ``(n + 1, n + 1)`` slab whose ``[lo, hi]``
+        entry is the fwd + bwd time of layers ``[lo, hi)`` at one batch
+        size, divided by ``scale`` (a window's speed factor): the
+        compute term of the CDM makespan floor, built from
+        :meth:`stage_prefix_sums`.  Memoised in the stage cache like
+        them, so many configurations sharing a (component, local batch,
+        window factor) build one slab, and :meth:`reset_caches` empties
+        the memo."""
+        key = ("c", component, batch, scale)
+        slab = self._stage_cache.get(key)
+        if slab is None:
+            fwd, bwd, _, _ = self.stage_prefix_sums(component, batch)
+            F = np.asarray(fwd)
+            B = np.asarray(bwd)
+            slab = ((F[None, :] - F[:, None]) + (B[None, :] - B[:, None])) / scale
+            slab.flags.writeable = False
+            self._stage_cache[key] = slab
+        return slab
 
     def stage_bwd_b_ms(self, component: str, lo: int, hi: int, batch: float) -> float:
         """Grad-input (B) time of layers ``[lo, hi)``.

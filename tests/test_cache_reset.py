@@ -101,10 +101,28 @@ def test_reset_caches_empties_the_prefix_memo():
         k[2] for k in db._stage_cache if k[0] == "p"
     )
     assert prefix_keys() == [4.0, 8.0]
-    PlannerCaches().clear([db])
+    PlannerCaches.cold([db])
     assert prefix_keys() == []
     again = StageCosts(ctx, 2)
     assert again._fwd is not first._fwd
     assert (again._fwd, again._bwd, again._bww, again._grad) == (
         first._fwd, first._bwd, first._bww, first._grad,
     )
+
+
+def test_reset_caches_empties_the_compute_slab_memo():
+    """The CDM floor's compute slabs are memoised on the profile by
+    (component, batch, window factor), read-only, and dropped by
+    ``PlannerCaches.clear`` with the other stage memos."""
+    import numpy as np
+
+    db = make_synthetic_db()
+    slab = db.stage_compute_slab("backbone", 8.0, 0.5)
+    assert db.stage_compute_slab("backbone", 8.0, 0.5) is slab
+    assert db.stage_compute_slab("backbone", 8.0, 1.0) is not slab
+    assert not slab.flags.writeable
+    fwd, bwd, _, _ = db.stage_prefix_sums("backbone", 8.0)
+    assert slab[2, 5] == ((fwd[5] - fwd[2]) + (bwd[5] - bwd[2])) / 0.5
+    PlannerCaches.cold([db])
+    again = db.stage_compute_slab("backbone", 8.0, 0.5)
+    assert again is not slab and np.array_equal(again, slab)

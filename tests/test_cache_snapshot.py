@@ -86,13 +86,36 @@ def test_snapshot_skips_unknown_profiles(tmp_path):
     assert counts["het"] == 0 and other.prefixes.entry_count() == 0
 
 
+def test_snapshot_bytes_depend_only_on_the_entries(tmp_path):
+    """Two caches with equal entries write byte-identical files, even
+    when one's keys share a sub-tuple across entries and the other's
+    hold equal copies: each entry is pickled with a memo of its own.
+    One pickle memo over the whole file wrote the shared sub-tuple
+    once and referred back to it."""
+    shared = ("stage", 1.5, 2.5)
+    files = []
+    for name, subs in (
+        ("shared", (shared, shared)),
+        ("copies", (tuple(list(shared)), tuple(list(shared)))),
+    ):
+        caches = PlannerCaches()
+        for flag, sub in enumerate(subs):
+            caches.timelines.put((sub, bool(flag)), ("timeline", flag))
+        path = tmp_path / f"{name}.snap"
+        assert caches.snapshot(path)["timelines"] == 2
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+
+
 def test_snapshot_rejects_unknown_version(tmp_path):
-    """A future version, and versions 1 to 4: their table and
+    """A future version, and versions 1 to 5: their table and
     fill-shape keys have layouts the current keys no longer have (the
     ``cdm`` keys of version 3 still carry a frontier-cap slot, and the
     free-table keys of version 4 wrap the sync model in an
-    ``"ar-resolved"`` tag), so their entries would load but never hit."""
-    for version in (999, 1, 2, 3, 4):
+    ``"ar-resolved"`` tag), so their entries would load but never hit,
+    and version 5 pickled the whole payload at once instead of each
+    entry on its own."""
+    for version in (999, 1, 2, 3, 4, 5):
         path = tmp_path / f"v{version}.snap"
         with open(path, "wb") as fh:
             pickle.dump(

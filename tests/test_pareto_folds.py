@@ -9,6 +9,11 @@ set of candidates that folding the stream through the oracles'
 candidate equal to an earlier one goes, and ``-0.0`` equals ``0.0``.
 The DP differentials (``test_partition_kernels.py``) reach the folds
 only on streams the DPs produce; these tests feed them directly.
+
+The CDM kernel drops whole transition batches before it expands them
+(:func:`_prefilter_batches`); the batches it keeps, expanded and
+folded by the staircase, must leave exactly the full fold's
+survivors, and every target must keep a batch.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro.core.partition_kernels as kernels
-from repro.core.partition_kernels import _peel_drop, _staircase_drop
+from repro.core.partition_kernels import (
+    _expand_batches,
+    _peel_drop,
+    _prefilter_batches,
+    _staircase_drop,
+)
 from tests.oracles import pareto_insert
 
 #: values that force ties: signed zeros, -inf and repeats
@@ -102,3 +112,64 @@ def test_staircase_bucket_prefilter_matches_the_sequential_fold(monkeypatch):
     got = kernels._staircase_drop(*cols, counts)
     assert len(calls) == 2 and calls[1] < calls[0] == 125_000
     assert got.tolist() == sequential_drop(cols, counts).tolist()
+
+
+@st.composite
+def batch_streams(draw):
+    """Parent frontiers and transition batches: 1-5 parent Pareto sets
+    of 1-8 drawn points each (folded through ``pareto_insert``, as a DP
+    stage leaves them) and 1-5 targets of 1-12 batches, each a parent
+    and a slice cost ``(WS, YS)``."""
+    values = VALUES[draw(st.sampled_from(sorted(VALUES)))]
+    fronts = []
+    for _ in range(draw(st.integers(1, 5))):
+        front: list[tuple] = []
+        for point in draw(
+            st.lists(st.tuples(values, values), min_size=1, max_size=8)
+        ):
+            pareto_insert(front, point, 2)
+        fronts.append(front)
+    tb_counts = np.asarray(
+        draw(st.lists(st.integers(1, 12), min_size=1, max_size=5)),
+        dtype=np.int64,
+    )
+    nb = int(tb_counts.sum())
+    P_b = draw(
+        hnp.arrays(np.int64, nb, elements=st.integers(0, len(fronts) - 1))
+    )
+    WS = draw(hnp.arrays(np.float64, nb, elements=values))
+    YS = draw(hnp.arrays(np.float64, nb, elements=values))
+    return fronts, P_b, WS, YS, tb_counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_streams())
+def test_batch_prefilter_keeps_the_full_folds_survivors(case):
+    fronts, P_b, WS, YS, tb_counts = case
+    EW = np.asarray([e[0] for front in fronts for e in front])
+    EY = np.asarray([e[1] for front in fronts for e in front])
+    ecounts = np.asarray([len(front) for front in fronts], dtype=np.int64)
+    tb_starts = np.cumsum(tb_counts) - tb_counts
+    t_of_b = np.repeat(np.arange(len(tb_counts)), tb_counts)
+
+    def candidates(kb):
+        bidx, pil, eidx, counts = _expand_batches(P_b, ecounts, tb_starts, kb)
+        w = np.maximum(EW[eidx], WS[bidx])
+        y = np.maximum(EY[eidx], YS[bidx])
+        return (w, y), counts, list(zip(bidx.tolist(), pil.tolist()))
+
+    def survivors(cols, ids, drop):
+        w, y = (c.tolist() for c in cols)
+        return [
+            (ids[i], w[i].hex(), y[i].hex())
+            for i in np.flatnonzero(~drop).tolist()
+        ]
+
+    kb = _prefilter_batches(P_b, WS, YS, EW, EY, ecounts, t_of_b, tb_starts)
+    assert np.all(np.diff(kb) > 0)
+    assert set(t_of_b[kb].tolist()) == set(range(len(tb_counts)))
+    cols, counts, ids = candidates(kb)
+    got = survivors(cols, ids, _staircase_drop(*cols, counts))
+    full, full_counts, full_ids = candidates(np.arange(len(P_b)))
+    want = survivors(full, full_ids, sequential_drop(full, full_counts))
+    assert got == want

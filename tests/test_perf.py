@@ -62,7 +62,9 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     assert report["schema"] == BENCH_SCHEMA and report["best_of"] == 1
     assert [(b["dp"], b["engine"]) for b in report["builds"]] == [
         (dp, "array")
-        for dp in ("chain", "het1f1b", "cdm", "het1f1b-sc", "cdm-floor")
+        for dp in (
+            "chain", "het1f1b", "cdm", "het1f1b-sc", "cdm-floor", "cdm-het"
+        )
     ]
     for build in report["builds"]:
         assert set(build) == {"dp", "shape", "engine", "cold_s", "warm_s"}
@@ -74,9 +76,9 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     }
 
     cold = [i for i, (kind, _) in enumerate(events) if kind == "cold"]
-    # Four DP builds and the floor fold, the elastic cold plan, the
+    # Five DP builds and the floor fold, the elastic cold plan, the
     # elastic session's first replan and the sweep's plan.
-    assert len(cold) == 5 + 3
+    assert len(cold) == 6 + 3
     for i in cold:
         assert events[i - 1] == ("reset", events[i][1]), (
             f"cold call {i} did not follow a reset of its profile"

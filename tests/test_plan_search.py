@@ -26,7 +26,8 @@ simulates 8 of the exhaustive search's 70 timelines, derives each
 finalist's stage chain once for both of its floors and runs the bubble
 filler for the winning configuration only, and a cold 16-GPU
 heterogeneous CDM-LSUN plan builds 23 of the 70 CDM tables of the
-exhaustive search.
+exhaustive search, folds a quarter of the candidates its tables held
+before the batch prefilter, and builds each floor compute slab once.
 
 Heterogeneous replication never loses to uniform: a heterogeneous
 planner keeps the pinned ``r = D/S`` partition as a finalist of every
@@ -42,6 +43,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.partition_kernels as kernels
 import repro.core.planner as planner_mod
 from repro.cluster import DeviceSpec, p4de_cluster, single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
@@ -56,6 +58,7 @@ from repro.models.zoo import (
     uniform_model,
 )
 from repro.profiling import Profiler
+from repro.profiling.records import ProfileDB
 
 MODELS = {
     "uniform": uniform_model,
@@ -299,10 +302,9 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
     profile = Profiler(cluster).profile(model)
 
     def cold_planner():
-        caches = PlannerCaches()
-        caches.clear([profile])
         return DiffusionPipePlanner(
-            model, cluster, profile, options=PlannerOptions(), caches=caches
+            model, cluster, profile, options=PlannerOptions(),
+            caches=PlannerCaches.cold([profile]),
         )
 
     cold_planner().plan(256)
@@ -321,13 +323,82 @@ def test_cold_cdm_floor_pass_builds_one_plan_per_lattice():
     cluster = p4de_cluster(2)
     model = cdm_lsun()
     profile = Profiler(cluster).profile(model)
-    caches = PlannerCaches()
-    caches.clear([profile])
+    caches = PlannerCaches.cold([profile])
     DiffusionPipePlanner(
         model, cluster, profile,
         options=PlannerOptions(heterogeneous_replication=True), caches=caches,
     ).plan(128)
     assert caches.stats().store("kernel_plans").misses == 12
+
+
+def _cold_cdm_plan_256():
+    """Cold heterogeneous CDM-LSUN ``plan(256)`` on 16 GPUs; returns
+    its caches."""
+    cluster = p4de_cluster(2)
+    model = cdm_lsun()
+    profile = Profiler(cluster).profile(model)
+    caches = PlannerCaches.cold([profile])
+    DiffusionPipePlanner(
+        model, cluster, profile,
+        options=PlannerOptions(heterogeneous_replication=True), caches=caches,
+    ).plan(256)
+    return caches
+
+
+def test_cold_cdm_plan_folds_a_quarter_of_its_candidates(monkeypatch):
+    """Counter gate of the CDM kernel's batch prefilter: a cold
+    heterogeneous CDM-LSUN ``plan(256)`` on 16 GPUs builds 23 CDM
+    tables whose stage folds (the top-level ``_staircase_drop`` calls
+    of ``cdm_table_array``) take 790,864 candidates; expanding every
+    transition batch made it 3,286,157."""
+    folded = [0]
+    depth = [0]
+    fold = kernels._staircase_drop
+    table = kernels.cdm_table_array
+
+    def counted_fold(w, y, counts):
+        if depth[0] == 1:
+            folded[0] += len(w)
+        depth[0] += 1
+        try:
+            return fold(w, y, counts)
+        finally:
+            depth[0] -= 1
+
+    def counted_table(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return table(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kernels, "_staircase_drop", counted_fold)
+    monkeypatch.setattr(kernels, "cdm_table_array", counted_table)
+    caches = _cold_cdm_plan_256()
+    assert caches.stats().store("cdm").misses == 23
+    assert folded[0] == 790_864
+    assert 4 * folded[0] <= 3_286_157
+
+
+def test_cold_cdm_floor_pass_builds_each_compute_slab_once(monkeypatch):
+    """Counter gate of the compute-slab memo: the floor folds of a cold
+    heterogeneous CDM-LSUN ``plan(256)`` on 16 GPUs ask for 670 compute
+    slabs over 94 distinct (component, local batch, window factor), and
+    the profile's memo builds each of those once."""
+    calls = [0]
+    built: dict[int, object] = {}
+    slab = ProfileDB.stage_compute_slab
+
+    def counted(profile, *args):
+        calls[0] += 1
+        got = slab(profile, *args)
+        built[id(got)] = got  # held, so no id is reused
+        return got
+
+    monkeypatch.setattr(ProfileDB, "stage_compute_slab", counted)
+    _cold_cdm_plan_256()
+    assert calls[0] == 670
+    assert len(built) == 94
 
 
 def test_cold_cdm_plan_skips_most_partition_tables():
@@ -343,8 +414,7 @@ def test_cold_cdm_plan_skips_most_partition_tables():
     model = cdm_lsun()
     profile = Profiler(cluster).profile(model)
     options = PlannerOptions(heterogeneous_replication=True)
-    caches = PlannerCaches()
-    caches.clear([profile])
+    caches = PlannerCaches.cold([profile])
     planner = DiffusionPipePlanner(
         model, cluster, profile, options=options, caches=caches
     )

@@ -245,12 +245,14 @@ class PlannerCaches:
         geometry-only transition plans of the CDM array kernels
         (:mod:`repro.core.partition_kernels`): per chain position, the
         transitions' parent indices and flat slab offsets, keyed by
-        lattice geometry alone, so the table builds and floor folds
-        of adjacent stage-local batches in a sweep gather through one
-        shared plan instead of re-enumerating the cut grid.
-        Profile-independent (plain :class:`LruStore`) and deliberately
-        not snapshotted: a plan rebuilds in tens of milliseconds at
-        most.
+        lattice geometry alone, so the table builds and floor folds of
+        adjacent stage-local batches in a sweep gather through one
+        shared plan instead of re-enumerating the cut grid.  Each floor
+        lattice adds one more entry, tagged ``"cdm-chains"``: both
+        chains' own (cut, device) lattices, which the floor's path
+        folds walk.  Profile-independent (plain :class:`LruStore`) and
+        deliberately not snapshotted: a plan rebuilds in tens of
+        milliseconds at most.
 
     ``partition``, ``evals`` and ``timelines`` are bounded LRUs:
     re-profiling strands their weak-keyed entries, and their values pin

@@ -26,7 +26,8 @@ choose (Eqns. 7-9).  The table kernels work as follows:
   which stores each transition's flat slab offsets, so
   :func:`cdm_table_array` and :func:`cdm_floor_array` both gather with
   one 1-D take per slab; a free lattice's floors at every replica cap
-  share its uncapped plan;
+  share its uncapped plans, and the floor's path terms fold over each
+  chain's own, far smaller (cut, device) lattice;
 * the CDM kernel drops every transition batch that cannot hold a
   survivor before expanding it (:func:`_prefilter_batches`; a cold
   heterogeneous cdm-lsun ``plan(256)`` on 16 GPUs folds 790,864
@@ -72,6 +73,8 @@ the prefilter ahead of the staircase, to the sequential fold.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -588,17 +591,37 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
 _CDM_STAGE_KEYS = ("P", "W", "OD", "OU", "tb_starts", "tb_counts", "TA", "TB", "TD")
 
 
+class _CutGrid(NamedTuple):
+    """One chain's cuts as a CDM lattice walks them: ``L`` layers, the
+    allowed cut points (down prefixes or up suffixes), the smallest
+    slice the grid admits and the largest slice a stage can take."""
+
+    L: int
+    cuts: list[int]
+    gap: int
+    max_len: int
+
+
+def _cut_grid(S: int, L: int, cut_step: int) -> _CutGrid:
+    """The cut grid of an ``L``-layer chain in ``S`` stages."""
+    from .partition_cdm import _cut_points, _min_gap
+
+    cuts = _cut_points(L, cut_step)
+    gap = _min_gap(cuts)
+    return _CutGrid(L, cuts, gap, L - (S - 1) * gap)
+
+
+def _pinned_grid(S: int) -> _CutGrid:
+    """A chain pinned to one layer per position: ``S`` layers, every
+    layer a cut, unit slices — its cut at position ``k`` is ``k``."""
+    return _CutGrid(S, list(range(S + 1)), 1, 1)
+
+
 def _build_cdm_plan(
     *,
     S: int,
-    ld: int,
-    lu: int,
-    cuts_d: list[int],
-    cuts_u: list[int],
-    gap_d: int,
-    gap_u: int,
-    max_len_d: int,
-    max_len_u: int,
+    down: _CutGrid,
+    up: _CutGrid,
     D: int,
     r_cap: int,
     fixed_r: int | None,
@@ -625,7 +648,8 @@ def _build_cdm_plan(
     A table build or a floor fold then only gathers values.  ``r_cap``
     is the plan's largest replica count, already clamped to
     ``D - S + 1``; a pinned plan's is ``fixed_r``, on ``D = S * fixed_r``
-    devices, so no device count ever exceeds ``D``.
+    devices, so no device count ever exceeds ``D``.  ``down`` and ``up``
+    are the two chains' cut grids (:func:`_cut_grid`).
 
     Enumeration and grouping are linear in the transitions: divisions
     run per (parent, a, r) group and the up cuts expand with
@@ -638,8 +662,9 @@ def _build_cdm_plan(
     ``tests.oracles.cdm_plan_reference`` is the ``np.unique`` grouping
     this replaced; the fuzz suite holds the two array for array.
     """
-    cuts_d_arr = np.asarray(cuts_d, dtype=np.int64)
-    cuts_u_arr = np.asarray(cuts_u, dtype=np.int64)
+    ld, lu = down.L, up.L
+    cuts_d_arr = np.asarray(down.cuts, dtype=np.int64)
+    cuts_u_arr = np.asarray(up.cuts, dtype=np.int64)
     nd, nu, nw, ndev = ld + 1, lu + 1, r_cap + 1, D + 1
     first = np.empty(nd * nu * ndev, dtype=np.int64)
     rank = np.empty_like(first)
@@ -647,8 +672,8 @@ def _build_cdm_plan(
     PA = PB = PD = np.zeros(1, dtype=np.int64)
     for k in range(1, S + 1):
         remaining = S - k
-        room_d = ld - remaining * gap_d
-        room_u = lu - remaining * gap_u
+        room_d = ld - remaining * down.gap
+        room_u = lu - remaining * up.gap
         if fixed_r is not None:
             nr = np.ones(len(PA), dtype=np.int64)
         else:
@@ -658,11 +683,11 @@ def _build_cdm_plan(
         if remaining:
             a_lo = np.searchsorted(cuts_d_arr, PA, side="right")
             a_hi = np.searchsorted(
-                cuts_d_arr, np.minimum(room_d, PA + max_len_d), side="right"
+                cuts_d_arr, np.minimum(room_d, PA + down.max_len), side="right"
             )
             b_lo = np.searchsorted(cuts_u_arr, PB, side="right")
             b_hi = np.searchsorted(
-                cuts_u_arr, np.minimum(room_u, PB + max_len_u), side="right"
+                cuts_u_arr, np.minimum(room_u, PB + up.max_len), side="right"
             )
             na = np.maximum(a_hi - a_lo, 0)
             nb = np.maximum(b_hi - b_lo, 0)
@@ -740,26 +765,68 @@ def _cdm_plan(
     Replica counts above ``D - S + 1`` are never feasible (every other
     position needs a device), so every larger ``r_cap`` shares one plan;
     a pinned plan's only count is ``fixed_r``."""
-    from .partition_cdm import _cut_points, _min_gap
-
     r_max = fixed_r if fixed_r is not None else min(r_cap, D - S + 1)
     plan_key = ("cdm", S, ld, lu, cut_step, D, r_max, fixed_r)
     plan = plans.get(plan_key) if plans is not None else None
     if plan is None:
-        cuts_d = _cut_points(ld, cut_step)
-        cuts_u = _cut_points(lu, cut_step)
-        gap_d = _min_gap(cuts_d)
-        gap_u = _min_gap(sorted({lu - b for b in cuts_u}))
         plan = _build_cdm_plan(
-            S=S, ld=ld, lu=lu, cuts_d=cuts_d, cuts_u=cuts_u,
-            gap_d=gap_d, gap_u=gap_u,
-            max_len_d=ld - (S - 1) * gap_d,
-            max_len_u=lu - (S - 1) * gap_u,
+            S=S, down=_cut_grid(S, ld, cut_step), up=_cut_grid(S, lu, cut_step),
             D=D, r_cap=r_max, fixed_r=fixed_r,
         )
         if plans is not None:
             plans.put(plan_key, plan)
     return plan, r_max
+
+
+def _cdm_chain_plans(
+    S: int,
+    *,
+    cut_step: int,
+    ld: int,
+    lu: int,
+    D: int,
+    r_max: int,
+    fixed_r: int | None,
+    plans,
+) -> tuple[list[tuple], list[tuple]]:
+    """Each chain's own (cut, device) lattice of one CDM lattice, as
+    per-position ``(P, W, O, tb_starts)``: parents, window codes, the
+    chain's slice offsets (``OD`` down, ``OU`` up) and target runs.
+
+    :func:`_build_cdm_plan`'s down-cut range depends only on the parent's
+    down cut, its up-cut range only on the up cut and its replica range
+    only on the devices used, so the joint lattice is the product of
+    the two cut lattices and the device lattice: its full paths are
+    every triple of full paths of the three.  A chain's path sum reads
+    only its own cuts and windows, so once the partner chain has a full
+    path (the joint plan's last position is not empty), both lattices
+    hold the same full-path sums: the chain's cut paths paired with the
+    device paths, each added position by position.  Float addition is
+    monotone, so each min-sum fold yields the least of those sums, and
+    the two agree bit for bit.  That pairing is the joint plan with the
+    partner chain pinned to one layer per position
+    (:func:`_pinned_grid`), on far fewer transitions; a pinned lattice's
+    device lattice is one path, so its chain plans are its cut
+    lattices.  Both chains sit under one key in ``plans`` (an optional
+    ``LruStore``)."""
+    plan_key = ("cdm-chains", S, ld, lu, cut_step, D, r_max, fixed_r)
+    chains = plans.get(plan_key) if plans is not None else None
+    if chains is None:
+        down = _build_cdm_plan(
+            S=S, down=_cut_grid(S, ld, cut_step), up=_pinned_grid(S),
+            D=D, r_cap=r_max, fixed_r=fixed_r,
+        )
+        up = _build_cdm_plan(
+            S=S, down=_pinned_grid(S), up=_cut_grid(S, lu, cut_step),
+            D=D, r_cap=r_max, fixed_r=fixed_r,
+        )
+        chains = (
+            [(st["P"], st["W"], st["OD"], st["tb_starts"]) for st in down],
+            [(st["P"], st["W"], st["OU"], st["tb_starts"]) for st in up],
+        )
+        if plans is not None:
+            plans.put(plan_key, chains)
+    return chains
 
 
 def cdm_table_array(
@@ -868,51 +935,42 @@ def cdm_table_array(
     return frontiers
 
 
-def _compute_slab(costs: StageCosts, scale: float) -> np.ndarray:
-    """Dense ``[lo, hi]`` slab of a stage's fwd + bwd compute divided
-    by its window factor ``scale`` — no communication term.  Memoised
-    on the profile by (component, local batch, factor): the floor folds
-    of one cold plan share a few slabs among many calls."""
-    ctx = costs.ctx
-    return ctx.profile.stage_compute_slab(ctx.component, costs.local_batch, scale)
+def _floor_slabs(ctx, L: int, slabs, link: float) -> tuple[np.ndarray, np.ndarray]:
+    """One chain's floor slabs, one per ``(r, window factor)`` of
+    ``slabs`` plus an all-``+inf`` one (the slab id :func:`_slab_ids`
+    gives windows of no listed replica count): the ``[lo, hi]`` compute
+    of a stage (fwd + bwd at the local batch ``micro_batch / r``,
+    divided by the window factor) and its path term.
 
-
-def _path_terms(costs_for, L: int, slabs, link: float):
-    """Per-slab ``[hi]`` columns of a chain stage's path terms: the
-    ``link``-scaled sends of a stage ending at layer ``hi`` (0 at
-    ``hi = 0``, never read) and the sync of a stage 0 ending there.
-
-    Numpy columns of the IEEE operations :meth:`StageCosts.send_ms` and
-    :meth:`StageCosts.sync_ms` perform, so every element equals theirs.
-    """
-    ctx = costs_for(slabs[0][0]).ctx
-    per_sample = np.asarray(
-        [
-            ctx.profile.layer(ctx.component, i).output_bytes_per_sample
-            for i in range(L)
-        ]
-    )
-    p2p = ctx.p2p
-    terms = {}
-    for r, _ in slabs:
-        if r in terms:
-            continue
-        costs = costs_for(r)
-        send = np.zeros(L + 1)
-        nbytes = per_sample * costs.local_batch
-        send[1:] = link * (nbytes / p2p.bandwidth + p2p.latency)
-        g = np.asarray(costs._grad) - costs._grad[0]
-        ar = costs.sync_costs
-        terms[r] = (send, np.where(g == 0, 0.0, g / ar.bandwidth + ar.latency))
-    send = np.asarray([terms[r][0] for r, _ in slabs])
-    sync = np.asarray([terms[r][1] for r, _ in slabs])
-    return send, sync
-
-
-def _with_inf_slab(slabs: np.ndarray) -> np.ndarray:
-    """``slabs`` with one all-``+inf`` slab appended: the slab id
-    :func:`_slab_ids` gives windows of no listed replica count."""
-    return np.concatenate([slabs, np.full((1,) + slabs.shape[1:], np.inf)])
+    The path term adds the ``link``-scaled send of the stage's output
+    unless it ends the chain (``hi = L``), then the sync of the chain's
+    stage 0 (``lo = 0``), in that order, as the planner prices a stage's
+    sends and all-reduce.  Only a chain's last stage ends at layer
+    ``L`` and only its stage 0 starts at 0, so the folds need no
+    position test.  Slabs and columns come from the profile's
+    memos (:meth:`~repro.profiling.records.ProfileDB.stage_compute_slab`,
+    :meth:`~repro.profiling.records.ProfileDB.stage_send_column`,
+    :meth:`~repro.profiling.records.ProfileDB.stage_sync_column`)."""
+    profile, comp = ctx.profile, ctx.component
+    batches = [ctx.micro_batch / r for r, _ in slabs]
+    compute = np.full((len(slabs) + 1, L + 1, L + 1), np.inf)
+    compute[:-1] = [
+        profile.stage_compute_slab(comp, b, w) for b, (_, w) in zip(batches, slabs)
+    ]
+    # Adding 0.0 leaves a compute entry as it is: the +inf slab and a
+    # chain's last stage send nothing, and only stage 0 syncs.
+    send = np.zeros((len(slabs) + 1, L + 1))
+    send[:-1, :L] = [
+        profile.stage_send_column(comp, b, ctx.p2p, link)[:L] for b in batches
+    ]
+    sync = np.zeros_like(send)
+    sync[:-1] = [
+        profile.stage_sync_column(comp, b, ctx.allreduce_for(r))
+        for b, (r, _) in zip(batches, slabs)
+    ]
+    path = compute + send[:, None, :]
+    path[:, 0] += sync
+    return compute, path
 
 
 def cdm_floor_array(
@@ -941,17 +999,21 @@ def cdm_floor_array(
       of the chain's stage 0, priced as the planner prices a stage's
       sends and all-reduce.
 
-    Scalar folds, one value per lattice state: min-max for ``W``,
-    min-sum for the paths, one ``np.minimum.reduceat`` per target
-    segment.  A free lattice folds over its uncapped geometry plan
-    (``r_cap = D - S + 1``), which every cap shares: transitions whose
-    replica count exceeds ``r_cap`` read an all-``+inf`` slab, so they
-    and every state only they reach drop out of the minima, which then
-    run over exactly the capped lattice's paths.  A cap of at least 1
-    admits ``r = 1`` at every position, so the capped lattice has a full
-    partition exactly when the uncapped one does.  Raises
-    :class:`PartitionError` on a lattice without a full partition, as
-    the table's selection does.
+    Scalar folds, one value per lattice state and one
+    ``np.minimum.reduceat`` per target segment: min-max for ``W`` over
+    the joint lattice's geometry plan, which pairs both chains' cuts,
+    and min-sum for each path over its own chain's (cut, device)
+    lattice (:func:`_cdm_chain_plans`), whose full paths give exactly
+    the joint lattice's sums.  Every value is one 1-D take per slab
+    stack at the plan's stored offsets.  A free lattice folds over its
+    uncapped plans (``r_cap = D - S + 1``), which every cap shares:
+    transitions whose replica count exceeds ``r_cap`` read an
+    all-``+inf`` slab, so they and every state only they reach drop out
+    of the minima, which then run over exactly the capped lattice's
+    paths.  A cap of at least 1 admits ``r = 1`` at every position, so
+    the capped lattice has a full partition exactly when the uncapped
+    one does.  Raises :class:`PartitionError` on a lattice without a
+    full partition, as the table's selection does.
     """
     # The uncapped plan of a free lattice; a pinned plan has no cap.
     plan, r_max = _cdm_plan(
@@ -967,52 +1029,47 @@ def cdm_floor_array(
             f"no feasible bidirectional partition into {S} stages on {D} devices"
         )
     SID, slabs = _slab_ids(ctx.down, D, r_values, fixed_r, r_max)
-    costs_d_for = _LazyStageCosts(ctx.down)
-    costs_u_for = _LazyStageCosts(ctx.up)
-    CD = np.stack([_compute_slab(costs_d_for(r), w) for r, w in slabs])
-    CU = np.stack([_compute_slab(costs_u_for(r), w) for r, w in slabs])
     # A link carries a boundary's forward and backward transfer, each
     # enlarged 2x on the bidirectional chain; a stage's sync prices its
     # own replica count.
     link = 2.0 * ctx.comm_scale
-    SEND_D, SYNC_D = _path_terms(costs_d_for, ld, slabs, link)
-    SEND_U, SYNC_U = _path_terms(costs_u_for, lu, slabs, link)
-    # Windows of a replica count above the cap read the appended slab.
-    CD, CU, SEND_D, SYNC_D, SEND_U, SYNC_U = map(
-        _with_inf_slab, (CD, CU, SEND_D, SYNC_D, SEND_U, SYNC_U)
+    down, path_d = _floor_slabs(ctx.down, ld, slabs, link)
+    up, path_u = _floor_slabs(ctx.up, lu, slabs, link)
+    chain_d, chain_u = _cdm_chain_plans(
+        S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_max=r_max,
+        fixed_r=fixed_r, plans=plans,
+    )
+    sid_of = SID.ravel()
+    return (
+        _min_max_fold(plan, sid_of, down, up),
+        _min_sum_fold(chain_d, sid_of, path_d),
+        _min_sum_fold(chain_u, sid_of, path_u),
     )
 
-    # Flat views, so every gather is one 1-D take at the plan's stored
-    # offsets.  Position k hosts down stage k-1 and up stage S-k; each
-    # sends on unless it is its chain's last (k = S down, k = 1 up), so
-    # the paths of the other positions read send-inclusive slabs.
-    # Position 1's down stage and position S's up stage are their
-    # chains' stage 0 and add its sync, read at the stage's end layer:
-    # position 1's down offset is its end layer (its parent cut is 0),
-    # and so is position S's up offset (its up cut is lu).
-    nd, nu = ld + 1, lu + 1
-    down_flat, up_flat = CD.ravel(), CU.ravel()
-    down_send = (CD + SEND_D[:, None, :]).ravel()
-    up_send = (CU + SEND_U[:, None, :]).ravel()
-    sync_d, sync_u = SYNC_D.ravel(), SYNC_U.ravel()
-    sid_of = SID.ravel()
-    w = cp_d = cp_u = np.zeros(1)
-    for k in range(1, S + 1):
-        st = plan[k - 1]
-        P_b, OD_b, OU_b = st["P"], st["OD"], st["OU"]
-        K_b = sid_of[st["W"]]
-        idx_d = K_b * (nd * nd) + OD_b
-        idx_u = K_b * (nu * nu) + OU_b
-        down = down_flat[idx_d]
-        up = up_flat[idx_u]
-        path_d = down_send[idx_d] if k < S else down
-        path_u = up_send[idx_u] if k > 1 else up
-        if k == 1:
-            path_d = path_d + sync_d[K_b * nd + OD_b]
-        if k == S:
-            path_u = path_u + sync_u[K_b * nu + OU_b]
-        starts = st["tb_starts"]
-        w = np.minimum.reduceat(np.maximum(w[P_b], down + up), starts)
-        cp_d = np.minimum.reduceat(cp_d[P_b] + path_d, starts)
-        cp_u = np.minimum.reduceat(cp_u[P_b] + path_u, starts)
-    return float(w.min()), float(cp_d.min()), float(cp_u.min())
+
+def _min_max_fold(
+    plan: list[dict], sid_of: np.ndarray, down: np.ndarray, up: np.ndarray
+) -> float:
+    """``W*``: over the joint lattice's full paths, the least maximum
+    over positions of the position's down + up compute (position k
+    hosts down stage k-1 and up stage S-k on one window, whose slab id
+    ``sid_of`` gives)."""
+    nd2, nu2 = down[0].size, up[0].size
+    down, up = down.ravel(), up.ravel()
+    w = np.zeros(1)
+    for st in plan:
+        K = sid_of[st["W"]]
+        values = down[K * nd2 + st["OD"]] + up[K * nu2 + st["OU"]]
+        w = np.minimum.reduceat(np.maximum(w[st["P"]], values), st["tb_starts"])
+    return float(w.min())
+
+
+def _min_sum_fold(chain: list[tuple], sid_of: np.ndarray, path: np.ndarray) -> float:
+    """One chain's ``CP*``: over its lattice's full paths, the least sum
+    of the stages' path terms, added position by position."""
+    n2 = path[0].size
+    path = path.ravel()
+    cp = np.zeros(1)
+    for P, W, O, starts in chain:
+        cp = np.minimum.reduceat(cp[P] + path[sid_of[W] * n2 + O], starts)
+    return float(cp.min())

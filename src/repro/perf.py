@@ -33,7 +33,8 @@ table with self-conditioning, whose frontier has three coordinates;
 the other rows' have two.  The ``cdm-floor`` row is no table: it folds the bound ladder's CDM makespan
 floor (``cdm_makespan_floor``) over the free bidirectional lattice, so
 its cold time includes building the lattice's geometry plan and its
-warm time, which reuses that plan, is the fold alone.  The
+two chains' plans, and its warm time, which reuses those plans, is the
+folds alone.  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.

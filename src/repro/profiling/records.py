@@ -13,11 +13,14 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import ProfileError
+
+if TYPE_CHECKING:
+    from ..cluster.collectives import CommCosts
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,10 @@ class ProfileDB:
 
     The canonical producer is :class:`repro.profiling.Profiler`; tests
     construct one directly via :meth:`from_layer_times`.  Stage sums,
-    per-batch layer prefix sums (:meth:`stage_prefix_sums`) and compute
-    slabs (:meth:`stage_compute_slab`) are memoised on the DB;
+    per-batch layer prefix sums (:meth:`stage_prefix_sums`), compute
+    slabs (:meth:`stage_compute_slab`) and the floor's send and sync
+    columns (:meth:`stage_send_column`, :meth:`stage_sync_column`) are
+    memoised on the DB;
     :meth:`reset_caches` empties every memo.
     """
 
@@ -191,8 +196,10 @@ class ProfileDB:
         self._component_sizes: dict[str, int] = {}
         # Memo of stage-aggregate queries, keyed by
         # (query kind, component, lo, hi, batch), of per-batch layer
-        # prefix sums, keyed by ("p", component, batch), and of compute
-        # slabs, keyed by ("c", component, batch, scale).  The DB
+        # prefix sums, keyed by ("p", component, batch), of compute
+        # slabs, keyed by ("c", component, batch, scale), and of the
+        # floor's send and sync columns, keyed by ("s", component,
+        # batch, p2p, link) and ("y", component, batch, allreduce).  The DB
         # is immutable after construction, so cached sums stay valid;
         # sums are computed exactly as before (same accumulation order),
         # keeping results bit-identical with the uncached path.
@@ -216,8 +223,10 @@ class ProfileDB:
     def reset_caches(self) -> None:
         """Generation/epoch reset of every float-keyed interpolation
         memo: the stage-aggregate cache (with the per-batch prefix sums
-        of :meth:`stage_prefix_sums` and the slabs of
-        :meth:`stage_compute_slab`) and each layer's per-batch
+        of :meth:`stage_prefix_sums`, the slabs of
+        :meth:`stage_compute_slab` and the columns of
+        :meth:`stage_send_column` and :meth:`stage_sync_column`) and
+        each layer's per-batch
         forward/backward caches.  Values are recomputed identically on
         the next query (the memos are pure), so the only cost is the
         warm-up; call this between epochs of a long-lived sweep to
@@ -395,6 +404,46 @@ class ProfileDB:
             slab.flags.writeable = False
             self._stage_cache[key] = slab
         return slab
+
+    def stage_send_column(
+        self, component: str, batch: float, p2p: CommCosts, link: float
+    ) -> np.ndarray:
+        """Read-only ``(n + 1,)`` send column of the CDM makespan floor:
+        entry ``hi`` is the ``link``-scaled transfer of layer ``hi - 1``'s
+        output at one batch size over ``p2p`` (0 at ``hi = 0``) — the
+        IEEE operations of ``StageCosts.send_ms``, times ``link``.
+        Memoised in the stage cache by everything it reads, like
+        :meth:`stage_compute_slab`."""
+        key = ("s", component, batch, p2p, link)
+        col = self._stage_cache.get(key)
+        if col is None:
+            layers = self.layers(component)
+            per_sample = [layer.output_bytes_per_sample for layer in layers]
+            nbytes = np.asarray(per_sample) * batch
+            col = np.zeros(len(layers) + 1)
+            col[1:] = link * (nbytes / p2p.bandwidth + p2p.latency)
+            col.flags.writeable = False
+            self._stage_cache[key] = col
+        return col
+
+    def stage_sync_column(
+        self, component: str, batch: float, allreduce: CommCosts
+    ) -> np.ndarray:
+        """Read-only ``(n + 1,)`` sync column of the CDM makespan floor:
+        entry ``hi`` is the ``allreduce`` time of layers ``[0, hi)``'s
+        gradients, read from :meth:`stage_prefix_sums` at ``batch`` —
+        the IEEE operations of ``StageCosts.sync_ms``.  Memoised in the
+        stage cache by everything it reads."""
+        key = ("y", component, batch, allreduce)
+        col = self._stage_cache.get(key)
+        if col is None:
+            grad = np.asarray(self.stage_prefix_sums(component, batch)[3])
+            col = np.where(
+                grad == 0, 0.0, grad / allreduce.bandwidth + allreduce.latency
+            )
+            col.flags.writeable = False
+            self._stage_cache[key] = col
+        return col
 
     def stage_bwd_b_ms(self, component: str, lo: int, hi: int, batch: float) -> float:
         """Grad-input (B) time of layers ``[lo, hi)``.

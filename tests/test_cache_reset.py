@@ -126,3 +126,40 @@ def test_reset_caches_empties_the_compute_slab_memo():
     PlannerCaches.cold([db])
     again = db.stage_compute_slab("backbone", 8.0, 0.5)
     assert again is not slab and np.array_equal(again, slab)
+
+
+def test_reset_caches_empties_the_path_column_memos():
+    """The CDM floor's send and sync columns are memoised on the profile
+    by everything they read (the batch, the p2p and all-reduce
+    constants and the link scale included), read-only, equal to
+    ``StageCosts``' scalar prices, and dropped by
+    ``PlannerCaches.clear`` with the other stage memos."""
+    import numpy as np
+
+    db = make_synthetic_db()
+    p2p, ar = CommCosts(5e8, 0.01), CommCosts(2e8, 0.02)
+    send = db.stage_send_column("backbone", 8.0, p2p, 4.0)
+    sync = db.stage_sync_column("backbone", 8.0, ar)
+    assert db.stage_send_column("backbone", 8.0, p2p, 4.0) is send
+    assert db.stage_send_column("backbone", 8.0, p2p, 2.0) is not send
+    assert db.stage_send_column("backbone", 4.0, p2p, 4.0) is not send
+    other_p2p = CommCosts(5e8, 0.02)
+    assert db.stage_send_column("backbone", 8.0, other_p2p, 4.0) is not send
+    assert db.stage_sync_column("backbone", 8.0, ar) is sync
+    assert db.stage_sync_column("backbone", 4.0, ar) is not sync
+    assert db.stage_sync_column("backbone", 8.0, p2p) is not sync
+    assert not send.flags.writeable and not sync.flags.writeable
+    ctx = PartitionContext(
+        profile=db, component="backbone", batch_per_group=16.0,
+        num_micro_batches=2, p2p=p2p, allreduce=ar,
+    )
+    costs = StageCosts(ctx, 1)
+    assert costs.local_batch == 8.0
+    for hi in range(1, len(send)):
+        assert send[hi] == 4.0 * costs.send_ms(hi)
+        assert sync[hi] == costs.sync_ms(0, hi)
+    PlannerCaches.cold([db])
+    again = db.stage_send_column("backbone", 8.0, p2p, 4.0)
+    assert again is not send and np.array_equal(again, send)
+    again = db.stage_sync_column("backbone", 8.0, ar)
+    assert again is not sync and np.array_equal(again, sync)

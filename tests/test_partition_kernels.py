@@ -60,14 +60,12 @@ from tests.oracles import (
 
 FAST = CommCosts(bandwidth=6e8, latency=0.005)
 
-layer_times = st.lists(
-    st.tuples(
-        st.floats(min_value=1.0, max_value=50.0),
-        st.floats(min_value=1.0, max_value=100.0),
-    ),
-    min_size=4,
-    max_size=10,
+#: one layer's (fwd, bwd) times
+layer_time = st.tuples(
+    st.floats(min_value=1.0, max_value=50.0),
+    st.floats(min_value=1.0, max_value=100.0),
 )
+layer_times = st.lists(layer_time, min_size=4, max_size=10)
 
 #: (self_conditioning, pricing) — the three table flavours of the
 #: single-backbone DPs
@@ -258,26 +256,43 @@ def _cdm_ctx(down_times, up_times, M=2, batch=64.0, scales=None):
     return CDMPartitionContext(down=mk("down"), up=mk("up"))
 
 
+def _chain_times(data, S: int, cut_step: int, label: str):
+    """One backbone's (fwd, bwd) layer times, sized so that its cut grid
+    holds ``S - 1`` to ``max(S + 1, 6 // cut_step)`` inner cuts at
+    ``cut_step`` (so 2 to 7 layers at cut step 1): the layer count's
+    remainder above the last multiple of the step is drawn too, so a
+    chain may end in a slice shorter than the step."""
+    most = max(S + 1, 6 // cut_step)
+    inner = data.draw(st.integers(S - 1, most), label=f"{label} inner cuts")
+    rest = data.draw(st.integers(0, cut_step - 1), label=f"{label} remainder")
+    n = cut_step * inner + 1 + rest
+    return data.draw(
+        st.lists(layer_time, min_size=n, max_size=n), label=f"{label} times"
+    )
+
+
 @given(
-    layer_times.map(lambda ts: ts[:7]),
-    layer_times.map(lambda ts: ts[:7]),
-    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=2, max_value=4),
     st.integers(min_value=0, max_value=3),
-    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 3]),
     st.booleans(),
-    st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=6, max_size=6),
+    st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=8, max_size=8),
     st.data(),
 )
 @settings(max_examples=30, deadline=None)
-def test_cdm_floor_differential(
-    dts, uts, S, extra, cut_step, pinned, factors, data
-):
+def test_cdm_floor_differential(S, extra, cut_step, pinned, factors, data):
     """The vectorised floor folds equal, bit for bit, the minima over
     every lattice partition enumerated one by one, for both replication
-    flavours, on homogeneous and speed-scaled groups; a lattice without
-    a partition raises like the table's selection.  The replica cap
-    ranges over ``1..D - S + 1``, so a free lattice's fold over its
-    uncapped plan is checked with the caps that mask transitions."""
+    flavours, on homogeneous and speed-scaled groups, on up to four
+    positions and cut steps up to 3.  The replica cap ranges over
+    ``1..D - S + 1``, so a free lattice's fold over its uncapped plans
+    is checked with the caps that mask transitions.  The two backbones
+    draw their layer counts independently, so the path folds over each
+    chain's own lattice meet chains whose cut grids differ (an odd
+    layer count at cut step 2 ends in a one-layer slice the partner
+    may not have) as well as equal ones."""
+    dts = _chain_times(data, S, cut_step, "down")
+    uts = _chain_times(data, S, cut_step, "up")
     ld, lu = len(dts), len(uts)
     D = 2 * S if pinned else S + extra
     fixed_r = 2 if pinned else None
@@ -288,21 +303,49 @@ def test_cdm_floor_differential(
     for scales in (None, tuple(factors[:D])):
         ctx = _cdm_ctx(dts, uts, batch=12.0, scales=scales)
         ref = cdm_floor_reference(ctx, S, **kwargs)
-        plans = PlannerCaches().kernel_plans
-        if math.isinf(ref[0]):
-            with pytest.raises(PartitionError):
-                pk.cdm_floor_array(ctx, S, plans=plans, **kwargs)
-            continue
-        arr = pk.cdm_floor_array(ctx, S, plans=plans, **kwargs)
+        arr = pk.cdm_floor_array(
+            ctx, S, plans=PlannerCaches().kernel_plans, **kwargs
+        )
         assert [x.hex() for x in arr] == [x.hex() for x in ref]
 
 
+@pytest.mark.parametrize(
+    "S, cut_step, ld, lu, fixed_r",
+    [
+        (3, 3, 6, 9, None),
+        (3, 3, 9, 6, None),
+        (4, 2, 8, 5, None),
+        (3, 3, 9, 6, 2),
+        (4, 2, 5, 8, 2),
+    ],
+)
+def test_cdm_floor_raises_without_a_partition(S, cut_step, ld, lu, fixed_r):
+    """A lattice whose cut grid cannot hold ``S`` stages of one chain
+    has no partition, free or pinned (``fixed_r = 2`` on ``D = 2S``):
+    the brute force finds none, and the floor raises
+    :class:`PartitionError` as the table's selection does."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0)] * 3
+    ctx = _cdm_ctx(times[:ld], times[:lu], batch=12.0)
+    D = S + 1 if fixed_r is None else S * fixed_r
+    kwargs = dict(cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=2, fixed_r=fixed_r)
+    assert math.isinf(cdm_floor_reference(ctx, S, **kwargs)[0])
+    with pytest.raises(PartitionError):
+        pk.cdm_floor_array(ctx, S, plans=PlannerCaches().kernel_plans, **kwargs)
+    with pytest.raises(PartitionError):
+        partition_cdm(
+            ctx, S, D, cut_step=cut_step, heterogeneous=fixed_r is None,
+            caches=PlannerCaches(),
+        )
+
+
 def test_cdm_floors_of_two_caps_share_one_plan():
-    """Counter gate of the uncapped floor plan: every replica cap of a
-    free lattice folds over the one geometry plan of cap ``D - S + 1``
-    (transitions above the cap read an all-``+inf`` slab), so two
-    floors at two caps build one plan and reuse it — and each still
-    equals the brute-force minima at its own cap."""
+    """Counter gate of the uncapped floor plans: every replica cap of a
+    free lattice folds over the plans of cap ``D - S + 1`` (transitions
+    above the cap read an all-``+inf`` slab): the joint plan of the
+    ``W`` fold and one entry holding both chains' plans for the path
+    folds.  Two floors at two caps build those two entries once and
+    reuse them, and each still equals the brute-force minima at its own
+    cap."""
     times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
     ctx = _cdm_ctx(times, times, batch=12.0)
     kwargs = dict(cut_step=1, ld=5, lu=5, D=4, fixed_r=None)
@@ -311,7 +354,7 @@ def test_cdm_floors_of_two_caps_share_one_plan():
         got = pk.cdm_floor_array(ctx, 2, r_cap=r_cap, plans=plans, **kwargs)
         want = cdm_floor_reference(ctx, 2, r_cap=r_cap, **kwargs)
         assert [x.hex() for x in got] == [x.hex() for x in want], r_cap
-    assert (plans.misses, plans.hits) == (1, 1)
+    assert (plans.misses, plans.hits) == (2, 2)
 
 
 def _plan_geometry(S, ld, lu, cut_step):

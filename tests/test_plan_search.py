@@ -316,10 +316,14 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
 
 def test_cold_cdm_floor_pass_builds_one_plan_per_lattice():
     """Counter gate of the uncapped floor plans: a free lattice's floor
-    folds over the geometry plan of replica cap ``D - S + 1`` whatever
-    its own cap, so a cold heterogeneous CDM-LSUN ``plan(128)`` on 16
-    GPUs builds 12 geometry plans.  A floor plan per replica cap made
-    it 19."""
+    folds over the geometry plans of replica cap ``D - S + 1`` whatever
+    its own cap: the joint plan of its ``W`` fold and one entry holding
+    both chains' plans for its path folds.  So a cold heterogeneous
+    CDM-LSUN ``plan(128)`` on 16 GPUs builds 22 entries: 12 joint plans
+    (the 10 floor lattices', which the free tables share, and 2 pinned
+    ones only tables use) and 10 chain entries.  Before the chain plans
+    it built 12, and a floor plan per replica cap made the joint plans
+    19."""
     cluster = p4de_cluster(2)
     model = cdm_lsun()
     profile = Profiler(cluster).profile(model)
@@ -328,7 +332,7 @@ def test_cold_cdm_floor_pass_builds_one_plan_per_lattice():
         model, cluster, profile,
         options=PlannerOptions(heterogeneous_replication=True), caches=caches,
     ).plan(128)
-    assert caches.stats().store("kernel_plans").misses == 12
+    assert caches.stats().store("kernel_plans").misses == 22
 
 
 def _cold_cdm_plan_256():
@@ -399,6 +403,35 @@ def test_cold_cdm_floor_pass_builds_each_compute_slab_once(monkeypatch):
     _cold_cdm_plan_256()
     assert calls[0] == 670
     assert len(built) == 94
+
+
+def test_cold_cdm_floor_pass_builds_each_path_column_once(monkeypatch):
+    """Counter gate of the path-column memos: the floor folds of a cold
+    heterogeneous CDM-LSUN ``plan(256)`` on 16 GPUs ask for 670 send and
+    670 sync columns, and the profile's memos build each distinct one
+    once: 140 send columns (component, local batch, p2p constants,
+    link) and 190 sync columns (component, local batch, all-reduce
+    constants).  Rebuilding them on every floor call made 670 of each,
+    and read each backbone's per-layer output bytes on every call."""
+
+    def counting(name):
+        method = getattr(ProfileDB, name)
+        seen = {"calls": 0, "built": {}}
+
+        def counted(profile, *args):
+            seen["calls"] += 1
+            got = method(profile, *args)
+            seen["built"][id(got)] = got  # held, so no id is reused
+            return got
+
+        monkeypatch.setattr(ProfileDB, name, counted)
+        return seen
+
+    send = counting("stage_send_column")
+    sync = counting("stage_sync_column")
+    _cold_cdm_plan_256()
+    assert (send["calls"], len(send["built"])) == (670, 140)
+    assert (sync["calls"], len(sync["built"])) == (670, 190)
 
 
 def test_cold_cdm_plan_skips_most_partition_tables():

@@ -9,7 +9,7 @@ latency connect two device ranks?*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from .. import units
@@ -100,6 +100,29 @@ class ClusterSpec:
         object.__setattr__(
             self, "link_overrides", self._canon_links(self.link_overrides)
         )
+
+    # -- hashing ---------------------------------------------------------------
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once per instance.
+
+        Every partition, floor, gate, comm and evals key holds the
+        cluster, so a warm replan hashes it hundreds of times.  The
+        cached value lives in the instance dict, outside the fields, so
+        ``__eq__``, ``repr`` and ``dataclasses.fields`` never see it,
+        and :meth:`__getstate__` leaves it out of the pickled state: the
+        hash of a :class:`DeviceSpec` name differs under another
+        ``PYTHONHASHSEED``."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     # -- override canonicalisation -------------------------------------------
 

@@ -17,7 +17,9 @@ computed before the event is still valid:
 * planner-level memos (partitions, evaluations, timelines) key on the
   canonicalised :class:`~repro.cluster.topology.ClusterSpec`, so a
   machine that leaves and later rejoins restores the *same* cluster
-  identity and every memo warm-hits.
+  identity and every memo warm-hits; a session hands back the very
+  object it met first for each membership, so those hits match their
+  keys by identity, without comparing clusters field by field.
 
 :class:`ElasticSession` packages this: one model, one profile, one
 shared :class:`~repro.core.caches.PlannerCaches` across a stream of
@@ -183,6 +185,11 @@ class ElasticSession:
         self.caches = caches if caches is not None else default_caches()
         #: every event applied so far, oldest first
         self.events: list[ElasticEvent] = []
+        # One ClusterSpec object per membership seen: a rejoin returns
+        # the very object the memos were keyed with, so each warm hit
+        # matches its key by identity instead of comparing clusters
+        # field by field.
+        self._clusters = {cluster: cluster}
 
     @property
     def global_batch(self) -> float:
@@ -191,7 +198,8 @@ class ElasticSession:
 
     def apply(self, event: ElasticEvent) -> ClusterSpec:
         """Apply one membership change and return the new cluster."""
-        self.cluster = apply_event(self.cluster, event)
+        cluster = apply_event(self.cluster, event)
+        self.cluster = self._clusters.setdefault(cluster, cluster)
         self.events.append(event)
         return self.cluster
 

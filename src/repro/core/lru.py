@@ -160,6 +160,12 @@ class ProfileKeyedStore:
                     self.evictions += 1
             per[key] = value
 
+    def contains(self, profile, key) -> bool:
+        """Whether ``profile``'s table holds ``key``, without counting a
+        hit or a miss or refreshing the entry."""
+        per = self._by_profile.get(profile)
+        return per is not None and key in per
+
     def clear(self, profile=None) -> None:
         """Drop all tables, or only the given profile's."""
         with self._lock:

@@ -35,6 +35,11 @@ Heterogeneous replication (behind a flag) lets each stage pick its own
 replica count; the default pins every stage to ``r = D/S`` as in the
 paper's evaluation (footnote 2), which leaves each state exactly one
 transition per cut.
+
+:func:`backbone_makespan_floor` bounds the simulated makespan of
+whichever partition the DP would return without running it, which lets
+the planner's bound ladder skip the DP for configurations that cannot
+win.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from dataclasses import dataclass
 from ..cluster.collectives import CommCosts
 from ..errors import ConfigurationError, PartitionError
 from ..profiling.records import ProfileDB
+from ..schedule import FLOOR_MARGIN
 from .caches import PlannerCaches, default_caches
 from .plan import PartitionPlan, StageAssignment
 
@@ -329,8 +335,90 @@ def partition_backbone(
     when None).
     """
     caches = caches if caches is not None else default_caches()
-    S = num_stages
-    D = group_size
+    S, D = num_stages, group_size
+    L, fixed_r = _backbone_lattice(ctx, S, D, heterogeneous)
+    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches, fixed_r=fixed_r)
+    return _select_plan(ctx, S, D, L, history, tf_by_r, replicas=fixed_r)
+
+
+def backbone_makespan_floor(
+    ctx: PartitionContext,
+    num_stages: int,
+    group_size: int,
+    *,
+    heterogeneous: bool = False,
+    split_backward: bool = False,
+    comm_scale: float = 1.0,
+    caches: PlannerCaches | None = None,
+) -> float:
+    """Lower bound on the simulated makespan of every partition
+    :func:`partition_backbone` can return for the same arguments,
+    without running its DP: the single-backbone twin of
+    :func:`~.partition_cdm.cdm_makespan_floor`.
+
+    With ``M`` micro-batches, a device runs ``M`` forward and backward
+    passes of its stage, and one micro-batch's path down the chain and
+    back ends in stage 0's sync, so each build's simulated makespan is
+    at least ``max(M * W*, CP*)``, each term minimised over the DP's
+    whole lattice (see :func:`~.partition_kernels.het_floor_array`):
+    it holds whichever partition the DP picks.  ``split_backward`` and
+    ``comm_scale`` are the schedule family's flags
+    (:func:`~repro.schedule.onef1b.makespan_floor`).  Under
+    self-conditioning the plain and self-conditioned floors mix as the
+    planner mixes the two makespans.  The terms sum in a different
+    order from the simulator, so the result gives up a relative
+    :data:`~repro.schedule.FLOOR_MARGIN`.  Raises
+    :class:`PartitionError` exactly where :func:`partition_backbone`
+    does.  The lattice's plan comes from, and is kept in,
+    ``caches.kernel_plans``.
+    """
+    caches = caches if caches is not None else default_caches()
+    S, D = num_stages, group_size
+    L, fixed_r = _backbone_lattice(ctx, S, D, heterogeneous)
+    from . import partition_kernels
+
+    terms = partition_kernels.het_floor_array(
+        ctx, L, S, D,
+        r_cap=fixed_r if fixed_r is not None else int(ctx.micro_batch),
+        fixed_r=fixed_r, split_backward=split_backward,
+        comm_scale=comm_scale, plans=caches.kernel_plans,
+    )
+    M = ctx.num_micro_batches
+    floors = [max(M * w, cp) for w, cp in terms]
+    floor = floors[0]
+    if ctx.self_conditioning:
+        floor = _expected(ctx.self_conditioning_prob, floor, floors[1])
+    return floor * (1.0 - FLOOR_MARGIN)
+
+
+def backbone_table_served(
+    ctx: PartitionContext,
+    num_stages: int,
+    group_size: int,
+    *,
+    heterogeneous: bool = False,
+    caches: PlannerCaches | None = None,
+) -> bool:
+    """Whether :func:`partition_backbone` with the same arguments builds
+    no DP table: it raises :class:`PartitionError` up front, or its
+    table is already in ``caches.het``.  The lookup counts neither a
+    hit nor a miss."""
+    caches = caches if caches is not None else default_caches()
+    try:
+        L, fixed_r = _backbone_lattice(ctx, num_stages, group_size, heterogeneous)
+    except PartitionError:
+        return True
+    key = _het_key(ctx, L, num_stages, group_size, fixed_r)
+    return caches.het.contains(ctx.profile, key)
+
+
+def _backbone_lattice(
+    ctx: PartitionContext, S: int, D: int, heterogeneous: bool
+) -> tuple[int, int | None]:
+    """Check a single-backbone partition request; returns the layer
+    count and the pinned replica count (``None``: heterogeneous).
+    Raises :class:`PartitionError` where no partition can exist and
+    :class:`ConfigurationError` on malformed arguments."""
     L = ctx.profile.num_layers(ctx.component)
     if S <= 0 or D <= 0:
         raise ConfigurationError("num_stages and group_size must be positive")
@@ -345,10 +433,8 @@ def partition_backbone(
             f"speed_scales must carry one factor per group device "
             f"(got {len(ctx.speed_scales)} for group size {D})"
         )
-
     if heterogeneous:
-        history, tf_by_r = _het_frontiers(ctx, L, S, D, caches)
-        return _select_plan(ctx, S, D, L, history, tf_by_r, replicas=None)
+        return L, None
 
     if D % S != 0:
         raise PartitionError(
@@ -366,15 +452,19 @@ def partition_backbone(
             f"uniform replication r={r} needs at least {r} samples per "
             f"micro-batch (got {ctx.micro_batch:g})"
         )
-    history, tf_by_r = _het_frontiers(ctx, L, S, D, caches, fixed_r=r)
-    return _select_plan(ctx, S, D, L, history, tf_by_r, replicas=r)
+    return L, r
+
+
+def _expected(p: float, plain: float, sc: float) -> float:
+    """Self-conditioning expectation: a step takes the extra forward
+    pass with probability ``p``."""
+    return (1 - p) * plain + p * sc
 
 
 def _expected_w(ctx: PartitionContext, w: float, w_sc: float) -> float:
     if not ctx.self_conditioning:
         return w
-    p = ctx.self_conditioning_prob
-    return p * w_sc + (1.0 - p) * w
+    return _expected(ctx.self_conditioning_prob, w, w_sc)
 
 
 def _objective(
@@ -462,8 +552,34 @@ def _het_frontiers(
     ``d`` and ``r`` labels then name the builder's replica count, which
     :func:`_select_plan` relabels with its caller's.
     """
+    key = _het_key(ctx, L, S, D, fixed_r)
+    cached = caches.het.get(ctx.profile, key)
+    if cached is not None:
+        return cached
+
+    from . import partition_kernels
+
+    # Looked up on the module at call time: the differential suites
+    # swap in the pure-Python oracle here (tests/oracles/).
+    history, tf_by_r = partition_kernels.het_table_array(
+        ctx, L, S, D, fixed_r=fixed_r
+    )
+    history = [
+        {state: tuple(entries) for state, entries in stage.items()}
+        for stage in history
+    ]
+    cached = (history, tf_by_r)
+    caches.het.put(ctx.profile, key, cached)
+    return cached
+
+
+def _het_key(
+    ctx: PartitionContext, L: int, S: int, D: int, fixed_r: int | None
+) -> tuple:
+    """The ``caches.het`` key of a 1F1B DP table (see
+    :func:`_het_frontiers`)."""
     if fixed_r is None:
-        key = (
+        return (
             ctx.component,
             L,
             S,
@@ -483,50 +599,31 @@ def _het_frontiers(
             # to the DP state, so the tuple alone suffices; D is above).
             ctx.speed_scales,
         )
-    else:
-        r = fixed_r
-        key = (
-            # Flavour tag: a pinned key never equals a free one.
-            "pinned",
-            ctx.component,
-            L,
-            S,
-            # The stage-local batch, exactly as StageCosts computes it.
-            ctx.micro_batch / r,
-            ctx.p2p,
-            # The sync constants actually resolved for this replica
-            # count: with a per-replica-count tuple, contexts sharing
-            # one stage-local batch but differing in (micro-batch, r)
-            # price Eqn. 4 differently and must not share a table.
-            ctx.allreduce_for(r),
-            ctx.self_conditioning,
-            ctx.zb_pricing,
-            # Heterogeneous device speeds: stage s covers the group-local
-            # window [(s-1)r, sr), so a scaled table depends on the full
-            # factor tuple AND on r — two contexts sharing one
-            # stage-local batch but differing in r slice different
-            # windows.  None keeps homogeneous keys stable across
-            # speed-agnostic callers.
-            None if ctx.speed_scales is None else (r, ctx.speed_scales),
-        )
-    cached = caches.het.get(ctx.profile, key)
-    if cached is not None:
-        return cached
-
-    from . import partition_kernels
-
-    # Looked up on the module at call time: the differential suites
-    # swap in the pure-Python oracle here (tests/oracles/).
-    history, tf_by_r = partition_kernels.het_table_array(
-        ctx, L, S, D, fixed_r=fixed_r
+    r = fixed_r
+    return (
+        # Flavour tag: a pinned key never equals a free one.
+        "pinned",
+        ctx.component,
+        L,
+        S,
+        # The stage-local batch, exactly as StageCosts computes it.
+        ctx.micro_batch / r,
+        ctx.p2p,
+        # The sync constants actually resolved for this replica
+        # count: with a per-replica-count tuple, contexts sharing
+        # one stage-local batch but differing in (micro-batch, r)
+        # price Eqn. 4 differently and must not share a table.
+        ctx.allreduce_for(r),
+        ctx.self_conditioning,
+        ctx.zb_pricing,
+        # Heterogeneous device speeds: stage s covers the group-local
+        # window [(s-1)r, sr), so a scaled table depends on the full
+        # factor tuple AND on r — two contexts sharing one
+        # stage-local batch but differing in r slice different
+        # windows.  None keeps homogeneous keys stable across
+        # speed-agnostic callers.
+        None if ctx.speed_scales is None else (r, ctx.speed_scales),
     )
-    history = [
-        {state: tuple(entries) for state, entries in stage.items()}
-        for stage in history
-    ]
-    cached = (history, tf_by_r)
-    caches.het.put(ctx.profile, key, cached)
-    return cached
 
 
 def _select_plan(

@@ -8,8 +8,9 @@ behind the two DP wrappers as array kernels —
 :func:`het_table_array` for the single-backbone 1F1B DP
 (``partition._het_frontiers``) and :func:`cdm_table_array` for the
 bidirectional CDM DP (``partition_cdm._cdm_frontiers``), plus
-:func:`cdm_floor_array`, the scalar folds of the bound ladder's CDM
-makespan floor over the same lattice.  Each serves both replication
+:func:`het_floor_array` and :func:`cdm_floor_array`, the scalar folds
+of the bound ladder's pre-partition makespan floors over the same
+lattices.  Each serves both replication
 flavours: ``fixed_r`` pins every stage to one replica count (uniform
 replication, the paper's footnote 2), ``fixed_r=None`` lets each stage
 choose (Eqns. 7-9).  The table kernels work as follows:
@@ -26,8 +27,10 @@ choose (Eqns. 7-9).  The table kernels work as follows:
   which stores each transition's flat slab offsets, so
   :func:`cdm_table_array` and :func:`cdm_floor_array` both gather with
   one 1-D take per slab; a free lattice's floors at every replica cap
-  share its uncapped plans, and the floor's path terms fold over each
-  chain's own, far smaller (cut, device) lattice;
+  share its uncapped plans, the floor's path terms fold over each
+  chain's own, far smaller (cut, device) lattice, and a pinned chain's
+  plan serves every replica count; the 1F1B lattice is such a chain,
+  so :func:`het_floor_array` folds over one chain plan;
 * the CDM kernel drops every transition batch that cannot hold a
   survivor before expanding it (:func:`_prefilter_batches`; a cold
   heterogeneous cdm-lsun ``plan(256)`` on 16 GPUs folds 790,864
@@ -83,6 +86,7 @@ from .partition import StageCosts, _LazyStageCosts
 
 __all__ = [
     "het_table_array",
+    "het_floor_array",
     "cdm_table_array",
     "cdm_floor_array",
 ]
@@ -749,6 +753,17 @@ def _build_cdm_plan(
     return plan
 
 
+def _cached(plans, key: tuple, build):
+    """``plans[key]`` (``plans`` an optional ``LruStore``), built and
+    stored on a miss."""
+    value = plans.get(key) if plans is not None else None
+    if value is None:
+        value = build()
+        if plans is not None:
+            plans.put(key, value)
+    return value
+
+
 def _cdm_plan(
     S: int,
     *,
@@ -766,16 +781,59 @@ def _cdm_plan(
     position needs a device), so every larger ``r_cap`` shares one plan;
     a pinned plan's only count is ``fixed_r``."""
     r_max = fixed_r if fixed_r is not None else min(r_cap, D - S + 1)
-    plan_key = ("cdm", S, ld, lu, cut_step, D, r_max, fixed_r)
-    plan = plans.get(plan_key) if plans is not None else None
-    if plan is None:
-        plan = _build_cdm_plan(
+    plan = _cached(
+        plans,
+        ("cdm", S, ld, lu, cut_step, D, r_max, fixed_r),
+        lambda: _build_cdm_plan(
             S=S, down=_cut_grid(S, ld, cut_step), up=_cut_grid(S, lu, cut_step),
             D=D, r_cap=r_max, fixed_r=fixed_r,
-        )
-        if plans is not None:
-            plans.put(plan_key, plan)
+        ),
+    )
     return plan, r_max
+
+
+def _chain_plan(
+    S: int,
+    grid: _CutGrid,
+    *,
+    D: int,
+    r_max: int,
+    fixed_r: int | None,
+    up: bool = False,
+) -> list[tuple]:
+    """One chain's own (cut, device) lattice as per-position ``(P, W,
+    O, tb_starts)``: parents, window codes, the chain's slice offsets
+    and target runs.  It is the :func:`_build_cdm_plan` plan whose
+    partner chain is pinned to one layer per position
+    (:func:`_pinned_grid`); ``up`` puts the chain on the up side, whose
+    offsets (``OU``) index suffix slices, and otherwise its offsets
+    (``OD``) index prefix slices.
+
+    A pinned lattice's plan depends on its replica count ``r`` only
+    through its window codes and target devices (``k·r`` at position
+    ``k``), so it is built once at ``r = 1`` on ``S`` devices, where
+    position ``k``'s window code is ``2(k - 1) + 1``;
+    :func:`_chain_sids` maps that code to the slab of the window
+    ``[(k - 1)·r, k·r)`` at fold time."""
+    if fixed_r is not None:
+        D, r_max, fixed_r = S, 1, 1
+    pinned = _pinned_grid(S)
+    plan = _build_cdm_plan(
+        S=S, down=pinned if up else grid, up=grid if up else pinned,
+        D=D, r_cap=r_max, fixed_r=fixed_r,
+    )
+    offsets = "OU" if up else "OD"
+    return [(st["P"], st["W"], st[offsets], st["tb_starts"]) for st in plan]
+
+
+def _chain_sids(SID: np.ndarray, S: int, fixed_r: int | None) -> np.ndarray:
+    """Slab id of each window code of a :func:`_chain_plan` plan: the
+    raveled ``(pd, r)`` table of a free plan, and for a pinned plan
+    (built at ``r = 1``) code ``2(k - 1) + 1`` to the slab of position
+    ``k``'s window ``[(k - 1)·r, k·r)``."""
+    if fixed_r is None:
+        return SID.ravel()
+    return np.repeat(SID[np.arange(S) * fixed_r, fixed_r], 2)
 
 
 def _cdm_chain_plans(
@@ -789,9 +847,8 @@ def _cdm_chain_plans(
     fixed_r: int | None,
     plans,
 ) -> tuple[list[tuple], list[tuple]]:
-    """Each chain's own (cut, device) lattice of one CDM lattice, as
-    per-position ``(P, W, O, tb_starts)``: parents, window codes, the
-    chain's slice offsets (``OD`` down, ``OU`` up) and target runs.
+    """Each chain's own (cut, device) lattice of one CDM lattice
+    (:func:`_chain_plan`): the down chain's, then the up chain's.
 
     :func:`_build_cdm_plan`'s down-cut range depends only on the parent's
     down cut, its up-cut range only on the up cut and its replica range
@@ -804,29 +861,21 @@ def _cdm_chain_plans(
     device paths, each added position by position.  Float addition is
     monotone, so each min-sum fold yields the least of those sums, and
     the two agree bit for bit.  That pairing is the joint plan with the
-    partner chain pinned to one layer per position
-    (:func:`_pinned_grid`), on far fewer transitions; a pinned lattice's
-    device lattice is one path, so its chain plans are its cut
-    lattices.  Both chains sit under one key in ``plans`` (an optional
+    partner chain pinned to one layer per position, on far fewer
+    transitions; a pinned lattice's device lattice is one path, so its
+    chain plans are its cut lattices, shared by every replica count.
+    Both chains sit under one key in ``plans`` (an optional
     ``LruStore``)."""
-    plan_key = ("cdm-chains", S, ld, lu, cut_step, D, r_max, fixed_r)
-    chains = plans.get(plan_key) if plans is not None else None
-    if chains is None:
-        down = _build_cdm_plan(
-            S=S, down=_cut_grid(S, ld, cut_step), up=_pinned_grid(S),
-            D=D, r_cap=r_max, fixed_r=fixed_r,
-        )
-        up = _build_cdm_plan(
-            S=S, down=_pinned_grid(S), up=_cut_grid(S, lu, cut_step),
-            D=D, r_cap=r_max, fixed_r=fixed_r,
-        )
-        chains = (
-            [(st["P"], st["W"], st["OD"], st["tb_starts"]) for st in down],
-            [(st["P"], st["W"], st["OU"], st["tb_starts"]) for st in up],
-        )
-        if plans is not None:
-            plans.put(plan_key, chains)
-    return chains
+    geometry = ("pinned",) if fixed_r is not None else (D, r_max)
+    kwargs = dict(D=D, r_max=r_max, fixed_r=fixed_r)
+    return _cached(
+        plans,
+        ("cdm-chains", S, ld, lu, cut_step, *geometry),
+        lambda: (
+            _chain_plan(S, _cut_grid(S, ld, cut_step), **kwargs),
+            _chain_plan(S, _cut_grid(S, lu, cut_step), up=True, **kwargs),
+        ),
+    )
 
 
 def cdm_table_array(
@@ -935,40 +984,80 @@ def cdm_table_array(
     return frontiers
 
 
-def _floor_slabs(ctx, L: int, slabs, link: float) -> tuple[np.ndarray, np.ndarray]:
+def _floor_slabs(
+    ctx,
+    L: int,
+    slabs,
+    comm_scale: float,
+    *,
+    sc: bool = False,
+    split: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
     """One chain's floor slabs, one per ``(r, window factor)`` of
     ``slabs`` plus an all-``+inf`` one (the slab id :func:`_slab_ids`
     gives windows of no listed replica count): the ``[lo, hi]`` compute
-    of a stage (fwd + bwd at the local batch ``micro_batch / r``,
-    divided by the window factor) and its path term.
+    of a stage on one micro-batch (fwd + bwd at the local batch
+    ``micro_batch / r``, divided by the window factor, then plus the
+    forward again for the SC wave when ``sc``) and its path term.
 
-    The path term adds the ``link``-scaled send of the stage's output
-    unless it ends the chain (``hi = L``), then the sync of the chain's
-    stage 0 (``lo = 0``), in that order, as the planner prices a stage's
-    sends and all-reduce.  Only a chain's last stage ends at layer
-    ``L`` and only its stage 0 starts at 0, so the folds need no
-    position test.  Slabs and columns come from the profile's
-    memos (:meth:`~repro.profiling.records.ProfileDB.stage_compute_slab`,
+    The path term is the stage's compute (with the grad-input half B
+    in place of the whole backward when ``split``), plus the sends of
+    the stage's output unless it ends the chain (``hi = L``): its
+    forward and backward transfer across the boundary, and the SC
+    wave's forward when ``sc``, each scaled by ``comm_scale``.  With
+    ``sc`` the chain's last stage instead feeds its output back once.
+    Then the chain's stage 0 (``lo = 0``) adds its W when ``split``
+    and its sync, in that order, as the planner prices a stage's sends
+    and all-reduce.  Only a chain's
+    last stage ends at layer ``L`` and only its stage 0 starts at 0, so
+    the folds need no position test.  Compute slabs and path columns
+    come from the profile's memos
+    (:meth:`~repro.profiling.records.ProfileDB.stage_compute_slab`,
     :meth:`~repro.profiling.records.ProfileDB.stage_send_column`,
-    :meth:`~repro.profiling.records.ProfileDB.stage_sync_column`)."""
+    :meth:`~repro.profiling.records.ProfileDB.stage_sync_column`); the
+    B and W slabs of ``split`` from its memoised prefix sums."""
     profile, comp = ctx.profile, ctx.component
     batches = [ctx.micro_batch / r for r, _ in slabs]
     compute = np.full((len(slabs) + 1, L + 1, L + 1), np.inf)
     compute[:-1] = [
-        profile.stage_compute_slab(comp, b, w) for b, (_, w) in zip(batches, slabs)
+        profile.stage_compute_slab(comp, b, w, sc)
+        for b, (_, w) in zip(batches, slabs)
     ]
-    # Adding 0.0 leaves a compute entry as it is: the +inf slab and a
-    # chain's last stage send nothing, and only stage 0 syncs.
+    base = compute
+    if split:
+        # Per-slab prefix sums; the +inf slab's rows stay 0.
+        F, B, Wp = np.zeros((3, len(slabs) + 1, L + 1))
+        for i, b in enumerate(batches):
+            F[i], B[i], Wp[i], _ = profile.stage_prefix_sums(comp, b)
+        scale = np.array([w for _, w in slabs] + [1.0])[:, None, None]
+        fwd = F[:, None, :] - F[:, :, None]
+        bwd = B[:, None, :] - B[:, :, None]
+        bwd_b = np.maximum(0.0, bwd - (Wp[:, None, :] - Wp[:, :, None]))
+        base = (fwd + bwd_b) / scale
+        if sc:
+            base = base + fwd / scale
+        base[-1] = np.inf
+    # Adding 0.0 leaves a compute entry as it is: the +inf slab sends
+    # nothing, a chain's last stage only its feedback, and only stage 0
+    # syncs.
+    link = (3.0 if sc else 2.0) * comm_scale
     send = np.zeros((len(slabs) + 1, L + 1))
     send[:-1, :L] = [
         profile.stage_send_column(comp, b, ctx.p2p, link)[:L] for b in batches
     ]
+    if sc:
+        send[:-1, L] = [
+            profile.stage_send_column(comp, b, ctx.p2p, comm_scale)[L]
+            for b in batches
+        ]
     sync = np.zeros_like(send)
     sync[:-1] = [
         profile.stage_sync_column(comp, b, ctx.allreduce_for(r))
         for b, (r, _) in zip(batches, slabs)
     ]
-    path = compute + send[:, None, :]
+    path = base + send[:, None, :]
+    if split:
+        path[:, 0] += Wp / scale[:, 0]
     path[:, 0] += sync
     return compute, path
 
@@ -1029,22 +1118,88 @@ def cdm_floor_array(
             f"no feasible bidirectional partition into {S} stages on {D} devices"
         )
     SID, slabs = _slab_ids(ctx.down, D, r_values, fixed_r, r_max)
-    # A link carries a boundary's forward and backward transfer, each
-    # enlarged 2x on the bidirectional chain; a stage's sync prices its
-    # own replica count.
-    link = 2.0 * ctx.comm_scale
-    down, path_d = _floor_slabs(ctx.down, ld, slabs, link)
-    up, path_u = _floor_slabs(ctx.up, lu, slabs, link)
+    # A boundary's forward and backward transfer are each enlarged on
+    # the bidirectional chain; a stage's sync prices its own replica
+    # count.
+    down, path_d = _floor_slabs(ctx.down, ld, slabs, ctx.comm_scale)
+    up, path_u = _floor_slabs(ctx.up, lu, slabs, ctx.comm_scale)
     chain_d, chain_u = _cdm_chain_plans(
         S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_max=r_max,
         fixed_r=fixed_r, plans=plans,
     )
-    sid_of = SID.ravel()
-    return (
-        _min_max_fold(plan, sid_of, down, up),
-        _min_sum_fold(chain_d, sid_of, path_d),
-        _min_sum_fold(chain_u, sid_of, path_u),
+    chain_sids = _chain_sids(SID, S, fixed_r)
+    (cp_down,) = _min_chain_fold(chain_d, chain_sids, [(path_d, np.add)])
+    (cp_up,) = _min_chain_fold(chain_u, chain_sids, [(path_u, np.add)])
+    return _min_max_fold(plan, SID.ravel(), down, up), cp_down, cp_up
+
+
+def het_floor_array(
+    ctx,
+    L: int,
+    S: int,
+    D: int,
+    *,
+    r_cap: int,
+    fixed_r: int | None,
+    split_backward: bool = False,
+    comm_scale: float = 1.0,
+    plans=None,
+) -> tuple[tuple[float, float], ...]:
+    """Terms ``(W*, CP*)`` of the single-backbone makespan floor, each
+    minimised over every partition :func:`het_table_array`'s lattice
+    holds (same replica range, ``r_cap`` capping a free lattice's
+    counts): one pair for the plain build and, under self-conditioning,
+    a second for the self-conditioned one.
+
+    * ``W*`` — the smallest possible maximum over stages of a stage's
+      compute on one micro-batch: fwd + bwd at the local batch
+      ``micro_batch / r``, divided by the window factor, plus the SC
+      forward in the self-conditioned build.  ``M·W`` is one device's
+      busy time;
+    * ``CP*`` — the shortest path of one micro-batch, with the terms of
+      :func:`~repro.schedule.onef1b.makespan_floor`'s stage-0 path:
+      every stage's compute (its forward and B in place of the whole
+      backward when ``split_backward``), the ``comm_scale``-scaled
+      transfers across each boundary (forward and backward, and the SC
+      wave's), the SC feedback after the last stage, and stage 0's W
+      (when split) and sync.
+
+    The lattice is a CDM down chain whose partner chain is pinned
+    (:func:`_chain_plan` on the unit cut grid): its cut range, replica
+    range and device budget are the 1F1B DP's, and only its grouping of
+    last-stage states differs, which no minimum sees.  It sits in
+    ``plans`` (an optional ``LruStore``) uncapped, like a free CDM
+    floor's plans, so every cap shares it; a pinned lattice's plan is
+    shared by every replica count.  Raises :class:`PartitionError` on a
+    lattice without a full partition, as the table's selection does.
+    """
+    r_max = fixed_r if fixed_r is not None else D - S + 1
+    geometry = ("pinned",) if fixed_r is not None else (D,)
+    chain = _cached(
+        plans,
+        ("1f1b-chain", S, L, *geometry),
+        lambda: _chain_plan(
+            S, _cut_grid(S, L, 1), D=D, r_max=r_max, fixed_r=fixed_r
+        ),
     )
+    if fixed_r is None:
+        r_values = range(1, min(r_cap, r_max) + 1)
+    else:
+        r_values = (fixed_r,)
+    if not len(chain[-1][0]) or not r_values:
+        raise PartitionError(
+            f"no feasible partition of {L} layers into {S} stages on {D} devices"
+        )
+    SID, slabs = _slab_ids(ctx, D, r_values, fixed_r, r_max)
+    sid_of = _chain_sids(SID, S, fixed_r)
+    folds = []
+    for sc in (False, True) if ctx.self_conditioning else (False,):
+        compute, path = _floor_slabs(
+            ctx, L, slabs, comm_scale, sc=sc, split=split_backward
+        )
+        folds += [(compute, np.maximum), (path, np.add)]
+    terms = _min_chain_fold(chain, sid_of, folds)
+    return tuple(zip(terms[::2], terms[1::2]))
 
 
 def _min_max_fold(
@@ -1064,12 +1219,22 @@ def _min_max_fold(
     return float(w.min())
 
 
-def _min_sum_fold(chain: list[tuple], sid_of: np.ndarray, path: np.ndarray) -> float:
-    """One chain's ``CP*``: over its lattice's full paths, the least sum
-    of the stages' path terms, added position by position."""
-    n2 = path[0].size
-    path = path.ravel()
-    cp = np.zeros(1)
+def _min_chain_fold(
+    chain: list[tuple], sid_of: np.ndarray, folds: list[tuple]
+) -> list[float]:
+    """Over one chain lattice's full paths, for each ``(values,
+    combine)`` of ``folds``, the least ``combine`` (``np.add`` for a
+    path sum, ``np.maximum`` for a busiest stage) of the stages'
+    ``values`` (one slab stack), combined position by position from 0.
+    The folds share each position's gather index."""
+    n2 = folds[0][0][0].size
+    flats = [values.ravel() for values, _ in folds]
+    combines = [combine for _, combine in folds]
+    accs = [np.zeros(1)] * len(folds)
     for P, W, O, starts in chain:
-        cp = np.minimum.reduceat(cp[P] + path[sid_of[W] * n2 + O], starts)
-    return float(cp.min())
+        idx = sid_of[W] * n2 + O
+        accs = [
+            np.minimum.reduceat(combine(acc[P], flat[idx]), starts)
+            for acc, flat, combine in zip(accs, flats, combines)
+        ]
+    return [float(acc.min()) for acc in accs]

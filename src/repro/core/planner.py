@@ -20,10 +20,11 @@ degree) — and for each feasible combination:
 
 and finally returns the configuration with the highest throughput.
 :meth:`DiffusionPipePlanner.plan` is a bound ladder: a configuration is
-partitioned only while its pre-partition makespan floor (bidirectional
-models) can still beat the best plan found so far, simulated only while
-the closed-form makespan floor of its finalists can, and filled only
-while its simulated ``samples / pipeline_ms`` bound can;
+partitioned only while its pre-partition makespan floor (every family
+with one stage per device, single-backbone or bidirectional) can still
+beat the best plan found so far, simulated only while the closed-form
+makespan floor of its finalists can, and filled only while its
+simulated ``samples / pipeline_ms`` bound can;
 :meth:`~DiffusionPipePlanner.candidate_plans` evaluates them all.
 """
 
@@ -53,7 +54,13 @@ from .caches import CacheStats, PlannerCaches, default_caches
 from .cross_iteration import compose_iteration
 from .fill_strategies import FILL_STRATEGIES, fill_strategy_names
 from .filling import VALID_LOCAL_BATCHES, BubbleFiller, FillShapeCache
-from .partition import PartitionContext, partition_backbone
+from .partition import (
+    PartitionContext,
+    _expected,
+    backbone_makespan_floor,
+    backbone_table_served,
+    partition_backbone,
+)
 from .partition_cdm import (
     CDMPartitionContext,
     cdm_makespan_floor,
@@ -82,12 +89,6 @@ __all__ = [
 #: one finalist of a configuration: its partition, memory report (None
 #: without the memory check) and closed-form pipeline floor in ms
 Finalist = tuple[PartitionPlan, MemoryReport | None, float]
-
-
-def _expected(p: float, plain: float, sc: float) -> float:
-    """Self-conditioning expectation: a step takes the extra forward
-    pass with probability ``p``."""
-    return (1 - p) * plain + p * sc
 
 
 def _check_global_batch(global_batch: float) -> None:
@@ -462,11 +463,9 @@ class DiffusionPipePlanner:
         # Deferred import: repro.memory depends on repro.core.plan.
         from ..memory.estimator import pipeline_memory_report
 
-        het = self.options.heterogeneous_replication
-        flavours = (True, False) if het and D % S == 0 else (het,)
         seen = []
         finalists = []
-        for flavour in flavours:
+        for flavour in self._flavours(D, S):
             try:
                 partition = self._partition(
                     batch_per_group, D, S, M, heterogeneous=flavour
@@ -491,6 +490,12 @@ class DiffusionPipePlanner:
                     continue
             finalists.append((partition, memory, self._pipeline_floor(partition)))
         return tuple(finalists)
+
+    def _flavours(self, D: int, S: int) -> tuple[bool, ...]:
+        """The replication flavours (``heterogeneous=`` values) of a
+        configuration's finalists, in :meth:`_finalists` order."""
+        het = self.options.heterogeneous_replication
+        return (True, False) if het and D % S == 0 else (het,)
 
     def _pipeline_floor(self, partition: PartitionPlan) -> float:
         """Closed-form lower bound on a finalist's ``pipeline_ms``: the
@@ -569,11 +574,12 @@ class DiffusionPipePlanner:
         return _throughput_bound(global_batch, partition, pipeline_ms)
 
     def _floor(self, global_batch: float, D: int, S: int, M: int) -> float | None:
-        """Upper bound on :meth:`_bound` for a bidirectional
-        configuration, from the pre-partition makespan floor
-        (:func:`~.partition_cdm.cdm_makespan_floor`) instead of a
-        partition and a simulation; None where no partition exists.
-        The first rung of :meth:`plan`'s ladder.
+        """Upper bound on :meth:`_bound` from the pre-partition makespan
+        floor (:func:`~.partition_cdm.cdm_makespan_floor` for a
+        bidirectional configuration,
+        :func:`~.partition.backbone_makespan_floor` for a single
+        backbone) instead of a partition and a simulation; None where
+        no partition exists.  The first rung of :meth:`plan`'s ladder.
 
         ``samples / floor · 1e3`` with ``floor <= pipeline_ms`` (the
         floor gives up its stated margin to summation order) is at least
@@ -581,28 +587,28 @@ class DiffusionPipePlanner:
         floor covers every finalist: the heterogeneous lattice contains
         each pinned ``r = D/S`` partition (same cut grid, ``r`` within
         the replica cap, position ``k`` on devices ``[k·r, (k+1)·r)``).
-        It is memoised in ``caches.partition`` under the partition key
-        tagged ``"floor"``, so a warm replan reads it back instead of
-        refolding the lattice.
+        A single-backbone configuration whose finalists' DP tables are
+        all memoised takes the trivial floor 0, bound ``+inf``
+        (:meth:`_floor_uncached`).  The floor is memoised in
+        ``caches.partition`` under the partition key tagged ``"floor"``
+        and extended by the schedule family, whose
+        flags the floor reads beyond the partition key (zero-bubble
+        shares the partition mode of 1F1B under self-conditioning, but
+        its split-backward path is shorter), so a warm replan reads it
+        back instead of refolding the lattice.
         """
         batch_per_group = global_batch / (self.cluster.world_size // D)
         het = self.options.heterogeneous_replication
         key = (
             "floor",
             *self._partition_key(batch_per_group, D, S, M, heterogeneous=het),
+            self.schedule,
         )
         floors = self.caches.partition
         floor = floors.get(key)
         if floor is None:
             try:
-                floor = cdm_makespan_floor(
-                    self._cdm_context(batch_per_group, D, M),
-                    S,
-                    D,
-                    cut_step=self.options.cdm_cut_step,
-                    heterogeneous=het,
-                    caches=self.caches,
-                )
+                floor = self._floor_uncached(batch_per_group, D, S, M)
             except PartitionError as err:
                 # A stripped copy, as _partition stores it.
                 floor = PartitionError(*err.args)
@@ -611,7 +617,44 @@ class DiffusionPipePlanner:
             return None
         if not floor > 0:
             return math.inf
-        return global_batch * 2 / floor * 1e3
+        cascaded = len(self.model.backbone_names) == 2
+        return global_batch * (2 if cascaded else 1) / floor * 1e3
+
+    def _floor_uncached(
+        self, batch_per_group: float, D: int, S: int, M: int
+    ) -> float:
+        """The pre-partition makespan floor; the trivial floor 0 (bound
+        ``+inf``) for a single-backbone configuration whose finalists'
+        DP tables are all memoised: partitioning it then reads tables,
+        which a floor would only add to, so a snapshot-restored sweep
+        folds no lattice it can partition from memo."""
+        het = self.options.heterogeneous_replication
+        if len(self.model.backbone_names) == 2:
+            return cdm_makespan_floor(
+                self._cdm_context(batch_per_group, D, M),
+                S,
+                D,
+                cut_step=self.options.cdm_cut_step,
+                heterogeneous=het,
+                caches=self.caches,
+            )
+        ctx = self._backbone_context(batch_per_group, D, M)
+        if all(
+            backbone_table_served(
+                ctx, S, D, heterogeneous=flavour, caches=self.caches
+            )
+            for flavour in self._flavours(D, S)
+        ):
+            return 0.0
+        return backbone_makespan_floor(
+            ctx,
+            S,
+            D,
+            heterogeneous=het,
+            split_backward=self._family.splits_backward,
+            comm_scale=self._family.comm_scale,
+            caches=self.caches,
+        )
 
     def evaluate(
         self, global_batch: float, group_size: int, num_stages: int, num_micro: int
@@ -762,14 +805,19 @@ class DiffusionPipePlanner:
         keyed ``(bound, -index)``, ``index`` being its position in
         :meth:`candidate_configs`, and climbs one rung per pop:
 
-        1. *floor* — bidirectional configurations enter with the
-           pre-partition makespan floor's bound (:meth:`_floor`): no DP
-           has run for them yet;
+        1. *floor* — configurations of a family with one stage per
+           device (every family but the chunked ``interleaved``) enter
+           with the pre-partition makespan floor's bound
+           (:meth:`_floor`): no DP has run for them yet.  A
+           single-backbone configuration whose DP tables are all
+           memoised enters with ``+inf`` instead and climbs straight
+           to the closed-form rung;
         2. *closed form* — partition and memory-check the
            configuration's finalists (:meth:`_gate`), giving the best
            finalist's ``samples / floor`` from the closed-form floor of
-           its pipeline (:meth:`_closed_form`); single-backbone
-           configurations enter here;
+           its pipeline (:meth:`_closed_form`); chunked configurations,
+           whose DP runs on a virtual ``v·D`` device budget, enter
+           here;
         3. *simulated* — simulate the finalists, giving the best
            finalist's ``samples / pipeline_ms`` (:meth:`_bound`);
         4. *filled* — :meth:`evaluate` fills every finalist; the best
@@ -783,7 +831,7 @@ class DiffusionPipePlanner:
         fills of configurations that cannot win are skipped.
         """
         rungs = (self._floor, self._closed_form, self._bound)
-        enter = 0 if len(self.model.backbone_names) == 2 else 1
+        enter = 0 if self._family.virtual_stages == 1 else 1
         heap = []
         for index, config in enumerate(self.candidate_configs(global_batch)):
             bound = rungs[enter](global_batch, *config)
@@ -918,6 +966,25 @@ class DiffusionPipePlanner:
             down=ctx_down, up=replace(ctx_down, component=up)
         )
 
+    def _backbone_context(
+        self, batch_per_group: float, D: int, M: int
+    ) -> PartitionContext:
+        """The single-backbone partition DP's inputs for a (D, M)
+        configuration, which its pre-partition floor reads too."""
+        return self._context(
+            batch_per_group,
+            D,
+            M,
+            self.model.backbone_names[0],
+            self_conditioning=self.model.self_conditioning,
+            self_conditioning_prob=self.model.self_conditioning_prob,
+            pricing=(
+                "zerobubble"
+                if self._partition_mode[0] == "zerobubble"
+                else "default"
+            ),
+        )
+
     def _partition_uncached(
         self, batch_per_group: float, D: int, S: int, M: int, *,
         heterogeneous: bool,
@@ -931,19 +998,7 @@ class DiffusionPipePlanner:
                 heterogeneous=heterogeneous,
                 caches=self.caches,
             )
-        ctx = self._context(
-            batch_per_group,
-            D,
-            M,
-            self.model.backbone_names[0],
-            self_conditioning=self.model.self_conditioning,
-            self_conditioning_prob=self.model.self_conditioning_prob,
-            pricing=(
-                "zerobubble"
-                if self._partition_mode[0] == "zerobubble"
-                else "default"
-            ),
-        )
+        ctx = self._backbone_context(batch_per_group, D, M)
         # A family with v = virtual_stages > 1 partitions at CHUNK
         # granularity: the layer chain is cut into v*S consecutive
         # chunks and its chains place chunk c on device c mod S, so

@@ -34,7 +34,10 @@ the other rows' have two.  The ``cdm-floor`` row is no table: it folds the bound
 floor (``cdm_makespan_floor``) over the free bidirectional lattice, so
 its cold time includes building the lattice's geometry plan and its
 two chains' plans, and its warm time, which reuses those plans, is the
-folds alone.  The
+folds alone.  The ``1f1b-floor`` row folds the single-backbone floor
+(``backbone_makespan_floor``) over the ``het1f1b-sc`` row's free
+lattice in the same way: cold includes the lattice's chain plan, warm
+is the four folds (plain and self-conditioned ``W*`` and ``CP*``).  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.
@@ -64,7 +67,11 @@ from typing import Any, Callable
 from .cluster import single_node
 from .cluster.collectives import CommCosts
 from .core.caches import PlannerCaches
-from .core.partition import PartitionContext, _het_frontiers
+from .core.partition import (
+    PartitionContext,
+    _het_frontiers,
+    backbone_makespan_floor,
+)
 from .core.partition_cdm import (
     CDMPartitionContext,
     _cdm_frontiers,
@@ -176,6 +183,13 @@ def run_bench(*, best_of: int = 3, sweep: bool = True) -> dict:
             "cdm-lsun S=4 D=16 cut=2 free",
             lambda caches: _cdm_frontiers(
                 cctx, 4, 16, caches, fixed_r=None, cut_step=2, ld=ld, lu=lu
+            ),
+        ),
+        (
+            "1f1b-floor",
+            "cdm-lsun down S=4 D=16 sc",
+            lambda caches: backbone_makespan_floor(
+                sctx, 4, 16, heterogeneous=True, caches=caches
             ),
         ),
     ]

@@ -384,23 +384,28 @@ class ProfileDB:
         return sums
 
     def stage_compute_slab(
-        self, component: str, batch: float, scale: float
+        self, component: str, batch: float, scale: float, sc: bool = False
     ) -> np.ndarray:
         """Dense read-only ``(n + 1, n + 1)`` slab whose ``[lo, hi]``
         entry is the fwd + bwd time of layers ``[lo, hi)`` at one batch
-        size, divided by ``scale`` (a window's speed factor): the
-        compute term of the CDM makespan floor, built from
+        size, divided by ``scale`` (a window's speed factor), then with
+        ``sc`` plus the forward time divided by ``scale`` again (the
+        self-conditioning wave's extra forward): the compute term of
+        the pre-partition makespan floors, built from
         :meth:`stage_prefix_sums`.  Memoised in the stage cache like
         them, so many configurations sharing a (component, local batch,
         window factor) build one slab, and :meth:`reset_caches` empties
         the memo."""
-        key = ("c", component, batch, scale)
+        key = ("c", component, batch, scale, sc)
         slab = self._stage_cache.get(key)
         if slab is None:
             fwd, bwd, _, _ = self.stage_prefix_sums(component, batch)
             F = np.asarray(fwd)
             B = np.asarray(bwd)
-            slab = ((F[None, :] - F[:, None]) + (B[None, :] - B[:, None])) / scale
+            f = F[None, :] - F[:, None]
+            slab = (f + (B[None, :] - B[:, None])) / scale
+            if sc:
+                slab = slab + f / scale
             slab.flags.writeable = False
             self._stage_cache[key] = slab
         return slab

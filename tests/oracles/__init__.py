@@ -14,9 +14,11 @@ they replaced live here, next to the suites that diff against them:
   runs per candidate, and the reference of the array kernels' drop
   masks (``_staircase_drop`` and ``_peel_drop`` in
   :mod:`repro.core.partition_kernels`);
-* :func:`cdm_floor_reference` — the bound ladder's CDM makespan floor
-  terms by brute force over every lattice partition
-  (:func:`repro.core.partition_kernels.cdm_floor_array`);
+* :func:`cdm_floor_reference` and :func:`het_floor_reference` — the
+  bound ladder's pre-partition makespan floor terms by brute force over
+  every lattice partition
+  (:func:`repro.core.partition_kernels.cdm_floor_array` and
+  :func:`repro.core.partition_kernels.het_floor_array`);
 * :func:`cdm_plan_reference` — the ``np.unique`` grouping of the CDM
   geometry plan (``repro.core.partition_kernels._build_cdm_plan``);
 * :func:`simulate_reference` — the list scheduler
@@ -46,6 +48,7 @@ from .bubbles import extract_bubbles_reference
 from .fill_strategies import LookaheadReferenceFill
 from .partition import (
     chain_frontiers_reference,
+    het_floor_reference,
     het_frontiers_reference,
     pareto_insert,
 )
@@ -70,6 +73,7 @@ __all__ = [
     "device_weights_reference",
     "dp_engine",
     "extract_bubbles_reference",
+    "het_floor_reference",
     "het_frontiers_reference",
     "memory_report_reference",
     "pareto_insert",

@@ -10,6 +10,10 @@ oracle shares.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations, product
+from math import inf
+
 from repro.core.partition import PartitionContext, StageCosts, _LazyStageCosts
 
 
@@ -230,3 +234,74 @@ def het_frontiers_reference(
                 tf_by_r[r] = costs_for(r).feedback_ms()
 
     return history, tf_by_r
+
+
+def het_floor_reference(
+    ctx: PartitionContext,
+    L: int,
+    S: int,
+    D: int,
+    *,
+    r_cap: int,
+    fixed_r: int | None,
+    split_backward: bool = False,
+    comm_scale: float = 1.0,
+) -> tuple[tuple[float, float], ...]:
+    """Brute-force oracle of ``het_floor_array``: ``(W*, CP*)`` of the
+    plain build and, under self-conditioning, of the self-conditioned
+    one, as minima over every complete partition the 1F1B lattice holds,
+    enumerated one by one — ``S`` non-empty slices of the ``L`` layers,
+    and per-stage replica counts that are pinned, or at most ``r_cap``
+    each and ``D`` in total.  Each partition is priced stage by stage in
+    the kernel's float order, so the minima match it exactly; all are
+    ``inf`` when the lattice holds no partition.
+    """
+    costs_for = _LazyStageCosts(ctx)
+    if fixed_r is not None:
+        replica_seqs = [(fixed_r,) * S]
+    else:
+        r_max = min(r_cap, D - S + 1)
+        replica_seqs = [
+            rs for rs in product(range(1, r_max + 1), repeat=S) if sum(rs) <= D
+        ]
+
+    @cache
+    def stage(costs, lo, hi, w, sc):
+        """The stage's (compute, path term) in one build."""
+        compute = (costs.fwd(lo, hi) + costs.bwd(lo, hi)) / w
+        if split_backward:
+            path = (costs.fwd(lo, hi) + costs.bwd_b(lo, hi)) / w
+        else:
+            path = compute
+        if sc:
+            compute = compute + costs.fwd(lo, hi) / w
+            path = path + costs.fwd(lo, hi) / w
+        if hi < L:
+            path = path + (3.0 if sc else 2.0) * comm_scale * costs.send_ms(hi)
+        elif sc:
+            path = path + comm_scale * costs.feedback_ms()
+        if lo == 0:
+            if split_backward:
+                path = path + costs.bwd_w(0, hi) / w
+            path = path + costs.sync_ms(0, hi)
+        return compute, path
+
+    builds = (False, True) if ctx.self_conditioning else (False,)
+    best = {sc: [inf, inf] for sc in builds}
+    for cuts in combinations(range(1, L), S - 1):
+        bounds = (0, *cuts, L)
+        for rs in replica_seqs:
+            for sc in builds:
+                w_max = cp = 0.0
+                pd = 0
+                for k in range(S):
+                    r = rs[k]
+                    w = ctx.window_scale(pd, r)
+                    compute, path = stage(
+                        costs_for(r), bounds[k], bounds[k + 1], w, sc
+                    )
+                    w_max = max(w_max, compute)
+                    cp = cp + path
+                    pd += r
+                best[sc] = [min(best[sc][0], w_max), min(best[sc][1], cp)]
+    return tuple((best[sc][0], best[sc][1]) for sc in builds)

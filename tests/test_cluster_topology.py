@@ -197,3 +197,25 @@ def test_homogeneous_fast_path_identity():
     assert c.link(0, 8) is EFA_400G
     assert c.group_link(range(8)) is NVSWITCH
     assert c.group_link(range(16)) is EFA_400G
+
+
+def test_cached_hash_stays_out_of_equality_repr_fields_and_pickles():
+    """The hash is computed once per instance and equals the dataclass
+    hash of the fields; a pickled-and-loaded cluster equals the
+    original, hashes like it, and carries no cached hash in its state
+    (a :class:`DeviceSpec` name hashes differently under another
+    ``PYTHONHASHSEED``)."""
+    import dataclasses
+    import pickle
+
+    c = p4de_cluster(2, speed_factors={1: 0.5})
+    names = [f.name for f in dataclasses.fields(ClusterSpec)]
+    assert hash(c) == hash(tuple(getattr(c, name) for name in names))
+    assert "_hash" in vars(c)
+    assert "_hash" not in names and "_hash" not in repr(c)
+    assert "_hash" not in c.__getstate__()
+    loaded = pickle.loads(pickle.dumps(c))
+    assert "_hash" not in vars(loaded)
+    assert loaded == c and hash(loaded) == hash(c)
+    assert loaded == p4de_cluster(2, speed_factors={1: 0.5})
+    assert dataclasses.replace(c, num_machines=3) != c

@@ -133,6 +133,26 @@ def test_session_replan_tracks_membership(uniform, uniform_profile):
     assert after.plan == before.plan
 
 
+def test_session_rejoin_restores_the_cluster_object(uniform, uniform_profile):
+    """A membership seen before comes back as the very ClusterSpec
+    object the memos were keyed with, so warm hits match their keys by
+    identity; a membership not seen before is a new object."""
+    cluster = ClusterSpec(num_machines=2, devices_per_machine=2)
+    session = ElasticSession(
+        uniform,
+        cluster,
+        batch_per_device=16.0,
+        profile=uniform_profile,
+        options=_options(group_sizes=(2,)),
+        caches=PlannerCaches(),
+    )
+    left = session.apply(ElasticEvent("leave"))
+    assert session.apply(ElasticEvent("join")) is cluster
+    assert session.apply(ElasticEvent("leave")) is left
+    slow = session.apply(ElasticEvent("join", speed_factor=0.5))
+    assert slow != cluster and slow is session.cluster
+
+
 def test_session_rejects_nonpositive_batch(uniform, uniform_profile):
     with pytest.raises(ConfigurationError, match="batch_per_device"):
         ElasticSession(

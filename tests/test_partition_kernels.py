@@ -38,6 +38,7 @@ from repro.core.caches import PlannerCaches
 from repro.core.partition import (
     PartitionContext,
     _het_frontiers,
+    backbone_makespan_floor,
     partition_backbone,
 )
 from repro.core.partition_cdm import (
@@ -55,6 +56,7 @@ from tests.oracles import (
     cdm_floor_reference,
     cdm_plan_reference,
     chain_frontiers_reference,
+    het_floor_reference,
     reference_dp_kernels,
 )
 
@@ -236,6 +238,116 @@ def test_het_backtracked_plan_differential(times, S):
     )
     assert ref == arr
     assert float(ref.t_max_ms).hex() == float(arr.t_max_ms).hex()
+
+
+# ---------------------------------------------------------------------------
+# Single-backbone makespan floor
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.lists(layer_time, min_size=2, max_size=8),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1.0, 2.0]),
+    st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=8, max_size=8),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_het_floor_differential(
+    times, extra, pinned, sc, split, comm_scale, factors, data
+):
+    """The vectorised 1F1B floor folds equal, bit for bit, the minima
+    over every lattice partition enumerated one by one: both
+    replication flavours, every replica cap ``1..D - S + 1`` (a free
+    lattice folds over its uncapped plan and masks the counts above its
+    cap), homogeneous and speed-scaled groups, with and without
+    self-conditioning (whose second pair prices the SC wave and
+    feedback) and split backward (B on the path, then stage 0's W)."""
+    L = len(times)
+    S = data.draw(st.integers(1, min(4, L)), label="S")
+    D = 2 * S if pinned else S + extra
+    fixed_r = 2 if pinned else None
+    r_cap = data.draw(st.integers(1, D - S + 1), label="r_cap")
+    kwargs = dict(
+        r_cap=r_cap, fixed_r=fixed_r, split_backward=split,
+        comm_scale=comm_scale,
+    )
+    for scales in (None, tuple(factors[:D])):
+        ctx = _ctx(times, sc=sc, M=4, scales=scales)
+        ref = het_floor_reference(ctx, L, S, D, **kwargs)
+        arr = pk.het_floor_array(
+            ctx, L, S, D, plans=PlannerCaches().kernel_plans, **kwargs
+        )
+        assert len(arr) == (2 if sc else 1)
+        assert [x.hex() for pair in arr for x in pair] == [
+            x.hex() for pair in ref for x in pair
+        ]
+
+
+@pytest.mark.parametrize(
+    "L, S, D, het, M",
+    [
+        (3, 4, 5, True, 2),    # more stages than layers
+        (3, 4, 8, False, 2),
+        (5, 3, 2, True, 2),    # more stages than devices
+        (5, 3, 4, False, 2),   # S does not divide D
+        (5, 2, 8, False, 32),  # two samples per micro-batch, r = 4
+        (5, 2, 4, True, 128),  # half a sample per micro-batch: cap 0
+    ],
+)
+def test_het_floor_raises_without_a_partition(L, S, D, het, M):
+    """The floor raises :class:`PartitionError` exactly where
+    ``partition_backbone`` does; on the lattices that hold no
+    partition, the brute force finds none and the kernel raises."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
+    ctx = _ctx(times[:L], M=M)
+    with pytest.raises(PartitionError):
+        partition_backbone(ctx, S, D, heterogeneous=het, caches=PlannerCaches())
+    with pytest.raises(PartitionError):
+        backbone_makespan_floor(
+            ctx, S, D, heterogeneous=het, caches=PlannerCaches()
+        )
+    if het and (S > L or ctx.micro_batch < 1):
+        kwargs = dict(r_cap=int(ctx.micro_batch), fixed_r=None)
+        (terms,) = het_floor_reference(ctx, L, S, D, **kwargs)
+        assert all(math.isinf(x) for x in terms)
+        with pytest.raises(PartitionError):
+            pk.het_floor_array(ctx, L, S, D, **kwargs)
+
+
+def test_pinned_floors_share_one_chain_plan_across_replica_counts():
+    """Counter gate of the shared pinned chain plans: a pinned lattice's
+    chain plans depend on its replica count only through the window
+    codes, so pinned floors at ``r = 1, 2, 3`` (windows of different
+    speed factors) build one 1F1B chain entry, and one ``"cdm-chains"``
+    entry beside the three CDM joint plans; every floor still equals
+    the brute force at its own ``r``."""
+    times = [(3.0, 7.0), (2.0, 5.0), (4.0, 9.0), (1.0, 2.0), (6.0, 3.0)]
+    factors = (0.5, 1.0, 0.8, 1.5, 1.0, 0.6)
+    db = ProfileDB.from_layer_times(
+        {"bb": times}, batches=(1.0, 64.0), trainable={"bb": True}
+    )
+    het_plans = PlannerCaches().kernel_plans
+    cdm_plans = PlannerCaches().kernel_plans
+    for r in (1, 2, 3):
+        D = 2 * r
+        ctx = _ctx(times, sc=True, scales=factors[:D], db=db)
+        kwargs = dict(r_cap=r, fixed_r=r)
+        got = pk.het_floor_array(ctx, 5, 2, D, plans=het_plans, **kwargs)
+        want = het_floor_reference(ctx, 5, 2, D, **kwargs)
+        assert [x.hex() for p in got for x in p] == [
+            x.hex() for p in want for x in p
+        ], r
+        cctx = _cdm_ctx(times, times, batch=12.0, scales=factors[:D])
+        kwargs = dict(cut_step=1, ld=5, lu=5, D=D, r_cap=r, fixed_r=r)
+        got = pk.cdm_floor_array(cctx, 2, plans=cdm_plans, **kwargs)
+        want = cdm_floor_reference(cctx, 2, **kwargs)
+        assert [x.hex() for x in got] == [x.hex() for x in want], r
+    assert (het_plans.misses, het_plans.hits) == (1, 2)
+    assert (cdm_plans.misses, cdm_plans.hits) == (3 + 1, 2)
 
 
 # ---------------------------------------------------------------------------

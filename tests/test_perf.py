@@ -46,7 +46,10 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
 
         monkeypatch.setattr(perf, name, wrapper)
 
-    for name in ("_het_frontiers", "_cdm_frontiers", "cdm_makespan_floor"):
+    for name in (
+        "_het_frontiers", "_cdm_frontiers", "cdm_makespan_floor",
+        "backbone_makespan_floor",
+    ):
         wrap_build(name)
     plan = DiffusionPipePlanner.plan
 
@@ -63,7 +66,8 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     assert [(b["dp"], b["engine"]) for b in report["builds"]] == [
         (dp, "array")
         for dp in (
-            "chain", "het1f1b", "cdm", "het1f1b-sc", "cdm-floor", "cdm-het"
+            "chain", "het1f1b", "cdm", "het1f1b-sc", "cdm-floor", "cdm-het",
+            "1f1b-floor",
         )
     ]
     for build in report["builds"]:
@@ -76,9 +80,9 @@ def test_run_bench_schema_and_cold_rounds(monkeypatch):
     }
 
     cold = [i for i, (kind, _) in enumerate(events) if kind == "cold"]
-    # Five DP builds and the floor fold, the elastic cold plan, the
+    # Five DP builds and the two floor folds, the elastic cold plan, the
     # elastic session's first replan and the sweep's plan.
-    assert len(cold) == 6 + 3
+    assert len(cold) == 7 + 3
     for i in cold:
         assert events[i - 1] == ("reset", events[i][1]), (
             f"cold call {i} did not follow a reset of its profile"

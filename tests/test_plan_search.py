@@ -2,8 +2,8 @@
 
 :meth:`DiffusionPipePlanner.plan` keeps every feasible (D, S, M) in a
 heap keyed by its best known throughput bound and lets the top one
-climb a rung per pop — the pre-partition makespan floor of a
-bidirectional model, then the closed-form floor of each partition's
+climb a rung per pop — the pre-partition makespan floor (every
+family but the chunked one), then the closed-form floor of each partition's
 pipeline, then the simulated ``samples / pipeline_ms`` bound, then the
 fill — until the top bound cannot beat the incumbent.
 Three cross-layer invariants make that safe, and all are checked here
@@ -13,18 +13,21 @@ exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
   pipeline_ms * 1e3`` is at least its filled throughput, and at most the
   bound the search actually used (the best of the configuration's
   finalists; equal where it has one);
-* **the floors are sound** — a bidirectional candidate's
-  pre-partition floor bound and every candidate's closed-form bound
-  (each already gives up its stated margin) are at least its simulated
+* **the floors are sound** — a candidate's pre-partition floor bound
+  (bidirectional models, and single-backbone ones under the onef1b,
+  gpipe and zerobubble families) and its closed-form bound (each
+  already gives up its stated margin) are at least its simulated
   bound, and a configuration without a floor has no partition either;
 * **pruning never changes the chosen plan** — ``plan(b)`` is the first
   maximum of the exhaustive :meth:`candidate_plans`, configuration,
   partition and timings alike, on homogeneous and speed-scaled groups.
 
 Deterministic counter gates pin the savings: a cold 16-GPU SD plan
-simulates 8 of the exhaustive search's 70 timelines, derives each
-finalist's stage chain once for both of its floors and runs the bubble
-filler for the winning configuration only, and a cold 16-GPU
+partitions 14 of its 35 configurations (41 of 70 tables with
+heterogeneous replication), simulates 8 of the exhaustive search's 70
+timelines, derives each finalist's stage chain once for both of its
+floors and runs the bubble filler for the winning configuration only,
+and a cold 16-GPU
 heterogeneous CDM-LSUN plan builds 23 of the 70 CDM tables of the
 exhaustive search, folds a quarter of the candidates its tables held
 before the batch prefilter, and builds each floor compute slab once.
@@ -38,6 +41,7 @@ uniform planner's on the same model, cluster and batch.
 from __future__ import annotations
 
 import functools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +107,9 @@ def search_case(draw):
         enable_bubble_filling=draw(st.booleans()),
         heterogeneous_replication=draw(st.booleans()),
         cdm_cut_step=1,
+        schedule="auto" if model_name == "cascaded" else draw(
+            st.sampled_from(("auto", "gpipe", "zerobubble"))
+        ),
     )
     batch = draw(st.sampled_from((12, 16, 24, 48, 64)))
     return model_name, devices, memory, speeds, options, batch
@@ -162,36 +169,47 @@ def test_plan_is_first_maximum_and_bound_is_sound(case):
 
 @st.composite
 def floor_case(draw):
-    """Bidirectional models: the toy cascade on up to 8 devices and
-    CDM-LSUN on small clusters, both replication flavours, both cut
-    grids, with and without speed factors."""
-    model_name = draw(st.sampled_from(("cascaded", "cdm-lsun")))
-    devices = draw(st.sampled_from((4, 6, 8) if model_name == "cascaded" else (4, 6)))
+    """Bidirectional models (the toy cascade on up to 8 devices and
+    CDM-LSUN on small clusters, both cut grids) and the single-backbone
+    toy models under the onef1b, gpipe and zerobubble families, both
+    replication flavours, with and without speed factors."""
+    model_name = draw(st.sampled_from(sorted(MODELS)))
+    cascaded = model_name in ("cascaded", "cdm-lsun")
+    devices = draw(st.sampled_from((4, 6) if model_name == "cdm-lsun" else (4, 6, 8)))
     options = PlannerOptions(
         max_stages=4,
         micro_batch_counts=(1, 2, 4),
         enable_bubble_filling=draw(st.booleans()),
         heterogeneous_replication=draw(st.booleans()),
         cdm_cut_step=draw(st.sampled_from((1, 2))),
+        schedule="auto" if cascaded else draw(
+            st.sampled_from(("onef1b", "gpipe", "zerobubble"))
+        ),
     )
     speeds = draw(st.sampled_from(SPEED_FACTORS))
     batch = draw(st.sampled_from((16, 24, 64)))
     return model_name, devices, speeds, options, batch
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(floor_case())
 def test_floor_bounds_the_simulated_bound(case):
     model_name, devices, speeds, options, batch = case
     model, cluster, profile = _setup(model_name, devices, None, speeds)
     planner = _planner(model, cluster, profile, options)
+    # Floored before any DP runs: a single-backbone configuration whose
+    # tables are memoised gets the trivial floor (bound +inf).
+    floors = {
+        cfg: planner._floor(batch, *cfg)
+        for cfg in planner.candidate_configs(batch)
+    }
+    assert math.inf not in floors.values()
     evaluated = {
         (p.partition.group_size, p.partition.num_stages,
          p.partition.num_micro_batches): p
         for p in (ev.plan for ev in planner.candidate_plans(batch))
     }
-    for cfg in planner.candidate_configs(batch):
-        floor = planner._floor(batch, *cfg)
+    for cfg, floor in floors.items():
         bound = planner._bound(batch, *cfg)
         if floor is None:
             # No lattice partition: the ladder may drop the config.
@@ -284,11 +302,13 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
     """Counter gate of the stage-exec derivation: a finalist's plain and
     self-conditioned floors share one stage chain, and so do its two
     simulated timelines, so a cold SD v2.1 (self-conditioning) plan on
-    16 GPUs derives 39 chains — one per configuration's finalist for
-    the closed-form rung (35), one per simulated partition (4, for 8
-    timelines) — and the exhaustive search 70 (35 floors and 35
-    partitions' 70 timelines).  Deriving a chain per floor made it 78
-    and 140, and a chain per timeline 43 and 105."""
+    16 GPUs derives 18 chains — one per finalist of the 14
+    configurations the pre-partition floor lets reach the closed-form
+    rung, one per simulated partition (4, for 8 timelines) — and the
+    exhaustive search 70 (35 floors and 35 partitions' 70 timelines).
+    Before the single-backbone floor rung, all 35 configurations
+    reached the closed-form rung (39 chains); deriving a chain per
+    floor made it 78 and 140, and a chain per timeline 43 and 105."""
     calls = [0]
     stage_execs = DiffusionPipePlanner._stage_execs
 
@@ -308,10 +328,118 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
         )
 
     cold_planner().plan(256)
-    assert calls[0] == 39
+    assert calls[0] == 18
     calls[0] = 0
     cold_planner().candidate_plans(256)
     assert calls[0] == 70
+
+
+def _cold_sd_plan_256(monkeypatch, **options):
+    """Cold SD v2.1 (self-conditioning) ``plan(256)`` on 16 GPUs under
+    ``options``; returns its caches, its ``partition_backbone`` calls
+    and its ``het_table_array`` builds."""
+    counts = {"partition": 0, "tables": 0}
+
+    def counting(module, name, tag):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[tag] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(planner_mod, "partition_backbone", "partition")
+    counting(kernels, "het_table_array", "tables")
+    cluster = p4de_cluster(2)
+    model = stable_diffusion_v2_1()
+    profile = Profiler(cluster).profile(model)
+    caches = PlannerCaches.cold([profile])
+    DiffusionPipePlanner(
+        model, cluster, profile, options=PlannerOptions(**options),
+        caches=caches,
+    ).plan(256)
+    return caches, counts["partition"], counts["tables"]
+
+
+def test_cold_sd_plan_partitions_only_what_can_win(monkeypatch):
+    """Counter gate of the single-backbone floor rung: a cold SD v2.1
+    (self-conditioning) ``plan(256)`` on 16 GPUs runs the partition DP
+    for the 14 of its 35 configurations whose pre-partition floor can
+    still win, building 8 pinned 1F1B tables (35 DPs and 20 tables
+    when every configuration entered at the closed-form rung).  The
+    floor pass builds 2 ``kernel_plans`` entries: one pinned lattice
+    per stage count (S = 2 and 4), each shared by every replica
+    count."""
+    caches, partitions, tables = _cold_sd_plan_256(monkeypatch)
+    assert (partitions, tables) == (14, 8)
+    assert caches.stats().store("kernel_plans").misses == 2
+
+
+def test_cold_heterogeneous_sd_plan_skips_most_partition_tables(monkeypatch):
+    """Counter gate of ROADMAP item 7: a cold heterogeneous SD v2.1
+    ``plan(256)`` on 16 GPUs builds 41 ``het_table_array`` tables (70
+    when every configuration ran its free and its pinned DP)."""
+    _, partitions, tables = _cold_sd_plan_256(
+        monkeypatch, heterogeneous_replication=True
+    )
+    assert (partitions, tables) == (48, 41)
+
+
+def test_memoised_tables_skip_the_floor(monkeypatch):
+    """A single-backbone configuration whose finalists' DP tables are
+    all memoised enters the closed-form rung unfloored: partitioning it
+    reads tables, which a floor would only add to.  A cold 16-GPU SD
+    v2.1 ``plan(256)`` floors all 35 configurations; a planner on fresh
+    caches holding only its 8 ``het`` tables (a restored snapshot's
+    state) floors the 21 whose DPs never ran, builds no table and picks
+    the same plan."""
+    calls = [0]
+    floor = planner_mod.backbone_makespan_floor
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return floor(*args, **kwargs)
+
+    monkeypatch.setattr(planner_mod, "backbone_makespan_floor", counting)
+    cluster = p4de_cluster(2)
+    model = stable_diffusion_v2_1()
+    profile = Profiler(cluster).profile(model)
+    cold = PlannerCaches.cold([profile])
+    want = DiffusionPipePlanner(model, cluster, profile, caches=cold).plan(256)
+    assert calls[0] == 35 and len(cold.het) == 8
+    calls[0] = 0
+    tables = PlannerCaches()
+    for owner, key, value in cold.het.items():
+        tables.het.put(owner, key, value)
+    got = DiffusionPipePlanner(model, cluster, profile, caches=tables).plan(256)
+    assert calls[0] == 21
+    assert tables.stats().store("het").misses == 0
+    assert got.plan == want.plan
+    assert got.plan.throughput.hex() == want.plan.throughput.hex()
+
+
+def test_floor_memo_is_keyed_by_schedule_family():
+    """Under self-conditioning zerobubble shares 1F1B's partition mode
+    but not its floor: its split-backward path is shorter.  Planners of
+    both families sharing one ``PlannerCaches`` each return their own
+    cold planner's plan; a floor memo without the family serves the
+    zerobubble planner 1F1B's higher floors, which prune its winner
+    ((D, S, M) = (2, 2, 1) at batch 16 on 8 GPUs)."""
+    model, cluster, profile = _setup("uniform-sc", 8, None)
+
+    def planner(schedule, caches):
+        options = PlannerOptions(schedule=schedule, enable_bubble_filling=False)
+        return DiffusionPipePlanner(
+            model, cluster, profile, options=options, caches=caches
+        )
+
+    shared = PlannerCaches()
+    for schedule in ("onef1b", "zerobubble"):
+        got = planner(schedule, shared).plan(16).plan
+        want = planner(schedule, PlannerCaches()).plan(16).plan
+        assert got == want, schedule
+        assert got.throughput.hex() == want.throughput.hex()
 
 
 def test_cold_cdm_floor_pass_builds_one_plan_per_lattice():

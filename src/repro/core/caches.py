@@ -242,7 +242,7 @@ class PlannerCaches:
     ``fills``
         the lookahead :class:`FillShapeCache`.
     ``kernel_plans``
-        geometry-only transition plans of the CDM array kernels and the
+        geometry-only transition plans of the array kernels and the
         pre-partition floors (:mod:`repro.core.partition_kernels`): per
         chain position, the transitions' parent indices and flat slab
         offsets, keyed by lattice geometry alone, so the table builds
@@ -250,14 +250,15 @@ class PlannerCaches:
         gather through one shared plan instead of re-enumerating the
         cut grid.  Each CDM floor lattice adds one more entry, tagged
         ``"cdm-chains"``: both chains' own (cut, device) lattices,
-        which the floor's path folds walk.  A single-backbone floor
-        lattice is one entry, tagged ``"1f1b-chain"``: the 1F1B DP's
-        lattice as one chain.  Free lattices are stored uncapped, so
-        every replica cap shares them, and a pinned lattice's chain
-        plans carry no replica count, so every ``r = D/S`` shares them
-        (a cold 16-GPU SD v2.1 plan's floor pass builds two: one per
-        stage count).  Profile-independent (plain :class:`LruStore`)
-        and deliberately not snapshotted: a plan rebuilds in tens of
+        which the floor's path folds walk.  A single-backbone lattice
+        is one entry, tagged ``"1f1b-chain"``, which its table and its
+        floor both walk.  Floors store free lattices uncapped, so every
+        replica cap shares them (a free table's sample cap, where it
+        binds, keys a plan of its own), and a pinned lattice's plans
+        carry no replica count, so every ``r = D/S`` shares them (a
+        cold 16-GPU SD v2.1 plan builds two, one per stage count).
+        Profile-independent (plain :class:`LruStore`) and deliberately
+        not snapshotted: a plan rebuilds in tens of
         milliseconds at most.
 
     ``partition``, ``evals`` and ``timelines`` are bounded LRUs:

@@ -562,7 +562,7 @@ def _het_frontiers(
     # Looked up on the module at call time: the differential suites
     # swap in the pure-Python oracle here (tests/oracles/).
     history, tf_by_r = partition_kernels.het_table_array(
-        ctx, L, S, D, fixed_r=fixed_r
+        ctx, L, S, D, fixed_r=fixed_r, plans=caches.kernel_plans
     )
     history = [
         {state: tuple(entries) for state, entries in stage.items()}

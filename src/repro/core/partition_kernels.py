@@ -18,23 +18,22 @@ choose (Eqns. 7-9).  The table kernels work as follows:
 * per-``(cut, prefix)`` stage costs (``t0`` / ``t0_sc`` / ``t0_ramp`` /
   ``sync_gap``) become dense ``(L+1, L+1)`` slabs built from the same
   prefix-sum lists :class:`~.partition.StageCosts` already maintains;
-* each stage's transitions are enumerated as flat index arrays (the
-  boolean device-budget and cut-grid feasibility masks turn into
-  ``searchsorted`` ranges) and the full candidate slab is one
-  ``np.maximum(parent_coords, slice_costs)`` broadcast;
-* a CDM lattice's transitions come from one cached geometry plan per
+* every kernel's transitions come from one cached geometry plan per
   lattice shape (:func:`_build_cdm_plan`, linear in the transitions),
-  which stores each transition's flat slab offsets, so
-  :func:`cdm_table_array` and :func:`cdm_floor_array` both gather with
-  one 1-D take per slab; a free lattice's floors at every replica cap
-  share its uncapped plans, the floor's path terms fold over each
-  chain's own, far smaller (cut, device) lattice, and a pinned chain's
-  plan serves every replica count; the 1F1B lattice is such a chain,
-  so :func:`het_floor_array` folds over one chain plan;
-* the CDM kernel drops every transition batch that cannot hold a
-  survivor before expanding it (:func:`_prefilter_batches`; a cold
-  heterogeneous cdm-lsun ``plan(256)`` on 16 GPUs folds 790,864
-  candidates instead of 3,286,157);
+  which stores each transition's flat slab offsets, so all four
+  kernels gather with one 1-D take per slab; a free lattice's floors
+  at every replica cap share its uncapped plans, the floor's path
+  terms fold over each chain's own, far smaller (cut, device) lattice,
+  and a pinned chain's plan serves every replica count; the 1F1B
+  lattice is such a chain, so :func:`het_table_array` and
+  :func:`het_floor_array` walk one chain plan (:func:`_het_plan`);
+* both table kernels fold each position the same way
+  (:func:`_fold_position`): a two-coordinate stream — every CDM one,
+  and the 1F1B DP's under default pricing — drops every transition
+  batch that cannot hold a survivor before expanding it
+  (:func:`_prefilter_batches`; a cold heterogeneous cdm-lsun
+  ``plan(256)`` on 16 GPUs folds 790,864 candidates instead of
+  3,286,157);
 * each stage hands its survivors to the next as the columns it just
   computed, with one count per target state, and writes the frontier
   tuples only for the table store;
@@ -60,7 +59,7 @@ one, and lists survivors in generation order — so the reduction needs
 exact comparisons, never arithmetic on the coordinates.  Both kernels
 expand every (kept batch, parent entry) candidate in arrival order
 (:func:`_expand_batches`) and reduce each target state's stream in one
-pass; a batch the CDM prefilter drops holds only candidates a real
+pass; a batch the prefilter drops holds only candidates a real
 candidate of the same stream strictly dominates, which the sequential
 fold kills in any arrival order, and the kill relation is transitive,
 so dropping it changes no survivor and no order.  The CDM DP and the
@@ -443,10 +442,43 @@ def _prefilter_batches(
     return np.flatnonzero(~dead)
 
 
+def _fold_position(
+    P_b: np.ndarray, tb_starts: np.ndarray, tb_counts: np.ndarray,
+    ecounts: np.ndarray, entries: list, slices: list,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+    """One table position's fold: every target state's survivors, in
+    arrival order.  Batch ``b`` (batches grouped by target) expands
+    parent ``P_b[b]``'s entry columns ``entries`` (``ecounts`` entries
+    per parent) against its slice costs ``slices[i][b]``, as
+    ``max(entry, slice)`` per coordinate.  Two coordinates drop the
+    batches that cannot hold a survivor (:func:`_prefilter_batches`)
+    and fold the rest with :func:`_staircase_drop`; three fold every
+    batch with :func:`_peel_drop`.  Returns the survivors' batches,
+    parent-list positions and columns, and each target's count."""
+    nt = len(tb_counts)
+    t_of_b = np.repeat(np.arange(nt, dtype=np.int64), tb_counts)
+    if len(entries) == 2:
+        kb = _prefilter_batches(
+            P_b, *slices, *entries, ecounts, t_of_b, tb_starts
+        )
+        drop_mask = _staircase_drop
+    else:
+        kb = np.arange(len(P_b), dtype=np.int64)
+        drop_mask = _peel_drop
+    bidx, pil, eidx, ct_counts = _expand_batches(P_b, ecounts, tb_starts, kb)
+    cols = [np.maximum(e[eidx], v[bidx]) for e, v in zip(entries, slices)]
+    kidx = np.flatnonzero(~drop_mask(*cols, ct_counts))
+    kb = bidx[kidx]
+    counts = np.bincount(t_of_b[kb], minlength=nt)
+    return kb, pil[kidx], [col[kidx] for col in cols], counts
+
+
 # -- single-backbone 1F1B ----------------------------------------------------
 
 
-def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
+def het_table_array(
+    ctx, L: int, S: int, D: int, fixed_r: int | None = None, plans=None
+):
     """Array twin of the pure-Python 1F1B DP oracle
     (``tests/oracles/partition.py``) — same ``(history, tf_by_r)``,
     bit-identical entries and dict orders.
@@ -459,18 +491,20 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
     stage ``s`` is always ``s * fixed_r``.  Callers reject
     ``micro_batch < fixed_r`` before pinning, so the pinned path skips
     the sample floor.
+
+    The stages walk the lattice's plan (:func:`_het_plan`) from
+    ``plans`` (an optional ``LruStore``), capped at ``int(micro_batch)``
+    replicas: the cap decides the dict order.
     """
     sc = ctx.self_conditioning
     zb = ctx.zb_pricing
-    if fixed_r is None:
-        r_cap = int(ctx.micro_batch)
-        r_values = range(1, min(D - S + 1, r_cap) + 1)
-    else:
-        r_values = range(fixed_r, fixed_r + 1)
-    rmax = max(r_values, default=0)
+    r_max = fixed_r if fixed_r is not None else min(D - S + 1, int(ctx.micro_batch))
+    r_values = (fixed_r,) if fixed_r is not None else range(1, r_max + 1)
+    plan = _het_plan(S, L, D=D, r_max=r_max, fixed_r=fixed_r, plans=plans)
     costs_for = _LazyStageCosts(ctx)
     SID, slabs = _slab_ids(ctx, D, r_values, fixed_r)
-    shape = (len(slabs), L + 1, L + 1)
+    nd = L + 1
+    shape = (len(slabs), nd, nd)
     ST0 = np.zeros(shape)
     SALT = np.zeros(shape)
     SGAP = np.zeros(shape)
@@ -478,115 +512,50 @@ def het_table_array(ctx, L: int, S: int, D: int, fixed_r: int | None = None):
         ST0[sid], SALT[sid], SGAP[sid] = _cost_slabs(
             costs_for(r), L, sc=sc, zb=zb, scale=w, comp_scale=ctx.comp_scale
         )
+    sid_of = _chain_sids(SID, S, fixed_r)
+    # Default pricing reuses t0 for the second coordinate
+    # (partition.py), so every entry's w_sc equals its w by induction
+    # from the (0.0, 0.0, ...) root: dominance over the triple
+    # degenerates to the two columns (w, y).
+    values = [v.ravel() for v in ((ST0, SALT, SGAP) if sc or zb else (ST0, SGAP))]
+    # A pinned plan is built at r = 1 on S devices (_chain_plan): its
+    # window codes hold r = 1, and replica and device counts scale by
+    # fixed_r.
+    unit, nw = (1, r_max + 1) if fixed_r is None else (fixed_r, 2)
 
     history: list[dict[tuple, list[tuple]]] = [
         {(0, 0): [(0.0, 0.0, float("-inf"), -1, 0, -1)]}
     ]
-    # The previous stage's states (PL, PD) and their frontiers as
-    # columns, state after state in creation order (= dict order).
-    PL = PD = np.zeros(1, dtype=np.int64)
-    EW, ES, EY = np.zeros(1), np.zeros(1), np.full(1, -np.inf)
+    # The previous stage's frontiers as columns, state after state in
+    # creation order (= dict order).
+    cols = [np.zeros(1)] * (len(values) - 1) + [np.full(1, -np.inf)]
     ecounts = np.ones(1, dtype=np.int64)
-    for s in range(1, S + 1):
-        stages_left = S - s
-
-        # Batch enumeration (one batch per (parent, l, r), in reference
-        # loop order: parents in dict order, l outer, r inner).
-        if fixed_r is None:
-            nr = np.maximum(np.minimum(D - PD - stages_left, r_cap), 0)
-        else:
-            nr = np.ones(len(PL), dtype=np.int64)
-        if stages_left:
-            nl = np.maximum(L - stages_left - PL, 0)
-        else:
-            nl = np.ones(len(PL), dtype=np.int64)
-        n_per_p = nl * nr
-        total_b = int(n_per_p.sum())
-        if total_b == 0:
+    for s, (P_b, W_b, O_b, tb_starts, tb_counts, TL, TD) in enumerate(
+        plan, start=1
+    ):
+        if not len(P_b):
+            # Every later stage of the plan is empty too.
             history.append({})
-            PL = PD = ecounts = np.zeros(0, dtype=np.int64)
             continue
-        P_b = np.repeat(np.arange(len(PL), dtype=np.int64), n_per_p)
-        local = _ragged_arange(n_per_p)
-        nr_b = nr[P_b]
-        il = local // nr_b
-        R_b = r_values[0] + (local % nr_b)
-        if stages_left:
-            L_b = PL[P_b] + 1 + il
-        else:
-            L_b = np.full(total_b, L, dtype=np.int64)
-        PL_b = PL[P_b]
-        D_b = PD[P_b] + R_b
-
-        # Group batches by target state, preserving within-target
-        # construction order (stable sort by first-occurrence rank).
-        if stages_left:
-            code = L_b * (D + 1) + D_b
-        else:
-            code = (L_b * (D + 1) + D_b) * (rmax + 1) + R_b
-        uniq, first, inverse = np.unique(
-            code, return_index=True, return_inverse=True
+        idx = sid_of[W_b] * (nd * nd) + O_b
+        kb, pil, cols, ecounts = _fold_position(
+            P_b, tb_starts, tb_counts, ecounts, cols,
+            [slab[idx] for slab in values],
         )
-        rank_of_uniq = np.empty(len(uniq), dtype=np.int64)
-        rank_of_uniq[np.argsort(first, kind="stable")] = np.arange(
-            len(uniq), dtype=np.int64
-        )
-        t_rank = rank_of_uniq[inverse]
-        perm = np.argsort(t_rank, kind="stable")
-        P_b, R_b, L_b, PL_b, D_b, t_rank = (
-            P_b[perm], R_b[perm], L_b[perm], PL_b[perm], D_b[perm],
-            t_rank[perm],
-        )
-        nt = len(uniq)
-        tb_counts = np.bincount(t_rank, minlength=nt)
-        tb_starts = np.cumsum(tb_counts) - tb_counts
-
-        K_b = SID[PD[P_b], R_b]
-        bidx, pil, eidx, ct_counts = _expand_batches(
-            P_b, ecounts, tb_starts, np.arange(total_b, dtype=np.int64)
-        )
-        CW = np.maximum(EW[eidx], ST0[K_b, PL_b, L_b][bidx])
-        CY = np.maximum(EY[eidx], SGAP[K_b, PL_b, L_b][bidx])
-        if not sc and not zb:
-            # Default pricing reuses t0 for the second coordinate
-            # (partition.py), so CS == CW for every entry by induction
-            # from the (0.0, 0.0, ...) root — dominance over the triple
-            # degenerates to two columns and the sort-based staircase
-            # applies.
-            CS = CW
-            drop = _staircase_drop(CW, CY, ct_counts)
-        else:
-            CS = np.maximum(ES[eidx], SALT[K_b, PL_b, L_b][bidx])
-            drop = _peel_drop(CW, CS, CY, ct_counts)
-        kidx = np.flatnonzero(~drop)
-
-        # Target states in creation order; the survivors come grouped
-        # by target in that order, so each frontier is one slice.
-        kb = bidx[kidx]
-        ecounts = np.bincount(t_rank[kb], minlength=nt)
-        PL, PD = L_b[tb_starts], D_b[tb_starts]
-        if stages_left:
-            target_states = list(zip(PL.tolist(), PD.tolist()))
-        else:
-            target_states = list(
-                zip(PL.tolist(), PD.tolist(), R_b[tb_starts].tolist())
-            )
-        EW, ES, EY = CW[kidx], CS[kidx], CY[kidx]
+        states = [TL, TD * unit]
+        if s == S:
+            states.append(W_b[tb_starts] % nw * unit)
         history.append(
             _frontier_dict(
-                target_states,
+                list(zip(*(col.tolist() for col in states))),
                 ecounts,
-                EW, ES, EY, PL_b[kb], R_b[kb], pil[kidx],
+                # (w, w_sc, y), w_sc = w on two columns
+                cols[0], *cols[-2:], O_b[kb] // nd, W_b[kb] % nw * unit, pil,
             )
         )
 
-    tf_by_r: dict[int, float] = {}
-    if ctx.self_conditioning:
-        for state in history[S]:
-            r = state[2]
-            if r not in tf_by_r:
-                tf_by_r[r] = costs_for(r).feedback_ms()
-    return history, tf_by_r
+    last_rs = dict.fromkeys(state[2] for state in history[S]) if sc else ()
+    return history, {r: costs_for(r).feedback_ms() for r in last_rs}
 
 
 # -- bidirectional CDM -------------------------------------------------------
@@ -629,6 +598,7 @@ def _build_cdm_plan(
     D: int,
     r_cap: int,
     fixed_r: int | None,
+    by_r: bool = False,
 ) -> list[dict]:
     """Geometry-only transition plan shared by table builds and floors.
 
@@ -638,7 +608,9 @@ def _build_cdm_plan(
     plan lists the (parent, a, r, b) transitions in the DP's loop order
     (parents in creation order, down cut ``a`` outer, replica count
     ``r`` middle, up cut ``b`` inner), grouped by target state
-    ``(a, b, d)`` in first-arrival order.  Each stage holds
+    ``(a, b, d)`` in first-arrival order; ``by_r`` keys the last
+    position's targets ``(a, b, d, r)`` instead, as the 1F1B DP keys its
+    final states.  Each stage holds
 
     * ``P``: each transition's parent index (the parents are the
       previous stage's targets, the root ``(0, 0, 0)`` at stage 1);
@@ -647,7 +619,8 @@ def _build_cdm_plan(
       ``[pd, pd + r)``), the down slice ``OD = pa * (ld + 1) + a`` and
       the up slice ``OU = (lu - b) * (lu + 1) + lu - pb``;
     * ``tb_starts`` / ``tb_counts``: each target's run of transitions;
-    * ``TA`` / ``TB`` / ``TD``: the target states.
+    * ``TA`` / ``TB`` / ``TD``: the target states (a target's ``r`` is
+      that of any of its transitions).
 
     A table build or a floor fold then only gathers values.  ``r_cap``
     is the plan's largest replica count, already clamped to
@@ -658,7 +631,8 @@ def _build_cdm_plan(
     Enumeration and grouping are linear in the transitions: divisions
     run per (parent, a, r) group and the up cuts expand with
     :func:`_ragged_arange`; a dense table over the
-    ``(ld + 1)(lu + 1)(D + 1)`` target codes takes each target's first
+    ``(ld + 1)(lu + 1)(D + 1)`` target codes (times ``r_cap + 1`` at an
+    ``r``-keyed position) takes each target's first
     arrival with ``np.minimum.at``, only the used codes are sorted into
     creation order, and one stable argsort of the targets' ranks groups
     the transitions — arrival order kept within each target (a radix
@@ -670,7 +644,8 @@ def _build_cdm_plan(
     cuts_d_arr = np.asarray(down.cuts, dtype=np.int64)
     cuts_u_arr = np.asarray(up.cuts, dtype=np.int64)
     nd, nu, nw, ndev = ld + 1, lu + 1, r_cap + 1, D + 1
-    first = np.empty(nd * nu * ndev, dtype=np.int64)
+    ncodes = nd * nu * ndev
+    first = np.empty(ncodes, dtype=np.int64)
     rank = np.empty_like(first)
     plan: list[dict] = []
     PA = PB = PD = np.zeros(1, dtype=np.int64)
@@ -715,11 +690,19 @@ def _build_cdm_plan(
         A_g = cuts_d_arr[a_lo[P_g] + ia]
         R_g = fixed_r if fixed_r is not None else 1 + (local - ia * nr_g)
         D_g = PD[P_g] + R_g
+        W_g = PD[P_g] * nw + R_g
         # Each group expands its parent's up cuts, innermost.
         nb_g = nb[P_g]
         g_b = np.repeat(np.arange(len(P_g), dtype=np.int64), nb_g)
         B_b = cuts_u_arr[b_lo[P_g][g_b] + _ragged_arange(nb_g)]
         code = ((A_g * nu) * ndev + D_g)[g_b] + B_b * ndev
+        keyed = by_r and not remaining
+        if keyed:
+            # Only the last position widens its code table, by the
+            # replica count its window code holds.
+            code = code * nw + (W_g % nw)[g_b]
+            first = np.empty(ncodes * nw, dtype=np.int64)
+            rank = np.empty_like(first)
 
         total_b = len(code)
         first.fill(total_b)
@@ -729,6 +712,8 @@ def _build_cdm_plan(
         nt = len(tcode)
         rank[tcode] = np.arange(nt, dtype=np.int64)
         t_rank = rank[code]
+        if keyed:
+            tcode = tcode // nw
         # Ranks in the narrowest unsigned type: numpy sorts 8- and
         # 16-bit keys stably with a linear radix sort.
         keys = t_rank.astype(np.min_scalar_type(nt - 1))
@@ -741,7 +726,7 @@ def _build_cdm_plan(
         plan.append(
             {
                 "P": P_g[g_p],
-                "W": (PD[P_g] * nw + R_g)[g_p],
+                "W": W_g[g_p],
                 "OD": (PA[P_g] * nd + A_g)[g_p],
                 "OU": (lu - B_b[perm]) * nu + (lu - PB[P_g])[g_p],
                 "tb_starts": np.cumsum(tb_counts) - tb_counts,
@@ -800,14 +785,16 @@ def _chain_plan(
     r_max: int,
     fixed_r: int | None,
     up: bool = False,
+    by_r: bool = False,
 ) -> list[tuple]:
     """One chain's own (cut, device) lattice as per-position ``(P, W,
-    O, tb_starts)``: parents, window codes, the chain's slice offsets
-    and target runs.  It is the :func:`_build_cdm_plan` plan whose
-    partner chain is pinned to one layer per position
-    (:func:`_pinned_grid`); ``up`` puts the chain on the up side, whose
-    offsets (``OU``) index suffix slices, and otherwise its offsets
-    (``OD``) index prefix slices.
+    O, tb_starts, tb_counts, T, TD)``: parents, window codes, the
+    chain's slice offsets, target runs, and the targets' cuts and
+    devices.  It is the :func:`_build_cdm_plan` plan (``by_r`` keys its
+    last position by replica count) whose partner chain is pinned to
+    one layer per position (:func:`_pinned_grid`); ``up`` puts the
+    chain on the up side, whose offsets (``OU``) index suffix slices,
+    and otherwise its offsets (``OD``) index prefix slices.
 
     A pinned lattice's plan depends on its replica count ``r`` only
     through its window codes and target devices (``k·r`` at position
@@ -820,10 +807,11 @@ def _chain_plan(
     pinned = _pinned_grid(S)
     plan = _build_cdm_plan(
         S=S, down=pinned if up else grid, up=grid if up else pinned,
-        D=D, r_cap=r_max, fixed_r=fixed_r,
+        D=D, r_cap=r_max, fixed_r=fixed_r, by_r=by_r,
     )
-    offsets = "OU" if up else "OD"
-    return [(st["P"], st["W"], st[offsets], st["tb_starts"]) for st in plan]
+    names = ("P", "W", "OU" if up else "OD", "tb_starts", "tb_counts",
+             "TB" if up else "TA", "TD")
+    return [tuple(st[name] for name in names) for st in plan]
 
 
 def _chain_sids(SID: np.ndarray, S: int, fixed_r: int | None) -> np.ndarray:
@@ -944,7 +932,6 @@ def cdm_table_array(
     for k in range(1, S + 1):
         st = plan[k - 1]
         P_b, W_b, OD_b, OU_b = st["P"], st["W"], st["OD"], st["OU"]
-        tb_starts, tb_counts = st["tb_starts"], st["tb_counts"]
         if not len(P_b):
             # Every later position of the plan is empty too.
             frontiers.append({})
@@ -953,32 +940,22 @@ def cdm_table_array(
         K_b = sid_of[W_b]
         idx_d = K_b * (nd * nd) + OD_b
         idx_u = K_b * (nu * nu) + OU_b
-        WS = np.maximum(STD[idx_d], STU[idx_u])
-        YS = np.maximum(SGD[idx_d], SGU[idx_u])
-
         # Nothing truncates a frontier, so a target's fold keeps exactly
-        # its stream's staircase survivors, in arrival order; batches
-        # that cannot hold one are never expanded.
-        nt = len(tb_counts)
-        t_of_b = np.repeat(np.arange(nt, dtype=np.int64), tb_counts)
-        kb = _prefilter_batches(
-            P_b, WS, YS, EW, EY, ecounts, t_of_b, tb_starts
+        # its stream's staircase survivors, in arrival order.
+        kb, pil, (EW, EY), ecounts = _fold_position(
+            P_b, st["tb_starts"], st["tb_counts"], ecounts, (EW, EY),
+            (
+                np.maximum(STD[idx_d], STU[idx_u]),
+                np.maximum(SGD[idx_d], SGU[idx_u]),
+            ),
         )
-        bidx, pil, eidx, ct_counts = _expand_batches(P_b, ecounts, tb_starts, kb)
-        CW = np.maximum(EW[eidx], WS[bidx])
-        CY = np.maximum(EY[eidx], YS[bidx])
-        kidx = np.flatnonzero(~_staircase_drop(CW, CY, ct_counts))
-        kb = bidx[kidx]
-        EW, EY = CW[kidx], CY[kidx]
-        ecounts = np.bincount(t_of_b[kb], minlength=nt)
         # Backpointers decode from the survivors' offsets: the parent's
         # down cut, its up cut and the replica count.
         frontiers.append(
             _frontier_dict(
                 list(zip(st["TA"].tolist(), st["TB"].tolist(), st["TD"].tolist())),
                 ecounts,
-                EW, EY, OD_b[kb] // nd, lu - OU_b[kb] % nu, W_b[kb] % nw,
-                pil[kidx],
+                EW, EY, OD_b[kb] // nd, lu - OU_b[kb] % nu, W_b[kb] % nw, pil,
             )
         )
     return frontiers
@@ -1109,10 +1086,7 @@ def cdm_floor_array(
         S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_cap=D - S + 1,
         fixed_r=fixed_r, plans=plans,
     )
-    if fixed_r is None:
-        r_values = range(1, min(r_cap, r_max) + 1)
-    else:
-        r_values = (fixed_r,)
+    r_values = (fixed_r,) if fixed_r is not None else range(1, min(r_cap, r_max) + 1)
     if not len(plan[-1]["P"]) or not r_values:
         raise PartitionError(
             f"no feasible bidirectional partition into {S} stages on {D} devices"
@@ -1131,6 +1105,27 @@ def cdm_floor_array(
     (cp_down,) = _min_chain_fold(chain_d, chain_sids, [(path_d, np.add)])
     (cp_up,) = _min_chain_fold(chain_u, chain_sids, [(path_u, np.add)])
     return _min_max_fold(plan, SID.ravel(), down, up), cp_down, cp_up
+
+
+def _het_plan(
+    S: int, L: int, *, D: int, r_max: int, fixed_r: int | None, plans
+) -> list[tuple]:
+    """The 1F1B DP's lattice, from ``plans`` (an optional ``LruStore``)
+    when it holds one: a CDM down chain whose partner is pinned
+    (:func:`_chain_plan` on the unit cut grid), with the DP's cut and
+    replica ranges, device budget and target order, its last targets
+    keyed ``(l, d, r)`` so that the SC feedback term cannot be pruned
+    away.  One entry per ``(S, L)`` serves every pinned replica count;
+    a free lattice has one per ``(S, L, D, r_max)``."""
+    geometry = ("pinned",) if fixed_r is not None else (D, r_max)
+    return _cached(
+        plans,
+        ("1f1b-chain", S, L, *geometry),
+        lambda: _chain_plan(
+            S, _cut_grid(S, L, 1), D=D, r_max=r_max, fixed_r=fixed_r,
+            by_r=True,
+        ),
+    )
 
 
 def het_floor_array(
@@ -1164,28 +1159,16 @@ def het_floor_array(
       wave's), the SC feedback after the last stage, and stage 0's W
       (when split) and sync.
 
-    The lattice is a CDM down chain whose partner chain is pinned
-    (:func:`_chain_plan` on the unit cut grid): its cut range, replica
-    range and device budget are the 1F1B DP's, and only its grouping of
-    last-stage states differs, which no minimum sees.  It sits in
-    ``plans`` (an optional ``LruStore``) uncapped, like a free CDM
-    floor's plans, so every cap shares it; a pinned lattice's plan is
-    shared by every replica count.  Raises :class:`PartitionError` on a
-    lattice without a full partition, as the table's selection does.
+    The folds walk the table's own plan (:func:`_het_plan`), uncapped
+    like a free CDM floor's plans, so every cap shares it; transitions
+    above ``r_cap`` read an all-``+inf`` slab.  A free table whose cap
+    does not bind walks the same plan.  Raises :class:`PartitionError`
+    on a lattice without a full partition, as the table's selection
+    does.
     """
     r_max = fixed_r if fixed_r is not None else D - S + 1
-    geometry = ("pinned",) if fixed_r is not None else (D,)
-    chain = _cached(
-        plans,
-        ("1f1b-chain", S, L, *geometry),
-        lambda: _chain_plan(
-            S, _cut_grid(S, L, 1), D=D, r_max=r_max, fixed_r=fixed_r
-        ),
-    )
-    if fixed_r is None:
-        r_values = range(1, min(r_cap, r_max) + 1)
-    else:
-        r_values = (fixed_r,)
+    chain = _het_plan(S, L, D=D, r_max=r_max, fixed_r=fixed_r, plans=plans)
+    r_values = (fixed_r,) if fixed_r is not None else range(1, min(r_cap, r_max) + 1)
     if not len(chain[-1][0]) or not r_values:
         raise PartitionError(
             f"no feasible partition of {L} layers into {S} stages on {D} devices"
@@ -1231,7 +1214,7 @@ def _min_chain_fold(
     flats = [values.ravel() for values, _ in folds]
     combines = [combine for _, combine in folds]
     accs = [np.zeros(1)] * len(folds)
-    for P, W, O, starts in chain:
+    for P, W, O, starts, *_ in chain:
         idx = sid_of[W] * n2 + O
         accs = [
             np.minimum.reduceat(combine(acc[P], flat[idx]), starts)

@@ -35,7 +35,6 @@ import math
 import weakref
 from itertools import accumulate
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ..cluster.collectives import CollectiveModel, CommCosts
@@ -300,11 +299,11 @@ class DiffusionPipePlanner:
         :class:`ConfigurationError` (it is checked on the first
         ``next``, before any configuration is yielded).
 
-        Divisibility is tested exactly: the batch enters as a
-        :class:`~fractions.Fraction` and the per-group quotient stays
-        rational, so binary-float rounding (``global_batch / dp`` is the
-        only inexact step of the float formulation) can neither reject a
-        feasible split nor admit one whose micro-batches are fractional.
+        Divisibility is tested exactly, in integers (a batch that is not
+        a whole number admits no configuration), so binary-float
+        rounding (``global_batch / dp`` is the only inexact step of the
+        float formulation) can neither reject a feasible split nor
+        admit one whose micro-batches are fractional.
         """
         _check_global_batch(global_batch)
         world = self.cluster.world_size
@@ -317,14 +316,16 @@ class DiffusionPipePlanner:
         # implement the general recursion (Eqns. 7-9), so non-divisible
         # (S, D) combos are admissible for cascaded models too.
         het = opts.heterogeneous_replication
-        gb = Fraction(global_batch)
+        gb = int(global_batch)
+        if gb != global_batch:
+            return
         for D in group_sizes:
             if D < 2 or D > world or world % D != 0:
                 continue
             dp = world // D
             if gb % dp:
                 continue
-            batch_per_group = gb / dp
+            batch_per_group = gb // dp
             for S in range(2, min(opts.max_stages, D) + 1):
                 if not het and D % S != 0:
                     continue
@@ -335,9 +336,7 @@ class DiffusionPipePlanner:
                 # at least one sample is admissible.
                 r = 1 if het else max(D // S, 1)
                 for M in opts.micro_batch_counts:
-                    if batch_per_group % M:
-                        continue
-                    if batch_per_group / (M * r) < 1:
+                    if batch_per_group % M or batch_per_group < M * r:
                         continue
                     yield (D, S, M)
 
@@ -703,16 +702,17 @@ class DiffusionPipePlanner:
             raise ConfigurationError(
                 f"group size {D} does not divide world size {world}"
             )
-        batch_per_group = Fraction(global_batch) / (world // D)
-        for name, samples in (
-            ("per-group batch", batch_per_group),
-            ("micro-batch", batch_per_group / M),
-        ):
-            if samples.denominator != 1:
-                raise ConfigurationError(
-                    f"global batch {global_batch!r} at D={D}, M={M} gives a "
-                    f"{name} of {float(samples):g} samples, not a whole number"
-                )
+        dp, gb = world // D, int(global_batch)
+        if gb != global_batch or gb % dp:
+            name, samples = "per-group batch", global_batch / dp
+        elif gb // dp % M:
+            name, samples = "micro-batch", gb // dp / M
+        else:
+            return
+        raise ConfigurationError(
+            f"global batch {global_batch!r} at D={D}, M={M} gives a "
+            f"{name} of {float(samples):g} samples, not a whole number"
+        )
 
     def _evaluate_finalist(
         self,

@@ -28,16 +28,19 @@ row builds the 1F1B table pinned to a uniform replica count, the
 ``het1f1b`` row the free heterogeneous one (both ``het_table_array``);
 the ``cdm`` row builds a pinned bidirectional table and the ``cdm-het``
 row the free one on the ``cdm-floor`` row's lattice (both
-``cdm_table_array``).  The ``het1f1b-sc`` row builds the ``het1f1b``
-table with self-conditioning, whose frontier has three coordinates;
-the other rows' have two.  The ``cdm-floor`` row is no table: it folds the bound ladder's CDM makespan
+``cdm_table_array``); each cold time includes the lattice's geometry
+plan.  The ``het1f1b-sc`` row builds the ``het1f1b`` table with
+self-conditioning, whose frontier has three coordinates; the other
+rows' have two, so they expand only the batches the prefilter keeps.
+The ``cdm-floor`` row is no table: it folds the bound ladder's CDM makespan
 floor (``cdm_makespan_floor``) over the free bidirectional lattice, so
 its cold time includes building the lattice's geometry plan and its
 two chains' plans, and its warm time, which reuses those plans, is the
 folds alone.  The ``1f1b-floor`` row folds the single-backbone floor
 (``backbone_makespan_floor``) over the ``het1f1b-sc`` row's free
-lattice in the same way: cold includes the lattice's chain plan, warm
-is the four folds (plain and self-conditioned ``W*`` and ``CP*``).  The
+lattice in the same way: cold includes the lattice's chain plan (the
+``het1f1b`` tables' plan too), warm is the four folds (plain and
+self-conditioned ``W*`` and ``CP*``).  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.

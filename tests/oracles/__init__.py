@@ -19,8 +19,10 @@ they replaced live here, next to the suites that diff against them:
   every lattice partition
   (:func:`repro.core.partition_kernels.cdm_floor_array` and
   :func:`repro.core.partition_kernels.het_floor_array`);
-* :func:`cdm_plan_reference` — the ``np.unique`` grouping of the CDM
-  geometry plan (``repro.core.partition_kernels._build_cdm_plan``);
+* :func:`cdm_plan_reference` — the ``np.unique`` grouping of the
+  geometry plan all four kernels read
+  (``repro.core.partition_kernels._build_cdm_plan``), the 1F1B
+  lattice's last position keyed by replica count included;
 * :func:`simulate_reference` — the list scheduler
   (:func:`repro.schedule.simulate`);
 * :func:`extract_bubbles_reference` — the breakpoint-scan bubble
@@ -92,6 +94,8 @@ def reference_dp_kernels() -> Iterator[Counter]:
     (``_het_frontiers``, ``_cdm_frontiers``) look the builders up on
     that module at call time, so ``partition_backbone``,
     ``partition_cdm`` and the planner run unchanged on oracle tables.
+    Both swaps take the wrappers' ``plans`` store, the array engines'
+    transition geometry, and ignore it: the oracles have none.
 
     Yields a :class:`~collections.Counter` of oracle builds per table
     store and flavour (``("het", "pinned")``, ``("het", "free")``,
@@ -107,13 +111,11 @@ def reference_dp_kernels() -> Iterator[Counter]:
     def flavour(fixed_r) -> str:
         return "free" if fixed_r is None else "pinned"
 
-    def het(ctx, L, S, D, fixed_r=None):
+    def het(ctx, L, S, D, fixed_r=None, plans=None):
         calls["het", flavour(fixed_r)] += 1
         return het_frontiers_reference(ctx, L, S, D, fixed_r)
 
     def cdm(ctx, S, *, plans=None, **kwargs):
-        # ``plans`` caches the array engine's transition geometry; the
-        # oracle has none.
         calls["cdm", flavour(kwargs["fixed_r"])] += 1
         return cdm_dp_table_reference(ctx, S, **kwargs)
 

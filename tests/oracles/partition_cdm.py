@@ -236,6 +236,7 @@ def cdm_plan_reference(
     D: int,
     r_cap: int,
     fixed_r: int | None,
+    by_r: bool = False,
 ) -> list[dict]:
     """Reference of the CDM geometry plan builder
     (``repro.core.partition_kernels._build_cdm_plan``): the grouping it
@@ -245,11 +246,12 @@ def cdm_plan_reference(
     in the DP's loop order — parents in creation order, down cut outer,
     replica count middle, up cut inner — and groups them by target state
     ``(a, b, d)`` in first-arrival order with ``np.unique`` and two
-    stable argsorts.  Each stage dict holds the transitions' parent
-    index ``P``, down cut ``A``, up cut ``B`` and replica count ``R``,
-    the parent states ``PA`` / ``PB`` / ``PD``, the target segments
-    ``tb_starts`` / ``tb_counts`` and the target states ``TA`` / ``TB`` /
-    ``TD``.
+    stable argsorts; ``by_r`` groups the last position's by ``(a, b, d,
+    r)``, as the 1F1B DP keys its final states.  Each stage dict holds
+    the transitions' parent index ``P``, down cut ``A``, up cut ``B`` and
+    replica count ``R``, the parent states ``PA`` / ``PB`` / ``PD``, the
+    target segments ``tb_starts`` / ``tb_counts`` and the target states
+    ``TA`` / ``TB`` / ``TD``.
     """
     cuts_d_arr = np.asarray(cuts_d, dtype=np.int64)
     cuts_u_arr = np.asarray(cuts_u, dtype=np.int64)
@@ -322,6 +324,8 @@ def cdm_plan_reference(
         D_b = PD[P_b] + R_b
 
         code = (A_b * (lu + 1) + B_b) * (D + 1) + D_b
+        if by_r and not remaining:
+            code = code * (r_cap + 1) + R_b
         uniq, first, inverse = np.unique(
             code, return_index=True, return_inverse=True
         )

@@ -21,9 +21,14 @@ def _options(**kw):
 
 
 def test_candidate_configs_feasibility(cluster8, uniform, uniform_profile):
+    """An integral float batch admits the configurations of its int; a
+    fractional one admits none, since no per-group batch it gives is a
+    whole number."""
     planner = DiffusionPipePlanner(uniform, cluster8, uniform_profile, _options())
     configs = list(planner.candidate_configs(64))
     assert configs
+    assert list(planner.candidate_configs(64.0)) == configs
+    assert list(planner.candidate_configs(63.5)) == []
     for D, S, M in configs:
         assert 8 % D == 0
         assert D % S == 0

@@ -10,10 +10,11 @@ candidate equal to an earlier one goes, and ``-0.0`` equals ``0.0``.
 The DP differentials (``test_partition_kernels.py``) reach the folds
 only on streams the DPs produce; these tests feed them directly.
 
-The CDM kernel drops whole transition batches before it expands them
-(:func:`_prefilter_batches`); the batches it keeps, expanded and
-folded by the staircase, must leave exactly the full fold's
-survivors, and every target must keep a batch.
+Both table kernels drop whole transition batches of a two-coordinate
+stream (every CDM one, and the 1F1B DP's under default pricing) before
+they expand them (:func:`_prefilter_batches`); the batches kept,
+expanded and folded by the staircase, must leave exactly the full
+fold's survivors, and every target must keep a batch.
 """
 
 from __future__ import annotations

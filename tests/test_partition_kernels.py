@@ -15,9 +15,10 @@ Pareto DP.  Comparisons are exact: every float is checked by
 
 The fold test holds the pinned 1F1B table to the uniform-replication
 DP over prefixes (``chain_frontiers_reference``), the grouping test
-holds the CDM geometry plan to the ``np.unique`` grouping it replaced
-(``cdm_plan_reference``), and the sharing tests check that both
-flavours live side by side in one table store.
+holds the geometry plan, the 1F1B lattice's included, to the
+``np.unique`` grouping it replaced (``cdm_plan_reference``), and the
+sharing tests check that both flavours live side by side in one table
+store.
 
 The reference side runs the production wrappers under
 :func:`~tests.oracles.reference_dp_kernels`, each side on its own fresh
@@ -206,14 +207,24 @@ def test_chain_backtracked_plan_differential(times, S):
     st.integers(min_value=2, max_value=4),
     st.integers(min_value=0, max_value=3),
     st.sampled_from(PRICINGS),
+    st.sampled_from([2, 32, 64, 128]),
+    st.none() | st.lists(
+        st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=8, max_size=8
+    ),
 )
-@settings(max_examples=40, deadline=None)
-def test_het_table_differential(times, S, extra, mode):
+@settings(max_examples=60, deadline=None)
+def test_het_table_differential(times, S, extra, mode, M, factors):
+    """The free table on divisible and non-divisible device counts, on
+    homogeneous and speed-scaled groups.  ``M`` = 32, 64 and 128 give
+    micro-batches of 2, 1 and 0.5 samples, so the sample cap
+    ``int(micro_batch)`` can bind below ``D - S + 1`` (down to 0, where
+    the table is empty) and the table walks a capped plan."""
     if S > len(times):
         return
     sc, pricing = mode
     D = S + extra  # covers divisible and non-divisible device counts
-    ctx = _ctx(times, sc=sc, pricing=pricing)
+    scales = None if factors is None else tuple(factors[:D])
+    ctx = _ctx(times, sc=sc, pricing=pricing, M=M, scales=scales)
     L = len(times)
     with reference_dp_kernels():
         h_ref, tf_ref = _het_frontiers(ctx, L, S, D, PlannerCaches())
@@ -497,7 +508,11 @@ def test_cdm_plan_matches_grouping_reference(S, ld, lu, cut_step, pinned, data):
     each stage's parent indices, target segments and target states, and
     per transition the window, down-slice and up-slice offsets its
     replica count and cuts encode.  The parents of a stage are the
-    previous stage's targets."""
+    previous stage's targets.  Each draw also checks the 1F1B DP's
+    lattice on the same devices, the plan ``het_table_array`` and
+    ``het_floor_array`` walk: the ``ld``-layer down chain at cut step 1,
+    the up chain pinned to one layer per position, and the last
+    position's targets keyed by replica count too."""
     if pinned:
         fixed_r = data.draw(st.integers(1, 8 // S), label="fixed_r")
         D, r_cap = S * fixed_r, fixed_r
@@ -510,26 +525,33 @@ def test_cdm_plan_matches_grouping_reference(S, ld, lu, cut_step, pinned, data):
         fixed_r=fixed_r, plans=None,
     )
     assert r_max == r_cap
-    ref = cdm_plan_reference(
-        **_plan_geometry(S, ld, lu, cut_step), D=D, r_cap=r_cap,
-        fixed_r=fixed_r,
+    lattice = dict(D=D, r_cap=r_cap, fixed_r=fixed_r)
+    one_f1b = pk._build_cdm_plan(
+        S=S, down=pk._cut_grid(S, ld, 1), up=pk._pinned_grid(S),
+        by_r=True, **lattice,
     )
-    assert len(plan) == len(ref) == S
-    nd, nu, nw = ld + 1, lu + 1, r_cap + 1
-    parents = [[0], [0], [0]]
-    for k, (got, want) in enumerate(zip(plan, ref), start=1):
-        for name in ("P", "tb_starts", "tb_counts", "TA", "TB", "TD"):
-            assert got[name].tolist() == want[name].tolist(), (k, name)
-        assert parents == [want[n].tolist() for n in ("PA", "PB", "PD")], k
-        P = want["P"]
-        offsets = {
-            "W": want["PD"][P] * nw + want["R"],
-            "OD": want["PA"][P] * nd + want["A"],
-            "OU": (lu - want["B"]) * nu + lu - want["PB"][P],
-        }
-        for name, expect in offsets.items():
-            assert np.array_equal(got[name], expect), (k, name)
-        parents = [got[n].tolist() for n in ("TA", "TB", "TD")]
+    for plan, geometry, by_r in (
+        (plan, _plan_geometry(S, ld, lu, cut_step), False),
+        (one_f1b, _plan_geometry(S, ld, S, 1), True),
+    ):
+        ref = cdm_plan_reference(**geometry, **lattice, by_r=by_r)
+        assert len(plan) == len(ref) == S
+        lu = geometry["lu"]
+        nd, nu, nw = ld + 1, lu + 1, r_cap + 1
+        parents = [[0], [0], [0]]
+        for k, (got, want) in enumerate(zip(plan, ref), start=1):
+            for name in ("P", "tb_starts", "tb_counts", "TA", "TB", "TD"):
+                assert got[name].tolist() == want[name].tolist(), (k, name)
+            assert parents == [want[n].tolist() for n in ("PA", "PB", "PD")], k
+            P = want["P"]
+            offsets = {
+                "W": want["PD"][P] * nw + want["R"],
+                "OD": want["PA"][P] * nd + want["A"],
+                "OU": (lu - want["B"]) * nu + lu - want["PB"][P],
+            }
+            for name, expect in offsets.items():
+                assert np.array_equal(got[name], expect), (k, name)
+            parents = [got[n].tolist() for n in ("TA", "TB", "TD")]
 
 
 @given(

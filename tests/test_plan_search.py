@@ -370,20 +370,30 @@ def test_cold_sd_plan_partitions_only_what_can_win(monkeypatch):
     when every configuration entered at the closed-form rung).  The
     floor pass builds 2 ``kernel_plans`` entries: one pinned lattice
     per stage count (S = 2 and 4), each shared by every replica
-    count."""
+    count.  The 8 tables walk those plans too, so each adds a hit and
+    no miss (33 hits when the tables enumerated their own
+    transitions)."""
     caches, partitions, tables = _cold_sd_plan_256(monkeypatch)
     assert (partitions, tables) == (14, 8)
-    assert caches.stats().store("kernel_plans").misses == 2
+    plans = caches.stats().store("kernel_plans")
+    assert (plans.misses, plans.hits) == (2, 33 + 8)
 
 
 def test_cold_heterogeneous_sd_plan_skips_most_partition_tables(monkeypatch):
     """Counter gate of ROADMAP item 7: a cold heterogeneous SD v2.1
     ``plan(256)`` on 16 GPUs builds 41 ``het_table_array`` tables (70
-    when every configuration ran its free and its pinned DP)."""
-    _, partitions, tables = _cold_sd_plan_256(
+    when every configuration ran its free and its pinned DP).  They
+    and the floor pass build 12 ``kernel_plans`` entries: the floor's
+    10 free lattice plans, which the free tables share because no
+    sample cap binds at this batch, and one pinned plan per stage count
+    (S = 2 and 4), which only the tables of the pinned ``r = D/S``
+    finalists walk (10 entries when the tables enumerated their own
+    transitions)."""
+    caches, partitions, tables = _cold_sd_plan_256(
         monkeypatch, heterogeneous_replication=True
     )
     assert (partitions, tables) == (48, 41)
+    assert caches.stats().store("kernel_plans").misses == 12
 
 
 def test_memoised_tables_skip_the_floor(monkeypatch):

@@ -324,6 +324,7 @@ def partition_backbone(
     *,
     heterogeneous: bool = False,
     caches: PlannerCaches | None = None,
+    chunks: int = 1,
 ) -> PartitionPlan:
     """Optimally cut one backbone into ``num_stages`` stages (§4.1/§4.3).
 
@@ -332,13 +333,17 @@ def partition_backbone(
     footnote 2): the DP of Eqns. 7-9 with every replica count pinned.
     With ``heterogeneous=True`` the per-stage replica count is free.
     ``caches`` holds the memoised DP tables (the process-wide default
-    when None).
+    when None).  ``chunks`` is the number of the stages each device
+    hosts (a chunked schedule's chunks), which only :func:`_objective`
+    reads.
     """
     caches = caches if caches is not None else default_caches()
     S, D = num_stages, group_size
     L, fixed_r = _backbone_lattice(ctx, S, D, heterogeneous)
     history, tf_by_r = _het_frontiers(ctx, L, S, D, caches, fixed_r=fixed_r)
-    return _select_plan(ctx, S, D, L, history, tf_by_r, replicas=fixed_r)
+    return _select_plan(
+        ctx, S, D, L, history, tf_by_r, replicas=fixed_r, chunks=chunks
+    )
 
 
 def backbone_makespan_floor(
@@ -357,11 +362,12 @@ def backbone_makespan_floor(
     :func:`~.partition_cdm.cdm_makespan_floor`.
 
     With ``M`` micro-batches, a device runs ``M`` forward and backward
-    passes of its stage, and one micro-batch's path down the chain and
-    back ends in stage 0's sync, so each build's simulated makespan is
-    at least ``max(M * W*, CP*)``, each term minimised over the DP's
-    whole lattice (see :func:`~.partition_kernels.het_floor_array`):
-    it holds whichever partition the DP picks.  ``split_backward`` and
+    passes of its stage between the pipeline's fill and drain ramps,
+    and one micro-batch's path down the chain and back ends in stage
+    0's sync, so each build's simulated makespan is at least ``max(V*,
+    CP*)``, each term minimised over the DP's whole lattice (see
+    :func:`~.partition_kernels.het_floor_array`): it holds whichever
+    partition the DP picks.  ``split_backward`` and
     ``comm_scale`` are the schedule family's flags
     (:func:`~repro.schedule.onef1b.makespan_floor`).  Under
     self-conditioning the plain and self-conditioned floors mix as the
@@ -383,8 +389,7 @@ def backbone_makespan_floor(
         fixed_r=fixed_r, split_backward=split_backward,
         comm_scale=comm_scale, plans=caches.kernel_plans,
     )
-    M = ctx.num_micro_batches
-    floors = [max(M * w, cp) for w, cp in terms]
+    floors = [max(v, cp) for v, cp in terms]
     floor = floors[0]
     if ctx.self_conditioning:
         floor = _expected(ctx.self_conditioning_prob, floor, floors[1])
@@ -468,16 +473,18 @@ def _expected_w(ctx: PartitionContext, w: float, w_sc: float) -> float:
 
 
 def _objective(
-    ctx: PartitionContext, S: int, w: float, w_sc: float, y: float, tf: float
+    ctx: PartitionContext, S: int, w: float, w_sc: float, y: float, tf: float,
+    chunks: int = 1,
 ) -> float:
     """Expected T_max over the self-conditioning coin flip (§4.3).
 
     Under zero-bubble pricing the frontier's second coordinate carries
     the ramp bound (``t0_ramp``) instead of ``T0^{SC}``: the steady
     phase pays ``M`` full stage times, the ``2S - 2`` ramp slots only
-    forward + grad-input.
+    forward + grad-input.  When each device hosts ``chunks`` of the
+    ``S`` stages, its steady phase runs ``chunks · M`` of them.
     """
-    M = ctx.num_micro_batches
+    M = ctx.num_micro_batches * chunks
     if ctx.zb_pricing:
         return M * w + (2 * S - 2) * w_sc + y
     coeff = M + 2 * S - 2
@@ -635,6 +642,7 @@ def _select_plan(
     tf_by_r: dict[int, float],
     *,
     replicas: int | None,
+    chunks: int = 1,
 ) -> PartitionPlan:
     """Final objective selection + backtrack over a 1F1B DP table.
 
@@ -645,7 +653,7 @@ def _select_plan(
     may be shared across (micro-batch, r) combos with one stage-local
     batch, so the entries' own ``r`` labels the *builder's* call, not
     necessarily this one.  ``None`` keeps each entry's count (free
-    tables).
+    tables).  ``chunks`` goes to :func:`_objective`.
     """
     finals = [
         (key, e)
@@ -663,7 +671,7 @@ def _select_plan(
     def objective(e: tuple) -> float:
         # tf_by_r holds every last-stage r (see _het_frontiers).
         tf = tf_by_r[e[4]] if ctx.self_conditioning else 0.0
-        return _objective(ctx, S, e[0], e[1], e[2], tf)
+        return _objective(ctx, S, e[0], e[1], e[2], tf, chunks)
 
     best_key, best = min(
         finals,

@@ -10,7 +10,8 @@ behind the two DP wrappers as array kernels —
 bidirectional CDM DP (``partition_cdm._cdm_frontiers``), plus
 :func:`het_floor_array` and :func:`cdm_floor_array`, the scalar folds
 of the bound ladder's pre-partition makespan floors over the same
-lattices.  Each serves both replication
+lattices (the single-backbone one adds the pipeline's fill-and-drain
+ramp to each stage's busy time).  Each serves both replication
 flavours: ``fixed_r`` pins every stage to one replica count (uniform
 replication, the paper's footnote 2), ``fixed_r=None`` lets each stage
 choose (Eqns. 7-9).  The table kernels work as follows:
@@ -969,13 +970,14 @@ def _floor_slabs(
     *,
     sc: bool = False,
     split: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One chain's floor slabs, one per ``(r, window factor)`` of
     ``slabs`` plus an all-``+inf`` one (the slab id :func:`_slab_ids`
     gives windows of no listed replica count): the ``[lo, hi]`` compute
     of a stage on one micro-batch (fwd + bwd at the local batch
     ``micro_batch / r``, divided by the window factor, then plus the
-    forward again for the SC wave when ``sc``) and its path term.
+    forward again for the SC wave when ``sc``), its path term and, when
+    ``split``, its head term (else None).
 
     The path term is the stage's compute (with the grad-input half B
     in place of the whole backward when ``split``), plus the sends of
@@ -985,7 +987,9 @@ def _floor_slabs(
     ``sc`` the chain's last stage instead feeds its output back once.
     Then the chain's stage 0 (``lo = 0``) adds its W when ``split``
     and its sync, in that order, as the planner prices a stage's sends
-    and all-reduce.  Only a chain's
+    and all-reduce.  The head term is the stage's forward and its
+    ``comm_scale``-scaled forward send: what it adds to a later stage's
+    ramp under split backward.  Only a chain's
     last stage ends at layer ``L`` and only its stage 0 starts at 0, so
     the folds need no position test.  Compute slabs and path columns
     come from the profile's memos
@@ -1001,6 +1005,7 @@ def _floor_slabs(
         for b, (_, w) in zip(batches, slabs)
     ]
     base = compute
+    head = None
     if split:
         # Per-slab prefix sums; the +inf slab's rows stay 0.
         F, B, Wp = np.zeros((3, len(slabs) + 1, L + 1))
@@ -1011,9 +1016,10 @@ def _floor_slabs(
         bwd = B[:, None, :] - B[:, :, None]
         bwd_b = np.maximum(0.0, bwd - (Wp[:, None, :] - Wp[:, :, None]))
         base = (fwd + bwd_b) / scale
+        head = fwd / scale
         if sc:
-            base = base + fwd / scale
-        base[-1] = np.inf
+            base = base + head
+        base[-1] = head[-1] = np.inf
     # Adding 0.0 leaves a compute entry as it is: the +inf slab sends
     # nothing, a chain's last stage only its feedback, and only stage 0
     # syncs.
@@ -1035,8 +1041,12 @@ def _floor_slabs(
     path = base + send[:, None, :]
     if split:
         path[:, 0] += Wp / scale[:, 0]
+        head[:-1, :, :L] += np.array([
+            profile.stage_send_column(comp, b, ctx.p2p, comm_scale)[:L]
+            for b in batches
+        ])[:, None, :]
     path[:, 0] += sync
-    return compute, path
+    return compute, path, head
 
 
 def cdm_floor_array(
@@ -1095,15 +1105,15 @@ def cdm_floor_array(
     # A boundary's forward and backward transfer are each enlarged on
     # the bidirectional chain; a stage's sync prices its own replica
     # count.
-    down, path_d = _floor_slabs(ctx.down, ld, slabs, ctx.comm_scale)
-    up, path_u = _floor_slabs(ctx.up, lu, slabs, ctx.comm_scale)
+    down, path_d, _ = _floor_slabs(ctx.down, ld, slabs, ctx.comm_scale)
+    up, path_u, _ = _floor_slabs(ctx.up, lu, slabs, ctx.comm_scale)
     chain_d, chain_u = _cdm_chain_plans(
         S, cut_step=cut_step, ld=ld, lu=lu, D=D, r_max=r_max,
         fixed_r=fixed_r, plans=plans,
     )
     chain_sids = _chain_sids(SID, S, fixed_r)
-    (cp_down,) = _min_chain_fold(chain_d, chain_sids, [(path_d, np.add)])
-    (cp_up,) = _min_chain_fold(chain_u, chain_sids, [(path_u, np.add)])
+    (cp_down,), _ = _min_chain_fold(chain_d, chain_sids, [path_d])
+    (cp_up,), _ = _min_chain_fold(chain_u, chain_sids, [path_u])
     return _min_max_fold(plan, SID.ravel(), down, up), cp_down, cp_up
 
 
@@ -1140,17 +1150,27 @@ def het_floor_array(
     comm_scale: float = 1.0,
     plans=None,
 ) -> tuple[tuple[float, float], ...]:
-    """Terms ``(W*, CP*)`` of the single-backbone makespan floor, each
+    """Terms ``(V*, CP*)`` of the single-backbone makespan floor, each
     minimised over every partition :func:`het_table_array`'s lattice
     holds (same replica range, ``r_cap`` capping a free lattice's
     counts): one pair for the plain build and, under self-conditioning,
-    a second for the self-conditioned one.
+    a second for the self-conditioned one.  With ``M =
+    ctx.num_micro_batches``:
 
-    * ``W*`` — the smallest possible maximum over stages of a stage's
-      compute on one micro-batch: fwd + bwd at the local batch
+    * ``V*`` — the least, over the lattice's paths, of the largest
+      ``M·work_k + R(parent_k)`` over stages ``k``.  ``work`` is a
+      stage's compute on one micro-batch: fwd + bwd at the local batch
       ``micro_batch / r``, divided by the window factor, plus the SC
-      forward in the self-conditioned build.  ``M·W`` is one device's
-      busy time;
+      forward in the self-conditioned build.  ``R`` of a prefix state
+      is the least sum, over the prefixes reaching it, of the plain
+      build's path terms (compute, both sends, stage 0's sync), which
+      are the head plus tail of a later stage's device term in
+      :func:`~repro.schedule.onef1b.makespan_floor`; under
+      ``split_backward``, whose tail is the stage's own sync, of the
+      forwards and their sends.  Both builds share ``R`` (the SC
+      forward costs what the forward does).  ``V*`` is at least
+      ``M·W*``, ``W*`` the least busiest stage, and at most every
+      lattice partition's closed-form device term;
     * ``CP*`` — the shortest path of one micro-batch, with the terms of
       :func:`~repro.schedule.onef1b.makespan_floor`'s stage-0 path:
       every stage's compute (its forward and B in place of the whole
@@ -1174,15 +1194,20 @@ def het_floor_array(
             f"no feasible partition of {L} layers into {S} stages on {D} devices"
         )
     SID, slabs = _slab_ids(ctx, D, r_values, fixed_r, r_max)
-    sid_of = _chain_sids(SID, S, fixed_r)
-    folds = []
-    for sc in (False, True) if ctx.self_conditioning else (False,):
-        compute, path = _floor_slabs(
-            ctx, L, slabs, comm_scale, sc=sc, split=split_backward
-        )
-        folds += [(compute, np.maximum), (path, np.add)]
-    terms = _min_chain_fold(chain, sid_of, folds)
-    return tuple(zip(terms[::2], terms[1::2]))
+    builds = [
+        _floor_slabs(ctx, L, slabs, comm_scale, sc=sc, split=split_backward)
+        for sc in ((False, True) if ctx.self_conditioning else (False,))
+    ]
+    paths = [path for _, path, _ in builds]
+    if split_backward:
+        paths.append(builds[0][2])
+    cps, vs = _min_chain_fold(
+        chain, _chain_sids(SID, S, fixed_r), paths,
+        busy=tuple(compute for compute, _, _ in builds),
+        ramp=len(paths) - 1 if split_backward else 0,
+        M=ctx.num_micro_batches,
+    )
+    return tuple(zip(vs, cps[: len(vs)]))
 
 
 def _min_max_fold(
@@ -1203,21 +1228,31 @@ def _min_max_fold(
 
 
 def _min_chain_fold(
-    chain: list[tuple], sid_of: np.ndarray, folds: list[tuple]
-) -> list[float]:
-    """Over one chain lattice's full paths, for each ``(values,
-    combine)`` of ``folds``, the least ``combine`` (``np.add`` for a
-    path sum, ``np.maximum`` for a busiest stage) of the stages'
-    ``values`` (one slab stack), combined position by position from 0.
-    The folds share each position's gather index."""
-    n2 = folds[0][0][0].size
-    flats = [values.ravel() for values, _ in folds]
-    combines = [combine for _, combine in folds]
-    accs = [np.zeros(1)] * len(folds)
+    chain: list[tuple], sid_of: np.ndarray, paths: list[np.ndarray], *,
+    busy: tuple[np.ndarray, ...] = (), ramp: int = 0, M: int = 1,
+) -> tuple[list[float], list[float]]:
+    """Over one chain lattice's full paths, the least sum of each slab
+    stack of ``paths``, and for each slab stack of ``busy`` the least
+    largest ``M·busy_k + R(parent_k)``, where ``R`` of a state is the
+    least sum of ``paths[ramp]`` over the prefixes reaching it (0 at
+    the root).  Every fold combines position by position from 0, and
+    all share each position's gather index and parent gathers."""
+    n2 = paths[0][0].size
+    flats = [values.ravel() for values in paths]
+    busy = [values.ravel() for values in busy]
+    sums = [np.zeros(1)] * len(flats)
+    peaks = [np.zeros(1)] * len(busy)
     for P, W, O, starts, *_ in chain:
         idx = sid_of[W] * n2 + O
-        accs = [
-            np.minimum.reduceat(combine(acc[P], flat[idx]), starts)
-            for acc, flat, combine in zip(accs, flats, combines)
+        parents = [acc[P] for acc in sums]
+        peaks = [
+            np.minimum.reduceat(
+                np.maximum(peak[P], M * flat[idx] + parents[ramp]), starts
+            )
+            for peak, flat in zip(peaks, busy)
         ]
-    return [float(acc.min()) for acc in accs]
+        sums = [
+            np.minimum.reduceat(parent + flat[idx], starts)
+            for parent, flat in zip(parents, flats)
+        ]
+    return [float(acc.min()) for acc in sums], [float(acc.min()) for acc in peaks]

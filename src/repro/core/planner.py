@@ -870,11 +870,12 @@ class DiffusionPipePlanner:
         Families with identical partition semantics (onef1b, gpipe,
         bidirectional; zerobubble under self-conditioning, where the
         B/W pricing refinement is disabled) share partition cache
-        entries; only chunked granularity and zero-bubble pricing
-        change the DP's inputs.
+        entries; only chunked granularity (with its chunks per device,
+        which the DP's objective reads) and zero-bubble pricing change
+        the DP's inputs.
         """
         if self._family.virtual_stages > 1:
-            return ("chunked",)
+            return ("chunked", self._family.virtual_stages)
         if self._family.splits_backward and not self.model.self_conditioning:
             return ("zerobubble",)
         return ("default",)
@@ -1006,14 +1007,16 @@ class DiffusionPipePlanner:
         # with v*S stages on a virtual v*D budget keeps the homogeneous
         # replica count at r = D/S per chunk (such a planner rejects
         # heterogeneous replication) while p2p and all-reduce constants
-        # stay priced from the real group (see _context).  The DP's
-        # ramp coefficient then over-counts (2vS-2 vs the schedule's
-        # shorter per-chunk ramps), which only biases *which* cut it
-        # prefers — final throughput always comes from simulating the
-        # real chunk chain.
+        # stay priced from the real group (see _context).  Each device
+        # runs its v chunks on every micro-batch, so the DP's objective
+        # is (v*M + 2vS - 2)*w + y: v*M steady chunk slots, and a ramp
+        # coefficient that over-counts the schedule's shorter per-chunk
+        # ramps, which only biases *which* cut it prefers — final
+        # throughput always comes from simulating the real chunk chain.
         v = self._family.virtual_stages
         plan = partition_backbone(
-            ctx, S * v, D * v, heterogeneous=heterogeneous, caches=self.caches
+            ctx, S * v, D * v, heterogeneous=heterogeneous, caches=self.caches,
+            chunks=v,
         )
         return replace(plan, group_size=D)
 

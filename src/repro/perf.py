@@ -40,7 +40,8 @@ folds alone.  The ``1f1b-floor`` row folds the single-backbone floor
 (``backbone_makespan_floor``) over the ``het1f1b-sc`` row's free
 lattice in the same way: cold includes the lattice's chain plan (the
 ``het1f1b`` tables' plan too), warm is the four folds (plain and
-self-conditioned ``W*`` and ``CP*``).  The
+self-conditioned ``V*`` and ``CP*``; each ``V*`` reads the ramp off the
+plain path's accumulator).  The
 pure-Python oracles the array kernels are gated against live with the
 tests (``tests/oracles/``), and ``benchmarks/test_partition_kernels.py``
 times the two side by side.

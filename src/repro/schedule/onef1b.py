@@ -293,7 +293,7 @@ def makespan_floor(
     * a *device term* per device: ``min head + M·Σ work + min tail``
       over the (chain, stage) pairs it hosts, with ``head(s) =
       Σ_{j<s} (first_j + σ·send_fwd_j)`` and ``tail(s) = Σ_{j<s}
-      (back_j + σ·send_bwd_j)``, or ``sync_s`` when split;
+      (back_j + σ·send_bwd_j) + sync_0``, or ``sync_s`` when split;
     * a *path term* per chain and stage ``s``: one micro-batch's SC
       wave, ``σ·feedback``, forward wave and backward down to ``s``
       (then ``W_s`` when split), plus ``sync_s``;
@@ -303,13 +303,15 @@ def makespan_floor(
     Why it holds: a device runs one task at a time, and every task of
     stage ``s`` waits for its micro-batch's forward path through the
     stages before ``s``.  A backward follows its forward on the same
-    device, so the device's last task is a backward, which the backward
-    path to its chain's stage 0 follows; when split it is a W, which its
-    stage's sync follows.  A stage's sync follows its last micro-batch's
-    path.  Priorities, the in-flight window and link contention only add
-    delay.  The path terms add durations in the simulator's own order,
-    so they hold exactly in floats; the device terms do not, hence the
-    margin.
+    device, and a stage runs its micro-batches in order, so the
+    device's last task is a stage's backward of micro-batch ``M - 1``,
+    which that micro-batch's backward path to its chain's stage 0
+    follows, and then stage 0's sync, which waits on that path's last
+    backward; when split it is a W, which its stage's sync follows.  A
+    stage's sync follows its last micro-batch's path.  Priorities, the
+    in-flight window and link contention only add delay.  The path
+    terms add durations in the simulator's own order, so they hold
+    exactly in floats; the device terms do not, hence the margin.
     """
     M = num_micro_batches
     if M <= 0:
@@ -322,7 +324,8 @@ def makespan_floor(
     floor = 0.0
     for stages, device_order in chains:
         stages = validate_stages(stages)
-        head = tail = 0.0
+        # Unsplit, every tail ends in the chain's stage-0 sync.
+        head, tail = 0.0, stages[0].sync_ms
         for s, st in enumerate(stages):
             back = st.bwd_b_ms if split_backward else st.bwd_ms
             work = st.fwd_ms + (

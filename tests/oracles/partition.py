@@ -246,17 +246,22 @@ def het_floor_reference(
     fixed_r: int | None,
     split_backward: bool = False,
     comm_scale: float = 1.0,
-) -> tuple[tuple[float, float], ...]:
-    """Brute-force oracle of ``het_floor_array``: ``(W*, CP*)`` of the
-    plain build and, under self-conditioning, of the self-conditioned
+) -> tuple[tuple[float, float, float], ...]:
+    """Brute-force oracle of ``het_floor_array``: ``(W*, V*, CP*)`` of
+    the plain build and, under self-conditioning, of the self-conditioned
     one, as minima over every complete partition the 1F1B lattice holds,
     enumerated one by one — ``S`` non-empty slices of the ``L`` layers,
     and per-stage replica counts that are pinned, or at most ``r_cap``
-    each and ``D`` in total.  Each partition is priced stage by stage in
-    the kernel's float order, so the minima match it exactly; all are
-    ``inf`` when the lattice holds no partition.
+    each and ``D`` in total.  ``W*`` is the least busiest stage (the
+    kernel's ``V*`` before it priced the ramp, kept for the property
+    that ``V* >= M·W*``).  ``V*`` reads ``R`` of every prefix state
+    ``(k, l, d)``, itself brute-forced as the least ramp sum over every
+    partition's prefixes that reach it.  Each partition is priced stage
+    by stage in the kernel's float order, so the minima match it
+    exactly; all are ``inf`` when the lattice holds no partition.
     """
     costs_for = _LazyStageCosts(ctx)
+    M = ctx.num_micro_batches
     if fixed_r is not None:
         replica_seqs = [(fixed_r,) * S]
     else:
@@ -286,22 +291,46 @@ def het_floor_reference(
             path = path + costs.sync_ms(0, hi)
         return compute, path
 
-    builds = (False, True) if ctx.self_conditioning else (False,)
-    best = {sc: [inf, inf] for sc in builds}
-    for cuts in combinations(range(1, L), S - 1):
+    def ramp(costs, lo, hi, w):
+        """What the stage adds to every later stage's ``R``: its plain
+        path term, or under split backward its forward and send."""
+        if not split_backward:
+            return stage(costs, lo, hi, w, False)[1]
+        head = costs.fwd(lo, hi) / w
+        return head + comm_scale * costs.send_ms(hi) if hi < L else head
+
+    def walk(cuts, rs):
+        """Each stage's (slice, replicas, window factor, prefix state)."""
         bounds = (0, *cuts, L)
-        for rs in replica_seqs:
-            for sc in builds:
-                w_max = cp = 0.0
-                pd = 0
-                for k in range(S):
-                    r = rs[k]
-                    w = ctx.window_scale(pd, r)
-                    compute, path = stage(
-                        costs_for(r), bounds[k], bounds[k + 1], w, sc
-                    )
-                    w_max = max(w_max, compute)
-                    cp = cp + path
-                    pd += r
-                best[sc] = [min(best[sc][0], w_max), min(best[sc][1], cp)]
-    return tuple((best[sc][0], best[sc][1]) for sc in builds)
+        pd = 0
+        for k in range(S):
+            r = rs[k]
+            yield bounds[k], bounds[k + 1], r, ctx.window_scale(pd, r), (
+                k, bounds[k], pd,
+            )
+            pd += r
+
+    partitions = [
+        (cuts, rs)
+        for cuts in combinations(range(1, L), S - 1)
+        for rs in replica_seqs
+    ]
+    R = {}
+    for cuts, rs in partitions:
+        acc = 0.0
+        for lo, hi, r, w, state in walk(cuts, rs):
+            R[state] = min(R.get(state, inf), acc)
+            acc = acc + ramp(costs_for(r), lo, hi, w)
+
+    builds = (False, True) if ctx.self_conditioning else (False,)
+    best = {sc: [inf, inf, inf] for sc in builds}
+    for cuts, rs in partitions:
+        for sc in builds:
+            w_max = v = cp = 0.0
+            for lo, hi, r, w, state in walk(cuts, rs):
+                compute, path = stage(costs_for(r), lo, hi, w, sc)
+                w_max = max(w_max, compute)
+                v = max(v, M * compute + R[state])
+                cp = cp + path
+            best[sc] = [min(b, x) for b, x in zip(best[sc], (w_max, v, cp))]
+    return tuple(tuple(best[sc]) for sc in builds)

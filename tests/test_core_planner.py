@@ -443,3 +443,36 @@ def test_timeline_cache_lru():
     assert len(timelines) == 3
     stats = timelines.stats()
     assert stats.hits == 4 and stats.misses == 1 and stats.evictions == 1
+
+
+def test_interleaved_t_max_bounds_the_simulated_makespan():
+    """Each device of the interleaved family runs its ``v`` chunks on
+    every micro-batch, so the chunked DP's objective prices ``v·M``
+    steady chunk slots, ``(v·M + 2vS − 2)·w + y``.  On SD v2.1 without
+    self-conditioning on 8 GPUs at b = 128 and 256, no finalist's
+    simulated makespan then exceeds its ``t_max_ms`` (16 of the 50 did,
+    by up to 1.53×, while the steady term was ``M·w``)."""
+    from repro.cluster import single_node
+    from repro.models.zoo import stable_diffusion_v2_1
+    from repro.profiling import Profiler
+
+    cluster = single_node(8)
+    model = stable_diffusion_v2_1(self_conditioning=False)
+    profile = Profiler(cluster).profile(model)
+    finalists = 0
+    for batch in (128, 256):
+        planner = DiffusionPipePlanner(
+            model, cluster, profile,
+            PlannerOptions(schedule="interleaved"),
+            caches=PlannerCaches.cold([profile]),
+        )
+        for cfg in planner.candidate_configs(batch):
+            gated = planner._gate(batch, *cfg)
+            if gated is None:
+                continue
+            gate, per_group = gated
+            for partition, _, _ in gate:
+                finalists += 1
+                makespan = planner._simulate(partition, per_group, sc=False).makespan
+                assert makespan <= partition.t_max_ms, (batch, cfg)
+    assert finalists == 50

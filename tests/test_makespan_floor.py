@@ -151,10 +151,12 @@ def test_floor_terms_by_hand():
     # Device 0: head 0 + 4 x 3 + tail 0 = 12; device 1: 1 + 12 + 2 = 15.
     assert get_family("onef1b").floor(ones, 4) == 15.0 * scale
     assert _makespan(get_family("onef1b"), ones, {}, 4) == 15.0
-    # Path: fwd 1 + 1, bwd 2 + 2, then a 20 ms sync of stage 0 beats
-    # every device term.
+    # A 20 ms sync of stage 0 ends every device's tail: device 1's
+    # head 1 + 2 x 3 + tail (bwd 2 + sync 20) = 29 beats stage 0's path
+    # (fwd 1 + 1, bwd 2 + 2, sync 20 = 26), and is the makespan.
     synced = [StageExec(index=0, fwd_ms=1.0, bwd_ms=2.0, sync_ms=20.0), ones[1]]
-    assert get_family("gpipe").floor(synced, 2) == 26.0 * scale
+    assert get_family("gpipe").floor(synced, 2) == 29.0 * scale
+    assert _makespan(get_family("gpipe"), synced, {}, 2) == 29.0
     # Split backward: B = W = 1; device 1's tail is its sync (0), not
     # the B path back to stage 0: 1 + 2 x 3 + 0 = 7; stage 0's path is
     # 1 + 1 + 1 + 1 + W 1 = 5.

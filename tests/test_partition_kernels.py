@@ -276,7 +276,9 @@ def test_het_floor_differential(
     lattice folds over its uncapped plan and masks the counts above its
     cap), homogeneous and speed-scaled groups, with and without
     self-conditioning (whose second pair prices the SC wave and
-    feedback) and split backward (B on the path, then stage 0's W)."""
+    feedback) and split backward (B on the path, then stage 0's W; the
+    ramp sums forwards and their sends).  Each ``V*`` is at least the
+    steady phase ``M·W*`` it replaced."""
     L = len(times)
     S = data.draw(st.integers(1, min(4, L)), label="S")
     D = 2 * S if pinned else S + extra
@@ -294,8 +296,9 @@ def test_het_floor_differential(
         )
         assert len(arr) == (2 if sc else 1)
         assert [x.hex() for pair in arr for x in pair] == [
-            x.hex() for pair in ref for x in pair
+            x.hex() for terms in ref for x in terms[1:]
         ]
+        assert all(v >= 4 * w for w, v, _ in ref)
 
 
 @pytest.mark.parametrize(
@@ -350,7 +353,7 @@ def test_pinned_floors_share_one_chain_plan_across_replica_counts():
         got = pk.het_floor_array(ctx, 5, 2, D, plans=het_plans, **kwargs)
         want = het_floor_reference(ctx, 5, 2, D, **kwargs)
         assert [x.hex() for p in got for x in p] == [
-            x.hex() for p in want for x in p
+            x.hex() for p in want for x in p[1:]
         ], r
         cctx = _cdm_ctx(times, times, batch=12.0, scales=factors[:D])
         kwargs = dict(cut_step=1, ld=5, lu=5, D=D, r_cap=r, fixed_r=r)

@@ -23,8 +23,8 @@ exactly — ``float.hex`` comparisons and plain ``>=``, no tolerance:
   partition and timings alike, on homogeneous and speed-scaled groups.
 
 Deterministic counter gates pin the savings: a cold 16-GPU SD plan
-partitions 14 of its 35 configurations (41 of 70 tables with
-heterogeneous replication), simulates 8 of the exhaustive search's 70
+partitions 9 of its 35 configurations (34 of 70 tables with
+heterogeneous replication), simulates 2 of the exhaustive search's 70
 timelines, derives each finalist's stage chain once for both of its
 floors and runs the bubble filler for the winning configuration only,
 and a cold 16-GPU
@@ -52,7 +52,12 @@ import repro.core.planner as planner_mod
 from repro.cluster import DeviceSpec, p4de_cluster, single_node
 from repro.core import DiffusionPipePlanner, PlannerCaches, PlannerOptions
 from repro.core.filling import BubbleFiller
-from repro.errors import ConfigurationError
+from repro.core.partition import (
+    _backbone_lattice,
+    _expected,
+    backbone_makespan_floor,
+)
+from repro.errors import ConfigurationError, PartitionError
 from repro.models.zoo import (
     cascaded_model,
     cdm_imagenet,
@@ -63,6 +68,8 @@ from repro.models.zoo import (
 )
 from repro.profiling import Profiler
 from repro.profiling.records import ProfileDB
+from repro.schedule import FLOOR_MARGIN
+from tests.oracles import het_floor_reference
 
 MODELS = {
     "uniform": uniform_model,
@@ -71,6 +78,8 @@ MODELS = {
     "cascaded": cascaded_model,
     "cdm-lsun": cdm_lsun,
 }
+#: the bidirectional models of :data:`MODELS`
+CASCADED = ("cascaded", "cdm-lsun")
 #: device memory (bytes) of the small device: between the toy models'
 #: smallest and largest per-device peaks, so some configurations OOM
 SMALL_MEMORY = 3.82e7
@@ -174,7 +183,7 @@ def floor_case(draw):
     toy models under the onef1b, gpipe and zerobubble families, both
     replication flavours, with and without speed factors."""
     model_name = draw(st.sampled_from(sorted(MODELS)))
-    cascaded = model_name in ("cascaded", "cdm-lsun")
+    cascaded = model_name in CASCADED
     devices = draw(st.sampled_from((4, 6) if model_name == "cdm-lsun" else (4, 6, 8)))
     options = PlannerOptions(
         max_stages=4,
@@ -217,6 +226,51 @@ def test_floor_bounds_the_simulated_bound(case):
         elif cfg in evaluated:
             throughput = evaluated[cfg].throughput
             assert floor >= bound >= throughput, (cfg, floor, bound, throughput)
+
+
+@settings(max_examples=25, deadline=None)
+@given(floor_case().filter(lambda case: case[0] not in CASCADED))
+def test_single_backbone_floor_is_at_least_the_steady_phase(case):
+    """Pricing the fill-and-drain ramp only raises a single-backbone
+    floor: each one is at least the steady-phase formula it replaced,
+    ``max(M·W*, CP*)`` from the brute-force oracle, mixed and margined
+    as the floor is, and its bound is still at least the simulated
+    bound."""
+    model_name, devices, speeds, options, batch = case
+    model, cluster, profile = _setup(model_name, devices, None, speeds)
+    planner = _planner(model, cluster, profile, options)
+    family = planner._family
+    het = options.heterogeneous_replication
+    configs = list(planner.candidate_configs(batch))
+    bounds = {cfg: planner._floor(batch, *cfg) for cfg in configs}
+    for D, S, M in configs:
+        ctx = planner._backbone_context(
+            batch / (cluster.world_size // D), D, M
+        )
+        try:
+            L, fixed_r = _backbone_lattice(ctx, S, D, het)
+        except PartitionError:
+            assert bounds[D, S, M] is None
+            continue
+        terms = het_floor_reference(
+            ctx, L, S, D,
+            r_cap=fixed_r if fixed_r is not None else int(ctx.micro_batch),
+            fixed_r=fixed_r, split_backward=family.splits_backward,
+            comm_scale=family.comm_scale,
+        )
+        if math.isinf(terms[0][2]):
+            assert bounds[D, S, M] is None
+            continue
+        steady = [max(M * w, cp) for w, _, cp in terms]
+        if ctx.self_conditioning:
+            steady = [_expected(ctx.self_conditioning_prob, *steady)]
+        floor = backbone_makespan_floor(
+            ctx, S, D, heterogeneous=het,
+            split_backward=family.splits_backward,
+            comm_scale=family.comm_scale, caches=planner.caches,
+        )
+        assert floor >= steady[0] * (1.0 - FLOOR_MARGIN), (D, S, M)
+        assert bounds[D, S, M] >= planner._bound(batch, D, S, M), (D, S, M)
 
 
 def test_small_memory_device_rejects_some_configs():
@@ -271,11 +325,13 @@ def test_cold_plan_fills_only_the_winner(monkeypatch):
 
 def test_cold_plan_simulates_only_what_can_win(monkeypatch):
     """Counter gate of the closed-form rung: a cold SD v2.1
-    (self-conditioning) plan on 16 GPUs simulates 8 timelines — the
-    plain and self-conditioned ones of the 4 configurations whose
+    (self-conditioning) plan on 16 GPUs simulates 2 timelines — the
+    plain and self-conditioned ones of the one configuration whose
     closed-form pipeline floor can still win — where the exhaustive
     search simulates all 35 (70 timelines), and picks the exhaustive
-    search's first maximum."""
+    search's first maximum.  Before the floors priced the pipeline's
+    fill and drain, 4 configurations reached the simulation (8
+    timelines)."""
     calls = [0]
     simulate = planner_mod.simulate
 
@@ -290,7 +346,7 @@ def test_cold_plan_simulates_only_what_can_win(monkeypatch):
     options = PlannerOptions(fill_strategy="lookahead")
 
     best = _planner(model, cluster, profile, options).plan(256)
-    assert calls[0] == 8
+    assert calls[0] == 2
 
     calls[0] = 0
     candidates = _planner(model, cluster, profile, options).candidate_plans(256)
@@ -302,10 +358,12 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
     """Counter gate of the stage-exec derivation: a finalist's plain and
     self-conditioned floors share one stage chain, and so do its two
     simulated timelines, so a cold SD v2.1 (self-conditioning) plan on
-    16 GPUs derives 18 chains — one per finalist of the 14
+    16 GPUs derives 10 chains — one per finalist of the 9
     configurations the pre-partition floor lets reach the closed-form
-    rung, one per simulated partition (4, for 8 timelines) — and the
+    rung, one per simulated partition (1, for 2 timelines) — and the
     exhaustive search 70 (35 floors and 35 partitions' 70 timelines).
+    While the floors priced only the steady phase, 14 configurations
+    reached the closed-form rung and 4 the simulation (18 chains).
     Before the single-backbone floor rung, all 35 configurations
     reached the closed-form rung (39 chains); deriving a chain per
     floor made it 78 and 140, and a chain per timeline 43 and 105."""
@@ -328,7 +386,7 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
         )
 
     cold_planner().plan(256)
-    assert calls[0] == 18
+    assert calls[0] == 10
     calls[0] = 0
     cold_planner().candidate_plans(256)
     assert calls[0] == 70
@@ -365,24 +423,27 @@ def _cold_sd_plan_256(monkeypatch, **options):
 def test_cold_sd_plan_partitions_only_what_can_win(monkeypatch):
     """Counter gate of the single-backbone floor rung: a cold SD v2.1
     (self-conditioning) ``plan(256)`` on 16 GPUs runs the partition DP
-    for the 14 of its 35 configurations whose pre-partition floor can
-    still win, building 8 pinned 1F1B tables (35 DPs and 20 tables
+    for the 9 of its 35 configurations whose pre-partition floor can
+    still win, building 5 pinned 1F1B tables (14 DPs and 8 tables
+    while the floor priced only the steady phase; 35 DPs and 20 tables
     when every configuration entered at the closed-form rung).  The
     floor pass builds 2 ``kernel_plans`` entries: one pinned lattice
     per stage count (S = 2 and 4), each shared by every replica
-    count.  The 8 tables walk those plans too, so each adds a hit and
+    count.  The 5 tables walk those plans too, so each adds a hit and
     no miss (33 hits when the tables enumerated their own
     transitions)."""
     caches, partitions, tables = _cold_sd_plan_256(monkeypatch)
-    assert (partitions, tables) == (14, 8)
+    assert (partitions, tables) == (9, 5)
     plans = caches.stats().store("kernel_plans")
-    assert (plans.misses, plans.hits) == (2, 33 + 8)
+    assert (plans.misses, plans.hits) == (2, 33 + 5)
 
 
 def test_cold_heterogeneous_sd_plan_skips_most_partition_tables(monkeypatch):
     """Counter gate of ROADMAP item 7: a cold heterogeneous SD v2.1
-    ``plan(256)`` on 16 GPUs builds 41 ``het_table_array`` tables (70
-    when every configuration ran its free and its pinned DP).  They
+    ``plan(256)`` on 16 GPUs runs 39 partition DPs and builds 34
+    ``het_table_array`` tables (48 and 41 while the floor priced only
+    the steady phase; 70 tables when every configuration ran its free
+    and its pinned DP).  They
     and the floor pass build 12 ``kernel_plans`` entries: the floor's
     10 free lattice plans, which the free tables share because no
     sample cap binds at this batch, and one pinned plan per stage count
@@ -392,7 +453,7 @@ def test_cold_heterogeneous_sd_plan_skips_most_partition_tables(monkeypatch):
     caches, partitions, tables = _cold_sd_plan_256(
         monkeypatch, heterogeneous_replication=True
     )
-    assert (partitions, tables) == (48, 41)
+    assert (partitions, tables) == (39, 34)
     assert caches.stats().store("kernel_plans").misses == 12
 
 
@@ -401,9 +462,10 @@ def test_memoised_tables_skip_the_floor(monkeypatch):
     all memoised enters the closed-form rung unfloored: partitioning it
     reads tables, which a floor would only add to.  A cold 16-GPU SD
     v2.1 ``plan(256)`` floors all 35 configurations; a planner on fresh
-    caches holding only its 8 ``het`` tables (a restored snapshot's
-    state) floors the 21 whose DPs never ran, builds no table and picks
-    the same plan."""
+    caches holding only its 5 ``het`` tables (a restored snapshot's
+    state) floors the 26 whose DPs never ran, builds no table and picks
+    the same plan (8 tables and 21 floors while the floor priced only
+    the steady phase)."""
     calls = [0]
     floor = planner_mod.backbone_makespan_floor
 
@@ -417,13 +479,13 @@ def test_memoised_tables_skip_the_floor(monkeypatch):
     profile = Profiler(cluster).profile(model)
     cold = PlannerCaches.cold([profile])
     want = DiffusionPipePlanner(model, cluster, profile, caches=cold).plan(256)
-    assert calls[0] == 35 and len(cold.het) == 8
+    assert calls[0] == 35 and len(cold.het) == 5
     calls[0] = 0
     tables = PlannerCaches()
     for owner, key, value in cold.het.items():
         tables.het.put(owner, key, value)
     got = DiffusionPipePlanner(model, cluster, profile, caches=tables).plan(256)
-    assert calls[0] == 21
+    assert calls[0] == 26
     assert tables.stats().store("het").misses == 0
     assert got.plan == want.plan
     assert got.plan.throughput.hex() == want.plan.throughput.hex()

@@ -14,7 +14,7 @@ pytestmark = pytest.mark.slow
 
 from repro.harness import (
     CDM_LSUN_BATCHES,
-    CDMThroughputSweep,
+    ThroughputSweep,
     cells_to_rows,
     format_table,
     sweep_headers,
@@ -23,7 +23,7 @@ from repro.models.zoo import cdm_lsun
 
 
 def _sweep():
-    return CDMThroughputSweep(
+    return ThroughputSweep(
         cdm_lsun, machine_counts=(1, 2, 4, 8), batches=CDM_LSUN_BATCHES
     ).run()
 

@@ -12,7 +12,7 @@ pytestmark = pytest.mark.slow
 
 from repro.harness import (
     CDM_IMAGENET_BATCHES,
-    CDMThroughputSweep,
+    ThroughputSweep,
     cells_to_rows,
     format_table,
     sweep_headers,
@@ -21,7 +21,7 @@ from repro.models.zoo import cdm_imagenet
 
 
 def _sweep():
-    return CDMThroughputSweep(
+    return ThroughputSweep(
         cdm_imagenet, machine_counts=(1, 2, 4, 8), batches=CDM_IMAGENET_BATCHES
     ).run()
 

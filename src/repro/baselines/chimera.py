@@ -15,20 +15,19 @@ bubble filling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..cluster.collectives import CollectiveModel
+from ..cluster.collectives import CollectiveModel, CommCosts
 from ..cluster.topology import ClusterSpec
 from ..errors import ConfigurationError
 from ..models.graph import ModelSpec
 from ..profiling.records import ProfileDB
 from ..schedule import get_family
-from ..schedule.families import device_weights
 from ..schedule.simulator import simulate
-from ..schedule.stages import StageExec
 from ..schedule.timeline import Timeline
 from ..core.partition import PartitionContext, partition_backbone
-from ..core.plan import PartitionPlan, StageAssignment
+from ..core.plan import PartitionPlan
+from ..core.planner import lower_partition, nt_serial_ms
 from ..memory.estimator import pipeline_memory_report
 from .data_parallel import BaselineResult, _oom_result
 
@@ -63,80 +62,26 @@ class ChimeraBaseline:
         self.profile = profile
         self.config = config or ChimeraConfig()
         self.collectives = collectives or CollectiveModel(cluster)
+        self._family = get_family("bidirectional")
 
     # -- internals -------------------------------------------------------------
 
-    def _partition(self, batch_per_group: float) -> PartitionPlan:
+    def _comm(self) -> tuple[CommCosts, list[int]]:
+        """The pipeline group's p2p constants and the ranks a stage's
+        gradient all-reduce spans: one per pipeline group."""
         S = self.config.num_stages
         link = self.cluster.group_link(list(range(S)))
-        from ..cluster.collectives import CommCosts
+        ranks = [g * S for g in range(self.cluster.world_size // S)]
+        return CommCosts(bandwidth=link.bandwidth, latency=link.latency), ranks
 
-        dp = self.cluster.world_size // S
-        ranks = [g * S for g in range(dp)] or [0]
-        ctx = PartitionContext(
-            profile=self.profile,
-            component=self.model.backbone_names[0],
-            batch_per_group=batch_per_group,
-            num_micro_batches=self.config.micro_per_direction,
-            p2p=CommCosts(bandwidth=link.bandwidth, latency=link.latency),
-            allreduce=self.collectives.allreduce_costs(ranks),
-        )
-        return partition_backbone(ctx, S, S)
-
-    def _stage_execs(
-        self, chain: tuple[StageAssignment, ...], micro_batch: float
-    ) -> list[StageExec]:
-        prof = self.profile
-        S = len(chain)
-        link = self.cluster.group_link(list(range(S)))
-        dp = self.cluster.world_size // S
-        execs = []
-        for i, st in enumerate(chain):
-            local = micro_batch / st.replicas
-            fwd = prof.stage_fwd_ms(st.component, st.lo, st.hi, local)
-            bwd = prof.stage_bwd_ms(st.component, st.lo, st.hi, local)
-            if i < S - 1:
-                nbytes = prof.boundary_bytes(st.component, st.hi - 1, local)
-                send = nbytes / link.bandwidth + link.latency
-            else:
-                send = 0.0
-            grad = prof.stage_grad_bytes(st.component, st.lo, st.hi)
-            # Weight sync covers the replicas of both directions: 2x dp.
-            ranks = [g * S for g in range(max(2 * dp, 1))] or [0]
-            ranks = [r % self.cluster.world_size for r in ranks]
-            sync = self.collectives.allreduce(sorted(set(ranks)), grad) if grad else 0.0
-            execs.append(
-                StageExec(
-                    index=i, fwd_ms=fwd, bwd_ms=bwd,
-                    send_fwd_ms=send, send_bwd_ms=send, sync_ms=sync,
-                    replicas=st.replicas,
-                    layer_range=(st.component, st.lo, st.hi),
-                )
-            )
-        return execs
-
-    def _simulate(
-        self, down: list[StageExec], up: list[StageExec], M: int
-    ) -> Timeline:
-        """The bidirectional schedule of the two directions, on the
-        devices and with the weights its family's ``chains`` place."""
-        family = get_family("bidirectional")
-        weights = device_weights(family.chains(down, up))
-        tasks = family.build(down, M, up=up)
-        return simulate(tasks, len(weights), weights)
-
-    def nt_serial_ms(self, batch_per_group: float) -> float:
-        """Frozen part executed before pipelining, data parallel."""
-        S = self.config.num_stages
-        return sum(
-            self.profile.component_fwd_ms(c.name, batch_per_group / S)
-            for c in self.model.non_trainable
-        )
-
-    def _batch_per_group(self, global_batch: float) -> float:
-        """The per-pipeline batch of ``global_batch``; raises
-        :class:`ConfigurationError` unless the stage count divides the
-        world and each direction's micro-batches hold whole samples."""
+    def _partition(self, global_batch: float) -> PartitionPlan:
+        """The bidirectional partition of one pipeline group: each
+        direction trains half of the group's batch in
+        ``micro_per_direction`` micro-batches over one DP-cut stage
+        chain (the up direction's stage ``s`` on device ``S - 1 - s``).
+        Raises :class:`ConfigurationError` unless the stage count
+        divides the world and each direction's micro-batches hold whole
+        samples."""
         S = self.config.num_stages
         M = self.config.micro_per_direction
         world = self.cluster.world_size
@@ -148,40 +93,52 @@ class ChimeraBaseline:
                 f"global batch {global_batch} incompatible with dp={dp}, "
                 f"2M={2 * M}"
             )
-        return global_batch / dp
+        p2p, ranks = self._comm()
+        ctx = PartitionContext(
+            profile=self.profile,
+            component=self.model.backbone_names[0],
+            batch_per_group=global_batch / dp / 2,
+            num_micro_batches=M,
+            p2p=p2p,
+            allreduce=self.collectives.allreduce_costs(ranks),
+        )
+        plan = partition_backbone(ctx, S, S)
+        return replace(plan, up=plan.down)
+
+    def _iteration(self, partition: PartitionPlan) -> tuple[Timeline, float]:
+        """The simulated bidirectional pipeline of a partition, and the
+        serial NT time before it: the NT part runs on both directions'
+        samples, data-parallel across the group."""
+        p2p, ranks = self._comm()
+        stages, build_args, weights = lower_partition(
+            self._family,
+            partition,
+            self.profile,
+            p2p=p2p,
+            sync_ms=lambda _, grad: self.collectives.allreduce(ranks, grad),
+        )
+        tasks = self._family.build(stages, partition.num_micro_batches, **build_args)
+        nt = nt_serial_ms(
+            self.model, self.profile, 2 * partition.batch_per_group,
+            partition.num_stages,
+        )
+        return simulate(tasks, len(weights), weights), nt
 
     # -- evaluation --------------------------------------------------------------
 
     def run(self, global_batch: float) -> BaselineResult:
-        S = self.config.num_stages
-        M = self.config.micro_per_direction
-        batch_per_group = self._batch_per_group(global_batch)
-        partition = self._partition(batch_per_group)
-        micro = batch_per_group / (2 * M)
-
-        # Memory: each device hosts a down-stage and an up-stage replica
-        # of the model.  Approximate with the bidirectional report on a
-        # plan whose up chain mirrors the down chain.
-        up = tuple(
-            StageAssignment(st.component, st.lo, st.hi, st.replicas)
-            for st in partition.down
-        )
-        bidir_plan = PartitionPlan(
-            down=partition.down, up=up, num_stages=S, num_micro_batches=M,
-            group_size=S, batch_per_group=batch_per_group,
-        )
+        partition = self._partition(global_batch)
+        micro = partition.micro_batch
+        # Each device hosts a stage of each direction.
         memory = pipeline_memory_report(
-            self.model, bidir_plan,
+            self.model, partition,
             capacity_bytes=self.cluster.device_spec.memory_bytes,
             schedule="bidirectional",
         )
         if not memory.fits:
             return _oom_result(self.name, global_batch, micro, memory)
 
-        execs_down = self._stage_execs(partition.down, micro)
-        execs_up = self._stage_execs(partition.down, micro)
-        tl = self._simulate(execs_down, execs_up, M)
-        nt = self.nt_serial_ms(batch_per_group)
+        tl, nt = self._iteration(partition)
         iteration = tl.makespan + nt
         return BaselineResult(
             name=self.name,
@@ -193,19 +150,15 @@ class ChimeraBaseline:
             throughput=global_batch / iteration * 1e3,
             memory=memory,
             oom=False,
-            notes=(f"S={S} M=2x{M}",),
+            notes=(
+                f"S={partition.num_stages} M=2x{partition.num_micro_batches}",
+            ),
         )
 
     def bubble_ratio(self, global_batch: float) -> float:
         """Bubble ratio of the bidirectional schedule (for Fig. 14-style
         comparisons); rejects the batches :meth:`run` rejects."""
-        M = self.config.micro_per_direction
-        batch_per_group = self._batch_per_group(global_batch)
-        partition = self._partition(batch_per_group)
-        micro = batch_per_group / (2 * M)
-        execs = self._stage_execs(partition.down, micro)
-        tl = self._simulate(execs, execs, M)
-        nt = self.nt_serial_ms(batch_per_group)
+        tl, nt = self._iteration(self._partition(global_batch))
         return tl.bubble_device_time() / (
             (tl.makespan + nt) * tl.total_physical_devices
         )

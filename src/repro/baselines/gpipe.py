@@ -13,17 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster.collectives import CollectiveModel
+from ..cluster.collectives import CollectiveModel, CommCosts
 from ..cluster.topology import ClusterSpec
 from ..errors import ConfigurationError
 from ..models.graph import ModelSpec
 from ..profiling.records import ProfileDB
 from ..schedule import get_family
 from ..schedule.simulator import simulate
-from ..schedule.stages import StageExec
 from ..schedule.timeline import Timeline
 from ..memory.estimator import pipeline_memory_report
+from ..core.partition import _expected
 from ..core.plan import PartitionPlan, StageAssignment
+from ..core.planner import lower_partition, nt_serial_ms
 from .data_parallel import BaselineResult, _oom_result
 
 
@@ -78,71 +79,38 @@ class GPipeBaseline:
         self.config = config or GPipeConfig()
         self.collectives = collectives or CollectiveModel(cluster)
 
-    def _stage_execs(
-        self, stages: list[StageAssignment], micro_batch: float, sc: bool
-    ) -> list[StageExec]:
-        prof = self.profile
-        D = self.config.num_stages
-        link = self.cluster.group_link(list(range(D)))
-        dp = self.cluster.world_size // D
-        execs = []
-        for i, st in enumerate(stages):
-            local = micro_batch / st.replicas
-            fwd = prof.stage_fwd_ms(st.component, st.lo, st.hi, local)
-            bwd = prof.stage_bwd_ms(st.component, st.lo, st.hi, local)
-            if i < len(stages) - 1:
-                nbytes = prof.boundary_bytes(st.component, st.hi - 1, local)
-                send = nbytes / link.bandwidth + link.latency
-            else:
-                send = 0.0
-            grad = prof.stage_grad_bytes(st.component, st.lo, st.hi)
-            ranks = [g * D for g in range(dp)] or [0]
-            sync = self.collectives.allreduce(ranks, grad) if grad > 0 else 0.0
-            execs.append(
-                StageExec(
-                    index=i,
-                    fwd_ms=fwd,
-                    bwd_ms=bwd,
-                    sc_fwd_ms=fwd if sc else None,
-                    send_fwd_ms=send,
-                    send_bwd_ms=send,
-                    sync_ms=sync,
-                    replicas=st.replicas,
-                    layer_range=(st.component, st.lo, st.hi),
-                )
-            )
-        return execs
+    def _partition(self, batch_per_group: float) -> PartitionPlan:
+        """The equal-layer partition of one pipeline group's batch."""
+        S = self.config.num_stages
+        backbone = self.model.backbone_names[0]
+        stages = equal_layer_partition(self.profile.num_layers(backbone), S, backbone)
+        return PartitionPlan(
+            down=tuple(stages),
+            num_stages=S,
+            num_micro_batches=self.config.num_micro_batches,
+            group_size=S,
+            batch_per_group=batch_per_group,
+        )
 
     def simulate_pipeline(self, batch_per_group: float, sc: bool) -> Timeline:
         """Simulate one GPipe iteration of the backbone."""
         S = self.config.num_stages
-        M = self.config.num_micro_batches
-        backbone = self.model.backbone_names[0]
-        stages = equal_layer_partition(
-            self.profile.num_layers(backbone), S, backbone
+        link = self.cluster.group_link(list(range(S)))
+        # A stage's all-reduce spans one rank per pipeline group.
+        ranks = [g * S for g in range(self.cluster.world_size // S)] or [0]
+        # The registered ``gpipe`` family and the planner's lowering:
+        # the baseline and the planner cannot drift apart.
+        family = get_family("gpipe")
+        stages, build_args, weights = lower_partition(
+            family,
+            self._partition(batch_per_group),
+            self.profile,
+            p2p=CommCosts(bandwidth=link.bandwidth, latency=link.latency),
+            sync_ms=lambda _, grad: self.collectives.allreduce(ranks, grad),
+            self_conditioning=sc,
         )
-        micro = batch_per_group / M
-        execs = self._stage_execs(stages, micro, sc)
-        feedback = 0.0
-        if sc:
-            last = stages[-1]
-            nbytes = self.profile.boundary_bytes(backbone, last.hi - 1, micro)
-            link = self.cluster.group_link(list(range(S)))
-            feedback = nbytes / link.bandwidth + link.latency
-        # The registered ``gpipe`` family is the same builder the planner
-        # uses — the baseline and the planner cannot drift apart.
-        tasks = get_family("gpipe").build(
-            execs, M, self_conditioning=sc, feedback_ms=feedback
-        )
-        return simulate(tasks, S)
-
-    def nt_serial_ms(self, batch_per_group: float) -> float:
-        """Serial NT execution, data-parallel across the group."""
-        D = self.config.num_stages
-        total = 0.0
-        for comp in self.model.non_trainable:
-            total += self.profile.component_fwd_ms(comp.name, batch_per_group / D)
-        return total
+        tasks = family.build(stages, self.config.num_micro_batches, **build_args)
+        return simulate(tasks, len(weights), weights)
 
     def run(self, global_batch: float) -> BaselineResult:
         S = self.config.num_stages
@@ -156,16 +124,7 @@ class GPipeBaseline:
                 f"global batch {global_batch} incompatible with dp={dp}, M={M}"
             )
         batch_per_group = global_batch / dp
-
-        backbone = self.model.backbone_names[0]
-        stages = equal_layer_partition(self.profile.num_layers(backbone), S, backbone)
-        partition = PartitionPlan(
-            down=tuple(stages),
-            num_stages=S,
-            num_micro_batches=M,
-            group_size=S,
-            batch_per_group=batch_per_group,
-        )
+        partition = self._partition(batch_per_group)
         memory = pipeline_memory_report(
             self.model,
             partition,
@@ -175,14 +134,14 @@ class GPipeBaseline:
         if not memory.fits:
             return _oom_result(self.name, global_batch, batch_per_group / S, memory)
 
-        nt = self.nt_serial_ms(batch_per_group)
+        nt = nt_serial_ms(self.model, self.profile, batch_per_group, S)
+        span = self.simulate_pipeline(batch_per_group, sc=False).makespan
         if self.model.self_conditioning:
-            p = self.model.self_conditioning_prob
-            span = (1 - p) * self.simulate_pipeline(
-                batch_per_group, sc=False
-            ).makespan + p * self.simulate_pipeline(batch_per_group, sc=True).makespan
-        else:
-            span = self.simulate_pipeline(batch_per_group, sc=False).makespan
+            span = _expected(
+                self.model.self_conditioning_prob,
+                span,
+                self.simulate_pipeline(batch_per_group, sc=True).makespan,
+            )
         iteration = span + nt
         return BaselineResult(
             name=self.name,
@@ -207,7 +166,9 @@ class GPipeBaseline:
                         (self.simulate_pipeline(batch_per_group, sc=True), p)]
         else:
             variants = [(self.simulate_pipeline(batch_per_group, sc=False), 1.0)]
-        nt = self.nt_serial_ms(batch_per_group)
+        nt = nt_serial_ms(
+            self.model, self.profile, batch_per_group, self.config.num_stages
+        )
         ratio = 0.0
         for tl, weight in variants:
             iteration = tl.makespan + nt

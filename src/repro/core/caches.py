@@ -204,15 +204,18 @@ class PlannerCaches:
     Stores
     ------
     ``partition``
-        (profile, cluster, batch_per_group, D, S, M, ...) -> the
-        partitioner's output (or the PartitionError it raised); under
-        the same key tagged ``"floor"``, the bound ladder's
-        pre-partition makespan floor of a bidirectional configuration
-        (or that PartitionError); and under it tagged ``"gate"`` and
-        extended by schedule, model name and ``check_memory``, the
-        configuration's finalists: each memory-checked partition with
-        its report and the closed-form floor of its pipeline, which
-        the ladder's closed-form rung reads.
+        under the partition key (profile, cluster, batch_per_group, D,
+        S, M, ...) tagged ``"floor"`` and extended by the schedule
+        family, the bound ladder's pre-partition makespan floor of a
+        configuration (or the PartitionError it raised); and under it
+        tagged ``"gate"`` and extended by schedule, model name and
+        ``check_memory``, the configuration's finalists: each
+        memory-checked partition with its report and the closed-form
+        floor of its pipeline, which the ladder's closed-form rung
+        reads.  No entry holds a partition on its own: the gate keeps
+        every finalist, and ``het`` / ``cdm`` the DP tables the
+        partitions are read from (a heterogeneous planner's pinned
+        finalist reads the uniform planner's table).
     ``comm``
         per-(D, r) communication constants; unbounded — its keys are
         (cluster, small ints) and its values two floats, bounded by the

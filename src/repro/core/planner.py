@@ -26,6 +26,11 @@ beat the best plan found so far, simulated only while the closed-form
 makespan floor of its finalists can, and filled only while its
 simulated ``samples / pipeline_ms`` bound can;
 :meth:`~DiffusionPipePlanner.candidate_plans` evaluates them all.
+
+Step 2's lowering of a partition to the family's stage chain,
+:func:`lower_partition`, and the serial non-trainable time,
+:func:`nt_serial_ms`, are module-level: the GPipe and Chimera baselines
+lower their partitions through the same two functions.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 import weakref
 from itertools import accumulate
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..cluster.collectives import CollectiveModel, CommCosts
 from ..cluster.topology import ClusterSpec
@@ -44,7 +49,7 @@ from ..models.graph import ModelSpec
 from ..profiling.profiler import Profiler
 from ..profiling.records import ProfileDB
 from ..schedule import get_family, schedule_family_names
-from ..schedule.families import device_weights
+from ..schedule.families import ScheduleFamily, device_weights
 from ..schedule.simulator import simulate
 from ..schedule.stages import StageExec
 from ..schedule.timeline import Timeline
@@ -82,6 +87,8 @@ __all__ = [
     "FillShapeCache",
     "default_caches",
     "DiffusionPipePlanner",
+    "lower_partition",
+    "nt_serial_ms",
 ]
 
 
@@ -112,6 +119,97 @@ def _throughput_bound(
     if not pipeline_ms > 0:
         return math.inf
     return _samples_per_iter(global_batch, partition) / pipeline_ms * 1e3
+
+
+def nt_serial_ms(
+    model: ModelSpec, profile: ProfileDB, batch_per_group: float, devices: int
+) -> float:
+    """Serial (pre-pipeline) execution time of the whole NT part,
+    data-parallel across ``devices`` devices."""
+    total = 0.0
+    for comp in model.non_trainable:
+        total += profile.component_fwd_ms(comp.name, batch_per_group / devices)
+    return total
+
+
+def lower_partition(
+    family: ScheduleFamily,
+    partition: PartitionPlan,
+    profile: ProfileDB,
+    *,
+    p2p: CommCosts,
+    sync_ms: Callable[[int, float], float],
+    speed_factors: Sequence[float] | None = None,
+    self_conditioning: bool = False,
+) -> tuple[list[StageExec], dict, dict[int, int]]:
+    """The stage chain and keyword arguments ``family``'s ``build`` (and
+    its ``floor``) takes for a partition, and the simulator's device
+    weights.
+
+    The family's ``chains`` place the partition's stages.  A device's
+    weight is the replica count of the stages it hosts, and a stage runs
+    on the replica window that starts where the windows of the devices
+    before its own end — the partition DP's placement convention.  Each
+    stage computes at its local batch (the micro-batch over its
+    replicas), slowed to the bottleneck of its window's
+    ``speed_factors`` (one per group device; ``None`` runs every device
+    at 1.0) — the min-over-window the partition DP prices, so the
+    simulated timeline and the DP's ``T0`` agree on slowdowns.  A stage
+    other than a chain's last sends its activations and input gradients
+    over ``p2p``, and a stage with gradients all-reduces them in
+    ``sync_ms(replicas, grad_bytes)``; communication is never
+    compute-scaled.  Every exec carries the profile's split of its
+    backward into grad-input (B) and grad-weight (W), which only the
+    split-backward family reads.
+
+    A bidirectional partition's keywords are its ``up`` chain; a single
+    chain's are ``self_conditioning`` and the feedback of its last
+    stage's output to its first over ``p2p`` (0 without
+    self-conditioning).
+    """
+    chains = family.chains(partition.down, partition.up or None)
+    weights = device_weights(chains)
+    starts = [0, *accumulate(weights.values())]
+    micro = partition.micro_batch
+
+    def send_ms(st: StageAssignment) -> float:
+        local = micro / st.replicas
+        nbytes = profile.boundary_bytes(st.component, st.hi - 1, local)
+        return nbytes / p2p.bandwidth + p2p.latency
+
+    execs = []
+    for chain, device_order in chains:
+        stages = []
+        for i, (st, d) in enumerate(zip(chain, device_order)):
+            span = (st.component, st.lo, st.hi, micro / st.replicas)
+            w = 1.0
+            if speed_factors is not None:
+                w = min(speed_factors[starts[d] : starts[d] + st.replicas])
+            send = send_ms(st) if i < len(chain) - 1 else 0.0
+            grad = profile.stage_grad_bytes(st.component, st.lo, st.hi)
+            stages.append(
+                StageExec(
+                    index=i,
+                    fwd_ms=profile.stage_fwd_ms(*span) / w,
+                    bwd_ms=profile.stage_bwd_ms(*span) / w,
+                    bwd_b_ms=profile.stage_bwd_b_ms(*span) / w,
+                    bwd_w_ms=profile.stage_bwd_w_ms(*span) / w,
+                    send_fwd_ms=send,
+                    send_bwd_ms=send,
+                    sync_ms=sync_ms(st.replicas, grad) if grad > 0 else 0.0,
+                    replicas=st.replicas,
+                    layer_range=(st.component, st.lo, st.hi),
+                )
+            )
+        execs.append(stages)
+    if partition.is_bidirectional:
+        return execs[0], {"up": execs[1]}, weights
+    feedback = send_ms(partition.down[-1]) if self_conditioning else 0.0
+    return (
+        execs[0],
+        {"self_conditioning": self_conditioning, "feedback_ms": feedback},
+        weights,
+    )
 
 
 def _check_menu(name: str, menu: tuple[int, ...], least: int) -> None:
@@ -410,8 +508,8 @@ class DiffusionPipePlanner:
         bound on its ``pipeline_ms`` (:meth:`_pipeline_floor`).  The
         finalists are, in order, the DP's pick and, for a
         heterogeneous planner with ``S | D``, the pinned ``r = D/S``
-        partition the uniform planner picks (it shares the uniform
-        planner's partition key and cache entries).  Each is dropped
+        partition the uniform planner picks (partitioned from the
+        uniform planner's DP table).  Each is dropped
         where it raises :class:`PartitionError`, repeats an earlier
         finalist's chains or does not fit in memory.  Eqn. 12's
         ``T_max`` prices only the bottleneck stage, so the
@@ -424,7 +522,9 @@ class DiffusionPipePlanner:
         check and the floor read that the partition key lacks
         (schedule, model and ``check_memory``), so a warm replan neither
         partitions, re-prices memory nor re-derives a floor: the
-        closed-form rung of :meth:`plan` costs it this one lookup.
+        closed-form rung of :meth:`plan` costs it this one lookup.  It
+        is the only memo of the partitions themselves
+        (:meth:`_partition` is not memoised).
         """
         # Float quotient: the cost model (profiling interpolation,
         # schedule times, cache keys) runs on floats throughout, so the
@@ -501,20 +601,13 @@ class DiffusionPipePlanner:
         family's ``floor`` of the very build arguments :meth:`_simulate`
         passes it, mixed plain and self-conditioned as
         :meth:`_finalist_bound` mixes the makespans (the mix is monotone
-        under round-to-nearest, so it stays below theirs).  The stage
-        chain is derived once: the two builds differ only in their
-        :meth:`_sc_args`."""
-        stages, build_args, _ = self._build_args(partition, sc=False)
+        under round-to-nearest, so it stays below theirs)."""
+        stages, _, passes = self._passes(partition)
         M = partition.num_micro_batches
-        pipeline_ms = self._family.floor(stages, M, **build_args)
-        if self.model.self_conditioning and not partition.is_bidirectional:
-            sc_args = {**build_args, **self._sc_args(partition, sc=True)}
-            pipeline_ms = _expected(
-                self.model.self_conditioning_prob,
-                pipeline_ms,
-                self._family.floor(stages, M, **sc_args),
-            )
-        return pipeline_ms
+        floors = [self._family.floor(stages, M, **args) for args in passes.values()]
+        if len(floors) == 1:
+            return floors[0]
+        return _expected(self.model.self_conditioning_prob, *floors)
 
     def _closed_form(
         self, global_batch: float, D: int, S: int, M: int
@@ -609,7 +702,9 @@ class DiffusionPipePlanner:
             try:
                 floor = self._floor_uncached(batch_per_group, D, S, M)
             except PartitionError as err:
-                # A stripped copy, as _partition stores it.
+                # A stripped copy: caching the live exception would pin
+                # its __traceback__ (and every frame's locals) for the
+                # cache's lifetime.
                 floor = PartitionError(*err.args)
             floors.put(key, floor)
         if isinstance(floor, PartitionError):
@@ -723,7 +818,7 @@ class DiffusionPipePlanner:
     ) -> EvaluatedConfig:
         D = partition.group_size
         dp = self.cluster.world_size // D
-        nt_total = self._nt_serial_ms(batch_per_group, D)
+        nt_total = nt_serial_ms(self.model, self.profile, batch_per_group, D)
 
         if self.model.self_conditioning and not partition.is_bidirectional:
             ev_plain = self._simulate_and_fill(
@@ -907,32 +1002,38 @@ class DiffusionPipePlanner:
         heterogeneous: bool,
     ) -> PartitionPlan:
         """The partition DP's pick for one configuration under the given
-        replication flavour (``heterogeneous=False`` pins ``r = D/S``),
-        memoised in ``caches.partition``."""
-        key = self._partition_key(
-            batch_per_group, D, S, M, heterogeneous=heterogeneous
-        )
-        partitions = self.caches.partition
-        hit = partitions.get(key)
-        if hit is not None:
-            if isinstance(hit, PartitionError):
-                # Raise a fresh instance: re-raising the cached one would
-                # keep appending propagation frames to its __traceback__,
-                # pinning frames for the cache's lifetime.
-                raise PartitionError(*hit.args)
-            return hit
-        try:
-            plan = self._partition_uncached(
-                batch_per_group, D, S, M, heterogeneous=heterogeneous
+        replication flavour (``heterogeneous=False`` pins ``r = D/S``).
+        Not memoised: the :meth:`_gate` memo holds every finalist, and
+        ``caches.het`` / ``caches.cdm`` the DP tables it reads."""
+        if len(self.model.backbone_names) == 2:
+            return partition_cdm(
+                self._cdm_context(batch_per_group, D, M),
+                S,
+                D,
+                cut_step=self.options.cdm_cut_step,
+                heterogeneous=heterogeneous,
+                caches=self.caches,
             )
-        except PartitionError as err:
-            # Store a stripped copy: caching the live exception would pin
-            # its __traceback__ (and every frame's locals) for the
-            # cache's lifetime.
-            partitions.put(key, PartitionError(*err.args))
-            raise
-        partitions.put(key, plan)
-        return plan
+        ctx = self._backbone_context(batch_per_group, D, M)
+        # A family with v = virtual_stages > 1 partitions at CHUNK
+        # granularity: the layer chain is cut into v*S consecutive
+        # chunks and its chains place chunk c on device c mod S, so
+        # each device hosts v non-contiguous chunks.  Running the DP
+        # with v*S stages on a virtual v*D budget keeps the homogeneous
+        # replica count at r = D/S per chunk (such a planner rejects
+        # heterogeneous replication) while p2p and all-reduce constants
+        # stay priced from the real group (see _context).  Each device
+        # runs its v chunks on every micro-batch, so the DP's objective
+        # is (v*M + 2vS - 2)*w + y: v*M steady chunk slots, and a ramp
+        # coefficient that over-counts the schedule's shorter per-chunk
+        # ramps, which only biases *which* cut it prefers — final
+        # throughput always comes from simulating the real chunk chain.
+        v = self._family.virtual_stages
+        plan = partition_backbone(
+            ctx, S * v, D * v, heterogeneous=heterogeneous, caches=self.caches,
+            chunks=v,
+        )
+        return replace(plan, group_size=D)
 
     def _context(
         self, batch_per_group: float, D: int, M: int, component: str, **fields
@@ -985,118 +1086,6 @@ class DiffusionPipePlanner:
                 else "default"
             ),
         )
-
-    def _partition_uncached(
-        self, batch_per_group: float, D: int, S: int, M: int, *,
-        heterogeneous: bool,
-    ) -> PartitionPlan:
-        if len(self.model.backbone_names) == 2:
-            return partition_cdm(
-                self._cdm_context(batch_per_group, D, M),
-                S,
-                D,
-                cut_step=self.options.cdm_cut_step,
-                heterogeneous=heterogeneous,
-                caches=self.caches,
-            )
-        ctx = self._backbone_context(batch_per_group, D, M)
-        # A family with v = virtual_stages > 1 partitions at CHUNK
-        # granularity: the layer chain is cut into v*S consecutive
-        # chunks and its chains place chunk c on device c mod S, so
-        # each device hosts v non-contiguous chunks.  Running the DP
-        # with v*S stages on a virtual v*D budget keeps the homogeneous
-        # replica count at r = D/S per chunk (such a planner rejects
-        # heterogeneous replication) while p2p and all-reduce constants
-        # stay priced from the real group (see _context).  Each device
-        # runs its v chunks on every micro-batch, so the DP's objective
-        # is (v*M + 2vS - 2)*w + y: v*M steady chunk slots, and a ramp
-        # coefficient that over-counts the schedule's shorter per-chunk
-        # ramps, which only biases *which* cut it prefers — final
-        # throughput always comes from simulating the real chunk chain.
-        v = self._family.virtual_stages
-        plan = partition_backbone(
-            ctx, S * v, D * v, heterogeneous=heterogeneous, caches=self.caches,
-            chunks=v,
-        )
-        return replace(plan, group_size=D)
-
-    def _stage_execs(
-        self,
-        chain: Sequence[StageAssignment],
-        micro_batch: float,
-        group_size: int,
-        starts: Sequence[int],
-    ) -> list[StageExec]:
-        """The stage execs of one chain of a ``group_size``-device
-        group; stage ``i`` runs on the ``replicas`` devices from
-        ``starts[i]`` on (see :meth:`_build_args`)."""
-        prof = self.profile
-        p2p = self._p2p_costs(group_size)
-        scales = self._group_speed_scales(group_size) or (1.0,) * group_size
-        execs = []
-        for i, st in enumerate(chain):
-            local = micro_batch / st.replicas
-            fwd = prof.stage_fwd_ms(st.component, st.lo, st.hi, local)
-            bwd = prof.stage_bwd_ms(st.component, st.lo, st.hi, local)
-            if i < len(chain) - 1:
-                nbytes = prof.boundary_bytes(st.component, st.hi - 1, local)
-                send_fwd = nbytes / p2p.bandwidth + p2p.latency
-                send_bwd = send_fwd
-            else:
-                send_fwd = send_bwd = 0.0
-            grad = prof.stage_grad_bytes(st.component, st.lo, st.hi)
-            ar = self._allreduce_costs(group_size, st.replicas)
-            sync = grad / ar.bandwidth + ar.latency if grad > 0 else 0.0
-            # B/W split carried on every exec (only the split-backward
-            # family reads it): W from the profile's measured/calibrated
-            # grad-weight share, B the exact remainder.
-            bwd_w = prof.stage_bwd_w_ms(st.component, st.lo, st.hi, local)
-            bwd_b = prof.stage_bwd_b_ms(st.component, st.lo, st.hi, local)
-            # The stage runs at its window's bottleneck speed — the same
-            # min-over-window the partition DP priced, 1.0 on a
-            # homogeneous group — so the simulated timeline and the DP's
-            # T0 agree on slowdowns.  Comm terms (send/sync) are never
-            # compute-scaled.
-            w = min(scales[starts[i] : starts[i] + st.replicas])
-            fwd /= w
-            bwd /= w
-            bwd_w /= w
-            bwd_b /= w
-            execs.append(
-                StageExec(
-                    index=i,
-                    fwd_ms=fwd,
-                    bwd_ms=bwd,
-                    bwd_b_ms=bwd_b,
-                    bwd_w_ms=bwd_w,
-                    send_fwd_ms=send_fwd,
-                    send_bwd_ms=send_bwd,
-                    sync_ms=sync,
-                    replicas=st.replicas,
-                    layer_range=(st.component, st.lo, st.hi),
-                )
-            )
-        return execs
-
-    def _feedback_ms(
-        self,
-        chain: Sequence[StageAssignment],
-        micro_batch: float,
-        group_size: int,
-    ) -> float:
-        last = chain[-1]
-        local = micro_batch / last.replicas
-        nbytes = self.profile.boundary_bytes(last.component, last.hi - 1, local)
-        p2p = self._p2p_costs(group_size)
-        return nbytes / p2p.bandwidth + p2p.latency
-
-    def _nt_serial_ms(self, batch_per_group: float, D: int) -> float:
-        """Serial (pre-pipeline) execution time of the whole NT part,
-        data-parallel across the pipeline group."""
-        total = 0.0
-        for comp in self.model.non_trainable:
-            total += self.profile.component_fwd_ms(comp.name, batch_per_group / D)
-        return total
 
     def _simulate_and_fill(
         self,
@@ -1206,9 +1195,8 @@ class DiffusionPipePlanner:
         differ only in their filling options, share one timeline per
         configuration.  Every caller of a self-conditioned
         single-backbone partition reads both its plain and its
-        self-conditioned timeline, so a miss derives the stage chain
-        once and stores both: the two builds differ only in their
-        :meth:`_sc_args`.
+        self-conditioned timeline, so a miss stores every pass of
+        :meth:`_passes`, from one stage chain.
         """
 
         def key(flag: bool) -> tuple:
@@ -1229,13 +1217,8 @@ class DiffusionPipePlanner:
         evals = self.caches.evals
         timeline = evals.get(key(sc))
         if timeline is None:
-            stages, build_args, weights = self._build_args(partition, sc=False)
-            flags = (sc,)
-            if not partition.is_bidirectional and self.model.self_conditioning:
-                flags = (False, True)
-            for flag in flags:
-                if not partition.is_bidirectional:
-                    build_args = {**build_args, **self._sc_args(partition, sc=flag)}
+            stages, weights, passes = self._passes(partition, sc=sc)
+            for flag, build_args in passes.items():
                 simulated = self._timeline(partition, stages, build_args, weights)
                 evals.put(key(flag), simulated)
                 if flag == sc:
@@ -1276,38 +1259,36 @@ class DiffusionPipePlanner:
     def _build_args(
         self, partition: PartitionPlan, *, sc: bool
     ) -> tuple[list[StageExec], dict, dict[int, int]]:
-        """The stage chain and keyword arguments the family's ``build``
-        (and its ``floor``) takes for a partition, and the simulator's
-        device weights.
+        """:func:`lower_partition` of a partition on this planner's
+        family and cluster: the group's p2p and all-reduce constants and
+        its speed scales."""
+        D = partition.group_size
 
-        The family's ``chains`` place the partition's stages.  A
-        device's weight is the replica count of the stages it hosts,
-        and a stage runs on the replica window that starts where the
-        windows of the devices before its own end — the partition DP's
-        placement convention."""
-        chains = self._family.chains(partition.down, partition.up or None)
-        weights = device_weights(chains)
-        starts = [0, *accumulate(weights.values())]
-        execs = [
-            self._stage_execs(
-                chain,
-                partition.micro_batch,
-                partition.group_size,
-                [starts[d] for d in device_order],
-            )
-            for chain, device_order in chains
-        ]
-        if partition.is_bidirectional:
-            return execs[0], {"up": execs[1]}, weights
-        return execs[0], self._sc_args(partition, sc=sc), weights
+        def sync_ms(replicas: int, grad_bytes: float) -> float:
+            ar = self._allreduce_costs(D, replicas)
+            return grad_bytes / ar.bandwidth + ar.latency
 
-    def _sc_args(self, partition: PartitionPlan, *, sc: bool) -> dict:
-        """The self-conditioning keywords of a single-backbone build."""
-        feedback = (
-            self._feedback_ms(
-                partition.down, partition.micro_batch, partition.group_size
-            )
-            if sc
-            else 0.0
+        return lower_partition(
+            self._family,
+            partition,
+            self.profile,
+            p2p=self._p2p_costs(D),
+            sync_ms=sync_ms,
+            speed_factors=self._group_speed_scales(D),
+            self_conditioning=sc,
         )
-        return {"self_conditioning": sc, "feedback_ms": feedback}
+
+    def _passes(
+        self, partition: PartitionPlan, *, sc: bool = False
+    ) -> tuple[list[StageExec], dict[int, int], dict[bool, dict]]:
+        """A partition's stage chain, device weights and build keywords
+        per pass (``{self-conditioned: keywords}``), from one
+        :meth:`_build_args`: a self-conditioned single-backbone
+        partition runs a plain and a self-conditioned pass, in that
+        order; any other partition the pass ``sc`` alone."""
+        both = self.model.self_conditioning and not partition.is_bidirectional
+        stages, build_args, weights = self._build_args(partition, sc=sc or both)
+        if not both:
+            return stages, weights, {sc: build_args}
+        plain = {**build_args, "self_conditioning": False, "feedback_ms": 0.0}
+        return stages, weights, {False: plain, True: build_args}

@@ -19,7 +19,6 @@ from .throughput import (
     CDM_IMAGENET_BATCHES,
     CDM_LSUN_BATCHES,
     SD_BATCHES,
-    CDMThroughputSweep,
     SweepCell,
     ThroughputSweep,
     cells_to_rows,
@@ -47,7 +46,6 @@ __all__ = [
     "CDM_IMAGENET_BATCHES",
     "CDM_LSUN_BATCHES",
     "SD_BATCHES",
-    "CDMThroughputSweep",
     "SweepCell",
     "ThroughputSweep",
     "cells_to_rows",

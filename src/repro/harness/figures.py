@@ -10,7 +10,12 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..cluster.topology import ClusterSpec
-from ..core.planner import DiffusionPipePlanner, PlannerCaches, PlannerOptions
+from ..core.planner import (
+    DiffusionPipePlanner,
+    PlannerCaches,
+    PlannerOptions,
+    nt_serial_ms,
+)
 from ..errors import ConfigurationError
 from ..models.graph import ModelSpec
 from ..profiling.records import ProfileDB
@@ -57,19 +62,13 @@ def bubble_ratio_grid(
             check_memory=False,
         ),
     )
-    nt_full = sum(
-        profile.component_fwd_ms(c.name, batch) for c in model.non_trainable
-    )
+    nt_full = nt_serial_ms(model, profile, batch, 1)
     cells = []
     for S in stage_counts:
         for M in micro_counts:
             partition = planner._partition(batch, S, S, M, heterogeneous=False)
             tl = planner._simulate(partition, batch, sc=False)
-            nt_dp = sum(
-                profile.component_fwd_ms(c.name, batch / S)
-                for c in model.non_trainable
-            )
-            iteration = tl.makespan + nt_dp
+            iteration = tl.makespan + nt_serial_ms(model, profile, batch, S)
             bubble_dev = tl.bubble_device_time()
             cells.append(
                 BubbleGridCell(

@@ -79,7 +79,15 @@ def _cell(system: str, gpus: int, batch: int, throughput: float, oom: bool,
 
 
 class ThroughputSweep:
-    """Evaluates all single-backbone systems over a scale x batch grid."""
+    """Evaluates DiffusionPipe and the §6 baselines over a scale x batch
+    grid.
+
+    The baselines follow the model's backbone count: a single backbone
+    runs against SPP, GPipe, DeepSpeed and ZeRO-3 (Fig. 13a/b), a
+    cascade against the sequential and parallel data-parallel CDM
+    strategies, with and without ZeRO-3 (the -S/-P columns of Fig.
+    13c/d).
+    """
 
     def __init__(
         self,
@@ -98,9 +106,11 @@ class ThroughputSweep:
         self.batches = dict(batches or SD_BATCHES)
         # ``heterogeneous`` lets the planner (and SPP, which shares its
         # options) evaluate non-divisible (S, D) combos with per-stage
-        # replica counts instead of skipping them; ``fill_strategy``
-        # swaps the bubble-filling policy and ``schedule`` the pipeline
-        # schedule family (registry names) for the whole sweep.
+        # replica counts instead of skipping them (a cascade's
+        # co-located down/up stages share one count per chain
+        # position); ``fill_strategy`` swaps the bubble-filling policy
+        # and ``schedule`` the pipeline schedule family (registry
+        # names) for the whole sweep.
         if heterogeneous:
             planner_options = replace(
                 planner_options, heterogeneous_replication=True
@@ -122,90 +132,25 @@ class ThroughputSweep:
         # sweeps.
         self.caches = caches if caches is not None else PlannerCaches()
 
-    def _cluster(self, machines: int) -> ClusterSpec:
-        return p4de_cluster(machines)
+    def _baselines(self, cluster: ClusterSpec) -> list:
+        """The baselines of one scale, in column order."""
+        model, profile = self.model, self.profile
+        if len(model.backbone_names) == 1:
+            return [
+                SPPBaseline(model, cluster, profile,
+                            options=self.planner_options, caches=self.caches),
+                GPipeBaseline(model, cluster, profile),
+                DataParallelBaseline(model, cluster, profile),
+                Zero3Baseline(model, cluster, profile),
+            ]
+        return [
+            strategy(model, cluster, profile, CDMStrategyConfig(zero3=zero3))
+            for zero3 in (False, True)
+            for strategy in (SequentialCDMBaseline, ParallelCDMBaseline)
+        ]
 
     def run(self) -> list[SweepCell]:
-        """Evaluate DiffusionPipe, SPP, GPipe, DeepSpeed and ZeRO-3."""
-        cells: list[SweepCell] = []
-        for machines in self.machine_counts:
-            cluster = self._cluster(machines)
-            gpus = cluster.world_size
-            planner = DiffusionPipePlanner(
-                self.model, cluster, self.profile, options=self.planner_options,
-                caches=self.caches,
-            )
-            spp = SPPBaseline(
-                self.model, cluster, self.profile, options=self.planner_options,
-                caches=self.caches,
-            )
-            gpipe = GPipeBaseline(self.model, cluster, self.profile)
-            ddp = DataParallelBaseline(self.model, cluster, self.profile)
-            zero = Zero3Baseline(self.model, cluster, self.profile)
-            for batch in self.batches[gpus]:
-                try:
-                    ev = planner.plan(batch)
-                    cells.append(
-                        _cell("DiffusionPipe", gpus, batch, ev.plan.throughput,
-                              False, ev.plan.config_label)
-                    )
-                except ConfigurationError:
-                    cells.append(_cell("DiffusionPipe", gpus, batch, 0.0, True))
-                for system, engine in (
-                    ("SPP", spp),
-                    ("GPipe", gpipe),
-                    ("DeepSpeed", ddp),
-                    ("DeepSpeed-ZeRO-3", zero),
-                ):
-                    try:
-                        res = engine.run(batch)
-                        cells.append(
-                            _cell(system, gpus, batch, res.throughput, res.oom)
-                        )
-                    except ReproError:
-                        cells.append(_cell(system, gpus, batch, 0.0, True))
-        return cells
-
-
-class CDMThroughputSweep:
-    """Evaluates DiffusionPipe vs the -S/-P data-parallel CDM strategies."""
-
-    def __init__(
-        self,
-        model_factory: Callable[[], ModelSpec],
-        *,
-        machine_counts: Sequence[int] = (1, 2, 4, 8),
-        batches: Mapping[int, tuple[int, ...]] | None = None,
-        planner_options: PlannerOptions = BENCH_PLANNER_OPTIONS,
-        heterogeneous: bool = False,
-        fill_strategy: str | None = None,
-        schedule: str | None = None,
-        caches: PlannerCaches | None = None,
-    ):
-        self.model = model_factory()
-        self.machine_counts = tuple(machine_counts)
-        self.batches = dict(batches or CDM_LSUN_BATCHES)
-        # ``heterogeneous`` lets the planner evaluate non-divisible
-        # (S, D) combos: the bidirectional partitioner assigns each
-        # chain position its own replica count, shared by the co-located
-        # down/up stages.  ``fill_strategy`` swaps the bubble-filling
-        # policy and ``schedule`` the schedule family (registry names)
-        # for the whole sweep.
-        if heterogeneous:
-            planner_options = replace(
-                planner_options, heterogeneous_replication=True
-            )
-        if fill_strategy is not None:
-            planner_options = replace(
-                planner_options, fill_strategy=fill_strategy
-            )
-        if schedule is not None:
-            planner_options = replace(planner_options, schedule=schedule)
-        self.planner_options = planner_options
-        self.profile: ProfileDB = Profiler(p4de_cluster(1)).profile(self.model)
-        self.caches = caches if caches is not None else PlannerCaches()
-
-    def run(self) -> list[SweepCell]:
+        """Evaluate DiffusionPipe and the baselines at every grid point."""
         cells: list[SweepCell] = []
         for machines in self.machine_counts:
             cluster = p4de_cluster(machines)
@@ -214,16 +159,7 @@ class CDMThroughputSweep:
                 self.model, cluster, self.profile, options=self.planner_options,
                 caches=self.caches,
             )
-            engines = [
-                SequentialCDMBaseline(self.model, cluster, self.profile,
-                                      CDMStrategyConfig(zero3=False)),
-                ParallelCDMBaseline(self.model, cluster, self.profile,
-                                    CDMStrategyConfig(zero3=False)),
-                SequentialCDMBaseline(self.model, cluster, self.profile,
-                                      CDMStrategyConfig(zero3=True)),
-                ParallelCDMBaseline(self.model, cluster, self.profile,
-                                    CDMStrategyConfig(zero3=True)),
-            ]
+            baselines = self._baselines(cluster)
             for batch in self.batches[gpus]:
                 try:
                     ev = planner.plan(batch)
@@ -233,7 +169,7 @@ class CDMThroughputSweep:
                     )
                 except ConfigurationError:
                     cells.append(_cell("DiffusionPipe", gpus, batch, 0.0, True))
-                for engine in engines:
+                for engine in baselines:
                     try:
                         res = engine.run(batch)
                         cells.append(

@@ -61,8 +61,8 @@ def memory_report_reference(model, partition, *, capacity_bytes, family):
 def stage_execs_reference(
     planner, chain, micro_batch, group_size, reverse_windows=False
 ) -> list[StageExec]:
-    """``DiffusionPipePlanner._stage_execs`` before it took its window
-    starts from ``_build_args``."""
+    """The planner's stage execs (now ``lower_partition``) before they
+    took their window starts from the family's ``chains``."""
     prof = planner.profile
     p2p = planner._p2p_costs(group_size)
     scales = planner._group_speed_scales(group_size) or (1.0,) * group_size

@@ -4,8 +4,10 @@ import pytest
 
 from repro.baselines import ChimeraBaseline, ChimeraConfig, GPipeBaseline
 from repro.cluster import single_node
+from repro.core.plan import PartitionPlan
 from repro.errors import ConfigurationError
-from repro.models.zoo import stable_diffusion_v2_1
+from repro.memory.estimator import pipeline_memory_report
+from repro.models.zoo import dit_xl, stable_diffusion_v2_1
 from repro.profiling import Profiler
 
 
@@ -66,3 +68,30 @@ def test_chimera_bubble_ratio_checks_like_run(gpus, config, batch, message):
     for measure in (ch.run, ch.bubble_ratio):
         with pytest.raises(ConfigurationError, match=message):
             measure(batch)
+
+
+def test_chimera_prices_memory_at_the_micro_batch_it_simulates():
+    """The partition DP, the memory report and the simulation read one
+    bidirectional plan at the per-direction batch.  DiT-XL on 8 GPUs at
+    b = 384 (S = 2, 2 micro-batches per direction, dp = 4) simulates
+    24-sample micro-batches and fits in about 52.5 GB; priced at the
+    whole group batch's 48-sample micro-batches it needed 84.9 GB and
+    was reported out of memory."""
+    cluster = single_node(8)
+    model = dit_xl()
+    ch = ChimeraBaseline(model, cluster, Profiler(cluster).profile(model))
+    res = ch.run(384)
+    assert not res.oom
+    assert res.throughput > 0
+    assert res.local_batch == 24
+    assert res.memory.peak_bytes == pytest.approx(52.5e9, rel=2e-3)
+    down = ch._partition(384).down
+    per_direction = PartitionPlan(
+        down=down, up=down, num_stages=2, num_micro_batches=2,
+        group_size=2, batch_per_group=48,
+    )
+    assert res.memory == pipeline_memory_report(
+        model, per_direction,
+        capacity_bytes=cluster.device_spec.memory_bytes,
+        schedule="bidirectional",
+    )

@@ -51,7 +51,6 @@ def compute_golden() -> dict:
     from repro.harness import (
         CDM_LSUN_BATCHES,
         SD_BATCHES,
-        CDMThroughputSweep,
         ThroughputSweep,
         ablation_throughputs,
     )
@@ -70,7 +69,7 @@ def compute_golden() -> dict:
             batches=SD_BATCHES,
         )
         out[key] = _cells_to_json(sweep.run())
-    sweep = CDMThroughputSweep(
+    sweep = ThroughputSweep(
         cdm_lsun, machine_counts=MACHINE_COUNTS, batches=CDM_LSUN_BATCHES
     )
     out["fig13c"] = _cells_to_json(sweep.run())

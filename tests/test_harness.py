@@ -53,13 +53,13 @@ def test_experiment_report_deviation():
 
 
 def test_cdm_sweep_heterogeneous_flag():
-    """``CDMThroughputSweep(heterogeneous=True)`` threads per-stage
+    """``ThroughputSweep(heterogeneous=True)`` threads per-stage
     replication into the planner options (it used to be a documented
     no-op for cascaded models) and still produces DiffusionPipe cells."""
-    from repro.harness.throughput import CDMThroughputSweep
+    from repro.harness.throughput import ThroughputSweep
     from repro.models.zoo import cdm_lsun
 
-    sweep = CDMThroughputSweep(
+    sweep = ThroughputSweep(
         cdm_lsun,
         machine_counts=(1,),
         batches={8: (128,)},

@@ -355,10 +355,10 @@ def test_cold_plan_simulates_only_what_can_win(monkeypatch):
 
 
 def test_finalists_derive_their_stage_chain_once(monkeypatch):
-    """Counter gate of the stage-exec derivation: a finalist's plain and
-    self-conditioned floors share one stage chain, and so do its two
-    simulated timelines, so a cold SD v2.1 (self-conditioning) plan on
-    16 GPUs derives 10 chains — one per finalist of the 9
+    """Counter gate of the stage-exec derivation (``lower_partition``
+    calls): a finalist's plain and self-conditioned floors share one
+    stage chain, and so do its two simulated timelines, so a cold SD
+    v2.1 (self-conditioning) plan on 16 GPUs derives 10 chains — one per finalist of the 9
     configurations the pre-partition floor lets reach the closed-form
     rung, one per simulated partition (1, for 2 timelines) — and the
     exhaustive search 70 (35 floors and 35 partitions' 70 timelines).
@@ -368,13 +368,13 @@ def test_finalists_derive_their_stage_chain_once(monkeypatch):
     reached the closed-form rung (39 chains); deriving a chain per
     floor made it 78 and 140, and a chain per timeline 43 and 105."""
     calls = [0]
-    stage_execs = DiffusionPipePlanner._stage_execs
+    lower_partition = planner_mod.lower_partition
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return stage_execs(self, *args, **kwargs)
+        return lower_partition(*args, **kwargs)
 
-    monkeypatch.setattr(DiffusionPipePlanner, "_stage_execs", counting)
+    monkeypatch.setattr(planner_mod, "lower_partition", counting)
     cluster = p4de_cluster(2)
     model = stable_diffusion_v2_1()
     profile = Profiler(cluster).profile(model)
